@@ -109,7 +109,7 @@ fn print_tables(report: &SmokeReport) {
                 format!("{:.0}", p.total_ops() as f64 / p.batch as f64),
             ]);
         }
-        println!("packed-batch sweep (slot-packed BSGS engine):");
+        println!("packed-batch sweep (slot-packed optimized circuit):");
         println!("{}", t.render());
     }
     if !report.compiler.is_empty() {

@@ -13,11 +13,7 @@
 #![forbid(unsafe_code)]
 
 use bench::harness::{self, Arch};
-use ckks::{CkksParams, Evaluator, KeyGenerator, SecurityLevel};
-use ckks_math::sampler::Sampler;
-use cnn_he::packed::PackedNetwork;
 use cnn_he::CnnHePipeline;
-use std::sync::Arc;
 use std::time::Instant;
 
 fn main() {
@@ -36,46 +32,20 @@ fn main() {
     let res = pipe.classify(&[img]);
     let scalar_wall = t0.elapsed();
     let scalar_pred = res.predictions[0];
+    let slots = pipe.ctx.slots();
 
-    // ---------------- packed engine --------------------------------
-    eprintln!("[ablation] packed engine: building keys + precompute ...");
-    let packed = PackedNetwork::from_network(&model.network);
-    let depth = packed.required_levels();
-    let mut chain_bits = vec![40u32];
-    chain_bits.extend(std::iter::repeat_n(26, depth));
-    let ctx = CkksParams {
-        n,
-        chain_bits,
-        special_bits: vec![40],
-        scale_bits: 26,
-        security: if n >= 1 << 14 {
-            SecurityLevel::Bits128
-        } else {
-            SecurityLevel::None
-        },
-    }
-    .build();
-    let mut kg = KeyGenerator::new(Arc::clone(&ctx), 31338);
-    let sk = kg.gen_secret_key();
-    let pk = kg.gen_public_key(&sk);
-    let rk = kg.gen_relin_key(&sk);
-    let gk = kg.gen_galois_keys(&sk, &packed.required_rotation_steps(), false);
-    let ev = Evaluator::new(Arc::clone(&ctx));
-    let mut s = Sampler::from_seed(31339);
-    let pre = packed.precompute(&ev);
+    // ---------------- packed path ----------------------------------
+    eprintln!("[ablation] packed path: circuit + keys + operand encoding ...");
+    let mut pipe = CnnHePipeline::new(model.network.clone(), n, 31338);
+    pipe.enable_packed_batching()
+        .and_then(|()| pipe.prepare_batch(1))
+        .expect("CNN1 packs into the ring");
 
-    eprintln!("[ablation] packed engine inference ...");
-    let x = packed.encrypt_input(&ev, &pk, &mut s, img);
+    eprintln!("[ablation] packed path inference ...");
     let t1 = Instant::now();
-    let (y, layer_times) = packed.infer_encrypted_precomputed(&ev, &rk, &gk, &pre, x);
+    let res = pipe.classify(&[img]);
     let packed_wall = t1.elapsed();
-    let out = ev.decrypt_to_real(&y, &sk);
-    let packed_pred = out[..packed.output_dim]
-        .iter()
-        .enumerate()
-        .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-        .unwrap()
-        .0;
+    let packed_pred = res.predictions[0];
 
     println!("engine              | 1-image request latency | prediction");
     println!(
@@ -90,15 +60,16 @@ fn main() {
         "\nspeed-up of packed over scalar: {:.1}×",
         scalar_wall.as_secs_f64() / packed_wall.as_secs_f64()
     );
-    println!(
-        "(packed dim {}, {} rotations/layer budget; scalar amortizes over {} slots instead)",
-        packed.dim,
-        packed.required_rotation_steps().len(),
-        ctx.slots()
-    );
-    println!("\npacked per-layer walls:");
-    for (name, t) in layer_times {
-        println!("  {name}: {:.3}s", t.as_secs_f64());
+    if let Some(stats) = pipe.compiled_stats(1) {
+        println!(
+            "(packed circuit: {} rotations after optimization, {} in the textbook BSGS form; \
+             scalar amortizes over {slots} slots instead)",
+            stats.compiled.rotations, stats.eager.rotations
+        );
+    }
+    println!("\npacked per-region walls:");
+    for l in &res.timing.layers {
+        println!("  {}: {:.3}s", l.name, l.wall.as_secs_f64());
     }
     assert_eq!(scalar_pred, packed_pred, "engines must agree");
 }

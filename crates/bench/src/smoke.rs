@@ -426,10 +426,11 @@ fn serve_component(runs: usize) -> ServeSmoke {
     }
 }
 
-/// Packed-batch sweep: the mini network through the slot-packed BSGS
-/// engine at each [`PACKED_SWEEP`] batch size, one `classify` call per
-/// run (encrypt → per-shard inference → decrypt). The pipeline caches
-/// diagonal precomputes per stride, so runs measure steady-state cost.
+/// Packed-batch sweep: the mini network through the slot-packed path
+/// (the optimized `he-ir` circuit) at each [`PACKED_SWEEP`] batch size,
+/// one `classify` call per run (encrypt → per-shard circuit → decrypt).
+/// Each stride is prepared before its runs, so they measure
+/// steady-state cost.
 fn packed_batch_component(runs: usize) -> Vec<PackedBatchPoint> {
     let mut pipe = CnnHePipeline::new(mini_cnn1(12), 1 << 10, 12);
     pipe.enable_packed_batching()
@@ -446,11 +447,10 @@ fn packed_batch_component(runs: usize) -> Vec<PackedBatchPoint> {
             })
             .collect();
         let refs: Vec<&[f32]> = images.iter().map(Vec::as_slice).collect();
-        // warm-up at this batch's stride (one shard's worth of lanes):
-        // builds and caches the stride's diagonal precompute so the
-        // measured runs have identical op counts
+        // circuit, keys and encoded operands of this batch's stride are
+        // built here, so the measured runs have identical op counts
+        pipe.prepare_batch(batch).expect("admitted");
         let lanes = batch.next_power_of_two().min(lanes_cap).max(1);
-        std::hint::black_box(pipe.classify(&refs[..lanes.min(batch)]));
         let shards = batch.div_ceil(lanes);
         let mut walls = Vec::with_capacity(runs);
         let mut per_run: Option<OpSnapshot> = None;

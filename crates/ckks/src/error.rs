@@ -68,6 +68,23 @@ pub enum HeError {
         /// vector does not fit the slot count).
         capacity: usize,
     },
+    /// A classification request carried no images.
+    EmptyBatch,
+    /// A request input has the wrong size: an image that is not the
+    /// network's input length, or a batch that is not the one the shard
+    /// plan was made for.
+    ShapeMismatch {
+        /// What was measured ("image length", "batch size", …).
+        what: &'static str,
+        got: usize,
+        expected: usize,
+    },
+    /// Static admission refused the circuit under the pipeline's
+    /// parameters and keys; carries the rendered lint report.
+    PlanRejected { report: String },
+    /// The circuit executor failed mid-run (a bug in the lowering or in
+    /// the keys bound to it — admission should have caught it).
+    Execution { reason: String },
 }
 
 impl std::fmt::Display for HeError {
@@ -108,6 +125,17 @@ impl std::fmt::Display for HeError {
                 f,
                 "batch exceeds slot capacity: {batch} lanes requested, {capacity} fit"
             ),
+            HeError::EmptyBatch => write!(f, "cannot classify an empty batch"),
+            HeError::ShapeMismatch {
+                what,
+                got,
+                expected,
+            } => write!(f, "{what} mismatch: got {got}, expected {expected}"),
+            // keep the historical panic prefix — tests match on it
+            HeError::PlanRejected { report } => {
+                write!(f, "he-lint rejected the inference plan:\n{report}")
+            }
+            HeError::Execution { reason } => write!(f, "circuit execution failed: {reason}"),
         }
     }
 }

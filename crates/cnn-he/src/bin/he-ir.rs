@@ -12,8 +12,10 @@
 //! `--dot`); `passes` lists the registered analyses. With `--optimize`
 //! the circuit is first run through the optimizing pass pipeline
 //! (`PassManager::optimizer()`) and the per-pass op-count report is
-//! printed, so `check --optimize` lints what the compiled execution
-//! path would actually run. Exits 0 when the
+//! printed. `--packed` lowers the slot-packed network: alone, the
+//! un-optimized reference circuit (`PackedLowering::Eager`); with
+//! `--optimize`, the squat-fold lowering the optimizer is built for —
+//! exactly what `CnnHePipeline` prepares and runs. Exits 0 when the
 //! circuit is clean (warnings allowed), 1 on error diagnostics, 2 on
 //! usage problems.
 //!
@@ -28,6 +30,7 @@
 use cnn_he::graph::{lower_network, EncodeSharing};
 use cnn_he::network::HeNetwork;
 use cnn_he::packed::PackedNetwork;
+use cnn_he::{lower_packed, PackedLowering};
 use he_ir::{Circuit, GraphBuilder, PassManager};
 use neural::models::{cnn1, cnn2, ActKind};
 
@@ -185,13 +188,16 @@ fn params_for(levels: usize) -> ckks::CkksParams {
 
 fn build_circuit(net: &HeNetwork, opts: &Opts) -> Circuit {
     if opts.packed {
-        // the packed engine's plan-level lowering (BSGS rotations +
-        // matrix/SLAF trajectory), provisioned with exactly the keys
-        // the engine would generate
+        // single-image (stride 1) packed circuit, declared keys =
+        // exactly its rotation set
         let packed = PackedNetwork::from_network(net);
         let params = params_for(opts.depth.unwrap_or_else(|| packed.required_levels()));
-        cnn_he::lint::plan_for_packed(&packed, params, &packed.required_rotation_steps())
-            .to_circuit()
+        let mode = if opts.optimize {
+            PackedLowering::Compiled
+        } else {
+            PackedLowering::Eager
+        };
+        lower_packed(&packed, GraphBuilder::new(params), 1, mode)
     } else {
         let params = params_for(opts.depth.unwrap_or_else(|| net.required_levels()));
         let sharing = if opts.per_tap {

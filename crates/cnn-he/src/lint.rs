@@ -1,14 +1,13 @@
-//! Lowering of the crate's network types into `he-lint` circuit plans.
+//! Lowering of the scalar engine's network into an `he-lint` circuit
+//! plan.
 //!
-//! The static analyzer sees exactly the op sequence the engines run:
-//! the scalar engine ([`crate::network::HeNetwork`]) is rotation-free
-//! (one scalar MAC per tap), the packed engine
-//! ([`crate::packed::PackedNetwork`]) prepends the BSGS baby/giant
-//! rotations of each matrix layer. Both share the same SLAF lowering
-//! (always two levels, always squares).
+//! The static analyzer sees exactly the op sequence the scalar engine
+//! ([`crate::network::HeNetwork`]) runs: rotation-free, one scalar MAC
+//! per tap, two levels per SLAF. The packed path has no plan-level
+//! lowering: its admission lints the `he-ir` circuit that executes
+//! ([`crate::packed_graph::lower_packed`]).
 
 use crate::network::{HeLayerSpec, HeNetwork};
-use crate::packed::{PackedLayer, PackedNetwork};
 use crate::rns_input::SignalDecomposition;
 use ckks::CkksParams;
 use he_lint::{CircuitOp, CircuitPlan, KeyInventory};
@@ -45,97 +44,6 @@ pub fn plan_for_network(net: &HeNetwork, params: CkksParams, batch: usize) -> Ci
     CircuitPlan::new(params, ops)
         .with_keys(KeyInventory::relin_only())
         .with_slots_used(batch)
-}
-
-/// Lowers a packed-engine network to a circuit plan. `galois_steps` are
-/// the rotation steps whose keys were (or will be) generated — pass
-/// [`PackedNetwork::required_rotation_steps`] for a well-provisioned
-/// run, or a subset to lint a deliberately broken one.
-pub fn plan_for_packed(
-    packed: &PackedNetwork,
-    params: CkksParams,
-    galois_steps: &[i64],
-) -> CircuitPlan {
-    let elements: Vec<usize> = galois_steps
-        .iter()
-        .map(|&s| params.galois_element_for_rotation(s))
-        .collect();
-    plan_for_packed_with_elements(packed, params, elements)
-}
-
-/// [`plan_for_packed`] with the Galois-key inventory given directly as
-/// group elements (what a built [`ckks::GaloisKeys`] exposes).
-pub fn plan_for_packed_with_elements(
-    packed: &PackedNetwork,
-    params: CkksParams,
-    elements: impl IntoIterator<Item = usize>,
-) -> CircuitPlan {
-    plan_for_packed_batched_with_elements(packed, params, 1, elements)
-}
-
-/// Lowers a packed-engine network running over a batch-strided layout
-/// with `stride` lanes per ciphertext: the same circuit as
-/// [`plan_for_packed`] with every rotation step scaled by the stride
-/// (and `dim · stride` slots occupied). `stride = 1` is exactly the
-/// single-image plan.
-pub fn plan_for_packed_batched(
-    packed: &PackedNetwork,
-    params: CkksParams,
-    stride: usize,
-    galois_steps: &[i64],
-) -> CircuitPlan {
-    let elements: Vec<usize> = galois_steps
-        .iter()
-        .map(|&s| params.galois_element_for_rotation(s))
-        .collect();
-    plan_for_packed_batched_with_elements(packed, params, stride, elements)
-}
-
-/// [`plan_for_packed_batched`] with the key inventory given as group
-/// elements.
-pub fn plan_for_packed_batched_with_elements(
-    packed: &PackedNetwork,
-    params: CkksParams,
-    stride: usize,
-    elements: impl IntoIterator<Item = usize>,
-) -> CircuitPlan {
-    assert!(stride >= 1, "stride must be at least 1");
-    let rotation_steps: Vec<i64> = packed
-        .required_rotation_steps()
-        .iter()
-        .map(|&s| s * stride as i64)
-        .collect();
-    let mut ops = Vec::new();
-    for (i, layer) in packed.layers.iter().enumerate() {
-        match layer {
-            PackedLayer::Matrix { dim, .. } => {
-                // BSGS: baby steps then giant steps, per matrix layer
-                for &steps in &rotation_steps {
-                    ops.push(CircuitOp::Rotation { steps });
-                }
-                ops.push(CircuitOp::Linear {
-                    name: format!("Matrix{i}(dim {dim})"),
-                    output_units: 1,
-                });
-            }
-            PackedLayer::Activation(coeffs) => {
-                ops.push(CircuitOp::SlafActivation {
-                    name: format!("SLAF{i}(deg {})", coeffs.len().saturating_sub(1)),
-                    degree: coeffs.len().saturating_sub(1),
-                });
-            }
-        }
-    }
-    let slots_used = packed.dim * stride;
-    let layout = if stride == 1 {
-        he_ir::Layout::Tiled
-    } else {
-        he_ir::Layout::BatchStrided { stride }
-    };
-    CircuitPlan::new(params, ops)
-        .with_keys(KeyInventory::with_galois(true, elements))
-        .with_slots_used(slots_used)
-        .with_layout(layout)
 }
 
 /// Appends the RNS input-codec soundness op for a stream decomposition
@@ -195,79 +103,6 @@ mod tests {
             "{}",
             he_lint::analyze(&plan).render()
         );
-    }
-
-    #[test]
-    fn packed_lowering_includes_rotations_and_matches_levels() {
-        let net = toy_net();
-        let packed = PackedNetwork::from_network(&net);
-        let params = CkksParams::tiny(packed.required_levels());
-        let plan = plan_for_packed(&packed, params, &packed.required_rotation_steps());
-        assert_eq!(plan.required_levels(), packed.required_levels());
-        assert!(
-            plan.ops
-                .iter()
-                .any(|op| matches!(op, CircuitOp::Rotation { .. })),
-            "packed plan must contain rotations"
-        );
-        assert!(
-            he_lint::is_clean(&plan),
-            "{}",
-            he_lint::analyze(&plan).render()
-        );
-    }
-
-    #[test]
-    fn batched_plan_scales_rotation_steps_by_the_stride() {
-        let net = toy_net();
-        let packed = PackedNetwork::from_network(&net);
-        let params = CkksParams::tiny(packed.required_levels());
-        let stride = 4usize;
-        let steps: Vec<i64> = packed
-            .required_rotation_steps()
-            .iter()
-            .map(|&s| s * stride as i64)
-            .collect();
-        let plan = plan_for_packed_batched(&packed, params, stride, &steps);
-        assert_eq!(plan.required_levels(), packed.required_levels());
-        assert_eq!(plan.slots_used, packed.dim * stride);
-        assert_eq!(plan.layout, he_ir::Layout::BatchStrided { stride });
-        let plan_steps: Vec<i64> = plan
-            .ops
-            .iter()
-            .filter_map(|op| match op {
-                CircuitOp::Rotation { steps } => Some(*steps),
-                _ => None,
-            })
-            .collect();
-        assert!(plan_steps.iter().all(|s| s % stride as i64 == 0));
-        assert!(
-            he_lint::is_clean(&plan),
-            "{}",
-            he_lint::analyze(&plan).render()
-        );
-        // under-provisioned stride-1 keys must fail the strided plan
-        let plan = plan_for_packed_batched(
-            &packed,
-            CkksParams::tiny(packed.required_levels()),
-            stride,
-            &packed.required_rotation_steps(),
-        );
-        assert!(he_lint::analyze(&plan).has_code("missing-galois-key"));
-    }
-
-    #[test]
-    fn packed_plan_with_missing_keys_flags_error() {
-        let net = toy_net();
-        let packed = PackedNetwork::from_network(&net);
-        let params = CkksParams::tiny(packed.required_levels());
-        // drop the last required step from the provisioned set
-        let mut steps = packed.required_rotation_steps();
-        steps.pop();
-        let plan = plan_for_packed(&packed, params, &steps);
-        let report = he_lint::analyze(&plan);
-        assert!(report.has_code("missing-galois-key"), "{}", report.render());
-        assert!(report.has_errors());
     }
 
     #[test]

@@ -12,15 +12,23 @@
 //! Convolutions are lowered to their (sparse) matrix form at extraction
 //! time (`im2col` on the weight side), so the engine evaluates the exact
 //! same function as the scalar engine and the plaintext reference.
+//!
+//! This module owns the packed *data* (diagonals, layout, shard
+//! planning, encrypt/decrypt). It does not drive the `Evaluator`: a
+//! packed network executes by lowering to an `he-ir` circuit
+//! ([`crate::packed_graph::lower_packed`]) and interpreting its
+//! [`he_ir::Prepared`] form.
 
 use crate::he_layers::ConvSpec;
 use crate::network::{HeLayerSpec, HeNetwork};
+use crate::packed_graph::{lower_packed, PackedLowering, PACKED_INPUT};
 use ckks::{
-    encode_batched, encode_real, Ciphertext, Evaluator, GaloisKeys, HeError, PackLayout, PublicKey,
-    RelinKey, SecretKey, ShardPlan,
+    encode_batched, Ciphertext, Evaluator, GaloisKeys, HeError, PackLayout, PublicKey, RelinKey,
+    SecretKey, ShardPlan,
 };
 use ckks_math::sampler::Sampler;
-use std::time::{Duration, Instant};
+use std::collections::HashMap;
+use std::time::Duration;
 
 /// A layer of the packed engine.
 #[derive(Debug, Clone)]
@@ -206,12 +214,6 @@ impl PackedNetwork {
             .collect()
     }
 
-    /// The batch-strided layout packing `lanes` images per ciphertext
-    /// on a ring with `slots` slots.
-    pub fn layout_for(&self, slots: usize, lanes: usize) -> Result<PackLayout, HeError> {
-        PackLayout::new(self.dim, lanes, slots)
-    }
-
     /// Plans a logical batch of `batch` images onto ciphertext shards
     /// (lane count capped by `slots / dim`, remainder spilling into
     /// further shards).
@@ -265,29 +267,6 @@ impl PackedNetwork {
             .sum()
     }
 
-    /// Encrypts an input vector tiled cyclically across all slots (the
-    /// layout the diagonal method requires). Stride-1 special case of
-    /// [`Self::encrypt_batch`] — bit-identical to the historical path.
-    pub fn encrypt_input(
-        &self,
-        ev: &Evaluator,
-        pk: &PublicKey,
-        sampler: &mut Sampler,
-        input: &[f32],
-    ) -> Ciphertext {
-        let slots = ev.ctx().slots();
-        assert!(
-            self.dim <= slots && slots.is_multiple_of(self.dim),
-            "dim {} must divide slot count {}",
-            self.dim,
-            slots
-        );
-        let plan = ShardPlan::plan_single(slots, self.dim, 1).expect("dim fits the ring");
-        self.encrypt_batch(ev, pk, sampler, &[input], &plan)
-            .expect("single lane cannot overflow the layout")
-            .remove(0)
-    }
-
     /// Encrypts a batch of images into the plan's shard ciphertexts:
     /// `plan.shards()` ciphertexts, each packing up to
     /// `plan.layout().batch()` images in the batch-strided layout.
@@ -300,9 +279,19 @@ impl PackedNetwork {
         images: &[&[f32]],
         plan: &ShardPlan,
     ) -> Result<Vec<Ciphertext>, HeError> {
-        assert_eq!(images.len(), plan.total(), "plan/batch size mismatch");
-        for img in images {
-            assert_eq!(img.len(), self.input_dim, "image length mismatch");
+        if images.len() != plan.total() {
+            return Err(HeError::ShapeMismatch {
+                what: "batch size",
+                got: images.len(),
+                expected: plan.total(),
+            });
+        }
+        if let Some(img) = images.iter().find(|img| img.len() != self.input_dim) {
+            return Err(HeError::ShapeMismatch {
+                what: "image length",
+                got: img.len(),
+                expected: self.input_dim,
+            });
         }
         let layout = plan.layout();
         let level = self.required_levels();
@@ -342,269 +331,30 @@ impl PackedNetwork {
         out
     }
 
-    /// Static (level, scale) schedule at the input of every layer: the
-    /// engine's scale discipline is deterministic, so plaintexts can be
-    /// encoded ahead of time.
-    pub fn layer_schedule(&self, ev: &Evaluator) -> Vec<(usize, f64)> {
-        let mut level = self.required_levels();
-        let mut scale = ev.ctx().params().scale();
-        let mut out = Vec::with_capacity(self.layers.len());
-        for layer in &self.layers {
-            out.push((level, scale));
-            match layer {
-                PackedLayer::Matrix { .. } => {
-                    // weights at q_m: scale preserved, one level consumed
-                    level -= 1;
-                }
-                PackedLayer::Activation(_) => {
-                    let q_m = ev.ctx().chain_moduli()[level].value() as f64;
-                    let q_m1 = ev.ctx().chain_moduli()[level - 1].value() as f64;
-                    scale = scale * scale * scale / (q_m * q_m1);
-                    level -= 2;
-                }
-            }
-        }
-        out
-    }
-
-    /// Pre-encodes every diagonal and bias plaintext at its scheduled
-    /// level/scale — hoists the embedding+NTT cost out of inference.
-    /// Stride-1 special case of [`Self::precompute_layout`].
-    pub fn precompute(&self, ev: &Evaluator) -> PackedPrecomputed {
-        let layout = PackLayout::tiled(self.dim, ev.ctx().slots()).expect("dim fits the ring");
-        self.precompute_layout(ev, &layout)
-    }
-
-    /// [`Self::precompute`] for a batch-strided layout: each diagonal
-    /// and bias value is broadcast to every lane
-    /// ([`PackLayout::expand`]), so one plaintext operand serves the
-    /// whole batch.
+    /// Prepares the un-optimized reference circuit
+    /// ([`PackedLowering::Eager`]) for a layout: every diagonal and bias
+    /// plaintext is broadcast to every lane and encoded once, hoisting
+    /// the embedding+NTT cost out of inference. The production path
+    /// ([`crate::CnnHePipeline`]) prepares the *optimized* circuit the
+    /// same way; this one is the reference tests and benchmarks compare
+    /// it against.
     pub fn precompute_layout(&self, ev: &Evaluator, layout: &PackLayout) -> PackedPrecomputed {
         assert_eq!(layout.dim(), self.dim, "layout dim mismatch");
         assert_eq!(layout.slots(), ev.ctx().slots(), "layout ring mismatch");
-        let schedule = self.layer_schedule(ev);
-        let b = self.baby();
-        let layers = self
-            .layers
-            .iter()
-            .zip(&schedule)
-            .map(|(layer, &(level, scale))| match layer {
-                PackedLayer::Activation(_) => None,
-                PackedLayer::Matrix { diags, bias, dim } => {
-                    let q_m = ev.ctx().chain_moduli()[level].value() as f64;
-                    let diag_pts: Vec<Option<ckks::Plaintext>> = diags
-                        .iter()
-                        .enumerate()
-                        .map(|(d, diag)| {
-                            diag.as_ref().map(|diag| {
-                                let g = (d / b) * b;
-                                let rot: Vec<f64> =
-                                    (0..*dim).map(|j| diag[(j + dim - g % dim) % dim]).collect();
-                                encode_real(ev.ctx(), &layout.expand(&rot), q_m, level)
-                            })
-                        })
-                        .collect();
-                    let bias_pt = encode_real(ev.ctx(), &layout.expand(bias), scale * q_m, level);
-                    Some((diag_pts, bias_pt))
-                }
-            })
-            .collect();
+        let circuit = lower_packed(
+            self,
+            he_ir::GraphBuilder::for_context(ev.ctx()),
+            layout.stride(),
+            PackedLowering::Eager,
+        );
         PackedPrecomputed {
-            layout: *layout,
-            layers,
+            prepared: he_ir::Prepared::new(ev, circuit).expect("the eager lowering validates"),
         }
     }
 
-    /// Encrypted inference with precomputed plaintexts. The rotation
-    /// steps follow the precompute's layout stride, so the same code
-    /// path serves the single-image tiled layout (stride 1 — the
-    /// historical behavior, bit-identical) and slot-packed batches.
-    pub fn infer_encrypted_precomputed(
-        &self,
-        ev: &Evaluator,
-        rk: &RelinKey,
-        gk: &GaloisKeys,
-        pre: &PackedPrecomputed,
-        mut x: Ciphertext,
-    ) -> (Ciphertext, Vec<(String, Duration)>) {
-        let stride = pre.layout.stride() as i64;
-        let b = self.baby();
-        let mut times = Vec::new();
-        for (li, layer) in self.layers.iter().enumerate() {
-            let t0 = Instant::now();
-            match layer {
-                PackedLayer::Matrix { diags, dim, .. } => {
-                    let (diag_pts, bias_pt) =
-                        pre.layers[li].as_ref().expect("precompute/layer mismatch");
-                    let mut babies = Vec::with_capacity(b);
-                    babies.push(x.clone());
-                    for s in 1..b {
-                        babies.push(ev.rotate(&x, s as i64 * stride, gk));
-                    }
-                    let mut acc: Option<Ciphertext> = None;
-                    let mut g = 0usize;
-                    while g < *dim {
-                        let mut inner: Option<Ciphertext> = None;
-                        for bb in 0..b {
-                            let d = g + bb;
-                            if d >= *dim {
-                                break;
-                            }
-                            if diags[d].is_none() {
-                                continue;
-                            }
-                            let pt = diag_pts[d].as_ref().unwrap();
-                            let term = ev.mul_plain(&babies[bb], pt);
-                            inner = Some(match inner {
-                                None => term,
-                                Some(a) => ev.add(&a, &term),
-                            });
-                        }
-                        if let Some(inner) = inner {
-                            let rotated = if g == 0 {
-                                inner
-                            } else {
-                                ev.rotate(&inner, g as i64 * stride, gk)
-                            };
-                            acc = Some(match acc {
-                                None => rotated,
-                                Some(a) => ev.add(&a, &rotated),
-                            });
-                        }
-                        g += b;
-                    }
-                    let mut acc = acc.expect("zero matrix layer");
-                    acc = ev.add_plain(&acc, bias_pt);
-                    x = ev.rescale(&acc);
-                }
-                PackedLayer::Activation(c) => {
-                    let mut coeffs = [0.0f64; 4];
-                    coeffs[..c.len()].copy_from_slice(c);
-                    x = crate::he_layers::he_poly_eval_deg3(ev, rk, &x, &coeffs);
-                }
-            }
-            times.push((format!("packed layer {li}"), t0.elapsed()));
-        }
-        (x, times)
-    }
-
-    /// Encrypted inference: BSGS diagonal matvec per linear layer, one
-    /// SLAF per activation layer. Returns the output ciphertext and
-    /// per-layer wall times. Stride-1 special case of
-    /// [`Self::infer_encrypted_layout`].
-    pub fn infer_encrypted(
-        &self,
-        ev: &Evaluator,
-        rk: &RelinKey,
-        gk: &GaloisKeys,
-        x: Ciphertext,
-    ) -> (Ciphertext, Vec<(String, Duration)>) {
-        let layout = PackLayout::tiled(self.dim, ev.ctx().slots()).expect("dim fits the ring");
-        self.infer_encrypted_layout(ev, rk, gk, &layout, x)
-    }
-
-    /// [`Self::infer_encrypted`] over a batch-strided ciphertext: the
-    /// same BSGS circuit with every rotation step scaled by the lane
-    /// stride and every plaintext operand broadcast to all lanes —
-    /// per-ciphertext HE op count is independent of the lane count.
-    pub fn infer_encrypted_layout(
-        &self,
-        ev: &Evaluator,
-        rk: &RelinKey,
-        gk: &GaloisKeys,
-        layout: &PackLayout,
-        mut x: Ciphertext,
-    ) -> (Ciphertext, Vec<(String, Duration)>) {
-        assert_eq!(layout.dim(), self.dim, "layout dim mismatch");
-        // debug builds lint the plan against the *actual* key inventory
-        // before spending any rotations
-        #[cfg(debug_assertions)]
-        {
-            let plan = crate::lint::plan_for_packed_batched_with_elements(
-                self,
-                ev.ctx().params().clone(),
-                layout.stride(),
-                gk.elements(),
-            )
-            .with_start_level(x.level);
-            let report = he_lint::analyze(&plan);
-            debug_assert!(
-                !report.has_errors(),
-                "he-lint: packed inference would fail:\n{}",
-                report.render()
-            );
-        }
-        let stride = layout.stride() as i64;
-        let b = self.baby();
-        let mut times = Vec::new();
-        for (li, layer) in self.layers.iter().enumerate() {
-            let t0 = Instant::now();
-            match layer {
-                PackedLayer::Matrix { diags, bias, dim } => {
-                    let q_m = ev.ctx().chain_moduli()[x.level].value() as f64;
-                    // baby steps: rot_{b·stride}(x) for b = 0..B
-                    let mut babies = Vec::with_capacity(b);
-                    babies.push(x.clone());
-                    for s in 1..b {
-                        babies.push(ev.rotate(&x, s as i64 * stride, gk));
-                    }
-                    // giant accumulation
-                    let mut acc: Option<Ciphertext> = None;
-                    let mut g = 0usize;
-                    while g < *dim {
-                        let mut inner: Option<Ciphertext> = None;
-                        for bb in 0..b {
-                            let d = g + bb;
-                            if d >= *dim {
-                                break;
-                            }
-                            let Some(diag) = &diags[d] else { continue };
-                            // BSGS identity with left rotations:
-                            //   y = Σ_g rot_g( Σ_b rot_{-g}(diag_{g+b}) ⊙ rot_b(x) )
-                            // so the plaintext is the diagonal rotated
-                            // right by g, broadcast to every lane.
-                            let rot: Vec<f64> =
-                                (0..*dim).map(|j| diag[(j + dim - g % dim) % dim]).collect();
-                            let pt =
-                                encode_real(ev.ctx(), &layout.expand(&rot), q_m, babies[bb].level);
-                            let term = ev.mul_plain(&babies[bb], &pt);
-                            inner = Some(match inner {
-                                None => term,
-                                Some(a) => ev.add(&a, &term),
-                            });
-                        }
-                        if let Some(inner) = inner {
-                            let rotated = if g == 0 {
-                                inner
-                            } else {
-                                ev.rotate(&inner, g as i64 * stride, gk)
-                            };
-                            acc = Some(match acc {
-                                None => rotated,
-                                Some(a) => ev.add(&a, &rotated),
-                            });
-                        }
-                        g += b;
-                    }
-                    let mut acc = acc.expect("zero matrix layer");
-                    // bias at the accumulated scale, broadcast per lane
-                    let bias_pt = encode_real(ev.ctx(), &layout.expand(bias), acc.scale, acc.level);
-                    acc = ev.add_plain(&acc, &bias_pt);
-                    x = ev.rescale(&acc);
-                }
-                PackedLayer::Activation(c) => {
-                    let mut coeffs = [0.0f64; 4];
-                    coeffs[..c.len()].copy_from_slice(c);
-                    x = crate::he_layers::he_poly_eval_deg3(ev, rk, &x, &coeffs);
-                }
-            }
-            times.push((format!("packed layer {li}"), t0.elapsed()));
-        }
-        (x, times)
-    }
-
-    /// Runs [`Self::infer_encrypted_precomputed`] over every shard of a
-    /// batched request (shards are independent, identical circuits).
+    /// Interprets the reference circuit over every shard of a batched
+    /// request. `gk` must cover [`Self::required_rotation_steps_for`]
+    /// the precompute's layout.
     pub fn infer_batch(
         &self,
         ev: &Evaluator,
@@ -612,35 +362,43 @@ impl PackedNetwork {
         gk: &GaloisKeys,
         pre: &PackedPrecomputed,
         shards: Vec<Ciphertext>,
-    ) -> (Vec<Ciphertext>, Vec<(String, Duration)>) {
-        let mut outs = Vec::with_capacity(shards.len());
-        let mut times = Vec::new();
-        for (s, ct) in shards.into_iter().enumerate() {
-            let (y, t) = self.infer_encrypted_precomputed(ev, rk, gk, pre, ct);
-            outs.push(y);
-            times.extend(
-                t.into_iter()
-                    .map(|(name, d)| (format!("shard {s}: {name}"), d)),
-            );
-        }
-        (outs, times)
+    ) -> ShardRun {
+        let interp = he_ir::Interpreter::new(ev).with_relin(rk).with_galois(gk);
+        run_shards(&pre.prepared, &interp, shards).expect("the reference circuit executes")
     }
 }
 
-/// Pre-encoded plaintext operands of a packed network (one entry per
-/// layer; `None` for activations), bound to the layout they were
-/// broadcast for.
+/// Output shards of a batched run plus one wall per shard and region,
+/// named `shard s: <region>`.
+pub type ShardRun = (Vec<Ciphertext>, Vec<(String, Duration)>);
+
+/// Runs one prepared packed circuit over every shard of a batched
+/// request (shards are independent runs of the same circuit).
+pub(crate) fn run_shards(
+    prepared: &he_ir::Prepared,
+    interp: &he_ir::Interpreter,
+    shards: Vec<Ciphertext>,
+) -> Result<ShardRun, String> {
+    let regions = &prepared.circuit().regions;
+    let mut outs = Vec::with_capacity(shards.len());
+    let mut times = Vec::with_capacity(shards.len() * regions.len());
+    for (s, ct) in shards.into_iter().enumerate() {
+        let inputs = HashMap::from([(PACKED_INPUT.to_string(), ct)]);
+        let mut run = prepared.run(interp, &inputs)?;
+        outs.push(run.outputs.remove(0));
+        times.extend(
+            regions
+                .iter()
+                .zip(run.region_walls)
+                .map(|(r, wall)| (format!("shard {s}: {}", r.name), wall)),
+        );
+    }
+    Ok((outs, times))
+}
+
+/// The prepared reference circuit of a packed network at one layout.
 pub struct PackedPrecomputed {
-    layout: PackLayout,
-    layers: Vec<Option<(Vec<Option<ckks::Plaintext>>, ckks::Plaintext)>>,
-}
-
-impl PackedPrecomputed {
-    /// The layout the operands were expanded for (its stride drives the
-    /// rotation steps of [`PackedNetwork::infer_encrypted_precomputed`]).
-    pub fn layout(&self) -> PackLayout {
-        self.layout
-    }
+    prepared: he_ir::Prepared,
 }
 
 #[cfg(test)]
@@ -678,6 +436,25 @@ mod tests {
             ],
             input_side: 8,
         }
+    }
+
+    /// One tiled (stride-1) image through the reference circuit.
+    fn infer_one(
+        packed: &PackedNetwork,
+        ev: &Evaluator,
+        (pk, rk, gk): (&PublicKey, &RelinKey, &GaloisKeys),
+        sampler: &mut Sampler,
+        img: &[f32],
+    ) -> (Ciphertext, Vec<(String, Duration)>) {
+        let plan = packed
+            .plan_batch(ev.ctx().slots(), 1)
+            .expect("dim fits the ring");
+        let cts = packed
+            .encrypt_batch(ev, pk, sampler, &[img], &plan)
+            .expect("one lane packs");
+        let pre = packed.precompute_layout(ev, &plan.layout());
+        let (mut outs, times) = packed.infer_batch(ev, rk, gk, &pre, cts);
+        (outs.remove(0), times)
     }
 
     #[test]
@@ -739,9 +516,9 @@ mod tests {
         let mut s = Sampler::from_seed(43);
 
         let img: Vec<f32> = (0..64).map(|i| ((i * 7) % 13) as f32 / 13.0).collect();
-        let x = packed.encrypt_input(&ev, &pk, &mut s, &img);
-        let (y, times) = packed.infer_encrypted(&ev, &rk, &gk, x);
+        let (y, times) = infer_one(&packed, &ev, (&pk, &rk, &gk), &mut s, &img);
         assert_eq!(times.len(), 3);
+        assert!(times[1].0.starts_with("shard 0: "), "{}", times[1].0);
         let out = ev.decrypt_to_real(&y, &sk);
         let want = packed.infer_plain(&img);
         for i in 0..packed.output_dim {
@@ -769,34 +546,38 @@ mod tests {
     }
 
     #[test]
-    fn precomputed_path_matches_on_the_fly_path() {
-        let net = mini_net(48);
-        let packed = PackedNetwork::from_network(&net);
+    fn encrypt_batch_refuses_misshapen_requests_typed() {
+        let packed = PackedNetwork::from_network(&mini_net(48));
         let ctx = CkksParams::tiny(packed.required_levels()).build();
         let mut kg = KeyGenerator::new(Arc::clone(&ctx), 49);
         let sk = kg.gen_secret_key();
         let pk = kg.gen_public_key(&sk);
-        let rk = kg.gen_relin_key(&sk);
-        let gk = kg.gen_galois_keys(&sk, &packed.required_rotation_steps(), false);
         let ev = Evaluator::new(Arc::clone(&ctx));
         let mut s = Sampler::from_seed(50);
-        let img: Vec<f32> = (0..64).map(|i| ((i * 11) % 9) as f32 / 9.0).collect();
-
-        let pre = packed.precompute(&ev);
-        let x1 = packed.encrypt_input(&ev, &pk, &mut s, &img);
-        let (y1, _) = packed.infer_encrypted_precomputed(&ev, &rk, &gk, &pre, x1);
-        let x2 = packed.encrypt_input(&ev, &pk, &mut s, &img);
-        let (y2, _) = packed.infer_encrypted(&ev, &rk, &gk, x2);
-        let o1 = ev.decrypt_to_real(&y1, &sk);
-        let o2 = ev.decrypt_to_real(&y2, &sk);
-        for i in 0..packed.output_dim {
-            assert!(
-                (o1[i] - o2[i]).abs() < 1e-4,
-                "slot {i}: {} vs {}",
-                o1[i],
-                o2[i]
-            );
-        }
+        let plan = packed.plan_batch(ctx.slots(), 2).unwrap();
+        let (good, short) = (vec![0.5f32; 64], vec![0.5f32; 10]);
+        let err = packed
+            .encrypt_batch(&ev, &pk, &mut s, &[&good, &short], &plan)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            HeError::ShapeMismatch {
+                what: "image length",
+                got: 10,
+                expected: 64
+            }
+        );
+        let err = packed
+            .encrypt_batch(&ev, &pk, &mut s, &[&good], &plan)
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            HeError::ShapeMismatch {
+                what: "batch size",
+                got: 1,
+                expected: 2
+            }
+        ));
     }
 
     #[test]
@@ -888,8 +669,7 @@ mod tests {
         let scalar_logits = crate::he_tensor::decrypt_tensor(&ev, &sk, &scalar_out, 1);
 
         // packed engine
-        let xp = packed.encrypt_input(&ev, &pk, &mut s, &img);
-        let (packed_out, _) = packed.infer_encrypted(&ev, &rk, &gk, xp);
+        let (packed_out, _) = infer_one(&packed, &ev, (&pk, &rk, &gk), &mut s, &img);
         let packed_logits = ev.decrypt_to_real(&packed_out, &sk);
 
         for i in 0..packed.output_dim {

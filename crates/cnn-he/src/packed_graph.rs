@@ -1,17 +1,19 @@
-//! Lowering of the packed (BSGS) engine into the `he-ir` circuit IR —
-//! the front-end of the optimizing compiler behind
-//! [`crate::pipeline::CnnHePipeline::compile`].
+//! Lowering of a packed (BSGS) network into the `he-ir` circuit IR —
+//! the only way a [`PackedNetwork`] reaches the `Evaluator`: the
+//! circuit is prepared once ([`he_ir::Prepared`]) and interpreted per
+//! request.
 //!
 //! Two lowering modes:
 //!
-//! * [`PackedLowering::Eager`] replays
-//!   [`PackedNetwork::infer_encrypted_layout`] op for op — shared baby
+//! * [`PackedLowering::Eager`] is the textbook circuit — shared baby
 //!   rotations hoisted up front, giant-step skipping of all-`None`
 //!   diagonals, diagonal plaintexts at `q_m`, bias at the accumulated
 //!   scale, one rescale per linear layer, the exact
-//!   `he_poly_eval_deg3` shape per activation. Interpreting this
-//!   circuit is bit-identical to the eager engine; its op counts are
-//!   the honest baseline the compiled circuit is measured against.
+//!   `he_poly_eval_deg3` shape per activation. It is never optimized:
+//!   it is the reference the optimized circuit is tested against, and
+//!   its op counts are the honest baseline the optimizer is measured
+//!   by. Its rotation set is a subset of
+//!   [`PackedNetwork::required_rotation_steps_for`].
 //! * [`PackedLowering::Compiled`] lowers each linear layer in
 //!   *squat-matrix fold* form when the used output rows `n_o` (rounded
 //!   to a power of two) are fewer than the packed dimension: the
@@ -26,11 +28,15 @@
 //!   are deliberately emitted per *use* (naively): the rotation-hoist
 //!   and CSE passes of [`he_ir::PassManager::optimizer`] merge them,
 //!   which is what makes this lowering an exercise of the optimizer
-//!   rather than a hand-scheduled circuit.
+//!   rather than a hand-scheduled circuit. This is what
+//!   [`crate::CnnHePipeline`] optimizes and runs.
 //!
-//! The compiled mode is NOT bit-identical to eager (rescale sinking
-//! changes rounding); he-diff's compiled-vs-eager differential mode
-//! checks agreement within the composed noise-model bound instead.
+//! The two modes are NOT bit-identical (rescale sinking changes
+//! rounding); they agree within the composed noise-model bound.
+//!
+//! Regions are named `packed layer i: matvec|fold|slaf`, so per-region
+//! walls attribute time to the linear map, its replication fold and
+//! the activation separately.
 
 use crate::packed::{PackedLayer, PackedNetwork};
 use he_ir::{Circuit, GraphBuilder, KeyInventory, Layout, NodeId};
@@ -39,7 +45,7 @@ use std::collections::BTreeSet;
 /// Which circuit shape [`lower_packed`] emits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PackedLowering {
-    /// Mirror of the eager packed engine, op for op.
+    /// The un-optimized reference circuit.
     Eager,
     /// Squat-matrix fold form, meant to be run through
     /// [`he_ir::PassManager::optimizer`] before execution.
@@ -52,8 +58,9 @@ pub const PACKED_INPUT: &str = "x";
 /// Lowers a packed network to a circuit over one batch-strided input
 /// ciphertext of lane stride `stride`. The builder chooses the modulus
 /// basis: [`GraphBuilder::for_context`] for types bit-identical to
-/// eager execution, [`GraphBuilder::new`] for nominal (host-free)
-/// op-count analysis.
+/// execution (required to run the circuit), [`GraphBuilder::new`] for
+/// nominal (host-free) op-count analysis. The declared key inventory is
+/// exactly the circuit's rotation set.
 pub fn lower_packed(
     packed: &PackedNetwork,
     mut b: GraphBuilder,
@@ -61,7 +68,6 @@ pub fn lower_packed(
     mode: PackedLowering,
 ) -> Circuit {
     assert!(stride >= 1, "lane stride must be positive");
-    let dim = packed.dim;
     let layout = if stride == 1 {
         Layout::Tiled
     } else {
@@ -72,24 +78,26 @@ pub fn lower_packed(
     let mut x = b.input(PACKED_INPUT, start, layout);
 
     for (li, layer) in packed.layers.iter().enumerate() {
-        b.begin_region(format!("packed layer {li}"));
         match layer {
-            PackedLayer::Matrix {
-                diags,
-                bias,
-                dim: d,
-            } => {
-                debug_assert_eq!(*d, dim);
+            PackedLayer::Matrix { diags, bias, dim } => {
+                debug_assert_eq!(*dim, packed.dim);
+                b.begin_region(format!("packed layer {li}: matvec"));
+                let mut m = Matvec {
+                    b: &mut b,
+                    dim: packed.dim,
+                    stride,
+                    steps_used: &mut steps_used,
+                };
                 x = match mode {
                     PackedLowering::Eager => {
-                        lower_matrix_eager(&mut b, packed, diags, bias, stride, x, &mut steps_used)
+                        let acc = m.bsgs(x, diags, packed.baby(), true);
+                        m.finish(bias.clone(), acc)
                     }
-                    PackedLowering::Compiled => {
-                        lower_matrix_squat(&mut b, packed, diags, bias, stride, x, &mut steps_used)
-                    }
+                    PackedLowering::Compiled => m.squat(x, diags, bias, packed.baby(), li),
                 };
             }
             PackedLayer::Activation(coeffs) => {
+                b.begin_region(format!("packed layer {li}: slaf"));
                 x = lower_slaf(&mut b, coeffs, x);
             }
         }
@@ -102,260 +110,139 @@ pub fn lower_packed(
     b.finish(KeyInventory::with_galois(true, elements))
 }
 
-/// Mirror of the eager BSGS matvec: babies `rot(x, s·stride)` for
-/// `s ∈ 1..B` hoisted unconditionally, giants skipping empty columns,
-/// diagonal plaintexts at `q_m`, bias at the accumulated scale, one
-/// rescale.
-fn lower_matrix_eager(
-    b: &mut GraphBuilder,
-    packed: &PackedNetwork,
-    diags: &[Option<Vec<f64>>],
-    bias: &[f64],
+/// Builder state shared by the linear-layer lowerings.
+struct Matvec<'a> {
+    b: &'a mut GraphBuilder,
+    dim: usize,
     stride: usize,
-    x: NodeId,
-    steps_used: &mut BTreeSet<i64>,
-) -> NodeId {
-    let dim = packed.dim;
-    let bb_count = packed.baby();
-    let lvl = b.ct_ty(x).level;
-    let q_m = b.q_at(lvl);
-
-    let mut babies = Vec::with_capacity(bb_count);
-    babies.push(x);
-    for s in 1..bb_count {
-        let step = s as i64 * stride as i64;
-        steps_used.insert(step);
-        babies.push(b.rotate(x, step));
-    }
-
-    let mut acc: Option<NodeId> = None;
-    let mut g = 0usize;
-    while g < dim {
-        let mut inner: Option<NodeId> = None;
-        for bb in 0..bb_count {
-            let d = g + bb;
-            if d >= dim {
-                break;
-            }
-            let Some(diag) = &diags[d] else { continue };
-            // BSGS identity with left rotations: the plaintext is the
-            // diagonal rotated right by g (see infer_encrypted_layout)
-            let rot: Vec<f64> = (0..dim).map(|j| diag[(j + dim - g % dim) % dim]).collect();
-            let pt = b.encode_vec(rot, q_m, lvl);
-            let term = b.mul_plain(babies[bb], pt);
-            inner = Some(match inner {
-                None => term,
-                Some(a) => b.add(a, term),
-            });
-        }
-        if let Some(inner) = inner {
-            let rotated = if g == 0 {
-                inner
-            } else {
-                let step = g as i64 * stride as i64;
-                steps_used.insert(step);
-                b.rotate(inner, step)
-            };
-            acc = Some(match acc {
-                None => rotated,
-                Some(a) => b.add(a, rotated),
-            });
-        }
-        g += bb_count;
-    }
-    let acc = acc.expect("zero matrix layer");
-    finish_matrix(b, bias.to_vec(), acc)
+    steps_used: &'a mut BTreeSet<i64>,
 }
 
-/// Squat-matrix fold lowering: BSGS over the `n_o` wrapped diagonals
-/// (baby step `√n_o`), then `log2(dim/n_o)` rotate-and-add folds. Baby
-/// rotations are emitted per use; the optimizer's hoist/CSE passes
-/// share them.
-fn lower_matrix_squat(
-    b: &mut GraphBuilder,
-    packed: &PackedNetwork,
-    diags: &[Option<Vec<f64>>],
-    bias: &[f64],
-    stride: usize,
-    x: NodeId,
-    steps_used: &mut BTreeSet<i64>,
-) -> NodeId {
-    let dim = packed.dim;
+impl Matvec<'_> {
+    /// `rot(src, s·stride)`, recording the step; `s = 0` is `src`.
+    fn rotate(&mut self, src: NodeId, s: usize) -> NodeId {
+        if s == 0 {
+            return src;
+        }
+        let step = (s * self.stride) as i64;
+        self.steps_used.insert(step);
+        self.b.rotate(src, step)
+    }
 
-    // used output rows: any row with a nonzero weight or bias
-    let mut n_rows = 0usize;
-    for diag in diags.iter().flatten() {
-        for (i, &v) in diag.iter().enumerate() {
-            if v != 0.0 {
-                n_rows = n_rows.max(i + 1);
+    /// BSGS diagonal matvec over `diags` with baby step `babies`:
+    ///   `y = Σ_g rot_g( Σ_b rot_{-g}(diag_{g+b}) ⊙ rot_b(x) )`
+    /// so each plaintext is its diagonal rotated right by `g`, at `q_m`.
+    /// All-`None` giant blocks are skipped. `hoist` emits every baby
+    /// rotation once up front (the reference shape); otherwise a baby
+    /// is emitted at each use and left for the optimizer to share, so
+    /// unused babies never exist.
+    fn bsgs(
+        &mut self,
+        x: NodeId,
+        diags: &[Option<Vec<f64>>],
+        babies: usize,
+        hoist: bool,
+    ) -> NodeId {
+        let dim = self.dim;
+        let lvl = self.b.ct_ty(x).level;
+        let q_m = self.b.q_at(lvl);
+        let hoisted: Option<Vec<NodeId>> =
+            hoist.then(|| (0..babies).map(|s| self.rotate(x, s)).collect());
+        let mut acc: Option<NodeId> = None;
+        for g in (0..diags.len()).step_by(babies) {
+            let mut inner: Option<NodeId> = None;
+            for (bb, diag) in diags[g..].iter().take(babies).enumerate() {
+                let Some(diag) = diag else { continue };
+                let baby = match &hoisted {
+                    Some(h) => h[bb],
+                    None => self.rotate(x, bb),
+                };
+                let rot: Vec<f64> = (0..dim).map(|j| diag[(j + dim - g % dim) % dim]).collect();
+                let pt = self.b.encode_vec(rot, q_m, lvl);
+                let term = self.b.mul_plain(baby, pt);
+                inner = Some(match inner {
+                    None => term,
+                    Some(a) => self.b.add(a, term),
+                });
+            }
+            if let Some(inner) = inner {
+                let rotated = self.rotate(inner, g);
+                acc = Some(match acc {
+                    None => rotated,
+                    Some(a) => self.b.add(a, rotated),
+                });
             }
         }
+        acc.expect("zero matrix layer")
     }
-    for (i, &v) in bias.iter().enumerate() {
-        if v != 0.0 {
-            n_rows = n_rows.max(i + 1);
+
+    /// Squat-matrix fold lowering: BSGS over the `n_o` wrapped
+    /// diagonals (baby step `√n_o`), then `log2(dim/n_o)` rotate-and-add
+    /// folds in their own region. Tall/square layers gain nothing from
+    /// folding and get plain per-use BSGS, whose op count after
+    /// hoist/CSE is never worse than the reference.
+    fn squat(
+        &mut self,
+        x: NodeId,
+        diags: &[Option<Vec<f64>>],
+        bias: &[f64],
+        full_babies: usize,
+        li: usize,
+    ) -> NodeId {
+        let dim = self.dim;
+        // used output rows: any row with a nonzero weight or bias
+        let used = |v: &[f64]| v.iter().rposition(|&w| w != 0.0).map_or(0, |i| i + 1);
+        let n_rows = diags
+            .iter()
+            .flatten()
+            .map(|d| used(d))
+            .fold(used(bias), usize::max);
+        let n_o = n_rows.max(1).next_power_of_two();
+        if n_o >= dim {
+            let acc = self.bsgs(x, diags, full_babies, false);
+            return self.finish(bias.to_vec(), acc);
         }
-    }
-    let n_o = n_rows.max(1).next_power_of_two();
 
-    // tall/square layers gain nothing from folding: plain BSGS (with
-    // per-use babies for the optimizer to hoist)
-    if n_o >= dim {
-        return lower_matrix_naive_bsgs(b, packed, diags, bias, stride, x, steps_used);
-    }
-
-    // M[r][c] recovered from the generalized diagonals
-    // (diags[d][i] = M[i][(i+d) mod dim] ⇒ M[r][c] = diags[(c−r) mod dim][r])
-    let m_at = |r: usize, c: usize| -> f64 {
-        let d = (c + dim - r) % dim;
-        diags[d].as_ref().map_or(0.0, |dg| dg[r])
-    };
-    // wrapped diagonals over the folded row space
-    let wdiags: Vec<Option<Vec<f64>>> = (0..n_o)
-        .map(|d| {
-            let v: Vec<f64> = (0..dim).map(|i| m_at(i % n_o, (i + d) % dim)).collect();
-            if v.iter().all(|&w| w == 0.0) {
-                None
-            } else {
-                Some(v)
-            }
-        })
-        .collect();
-
-    let mut bprime = 1usize;
-    while bprime * bprime < n_o {
-        bprime <<= 1;
-    }
-
-    let lvl = b.ct_ty(x).level;
-    let q_m = b.q_at(lvl);
-    let mut acc: Option<NodeId> = None;
-    let mut g = 0usize;
-    while g < n_o {
-        let mut inner: Option<NodeId> = None;
-        for bb in 0..bprime {
-            let d = g + bb;
-            if d >= n_o {
-                break;
-            }
-            let Some(w) = &wdiags[d] else { continue };
-            // naive per-use baby rotation — hoist/CSE share these
-            let baby = if bb == 0 {
-                x
-            } else {
-                let step = bb as i64 * stride as i64;
-                steps_used.insert(step);
-                b.rotate(x, step)
-            };
-            let rot: Vec<f64> = (0..dim).map(|j| w[(j + dim - g % dim) % dim]).collect();
-            let pt = b.encode_vec(rot, q_m, lvl);
-            let term = b.mul_plain(baby, pt);
-            inner = Some(match inner {
-                None => term,
-                Some(a) => b.add(a, term),
-            });
+        // M[r][c] recovered from the generalized diagonals
+        // (diags[d][i] = M[i][(i+d) mod dim] ⇒ M[r][c] = diags[(c−r) mod dim][r])
+        let m_at = |r: usize, c: usize| -> f64 {
+            let d = (c + dim - r) % dim;
+            diags[d].as_ref().map_or(0.0, |dg| dg[r])
+        };
+        // wrapped diagonals over the folded row space
+        let wdiags: Vec<Option<Vec<f64>>> = (0..n_o)
+            .map(|d| {
+                let v: Vec<f64> = (0..dim).map(|i| m_at(i % n_o, (i + d) % dim)).collect();
+                v.iter().any(|&w| w != 0.0).then_some(v)
+            })
+            .collect();
+        let mut bprime = 1usize;
+        while bprime * bprime < n_o {
+            bprime <<= 1;
         }
-        if let Some(inner) = inner {
-            let rotated = if g == 0 {
-                inner
-            } else {
-                let step = g as i64 * stride as i64;
-                steps_used.insert(step);
-                b.rotate(inner, step)
-            };
-            acc = Some(match acc {
-                None => rotated,
-                Some(a) => b.add(a, rotated),
-            });
-        }
-        g += bprime;
-    }
-    let mut acc = acc.expect("zero matrix layer");
+        let mut acc = self.bsgs(x, &wdiags, bprime, false);
 
-    // fold: slot i accumulates the partial sums of every congruent
-    // position, so it ends holding row (i mod n_o) of the product
-    let mut t = n_o;
-    while t < dim {
-        let step = t as i64 * stride as i64;
-        steps_used.insert(step);
-        let r = b.rotate(acc, step);
-        acc = b.add(acc, r);
-        t <<= 1;
+        // fold: slot i accumulates the partial sums of every congruent
+        // position, so it ends holding row (i mod n_o) of the product
+        self.b.begin_region(format!("packed layer {li}: fold"));
+        let mut t = n_o;
+        while t < dim {
+            let r = self.rotate(acc, t);
+            acc = self.b.add(acc, r);
+            t <<= 1;
+        }
+        // bias replicated across the folded row space
+        let bias_w: Vec<f64> = (0..dim).map(|i| bias[i % n_o]).collect();
+        self.finish(bias_w, acc)
     }
 
-    // bias replicated across the folded row space
-    let bias_w: Vec<f64> = (0..dim).map(|i| bias[i % n_o]).collect();
-    finish_matrix(b, bias_w, acc)
-}
-
-/// Plain BSGS over all `dim` diagonals with per-use baby rotations —
-/// the compiled shape for layers the squat fold cannot shrink. After
-/// hoist/CSE the op count is never worse than the eager mirror (unused
-/// babies are simply never emitted).
-fn lower_matrix_naive_bsgs(
-    b: &mut GraphBuilder,
-    packed: &PackedNetwork,
-    diags: &[Option<Vec<f64>>],
-    bias: &[f64],
-    stride: usize,
-    x: NodeId,
-    steps_used: &mut BTreeSet<i64>,
-) -> NodeId {
-    let dim = packed.dim;
-    let bb_count = packed.baby();
-    let lvl = b.ct_ty(x).level;
-    let q_m = b.q_at(lvl);
-    let mut acc: Option<NodeId> = None;
-    let mut g = 0usize;
-    while g < dim {
-        let mut inner: Option<NodeId> = None;
-        for bb in 0..bb_count {
-            let d = g + bb;
-            if d >= dim {
-                break;
-            }
-            let Some(diag) = &diags[d] else { continue };
-            let baby = if bb == 0 {
-                x
-            } else {
-                let step = bb as i64 * stride as i64;
-                steps_used.insert(step);
-                b.rotate(x, step)
-            };
-            let rot: Vec<f64> = (0..dim).map(|j| diag[(j + dim - g % dim) % dim]).collect();
-            let pt = b.encode_vec(rot, q_m, lvl);
-            let term = b.mul_plain(baby, pt);
-            inner = Some(match inner {
-                None => term,
-                Some(a) => b.add(a, term),
-            });
-        }
-        if let Some(inner) = inner {
-            let rotated = if g == 0 {
-                inner
-            } else {
-                let step = g as i64 * stride as i64;
-                steps_used.insert(step);
-                b.rotate(inner, step)
-            };
-            acc = Some(match acc {
-                None => rotated,
-                Some(a) => b.add(a, rotated),
-            });
-        }
-        g += bb_count;
+    /// Bias at the accumulated scale, then the layer's single rescale.
+    fn finish(&mut self, bias: Vec<f64>, acc: NodeId) -> NodeId {
+        let acc_ty = self.b.ct_ty(acc);
+        let bias_pt = self.b.encode_vec(bias, acc_ty.scale, acc_ty.level);
+        let with_bias = self.b.add_plain(acc, bias_pt);
+        self.b.rescale(with_bias)
     }
-    let acc = acc.expect("zero matrix layer");
-    finish_matrix(b, bias.to_vec(), acc)
-}
-
-/// Bias at the accumulated scale (the eager engine's bias-add
-/// discipline), then the layer's single rescale.
-fn finish_matrix(b: &mut GraphBuilder, bias: Vec<f64>, acc: NodeId) -> NodeId {
-    let acc_ty = b.ct_ty(acc);
-    let bias_pt = b.encode_vec(bias, acc_ty.scale, acc_ty.level);
-    let with_bias = b.add_plain(acc, bias_pt);
-    b.rescale(with_bias)
 }
 
 /// Mirror of `he_poly_eval_deg3`: the exact-scale deg-≤3 SLAF recipe,
@@ -367,13 +254,17 @@ fn lower_slaf(b: &mut GraphBuilder, coeffs: &[f64], x: NodeId) -> NodeId {
     let s = ty.scale;
     let m = ty.level;
     let q_m = b.q_at(m);
+    // on a chain shorter than the circuit the declared levels saturate
+    // at 0 (as `GraphBuilder::rescale` does) and the levels pass
+    // reports the exhaustion
+    let m1 = m.saturating_sub(1);
 
     // x² at scale s²/q_m, level m−1
     let sq = b.square(x);
     let x2r = b.rescale(sq);
 
     // y₂ = c₂·x² → S* = s³/(q_m·q_{m−1}), level m−2
-    let c2 = b.encode_scalar(c[2], s, m - 1);
+    let c2 = b.encode_scalar(c[2], s, m1);
     let a0 = b.mul_plain(x2r, c2);
     let mut acc = b.rescale(a0);
 
@@ -391,7 +282,7 @@ fn lower_slaf(b: &mut GraphBuilder, coeffs: &[f64], x: NodeId) -> NodeId {
     let c1 = b.encode_scalar(c[1], s, m);
     let t0 = b.mul_plain(x, c1);
     let t1 = b.rescale(t0); // s²/q_m @ m−1
-    let one = b.encode_scalar(1.0, s, m - 1);
+    let one = b.encode_scalar(1.0, s, m1);
     let y1m = b.mul_plain(t1, one);
     let y1 = b.rescale(y1m); // S* @ m−2
     acc = b.add(acc, y1);
@@ -403,215 +294,220 @@ fn lower_slaf(b: &mut GraphBuilder, coeffs: &[f64], x: NodeId) -> NodeId {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::he_layers::DenseSpec;
+    use crate::he_layers::{ConvSpec, DenseSpec};
     use crate::network::{HeLayerSpec, HeNetwork};
     use ckks::{CkksParams, Evaluator, KeyGenerator};
     use ckks_math::sampler::Sampler;
     use he_ir::PassManager;
-    use std::collections::HashMap;
+    use rand::{Rng, SeedableRng};
     use std::sync::Arc;
 
     /// The packed test network of `packed.rs` (conv 18 rows, dense 5
     /// rows, dim 64).
     fn mini_net(seed: u64) -> PackedNetwork {
-        use crate::he_layers::ConvSpec;
-        use rand::{Rng, SeedableRng};
+        random_net(seed, 2, 3, &[5])
+    }
+
+    /// A small conv → SLAF → dense (→ SLAF → dense …) network over 8×8
+    /// inputs with seeded weights; packs to dim 64.
+    fn random_net(seed: u64, out_ch: usize, act_len: usize, dense: &[usize]) -> PackedNetwork {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let mut w =
             |n: usize| -> Vec<f32> { (0..n).map(|_| rng.gen_range(-0.25f32..0.25)).collect() };
-        let net = HeNetwork {
-            layers: vec![
-                HeLayerSpec::Conv(ConvSpec {
-                    weight: w(2 * 9),
-                    bias: vec![0.1, -0.1],
-                    in_ch: 1,
-                    out_ch: 2,
-                    k: 3,
-                    stride: 2,
-                    pad: 0,
-                }),
-                HeLayerSpec::Activation(vec![0.05, 0.7, 0.2]),
-                HeLayerSpec::Dense(DenseSpec {
-                    weight: w(18 * 5),
-                    bias: w(5),
-                    in_dim: 18,
-                    out_dim: 5,
-                }),
-            ],
+        let act = [0.05, 0.7, 0.2, 0.04];
+        let mut layers = vec![HeLayerSpec::Conv(ConvSpec {
+            weight: w(out_ch * 9),
+            bias: vec![0.1, -0.1][..out_ch].to_vec(),
+            in_ch: 1,
+            out_ch,
+            k: 3,
+            stride: 2,
+            pad: 0,
+        })];
+        let mut in_dim = out_ch * 9;
+        for &out_dim in dense {
+            layers.push(HeLayerSpec::Activation(act[..act_len].to_vec()));
+            layers.push(HeLayerSpec::Dense(DenseSpec {
+                weight: w(in_dim * out_dim),
+                bias: w(out_dim),
+                in_dim,
+                out_dim,
+            }));
+            in_dim = out_dim;
+        }
+        PackedNetwork::from_network(&HeNetwork {
+            layers,
             input_side: 8,
+        })
+    }
+
+    /// Plaintext shadow of a packed circuit: every node's slot vector in
+    /// `f64`, with the [`he_ir::NoiseModel`] per-op bounds composed along
+    /// the way from the *actual* magnitudes (the he-diff oracle's
+    /// discipline; the levels pass composes the same bounds from
+    /// worst-case magnitudes, which on a matvec is too loose to test
+    /// against). Returns the output slots and their error bound.
+    fn shadow(circuit: &Circuit, input: &[f64]) -> (Vec<f64>, f64) {
+        use he_ir::Op;
+        let model = he_ir::NoiseModel::new(&circuit.params);
+        let mag = |v: &[f64]| v.iter().fold(0.0f64, |m, x| m.max(x.abs()));
+        let zip = |a: &[f64], b: &[f64], f: fn(f64, f64) -> f64| -> Vec<f64> {
+            a.iter().zip(b).map(|(x, y)| f(*x, *y)).collect()
         };
-        PackedNetwork::from_network(&net)
-    }
-
-    /// Eager-mode lowering interprets to the exact bits the eager
-    /// engine computes.
-    #[test]
-    fn eager_lowering_is_bit_identical_to_eager_engine() {
-        let packed = mini_net(60);
-        let ctx = CkksParams::tiny(packed.required_levels()).build();
-        let mut kg = KeyGenerator::new(Arc::clone(&ctx), 61);
-        let sk = kg.gen_secret_key();
-        let pk = kg.gen_public_key(&sk);
-        let rk = kg.gen_relin_key(&sk);
-        let gk = kg.gen_galois_keys(&sk, &packed.required_rotation_steps(), false);
-        let ev = Evaluator::new(Arc::clone(&ctx));
-        let mut s = Sampler::from_seed(62);
-
-        let img: Vec<f32> = (0..64).map(|i| ((i * 7) % 13) as f32 / 13.0).collect();
-        let x = packed.encrypt_input(&ev, &pk, &mut s, &img);
-        let (eager, _) = packed.infer_encrypted(&ev, &rk, &gk, x.clone());
-
-        let circuit = lower_packed(
-            &packed,
-            he_ir::GraphBuilder::for_context(&ctx),
-            1,
-            PackedLowering::Eager,
-        );
-        assert!(circuit.validate().is_ok());
-        let mut inputs = HashMap::new();
-        inputs.insert(PACKED_INPUT.to_string(), x);
-        let outs = he_ir::Interpreter::new(&ev)
-            .with_relin(&rk)
-            .with_galois(&gk)
-            .run(&circuit, &inputs)
-            .expect("interpretation");
-        let got = &outs[0];
-        assert_eq!(got.level, eager.level);
-        assert_eq!(got.scale.to_bits(), eager.scale.to_bits());
-        for li in 0..=got.level {
-            assert_eq!(got.c0.limb(li), eager.c0.limb(li), "c0 limb {li}");
-            assert_eq!(got.c1.limb(li), eager.c1.limb(li), "c1 limb {li}");
+        let mut nodes: Vec<(Vec<f64>, f64)> = Vec::with_capacity(circuit.nodes.len());
+        for node in &circuit.nodes {
+            let scale = node.ty.as_ct().map_or(0.0, |t| t.scale);
+            // a plain operand broadcast across the lanes of ciphertext `src`
+            let plain = |src: usize, plain: usize| -> (Vec<f64>, f64) {
+                let stride = circuit.nodes[src].ty.as_ct().unwrap().layout.lane_stride();
+                let pt_scale = circuit.nodes[plain].ty.as_plain().unwrap().pt_scale;
+                let w = &nodes[plain].0;
+                let expanded = (0..input.len())
+                    .map(|i| w[(i / stride) % w.len()])
+                    .collect();
+                (expanded, pt_scale)
+            };
+            let next = match &node.op {
+                Op::Input { .. } => (input.to_vec(), model.fresh_value(scale)),
+                Op::EncodeScalar { value, .. } => (vec![*value], 0.0),
+                Op::EncodeVec { values, .. } => (values.to_vec(), 0.0),
+                Op::Add { a, b } => {
+                    let ((va, ea), (vb, eb)) = (&nodes[*a], &nodes[*b]);
+                    (zip(va, vb, |x, y| x + y), model.add_value(*ea, *eb))
+                }
+                Op::AddScalar { src, value } => {
+                    let (v, e) = &nodes[*src];
+                    (v.iter().map(|x| x + value).collect(), e + 0.5 / scale)
+                }
+                Op::MulPlain { src, plain: p } => {
+                    let ((v, e), (w, pt_scale)) = (&nodes[*src], plain(*src, *p));
+                    let err = model.mul_plain_value(mag(v), *e, mag(&w), pt_scale);
+                    (zip(v, &w, |x, y| x * y), err)
+                }
+                Op::AddPlain { src, plain: p } => {
+                    let ((v, e), (w, _)) = (&nodes[*src], plain(*src, *p));
+                    (zip(v, &w, |x, y| x + y), e + 0.5 / scale)
+                }
+                Op::Mul { a, b } => {
+                    let ((va, ea), (vb, eb)) = (&nodes[*a], &nodes[*b]);
+                    let err = model.mul_value(mag(va), *ea, mag(vb), *eb, scale);
+                    (zip(va, vb, |x, y| x * y), err)
+                }
+                Op::Square { src } => {
+                    let (v, e) = &nodes[*src];
+                    let err = model.mul_value(mag(v), *e, mag(v), *e, scale);
+                    (zip(v, v, |x, y| x * y), err)
+                }
+                Op::Rescale { src } => {
+                    let (v, e) = &nodes[*src];
+                    (v.clone(), model.rescale_value(*e, scale))
+                }
+                Op::Rotate { src, steps } => {
+                    let (v, e) = &nodes[*src];
+                    let by = steps.rem_euclid(v.len() as i64) as usize;
+                    let rotated = (0..v.len()).map(|j| v[(j + by) % v.len()]).collect();
+                    (rotated, model.rotate_value(*e, scale))
+                }
+                other => panic!("lower_packed does not emit {}", other.mnemonic()),
+            };
+            nodes.push(next);
         }
+        nodes.swap_remove(circuit.outputs[0])
     }
 
-    /// Compiled (squat-fold) lowering, optimized, computes the same
-    /// function within the engine's tolerance — and spends materially
-    /// fewer rotations than the eager baseline.
-    #[test]
-    fn compiled_lowering_matches_plain_with_fewer_rotations() {
-        let packed = mini_net(63);
-        let ctx = CkksParams::tiny(packed.required_levels()).build();
-        let mut kg = KeyGenerator::new(Arc::clone(&ctx), 64);
-        let sk = kg.gen_secret_key();
-        let pk = kg.gen_public_key(&sk);
-        let rk = kg.gen_relin_key(&sk);
-        let ev = Evaluator::new(Arc::clone(&ctx));
-        let mut s = Sampler::from_seed(65);
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(4))]
 
-        let eager = lower_packed(
-            &packed,
-            he_ir::GraphBuilder::for_context(&ctx),
-            1,
-            PackedLowering::Eager,
-        );
-        let mut compiled = lower_packed(
-            &packed,
-            he_ir::GraphBuilder::for_context(&ctx),
-            1,
-            PackedLowering::Compiled,
-        );
-        let report = PassManager::optimizer()
-            .optimize(&mut compiled)
-            .expect("optimize");
-        assert!(report.changed());
+        // Over random small nets × every lane stride of the tiny ring:
+        // each lowering computes the network's function exactly in the
+        // clear, and both the optimized circuit and the un-optimized
+        // reference decrypt within the noise bound composed along the
+        // *reference's* ops — the optimizer gets no noise allowance of
+        // its own, and nobody gets a tuned epsilon.
+        #[test]
+        fn optimized_reference_and_plain_agree_within_the_noise_bound(
+            seed in 0u64..1_000,
+            out_ch in 1usize..3,
+            act_len in 3usize..5,
+            mid in 2usize..9,
+            two_dense in proptest::prelude::any::<bool>(),
+        ) {
+            let dense = if two_dense { vec![mid, 3] } else { vec![mid] };
+            let packed = random_net(seed, out_ch, act_len, &dense);
+            let ctx = CkksParams::tiny(packed.required_levels()).build();
+            let mut kg = KeyGenerator::new(Arc::clone(&ctx), seed);
+            let sk = kg.gen_secret_key();
+            let pk = kg.gen_public_key(&sk);
+            let rk = kg.gen_relin_key(&sk);
+            let ev = Evaluator::new(Arc::clone(&ctx));
+            let mut s = Sampler::from_seed(seed + 1);
 
-        let eager_counts = eager.op_counts();
-        let compiled_counts = compiled.op_counts();
-        assert!(
-            (compiled_counts.rotations as f64) <= 0.85 * eager_counts.rotations as f64,
-            "rotations: compiled {} vs eager {}",
-            compiled_counts.rotations,
-            eager_counts.rotations
-        );
-
-        // keys for exactly the optimized circuit's rotation set
-        let steps: Vec<i64> = he_ir::passes::rotations::required_elements(&compiled)
-            .steps
-            .into_iter()
-            .collect();
-        let gk = kg.gen_galois_keys(&sk, &steps, false);
-
-        let img: Vec<f32> = (0..64).map(|i| ((i * 5) % 11) as f32 / 11.0).collect();
-        let x = packed.encrypt_input(&ev, &pk, &mut s, &img);
-        let mut inputs = HashMap::new();
-        inputs.insert(PACKED_INPUT.to_string(), x);
-        let outs = he_ir::Interpreter::new(&ev)
-            .with_relin(&rk)
-            .with_galois(&gk)
-            .run(&compiled, &inputs)
-            .expect("compiled interpretation");
-        let dec = ev.decrypt_to_real(&outs[0], &sk);
-        let want = packed.infer_plain(&img);
-        for i in 0..packed.output_dim {
-            assert!(
-                (dec[i] - want[i]).abs() < 0.02,
-                "slot {i}: {} vs {}",
-                dec[i],
-                want[i]
-            );
-        }
-    }
-
-    /// The squat fold is layout-aware: a batch-strided lowering scales
-    /// every rotation step by the lane stride and still matches per
-    /// lane.
-    #[test]
-    fn compiled_strided_lowering_matches_per_lane() {
-        let packed = mini_net(66);
-        let ctx = CkksParams::tiny(packed.required_levels()).build();
-        let mut kg = KeyGenerator::new(Arc::clone(&ctx), 67);
-        let sk = kg.gen_secret_key();
-        let pk = kg.gen_public_key(&sk);
-        let rk = kg.gen_relin_key(&sk);
-        let ev = Evaluator::new(Arc::clone(&ctx));
-        let mut s = Sampler::from_seed(68);
-
-        let plan = packed.plan_batch(ctx.slots(), 3).unwrap();
-        let stride = plan.layout().stride();
-        assert!(stride > 1, "3 lanes must be strided");
-        let mut compiled = lower_packed(
-            &packed,
-            he_ir::GraphBuilder::for_context(&ctx),
-            stride,
-            PackedLowering::Compiled,
-        );
-        PassManager::optimizer()
-            .optimize(&mut compiled)
-            .expect("optimize");
-        let steps: Vec<i64> = he_ir::passes::rotations::required_elements(&compiled)
-            .steps
-            .into_iter()
-            .collect();
-        let gk = kg.gen_galois_keys(&sk, &steps, false);
-
-        let images: Vec<Vec<f32>> = (0..3)
-            .map(|k| {
-                (0..64)
-                    .map(|i| ((i * (k + 3)) % 11) as f32 / 11.0)
-                    .collect()
-            })
-            .collect();
-        let refs: Vec<&[f32]> = images.iter().map(Vec::as_slice).collect();
-        let cts = packed
-            .encrypt_batch(&ev, &pk, &mut s, &refs, &plan)
-            .unwrap();
-        let mut inputs = HashMap::new();
-        inputs.insert(PACKED_INPUT.to_string(), cts[0].clone());
-        let outs = he_ir::Interpreter::new(&ev)
-            .with_relin(&rk)
-            .with_galois(&gk)
-            .run(&compiled, &inputs)
-            .expect("strided compiled interpretation");
-        let logits = packed.decrypt_batch(&ev, &sk, &outs, &plan);
-        for (k, img) in images.iter().enumerate() {
-            let want = packed.infer_plain(img);
-            for i in 0..packed.output_dim {
-                assert!(
-                    (logits[k][i] - want[i]).abs() < 0.03,
-                    "image {k} logit {i}: {} vs {}",
-                    logits[k][i],
-                    want[i]
+            for lanes in [1usize, 2, 4, 8] {
+                let plan = packed.plan_batch(ctx.slots(), lanes).unwrap();
+                let (layout, stride) = (plan.layout(), plan.layout().stride());
+                let lower =
+                    |mode| lower_packed(&packed, GraphBuilder::for_context(&ctx), stride, mode);
+                let reference = lower(PackedLowering::Eager);
+                let mut optimized = lower(PackedLowering::Compiled);
+                proptest::prop_assert!(
+                    PassManager::optimizer().optimize(&mut optimized).unwrap().changed()
                 );
+                let (r_ref, r_opt) =
+                    (reference.op_counts().rotations, optimized.op_counts().rotations);
+                proptest::prop_assert!(
+                    r_opt as f64 <= 0.85 * r_ref as f64,
+                    "rotations: optimized {r_opt} vs reference {r_ref}"
+                );
+
+                let images: Vec<Vec<f32>> = (0..lanes)
+                    .map(|k| (0..64).map(|i| ((i * (k + 3)) % 11) as f32 / 11.0).collect())
+                    .collect();
+                let refs: Vec<&[f32]> = images.iter().map(Vec::as_slice).collect();
+                let want: Vec<Vec<f64>> = refs.iter().map(|img| packed.infer_plain(img)).collect();
+                let clear: Vec<Vec<f64>> = images
+                    .iter()
+                    .map(|img| img.iter().map(|&v| f64::from(v)).collect())
+                    .collect();
+                let clear: Vec<&[f64]> = clear.iter().map(Vec::as_slice).collect();
+                let slots_in = layout.pack(&clear).unwrap();
+                let cts = packed.encrypt_batch(&ev, &pk, &mut s, &refs, &plan).unwrap();
+                let (_, bound) = shadow(&reference, &slots_in);
+
+                for (name, circuit) in [("reference", reference), ("optimized", optimized)] {
+                    // every rotation step is a multiple of the lane stride,
+                    // and the declared inventory is exactly the rotation set
+                    let required = he_ir::passes::rotations::required_elements(&circuit);
+                    proptest::prop_assert!(required.steps.iter().all(|s| s % stride as i64 == 0));
+                    proptest::prop_assert_eq!(
+                        Some(&required.elements),
+                        circuit.keys.galois_elements.as_ref()
+                    );
+                    let steps: Vec<i64> = required.steps.into_iter().collect();
+                    let gk = kg.gen_galois_keys(&sk, &steps, false);
+
+                    let (slots_out, _) = shadow(&circuit, &slots_in);
+                    let exact = layout.unpack(&slots_out, lanes, packed.output_dim);
+                    let prepared = he_ir::Prepared::new(&ev, circuit).unwrap();
+                    let interp = he_ir::Interpreter::new(&ev).with_relin(&rk).with_galois(&gk);
+                    let (outs, _) =
+                        crate::packed::run_shards(&prepared, &interp, cts.clone()).unwrap();
+                    let got = packed.decrypt_batch(&ev, &sk, &outs, &plan);
+                    for k in 0..lanes {
+                        for i in 0..packed.output_dim {
+                            let (e, g, w) = (exact[k][i], got[k][i], want[k][i]);
+                            proptest::prop_assert!(
+                                (e - w).abs() < 1e-9,
+                                "{name} stride {stride} lane {k} logit {i}: circuit computes {e}, \
+                                 network {w}"
+                            );
+                            proptest::prop_assert!(
+                                (g - e).abs() <= bound,
+                                "{name} stride {stride} lane {k} logit {i}: decrypted {g} vs {e} \
+                                 (bound {bound:e})"
+                            );
+                        }
+                    }
+                }
             }
         }
     }

@@ -5,48 +5,83 @@
 use crate::exec::{ExecMode, ExecPlan, InferenceTiming, LayerTiming};
 use crate::he_tensor::{decrypt_tensor, encrypt_image_batch, CtTensor};
 use crate::network::HeNetwork;
-use crate::packed::{PackedNetwork, PackedPrecomputed};
+use crate::packed::PackedNetwork;
+use crate::packed_graph::{lower_packed, PackedLowering};
 use ckks::{
     CkksContext, CkksParams, Evaluator, GaloisKeys, HeError, KeyGenerator, PublicKey, RelinKey,
-    SecretKey,
+    SecretKey, ShardPlan,
 };
 use ckks_math::sampler::Sampler;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// State of the slot-packed batch engine once
-/// [`CnnHePipeline::enable_packed_batching`] has run: the lowered
-/// network, a Galois key set covering the BSGS steps of *every*
-/// power-of-two lane stride up to the per-ciphertext capacity (so no
-/// keygen happens on the request path), and a per-stride cache of
-/// pre-encoded plaintext operands.
-struct PackedBatchEngine {
-    packed: PackedNetwork,
-    gk: GaloisKeys,
-    pre: HashMap<usize, PackedPrecomputed>,
-}
-
-/// One compiled circuit per lane stride: the squat-fold lowering run
-/// through [`he_ir::PassManager::optimizer`], plus a Galois key set
-/// generated for exactly the optimized circuit's rotation set (the
-/// compiled giants differ from the eager BSGS steps).
-struct CompiledStride {
-    circuit: he_ir::Circuit,
-    gk: GaloisKeys,
+/// What one lane stride of the packed path runs: the optimized circuit
+/// in prepared form (validated, plaintext operands encoded) and the
+/// admission verdict of the standard lint passes over it.
+struct PackedStride {
+    prepared: he_ir::Prepared,
     report: he_ir::OptimizeReport,
-    eager_counts: he_ir::OpCounts,
+    /// Rendered lint report when admission refused the circuit.
+    rejected: Option<String>,
 }
 
-/// Eager-vs-compiled op accounting for one lane stride, for benches and
-/// regression gates.
+/// State of the slot-packed path once
+/// [`CnnHePipeline::enable_packed_batching`] has run: the network in
+/// packed form, one [`PackedStride`] per lane stride, built on first
+/// use (or ahead of time by [`CnnHePipeline::prepare_batch`]), and the
+/// Galois keys those circuits rotate by. The strides' rotation sets
+/// overlap (every stride-8 step is also a stride-1 step), so the keys
+/// are one pool holding exactly the union, each element generated once.
+struct PackedState {
+    packed: PackedNetwork,
+    strides: HashMap<usize, PackedStride>,
+    kg: KeyGenerator,
+    gk: GaloisKeys,
+}
+
+impl PackedState {
+    /// The standard analysis passes over a stride's circuit, against
+    /// the keys that actually exist.
+    fn lint(&self, circuit: &he_ir::Circuit) -> he_lint::LintReport {
+        let mut circuit = circuit.clone();
+        circuit.keys = he_ir::KeyInventory::with_galois(true, self.gk.elements());
+        let mut report = he_ir::PassManager::standard().run(&circuit).merged();
+        // The levels pass bounds noise against worst-case magnitudes
+        // (each diagonal's largest weight, summed over all diagonals and
+        // compounded through every SLAF). On a real packed network that
+        // bound overshoots by tens of orders of magnitude: packed CNN2
+        // decrypts within 1e-3 of plaintext yet is "garbage" by it. It
+        // is an accuracy estimate, not a fact about whether the circuit
+        // can run, so it is reported but does not refuse the request.
+        for d in &mut report.diagnostics {
+            if d.code == "noise-budget" {
+                d.severity = he_lint::Severity::Warn;
+            }
+        }
+        report
+    }
+}
+
+/// Reference-vs-optimized op accounting for one lane stride, for
+/// benches and regression gates.
 #[derive(Debug, Clone)]
 pub struct CompiledStats {
-    /// Counts of the eager-mirror lowering (what the packed engine runs).
+    /// Counts of the un-optimized reference lowering
+    /// ([`PackedLowering::Eager`]).
     pub eager: he_ir::OpCounts,
-    /// Counts of the optimized compiled circuit (what `classify` runs).
+    /// Counts of the optimized circuit `classify` runs.
     pub compiled: he_ir::OpCounts,
     /// What the optimizer pipeline did.
     pub report: he_ir::OptimizeReport,
+}
+
+/// Index of the largest logit; NaN orders above every number
+/// (`f64::total_cmp`), so a poisoned row still yields an index.
+fn argmax(row: &[f64]) -> usize {
+    row.iter()
+        .enumerate()
+        .max_by(|a, b| a.1.total_cmp(b.1))
+        .map_or(0, |(i, _)| i)
 }
 
 /// A ready-to-serve encrypted-inference pipeline: context, keys and the
@@ -64,11 +99,8 @@ pub struct CnnHePipeline {
     /// [`Self::set_exec_mode`].
     exec_mode: ExecMode,
     /// `Some` once slot-packed batching is enabled; [`Self::classify`]
-    /// then routes through the packed engine.
-    packed: Option<PackedBatchEngine>,
-    /// `Some` once [`Self::compile`] has run: per-stride compiled
-    /// circuits, populated lazily as request strides are seen.
-    compiled: Option<HashMap<usize, CompiledStride>>,
+    /// then runs the packed circuit instead of the scalar engine.
+    packed: Option<PackedState>,
 }
 
 /// Result of one encrypted classification request.
@@ -129,41 +161,40 @@ impl CnnHePipeline {
             seed,
             exec_mode: ExecMode::sequential(),
             packed: None,
-            compiled: None,
         }
     }
 
-    /// Switches [`Self::classify`] to the slot-packed batch engine: the
-    /// network is lowered to packed (BSGS) form once, Galois keys are
-    /// generated for every power-of-two lane stride up to the
-    /// per-ciphertext capacity, and subsequent requests coalesce B
-    /// images into `ceil(B / capacity)` ciphertexts instead of one
-    /// ciphertext stream per activation. Fails typed
-    /// ([`HeError::BatchExceedsSlots`]) when even a single image's
-    /// packed vector does not fit the ring. Idempotent.
+    /// Switches [`Self::classify`] to the slot-packed path: B images
+    /// coalesce into `ceil(B / capacity)` batch-strided ciphertexts, and
+    /// each runs the network as one optimized `he-ir` circuit
+    /// (squat-fold lowering → [`he_ir::PassManager::optimizer`] →
+    /// [`he_ir::Prepared`]) under Galois keys generated for exactly the
+    /// rotations those circuits use. Circuit, keys and pre-encoded
+    /// operands are built per lane stride on first use; [`Self::prepare_batch`]
+    /// builds them ahead of time. Fails typed when a single image's
+    /// packed vector does not fit the ring
+    /// ([`HeError::BatchExceedsSlots`]) or the chain is shorter than the
+    /// packed circuit ([`HeError::LevelExhausted`]). Idempotent.
     pub fn enable_packed_batching(&mut self) -> Result<(), HeError> {
         if self.packed.is_some() {
             return Ok(());
         }
         let packed = PackedNetwork::from_network(&self.network);
-        let slots = self.ctx.slots();
-        // typed capacity check before any keygen cost
-        packed.plan_batch(slots, 1)?;
-        let cap = (slots / packed.dim).max(1);
-        let mut steps = std::collections::BTreeSet::new();
-        let mut lanes = 1usize;
-        while lanes <= cap {
-            let layout = packed.layout_for(slots, lanes)?;
-            steps.extend(packed.required_rotation_steps_for(&layout));
-            lanes <<= 1;
+        // typed capacity and depth checks before any lowering or keygen
+        packed.plan_batch(self.ctx.slots(), 1)?;
+        let (needed, depth) = (packed.required_levels(), self.ctx.params().depth());
+        if needed > depth {
+            return Err(HeError::LevelExhausted {
+                op: "run the packed circuit",
+                level: depth,
+                needed: needed - depth,
+            });
         }
-        let steps: Vec<i64> = steps.into_iter().collect();
-        let mut kg = KeyGenerator::new(Arc::clone(&self.ctx), self.seed ^ 0x9A70);
-        let gk = kg.gen_galois_keys(&self.sk, &steps, false);
-        self.packed = Some(PackedBatchEngine {
+        self.packed = Some(PackedState {
             packed,
-            gk,
-            pre: HashMap::new(),
+            strides: HashMap::new(),
+            kg: KeyGenerator::new(Arc::clone(&self.ctx), self.seed ^ 0x9A71),
+            gk: GaloisKeys::default(),
         });
         Ok(())
     }
@@ -173,84 +204,105 @@ impl CnnHePipeline {
         self.packed.is_some()
     }
 
-    /// Switches [`Self::classify`] to the *compiled* execution path:
-    /// the packed network is lowered to the `he-ir` squat-fold circuit,
-    /// run through the optimizing pass pipeline
-    /// ([`he_ir::PassManager::optimizer`]), and executed by the IR
-    /// [`he_ir::Interpreter`] instead of the eager BSGS loop. Circuits
-    /// (and their Galois keys, which cover exactly the optimized
-    /// rotation set) are cached per lane stride on first use. Implies
-    /// [`Self::enable_packed_batching`]. Idempotent.
+    /// Alias of [`Self::enable_packed_batching`]: the optimized circuit
+    /// is the only packed path, so "compiling" and "enabling packed
+    /// batching" are the same switch.
     pub fn compile(&mut self) -> Result<(), HeError> {
-        self.enable_packed_batching()?;
-        if self.compiled.is_none() {
-            self.compiled = Some(HashMap::new());
-        }
-        Ok(())
+        self.enable_packed_batching()
     }
 
-    /// Whether [`Self::compile`] has run.
-    pub fn compiled_enabled(&self) -> bool {
-        self.compiled.is_some()
+    /// Builds (once) everything a `batch`-image packed request runs
+    /// with, so the request itself does no lowering, optimization,
+    /// keygen, linting or plaintext encoding. Fails typed when packed
+    /// batching is not enabled or admission refuses the circuit.
+    pub fn prepare_batch(&mut self, batch: usize) -> Result<(), HeError> {
+        self.admitted_plan(batch).map(|_| ())
     }
 
-    /// Lowers, optimizes and caches the circuit for one lane stride.
-    fn ensure_compiled(&mut self, stride: usize) {
-        if self
-            .compiled
-            .as_ref()
-            .is_some_and(|m| m.contains_key(&stride))
-        {
-            return;
+    /// The shard plan of a `batch`-image request, with the
+    /// [`PackedStride`] of its lane stride built on first use.
+    fn built_plan(&mut self, batch: usize) -> Result<ShardPlan, HeError> {
+        if batch == 0 {
+            return Err(HeError::EmptyBatch);
         }
-        let eng = self.packed.as_ref().expect("compile() enabled packing");
-        let eager = crate::packed_graph::lower_packed(
-            &eng.packed,
+        let state = self.packed.as_mut().ok_or(HeError::Execution {
+            reason: "packed batching is not enabled".into(),
+        })?;
+        let plan = state.packed.plan_batch(self.ctx.slots(), batch)?;
+        let stride = plan.layout().stride();
+        if state.strides.contains_key(&stride) {
+            return Ok(plan);
+        }
+        let mut circuit = lower_packed(
+            &state.packed,
             he_ir::GraphBuilder::for_context(&self.ctx),
             stride,
-            crate::packed_graph::PackedLowering::Eager,
-        );
-        let eager_counts = eager.op_counts();
-        let mut circuit = crate::packed_graph::lower_packed(
-            &eng.packed,
-            he_ir::GraphBuilder::for_context(&self.ctx),
-            stride,
-            crate::packed_graph::PackedLowering::Compiled,
+            PackedLowering::Compiled,
         );
         let report = he_ir::PassManager::optimizer()
             .optimize(&mut circuit)
-            .expect("compiled lowering must survive its own optimizer");
-        let steps: Vec<i64> = he_ir::passes::rotations::required_elements(&circuit)
+            .map_err(|reason| HeError::Execution { reason })?;
+        // keys for the rotation steps no earlier stride already needed
+        let params = self.ctx.params();
+        let missing: Vec<i64> = he_ir::passes::rotations::required_elements(&circuit)
             .steps
             .into_iter()
+            .filter(|&s| !state.gk.contains(params.galois_element_for_rotation(s)))
             .collect();
-        let mut kg = KeyGenerator::new(Arc::clone(&self.ctx), self.seed ^ 0x9A71);
-        let gk = kg.gen_galois_keys(&self.sk, &steps, false);
-        self.compiled.as_mut().expect("compile() ran").insert(
+        let fresh = state.kg.gen_galois_keys(&self.sk, &missing, false);
+        state.gk.extend(fresh);
+        let lint = state.lint(&circuit);
+        let prepared = he_ir::Prepared::new(&self.ev, circuit)
+            .map_err(|reason| HeError::Execution { reason })?;
+        state.strides.insert(
             stride,
-            CompiledStride {
-                circuit,
-                gk,
+            PackedStride {
+                prepared,
                 report,
-                eager_counts,
+                rejected: lint.has_errors().then(|| lint.render()),
             },
         );
+        Ok(plan)
     }
 
-    /// Eager-vs-compiled op accounting for the stride a `batch`-image
-    /// request would run at (compiling that stride if needed). `None`
-    /// until [`Self::compile`] has run.
+    /// [`Self::built_plan`], refused typed when admission rejected the
+    /// stride's circuit.
+    fn admitted_plan(&mut self, batch: usize) -> Result<ShardPlan, HeError> {
+        let plan = self.built_plan(batch)?;
+        match &self.packed_stride(&plan).rejected {
+            Some(report) => Err(HeError::PlanRejected {
+                report: report.clone(),
+            }),
+            None => Ok(plan),
+        }
+    }
+
+    fn packed_stride(&self, plan: &ShardPlan) -> &PackedStride {
+        &self.packed_state().strides[&plan.layout().stride()]
+    }
+
+    fn packed_state(&self) -> &PackedState {
+        self.packed
+            .as_ref()
+            .expect("a built stride implies packed state")
+    }
+
+    /// Reference-vs-optimized op accounting for the stride a
+    /// `batch`-image request runs at (preparing that stride if needed).
+    /// `None` until packed batching is enabled.
     pub fn compiled_stats(&mut self, batch: usize) -> Option<CompiledStats> {
-        self.compiled.as_ref()?;
-        let eng = self.packed.as_ref()?;
-        let plan = eng.packed.plan_batch(self.ctx.slots(), batch.max(1)).ok()?;
-        let stride = plan.layout().stride();
-        self.ensure_compiled(stride);
-        let cs = &self.compiled.as_ref().unwrap()[&stride];
+        let plan = self.built_plan(batch.max(1)).ok()?;
+        let reference = lower_packed(
+            &self.packed_state().packed,
+            he_ir::GraphBuilder::for_context(&self.ctx),
+            plan.layout().stride(),
+            PackedLowering::Eager,
+        );
+        let built = self.packed_stride(&plan);
         Some(CompiledStats {
-            eager: cs.eager_counts,
-            compiled: cs.circuit.op_counts(),
-            report: cs.report.clone(),
+            eager: reference.op_counts(),
+            compiled: built.prepared.circuit().op_counts(),
+            report: built.report.clone(),
         })
     }
 
@@ -266,32 +318,36 @@ impl CnnHePipeline {
         self.exec_mode
     }
 
-    /// Static admission check: lints the network's circuit plan against
-    /// this pipeline's parameters and key material *without touching a
-    /// ciphertext*. `batch` is the number of images of the intended
-    /// request.
-    pub fn validate_batch(&self, batch: usize) -> he_lint::LintReport {
-        if let Some(eng) = &self.packed {
-            // the packed engine shards any batch; lint the per-shard
-            // circuit at the stride the planner would actually pick
-            let plan = eng
-                .packed
-                .plan_batch(self.ctx.slots(), batch.max(1))
-                .expect("capacity was checked when packing was enabled");
-            let plan = crate::lint::plan_for_packed_batched_with_elements(
-                &eng.packed,
-                self.ctx.params().clone(),
-                plan.layout().stride(),
-                eng.gk.elements(),
-            );
+    /// Static admission check *without touching a ciphertext*. `batch`
+    /// is the number of images of the intended request. Scalar engine:
+    /// lints the network's circuit plan against this pipeline's
+    /// parameters. Packed path: runs the standard analysis passes over
+    /// the optimized circuit that batch size executes, against the
+    /// Galois keys generated for it (preparing that stride if needed).
+    pub fn validate_batch(&mut self, batch: usize) -> he_lint::LintReport {
+        if self.packed.is_none() {
+            let plan =
+                crate::lint::plan_for_network(&self.network, self.ctx.params().clone(), batch);
             return he_lint::analyze(&plan);
         }
-        let plan = crate::lint::plan_for_network(&self.network, self.ctx.params().clone(), batch);
-        he_lint::analyze(&plan)
+        match self.built_plan(batch.max(1)) {
+            Ok(plan) => self
+                .packed_state()
+                .lint(self.packed_stride(&plan).prepared.circuit()),
+            Err(e) => {
+                let mut report = he_lint::LintReport::default();
+                report.push(he_lint::Diagnostic::error(
+                    "packed-prepare-failed",
+                    None,
+                    e.to_string(),
+                ));
+                report
+            }
+        }
     }
 
     /// [`Self::validate_batch`] for a single image.
-    pub fn validate(&self) -> he_lint::LintReport {
+    pub fn validate(&mut self) -> he_lint::LintReport {
         self.validate_batch(1)
     }
 
@@ -363,165 +419,75 @@ impl CnnHePipeline {
         )
     }
 
-    /// Server-side: evaluates the network on encrypted inputs; then
-    /// (client-side) decrypts logits and takes argmax. Routes through
-    /// the slot-packed batch engine when
-    /// [`Self::enable_packed_batching`] has run.
+    /// One classification request: encrypt (client side), evaluate the
+    /// network over ciphertexts (server side), decrypt the logits and
+    /// take argmax (client side). Panics with the typed error's message
+    /// where [`Self::try_classify`] returns it.
     pub fn classify(&mut self, images: &[&[f32]]) -> Classification {
-        if self.compiled.is_some() {
-            return self.classify_compiled(images);
-        }
-        if self.packed.is_some() {
-            return self.classify_packed(images);
-        }
-        let x = self.encrypt(images);
-        let (logits_ct, timing) =
-            self.network
-                .infer_encrypted_with(&self.ev, &self.rk, x, self.exec_mode);
-        let logits = decrypt_tensor(&self.ev, &self.sk, &logits_ct, images.len());
-        let predictions = logits
-            .iter()
-            .map(|row| {
-                row.iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-                    .unwrap()
-                    .0
-            })
-            .collect();
-        Classification {
-            logits,
-            predictions,
-            timing,
-        }
+        self.try_classify(images).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// The packed-engine request path: plan shards, encrypt B images
-    /// into `ceil(B / capacity)` batch-strided ciphertexts, run the
-    /// BSGS circuit once per shard with cached pre-encoded operands,
-    /// decrypt one logits row per image.
-    fn classify_packed(&mut self, images: &[&[f32]]) -> Classification {
-        assert!(!images.is_empty(), "cannot classify an empty batch");
-        let report = self.validate_batch(images.len());
-        assert!(
-            !report.has_errors(),
-            "he-lint rejected the inference plan:\n{}",
-            report.render()
-        );
-        let eng = self.packed.as_mut().expect("packed engine enabled");
-        let plan = eng
-            .packed
-            .plan_batch(self.ctx.slots(), images.len())
-            .expect("capacity was checked when packing was enabled");
-        let stride = plan.layout().stride();
-        if !eng.pre.contains_key(&stride) {
-            let pre = eng.packed.precompute_layout(&self.ev, &plan.layout());
-            eng.pre.insert(stride, pre);
+    /// [`Self::classify`] with every packed-path failure typed: an
+    /// empty batch, a wrong-length image, an admission refusal or an
+    /// executor failure is an `Err`, never a panic — what a serving
+    /// worker must call. The scalar and packed paths differ only in how
+    /// the circuit runs.
+    pub fn try_classify(&mut self, images: &[&[f32]]) -> Result<Classification, HeError> {
+        if images.is_empty() {
+            return Err(HeError::EmptyBatch);
         }
-        let pre = &eng.pre[&stride];
-        let cts = eng
-            .packed
-            .encrypt_batch(&self.ev, &self.pk, &mut self.sampler, images, &plan)
-            .expect("the shard plan fits by construction");
-        let (outs, times) = eng
-            .packed
-            .infer_batch(&self.ev, &self.rk, &eng.gk, pre, cts);
-        let logits = eng.packed.decrypt_batch(&self.ev, &self.sk, &outs, &plan);
-        let timing = InferenceTiming {
-            layers: times
-                .into_iter()
-                .map(|(name, wall)| LayerTiming {
-                    name,
-                    unit_times: vec![wall],
-                    // every packed layer works on whole ciphertexts; the
-                    // RNS stream decomposition still applies to them
-                    parallel: true,
-                    fixed: std::time::Duration::ZERO,
-                    wall,
-                })
-                .collect(),
+        let (logits, timing) = if self.packed.is_some() {
+            self.run_packed(images)?
+        } else {
+            let x = self.encrypt(images);
+            let (logits_ct, timing) =
+                self.network
+                    .infer_encrypted_with(&self.ev, &self.rk, x, self.exec_mode);
+            let logits = decrypt_tensor(&self.ev, &self.sk, &logits_ct, images.len());
+            (logits, timing)
         };
-        let predictions = logits
-            .iter()
-            .map(|row| {
-                row.iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-                    .unwrap()
-                    .0
-            })
-            .collect();
-        Classification {
+        Ok(Classification {
+            predictions: logits.iter().map(|row| argmax(row)).collect(),
             logits,
-            predictions,
             timing,
-        }
+        })
     }
 
-    /// The compiled request path: same shard planning and
-    /// encrypt/decrypt as [`Self::classify_packed`], but each shard
-    /// ciphertext runs the optimized `he-ir` circuit through the IR
-    /// interpreter with the circuit's own Galois keys.
-    fn classify_compiled(&mut self, images: &[&[f32]]) -> Classification {
-        assert!(!images.is_empty(), "cannot classify an empty batch");
-        let report = self.validate_batch(images.len());
-        assert!(
-            !report.has_errors(),
-            "he-lint rejected the inference plan:\n{}",
-            report.render()
-        );
-        let plan = self
-            .packed
-            .as_ref()
-            .expect("compile() enabled packing")
-            .packed
-            .plan_batch(self.ctx.slots(), images.len())
-            .expect("capacity was checked when packing was enabled");
-        let stride = plan.layout().stride();
-        self.ensure_compiled(stride);
-        let eng = self.packed.as_ref().expect("packed engine enabled");
-        let cs = &self.compiled.as_ref().expect("compile() ran")[&stride];
-        let cts = eng
-            .packed
-            .encrypt_batch(&self.ev, &self.pk, &mut self.sampler, images, &plan)
-            .expect("the shard plan fits by construction");
-        let mut outs = Vec::with_capacity(cts.len());
-        let mut layers = Vec::with_capacity(cts.len());
-        for (s, ct) in cts.into_iter().enumerate() {
-            let t0 = std::time::Instant::now();
-            let mut inputs = HashMap::new();
-            inputs.insert(crate::packed_graph::PACKED_INPUT.to_string(), ct);
-            let mut shard_outs = he_ir::Interpreter::new(&self.ev)
-                .with_relin(&self.rk)
-                .with_galois(&cs.gk)
-                .run(&cs.circuit, &inputs)
-                .expect("optimizer-validated circuit executes");
-            outs.push(shard_outs.remove(0));
-            let wall = t0.elapsed();
-            layers.push(LayerTiming {
-                name: format!("compiled shard {s}"),
+    /// The packed circuit run: plan shards, encrypt B images into
+    /// `ceil(B / capacity)` batch-strided ciphertexts, interpret the
+    /// stride's prepared circuit once per shard, decrypt one logits row
+    /// per image. Timing carries one entry per shard × IR region.
+    fn run_packed(
+        &mut self,
+        images: &[&[f32]],
+    ) -> Result<(Vec<Vec<f64>>, InferenceTiming), HeError> {
+        let plan = self.admitted_plan(images.len())?;
+        // a field borrow, so the sampler stays mutably borrowable
+        let state = self.packed.as_ref().expect("admitted_plan checked");
+        let built = &state.strides[&plan.layout().stride()];
+        let cts =
+            state
+                .packed
+                .encrypt_batch(&self.ev, &self.pk, &mut self.sampler, images, &plan)?;
+        let interp = he_ir::Interpreter::new(&self.ev)
+            .with_relin(&self.rk)
+            .with_galois(&state.gk);
+        let (outs, walls) = crate::packed::run_shards(&built.prepared, &interp, cts)
+            .map_err(|reason| HeError::Execution { reason })?;
+        let logits = state.packed.decrypt_batch(&self.ev, &self.sk, &outs, &plan);
+        let layers = walls
+            .into_iter()
+            .map(|(name, wall)| LayerTiming {
+                name,
                 unit_times: vec![wall],
+                // every packed region works on whole ciphertexts; the
+                // RNS stream decomposition still applies to them
                 parallel: true,
                 fixed: std::time::Duration::ZERO,
                 wall,
-            });
-        }
-        let logits = eng.packed.decrypt_batch(&self.ev, &self.sk, &outs, &plan);
-        let predictions = logits
-            .iter()
-            .map(|row| {
-                row.iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-                    .unwrap()
-                    .0
             })
             .collect();
-        Classification {
-            logits,
-            predictions,
-            timing: InferenceTiming { layers },
-        }
+        Ok((logits, InferenceTiming { layers }))
     }
 
     /// [`Self::classify`] with full runtime telemetry: the whole run is
@@ -568,20 +534,10 @@ impl CnnHePipeline {
         // (no-op unless the `metrics` feature is on)
         trace.export_gauges();
         let logits = decrypt_tensor(&self.ev, &self.sk, &logits_ct, images.len());
-        let predictions = logits
-            .iter()
-            .map(|row| {
-                row.iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-                    .unwrap()
-                    .0
-            })
-            .collect();
         (
             Classification {
+                predictions: logits.iter().map(|row| argmax(row)).collect(),
                 logits,
-                predictions,
                 timing,
             },
             trace,
@@ -698,13 +654,7 @@ mod tests {
             assert!((g - w).abs() < 2e-2, "logit mismatch: {g} vs {w}");
         }
         // prediction consistency
-        let plain_pred = want
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-            .unwrap()
-            .0;
-        assert_eq!(got.predictions[0], plain_pred);
+        assert_eq!(got.predictions[0], argmax(&want));
     }
 
     #[test]
@@ -724,26 +674,33 @@ mod tests {
         }
     }
 
+    fn mini_images(n: usize) -> Vec<Vec<f32>> {
+        (0..n)
+            .map(|k| {
+                (0..64)
+                    .map(|i| ((i * (k + 2)) % 13) as f32 / 13.0)
+                    .collect()
+            })
+            .collect()
+    }
+
     #[test]
-    fn packed_batching_classifies_a_sharded_batch() {
+    fn packed_path_classifies_a_sharded_batch_with_fewer_ops_than_the_reference() {
         let net = mini_network(107);
         let mut pipe = CnnHePipeline::new(net, 1 << 10, 107);
         assert_eq!(pipe.packed_lane_capacity(), None, "not yet enabled");
         pipe.enable_packed_batching().unwrap();
         assert!(pipe.packed_batching_enabled());
+        // `compile` is the same switch: already on, nothing to redo
+        pipe.compile().unwrap();
         // 512 slots / dim 64 → one packed ciphertext carries 8 lanes
         assert_eq!(pipe.max_batch(), 8);
         assert_eq!(pipe.packed_lane_capacity(), Some(8));
         assert!(!pipe.validate_batch(10).has_errors());
-        let images: Vec<Vec<f32>> = (0..10)
-            .map(|k| {
-                (0..64)
-                    .map(|i| ((i * (k + 2)) % 13) as f32 / 13.0)
-                    .collect()
-            })
-            .collect();
+        let images = mini_images(10);
         let refs: Vec<&[f32]> = images.iter().map(Vec::as_slice).collect();
-        // 10 images spill into 2 shards; every lane must match plain
+        // 10 images spill into 2 shards at the full 8-lane stride;
+        // every lane must match plain
         let got = pipe.classify(&refs);
         assert_eq!(got.logits.len(), 10);
         for (k, img) in images.iter().enumerate() {
@@ -751,51 +708,30 @@ mod tests {
             for (g, w) in got.logits[k].iter().zip(&want) {
                 assert!((g - w).abs() < 3e-2, "image {k}: {g} vs {w}");
             }
+            assert_eq!(got.predictions[k], argmax(&want), "image {k}");
         }
-        // a singleton batch still runs (stride-1 degenerate layout)
+        // timing: one entry per shard × IR region, named by both
+        let regions = pipe.packed_state().strides[&8]
+            .prepared
+            .circuit()
+            .regions
+            .len();
+        assert_eq!(got.timing.layers.len(), 2 * regions);
+        assert!(got.timing.layers[0]
+            .name
+            .starts_with("shard 0: packed layer 0: matvec"));
+        let folds = got
+            .timing
+            .layers
+            .iter()
+            .filter(|l| l.name.ends_with(": fold"));
+        assert!(folds.count() >= 2, "squat layers report their fold");
+        // a singleton batch exercises the stride-1 circuit
         let one = pipe.classify(&refs[..1]);
         for (a, b) in one.logits[0].iter().zip(&got.logits[0]) {
             assert!((a - b).abs() < 2e-2, "{a} vs {b}");
         }
-    }
-
-    #[test]
-    fn compiled_path_matches_plain_and_spends_fewer_ops() {
-        let net = mini_network(108);
-        let mut pipe = CnnHePipeline::new(net, 1 << 10, 108);
-        pipe.compile().unwrap();
-        assert!(pipe.compiled_enabled());
-        assert!(pipe.packed_batching_enabled());
-        // 10 images spill into 2 shards at the full 8-lane stride
-        let images: Vec<Vec<f32>> = (0..10)
-            .map(|k| {
-                (0..64)
-                    .map(|i| ((i * (k + 2)) % 13) as f32 / 13.0)
-                    .collect()
-            })
-            .collect();
-        let refs: Vec<&[f32]> = images.iter().map(Vec::as_slice).collect();
-        let got = pipe.classify(&refs);
-        assert_eq!(got.logits.len(), 10);
-        for (k, img) in images.iter().enumerate() {
-            let want = pipe.network.infer_plain(img);
-            for (g, w) in got.logits[k].iter().zip(&want) {
-                assert!((g - w).abs() < 3e-2, "image {k}: {g} vs {w}");
-            }
-            let plain_pred = want
-                .iter()
-                .enumerate()
-                .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-                .unwrap()
-                .0;
-            assert_eq!(got.predictions[k], plain_pred, "image {k}");
-        }
-        // a singleton batch exercises the stride-1 compiled circuit
-        let one = pipe.classify(&refs[..1]);
-        for (a, b) in one.logits[0].iter().zip(&got.logits[0]) {
-            assert!((a - b).abs() < 2e-2, "{a} vs {b}");
-        }
-        // the optimizer must beat the eager lowering by the issue's
+        // the optimizer must beat the reference lowering by the gated
         // thresholds on both strides seen above
         for batch in [1usize, 10] {
             let stats = pipe.compiled_stats(batch).unwrap();
@@ -815,6 +751,86 @@ mod tests {
                 total(e)
             );
         }
+    }
+
+    #[test]
+    fn validate_batch_reports_on_the_circuit_and_keys_that_run() {
+        let mut pipe = CnnHePipeline::new(mini_network(109), 1 << 10, 109);
+        pipe.enable_packed_batching().unwrap();
+        assert!(!pipe.validate_batch(3).has_errors());
+        // drop one Galois element the stride-4 circuit rotates by
+        let stride = pipe.built_plan(3).unwrap().layout().stride();
+        let state = pipe.packed.as_mut().unwrap();
+        let circuit = state.strides[&stride].prepared.circuit();
+        let dropped = he_ir::passes::rotations::required_elements(circuit).elements;
+        let dropped = *dropped.first().unwrap();
+        let mut fewer = GaloisKeys::default();
+        for elem in state.gk.elements().filter(|&e| e != dropped) {
+            fewer.insert(elem, state.gk.get(elem).unwrap().clone());
+        }
+        state.gk = fewer;
+        let report = pipe.validate_batch(3);
+        assert!(report.has_code("missing-galois-key"), "{}", report.render());
+        // and running on the short key set is a typed error, not a panic
+        let images = mini_images(3);
+        let refs: Vec<&[f32]> = images.iter().map(Vec::as_slice).collect();
+        match pipe.try_classify(&refs) {
+            Err(HeError::Execution { reason }) => {
+                assert!(reason.contains("missing Galois key"), "{reason}");
+            }
+            other => panic!("expected an execution error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn misshapen_packed_requests_are_typed_errors_and_leave_the_pipeline_usable() {
+        let mut pipe = CnnHePipeline::new(mini_network(110), 1 << 10, 110);
+        assert!(matches!(
+            pipe.prepare_batch(1),
+            Err(HeError::Execution { .. })
+        ));
+        pipe.enable_packed_batching().unwrap();
+        assert_eq!(pipe.try_classify(&[]).unwrap_err(), HeError::EmptyBatch);
+        let images = mini_images(2);
+        let short = vec![0.5f32; 10];
+        let err = pipe.try_classify(&[&images[0], &short]).unwrap_err();
+        assert_eq!(
+            err,
+            HeError::ShapeMismatch {
+                what: "image length",
+                got: 10,
+                expected: 64
+            }
+        );
+        let ok = pipe.try_classify(&[&images[0], &images[1]]).unwrap();
+        assert_eq!(ok.logits.len(), 2);
+    }
+
+    #[test]
+    fn packed_batching_refuses_a_chain_shorter_than_the_circuit() {
+        let params = CkksParams {
+            n: 1 << 10,
+            chain_bits: vec![40, 26, 26],
+            special_bits: vec![40],
+            scale_bits: 26,
+            security: ckks::SecurityLevel::None,
+        };
+        let mut pipe = CnnHePipeline::with_params(mini_network(111), params, 111);
+        assert!(matches!(
+            pipe.enable_packed_batching(),
+            Err(HeError::LevelExhausted { needed: 5, .. })
+        ));
+        assert!(!pipe.packed_batching_enabled());
+    }
+
+    #[test]
+    fn argmax_orders_nan_instead_of_panicking() {
+        assert_eq!(argmax(&[0.1, 0.9, 0.3]), 1);
+        assert_eq!(argmax(&[-2.0, -1.0, -3.0]), 1);
+        // a NaN logit must not take a serving worker down
+        assert_eq!(argmax(&[0.1, f64::NAN, 0.3]), 1);
+        assert_eq!(argmax(&[f64::NAN, f64::NAN]), 1);
+        assert_eq!(argmax(&[]), 0);
     }
 
     #[test]

@@ -1,29 +1,35 @@
 //! IR interpreter: executes a [`Circuit`] against the real
 //! `ckks::Evaluator`, op for op.
 //!
-//! Every IR node maps to exactly one evaluator call (the same call the
-//! eager engine makes), so a circuit recorded from an eager run and
-//! interpreted with the same context, keys, and input ciphertexts
-//! produces **bit-identical** outputs — the property he-diff's
-//! IR-vs-eager differential mode checks limb for limb.
+//! Every IR node maps to exactly one evaluator call, so a circuit
+//! recorded from an eager op sequence and interpreted with the same
+//! context, keys, and input ciphertexts produces **bit-identical**
+//! outputs — the property he-diff's IR-vs-eager differential mode
+//! checks limb for limb.
 //!
-//! Ciphertexts are freed at their last use (the schedule computed by the
-//! liveness pass), so interpreting a large circuit holds no more
-//! ciphertexts than the eager engine would.
+//! Execution is split into *prepare once / execute many*. A
+//! [`Prepared`] circuit has been validated, carries its deallocation
+//! schedule (the liveness pass's last uses — interpreting a large
+//! circuit holds no more ciphertexts than hand-written code would) and
+//! holds every [`Op::EncodeVec`] operand already broadcast and encoded
+//! at the level/scale its consumer's declared type fixes, so a
+//! steady-state [`Prepared::run`] spends no FFT/NTT on plaintexts.
+//! [`Interpreter::run`] is prepare-then-execute over the same routine;
+//! nothing is cached between calls.
 
 use crate::circuit::{Circuit, NodeId, Op};
 use crate::passes::liveness;
-use ckks::{Ciphertext, Evaluator, GaloisKeys, PreparedScalar, RelinKey};
+use ckks::{Ciphertext, Evaluator, GaloisKeys, Plaintext, PreparedScalar, RelinKey};
 use std::collections::HashMap;
+use std::time::{Duration, Instant};
 
 /// A value computed for one node.
 #[derive(Debug, Clone)]
 pub enum Value {
     Ct(Ciphertext),
     Plain(PreparedScalar),
-    /// An element-domain vector pattern ([`Op::EncodeVec`]): encoding
-    /// is deferred to the consuming op, which knows the lane stride of
-    /// its ciphertext operand and the runtime level to encode at.
+    /// An element-domain vector pattern ([`Op::EncodeVec`]); its
+    /// consumers read the plaintext [`Prepared`] encoded for them.
     PlainVec(std::sync::Arc<Vec<f64>>),
 }
 
@@ -73,36 +79,17 @@ impl<'a> Interpreter<'a> {
         self
     }
 
-    /// Runs the circuit, freeing intermediates at their last use, and
-    /// returns the output ciphertexts in output order.
+    /// Prepares and runs the circuit once, freeing intermediates at
+    /// their last use, and returns the output ciphertexts in output
+    /// order.
     pub fn run(
         &self,
         c: &Circuit,
         inputs: &HashMap<String, Ciphertext>,
     ) -> Result<Vec<Ciphertext>, String> {
-        c.validate()?;
-        let lv = liveness::analyze(c);
-        let mut values: Vec<Option<Value>> = Vec::with_capacity(c.nodes.len());
-        for id in 0..c.nodes.len() {
-            let v = self.exec(c, id, &values, inputs)?;
-            values.push(Some(v));
-            // free operands whose last use this was (outputs stay)
-            for arg in c.nodes[id].op.args() {
-                if lv.last_use[arg] == Some(id) && !c.outputs.contains(&arg) {
-                    values[arg] = None;
-                }
-            }
-        }
-        c.outputs
-            .iter()
-            .map(|&o| {
-                values[o]
-                    .as_ref()
-                    .ok_or_else(|| format!("output {o} was freed"))?
-                    .ct()
-                    .cloned()
-            })
-            .collect()
+        Ok(Prepared::new(self.ev, c.clone())?
+            .run(self, inputs)?
+            .outputs)
     }
 
     /// Runs the circuit keeping every node's value — for per-node
@@ -112,29 +99,200 @@ impl<'a> Interpreter<'a> {
         c: &Circuit,
         inputs: &HashMap<String, Ciphertext>,
     ) -> Result<Vec<Value>, String> {
-        c.validate()?;
-        let mut values: Vec<Option<Value>> = Vec::with_capacity(c.nodes.len());
-        for id in 0..c.nodes.len() {
-            let v = self.exec(c, id, &values, inputs)?;
-            values.push(Some(v));
-        }
+        let (values, _) = Prepared::new(self.ev, c.clone())?.execute(self, inputs, false)?;
         Ok(values.into_iter().map(|v| v.expect("kept")).collect())
+    }
+}
+
+/// What one [`Prepared::run`] produced.
+#[derive(Debug, Clone)]
+pub struct RunOutput {
+    /// Output ciphertexts, in the circuit's output order.
+    pub outputs: Vec<Ciphertext>,
+    /// Wall spent in each region, aligned with `circuit().regions`.
+    pub region_walls: Vec<Duration>,
+}
+
+/// A circuit made ready to execute many times: validated once, its
+/// deallocation schedule computed once, and one plaintext encoded per
+/// distinct (`EncodeVec` node, lane stride, level, scale) use.
+pub struct Prepared {
+    circuit: Circuit,
+    /// Highest node using each node; `None` for values that are never
+    /// freed (outputs) or never used.
+    last_use: Vec<Option<NodeId>>,
+    region_of: Vec<Option<usize>>,
+    encoded: Vec<Plaintext>,
+    /// Index into `encoded` of the operand each vector-weight
+    /// `MulPlain`/`AddPlain` node consumes.
+    plain_of: Vec<Option<usize>>,
+}
+
+impl Prepared {
+    /// Validates the circuit and encodes its plaintext-vector operands
+    /// in `ev`'s context. Level and scale of each operand come from the
+    /// declared type of the consuming node's ciphertext argument, so
+    /// the circuit must have been lowered against that context
+    /// ([`crate::GraphBuilder::for_context`]); a run whose ciphertexts
+    /// disagree with the declared types fails typed.
+    pub fn new(ev: &Evaluator, circuit: Circuit) -> Result<Self, String> {
+        circuit.validate()?;
+        let n = circuit.nodes.len();
+        let mut last_use = liveness::analyze(&circuit).last_use;
+        for &o in &circuit.outputs {
+            last_use[o] = None;
+        }
+        let mut region_of = vec![None; n];
+        for (r, region) in circuit.regions.iter().enumerate() {
+            for id in region.nodes() {
+                region_of[id] = Some(r);
+            }
+        }
+        let mut encoded = Vec::new();
+        let mut plain_of = vec![None; n];
+        let mut seen: HashMap<(NodeId, usize, usize, u64), usize> = HashMap::new();
+        for (id, node) in circuit.nodes.iter().enumerate() {
+            let (src, plain, is_mul) = match node.op {
+                Op::MulPlain { src, plain } => (src, plain, true),
+                Op::AddPlain { src, plain } => (src, plain, false),
+                _ => continue,
+            };
+            // scalar weights are re-encoded by `mul_scalar` itself
+            let Op::EncodeVec { values, pt_scale } = &circuit.nodes[plain].op else {
+                continue;
+            };
+            let ty = circuit.nodes[src]
+                .ty
+                .as_ct()
+                .ok_or("broadcast source must be a ciphertext")?;
+            // a weight carries its own scale; a bias is added at the
+            // ciphertext's scale
+            let scale = if is_mul { *pt_scale } else { ty.scale };
+            let stride = ty.layout.lane_stride();
+            let idx = *seen
+                .entry((plain, stride, ty.level, scale.to_bits()))
+                .or_insert_with(|| {
+                    encoded.push(encode_broadcast(ev, values, stride, scale, ty.level));
+                    encoded.len() - 1
+                });
+            plain_of[id] = Some(idx);
+        }
+        Ok(Self {
+            circuit,
+            last_use,
+            region_of,
+            encoded,
+            plain_of,
+        })
+    }
+
+    pub fn circuit(&self) -> &Circuit {
+        &self.circuit
+    }
+
+    /// The distinct plaintext operands encoded at prepare time.
+    pub fn encoded_operands(&self) -> &[Plaintext] {
+        &self.encoded
+    }
+
+    /// Runs the circuit with `interp`'s keys, freeing intermediates at
+    /// their last use.
+    pub fn run(
+        &self,
+        interp: &Interpreter,
+        inputs: &HashMap<String, Ciphertext>,
+    ) -> Result<RunOutput, String> {
+        let (values, region_walls) = self.execute(interp, inputs, true)?;
+        let outputs = self
+            .circuit
+            .outputs
+            .iter()
+            .map(|&o| {
+                values[o]
+                    .as_ref()
+                    .ok_or_else(|| format!("output {o} was freed"))?
+                    .ct()
+                    .cloned()
+            })
+            .collect::<Result<_, String>>()?;
+        Ok(RunOutput {
+            outputs,
+            region_walls,
+        })
+    }
+
+    /// The one execution loop: every node in order, `free` dropping
+    /// each operand after its last use.
+    fn execute(
+        &self,
+        interp: &Interpreter,
+        inputs: &HashMap<String, Ciphertext>,
+        free: bool,
+    ) -> Result<(Vec<Option<Value>>, Vec<Duration>), String> {
+        let c = &self.circuit;
+        let mut values: Vec<Option<Value>> = Vec::with_capacity(c.nodes.len());
+        let mut walls = vec![Duration::ZERO; c.regions.len()];
+        let mut open: Option<(usize, Instant)> = None;
+        for id in 0..c.nodes.len() {
+            let region = self.region_of[id];
+            if region != open.map(|(r, _)| r) {
+                if let Some((r, t0)) = open {
+                    walls[r] += t0.elapsed();
+                }
+                open = region.map(|r| (r, Instant::now()));
+            }
+            let v = self.exec(interp, id, &values, inputs)?;
+            values.push(Some(v));
+            if free {
+                for arg in c.nodes[id].op.args() {
+                    if self.last_use[arg] == Some(id) {
+                        values[arg] = None;
+                    }
+                }
+            }
+        }
+        if let Some((r, t0)) = open {
+            walls[r] += t0.elapsed();
+        }
+        Ok((values, walls))
+    }
+
+    /// The operand encoded for node `id`, checked against the runtime
+    /// ciphertext it is about to meet.
+    fn plain_for(
+        &self,
+        id: NodeId,
+        x: &Ciphertext,
+        match_scale: bool,
+    ) -> Result<&Plaintext, String> {
+        let pt = self.plain_of[id]
+            .map(|i| &self.encoded[i])
+            .ok_or_else(|| format!("node {id}: plain operand is not an encode_vec"))?;
+        if pt.level != x.level || (match_scale && pt.scale.to_bits() != x.scale.to_bits()) {
+            return Err(format!(
+                "node {id}: ciphertext at level {} scale {} but its operand was encoded for the \
+                 declared level {} scale {}",
+                x.level, x.scale, pt.level, pt.scale
+            ));
+        }
+        Ok(pt)
     }
 
     fn exec(
         &self,
-        c: &Circuit,
+        interp: &Interpreter,
         id: NodeId,
         values: &[Option<Value>],
         inputs: &HashMap<String, Ciphertext>,
     ) -> Result<Value, String> {
+        let ev = interp.ev;
         let get = |arg: NodeId| -> Result<&Value, String> {
             values[arg]
                 .as_ref()
                 .ok_or_else(|| format!("node {arg} used after being freed"))
         };
         let ct = |arg: NodeId| -> Result<&Ciphertext, String> { get(arg)?.ct() };
-        let node = &c.nodes[id];
+        let node = &self.circuit.nodes[id];
         let out = match &node.op {
             Op::Input { name } => {
                 let bound = inputs
@@ -144,114 +302,83 @@ impl<'a> Interpreter<'a> {
             }
             Op::Zero => {
                 let ty = node.ty.as_ct().ok_or("zero node must be a ciphertext")?;
-                Value::Ct(self.ev.zero_ciphertext(ty.scale, ty.level, ty.slots))
+                Value::Ct(ev.zero_ciphertext(ty.scale, ty.level, ty.slots))
             }
             Op::EncodeScalar { value, pt_scale } => {
                 let ty = node.ty.as_plain().ok_or("encode node must be plain")?;
-                Value::Plain(self.ev.prepare_scalar(*value, *pt_scale, ty.level))
+                Value::Plain(ev.prepare_scalar(*value, *pt_scale, ty.level))
             }
             Op::EncodeVec { values, .. } => Value::PlainVec(std::sync::Arc::clone(values)),
-            Op::Add { a, b } => Value::Ct(self.ev.add(ct(*a)?, ct(*b)?)),
-            Op::Sub { a, b } => Value::Ct(self.ev.sub(ct(*a)?, ct(*b)?)),
-            Op::Negate { src } => Value::Ct(self.ev.negate(ct(*src)?)),
-            Op::AddScalar { src, value } => Value::Ct(self.ev.add_scalar(ct(*src)?, *value)),
-            Op::MulPlain { src, plain } => match (&c.nodes[*plain].op, get(*plain)?) {
+            Op::Add { a, b } => Value::Ct(ev.add(ct(*a)?, ct(*b)?)),
+            Op::Sub { a, b } => Value::Ct(ev.sub(ct(*a)?, ct(*b)?)),
+            Op::Negate { src } => Value::Ct(ev.negate(ct(*src)?)),
+            Op::AddScalar { src, value } => Value::Ct(ev.add_scalar(ct(*src)?, *value)),
+            Op::MulPlain { src, plain } => match &self.circuit.nodes[*plain].op {
                 // replay the exact eager call: mul_scalar re-encodes the
                 // weight from the Encode node's value/pt_scale
-                (Op::EncodeScalar { value, pt_scale }, _) => {
-                    Value::Ct(self.ev.mul_scalar(ct(*src)?, *value, *pt_scale))
+                Op::EncodeScalar { value, pt_scale } => {
+                    Value::Ct(ev.mul_scalar(ct(*src)?, *value, *pt_scale))
                 }
-                // vector weight: expand the element pattern across the
-                // source layout and encode at the declared pt_scale and
-                // the *runtime* level — the exact eager packed-engine call
-                (Op::EncodeVec { pt_scale, .. }, Value::PlainVec(vals)) => {
+                _ => {
                     let x = ct(*src)?;
-                    let pt = self.encode_broadcast(c, *src, vals, *pt_scale, x.level)?;
-                    Value::Ct(self.ev.mul_plain(x, &pt))
+                    Value::Ct(ev.mul_plain(x, self.plain_for(id, x, false)?))
                 }
-                _ => return Err(format!("node {id}: plain operand is not an encode")),
             },
-            Op::AddPlain { src, plain } => {
-                let Value::PlainVec(vals) = get(*plain)? else {
-                    return Err(format!("node {id}: add_plain operand is not an encode_vec"));
-                };
+            Op::AddPlain { src, .. } => {
                 let x = ct(*src)?;
-                // encoded at the ciphertext's runtime scale/level, the
-                // eager engine's bias-add discipline
-                let pt = self.encode_broadcast(c, *src, vals, x.scale, x.level)?;
-                Value::Ct(self.ev.add_plain(x, &pt))
+                Value::Ct(ev.add_plain(x, self.plain_for(id, x, true)?))
             }
             Op::MacPlain { acc, src, plain } => {
                 let mut out = ct(*acc)?.clone();
-                self.ev
-                    .mul_residues_acc(&mut out, ct(*src)?, get(*plain)?.plain()?);
+                ev.mul_residues_acc(&mut out, ct(*src)?, get(*plain)?.plain()?);
                 Value::Ct(out)
             }
             Op::Mul { a, b } => {
-                let rk = self.rk.ok_or("ct×ct product but no relin key bound")?;
-                Value::Ct(self.ev.multiply(ct(*a)?, ct(*b)?, rk))
+                let rk = interp.rk.ok_or("ct×ct product but no relin key bound")?;
+                Value::Ct(ev.multiply(ct(*a)?, ct(*b)?, rk))
             }
             Op::Square { src } => {
-                let rk = self.rk.ok_or("square but no relin key bound")?;
-                Value::Ct(self.ev.square(ct(*src)?, rk))
+                let rk = interp.rk.ok_or("square but no relin key bound")?;
+                Value::Ct(ev.square(ct(*src)?, rk))
             }
-            Op::Rescale { src } => {
-                Value::Ct(self.ev.try_rescale(ct(*src)?).map_err(|e| e.to_string())?)
-            }
+            Op::Rescale { src } => Value::Ct(ev.try_rescale(ct(*src)?).map_err(|e| e.to_string())?),
             Op::ModSwitch { src, level } => Value::Ct(
-                self.ev
-                    .try_mod_switch_to_level(ct(*src)?, *level)
+                ev.try_mod_switch_to_level(ct(*src)?, *level)
                     .map_err(|e| e.to_string())?,
             ),
             Op::Rotate { src, steps } => {
                 let x = ct(*src)?;
-                match self.gk {
-                    Some(gk) => Value::Ct(
-                        self.ev
-                            .try_rotate(x, *steps, gk)
-                            .map_err(|e| e.to_string())?,
-                    ),
+                match interp.gk {
+                    Some(gk) => Value::Ct(ev.try_rotate(x, *steps, gk).map_err(|e| e.to_string())?),
                     // identity rotations touch no key in the eager engine
                     None if steps.rem_euclid(x.slots as i64) == 0 => Value::Ct(x.clone()),
                     None => return Err("rotation but no galois keys bound".into()),
                 }
             }
             Op::Conjugate { src } => {
-                let gk = self.gk.ok_or("conjugation but no galois keys bound")?;
-                Value::Ct(
-                    self.ev
-                        .try_conjugate(ct(*src)?, gk)
-                        .map_err(|e| e.to_string())?,
-                )
+                let gk = interp.gk.ok_or("conjugation but no galois keys bound")?;
+                Value::Ct(ev.try_conjugate(ct(*src)?, gk).map_err(|e| e.to_string())?)
             }
         };
         Ok(out)
     }
+}
 
-    /// Expands an element-domain pattern across the lane stride of the
-    /// ciphertext node `src` and encodes it — slot `i` holds
-    /// `values[(i / stride) % values.len()]`, which is exactly
-    /// `ckks::PackLayout::expand` for batch-strided layouts and plain
-    /// cyclic tiling at stride 1.
-    fn encode_broadcast(
-        &self,
-        c: &Circuit,
-        src: NodeId,
-        values: &[f64],
-        pt_scale: f64,
-        level: usize,
-    ) -> Result<ckks::Plaintext, String> {
-        let ty = c.nodes[src]
-            .ty
-            .as_ct()
-            .ok_or("broadcast source must be a ciphertext")?;
-        let stride = ty.layout.lane_stride();
-        let slots = self.ev.ctx().slots();
-        let expanded: Vec<f64> = (0..slots)
-            .map(|i| values[(i / stride) % values.len()])
-            .collect();
-        Ok(ckks::encode_real(self.ev.ctx(), &expanded, pt_scale, level))
-    }
+/// Expands an element-domain pattern across a lane stride and encodes
+/// it — slot `i` holds `values[(i / stride) % values.len()]`, which is
+/// exactly `ckks::PackLayout::expand` for batch-strided layouts and
+/// plain cyclic tiling at stride 1.
+fn encode_broadcast(
+    ev: &Evaluator,
+    values: &[f64],
+    stride: usize,
+    pt_scale: f64,
+    level: usize,
+) -> Plaintext {
+    let expanded: Vec<f64> = (0..ev.ctx().slots())
+        .map(|i| values[(i / stride) % values.len()])
+        .collect();
+    ckks::encode_real(ev.ctx(), &expanded, pt_scale, level)
 }
 
 #[cfg(test)]
@@ -344,6 +471,85 @@ mod tests {
         let d_eager = ev.decrypt_to_real(&eager, &f.sk);
         let d_ir = ev.decrypt_to_real(got, &f.sk);
         assert_eq!(d_eager, d_ir);
+    }
+
+    /// A packed-style fragment: diagonal weight, rotation, bias at the
+    /// accumulated scale, rescale.
+    fn plain_operand_circuit(f: &Fixture) -> Circuit {
+        let slots = f.ctx.slots();
+        let mut b = GraphBuilder::for_context(&f.ctx);
+        let x = b.input("x", 2, Layout::BatchStrided { stride: 2 });
+        let q = b.q_at(2);
+        let w = b.encode_vec((0..slots / 2).map(|i| (i % 5) as f64 / 8.0).collect(), q, 2);
+        let m = b.mul_plain(x, w);
+        let r = b.rotate(m, 2);
+        let acc = b.add(m, r);
+        let ty = b.ct_ty(acc);
+        let bias = b.encode_vec(vec![0.25, -0.5], ty.scale, ty.level);
+        let a = b.add_plain(acc, bias);
+        let y = b.rescale(a);
+        b.output(y);
+        let g = b.params().galois_element_for_rotation(2);
+        b.finish(KeyInventory::with_galois(true, [g]))
+    }
+
+    /// Pre-encoding changes no bits: a prepared circuit run twice, a
+    /// fresh `Interpreter::run` and the hand-written evaluator calls
+    /// all produce the same limbs.
+    #[test]
+    fn prepared_runs_repeat_and_match_a_fresh_run_and_eager_limb_for_limb() {
+        let mut f = fixture(2, 17);
+        let slots = f.ctx.slots();
+        let mut kg = KeyGenerator::new(Arc::clone(&f.ctx), 18);
+        // the fixture's sk comes from seed 17's generator; rotation keys
+        // must be for that same secret
+        let gk = kg.gen_galois_keys(&f.sk, &[2], false);
+        let vals: Vec<f64> = (0..slots).map(|i| (i as f64 % 9.0) / 10.0).collect();
+        let x_ct = f.ev.encrypt_real(&vals, &f.pk, &mut f.sampler);
+        let circuit = plain_operand_circuit(&f);
+        let inputs = HashMap::from([("x".to_string(), x_ct.clone())]);
+        let interp = Interpreter::new(&f.ev).with_relin(&f.rk).with_galois(&gk);
+
+        let prepared = Prepared::new(&f.ev, circuit.clone()).expect("prepares");
+        assert_eq!(prepared.encoded_operands().len(), 2);
+        let first = prepared.run(&interp, &inputs).expect("first run");
+        let second = prepared.run(&interp, &inputs).expect("second run");
+        let fresh = interp.run(&circuit, &inputs).expect("fresh run");
+        assert_eq!(first.region_walls.len(), circuit.regions.len());
+
+        // the same ops by hand, operands broadcast by `expand`'s rule
+        let ev = &f.ev;
+        let q = f.ctx.chain_moduli()[2].value() as f64;
+        let w: Vec<f64> = (0..slots)
+            .map(|i| ((i / 2) % (slots / 2) % 5) as f64 / 8.0)
+            .collect();
+        let m = ev.mul_plain(&x_ct, &ckks::encode_real(&f.ctx, &w, q, 2));
+        let acc = ev.add(&m, &ev.rotate(&m, 2, &gk));
+        let bias: Vec<f64> = (0..slots).map(|i| [0.25, -0.5][(i / 2) % 2]).collect();
+        let pt = ckks::encode_real(&f.ctx, &bias, acc.scale, acc.level);
+        let eager = ev.rescale(&ev.add_plain(&acc, &pt));
+
+        for got in [&first.outputs[0], &second.outputs[0], &fresh[0]] {
+            assert_eq!(got.level, eager.level);
+            assert_eq!(got.scale.to_bits(), eager.scale.to_bits());
+            assert_eq!(got.c0.limbs_flat(), eager.c0.limbs_flat());
+            assert_eq!(got.c1.limbs_flat(), eager.c1.limbs_flat());
+        }
+    }
+
+    /// A ciphertext that disagrees with the declared type its operand
+    /// was encoded for is a typed failure, not an evaluator panic.
+    #[test]
+    fn runtime_type_drift_from_the_declared_types_is_an_error() {
+        let mut f = fixture(2, 19);
+        let circuit = plain_operand_circuit(&f);
+        let vals = vec![0.5; f.ctx.slots()];
+        let x = f.ev.encrypt_real(&vals, &f.pk, &mut f.sampler);
+        // bound one level below what the circuit declares for `x`
+        let low = f.ev.mod_switch_to_level(&x, 1);
+        let inputs = HashMap::from([("x".to_string(), low)]);
+        let err = Interpreter::new(&f.ev).run(&circuit, &inputs).unwrap_err();
+        assert!(err.contains("declared level 2"), "{err}");
     }
 
     #[test]

@@ -27,7 +27,10 @@
 //!   ([`pass::PassManager::optimize`]).
 //! - [`interp::Interpreter`]: replays a circuit through the real
 //!   `Evaluator`, bit-identical to eager execution — the anchor for
-//!   he-diff's IR-vs-eager differential mode.
+//!   he-diff's IR-vs-eager differential mode. [`interp::Prepared`] is
+//!   its prepare-once / execute-many form (validated, liveness
+//!   schedule and plaintext operands pre-encoded, per-region walls) —
+//!   the only executor of slot-packed inference in `cnn-he`.
 //! - [`dot`]: Graphviz export (full graph or region-collapsed summary).
 //!
 //! he-lint depends on this crate (its `diag`/`noise` modules live here
@@ -50,7 +53,7 @@ pub mod types;
 pub use build::GraphBuilder;
 pub use circuit::{Circuit, KeyInventory, Node, NodeId, Op, OpCounts, Region};
 pub use diag::{Diagnostic, LintReport, Severity};
-pub use interp::{Interpreter, Value};
+pub use interp::{Interpreter, Prepared, RunOutput, Value};
 pub use noise::NoiseModel;
 pub use pass::{AnalysisReport, OptimizeReport, Pass, PassManager, PassOutput, RewriteStats};
 pub use types::{CtType, Layout, PlainType, ValueTy};

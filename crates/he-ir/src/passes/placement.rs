@@ -438,7 +438,7 @@ mod tests {
         let sum = b.add(r1, r2);
         b.output(sum);
         let mut c = b.finish(KeyInventory::relin_only());
-        let want_ty = c.nodes[sum].ty.clone();
+        let want_ty = c.nodes[sum].ty;
 
         let stats = PlacementPass.rewrite(&mut c).unwrap();
         assert!(stats.changed);

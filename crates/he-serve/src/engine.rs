@@ -14,7 +14,9 @@
 //! Robustness invariants:
 //! * **Admission** — `start` lints the network against the engine's
 //!   parameters at the maximum coalescible batch; `submit` rejects
-//!   wrong-shaped images before they enter the queue.
+//!   wrong-shaped images before they enter the queue; a request the
+//!   pipeline still refuses inside a worker is answered
+//!   [`ServeError::Rejected`] and the worker carries on.
 //! * **Backpressure** — the request queue is bounded; a full queue
 //!   refuses with [`ServeError::Overloaded`] instead of growing.
 //! * **Deadlines** — a request whose deadline expires before or during
@@ -110,7 +112,10 @@ pub struct ServeEngine {
 impl ServeEngine {
     /// Builds the pipelines (one per worker, via `factory`), runs the
     /// he-lint admission check at the maximum coalescible batch, and
-    /// spawns the batcher and worker threads. Fails with
+    /// spawns the batcher and worker threads. With
+    /// [`Packing::PackedBatch`] every lane stride up to that ceiling is
+    /// prepared here (circuit, Galois keys, encoded operands), so the
+    /// request path never generates a key. Fails with
     /// [`ServeError::Rejected`] — carrying the lint summary — when the
     /// network cannot run under the factory's parameters.
     pub fn start<F>(cfg: ServeConfig, factory: F) -> Result<Self, ServeError>
@@ -142,6 +147,9 @@ impl ServeEngine {
             }
         }
         let max_batch_cap = cfg.max_batch.min(first.max_batch()).max(1);
+        if cfg.packing == Packing::PackedBatch {
+            prepare_strides(&mut first, max_batch_cap)?;
+        }
         let admission = first.validate_batch(max_batch_cap);
         if admission.has_errors() {
             return Err(ServeError::Rejected {
@@ -210,6 +218,7 @@ impl ServeEngine {
                                 // the identically-parameterized first
                                 // pipeline already passed this at start
                                 p.enable_packed_batching()
+                                    .and_then(|()| prepare_strides(&mut p, max_batch_cap))
                                     .expect("packed batching passed admission");
                             }
                             p
@@ -372,6 +381,11 @@ impl Drop for ServeEngine {
     }
 }
 
+/// Prepares the packed stride of every batch size the batcher may ship.
+fn prepare_strides(pipe: &mut CnnHePipeline, max_batch: usize) -> Result<(), ckks::HeError> {
+    (1..=max_batch).try_for_each(|batch| pipe.prepare_batch(batch))
+}
+
 fn batcher_loop(shared: &Shared) {
     loop {
         match shared.queue.pop_timeout(TICK) {
@@ -481,7 +495,20 @@ fn execute_batch(shared: &Shared, pipe: &mut CnnHePipeline, batch: Batch) {
     let images: Vec<&[f32]> = live.iter().map(|r| r.image.as_slice()).collect();
     let ops_before = OpSnapshot::now();
     let t0 = Instant::now();
-    let cls = pipe.classify(&images);
+    let cls = match pipe.try_classify(&images) {
+        Ok(cls) => cls,
+        // the whole batch shares one circuit run: refuse every member
+        // typed and keep the worker alive for the next batch
+        Err(e) => {
+            he_trace::record_serve_rejected(live.len() as u64);
+            StatsCore::bump(&shared.stats.rejected, live.len() as u64);
+            for r in live {
+                shared.metrics.on_rejected();
+                r.responder.send(Err(e.clone().into()));
+            }
+            return;
+        }
+    };
     let wall = t0.elapsed();
     shared.observe_wall(wall);
     let n = live.len();
@@ -681,6 +708,45 @@ mod tests {
             }
             other => panic!("expected Rejected, got {other}"),
         }
+    }
+
+    #[test]
+    fn misshapen_image_inside_a_batch_is_rejected_and_the_worker_survives() {
+        let cfg = ServeConfig {
+            packing: Packing::PackedBatch,
+            max_linger: Duration::from_millis(120),
+            ..Default::default()
+        };
+        let eng = engine(cfg, 47);
+        // slip a wrong-length image past `submit`'s shape check, as a
+        // caller racing a model swap would, next to a well-formed one
+        let push = |image: Vec<f32>| {
+            let (handle, responder) = response_pair();
+            let request = Request {
+                id: 0,
+                image,
+                submitted: Instant::now(),
+                deadline: None,
+                budget: None,
+                responder,
+            };
+            assert!(matches!(eng.shared.queue.try_push(request), TryPush::Ok));
+            handle
+        };
+        let (bad, good) = (push(vec![0.5f32; 10]), push(image(0.2)));
+        for handle in [bad, good] {
+            match handle.wait() {
+                Err(ServeError::Rejected { reason }) => {
+                    assert!(reason.contains("image length"), "{reason}");
+                }
+                other => panic!("expected Rejected, got {other:?}"),
+            }
+        }
+        // the worker is still there for the next request
+        let res = eng.classify_blocking(image(0.2)).expect("served");
+        assert_eq!(res.logits.len(), 4);
+        let report = eng.shutdown();
+        assert_eq!((report.rejected, report.completed), (2, 1));
     }
 
     #[test]

@@ -3,15 +3,15 @@
 //! Acceptance criteria of the circuit-IR subsystem, end to end: the
 //! paper's CNN1/CNN2 lower to circuits that are clean under the full
 //! standard pass suite, and the rotation-set analysis computes *exactly*
-//! the Galois-key set the packed engine generates at runtime — element
-//! for element, against real `KeyGenerator` output.
+//! the Galois-key set generated for a packed circuit — element for
+//! element, against real `KeyGenerator` output.
 
 #![forbid(unsafe_code)]
 
 use ckks::{CkksParams, KeyGenerator, SecurityLevel};
 use cnn_he::graph::{lower_network, EncodeSharing};
 use cnn_he::packed::PackedNetwork;
-use cnn_he::HeNetwork;
+use cnn_he::{lower_packed, HeNetwork, PackedLowering};
 use he_ir::passes::rotations::required_elements;
 use he_ir::{GraphBuilder, PassManager};
 use neural::models::{cnn1, cnn2, ActKind};
@@ -62,46 +62,61 @@ fn cnn1_and_cnn2_lower_clean_under_the_standard_passes() {
     }
 }
 
-#[test]
-fn rotation_set_pass_matches_generated_galois_keys_exactly() {
-    // lower the packed engine's plan and diff the pass result against
-    // the keys the runtime actually generates for the same steps
-    let net = HeNetwork::from_trained(&cnn1(ActKind::slaf3(), 41), 28);
+/// Packed CNN1 at stride 1 on a 2^11 ring: the un-optimized reference
+/// lowering and the optimized circuit the pipeline runs.
+fn packed_cnn1_circuits(seed: u64) -> (PackedNetwork, CkksParams, [he_ir::Circuit; 2]) {
+    let net = HeNetwork::from_trained(&cnn1(ActKind::slaf3(), seed), 28);
     let packed = PackedNetwork::from_network(&net);
-    let steps = packed.required_rotation_steps();
     let params = paper_params(packed.required_levels(), 1 << 11);
     assert!(packed.dim <= params.slots());
-    let circuit = cnn_he::lint::plan_for_packed(&packed, params.clone(), &steps).to_circuit();
+    let lower = |mode| lower_packed(&packed, GraphBuilder::new(params.clone()), 1, mode);
+    let reference = lower(PackedLowering::Eager);
+    let mut optimized = lower(PackedLowering::Compiled);
+    PassManager::optimizer()
+        .optimize(&mut optimized)
+        .expect("optimizes");
+    (packed, params, [reference, optimized])
+}
 
-    let required = required_elements(&circuit);
-    assert!(!required.elements.is_empty(), "packed engine rotates");
-
+#[test]
+fn rotation_set_pass_matches_generated_galois_keys_exactly() {
+    // diff the pass result against the keys the runtime generates for
+    // the steps it reports — the way `CnnHePipeline` provisions a stride
+    let (packed, params, circuits) = packed_cnn1_circuits(41);
     let ctx = params.build();
     let mut kg = KeyGenerator::new(Arc::clone(&ctx), 41);
     let sk = kg.gen_secret_key();
-    let gk = kg.gen_galois_keys(&sk, &steps, false);
-    let generated: BTreeSet<usize> = gk.elements().collect();
-
-    assert_eq!(
-        required.elements, generated,
-        "static rotation set must equal the runtime Galois-key set"
-    );
-    // the plan declares that same inventory, so coverage is exact:
-    // no missing key, and no key generated that the circuit never uses
-    let out = PassManager::standard().run(&circuit);
-    assert!(!out.has_errors(), "{}", out.render());
-    assert!(!out.has_code("missing-galois-key"), "{}", out.render());
-    assert!(!out.has_code("unused-galois-key"), "{}", out.render());
+    let bsgs: BTreeSet<i64> = packed.required_rotation_steps().into_iter().collect();
+    for (circuit, name) in circuits.iter().zip(["reference", "optimized"]) {
+        let required = required_elements(circuit);
+        assert!(
+            !required.elements.is_empty(),
+            "{name}: packed circuits rotate"
+        );
+        let steps: Vec<i64> = required.steps.iter().copied().collect();
+        let gk = kg.gen_galois_keys(&sk, &steps, false);
+        let generated: BTreeSet<usize> = gk.elements().collect();
+        assert_eq!(
+            required.elements, generated,
+            "{name}: static rotation set must equal the runtime Galois-key set"
+        );
+        // lowering declares that same inventory, so coverage is exact:
+        // no missing key, and no key generated that the circuit never uses
+        let out = PassManager::standard().run(circuit);
+        assert!(!out.has_errors(), "{name}:\n{}", out.render());
+        assert!(!out.has_code("missing-galois-key"), "{}", out.render());
+        assert!(!out.has_code("unused-galois-key"), "{}", out.render());
+    }
+    // keys for the textbook BSGS step set cover the reference circuit
+    assert!(required_elements(&circuits[0]).steps.is_subset(&bsgs));
 }
 
 #[test]
 fn underprovisioned_keys_fail_the_rotation_set_pass() {
-    let net = HeNetwork::from_trained(&cnn1(ActKind::slaf3(), 42), 28);
-    let packed = PackedNetwork::from_network(&net);
-    let mut steps = packed.required_rotation_steps();
-    steps.pop();
-    let params = paper_params(packed.required_levels(), 1 << 11);
-    let circuit = cnn_he::lint::plan_for_packed(&packed, params, &steps).to_circuit();
+    let (_, _, [_, mut circuit]) = packed_cnn1_circuits(42);
+    let mut elements = required_elements(&circuit).elements;
+    elements.pop_last();
+    circuit.keys = he_ir::KeyInventory::with_galois(true, elements);
     let out = PassManager::standard().run(&circuit);
     assert!(out.has_errors(), "{}", out.render());
     assert!(out.has_code("missing-galois-key"), "{}", out.render());

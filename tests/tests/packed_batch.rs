@@ -9,10 +9,9 @@
 #![forbid(unsafe_code)]
 
 use ckks::{
-    combine_rotation_steps, encode_batched, encode_real, split_rotation_steps, CkksParams,
-    Evaluator, HeError, KeyGenerator, PackLayout, ShardPlan,
+    combine_rotation_steps, encode_batched, encode_real, split_rotation_steps, CkksParams, HeError,
+    KeyGenerator, PackLayout, ShardPlan,
 };
-use ckks_math::sampler::Sampler;
 use cnn_he::he_layers::{ConvSpec, DenseSpec};
 use cnn_he::packed::PackedNetwork;
 use cnn_he::{CnnHePipeline, HeLayerSpec, HeNetwork};
@@ -87,27 +86,6 @@ fn batch_one_encoding_is_bit_identical_to_historical_tiling() {
         legacy.poly.limbs_flat(),
         "stride-1 encode_batched must be limb-identical to the historical tiling"
     );
-
-    // and the full encrypt path: same sampler stream → same ciphertext
-    let mut kg = KeyGenerator::new(Arc::clone(&ctx), 51);
-    let sk = kg.gen_secret_key();
-    let pk = kg.gen_public_key(&sk);
-    let ev = Evaluator::new(Arc::clone(&ctx));
-    let imgf: Vec<f32> = img.iter().map(|&v| v as f32).collect();
-    let a = {
-        let mut s = Sampler::from_seed(52);
-        packed.encrypt_input(&ev, &pk, &mut s, &imgf)
-    };
-    let b = {
-        let mut s = Sampler::from_seed(52);
-        let plan = ShardPlan::plan_single(slots, packed.dim, 1).expect("fits");
-        packed
-            .encrypt_batch(&ev, &pk, &mut s, &[&imgf], &plan)
-            .expect("packs")
-            .remove(0)
-    };
-    assert_eq!(a.c0.limbs_flat(), b.c0.limbs_flat());
-    assert_eq!(a.c1.limbs_flat(), b.c1.limbs_flat());
 }
 
 /// Non-pow2 batches zero-pad up to the next lane count: 5 images ride
@@ -170,7 +148,7 @@ fn capacity_overflow_forces_two_shard_split() {
 }
 
 /// The Galois keys a sharded batched run generates are *exactly* the
-/// set he-ir's rotation-set pass derives from the lowered circuit —
+/// set he-ir's rotation-set pass derives from a circuit using them —
 /// BSGS steps scaled by the stride plus the shard-combine/split steps.
 /// No missing keys, no unused keys.
 #[test]
@@ -213,12 +191,20 @@ fn sharded_rotation_set_matches_generated_keys_exactly() {
         .collect();
     assert!(steps.iter().any(|s| !bsgs_only.contains(s)));
 
-    // lower the full batched plan (inference + shard ops) to the IR
-    let mut plan_ir =
-        cnn_he::lint::plan_for_packed_batched(&packed, params, layout.stride(), &steps);
-    for &s in &steps {
-        plan_ir.ops.push(he_lint::CircuitOp::Rotation { steps: s });
-    }
+    // a batch-strided circuit rotating by every one of those steps
+    // (inference + shard ops), declaring the generated keys
+    let plan_ir = he_lint::CircuitPlan::new(
+        params,
+        steps
+            .iter()
+            .map(|&steps| he_lint::CircuitOp::Rotation { steps })
+            .collect(),
+    )
+    .with_keys(he_lint::KeyInventory::with_galois(true, generated.clone()))
+    .with_slots_used(packed.dim * layout.stride())
+    .with_layout(he_ir::Layout::BatchStrided {
+        stride: layout.stride(),
+    });
     let circuit = plan_ir.to_circuit();
     let required = required_elements(&circuit);
     assert_eq!(
@@ -228,6 +214,16 @@ fn sharded_rotation_set_matches_generated_keys_exactly() {
     // the declared inventory covers the circuit with nothing missing
     let report = he_ir::PassManager::standard().run(&circuit);
     assert!(!report.has_errors(), "{}", report.render());
+
+    // and the reference inference circuit at this stride rotates only
+    // within the strided BSGS set, so those keys run `infer_batch`
+    let reference = cnn_he::lower_packed(
+        &packed,
+        he_ir::GraphBuilder::for_context(&ctx),
+        layout.stride(),
+        cnn_he::PackedLowering::Eager,
+    );
+    assert!(required_elements(&reference).steps.is_subset(&bsgs_only));
 }
 
 /// The typed slot-capacity error surfaces verbatim through he-serve's

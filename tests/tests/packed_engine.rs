@@ -3,16 +3,14 @@
 
 #![forbid(unsafe_code)]
 
-use ckks::{CkksParams, Evaluator, KeyGenerator, SecurityLevel};
-use ckks_math::sampler::Sampler;
+use ckks::{CkksParams, SecurityLevel};
 use cnn_he::packed::PackedNetwork;
-use cnn_he::HeNetwork;
+use cnn_he::{CnnHePipeline, HeNetwork};
 use neural::metrics::ConfusionMatrix;
 use neural::mnist;
 use neural::models::{cnn1, ActKind};
 use neural::slaf::{run_protocol, SlafProtocol};
 use neural::train::TrainConfig;
-use std::sync::Arc;
 
 fn small_trained_network() -> HeNetwork {
     let data = mnist::synthetic(300, 60);
@@ -49,44 +47,28 @@ fn packed_engine_classifies_trained_cnn1() {
     let depth = packed.required_levels();
     let mut chain_bits = vec![40u32];
     chain_bits.extend(std::iter::repeat_n(26, depth));
-    let ctx = CkksParams {
+    let params = CkksParams {
         n: 1 << 11,
         chain_bits,
         special_bits: vec![40],
         scale_bits: 26,
         security: SecurityLevel::None,
-    }
-    .build();
-    let mut kg = KeyGenerator::new(Arc::clone(&ctx), 61);
-    let sk = kg.gen_secret_key();
-    let pk = kg.gen_public_key(&sk);
-    let rk = kg.gen_relin_key(&sk);
-    let gk = kg.gen_galois_keys(&sk, &packed.required_rotation_steps(), false);
-    let ev = Evaluator::new(Arc::clone(&ctx));
-    let mut s = Sampler::from_seed(62);
-    let pre = packed.precompute(&ev);
+    };
+    let mut pipe = CnnHePipeline::with_params(net.clone(), params, 61);
+    pipe.enable_packed_batching()
+        .expect("dim 1024 fits 1024 slots");
+    assert_eq!(pipe.max_batch(), 1);
 
     let test = mnist::synthetic(4, 6060);
     let mut cm = ConfusionMatrix::new(10);
     for i in 0..test.len() {
         let img = test.image(i);
-        let x = packed.encrypt_input(&ev, &pk, &mut s, img);
-        let (y, _) = packed.infer_encrypted_precomputed(&ev, &rk, &gk, &pre, x);
-        let logits = ev.decrypt_to_real(&y, &sk);
-        let he_pred = logits[..10]
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-            .unwrap()
-            .0;
+        let he_pred = pipe.classify(&[img]).predictions[0];
         // agreement with the f64 reference is the correctness criterion
         let plain = net.infer_plain(img);
-        let plain_pred = plain
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-            .unwrap()
-            .0;
+        let plain_pred = (0..plain.len())
+            .max_by(|&a, &b| plain[a].total_cmp(&plain[b]))
+            .unwrap();
         assert_eq!(he_pred, plain_pred, "image {i}");
         cm.record(test.labels[i], he_pred);
     }

@@ -1,8 +1,10 @@
 //! Ablation (DESIGN.md §13): limb-level rayon parallelism of the
 //! double-CRT representation — the scheme-internal face of "RNS enables
-//! parallel processing". On a single-core host the two settings measure
-//! alike (rayon degrades to sequential); on a multi-core machine the
-//! parallel setting wins roughly ×min(limbs, cores).
+//! parallel processing". The same forward NTT runs on the default pool
+//! and under `install(1)` (one thread); 8 limbs at N = 2^13 is past the
+//! `kernel::limbs_fan_out` thresholds, so the default run splits limbs.
+//! On a single-core host the two settings measure alike; on a
+//! multi-core machine the default wins roughly ×min(limbs, cores).
 
 use ckks_math::poly::PolyContext;
 use ckks_math::poly::{Form, RnsPoly};
@@ -18,6 +20,10 @@ fn bench_limb_parallel(c: &mut Criterion) {
     let mut s = Sampler::from_seed(31);
     let indices: Vec<usize> = (0..8).collect();
     let poly = RnsPoly::uniform(Arc::clone(&ctx), indices, Form::Coeff, &mut s);
+    let one_thread = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .expect("building a width cap cannot fail");
 
     let mut g = c.benchmark_group("limb_parallelism_8x_n2pow13");
     g.sample_size(10);
@@ -27,7 +33,6 @@ fn bench_limb_parallel(c: &mut Criterion) {
             rayon::current_num_threads()
         ),
         |b| {
-            ctx.set_parallel(true);
             b.iter_batched(
                 || poly.clone(),
                 |mut p| p.ntt_forward(),
@@ -36,14 +41,14 @@ fn bench_limb_parallel(c: &mut Criterion) {
         },
     );
     g.bench_function("ntt_forward_sequential", |b| {
-        ctx.set_parallel(false);
-        b.iter_batched(
-            || poly.clone(),
-            |mut p| p.ntt_forward(),
-            criterion::BatchSize::LargeInput,
-        );
+        one_thread.install(|| {
+            b.iter_batched(
+                || poly.clone(),
+                |mut p| p.ntt_forward(),
+                criterion::BatchSize::LargeInput,
+            );
+        });
     });
-    ctx.set_parallel(true);
     g.finish();
 }
 

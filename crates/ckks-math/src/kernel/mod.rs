@@ -290,24 +290,57 @@ pub fn ntt_inverse_with(backend: KernelBackend, table: &NttTable, a: &mut [u64])
     );
 }
 
+/// Smallest ring degree whose per-limb loops — the batched NTT and the
+/// dyadic product / multiply-accumulate — fan limbs out across the rayon
+/// pool; [`LIMB_FAN_OUT_MIN_WORK`] bounds the total. Both are judged per
+/// call from values the call already has (ring degree `n`, limb count
+/// `k`), so small rings never pay for a fan-out.
+///
+/// Measured on the 2-vCPU dev host (avx512 backend, 36-bit primes): a
+/// 2-way limb split against the sequential loop, with the worker still
+/// polling ("hot") and after a 200 µs gap that lets it park ("cold").
+/// * NTT, cold: `N = 2^10` loses up to `k = 4` (k = 2: 5.3 → 8.3 µs,
+///   k = 4: 12.0 → 16.2 µs) and `N = 2^11, k = 2` loses (11.1 → 13.9
+///   µs); `N = 2^12, k = 2` gains a little (28.1 → 25.7 µs) and the gain
+///   grows with `k·N` (`N = 2^12, k = 8`: 95.3 → 60.8 µs).
+/// * Dyadic product, cold: `N = 2^12, k = 2` already gains (49.6 → 32.8
+///   µs). A separate, higher bound for this class (`k·N ≥ 2^16`, so no
+///   split at `N = 2^12`) was measured end to end against this one: on
+///   `cnn1-single.compiled` (N = 2^12, one shard, key-switch-bound),
+///   four interleaved rounds gave a median `request_s` of 1.06 s with it
+///   and 0.80 s with the shared bound.
+///
+/// `N = 2^10` rings stay sequential although a hot split can win there:
+/// their workloads always have an outer fan-out (layer units, shards)
+/// that owns the cores instead.
+pub(crate) const LIMB_FAN_OUT_MIN_N: usize = 1 << 12;
+/// Smallest `k·N` (limbs × ring degree) a per-limb loop fans out at; see
+/// [`LIMB_FAN_OUT_MIN_N`].
+pub(crate) const LIMB_FAN_OUT_MIN_WORK: usize = 1 << 13;
+
+/// Whether a per-limb loop over `k` limbs of degree `n` fans out.
+pub(crate) fn limbs_fan_out(n: usize, k: usize) -> bool {
+    n >= LIMB_FAN_OUT_MIN_N && k * n >= LIMB_FAN_OUT_MIN_WORK
+}
+
 /// Batched forward NTT: transforms every limb of a limb-major buffer in
 /// one call. `data` holds `tables.len()` limbs of length `tables[i].n()`
 /// contiguously (limb `i` at `data[i*n..(i+1)*n]`). The backend is
-/// resolved once for the whole batch, limbs are tiled across rayon
-/// workers when `parallel` is set, and one `ntt_fwd` op is recorded per
-/// limb so trace op counts match the per-limb [`NttTable::forward`]
-/// entry exactly.
-pub fn ntt_forward_batch(tables: &[&NttTable], data: &mut [u64], parallel: bool) {
-    ntt_batch_impl(tables, data, parallel, true);
+/// resolved once for the whole batch, limbs are tiled across the rayon
+/// pool when the batch is big enough (`limbs_fan_out`), and one
+/// `ntt_fwd` op is recorded per limb so trace op counts match the
+/// per-limb [`NttTable::forward`] entry exactly.
+pub fn ntt_forward_batch(tables: &[&NttTable], data: &mut [u64]) {
+    ntt_batch_impl(tables, data, true);
 }
 
 /// Batched inverse NTT over a limb-major buffer (see
 /// [`ntt_forward_batch`]).
-pub fn ntt_inverse_batch(tables: &[&NttTable], data: &mut [u64], parallel: bool) {
-    ntt_batch_impl(tables, data, parallel, false);
+pub fn ntt_inverse_batch(tables: &[&NttTable], data: &mut [u64]) {
+    ntt_batch_impl(tables, data, false);
 }
 
-fn ntt_batch_impl(tables: &[&NttTable], data: &mut [u64], parallel: bool, forward: bool) {
+fn ntt_batch_impl(tables: &[&NttTable], data: &mut [u64], forward: bool) {
     let k = tables.len();
     if k == 0 {
         assert!(data.is_empty());
@@ -329,7 +362,7 @@ fn ntt_batch_impl(tables: &[&NttTable], data: &mut [u64], parallel: bool, forwar
             ntt_inverse_with(backend, tables[i], limb);
         }
     };
-    if parallel && k > 1 {
+    if limbs_fan_out(n, k) {
         data.par_chunks_mut(n).enumerate().for_each(transform);
     } else {
         data.chunks_mut(n).enumerate().for_each(transform);

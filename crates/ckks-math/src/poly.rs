@@ -13,17 +13,18 @@
 //! and pointwise kernels stream limb-sized chunks without pointer
 //! chasing through per-limb `Vec`s.
 //!
-//! All per-limb operations are embarrassingly parallel; when the context
-//! is created with limb parallelism enabled (or toggled at runtime) they
-//! run under rayon, which is the substrate for the paper's "RNS enables
-//! parallel processing" claim at the scheme level.
+//! All per-limb operations are embarrassingly parallel. The NTT and the
+//! dyadic product / MAC fan limbs out across the rayon pool when the
+//! polynomial is big enough (`kernel::limbs_fan_out`),
+//! which is the substrate for the paper's "RNS enables parallel
+//! processing" claim at the scheme level; under an outer fan-out (layer
+//! units, shards) they run inline, so the two levels never nest.
 
 use crate::kernel;
 use crate::modring::Modulus;
 use crate::ntt::NttTable;
 use crate::sampler::Sampler;
 use rayon::prelude::*;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Representation domain of a polynomial.
@@ -49,7 +50,6 @@ pub struct PolyContext {
     ntt_tables: Vec<Arc<NttTable>>,
     /// Number of trailing special (key-switching) moduli in `moduli`.
     num_special: usize,
-    parallel: AtomicBool,
 }
 
 impl PolyContext {
@@ -72,7 +72,6 @@ impl PolyContext {
             moduli,
             ntt_tables,
             num_special,
-            parallel: AtomicBool::new(true),
         })
     }
 
@@ -106,17 +105,6 @@ impl PolyContext {
     #[inline]
     pub fn ntt_table(&self, idx: usize) -> &NttTable {
         self.ntt_tables[idx].as_ref()
-    }
-
-    /// Enables/disables rayon parallelism over limbs (used by the
-    /// sequential-baseline experiments).
-    pub fn set_parallel(&self, on: bool) {
-        self.parallel.store(on, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub fn parallel(&self) -> bool {
-        self.parallel.load(Ordering::Relaxed)
     }
 }
 
@@ -291,7 +279,7 @@ impl RnsPoly {
             .iter()
             .map(|&idx| ctx.ntt_table(idx))
             .collect();
-        kernel::ntt_forward_batch(&tables, &mut self.data, ctx.parallel());
+        kernel::ntt_forward_batch(&tables, &mut self.data);
         self.form = Form::Ntt;
     }
 
@@ -305,7 +293,7 @@ impl RnsPoly {
             .iter()
             .map(|&idx| ctx.ntt_table(idx))
             .collect();
-        kernel::ntt_inverse_batch(&tables, &mut self.data, ctx.parallel());
+        kernel::ntt_inverse_batch(&tables, &mut self.data);
         self.form = Form::Coeff;
     }
 
@@ -369,56 +357,72 @@ impl RnsPoly {
         let ctx = Arc::clone(&self.ctx);
         let indices = self.limb_indices.clone();
         let n = ctx.n();
-        let other_data = &other.data;
-        if ctx.parallel() && indices.len() > 1 {
-            self.data
-                .par_chunks_mut(n)
-                .enumerate()
-                .for_each(|(i, data)| {
-                    let m = ctx.moduli()[indices[i]];
-                    kernel::dyadic_mul_assign_with(
-                        backend,
-                        &m,
-                        data,
-                        &other_data[i * n..(i + 1) * n],
-                    );
-                });
+        let mul = |(i, data): (usize, &mut [u64])| {
+            let m = ctx.moduli()[indices[i]];
+            kernel::dyadic_mul_assign_with(backend, &m, data, &other.data[i * n..(i + 1) * n]);
+        };
+        if kernel::limbs_fan_out(n, indices.len()) {
+            self.data.par_chunks_mut(n).enumerate().for_each(mul);
         } else {
-            for (i, data) in self.data.chunks_mut(n).enumerate() {
-                let m = ctx.moduli()[indices[i]];
-                kernel::dyadic_mul_assign_with(backend, &m, data, &other_data[i * n..(i + 1) * n]);
-            }
+            self.data.chunks_mut(n).enumerate().for_each(mul);
         }
     }
 
     /// `self += a * b` (all NTT form). The fused form of the homomorphic
     /// weighted sums in Eq. (1) of the paper.
     pub fn mul_acc(&mut self, a: &Self, b: &Self) {
-        self.assert_compatible(a);
         self.assert_compatible(b);
+        self.mac_impl(a, b, |i| i);
+    }
+
+    /// [`Self::mul_acc`] with `b` over a superset of `self`'s limbs: limb
+    /// `i` meets `b`'s limb of the same modulus. Key switching uses it to
+    /// multiply by a key digit at any level without a [`Self::restrict`]
+    /// copy of the key (two transient ext-basis polys per digit).
+    pub fn mul_acc_subset(&mut self, a: &Self, b: &Self) {
+        assert!(
+            Arc::ptr_eq(&self.ctx, &b.ctx),
+            "polynomials from different contexts"
+        );
+        assert_eq!(self.form, b.form, "form mismatch");
+        let pos: Vec<usize> = self
+            .limb_indices
+            .iter()
+            .map(|idx| {
+                b.limb_indices
+                    .iter()
+                    .position(|i| i == idx)
+                    .unwrap_or_else(|| panic!("limb {idx} not present"))
+            })
+            .collect();
+        self.mac_impl(a, b, |i| pos[i]);
+    }
+
+    /// `self += a * b` where limb `i` of `self` and `a` meets limb
+    /// `b_limb(i)` of `b` (same modulus, checked by the callers).
+    fn mac_impl(&mut self, a: &Self, b: &Self, b_limb: impl Fn(usize) -> usize + Sync) {
+        self.assert_compatible(a);
         assert_eq!(self.form, Form::Ntt);
         he_trace::record_modmul_limbs(self.num_limbs() as u64);
         let backend = kernel::active_backend();
         let ctx = Arc::clone(&self.ctx);
         let indices = self.limb_indices.clone();
         let n = ctx.n();
-        let a_data = &a.data;
-        let b_data = &b.data;
-        if ctx.parallel() && indices.len() > 1 {
-            self.data
-                .par_chunks_mut(n)
-                .enumerate()
-                .for_each(|(i, acc)| {
-                    let m = ctx.moduli()[indices[i]];
-                    let r = i * n..(i + 1) * n;
-                    kernel::dyadic_mul_acc_with(backend, &m, acc, &a_data[r.clone()], &b_data[r]);
-                });
+        let mac = |(i, acc): (usize, &mut [u64])| {
+            let m = ctx.moduli()[indices[i]];
+            let bi = b_limb(i);
+            kernel::dyadic_mul_acc_with(
+                backend,
+                &m,
+                acc,
+                &a.data[i * n..(i + 1) * n],
+                &b.data[bi * n..(bi + 1) * n],
+            );
+        };
+        if kernel::limbs_fan_out(n, indices.len()) {
+            self.data.par_chunks_mut(n).enumerate().for_each(mac);
         } else {
-            for (i, acc) in self.data.chunks_mut(n).enumerate() {
-                let m = ctx.moduli()[indices[i]];
-                let r = i * n..(i + 1) * n;
-                kernel::dyadic_mul_acc_with(backend, &m, acc, &a_data[r.clone()], &b_data[r]);
-            }
+            self.data.chunks_mut(n).enumerate().for_each(mac);
         }
     }
 
@@ -569,21 +573,52 @@ mod tests {
         }
     }
 
+    /// Sizes past the fan-out thresholds give the same limbs whether the
+    /// pool splits them or `install(1)` keeps them on one thread.
     #[test]
     fn parallel_matches_sequential() {
-        let c = ctx(128);
+        let n = crate::kernel::LIMB_FAN_OUT_MIN_N;
+        let k = 4;
+        assert!(crate::kernel::limbs_fan_out(n, k));
+        let c = PolyContext::new(n, gen_moduli_chain(&[30; 4], n), vec![]);
         let mut s = Sampler::from_seed(2);
-        let p0 = RnsPoly::uniform(Arc::clone(&c), vec![0, 1, 2, 3], Form::Coeff, &mut s);
-        let mut a = p0.clone();
-        let mut b = p0.clone();
-        c.set_parallel(true);
-        a.ntt_forward();
-        c.set_parallel(false);
-        b.ntt_forward();
-        c.set_parallel(true);
-        for i in 0..a.num_limbs() {
-            assert_eq!(a.limb(i), b.limb(i));
-        }
+        let limbs: Vec<usize> = (0..k).collect();
+        let p0 = RnsPoly::uniform(Arc::clone(&c), limbs.clone(), Form::Coeff, &mut s);
+        let q0 = RnsPoly::uniform(Arc::clone(&c), limbs, Form::Coeff, &mut s);
+        let run = || {
+            let (mut p, mut q) = (p0.clone(), q0.clone());
+            p.ntt_forward();
+            q.ntt_forward();
+            let mut acc = p.clone();
+            acc.mul_acc(&p, &q);
+            p.mul_assign(&q);
+            acc.ntt_inverse();
+            (p, acc)
+        };
+        let (par_p, par_acc) = run();
+        let one = rayon::ThreadPoolBuilder::new()
+            .num_threads(1)
+            .build()
+            .unwrap();
+        let (seq_p, seq_acc) = one.install(run);
+        assert_eq!(par_p.limbs_flat(), seq_p.limbs_flat());
+        assert_eq!(par_acc.limbs_flat(), seq_acc.limbs_flat());
+    }
+
+    /// Multiplying by a superset-limb operand equals multiplying by its
+    /// `restrict`ed copy (the key-switch digit path).
+    #[test]
+    fn mul_acc_subset_matches_restrict() {
+        let c = ctx(64);
+        let mut s = Sampler::from_seed(5);
+        let key = RnsPoly::uniform(Arc::clone(&c), vec![0, 1, 2, 3], Form::Ntt, &mut s);
+        let a = RnsPoly::uniform(Arc::clone(&c), vec![0, 3], Form::Ntt, &mut s);
+        let acc0 = RnsPoly::uniform(Arc::clone(&c), vec![0, 3], Form::Ntt, &mut s);
+        let mut want = acc0.clone();
+        want.mul_acc(&a, &key.restrict(&[0, 3]));
+        let mut got = acc0;
+        got.mul_acc_subset(&a, &key);
+        assert_eq!(got.limbs_flat(), want.limbs_flat());
     }
 
     #[test]

@@ -489,10 +489,8 @@ impl Evaluator {
                 }
             }
             t.ntt_forward();
-            let k0 = ksk.digits[j].0.restrict(&ext_indices);
-            let k1 = ksk.digits[j].1.restrict(&ext_indices);
-            acc0.mul_acc(&t, &k0);
-            acc1.mul_acc(&t, &k1);
+            acc0.mul_acc_subset(&t, &ksk.digits[j].0);
+            acc1.mul_acc_subset(&t, &ksk.digits[j].1);
         }
 
         match ksk.variant {

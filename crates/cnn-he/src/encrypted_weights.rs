@@ -103,7 +103,7 @@ pub fn he_conv2d_encrypted(
     );
     let s = x.scale();
 
-    let units = mode.run_units(ev.ctx().poly_ctx(), spec.out_ch * oh * ow, |u| {
+    let units = mode.run_units(spec.out_ch * oh * ow, |u| {
         let o = u / (oh * ow);
         let oy = (u / ow) % oh;
         let ox = u % ow;

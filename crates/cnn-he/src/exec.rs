@@ -3,11 +3,12 @@
 //!
 //! Two complementary machineries live here:
 //!
-//! * **Real execution** — [`ExecMode`] says how a layer's independent
-//!   output units actually run: on how many threads, and whether the
-//!   inner per-limb parallelism of `ckks-math` stays enabled.
-//!   [`ExecMode::run_units`] is the single fan-out point every encrypted
-//!   layer goes through.
+//! * **Real execution** — [`ExecMode`] says how many threads a layer's
+//!   independent output units are split across. [`ExecMode::run_units`]
+//!   is the single fan-out point every encrypted layer goes through;
+//!   `ckks-math`'s per-limb loops inside a unit then run inline (the
+//!   vendored rayon runs a parallel call issued from a pool task on
+//!   that thread).
 //! * **Simulation** — the paper's CNN-HE-RNS processes the decomposed
 //!   signal as `k` independent streams in parallel on an 8-core/16-thread
 //!   Xeon. The harness measures per-unit CPU time and computes the
@@ -17,7 +18,6 @@
 //!   alongside, letting [`InferenceTiming::validate_against`] check the
 //!   simulator against reality.
 
-use ckks_math::poly::PolyContext;
 use rayon::prelude::*;
 use std::time::Duration;
 
@@ -26,10 +26,6 @@ use std::time::Duration;
 pub struct ExecMode {
     /// Worker threads for the outer per-unit loop. `1` = sequential.
     pub unit_threads: usize,
-    /// Whether `ckks-math`'s inner per-limb parallelism stays enabled.
-    /// With outer unit-parallelism on, nesting both oversubscribes the
-    /// machine; [`ExecMode::unit_parallel`] therefore turns this off.
-    pub limb_parallel: bool,
 }
 
 impl Default for ExecMode {
@@ -39,21 +35,18 @@ impl Default for ExecMode {
 }
 
 impl ExecMode {
-    /// One unit at a time; limb-level parallelism (if any) untouched.
+    /// One unit at a time; `ckks-math` may still split a large
+    /// polynomial's limbs across the pool.
     pub fn sequential() -> Self {
-        Self {
-            unit_threads: 1,
-            limb_parallel: true,
-        }
+        Self { unit_threads: 1 }
     }
 
-    /// `threads` workers over units, inner limb parallelism disabled to
-    /// avoid nested-pool oversubscription.
+    /// Units split across `threads` threads of the rayon pool; limb
+    /// loops inside a unit run inline.
     pub fn unit_parallel(threads: usize) -> Self {
         assert!(threads >= 1);
         Self {
             unit_threads: threads,
-            limb_parallel: false,
         }
     }
 
@@ -63,11 +56,11 @@ impl ExecMode {
     }
 
     /// Runs `f(0..n)` and collects results in index order. With
-    /// `unit_threads > 1` the units run on a scoped thread pool, with the
-    /// limb-parallel flag of `pc` forced to `self.limb_parallel` for the
-    /// duration (restored afterwards). Each unit is computed
-    /// independently, so outputs are bit-identical to a sequential run.
-    pub fn run_units<R, F>(&self, pc: &PolyContext, n: usize, f: F) -> Vec<R>
+    /// `unit_threads > 1` the units are split across that many threads
+    /// of the rayon pool (`install` only caps the width; it starts no
+    /// thread). Each unit is computed independently, so outputs are
+    /// bit-identical to a sequential run.
+    pub fn run_units<R, F>(&self, n: usize, f: F) -> Vec<R>
     where
         R: Send,
         F: Fn(usize) -> R + Sync,
@@ -75,15 +68,11 @@ impl ExecMode {
         if self.unit_threads <= 1 {
             return (0..n).map(f).collect();
         }
-        let limb_before = pc.parallel();
-        pc.set_parallel(self.limb_parallel);
-        let pool = rayon::ThreadPoolBuilder::new()
+        rayon::ThreadPoolBuilder::new()
             .num_threads(self.unit_threads)
             .build()
-            .expect("thread pool");
-        let out = pool.install(|| (0..n).into_par_iter().map(&f).collect());
-        pc.set_parallel(limb_before);
-        out
+            .expect("building a width cap cannot fail")
+            .install(|| (0..n).into_par_iter().map(&f).collect())
     }
 }
 
@@ -507,7 +496,6 @@ mod tests {
         assert_eq!(ExecMode::default(), ExecMode::sequential());
         let m = ExecMode::unit_parallel(4);
         assert_eq!(m.unit_threads, 4);
-        assert!(!m.limb_parallel);
         assert!(ExecMode::auto().unit_threads >= 1);
         assert_eq!(ExecPlan::threads(4).streams, 4);
         assert_eq!(ExecPlan::threads(4).virtual_cores, 4);
@@ -534,19 +522,5 @@ mod tests {
     #[should_panic(expected = "alpha out of")]
     fn ewma_rejects_zero_alpha() {
         let _ = WallEwma::new(0.0);
-    }
-
-    #[test]
-    fn run_units_matches_sequential_and_restores_limb_flag() {
-        use ckks_math::prime::gen_moduli_chain;
-        let pc = PolyContext::new(16, gen_moduli_chain(&[40, 40], 16), vec![]);
-        pc.set_parallel(true);
-        let f = |i: usize| i * i + 1;
-        let seq = ExecMode::sequential().run_units(&pc, 33, f);
-        let par = ExecMode::unit_parallel(4).run_units(&pc, 33, f);
-        assert_eq!(seq, par);
-        assert_eq!(seq, (0..33).map(f).collect::<Vec<_>>());
-        // the limb flag must be restored after the parallel region
-        assert!(pc.parallel());
     }
 }

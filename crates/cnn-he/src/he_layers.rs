@@ -89,7 +89,7 @@ pub fn he_conv2d(
     let table = WeightResidueTable::build(ev, &spec.weight, q_m, level);
     let per_o = spec.in_ch * spec.k * spec.k;
 
-    let units = mode.run_units(ev.ctx().poly_ctx(), spec.out_ch * oh * ow, |u| {
+    let units = mode.run_units(spec.out_ch * oh * ow, |u| {
         let o = u / (oh * ow);
         let oy = (u / ow) % oh;
         let ox = u % ow;
@@ -161,7 +161,7 @@ pub fn he_dense(
     let slots = x.cts[0].slots;
     let table = WeightResidueTable::build(ev, &spec.weight, q_m, level);
 
-    let units = mode.run_units(ev.ctx().poly_ctx(), spec.out_dim, |o| {
+    let units = mode.run_units(spec.out_dim, |o| {
         let _span = he_trace::span_fn(he_trace::cats::UNIT, || format!("dense_unit#{o}"));
         let t0 = Instant::now();
         let mut acc = ev.zero_ciphertext(s * q_m, level, slots);
@@ -204,7 +204,7 @@ pub fn he_activation(
     let level = x.level();
     assert!(level >= 2, "degree-3 activation needs two levels");
 
-    let units = mode.run_units(ev.ctx().poly_ctx(), x.cts.len(), |i| {
+    let units = mode.run_units(x.cts.len(), |i| {
         let _span = he_trace::span_fn(he_trace::cats::UNIT, || format!("slaf_unit#{i}"));
         let t0 = Instant::now();
         (he_poly_eval_deg3(ev, rk, &x.cts[i], &c), t0.elapsed())

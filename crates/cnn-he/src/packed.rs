@@ -27,6 +27,7 @@ use ckks::{
     SecretKey, ShardPlan,
 };
 use ckks_math::sampler::Sampler;
+use rayon::prelude::*;
 use std::collections::HashMap;
 use std::time::Duration;
 
@@ -373,18 +374,29 @@ impl PackedNetwork {
 pub type ShardRun = (Vec<Ciphertext>, Vec<(String, Duration)>);
 
 /// Runs one prepared packed circuit over every shard of a batched
-/// request (shards are independent runs of the same circuit).
+/// request. Shards are independent runs of the same circuit, so they
+/// fan out across the rayon pool (limb loops inside a shard then run
+/// inline); the order-preserving `collect` keeps shard `s`'s output and
+/// its `shard s: <region>` walls at index `s`, bit-identical to a
+/// one-thread run. Each run consumes its shard's input.
 pub(crate) fn run_shards(
     prepared: &he_ir::Prepared,
     interp: &he_ir::Interpreter,
     shards: Vec<Ciphertext>,
 ) -> Result<ShardRun, String> {
     let regions = &prepared.circuit().regions;
-    let mut outs = Vec::with_capacity(shards.len());
-    let mut times = Vec::with_capacity(shards.len() * regions.len());
-    for (s, ct) in shards.into_iter().enumerate() {
-        let inputs = HashMap::from([(PACKED_INPUT.to_string(), ct)]);
-        let mut run = prepared.run(interp, &inputs)?;
+    let mut inputs: Vec<HashMap<String, Ciphertext>> = shards
+        .into_iter()
+        .map(|ct| HashMap::from([(PACKED_INPUT.to_string(), ct)]))
+        .collect();
+    let runs: Vec<Result<he_ir::RunOutput, String>> = inputs
+        .par_iter_mut()
+        .map(|inputs| prepared.run(interp, std::mem::take(inputs)))
+        .collect();
+    let mut outs = Vec::with_capacity(runs.len());
+    let mut times = Vec::with_capacity(runs.len() * regions.len());
+    for (s, run) in runs.into_iter().enumerate() {
+        let mut run = run?;
         outs.push(run.outputs.remove(0));
         times.extend(
             regions

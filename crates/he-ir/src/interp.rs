@@ -20,7 +20,7 @@
 use crate::circuit::{Circuit, NodeId, Op};
 use crate::passes::liveness;
 use ckks::{Ciphertext, Evaluator, GaloisKeys, Plaintext, PreparedScalar, RelinKey};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::time::{Duration, Instant};
 
 /// A value computed for one node.
@@ -88,7 +88,7 @@ impl<'a> Interpreter<'a> {
         inputs: &HashMap<String, Ciphertext>,
     ) -> Result<Vec<Ciphertext>, String> {
         Ok(Prepared::new(self.ev, c.clone())?
-            .run(self, inputs)?
+            .run(self, inputs.clone())?
             .outputs)
     }
 
@@ -99,7 +99,8 @@ impl<'a> Interpreter<'a> {
         c: &Circuit,
         inputs: &HashMap<String, Ciphertext>,
     ) -> Result<Vec<Value>, String> {
-        let (values, _) = Prepared::new(self.ev, c.clone())?.execute(self, inputs, false)?;
+        let (values, _) =
+            Prepared::new(self.ev, c.clone())?.execute(self, inputs.clone(), false)?;
         Ok(values.into_iter().map(|v| v.expect("kept")).collect())
     }
 }
@@ -126,6 +127,9 @@ pub struct Prepared {
     /// Index into `encoded` of the operand each vector-weight
     /// `MulPlain`/`AddPlain` node consumes.
     plain_of: Vec<Option<usize>>,
+    /// Whether each node is the last `Input` of its name, which moves
+    /// the ciphertext out of the run's inputs instead of copying it.
+    moves_input: Vec<bool>,
 }
 
 impl Prepared {
@@ -177,12 +181,22 @@ impl Prepared {
                 });
             plain_of[id] = Some(idx);
         }
+        let mut moves_input = vec![false; n];
+        {
+            let mut named = HashSet::new();
+            for (id, node) in circuit.nodes.iter().enumerate().rev() {
+                if let Op::Input { name } = &node.op {
+                    moves_input[id] = named.insert(name.as_str());
+                }
+            }
+        }
         Ok(Self {
             circuit,
             last_use,
             region_of,
             encoded,
             plain_of,
+            moves_input,
         })
     }
 
@@ -196,11 +210,12 @@ impl Prepared {
     }
 
     /// Runs the circuit with `interp`'s keys, freeing intermediates at
-    /// their last use.
+    /// their last use. The run consumes `inputs`: each input ciphertext
+    /// becomes its `Input` node's value without a copy.
     pub fn run(
         &self,
         interp: &Interpreter,
-        inputs: &HashMap<String, Ciphertext>,
+        inputs: HashMap<String, Ciphertext>,
     ) -> Result<RunOutput, String> {
         let (values, region_walls) = self.execute(interp, inputs, true)?;
         let outputs = self
@@ -226,7 +241,7 @@ impl Prepared {
     fn execute(
         &self,
         interp: &Interpreter,
-        inputs: &HashMap<String, Ciphertext>,
+        mut inputs: HashMap<String, Ciphertext>,
         free: bool,
     ) -> Result<(Vec<Option<Value>>, Vec<Duration>), String> {
         let c = &self.circuit;
@@ -241,7 +256,7 @@ impl Prepared {
                 }
                 open = region.map(|r| (r, Instant::now()));
             }
-            let v = self.exec(interp, id, &values, inputs)?;
+            let v = self.exec(interp, id, &values, &mut inputs)?;
             values.push(Some(v));
             if free {
                 for arg in c.nodes[id].op.args() {
@@ -283,7 +298,7 @@ impl Prepared {
         interp: &Interpreter,
         id: NodeId,
         values: &[Option<Value>],
-        inputs: &HashMap<String, Ciphertext>,
+        inputs: &mut HashMap<String, Ciphertext>,
     ) -> Result<Value, String> {
         let ev = interp.ev;
         let get = |arg: NodeId| -> Result<&Value, String> {
@@ -295,10 +310,12 @@ impl Prepared {
         let node = &self.circuit.nodes[id];
         let out = match &node.op {
             Op::Input { name } => {
-                let bound = inputs
-                    .get(name)
-                    .ok_or_else(|| format!("no input ciphertext bound for '{name}'"))?;
-                Value::Ct(bound.clone())
+                let bound = if self.moves_input[id] {
+                    inputs.remove(name)
+                } else {
+                    inputs.get(name).cloned()
+                };
+                Value::Ct(bound.ok_or_else(|| format!("no input ciphertext bound for '{name}'"))?)
             }
             Op::Zero => {
                 let ty = node.ty.as_ct().ok_or("zero node must be a ciphertext")?;
@@ -512,8 +529,8 @@ mod tests {
 
         let prepared = Prepared::new(&f.ev, circuit.clone()).expect("prepares");
         assert_eq!(prepared.encoded_operands().len(), 2);
-        let first = prepared.run(&interp, &inputs).expect("first run");
-        let second = prepared.run(&interp, &inputs).expect("second run");
+        let first = prepared.run(&interp, inputs.clone()).expect("first run");
+        let second = prepared.run(&interp, inputs.clone()).expect("second run");
         let fresh = interp.run(&circuit, &inputs).expect("fresh run");
         assert_eq!(first.region_walls.len(), circuit.regions.len());
 
@@ -573,6 +590,31 @@ mod tests {
         );
         let err = interp.run(&circuit, &inputs).unwrap_err();
         assert!(err.contains("no relin key"), "{err}");
+    }
+
+    /// A run consumes its inputs, but a name read by two `Input` nodes
+    /// still feeds both: only the last one moves the ciphertext.
+    #[test]
+    fn an_input_named_twice_feeds_both_nodes() {
+        let mut f = fixture(2, 15);
+        let mut b = GraphBuilder::for_context(&f.ctx);
+        let x1 = b.input("x", 2, Layout::BatchSlots);
+        let x2 = b.input("x", 2, Layout::BatchSlots);
+        let sum = b.add(x1, x2);
+        b.output(sum);
+        let circuit = b.finish(KeyInventory::relin_only());
+        let vals = vec![0.25; f.ctx.slots()];
+        let x = f.ev.encrypt_real(&vals, &f.pk, &mut f.sampler);
+        let prepared = Prepared::new(&f.ev, circuit).expect("prepares");
+        let out = prepared
+            .run(
+                &Interpreter::new(&f.ev),
+                HashMap::from([("x".to_string(), x.clone())]),
+            )
+            .expect("runs");
+        let want = f.ev.add(&x, &x);
+        assert_eq!(out.outputs[0].c0.limbs_flat(), want.c0.limbs_flat());
+        assert_eq!(out.outputs[0].c1.limbs_flat(), want.c1.limbs_flat());
     }
 
     #[test]

@@ -12,6 +12,7 @@ use ckks::{
     combine_rotation_steps, encode_batched, encode_real, split_rotation_steps, CkksParams, HeError,
     KeyGenerator, PackLayout, ShardPlan,
 };
+use ckks_math::sampler::Sampler;
 use cnn_he::he_layers::{ConvSpec, DenseSpec};
 use cnn_he::packed::PackedNetwork;
 use cnn_he::{CnnHePipeline, HeLayerSpec, HeNetwork};
@@ -281,4 +282,76 @@ fn batch_64_matches_64_independent_per_image_inferences() {
             assert!((a - w).abs() < 0.02, "image {i}: packed {a} vs plain {w}");
         }
     }
+}
+
+/// Shards fan out across the rayon pool; the result must not depend on
+/// it. A 20-image request (3 shards at stride 8) runs by default and
+/// under a one-thread `install`: output ciphertexts limb for limb,
+/// logits bit for bit, and `timing.layers` names in shard order agree.
+#[test]
+fn shard_fan_out_is_bit_identical_to_one_thread() {
+    let images: Vec<Vec<f32>> = (0..20).map(image).collect();
+    let refs: Vec<&[f32]> = images.iter().map(Vec::as_slice).collect();
+    let one_thread = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .expect("building a width cap cannot fail");
+
+    // the shard runner itself, on one encryption of the request
+    let packed = PackedNetwork::from_network(&mini_net(58));
+    let ctx = CkksParams::tiny(packed.required_levels()).build();
+    let plan = packed.plan_batch(ctx.slots(), refs.len()).expect("plans");
+    assert!(plan.shards() >= 3, "{} shards", plan.shards());
+    let layout = plan.layout();
+    let mut kg = KeyGenerator::new(Arc::clone(&ctx), 58);
+    let sk = kg.gen_secret_key();
+    let pk = kg.gen_public_key(&sk);
+    let rk = kg.gen_relin_key(&sk);
+    let gk = kg.gen_galois_keys(&sk, &packed.required_rotation_steps_for(&layout), false);
+    let ev = ckks::Evaluator::new(ctx);
+    let pre = packed.precompute_layout(&ev, &layout);
+    let cts = packed
+        .encrypt_batch(&ev, &pk, &mut Sampler::from_seed(59), &refs, &plan)
+        .expect("encrypts");
+    let (par_outs, par_walls) = packed.infer_batch(&ev, &rk, &gk, &pre, cts.clone());
+    let (seq_outs, seq_walls) = one_thread.install(|| packed.infer_batch(&ev, &rk, &gk, &pre, cts));
+    assert_eq!(par_outs.len(), plan.shards());
+    for (s, (a, b)) in par_outs.iter().zip(&seq_outs).enumerate() {
+        assert_eq!((a.level, a.scale.to_bits()), (b.level, b.scale.to_bits()));
+        assert_eq!(a.c0.limbs_flat(), b.c0.limbs_flat(), "shard {s}: c0");
+        assert_eq!(a.c1.limbs_flat(), b.c1.limbs_flat(), "shard {s}: c1");
+    }
+    let names = |walls: &[(String, std::time::Duration)]| -> Vec<String> {
+        walls.iter().map(|(name, _)| name.clone()).collect()
+    };
+    assert_eq!(names(&par_walls), names(&seq_walls));
+
+    // the library's request path: same seed, so same encryption noise
+    let classify = || {
+        let mut pipe = CnnHePipeline::new(mini_net(58), 1 << 10, 58);
+        pipe.enable_packed_batching().expect("fits the ring");
+        pipe.classify(&refs)
+    };
+    let par = classify();
+    let seq = one_thread.install(classify);
+    let bits = |rows: &[Vec<f64>]| -> Vec<Vec<u64>> {
+        rows.iter()
+            .map(|r| r.iter().map(|x| x.to_bits()).collect())
+            .collect()
+    };
+    assert_eq!(bits(&par.logits), bits(&seq.logits));
+    let layer_names = |t: &cnn_he::InferenceTiming| -> Vec<String> {
+        t.layers.iter().map(|l| l.name.clone()).collect()
+    };
+    let par_names = layer_names(&par.timing);
+    assert_eq!(par_names, layer_names(&seq.timing));
+    let shard_of = |name: &str| -> usize {
+        name.strip_prefix("shard ")
+            .and_then(|rest| rest.split(':').next())
+            .and_then(|s| s.parse().ok())
+            .unwrap_or_else(|| panic!("unexpected layer name {name}"))
+    };
+    let order: Vec<usize> = par_names.iter().map(|n| shard_of(n)).collect();
+    assert!(order.windows(2).all(|w| w[0] <= w[1]), "{par_names:?}");
+    assert_eq!(order.last(), Some(&(plan.shards() - 1)));
 }

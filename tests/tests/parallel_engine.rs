@@ -111,19 +111,37 @@ fn parallel_inference_is_bit_identical_to_sequential() {
     }
 }
 
+/// The "outer disables inner" budget: a parallel call issued from
+/// inside a pool task runs inline on that task's thread, so a unit's
+/// limb loops never fan out under a unit (or shard) fan-out — with no
+/// flag to set, restore or race on.
 #[test]
-fn limb_parallel_flag_is_restored_after_parallel_inference() {
-    let _g = serial();
-    let net = mini_network(502);
-    let params = ckks::CkksParams::tiny(net.required_levels());
-    let f = fixture(params.build(), 502);
-    let img = vec![0.4f32; 64];
-    let mut s = Sampler::from_seed(503);
-    let x = encrypt_image_batch(&f.ev, &f.pk, &mut s, &[&img], 8, net.required_levels());
-    let pc = Arc::clone(f.ev.ctx().poly_ctx());
-    pc.set_parallel(true);
-    let _ = net.infer_encrypted_with(&f.ev, &f.rk, x, ExecMode::unit_parallel(2));
-    assert!(pc.parallel(), "ExecMode leaked limb_parallel=false");
+fn nested_par_iter_runs_on_the_calling_worker_thread() {
+    use rayon::prelude::*;
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(4)
+        .build()
+        .expect("width cap");
+    let tasks: Vec<(std::thread::ThreadId, Vec<std::thread::ThreadId>)> = pool.install(|| {
+        (0..4usize)
+            .into_par_iter()
+            .map(|_| {
+                let inner: Vec<std::thread::ThreadId> = (0..64usize)
+                    .into_par_iter()
+                    .map(|_| std::thread::current().id())
+                    .collect();
+                (std::thread::current().id(), inner)
+            })
+            .collect()
+    });
+    assert_eq!(tasks.len(), 4);
+    for (outer, inner) in &tasks {
+        assert_eq!(inner.len(), 64);
+        assert!(
+            inner.iter().all(|id| id == outer),
+            "a nested par_iter left its task's thread"
+        );
+    }
 }
 
 #[test]

@@ -95,8 +95,8 @@ fn steady_state_requests_encode_nothing_and_generate_no_keys() {
         .map(|pt| pt.level as u64 + 1)
         .sum();
     assert!(encode_ntts > 0, "the circuit has plaintext operands");
-    let (_, steady) = counted(|| prepared.run(&interp, &inputs).unwrap());
-    let (_, again) = counted(|| prepared.run(&interp, &inputs).unwrap());
+    let (_, steady) = counted(|| prepared.run(&interp, inputs.clone()).unwrap());
+    let (_, again) = counted(|| prepared.run(&interp, inputs.clone()).unwrap());
     let (_, fresh) = counted(|| interp.run(&circuit, &inputs).unwrap());
     assert_eq!(
         steady, again,

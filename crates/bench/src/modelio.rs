@@ -1,152 +1,11 @@
 //! Persistence of extracted [`HeNetwork`]s so the table binaries train
 //! once and share the model (training on 1 core is minutes; the cache
-//! lives under `target/trained/`).
+//! lives under `target/trained/`). The files are HENT models
+//! ([`cnn_he::model`]).
 
-use cnn_he::he_layers::{ConvSpec, DenseSpec};
-use cnn_he::{HeLayerSpec, HeNetwork};
-use std::io::{Read, Write};
+use cnn_he::model::{network_from_bytes, network_to_bytes};
+use cnn_he::HeNetwork;
 use std::path::{Path, PathBuf};
-
-const MAGIC: u32 = 0x4845_4E54; // "HENT"
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f32s(out: &mut Vec<u8>, vs: &[f32]) {
-    put_u32(out, vs.len() as u32);
-    for v in vs {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-}
-
-fn put_f64s(out: &mut Vec<u8>, vs: &[f64]) {
-    put_u32(out, vs.len() as u32);
-    for v in vs {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-}
-
-struct Reader<'a> {
-    data: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn u32(&mut self) -> Option<u32> {
-        let b = self.data.get(self.pos..self.pos + 4)?;
-        self.pos += 4;
-        Some(u32::from_le_bytes(b.try_into().unwrap()))
-    }
-
-    fn f32s(&mut self) -> Option<Vec<f32>> {
-        let n = self.u32()? as usize;
-        let b = self.data.get(self.pos..self.pos + 4 * n)?;
-        self.pos += 4 * n;
-        Some(
-            b.chunks_exact(4)
-                .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
-                .collect(),
-        )
-    }
-
-    fn f64s(&mut self) -> Option<Vec<f64>> {
-        let n = self.u32()? as usize;
-        let b = self.data.get(self.pos..self.pos + 8 * n)?;
-        self.pos += 8 * n;
-        Some(
-            b.chunks_exact(8)
-                .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
-                .collect(),
-        )
-    }
-}
-
-/// Serializes an extracted network to bytes.
-pub fn network_to_bytes(net: &HeNetwork) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_u32(&mut out, MAGIC);
-    put_u32(&mut out, net.input_side as u32);
-    put_u32(&mut out, net.layers.len() as u32);
-    for layer in &net.layers {
-        match layer {
-            HeLayerSpec::Conv(c) => {
-                put_u32(&mut out, 0);
-                for v in [c.in_ch, c.out_ch, c.k, c.stride, c.pad] {
-                    put_u32(&mut out, v as u32);
-                }
-                put_f32s(&mut out, &c.weight);
-                put_f32s(&mut out, &c.bias);
-            }
-            HeLayerSpec::Dense(d) => {
-                put_u32(&mut out, 1);
-                put_u32(&mut out, d.in_dim as u32);
-                put_u32(&mut out, d.out_dim as u32);
-                put_f32s(&mut out, &d.weight);
-                put_f32s(&mut out, &d.bias);
-            }
-            HeLayerSpec::Activation(c) => {
-                put_u32(&mut out, 2);
-                put_f64s(&mut out, c);
-            }
-        }
-    }
-    out
-}
-
-/// Deserializes a network; `None` on any format problem.
-pub fn network_from_bytes(data: &[u8]) -> Option<HeNetwork> {
-    let mut r = Reader { data, pos: 0 };
-    if r.u32()? != MAGIC {
-        return None;
-    }
-    let input_side = r.u32()? as usize;
-    let count = r.u32()? as usize;
-    let mut layers = Vec::with_capacity(count);
-    for _ in 0..count {
-        match r.u32()? {
-            0 => {
-                let in_ch = r.u32()? as usize;
-                let out_ch = r.u32()? as usize;
-                let k = r.u32()? as usize;
-                let stride = r.u32()? as usize;
-                let pad = r.u32()? as usize;
-                let weight = r.f32s()?;
-                let bias = r.f32s()?;
-                if weight.len() != out_ch * in_ch * k * k || bias.len() != out_ch {
-                    return None;
-                }
-                layers.push(HeLayerSpec::Conv(ConvSpec {
-                    weight,
-                    bias,
-                    in_ch,
-                    out_ch,
-                    k,
-                    stride,
-                    pad,
-                }));
-            }
-            1 => {
-                let in_dim = r.u32()? as usize;
-                let out_dim = r.u32()? as usize;
-                let weight = r.f32s()?;
-                let bias = r.f32s()?;
-                if weight.len() != in_dim * out_dim || bias.len() != out_dim {
-                    return None;
-                }
-                layers.push(HeLayerSpec::Dense(DenseSpec {
-                    weight,
-                    bias,
-                    in_dim,
-                    out_dim,
-                }));
-            }
-            2 => layers.push(HeLayerSpec::Activation(r.f64s()?)),
-            _ => return None,
-        }
-    }
-    Some(HeNetwork { layers, input_side })
-}
 
 /// Cache directory for trained models.
 pub fn cache_dir() -> PathBuf {
@@ -157,25 +16,27 @@ pub fn cache_dir() -> PathBuf {
 
 /// Saves a network into the cache.
 pub fn save(name: &str, net: &HeNetwork) -> std::io::Result<()> {
-    let path = cache_dir().join(format!("{name}.hent"));
-    let mut f = std::fs::File::create(path)?;
-    f.write_all(&network_to_bytes(net))
+    write(&cache_dir().join(format!("{name}.hent")), net)
 }
 
 /// Loads a cached network if present and well-formed.
 pub fn load(name: &str) -> Option<HeNetwork> {
-    let path = cache_dir().join(format!("{name}.hent"));
-    let mut data = Vec::new();
-    std::fs::File::open(path)
-        .ok()?
-        .read_to_end(&mut data)
-        .ok()?;
-    network_from_bytes(&data)
+    read(&cache_dir().join(format!("{name}.hent")))
+}
+
+fn write(path: &Path, net: &HeNetwork) -> std::io::Result<()> {
+    std::fs::write(path, network_to_bytes(net))
+}
+
+fn read(path: &Path) -> Option<HeNetwork> {
+    network_from_bytes(&std::fs::read(path).ok()?).ok()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cnn_he::he_layers::{ConvSpec, DenseSpec};
+    use cnn_he::HeLayerSpec;
 
     fn sample_net() -> HeNetwork {
         HeNetwork {
@@ -201,11 +62,19 @@ mod tests {
         }
     }
 
+    /// A per-test file under the system temp dir (not the cache).
+    fn scratch(name: &str) -> PathBuf {
+        std::env::temp_dir().join(format!("modelio-{}-{name}.hent", std::process::id()))
+    }
+
     #[test]
     fn roundtrip_preserves_everything() {
         let net = sample_net();
-        let bytes = network_to_bytes(&net);
-        let back = network_from_bytes(&bytes).unwrap();
+        let path = scratch("roundtrip");
+        write(&path, &net).unwrap();
+        let back = read(&path);
+        let _ = std::fs::remove_file(&path);
+        let back = back.expect("a written model reads back");
         assert_eq!(back.input_side, 3);
         assert_eq!(back.layers.len(), 3);
         let img = vec![0.2f32; 9];
@@ -214,10 +83,13 @@ mod tests {
 
     #[test]
     fn garbage_rejected() {
-        assert!(network_from_bytes(b"garbage").is_none());
-        assert!(network_from_bytes(&[]).is_none());
-        // truncation
+        let path = scratch("garbage");
+        assert!(read(&path).is_none(), "missing file");
         let bytes = network_to_bytes(&sample_net());
-        assert!(network_from_bytes(&bytes[..bytes.len() - 3]).is_none());
+        for data in [&b"garbage"[..], &b""[..], &bytes[..bytes.len() - 3]] {
+            std::fs::write(&path, data).unwrap();
+            assert!(read(&path).is_none(), "{} bytes accepted", data.len());
+        }
+        let _ = std::fs::remove_file(&path);
     }
 }

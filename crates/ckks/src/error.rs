@@ -5,7 +5,7 @@
 //! incompatibility, missing key material. The `Display` text of each
 //! variant is the panic message of the corresponding infallible
 //! evaluator method, so `try_*` callers and panic-path callers see the
-//! same wording, and the `he-lint` static analyzer can surface the same
+//! same wording, and the `he-ir` static passes can surface the same
 //! diagnostics without running the circuit.
 
 /// A ciphertext-metadata violation detected before (or instead of)
@@ -131,9 +131,9 @@ impl std::fmt::Display for HeError {
                 got,
                 expected,
             } => write!(f, "{what} mismatch: got {got}, expected {expected}"),
-            // keep the historical panic prefix — tests match on it
+            // `classify` panics with this text — tests match on it
             HeError::PlanRejected { report } => {
-                write!(f, "he-lint rejected the inference plan:\n{report}")
+                write!(f, "admission rejected the inference plan:\n{report}")
             }
             HeError::Execution { reason } => write!(f, "circuit execution failed: {reason}"),
         }

@@ -24,6 +24,7 @@ pub mod keys;
 pub mod layout;
 pub mod linalg;
 pub mod noise;
+pub mod paramfile;
 pub mod params;
 pub mod security;
 pub mod serialize;
@@ -40,5 +41,6 @@ pub use layout::{
     combine_rotation_steps, decode_batched, encode_batched, shard_combine, shard_split,
     split_rotation_steps, PackLayout, ShardPlan,
 };
+pub use paramfile::parse_params;
 pub use params::{CkksContext, CkksParams};
 pub use security::SecurityLevel;

@@ -1,15 +1,18 @@
-//! `he-ir` — lower the paper's CNN1/CNN2 models to the circuit IR and
-//! run the static analysis passes over them.
+//! `he-ir` — lower the paper's CNN1/CNN2 models, or any HENT model
+//! file, to the circuit IR and run the static analysis passes over them.
 //!
 //! ```text
-//! he-ir check  <cnn1|cnn2> [--packed] [--per-tap] [--depth N] [--optimize]
-//! he-ir dump   <cnn1|cnn2> [--dot] [-o FILE] [--packed] [--per-tap] [--optimize]
+//! he-ir check  <MODEL> [--params FILE | --depth N] [--packed] [--per-tap] [--optimize]
+//! he-ir dump   <MODEL> [--params FILE | --depth N] [--dot] [-o FILE] [--packed] [--per-tap] [--optimize]
 //! he-ir passes
 //! ```
 //!
-//! `check` runs the full standard pass suite and prints every
-//! diagnostic; `dump` prints a per-region table (or Graphviz DOT with
-//! `--dot`); `passes` lists the registered analyses. With `--optimize`
+//! `MODEL` is `cnn1`, `cnn2` or a path to a HENT file
+//! ([`cnn_he::model`]). `check` on the scalar network is the
+//! pipeline's admission ([`cnn_he::admission`]): the chain's depth,
+//! then the full standard pass suite, printing every diagnostic;
+//! `dump` prints a per-region table (or Graphviz DOT with `--dot`);
+//! `passes` lists the registered analyses. With `--optimize`
 //! the circuit is first run through the optimizing pass pipeline
 //! (`PassManager::optimizer()`) and the per-pass op-count report is
 //! printed. `--packed` lowers the slot-packed network: alone, the
@@ -17,16 +20,20 @@
 //! `--optimize`, the squat-fold lowering the optimizer is built for —
 //! exactly what `CnnHePipeline` prepares and runs. Exits 0 when the
 //! circuit is clean (warnings allowed), 1 on error diagnostics, 2 on
-//! usage problems.
+//! usage problems or an unreadable model or parameter file.
 //!
-//! Lowering is *nominal* (`q_i = 2^chain_bits[i]`): no ring context is
-//! built and no key material exists, so checking the full 28×28 models
-//! is fast. The networks are freshly initialized from a fixed seed —
-//! the analyses depend on the architecture, not the trained values
-//! (only exact-zero weights would change tap counts).
+//! Parameters come from `--params FILE` (`key = value` lines, see
+//! [`ckks::paramfile`]) or are sized like `CnnHePipeline::new` to the
+//! network's depth (`--depth N` overrides it). Lowering is *nominal*
+//! (`q_i = 2^chain_bits[i]`): no ring context is built and no key
+//! material exists, so checking the full 28×28 models is fast. `cnn1`
+//! and `cnn2` are freshly initialized from a fixed seed — the analyses
+//! depend on the architecture, not the trained values (only exact-zero
+//! weights would change tap counts).
 
 #![forbid(unsafe_code)]
 
+use cnn_he::admission;
 use cnn_he::graph::{lower_network, EncodeSharing};
 use cnn_he::network::HeNetwork;
 use cnn_he::packed::PackedNetwork;
@@ -35,9 +42,16 @@ use he_ir::{Circuit, GraphBuilder, PassManager};
 use neural::models::{cnn1, cnn2, ActKind};
 
 const USAGE: &str = "usage:
-  he-ir check  <cnn1|cnn2> [--packed] [--per-tap] [--depth N] [--optimize]
-  he-ir dump   <cnn1|cnn2> [--dot] [-o FILE] [--packed] [--per-tap] [--optimize]
-  he-ir passes";
+  he-ir check  <MODEL> [--params FILE | --depth N] [--packed] [--per-tap] [--optimize]
+  he-ir dump   <MODEL> [--params FILE | --depth N] [--dot] [-o FILE] [--packed] [--per-tap] [--optimize]
+  he-ir passes
+MODEL is cnn1, cnn2 or a HENT model file. A parameter file is `key = value` lines:
+    n = 16384
+    chain_bits = 40 26 26 26 26 26 26 26 26 26 26 26 26 26
+    special_bits = 40
+    scale_bits = 26
+    security = 128        # none/128/192/256
+Exit status: 0 clean, 1 error diagnostics, 2 bad usage or input.";
 
 /// Seed for the fresh model weights (analysis is architecture-driven).
 const MODEL_SEED: u64 = 1;
@@ -53,6 +67,7 @@ struct Opts {
     dot: bool,
     out: Option<String>,
     depth: Option<usize>,
+    params: Option<String>,
     optimize: bool,
 }
 
@@ -64,6 +79,7 @@ fn parse(args: Vec<String>) -> Result<Opts, String> {
         dot: false,
         out: None,
         depth: None,
+        params: None,
         optimize: false,
     };
     let mut it = args.into_iter();
@@ -75,6 +91,9 @@ fn parse(args: Vec<String>) -> Result<Opts, String> {
             "--optimize" => o.optimize = true,
             "-o" => {
                 o.out = Some(it.next().ok_or("-o needs a file path")?);
+            }
+            "--params" => {
+                o.params = Some(it.next().ok_or("--params needs a file path")?);
             }
             "--depth" => {
                 o.depth = Some(
@@ -88,6 +107,9 @@ fn parse(args: Vec<String>) -> Result<Opts, String> {
             }
             other => return Err(format!("unknown argument `{other}`")),
         }
+    }
+    if o.depth.is_some() && o.params.is_some() {
+        return Err("--depth and --params are exclusive".into());
     }
     Ok(o)
 }
@@ -116,18 +138,24 @@ fn run(mut args: Vec<String>) -> i32 {
         }
     };
     let Some(model) = opts.model.as_deref() else {
-        eprintln!("error: {cmd} needs a model name (cnn1 or cnn2)\n{USAGE}");
+        eprintln!("error: {cmd} needs a model (cnn1, cnn2 or a HENT file)\n{USAGE}");
         return 2;
     };
-    let net = match model {
-        "cnn1" => HeNetwork::from_trained(&cnn1(ActKind::slaf3(), MODEL_SEED), 28),
-        "cnn2" => HeNetwork::from_trained(&cnn2(ActKind::slaf3(), MODEL_SEED), 28),
-        other => {
-            eprintln!("error: unknown model `{other}` (expected cnn1 or cnn2)\n{USAGE}");
+    let (net, params) = match (load_model(model), load_params(opts.params.as_deref())) {
+        (Ok(net), Ok(params)) => (net, params),
+        (Err(e), _) | (_, Err(e)) => {
+            eprintln!("error: {e}");
             return 2;
         }
     };
-    let mut circuit = build_circuit(&net, &opts);
+    if cmd == "check" && !(opts.packed || opts.per_tap || opts.optimize) {
+        let params =
+            params.unwrap_or_else(|| params_for(opts.depth.unwrap_or(net.required_levels())));
+        let report = admission(&net, GraphBuilder::new(params));
+        print!("{}", report.render());
+        return i32::from(report.has_errors());
+    }
+    let mut circuit = build_circuit(&net, params, &opts);
     if opts.optimize {
         match PassManager::optimizer().optimize(&mut circuit) {
             Ok(report) => eprintln!("{}", report.render()),
@@ -171,6 +199,35 @@ fn run(mut args: Vec<String>) -> i32 {
     }
 }
 
+/// The named paper model, or a HENT model file.
+fn load_model(model: &str) -> Result<HeNetwork, String> {
+    match model {
+        "cnn1" => Ok(HeNetwork::from_trained(
+            &cnn1(ActKind::slaf3(), MODEL_SEED),
+            28,
+        )),
+        "cnn2" => Ok(HeNetwork::from_trained(
+            &cnn2(ActKind::slaf3(), MODEL_SEED),
+            28,
+        )),
+        path => {
+            let bytes = std::fs::read(path).map_err(|e| {
+                format!("cannot read model `{path}` (expected cnn1, cnn2 or a HENT file): {e}")
+            })?;
+            cnn_he::model::network_from_bytes(&bytes).map_err(|e| format!("{path}: {e}"))
+        }
+    }
+}
+
+/// The `--params` file's parameter set, when one was given.
+fn load_params(path: Option<&str>) -> Result<Option<ckks::CkksParams>, String> {
+    let Some(path) = path else { return Ok(None) };
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    ckks::parse_params(&text)
+        .map(Some)
+        .map_err(|e| format!("{path}: {e}"))
+}
+
 /// Paper-style parameters sized to the network (`CnnHePipeline::new`'s
 /// chain: `[40, 26 × levels]`, Δ = 2^26, ring 2^14), nominal moduli —
 /// no context build.
@@ -186,12 +243,13 @@ fn params_for(levels: usize) -> ckks::CkksParams {
     }
 }
 
-fn build_circuit(net: &HeNetwork, opts: &Opts) -> Circuit {
+fn build_circuit(net: &HeNetwork, params: Option<ckks::CkksParams>, opts: &Opts) -> Circuit {
+    let sized = |levels: usize| params.unwrap_or_else(|| params_for(opts.depth.unwrap_or(levels)));
     if opts.packed {
         // single-image (stride 1) packed circuit, declared keys =
         // exactly its rotation set
         let packed = PackedNetwork::from_network(net);
-        let params = params_for(opts.depth.unwrap_or_else(|| packed.required_levels()));
+        let params = sized(packed.required_levels());
         let mode = if opts.optimize {
             PackedLowering::Compiled
         } else {
@@ -199,7 +257,7 @@ fn build_circuit(net: &HeNetwork, opts: &Opts) -> Circuit {
         };
         lower_packed(&packed, GraphBuilder::new(params), 1, mode)
     } else {
-        let params = params_for(opts.depth.unwrap_or_else(|| net.required_levels()));
+        let params = sized(net.required_levels());
         let sharing = if opts.per_tap {
             EncodeSharing::PerTap
         } else {

@@ -11,7 +11,9 @@
 //!
 //! Eager execution is untouched: the engine keeps running layer
 //! functions directly; this module is the recording front-end the
-//! static passes and the IR↔eager differential consume.
+//! static passes and the IR↔eager differential consume. Scalar
+//! admission ([`crate::analyze::admission`]), the `he-ir check` CLI and
+//! (after a run) the trace cross-check all read this lowering.
 
 use crate::he_layers::{ConvSpec, DenseSpec};
 use crate::he_tensor::CtTensor;

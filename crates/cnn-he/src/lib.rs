@@ -14,20 +14,23 @@
 //!   CNN-HE-RNS scheduling simulation validated against measured
 //!   wall-clock ([`exec`]);
 //! * the end-to-end encrypt → evaluate → decrypt pipeline ([`pipeline`]);
+//! * static admission: the network lowered to an `he-ir` circuit and
+//!   checked by the standard passes ([`analyze`]), from a pipeline or
+//!   from a HENT model file ([`model`], `he-ir check`);
 //! * runtime telemetry: per-layer spans, HE op counters, and noise-drain
-//!   sampling, cross-checked against the `he-lint` static plan
-//!   ([`trace`], [`pipeline::CnnHePipeline::traced_infer`]).
+//!   sampling, cross-checked against the lowered circuit ([`trace`],
+//!   [`pipeline::CnnHePipeline::traced_infer`]).
 
 #![forbid(unsafe_code)]
 
-pub mod cost;
+pub mod analyze;
 pub mod encrypted_weights;
 pub mod exec;
 pub mod graph;
 pub mod he_layers;
 pub mod he_tensor;
-pub mod lint;
 pub mod metrics;
+pub mod model;
 pub mod network;
 pub mod packed;
 pub mod packed_graph;
@@ -40,8 +43,8 @@ pub mod weights;
 
 // downstream crates (he-serve, bench) report the active kernel backend
 // without depending on ckks-math directly
+pub use analyze::admission;
 pub use ckks_math::kernel;
-pub use cost::modeled_timing;
 pub use exec::{ExecMode, ExecPlan, InferenceTiming, SimulationCheck, WallEwma};
 pub use graph::{lower_network, EncodeSharing};
 pub use he_tensor::CtTensor;

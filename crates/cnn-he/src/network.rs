@@ -212,20 +212,12 @@ impl HeNetwork {
         mut x: CtTensor,
         mode: ExecMode,
     ) -> (CtTensor, InferenceTiming) {
-        // debug builds re-lint the remaining circuit from the input's
-        // actual level, so a mis-planned call fails with the full
-        // diagnostic report instead of an assert deep in a layer
-        #[cfg(debug_assertions)]
-        {
-            let plan = crate::lint::plan_for_network(self, ev.ctx().params().clone(), 1)
-                .with_start_level(x.level());
-            let report = he_lint::analyze(&plan);
-            debug_assert!(
-                !report.has_errors(),
-                "he-lint: encrypted inference would fail:\n{}",
-                report.render()
-            );
-        }
+        debug_assert!(
+            x.level() >= self.required_levels(),
+            "input at level {} but the network consumes {} levels",
+            x.level(),
+            self.required_levels()
+        );
         let mut timing = InferenceTiming::default();
         for layer in &self.layers {
             let fixed0 = Instant::now();

@@ -2,6 +2,7 @@
 //! deployment): client encodes + encrypts, server evaluates the CNN over
 //! ciphertexts, client decrypts the logits.
 
+use crate::analyze::{admission, batch_exceeds_slots, circuit_admission};
 use crate::exec::{ExecMode, ExecPlan, InferenceTiming, LayerTiming};
 use crate::he_tensor::{decrypt_tensor, encrypt_image_batch, CtTensor};
 use crate::network::HeNetwork;
@@ -40,25 +41,13 @@ struct PackedState {
 }
 
 impl PackedState {
-    /// The standard analysis passes over a stride's circuit, against
-    /// the keys that actually exist.
-    fn lint(&self, circuit: &he_ir::Circuit) -> he_lint::LintReport {
-        let mut circuit = circuit.clone();
-        circuit.keys = he_ir::KeyInventory::with_galois(true, self.gk.elements());
-        let mut report = he_ir::PassManager::standard().run(&circuit).merged();
-        // The levels pass bounds noise against worst-case magnitudes
-        // (each diagonal's largest weight, summed over all diagonals and
-        // compounded through every SLAF). On a real packed network that
-        // bound overshoots by tens of orders of magnitude: packed CNN2
-        // decrypts within 1e-3 of plaintext yet is "garbage" by it. It
-        // is an accuracy estimate, not a fact about whether the circuit
-        // can run, so it is reported but does not refuse the request.
-        for d in &mut report.diagnostics {
-            if d.code == "noise-budget" {
-                d.severity = he_lint::Severity::Warn;
-            }
-        }
-        report
+    /// Admission of a stride's circuit against the keys that actually
+    /// exist.
+    fn lint(&self, circuit: &he_ir::Circuit) -> he_ir::LintReport {
+        circuit_admission(
+            circuit,
+            he_ir::KeyInventory::with_galois(true, self.gk.elements()),
+        )
     }
 }
 
@@ -101,6 +90,9 @@ pub struct CnnHePipeline {
     /// `Some` once slot-packed batching is enabled; [`Self::classify`]
     /// then runs the packed circuit instead of the scalar engine.
     packed: Option<PackedState>,
+    /// The scalar network's admission report, built on the first scalar
+    /// validate (see [`Self::scalar_report`]).
+    scalar_admission: Option<he_ir::LintReport>,
 }
 
 /// Result of one encrypted classification request.
@@ -161,6 +153,7 @@ impl CnnHePipeline {
             seed,
             exec_mode: ExecMode::sequential(),
             packed: None,
+            scalar_admission: None,
         }
     }
 
@@ -320,23 +313,26 @@ impl CnnHePipeline {
 
     /// Static admission check *without touching a ciphertext*. `batch`
     /// is the number of images of the intended request. Scalar engine:
-    /// lints the network's circuit plan against this pipeline's
-    /// parameters. Packed path: runs the standard analysis passes over
-    /// the optimized circuit that batch size executes, against the
-    /// Galois keys generated for it (preparing that stride if needed).
-    pub fn validate_batch(&mut self, batch: usize) -> he_lint::LintReport {
+    /// the cached [`admission`] report, plus a `batch-exceeds-slots`
+    /// error when the batch outgrows the slots. Packed path:
+    /// [`circuit_admission`] of the optimized circuit that batch size
+    /// executes, against the Galois keys generated for it (preparing
+    /// that stride if needed).
+    pub fn validate_batch(&mut self, batch: usize) -> he_ir::LintReport {
         if self.packed.is_none() {
-            let plan =
-                crate::lint::plan_for_network(&self.network, self.ctx.params().clone(), batch);
-            return he_lint::analyze(&plan);
+            let mut report = self.scalar_report().clone();
+            if let Some(d) = batch_exceeds_slots(batch, self.ctx.params()) {
+                report.push(d);
+            }
+            return report;
         }
         match self.built_plan(batch.max(1)) {
             Ok(plan) => self
                 .packed_state()
                 .lint(self.packed_stride(&plan).prepared.circuit()),
             Err(e) => {
-                let mut report = he_lint::LintReport::default();
-                report.push(he_lint::Diagnostic::error(
+                let mut report = he_ir::LintReport::default();
+                report.push(he_ir::Diagnostic::error(
                     "packed-prepare-failed",
                     None,
                     e.to_string(),
@@ -347,8 +343,18 @@ impl CnnHePipeline {
     }
 
     /// [`Self::validate_batch`] for a single image.
-    pub fn validate(&mut self) -> he_lint::LintReport {
+    pub fn validate(&mut self) -> he_ir::LintReport {
         self.validate_batch(1)
+    }
+
+    /// The scalar network's admission report under this pipeline's
+    /// context, built on first use and cached: it depends only on the
+    /// network and the parameters, so no request re-lowers the circuit,
+    /// and packed pipelines never lower the scalar network at all.
+    fn scalar_report(&mut self) -> &he_ir::LintReport {
+        let (net, ctx) = (&self.network, &self.ctx);
+        self.scalar_admission
+            .get_or_insert_with(|| admission(net, he_ir::GraphBuilder::for_context(ctx)).merged())
     }
 
     /// Lowers the network to the `he-ir` circuit against this
@@ -360,13 +366,6 @@ impl CnnHePipeline {
             he_ir::GraphBuilder::for_context(&self.ctx),
             crate::graph::EncodeSharing::Shared,
         )
-    }
-
-    /// Runs the full standard analysis-pass suite over the lowered
-    /// circuit — the deep (per-node) counterpart of the plan-level
-    /// [`Self::validate`].
-    pub fn check_ir(&self) -> he_ir::AnalysisReport {
-        he_ir::PassManager::standard().run(&self.lower_to_ir())
     }
 
     /// Largest image batch one slot-packed request can carry — the
@@ -397,26 +396,46 @@ impl CnnHePipeline {
         self.network.input_side * self.network.input_side
     }
 
-    /// Client-side: encrypts a batch of images. Panics with the full
-    /// lint report if the plan cannot run under this pipeline's
-    /// parameters — catching mis-planned circuits before any encrypted
-    /// compute is spent.
+    /// Client-side: encrypts a batch of images for the scalar engine.
+    /// Panics with the full admission report if the network cannot run
+    /// under this pipeline's parameters (or the batch outgrows the
+    /// slots, or an image has the wrong length) — catching mis-planned
+    /// circuits before any encrypted compute is spent.
     pub fn encrypt(&mut self, images: &[&[f32]]) -> CtTensor {
-        let report = self.validate_batch(images.len());
-        assert!(
-            !report.has_errors(),
-            "he-lint rejected the inference plan:\n{}",
-            report.render()
-        );
-        let level = self.network.required_levels();
-        encrypt_image_batch(
+        self.try_encrypt(images).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`Self::encrypt`] with the refusals typed: the cached admission
+    /// report's errors, a batch past the slots, a wrong-length image.
+    fn try_encrypt(&mut self, images: &[&[f32]]) -> Result<CtTensor, HeError> {
+        let (slots, pixels) = (self.ctx.slots(), self.input_len());
+        let report = self.scalar_report();
+        if report.has_errors() {
+            return Err(HeError::PlanRejected {
+                report: report.render(),
+            });
+        }
+        if images.len() > slots {
+            return Err(HeError::BatchExceedsSlots {
+                batch: images.len(),
+                capacity: slots,
+            });
+        }
+        if let Some(img) = images.iter().find(|img| img.len() != pixels) {
+            return Err(HeError::ShapeMismatch {
+                what: "image length",
+                got: img.len(),
+                expected: pixels,
+            });
+        }
+        Ok(encrypt_image_batch(
             &self.ev,
             &self.pk,
             &mut self.sampler,
             images,
             self.network.input_side,
-            level,
-        )
+            self.network.required_levels(),
+        ))
     }
 
     /// One classification request: encrypt (client side), evaluate the
@@ -427,11 +446,11 @@ impl CnnHePipeline {
         self.try_classify(images).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// [`Self::classify`] with every packed-path failure typed: an
-    /// empty batch, a wrong-length image, an admission refusal or an
-    /// executor failure is an `Err`, never a panic — what a serving
-    /// worker must call. The scalar and packed paths differ only in how
-    /// the circuit runs.
+    /// [`Self::classify`] with every failure typed: an empty batch, a
+    /// wrong-length image, an admission refusal, a batch past the slots
+    /// or an executor failure is an `Err`, never a panic — what a
+    /// serving worker must call. The scalar and packed paths differ only
+    /// in how the circuit runs.
     pub fn try_classify(&mut self, images: &[&[f32]]) -> Result<Classification, HeError> {
         if images.is_empty() {
             return Err(HeError::EmptyBatch);
@@ -439,7 +458,7 @@ impl CnnHePipeline {
         let (logits, timing) = if self.packed.is_some() {
             self.run_packed(images)?
         } else {
-            let x = self.encrypt(images);
+            let x = self.try_encrypt(images)?;
             let (logits_ct, timing) =
                 self.network
                     .infer_encrypted_with(&self.ev, &self.rk, x, self.exec_mode);
@@ -494,9 +513,9 @@ impl CnnHePipeline {
     /// wrapped in an [`he_trace::TraceSession`] (spans + exact op-counter
     /// attribution — the session's global lock serializes concurrent
     /// traced runs), each layer samples its output level/scale/headroom,
-    /// and the observed trajectory is cross-checked against the he-lint
-    /// static plan. `trace.divergence` is empty iff the run followed the
-    /// plan.
+    /// and the observed trajectory and op counters are cross-checked
+    /// against the lowered circuit ([`Self::lower_to_ir`]).
+    /// `trace.divergence` is empty iff the run followed the circuit.
     pub fn traced_infer(
         &mut self,
         images: &[&[f32]],
@@ -512,9 +531,7 @@ impl CnnHePipeline {
                 .infer_encrypted_traced(&self.ev, &self.rk, x, self.exec_mode);
         let total_ops = he_trace::OpSnapshot::now().delta(&ops0);
         let events = session.finish();
-        let plan =
-            crate::lint::plan_for_network(&self.network, self.ctx.params().clone(), images.len());
-        let mut trace = crate::trace::InferenceTrace::new(
+        let trace = crate::trace::InferenceTrace::new(
             start_level,
             start_scale,
             start_headroom,
@@ -522,14 +539,8 @@ impl CnnHePipeline {
             timing.clone(),
             events,
             total_ops,
-            &plan,
-        );
-        // second, finer cross-check: the per-region exit types and op
-        // counts of the lowered IR circuit against the observed telemetry
-        trace.divergence.extend(crate::trace::ir_cross_check(
-            &trace.layers,
             &self.lower_to_ir(),
-        ));
+        );
         // publish the measured level/headroom trajectory as live gauges
         // (no-op unless the `metrics` feature is on)
         trace.export_gauges();
@@ -807,6 +818,45 @@ mod tests {
     }
 
     #[test]
+    fn scalar_try_classify_refuses_typed_instead_of_panicking() {
+        // a chain 4 levels short of the network's 7
+        let params = CkksParams {
+            n: 1 << 10,
+            chain_bits: vec![40, 26, 26, 26],
+            special_bits: vec![40],
+            scale_bits: 26,
+            security: ckks::SecurityLevel::None,
+        };
+        let mut pipe = CnnHePipeline::with_params(mini_network(112), params, 112);
+        let img = vec![0.5f32; 64];
+        match pipe.try_classify(&[&img]) {
+            Err(HeError::PlanRejected { report }) => {
+                assert!(report.contains("chain-exhausted"), "{report}");
+                assert!(report.contains("4 more"), "{report}");
+            }
+            other => panic!("expected PlanRejected, got {other:?}"),
+        }
+
+        // 513 images on a ring with 512 slots
+        let mut pipe = CnnHePipeline::new(mini_network(113), 1 << 10, 113);
+        let refs = vec![img.as_slice(); 513];
+        assert_eq!(
+            pipe.try_classify(&refs).unwrap_err(),
+            HeError::BatchExceedsSlots {
+                batch: 513,
+                capacity: 512
+            }
+        );
+        let short = vec![0.5f32; 10];
+        assert!(matches!(
+            pipe.try_classify(&[&short]),
+            Err(HeError::ShapeMismatch { got: 10, .. })
+        ));
+        // refusals leave the pipeline serving
+        assert_eq!(pipe.try_classify(&[&img]).unwrap().logits.len(), 1);
+    }
+
+    #[test]
     fn packed_batching_refuses_a_chain_shorter_than_the_circuit() {
         let params = CkksParams {
             n: 1 << 10,
@@ -872,7 +922,7 @@ mod tests {
         for (g, w) in cls.logits[0].iter().zip(&want) {
             assert!((g - w).abs() < 2e-2);
         }
-        // the observed level/scale trajectory must agree with he-lint
+        // the observed level/scale trajectory must agree with the circuit
         assert!(
             trace.divergence.is_empty(),
             "runtime diverged from the static plan:\n{}",

@@ -1,25 +1,23 @@
 //! Runtime inference telemetry — the bridge between the measured run
-//! and the `he-lint` static plan.
+//! and the circuit admission linted.
 //!
 //! [`crate::network::HeNetwork::infer_encrypted_traced`] produces one
 //! [`LayerTrace`] per layer (wall/CPU, HE op-counter deltas, output
 //! level/scale, structural noise headroom); [`InferenceTrace`] bundles
-//! them with the recorded spans and **cross-checks the observed
-//! level/scale trajectory against [`he_lint::trajectory`]** — any
-//! divergence between what the static analyzer promised and what the
-//! ciphertexts actually did is reported as a string per mismatch.
+//! them with the recorded spans and **cross-checks them against the
+//! lowered `he-ir` circuit** ([`ir_cross_check`]) — any divergence
+//! between what the circuit declares and what the ciphertexts actually
+//! did is reported as a string per mismatch.
 //!
 //! Levels must agree exactly. Scales are compared in `log₂` with a
-//! [`SCALE_TOL_BITS`] tolerance: the analyzer works in nominal bits
-//! (primes treated as exactly `2^bits`) while real NTT primes deviate
-//! by up to one part in `2^11`, so an exact-scale-disciplined run sits
-//! within a few millibits of the static prediction — far inside the
+//! [`SCALE_TOL_BITS`] tolerance: a circuit lowered over nominal primes
+//! (`2^bits` exactly) sits within a few millibits of a run on real NTT
+//! primes, which deviate by up to one part in `2^11` — far inside the
 //! tolerance — while a mis-planned rescale (≥ one prime ≈ 26 bits) is
 //! far outside it.
 
 use crate::exec::InferenceTiming;
 use crate::metrics::LatencyStats;
-use he_lint::{CircuitPlan, OpState};
 use he_trace::{OpSnapshot, SpanEvent, TraceReport, TraceRow, UnitStats};
 use std::time::Duration;
 
@@ -65,15 +63,15 @@ pub struct InferenceTrace {
     /// Recorded spans (empty when the `trace` feature is off).
     pub events: Vec<SpanEvent>,
     /// Runtime↔static mismatches; empty means the run followed the
-    /// he-lint plan exactly.
+    /// lowered circuit exactly.
     pub divergence: Vec<String>,
     /// Counter deltas over the whole inference.
     pub total_ops: OpSnapshot,
 }
 
 impl InferenceTrace {
-    /// Assembles the trace and runs the static cross-check against
-    /// `plan` (the same plan `he_lint::analyze` admitted).
+    /// Assembles the trace and cross-checks it against `circuit`, the
+    /// network's lowering ([`ir_cross_check`]).
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         start_level: usize,
@@ -83,9 +81,9 @@ impl InferenceTrace {
         timing: InferenceTiming,
         events: Vec<SpanEvent>,
         total_ops: OpSnapshot,
-        plan: &CircuitPlan,
+        circuit: &he_ir::Circuit,
     ) -> Self {
-        let divergence = cross_check(&layers, &he_lint::trajectory(plan));
+        let divergence = ir_cross_check(&layers, circuit);
         Self {
             start_level,
             start_scale,
@@ -157,7 +155,7 @@ impl InferenceTrace {
     /// he-metrics registry: per-layer ciphertext level, `log₂` scale,
     /// and structural noise headroom, plus whole-inference headroom
     /// figures. A scrape can then cross-check the live values against
-    /// he-lint's static plan the same way [`cross_check`] does
+    /// the lowered circuit the same way [`ir_cross_check`] does
     /// post-hoc. Compiles to nothing unless cnn-he's `metrics` feature
     /// (→ `he-metrics/enabled`) is on.
     pub fn export_gauges(&self) {
@@ -232,38 +230,6 @@ impl InferenceTrace {
     }
 }
 
-/// Diffs the observed per-layer level/scale against the static
-/// trajectory. One message per mismatch; empty = agreement.
-pub fn cross_check(layers: &[LayerTrace], traj: &[OpState]) -> Vec<String> {
-    let mut out = Vec::new();
-    if layers.len() != traj.len() {
-        out.push(format!(
-            "op count mismatch: runtime executed {} layers, static plan has {} ops",
-            layers.len(),
-            traj.len()
-        ));
-        return out;
-    }
-    for (i, (l, s)) in layers.iter().zip(traj).enumerate() {
-        if l.level as i64 != s.level {
-            out.push(format!(
-                "layer {i} ({}): level {} after layer, static plan predicts {}",
-                l.name, l.level, s.level
-            ));
-        }
-        let log_scale = l.scale.log2();
-        let drift = (log_scale - s.log_scale).abs();
-        if drift > SCALE_TOL_BITS {
-            out.push(format!(
-                "layer {i} ({}): log2(scale) {log_scale:.4} drifts {drift:.4} bits \
-                 from the static {:.4} (tolerance {SCALE_TOL_BITS})",
-                l.name, s.log_scale
-            ));
-        }
-    }
-    out
-}
-
 /// Diffs observed per-layer telemetry against the lowered `he-ir`
 /// circuit (one region per layer): exit level must match exactly, exit
 /// scale within [`SCALE_TOL_BITS`] (a `for_context` lowering is
@@ -332,7 +298,7 @@ pub fn ir_cross_check(layers: &[LayerTrace], circuit: &he_ir::Circuit) -> Vec<St
 mod tests {
     use super::*;
     use ckks::CkksParams;
-    use he_lint::{CircuitOp, KeyInventory};
+    use he_ir::{Circuit, GraphBuilder, KeyInventory, Layout};
 
     fn layer(name: &str, level: usize, scale: f64) -> LayerTrace {
         LayerTrace {
@@ -349,68 +315,68 @@ mod tests {
         }
     }
 
-    fn plan() -> CircuitPlan {
-        // depth 3: linear, slaf(deg 3) — levels 3 → 2 → 0
-        CircuitPlan::new(
-            CkksParams::tiny(3),
-            vec![
-                CircuitOp::Linear {
-                    name: "lin".into(),
-                    output_units: 4,
-                },
-                CircuitOp::SlafActivation {
-                    name: "act".into(),
-                    degree: 3,
-                },
-            ],
-        )
-        .with_keys(KeyInventory::relin_only())
+    /// Depth 2: "lin" (MAC + rescale, 2 → 1), "act" (square + rescale,
+    /// 1 → 0), over nominal primes.
+    fn circuit() -> Circuit {
+        let params = CkksParams::tiny(2);
+        let s = params.scale();
+        let mut b = GraphBuilder::new(params);
+        let x = b.input("x", 2, Layout::BatchSlots);
+        b.begin_region("lin");
+        let q = b.q_at(2);
+        let w = b.encode_scalar(0.5, q, 2);
+        let z = b.zero(s * q, 2);
+        let acc = b.mac_plain(z, x, w);
+        let y = b.rescale(acc);
+        b.begin_region("act");
+        let sq = b.square(y);
+        let out = b.rescale(sq);
+        b.output(out);
+        b.finish(KeyInventory::relin_only())
+    }
+
+    /// Telemetry landing exactly on every region's exit type.
+    fn matching_layers(c: &Circuit) -> Vec<LayerTrace> {
+        c.regions
+            .iter()
+            .map(|r| {
+                let ty = r
+                    .nodes()
+                    .rev()
+                    .find_map(|id| c.node(id).ty.as_ct())
+                    .unwrap();
+                layer(&r.name, ty.level, ty.scale)
+            })
+            .collect()
     }
 
     #[test]
     fn matching_trajectory_has_no_divergence() {
-        let p = plan();
-        let traj = he_lint::trajectory(&p);
-        let scale = |bits: f64| bits.exp2();
-        let layers = vec![
-            layer("lin", traj[0].level as usize, scale(traj[0].log_scale)),
-            layer("act", traj[1].level as usize, scale(traj[1].log_scale)),
-        ];
-        assert_eq!(cross_check(&layers, &traj), Vec::<String>::new());
+        let c = circuit();
+        let layers = matching_layers(&c);
+        assert_eq!((layers[0].level, layers[1].level), (1, 0));
+        assert_eq!(ir_cross_check(&layers, &c), Vec::<String>::new());
     }
 
     #[test]
     fn near_nominal_scale_is_within_tolerance() {
-        // real NTT primes deviate from 2^bits by ≤ 1 part in 2^11; the
-        // cross-check must absorb that
-        let p = plan();
-        let traj = he_lint::trajectory(&p);
-        let layers = vec![
-            layer(
-                "lin",
-                traj[0].level as usize,
-                traj[0].log_scale.exp2() * (1.0 + 1.0 / 2048.0),
-            ),
-            layer("act", traj[1].level as usize, traj[1].log_scale.exp2()),
-        ];
-        assert_eq!(cross_check(&layers, &traj), Vec::<String>::new());
+        // real NTT primes deviate from 2^bits by ≤ 1 part in 2^11; a
+        // cross-check against a nominal lowering must absorb that
+        let c = circuit();
+        let mut layers = matching_layers(&c);
+        layers[0].scale *= 1.0 + 1.0 / 2048.0;
+        assert_eq!(ir_cross_check(&layers, &c), Vec::<String>::new());
     }
 
     #[test]
     fn level_and_scale_mismatches_are_reported() {
-        let p = plan();
-        let traj = he_lint::trajectory(&p);
-        let layers = vec![
-            // wrong level (forgot a rescale)
-            layer("lin", traj[0].level as usize + 1, traj[0].log_scale.exp2()),
-            // scale off by a whole prime (~13 bits on the tiny chain)
-            layer(
-                "act",
-                traj[1].level as usize,
-                traj[1].log_scale.exp2() * 8192.0,
-            ),
-        ];
-        let div = cross_check(&layers, &traj);
+        let c = circuit();
+        let mut layers = matching_layers(&c);
+        // wrong level (forgot a rescale)
+        layers[0].level += 1;
+        // scale off by a whole prime (~13 bits on the tiny chain)
+        layers[1].scale *= 8192.0;
+        let div = ir_cross_check(&layers, &c);
         assert_eq!(div.len(), 2, "{div:?}");
         assert!(div[0].contains("level"), "{}", div[0]);
         assert!(div[1].contains("drifts"), "{}", div[1]);
@@ -418,17 +384,15 @@ mod tests {
 
     #[test]
     fn op_count_mismatch_short_circuits() {
-        let p = plan();
-        let traj = he_lint::trajectory(&p);
-        let layers = vec![layer("lin", 2, 26.0f64.exp2())];
-        let div = cross_check(&layers, &traj);
+        let c = circuit();
+        let layers = matching_layers(&c);
+        let div = ir_cross_check(&layers[..1], &c);
         assert_eq!(div.len(), 1);
-        assert!(div[0].contains("op count mismatch"));
+        assert!(div[0].contains("region count mismatch"));
     }
 
     #[test]
     fn ir_cross_check_flags_level_scale_and_undercount() {
-        use he_ir::{GraphBuilder, Layout};
         let params = CkksParams::tiny(2);
         let s = params.scale();
         let mut b = GraphBuilder::new(params);
@@ -440,7 +404,7 @@ mod tests {
         let acc = b.mac_plain(z, x, w);
         let y = b.rescale(acc);
         b.output(y);
-        let c = b.finish(he_ir::KeyInventory::relin_only());
+        let c = b.finish(KeyInventory::relin_only());
 
         // matching telemetry (counters at or above the static counts)
         let mut ok = layer("lin", 1, s);
@@ -469,21 +433,16 @@ mod tests {
 
     #[test]
     fn report_and_noise_drain_render() {
-        let p = plan();
-        let traj = he_lint::trajectory(&p);
-        let layers = vec![
-            layer("lin", traj[0].level as usize, traj[0].log_scale.exp2()),
-            layer("act", traj[1].level as usize, traj[1].log_scale.exp2()),
-        ];
+        let c = circuit();
         let trace = InferenceTrace::new(
-            3,
+            2,
             26.0f64.exp2(),
             60.0,
-            layers,
+            matching_layers(&c),
             InferenceTiming::default(),
             Vec::new(),
             OpSnapshot::default(),
-            &p,
+            &c,
         );
         assert!(trace.divergence.is_empty(), "{:?}", trace.divergence);
         let report = trace.report();

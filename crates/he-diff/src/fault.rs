@@ -9,7 +9,7 @@
 //! | fault                      | guard                                   |
 //! |----------------------------|-----------------------------------------|
 //! | residue-limb flip          | noise telemetry (`measured_error_bits`) |
-//! | modulus drop (consistent)  | he-lint level admission                 |
+//! | modulus drop (consistent)  | he-ir level admission (`levels::infer`) |
 //! | modulus drop (mismatched)  | [`Ciphertext::validate`]                |
 //! | scale metadata skew        | headroom sampler (`headroom_bits`)      |
 //! | relin-key digit truncation | noise telemetry after multiply          |
@@ -19,7 +19,8 @@ use ckks::params::CkksContext;
 use ckks::{Ciphertext, CkksParams, Evaluator, KeySwitchKey, RelinKey, SecretKey};
 use ckks_math::fft::Complex;
 use ckks_math::poly::RnsPoly;
-use he_lint::{analyze, CircuitOp, CircuitPlan};
+use he_ir::passes::levels;
+use he_ir::{GraphBuilder, KeyInventory, Layout};
 use std::sync::Arc;
 
 // ---------------------------------------------------------------------
@@ -121,19 +122,26 @@ pub fn validate_guard(ct: &Ciphertext) -> bool {
     detected
 }
 
-/// Admission guard: fires when he-lint rejects running a circuit that
-/// consumes `needed_levels` multiplicative levels from a ciphertext at
-/// `start_level` — the check that catches a consistent modulus drop
-/// before any polynomial math runs.
+/// Admission guard: fires when the level analysis rejects a chain of
+/// `needed_levels` linear layers (weights at `q_m`, one rescale each)
+/// run from a ciphertext at `start_level` — the check that catches a
+/// consistent modulus drop before any polynomial math runs.
 pub fn admission_guard(params: &CkksParams, needed_levels: usize, start_level: usize) -> bool {
-    let ops: Vec<CircuitOp> = (0..needed_levels)
-        .map(|i| CircuitOp::Linear {
-            name: format!("layer{i}"),
-            output_units: 1,
-        })
-        .collect();
-    let plan = CircuitPlan::new(params.clone(), ops).with_start_level(start_level);
-    let detected = analyze(&plan).has_errors();
+    let s = params.scale();
+    let mut b = GraphBuilder::new(params.clone());
+    let mut x = b.input("x", start_level, Layout::BatchSlots);
+    for _ in 0..needed_levels {
+        let m = b.ct_ty(x).level;
+        let q_m = b.q_at(m);
+        let w = b.encode_scalar(1.0, q_m, m);
+        let z = b.zero(s * q_m, m);
+        let acc = b.mac_plain(z, x, w);
+        x = b.rescale(acc);
+    }
+    b.output(x);
+    let detected = levels::infer(&b.finish(KeyInventory::relin_only()))
+        .report
+        .has_errors();
     if detected {
         he_trace::record_fault_detected(1);
     }

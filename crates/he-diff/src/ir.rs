@@ -199,7 +199,7 @@ pub struct CompiledReport {
 /// ([`PassManager::optimizer`]) and interpreted. Optimization is
 /// allowed to change rounding (rescale sinking reorders divisions), so
 /// the contract is *not* bit-equality: every live output must stay
-/// within `safety ×` the composed [`he_lint::NoiseModel`] bound of the
+/// within `safety ×` the composed [`he_ir::NoiseModel`] bound of the
 /// exact plaintext reference — the oracle's own admission criterion —
 /// and within twice that bound of the eager ciphertext.
 pub fn run_compiled_vs_eager(
@@ -211,7 +211,7 @@ pub fn run_compiled_vs_eager(
     let ops = crate::generate(ctx, seed, count);
     let slots = ctx.slots();
     let scale = ctx.params().scale();
-    let model = he_lint::NoiseModel::new(ctx.params());
+    let model = he_ir::NoiseModel::new(ctx.params());
 
     let mut kg = KeyGenerator::new(Arc::clone(ctx), seed ^ 0xA11C_E5ED);
     let sk = kg.gen_secret_key();

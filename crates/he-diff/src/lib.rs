@@ -14,7 +14,7 @@
 //!   [`ckks::bigckks::BigCkks`] reference. Decrypted outputs of both
 //!   worlds must agree with the exact plaintext reference within an
 //!   *analytically derived* bound composed from
-//!   [`he_lint::NoiseModel`] — never a hand-tuned epsilon.
+//!   [`he_ir::NoiseModel`] — never a hand-tuned epsilon.
 //! * [`ir`] — the third world: every sequence is also lowered to the
 //!   `he-ir` circuit IR and interpreted with the same keys, and each
 //!   register write must match the eager ciphertext **bit for bit**
@@ -27,7 +27,7 @@
 //! * [`mod@minimize`] — failing sequences shrink to a minimal
 //!   reproducing op list, reported with the replayable seed.
 //! * `fault` (feature `fault-inject`) — deterministic corruption
-//!   hooks plus guard wrappers proving that he-lint admission,
+//!   hooks plus guard wrappers proving that level admission,
 //!   ciphertext validation, and the noise/headroom telemetry each
 //!   detect the fault class they claim to guard against.
 //!

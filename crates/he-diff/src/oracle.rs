@@ -27,7 +27,7 @@ use ckks::params::CkksContext;
 use ckks::{Ciphertext, Evaluator, GaloisKeys, KeyGenerator, PublicKey, RelinKey, SecretKey};
 use ckks_math::sampler::Sampler;
 use cnn_he::rns_input::SignalDecomposition;
-use he_lint::NoiseModel;
+use he_ir::NoiseModel;
 use rand::Rng;
 use std::sync::Arc;
 

@@ -1,9 +1,8 @@
 //! Diagnostics: severity, lint codes, and the report container.
 //!
 //! This is the severity model every static analysis in the workspace
-//! reports through — the IR passes in this crate and he-lint's plan
-//! analyzer alike (he-lint re-exports this module, so `he_lint::diag`
-//! paths keep working).
+//! reports through: the IR passes in this crate, and the admission
+//! checks `cnn-he` runs before and around them.
 
 /// How bad a finding is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -32,8 +31,7 @@ pub struct Diagnostic {
     pub severity: Severity,
     /// Stable machine-readable code (`chain-exhausted`, `missing-galois-key`, …).
     pub code: &'static str,
-    /// Index of the offending op — a plan op index for he-lint's
-    /// analyzer, a [`crate::NodeId`] for IR passes — when attributable.
+    /// The offending [`crate::NodeId`], when attributable.
     pub op_index: Option<usize>,
     /// Human-readable description of the violation.
     pub message: String,

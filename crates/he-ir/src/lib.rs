@@ -6,17 +6,16 @@
 //!
 //! The eager evaluators in `ckks`/`cnn-he` execute homomorphic ops as
 //! they are issued; every whole-circuit property (level/scale
-//! trajectory, rotation-key coverage, rescale placement, dead work) was
-//! previously reconstructed after the fact by he-lint's linear replay.
-//! This crate lifts a circuit into an SSA-style graph first:
+//! trajectory, rotation-key coverage, rescale placement, dead work) is
+//! a property of the graph of those ops. This crate lifts a circuit
+//! into an SSA-style graph first:
 //!
 //! - [`circuit::Circuit`]: nodes are HE ops ([`circuit::Op`]) with a
 //!   per-node type ([`types::ValueTy`]) carrying `{level, scale, slots,
 //!   layout}` — computed once by the [`build::GraphBuilder`], which
 //!   mirrors the eager `ckks::Evaluator` method-for-method.
 //! - [`pass`]: a [`pass::Pass`] trait and [`pass::PassManager`]
-//!   producing typed diagnostics ([`diag::Diagnostic`], the same
-//!   severity model he-lint reports through).
+//!   producing typed diagnostics ([`diag::Diagnostic`]).
 //! - [`passes`]: the standard analyses — level/scale/noise abstract
 //!   interpretation, rotation-set/key coverage, liveness + dead ops,
 //!   value-numbering/CSE, and rescale/relin placement — plus the
@@ -33,10 +32,10 @@
 //!   the only executor of slot-packed inference in `cnn-he`.
 //! - [`dot`]: Graphviz export (full graph or region-collapsed summary).
 //!
-//! he-lint depends on this crate (its `diag`/`noise` modules live here
-//! now and are re-exported from he-lint for compatibility), lowers its
-//! `CircuitPlan` into a [`circuit::Circuit`], and implements
-//! `trajectory()` as a thin wrapper over the level/scale pass.
+//! These passes are the workspace's only static analysis: `cnn-he`
+//! admits both the scalar and the packed network by running
+//! [`pass::PassManager::standard`] over the circuit it lowers, and its
+//! `he-ir check` binary does the same for a model name or a HENT file.
 
 #![forbid(unsafe_code)]
 

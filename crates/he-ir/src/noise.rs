@@ -1,8 +1,8 @@
 //! Analytic CKKS noise model — the bound side of static analysis.
 //!
 //! The level/scale abstract interpretation ([`crate::passes::levels`])
-//! and he-lint's plan replay track levels and scales; this module
-//! supplies the matching *error magnitudes*: per-primitive heuristic
+//! tracks levels and scales; this module supplies the matching *error
+//! magnitudes*: per-primitive heuristic
 //! noise bounds in the standard CKKS average-case model
 //! (canonical-embedding heuristics as in the CKKS and SEAL noise
 //! analyses), parameterized only by `(N, σ, h)` from the

@@ -17,9 +17,9 @@
 //!   unit-magnitude inputs (`|input| ≤ 1`), the same worst-case
 //!   convention he-diff's oracle uses.
 //!
-//! This pass subsumes he-lint's `trajectory()`: the plan analyzer
-//! lowers its `CircuitPlan` to a circuit and reads the per-region exit
-//! states from [`LevelAnalysis`].
+//! It is the one level/scale analysis in the workspace: scalar
+//! admission (`cnn_he::analyze::admission`), packed admission and the
+//! `he-ir check` CLI all run it over the circuit that executes.
 
 use crate::circuit::{Circuit, NodeId, Op};
 use crate::diag::{Diagnostic, LintReport};
@@ -70,7 +70,9 @@ struct Interp<'c> {
     noise: NoiseModel,
     states: Vec<Option<NodeState>>,
     report: LintReport,
-    exhaustion_reported: bool,
+    /// Index of the `chain-exhausted` diagnostic once reported; its fix
+    /// is filled in after the sweep, when the lowest level is known.
+    exhaustion: Option<usize>,
 }
 
 impl Interp<'_> {
@@ -109,26 +111,19 @@ impl Interp<'_> {
     }
 
     fn exhausted(&mut self, id: NodeId, what: &str) {
-        if self.exhaustion_reported {
+        if self.exhaustion.is_some() {
             return;
         }
-        self.exhaustion_reported = true;
-        let p = &self.c.params;
-        self.report.push(
-            Diagnostic::error(
-                "chain-exhausted",
-                Some(id),
-                format!(
-                    "modulus chain exhausted: {what} but the ciphertext is already \
-                     at the bottom of the chain (depth {})",
-                    p.depth()
-                ),
-            )
-            .with_suggestion(format!(
-                "extend chain_bits with more ≈{}-bit prime(s)",
-                p.scale_bits
-            )),
-        );
+        self.exhaustion = Some(self.report.diagnostics.len());
+        self.report.push(Diagnostic::error(
+            "chain-exhausted",
+            Some(id),
+            format!(
+                "modulus chain exhausted: {what} but the ciphertext is already \
+                 at the bottom of the chain (depth {})",
+                self.c.params.depth()
+            ),
+        ));
     }
 
     fn eval(&mut self, id: NodeId) -> Option<NodeState> {
@@ -309,11 +304,22 @@ pub fn infer(c: &Circuit) -> LevelAnalysis {
         noise: NoiseModel::new(&c.params),
         states: Vec::with_capacity(c.nodes.len()),
         report: LintReport::default(),
-        exhaustion_reported: false,
+        exhaustion: None,
     };
     for id in 0..c.nodes.len() {
         let st = interp.eval(id);
         interp.states.push(st);
+    }
+
+    // levels keep falling below 0 past the exhaustion, so the lowest
+    // one reached is the shortfall
+    if let Some(i) = interp.exhaustion {
+        let lowest = interp.states.iter().flatten().map(|s| s.level).min();
+        interp.report.diagnostics[i].suggestion = Some(format!(
+            "extend chain_bits with {} more ≈{}-bit prime(s)",
+            -lowest.unwrap_or(-1),
+            c.params.scale_bits
+        ));
     }
 
     // headroom: worst point of the whole circuit
@@ -512,7 +518,10 @@ mod tests {
             1
         );
         let out = a.state(*c.outputs.first().unwrap()).unwrap();
-        assert!(out.level < 0);
+        assert_eq!(out.level, -1);
+        // the fix names the shortfall: −(lowest level reached)
+        let text = a.report.render();
+        assert!(text.contains("extend chain_bits with 1 more"), "{text}");
     }
 
     #[test]

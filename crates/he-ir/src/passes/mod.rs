@@ -1,9 +1,9 @@
 //! The standard analyses. Each submodule exports a unit-struct
 //! implementing [`crate::pass::Pass`] plus the underlying analysis
-//! function for callers that want the raw results (he-lint's
-//! `trajectory()` wraps [`levels::infer`]; the CLI compares
-//! [`rotations::required_elements`] against generated keys; the
-//! interpreter frees values with [`liveness::analyze`]).
+//! function for callers that want the raw results (he-diff's admission
+//! guard reads [`levels::infer`]; the packed path generates keys for
+//! [`rotations::required_elements`]; the interpreter frees values with
+//! [`liveness::analyze`]).
 
 pub mod cse;
 pub mod dce;

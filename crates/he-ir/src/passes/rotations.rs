@@ -177,6 +177,9 @@ mod tests {
             .collect();
         assert_eq!(req.elements, expect);
         assert!(!req.conjugate);
+        // unknown key material: coverage is reported, never an error
+        let out = RotationSetPass.run(&c);
+        assert!(!out.report.has_errors(), "{}", out.report.render());
     }
 
     #[test]

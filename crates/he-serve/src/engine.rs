@@ -111,7 +111,7 @@ pub struct ServeEngine {
 
 impl ServeEngine {
     /// Builds the pipelines (one per worker, via `factory`), runs the
-    /// he-lint admission check at the maximum coalescible batch, and
+    /// static admission check at the maximum coalescible batch, and
     /// spawns the batcher and worker threads. With
     /// [`Packing::PackedBatch`] every lane stride up to that ceiling is
     /// prepared here (circuit, Galois keys, encoded operands), so the

@@ -6,7 +6,7 @@ use std::time::Duration;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServeError {
     /// Admission control refused the request before it entered the
-    /// queue: the inference plan fails he-lint under the engine's
+    /// queue: the network's circuit fails admission under the engine's
     /// parameters, or the image shape does not match the network.
     Rejected { reason: String },
     /// The bounded request queue is at capacity — backpressure instead

@@ -16,7 +16,8 @@
 //! ```
 //!
 //! Robustness guarantees (see [`engine`] for the full list):
-//! admission control through he-lint before anything is enqueued,
+//! static admission (the he-ir passes over the network's circuit)
+//! before anything is enqueued,
 //! bounded-queue backpressure ([`ServeError::Overloaded`]), typed
 //! per-request deadlines ([`ServeError::DeadlineExceeded`] — never a
 //! stale answer), a degradation ladder that halves the coalescing

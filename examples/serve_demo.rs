@@ -82,7 +82,7 @@ fn main() {
         cfg.max_batch, cfg.max_linger, cfg.workers
     );
     let engine = ServeEngine::start(cfg, || CnnHePipeline::new(demo_network(31), 1 << 10, 31))
-        .expect("the demo network must pass he-lint admission under the demo parameters");
+        .expect("the demo network must pass admission under the demo parameters");
 
     // ---- phase 1: a lone request pays the full batch cost itself
     let lone = engine

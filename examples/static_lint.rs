@@ -1,18 +1,20 @@
-//! Static circuit analysis: catch a mis-planned encrypted CNN *before*
-//! generating keys or encrypting a single pixel.
+//! Static admission: catch a mis-planned encrypted CNN *before*
+//! encrypting a single pixel.
 //!
-//! The he-lint analyzer symbolically executes a plan over ciphertext
-//! metadata only (level, scale, slots, required keys), so a modulus
-//! chain that is four primes too short — which would otherwise panic
-//! minutes into an encrypted inference — is rejected in microseconds.
+//! Admission checks the network's depth against the modulus chain, then
+//! runs the he-ir analysis passes over the circuit the scalar engine
+//! executes, so a chain that is four primes too short — which would
+//! otherwise panic minutes into an encrypted inference — is refused
+//! before any ciphertext exists.
 //!
-//! This example extracts the paper's CNN2, serializes it to a HENT
-//! model file plus two CKKS parameter files under `target/lint-demo/`,
-//! and lints both plans. The same files feed the standalone CLI:
+//! This example extracts the paper's CNN2, writes it as a HENT model
+//! file plus two CKKS parameter files under `target/lint-demo/`, and
+//! validates a pipeline built on each parameter set. The same files feed
+//! the CLI:
 //!
 //! ```text
-//! cargo run --release -p he-lint -- target/lint-demo/cnn2.hent \
-//!     target/lint-demo/params-shallow.txt
+//! cargo run --release -p cnn-he --bin he-ir -- check target/lint-demo/cnn2.hent \
+//!     --params target/lint-demo/params-shallow.txt
 //! ```
 //!
 //! Run: `cargo run --release -p examples --bin static_lint`
@@ -20,8 +22,7 @@
 #![forbid(unsafe_code)]
 
 use ckks::{CkksParams, SecurityLevel};
-use cnn_he::lint::plan_for_network;
-use cnn_he::HeNetwork;
+use cnn_he::{CnnHePipeline, HeNetwork};
 use neural::models::{cnn2, ActKind};
 use std::path::Path;
 
@@ -42,7 +43,7 @@ fn params_with_depth(depth: usize) -> CkksParams {
 fn write_params_file(path: &Path, p: &CkksParams) {
     let chain: Vec<String> = p.chain_bits.iter().map(ToString::to_string).collect();
     let text = format!(
-        "# CKKS-RNS parameters for he-lint\nn = {}\nchain_bits = {}\nspecial_bits = 40\nscale_bits = {}\nsecurity = none\n",
+        "# CKKS-RNS parameters for he-ir check\nn = {}\nchain_bits = {}\nspecial_bits = 40\nscale_bits = {}\nsecurity = none\n",
         p.n,
         chain.join(" "),
         p.scale_bits,
@@ -53,7 +54,7 @@ fn write_params_file(path: &Path, p: &CkksParams) {
 fn main() {
     // The paper's CNN2 (two conv+BN blocks, three SLAF activations,
     // two dense layers) extracted for 28×28 inputs. Untrained weights
-    // are fine: the analyzer only looks at shapes.
+    // are fine: admission depends on the architecture.
     let net = HeNetwork::from_trained(&cnn2(ActKind::slaf3(), 42), 28);
     println!(
         "CNN2 extracted: {} HE layers, {} multiplicative levels required\n",
@@ -64,7 +65,7 @@ fn main() {
     let dir = Path::new("target").join("lint-demo");
     std::fs::create_dir_all(&dir).expect("create target/lint-demo");
     let model_path = dir.join("cnn2.hent");
-    std::fs::write(&model_path, bench::modelio::network_to_bytes(&net)).expect("write model");
+    std::fs::write(&model_path, cnn_he::model::network_to_bytes(&net)).expect("write model");
 
     let good = params_with_depth(net.required_levels());
     let shallow = params_with_depth(6); // four rescaling primes short
@@ -75,20 +76,20 @@ fn main() {
         model_path.display()
     );
 
-    // ---- lint the correctly sized plan ----------------------------
-    let report = he_lint::analyze(&plan_for_network(&net, good, 1));
-    println!("lint with a {}-level chain:", net.required_levels());
+    // ---- the correctly sized chain --------------------------------
+    let report = CnnHePipeline::with_params(net.clone(), good, 42).validate();
+    println!("admission with a {}-level chain:", net.required_levels());
     print!("{}", report.render());
     assert!(!report.has_errors());
 
-    // ---- lint the over-deep plan ----------------------------------
-    let report = he_lint::analyze(&plan_for_network(&net, shallow, 1));
-    println!("\nlint with a 6-level chain:");
+    // ---- the over-deep plan ---------------------------------------
+    let report = CnnHePipeline::with_params(net, shallow, 42).validate();
+    println!("\nadmission with a 6-level chain:");
     print!("{}", report.render());
     assert!(report.has_errors(), "the shallow chain must be rejected");
 
     println!(
-        "\nthe same check runs standalone:\n  cargo run --release -p he-lint -- {} {}",
+        "\nthe same check runs standalone:\n  cargo run --release -p cnn-he --bin he-ir -- check {} --params {}",
         model_path.display(),
         dir.join("params-shallow.txt").display()
     );

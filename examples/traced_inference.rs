@@ -3,8 +3,9 @@
 //! noise-drain tables, and export the recorded spans as a
 //! chrome://tracing JSON file plus flamegraph folded stacks.
 //!
-//! The run cross-checks its observed level/scale trajectory against the
-//! he-lint static plan (`trace.divergence` must be empty) and validates
+//! The run cross-checks its observed level/scale trajectory and op
+//! counters against the lowered he-ir circuit (`trace.divergence` must
+//! be empty) and validates
 //! the emitted chrome-trace JSON in-process, exiting non-zero on any
 //! mismatch — CI runs this as the tracing smoke test.
 //!
@@ -51,10 +52,10 @@ fn main() {
     // ---- runtime ↔ static cross-check -----------------------------
     assert!(
         trace.divergence.is_empty(),
-        "runtime diverged from the he-lint static plan:\n{}",
+        "runtime diverged from the lowered circuit:\n{}",
         trace.divergence.join("\n")
     );
-    println!("runtime level/scale trajectory matches the he-lint static plan ✓");
+    println!("runtime level/scale trajectory matches the lowered circuit ✓");
 
     // ---- export ----------------------------------------------------
     let dir = Path::new("target").join("trace-demo");

@@ -4,12 +4,13 @@
 
 #![forbid(unsafe_code)]
 
-use cnn_he::exec::ExecPlan;
-use cnn_he::{modeled_timing, CnnHePipeline, HeNetwork};
+use cnn_he::exec::{ExecPlan, InferenceTiming, LayerTiming};
+use cnn_he::{CnnHePipeline, HeNetwork};
 use neural::mnist;
 use neural::models::{cnn1, cnn2, ActKind};
 use neural::slaf::{run_protocol, SlafProtocol};
 use neural::train::TrainConfig;
+use std::time::Duration;
 
 fn quick_protocol() -> SlafProtocol {
     SlafProtocol {
@@ -98,17 +99,32 @@ fn rns_plans_preserve_results_and_order_latency() {
     let test = mnist::synthetic(1, 303);
     let result = pipe.classify(&[test.image(0)]);
 
-    // Assert on the op-count-derived timing model: unit counts and
-    // layer shapes match the run exactly, but durations come from the
-    // deterministic tick model, so the makespan ratio is a pure
-    // function of the architecture and the LPT scheduler — immune to
-    // host load.
-    let modeled = modeled_timing(&pipe.network);
-    assert_eq!(modeled.layers.len(), result.timing.layers.len());
-    for (m, r) in modeled.layers.iter().zip(&result.timing.layers) {
-        assert_eq!(m.unit_times.len(), r.unit_times.len(), "{}", m.name);
-        assert_eq!(m.parallel, r.parallel, "{}", m.name);
-    }
+    // Assert on an op-count timing model: the run's units and parallel
+    // flags, but each unit costs its share of the HE ops (1 op = 1 µs)
+    // the lowered circuit's region for that layer contains, so the
+    // makespan ratio is a pure function of the circuit and the LPT
+    // scheduler — immune to host load.
+    let circuit = pipe.lower_to_ir();
+    assert_eq!(circuit.regions.len(), result.timing.layers.len());
+    let layers = circuit
+        .regions
+        .iter()
+        .zip(&result.timing.layers)
+        .map(|(region, run)| {
+            let c = circuit.op_counts_in(region);
+            let units = run.unit_times.len();
+            let ops = c.ct_mults + c.scalar_macs + c.rescales + c.rotations;
+            let unit = Duration::from_micros(ops.div_ceil(units as u64));
+            LayerTiming {
+                name: run.name.clone(),
+                unit_times: vec![unit; units],
+                parallel: run.parallel,
+                fixed: Duration::ZERO,
+                wall: unit * units as u32,
+            }
+        })
+        .collect();
+    let modeled = InferenceTiming { layers };
     let base = modeled.simulated_wall(ExecPlan::baseline());
     let mut prev = base;
     for k in [3usize, 6, 9, 12] {

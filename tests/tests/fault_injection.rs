@@ -4,7 +4,7 @@
 //! | fault                      | detecting guard                         |
 //! |----------------------------|-----------------------------------------|
 //! | residue-limb flip          | noise telemetry (`measured_error_bits`) |
-//! | modulus drop (consistent)  | he-lint level admission                 |
+//! | modulus drop (consistent)  | he-ir level admission (`levels::infer`) |
 //! | modulus drop (mismatched)  | `Ciphertext::validate`                  |
 //! | scale metadata skew        | headroom sampler (`headroom_bits`)      |
 //! | relin-key digit truncation | noise telemetry after multiply          |
@@ -19,7 +19,7 @@ use ckks::{CkksParams, Evaluator, KeyGenerator};
 use ckks_math::fft::Complex;
 use ckks_math::sampler::Sampler;
 use he_diff::fault;
-use he_lint::NoiseModel;
+use he_ir::NoiseModel;
 use he_trace::FaultSnapshot;
 use std::sync::Arc;
 

@@ -194,19 +194,19 @@ fn sharded_rotation_set_matches_generated_keys_exactly() {
 
     // a batch-strided circuit rotating by every one of those steps
     // (inference + shard ops), declaring the generated keys
-    let plan_ir = he_lint::CircuitPlan::new(
-        params,
-        steps
-            .iter()
-            .map(|&steps| he_lint::CircuitOp::Rotation { steps })
-            .collect(),
-    )
-    .with_keys(he_lint::KeyInventory::with_galois(true, generated.clone()))
-    .with_slots_used(packed.dim * layout.stride())
-    .with_layout(he_ir::Layout::BatchStrided {
-        stride: layout.stride(),
-    });
-    let circuit = plan_ir.to_circuit();
+    let mut b = he_ir::GraphBuilder::new(params);
+    let mut x = b.input(
+        "x",
+        b.params().depth(),
+        he_ir::Layout::BatchStrided {
+            stride: layout.stride(),
+        },
+    );
+    for &s in &steps {
+        x = b.rotate(x, s);
+    }
+    b.output(x);
+    let circuit = b.finish(he_ir::KeyInventory::with_galois(true, generated.clone()));
     let required = required_elements(&circuit);
     assert_eq!(
         required.elements, generated,

@@ -1,18 +1,16 @@
-//! Integration: the static circuit analyzer rejects mis-planned
-//! pipelines at admission time — before a single polynomial is touched.
+//! Integration: static admission rejects mis-planned pipelines before a
+//! single polynomial is touched.
 //!
-//! The acceptance scenarios of the he-lint issue: a deliberately
-//! over-deep CNN2 plan (modulus chain too short) and a packed circuit with
-//! a missing rotation key must both be flagged as errors with zero
-//! encryption work, and `Pipeline::validate()` must catch them before
-//! `classify()` would panic inside a layer.
+//! A deliberately over-deep CNN2 (modulus chain too short) and a packed
+//! circuit with a missing rotation key must both be flagged as errors
+//! with zero encryption work, and `Pipeline::validate()` must catch them
+//! before `classify()` would panic inside a layer.
 
 #![forbid(unsafe_code)]
 
 use ckks::{CkksParams, SecurityLevel};
-use cnn_he::lint::plan_for_network;
 use cnn_he::packed::PackedNetwork;
-use cnn_he::{lower_packed, CnnHePipeline, HeNetwork, PackedLowering};
+use cnn_he::{admission, lower_packed, CnnHePipeline, HeNetwork, PackedLowering};
 use he_ir::passes::rotations::{required_elements, RotationSetPass};
 use he_ir::{GraphBuilder, KeyInventory, Pass};
 use neural::models::{cnn2, ActKind};
@@ -49,8 +47,7 @@ fn over_deep_cnn2_plan_is_rejected_statically() {
     let net = cnn2_network(700);
     assert_eq!(net.required_levels(), 10);
     // chain supports only 6 of the 10 required levels
-    let plan = plan_for_network(&net, params_with_depth(6), 1);
-    let report = he_lint::analyze(&plan);
+    let report = admission(&net, GraphBuilder::new(params_with_depth(6)));
     assert!(report.has_errors(), "{}", report.render());
     assert!(
         report.has_code("chain-exhausted") || report.has_code("slaf-degree-vs-depth"),
@@ -103,7 +100,7 @@ fn pipeline_validate_catches_over_deep_plan_before_classify() {
 }
 
 #[test]
-#[should_panic(expected = "he-lint rejected the inference plan")]
+#[should_panic(expected = "admission rejected the inference plan")]
 fn classify_refuses_over_deep_plan_at_admission() {
     let net = cnn2_network(703);
     let mut pipe = CnnHePipeline::with_params(net, params_with_depth(6), 703);

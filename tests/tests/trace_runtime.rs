@@ -2,9 +2,9 @@
 //!
 //! These tests exercise the acceptance criteria of the he-trace
 //! subsystem end to end: `Pipeline::traced_infer` on the paper's CNN1
-//! must produce a trace whose per-layer levels/scales match the he-lint
-//! static trajectory, whose op counters are identical across thread
-//! counts, and whose chrome-trace JSON round-trips the validity checker.
+//! must produce a trace whose per-layer levels/scales match the lowered
+//! circuit, whose op counters are identical across thread counts, and
+//! whose chrome-trace JSON round-trips the validity checker.
 //!
 //! The he-trace op counters are process-global, so every test here
 //! takes a file-wide lock: exact-equality counter assertions live in
@@ -40,27 +40,13 @@ fn cnn1_trace_matches_static_plan_and_round_trips_chrome_json() {
     let (cls, trace) = pipe.traced_infer(&[&img]);
     assert_eq!(cls.predictions.len(), 1);
 
-    // ---- runtime ↔ static: the built-in cross-check is clean …
+    // ---- runtime ↔ static: the built-in cross-check against the
+    // lowered circuit (levels, scales, op counts per region) is clean
     assert!(
         trace.divergence.is_empty(),
         "runtime diverged from the static plan:\n{}",
         trace.divergence.join("\n")
     );
-    // … and re-deriving the trajectory independently agrees layer by
-    // layer (levels exact, log2 scale within the nominal-bits tolerance)
-    let plan = cnn_he::lint::plan_for_network(&pipe.network, pipe.ctx.params().clone(), 1);
-    let traj = he_lint::trajectory(&plan);
-    assert_eq!(trace.layers.len(), traj.len());
-    for (l, s) in trace.layers.iter().zip(&traj) {
-        assert_eq!(l.level as i64, s.level, "{}: level", l.name);
-        assert!(
-            (l.scale.log2() - s.log_scale).abs() < 0.1,
-            "{}: scale {} vs static {}",
-            l.name,
-            l.scale.log2(),
-            s.log_scale
-        );
-    }
 
     // ---- chrome export round-trips the validator
     let json = trace.chrome_json().expect("span timestamps must be finite");

@@ -1,4 +1,5 @@
-//! Shared experiment harness for the table binaries.
+//! Shared experiment harness for the table binaries, and the miniature
+//! network the smoke benchmark and the serving demos run.
 //!
 //! Environment knobs (all optional):
 //! * `RNS_CNN_LOGN`   — ring degree exponent (default 14, Table II).
@@ -304,4 +305,46 @@ pub fn print_sweep_table(title: &str, result: &ExperimentResult, ks: &[usize]) {
         println!("│ {k:>19} │ {:>7.2} │", s.avg);
     }
     println!("└─────────────────────┴─────────┘");
+}
+
+/// A miniature CNN1-shaped network (conv → act → dense → act → dense)
+/// over 8×8 inputs — fast enough that the serve component measures the
+/// engine, not 20 s of full-size HE arithmetic.
+pub fn mini_cnn1(seed: u64) -> HeNetwork {
+    use cnn_he::he_layers::{ConvSpec, DenseSpec};
+    use cnn_he::HeLayerSpec;
+    use rand::{Rng, SeedableRng};
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let mut w = |n: usize| -> Vec<f32> { (0..n).map(|_| rng.gen_range(-0.3f32..0.3)).collect() };
+    let conv = ConvSpec {
+        weight: w(2 * 9),
+        bias: vec![0.05, -0.05],
+        in_ch: 1,
+        out_ch: 2,
+        k: 3,
+        stride: 2,
+        pad: 0,
+    };
+    let dense1 = DenseSpec {
+        weight: w(18 * 6),
+        bias: w(6),
+        in_dim: 18,
+        out_dim: 6,
+    };
+    let dense2 = DenseSpec {
+        weight: w(6 * 3),
+        bias: w(3),
+        in_dim: 6,
+        out_dim: 3,
+    };
+    HeNetwork {
+        layers: vec![
+            HeLayerSpec::Conv(conv),
+            HeLayerSpec::Activation(vec![0.1, 0.6, 0.2, 0.05]),
+            HeLayerSpec::Dense(dense1),
+            HeLayerSpec::Activation(vec![0.0, 0.8, 0.15]),
+            HeLayerSpec::Dense(dense2),
+        ],
+        input_side: 8,
+    }
 }

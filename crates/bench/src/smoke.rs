@@ -1,43 +1,29 @@
-//! Deterministic CI smoke benchmark behind the `BENCH_*.json`
-//! perf-regression trajectory.
+//! Deterministic CI smoke benchmark behind the `BENCH_*.json` op-count
+//! trajectory: CNN1's first convolution, one coalesced he-serve batch,
+//! the slot-packed batch sweep, and the static eager-vs-compiled
+//! lowering counts, all counted with the he-trace op counters.
 //!
-//! Five fixed CNN1-derived components, each instrumented with the
-//! process-global he-trace counters:
-//!
-//! * **ntt** — forward+inverse negacyclic NTT at `N = 2^12`, the
-//!   primitive under every homomorphic op;
-//! * **modmul** — pointwise limb products of a 4-limb `RnsPoly` at
-//!   `N = 2^12`, the dyadic-multiply micro-kernel;
-//! * **mac** — Shoup-premultiplied scalar MACs via
-//!   `Evaluator::mul_residues_acc`, the inner loop of every conv/dense
-//!   weighted sum;
-//! * **conv** — CNN1's first convolution layer (5×5, stride 2) run
-//!   end-to-end (encrypt → eval → decrypt) on the tiny test ring;
-//! * **serve** — one coalesced he-serve batch: four concurrently
-//!   submitted requests slot-packed into a single encrypted run.
-//!
-//! Reports also carry the active kernel backend name so a committed
-//! baseline states which machine code produced its wall numbers.
-//!
-//! Each component reports the **median wall** over a few runs plus the
-//! **exact HE op counts of one run**. Op counts are a function of the
-//! circuit alone — identical on every machine — so the CI gate compares
-//! them exactly; wall times are machine-dependent and gate only an
-//! upper bound (fresh ≤ baseline × [`WALL_TOLERANCE`]).
+//! Every number the JSON carries is a count — a function of the circuit
+//! alone, identical on every machine — so `--check` diffs the files
+//! exactly. Each run-time component runs [`RUNS`] times and asserts its
+//! counts identical across runs. Nothing here times anything: hebench's
+//! per-layer `ntt_fwd_us` / `ntt_inv_us` / `dyadic_mul_us` / `mac_us`
+//! metrics and the criterion benches time the kernels.
 
+use crate::harness::mini_cnn1;
 use cnn_he::{CnnHePipeline, HeNetwork};
 use he_serve::{ServeConfig, ServeEngine};
 use he_trace::json::Value;
-use he_trace::{OpSnapshot, ServeSnapshot};
+use he_trace::OpSnapshot;
 use neural::models::{cnn1, ActKind};
-use std::time::Instant;
-
-/// Fresh wall times may exceed the committed baseline by at most this
-/// factor before the gate fails.
-pub const WALL_TOLERANCE: f64 = 1.5;
+use std::time::Duration;
 
 /// Schema tag stamped into (and demanded from) every `BENCH_*.json`.
 pub const SCHEMA: &str = "bench-smoke-v1";
+
+/// How often each run-time component runs: twice, so a component whose
+/// op counts drift between identical runs fails loudly.
+pub const RUNS: usize = 2;
 
 /// How many requests the serve component coalesces into one batch.
 pub const SERVE_BATCH: usize = 4;
@@ -53,224 +39,57 @@ pub const PACKED_SWEEP: [usize; 4] = [1, 8, 64, 512];
 pub const AMORTIZATION_FLOOR: f64 = 8.0;
 
 /// `--check` fails unless the compiled lowering of packed CNN1 spends
-/// at most this fraction of the eager engine's rotations (≥ 15% fewer).
+/// at most these fractions of the eager engine's rotations (≥ 15%
+/// fewer) and of its total HE ops (≥ 10% fewer).
 pub const COMPILED_ROTATION_CEILING: f64 = 0.85;
-
-/// `--check` fails unless the compiled lowering of packed CNN1 spends
-/// at most this fraction of the eager engine's total HE ops (≥ 10%
-/// fewer).
 pub const COMPILED_TOTAL_OPS_CEILING: f64 = 0.90;
 
-fn smoke_runs() -> usize {
-    crate::harness::env_usize("RNS_CNN_SMOKE_RUNS", 3).max(1)
-}
-
-fn median(samples: &mut [f64]) -> f64 {
-    samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    samples[samples.len() / 2]
-}
-
-/// One layer-level component: median wall + exact per-run op counts.
-pub struct ComponentResult {
-    pub name: &'static str,
-    pub runs: usize,
-    pub wall_median_s: f64,
-    /// HE ops of a single run (asserted identical across runs).
-    pub ops: OpSnapshot,
-}
-
-/// The serve component: one coalesced batch per run.
-pub struct ServeSmoke {
-    pub runs: usize,
-    pub batch_size: usize,
-    /// Median wall from first submit to last response.
-    pub wall_median_s: f64,
-    /// Median `batch_wall / batch_size` reported by the engine.
-    pub amortized_median_s: f64,
-    /// Queue-residency quantiles over every batched request of the
-    /// whole component (from the engine's bounded histograms; 0 when
-    /// nothing was recorded). Informational — not gated, walls here
-    /// are scheduling noise, not circuit cost.
-    pub queue_wait_p50_s: f64,
-    pub queue_wait_p95_s: f64,
-    /// Deadline-slack quantiles over completed deadline-carrying
-    /// requests (the smoke requests run under a generous budget).
-    pub deadline_slack_p50_s: f64,
-    pub deadline_slack_p95_s: f64,
-    pub ops: OpSnapshot,
-    pub serve: ServeSnapshot,
-}
-
-/// One point of the packed-batch sweep: `batch` images classified in a
-/// single slot-packed call (spilling into `shards` ciphertexts).
-pub struct PackedBatchPoint {
-    pub batch: usize,
-    /// Ciphertext shards the batch occupied (`ceil(batch / lanes)`).
-    pub shards: usize,
-    pub runs: usize,
-    pub wall_median_s: f64,
-    /// Median `wall / batch` — the amortized per-image cost.
-    pub amortized_per_image_s: f64,
-    /// HE ops of a single whole-batch run (asserted identical across
-    /// runs). Per-image op counts are `ops / batch`.
-    pub ops: OpSnapshot,
-}
-
-impl PackedBatchPoint {
-    /// Total HE ops of one run — the host-independent cost metric the
-    /// amortization gate divides.
-    pub fn total_ops(&self) -> u64 {
-        self.ops.named().iter().map(|(_, v)| v).sum()
-    }
-}
-
-/// One compiled-vs-eager static lowering comparison: the same packed
-/// network lowered to the he-ir circuit twice — the eager mirror of the
-/// runtime BSGS engine, and the compiled (squat-fold) form run through
-/// the optimizing pass pipeline — with both circuits' exact op counts.
-/// Pure circuit construction (no keys, no polynomial arithmetic), so
-/// every number is host-independent and the gate compares exactly.
-pub struct CompilerPoint {
-    pub name: &'static str,
-    /// Padded packed dimension of the network.
-    pub dim: usize,
-    /// Lane stride the circuits were lowered at (1 = tiled).
-    pub stride: usize,
-    pub nodes_eager: usize,
-    pub nodes_compiled: usize,
-    pub eager: he_ir::OpCounts,
-    pub compiled: he_ir::OpCounts,
-}
-
-impl CompilerPoint {
-    /// Total HE ops (ct mults + scalar MACs + rescales + rotations) of
-    /// one lowering — the metric the `≥ 10% fewer` gate divides.
-    pub fn total(c: &he_ir::OpCounts) -> u64 {
-        c.ct_mults + c.scalar_macs + c.rescales + c.rotations
-    }
-}
-
-/// Everything the smoke benchmark measures.
+/// Everything the smoke benchmark counts, as the two JSON trees it
+/// writes and gates.
 pub struct SmokeReport {
-    pub layers: Vec<ComponentResult>,
-    pub serve: ServeSmoke,
-    /// The packed-batch sweep ([`PACKED_SWEEP`]), batch ascending.
-    pub packed: Vec<PackedBatchPoint>,
-    /// Compiled-vs-eager static op counts ([`compiler_component`]).
-    pub compiler: Vec<CompilerPoint>,
-    /// Active modular-arithmetic kernel backend
-    /// (`scalar`/`avx2`/`avx512`/`neon`) the walls were measured under.
-    pub backend: String,
+    /// `BENCH_layers.json`: the conv component and the compiler points.
+    pub layers: Value,
+    /// `BENCH_serve.json`: the serve component and the packed sweep.
+    pub serve: Value,
 }
 
-fn run_component<F: FnMut()>(name: &'static str, runs: usize, mut body: F) -> ComponentResult {
-    let mut walls = Vec::with_capacity(runs);
-    let mut per_run: Option<OpSnapshot> = None;
-    for _ in 0..runs {
-        let before = OpSnapshot::now();
-        let t0 = Instant::now();
-        body();
-        walls.push(t0.elapsed().as_secs_f64());
-        let delta = OpSnapshot::now().delta(&before);
-        if let Some(first) = &per_run {
-            assert_eq!(
-                *first, delta,
-                "{name}: op counts varied between runs — component is not deterministic"
-            );
-        } else {
-            per_run = Some(delta);
-        }
-    }
-    ComponentResult {
-        name,
-        runs,
-        wall_median_s: median(&mut walls),
-        ops: per_run.unwrap_or_default(),
-    }
+fn obj(pairs: Vec<(&str, Value)>) -> Value {
+    Value::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
 }
 
-/// NTT component: `ITERS` forward+inverse transform pairs at `N = 2^12`.
-fn ntt_component(runs: usize) -> ComponentResult {
-    use ckks_math::modring::Modulus;
-    use ckks_math::ntt::NttTable;
-    use ckks_math::prime::gen_ntt_primes_excluding;
-    use rand::{Rng, SeedableRng};
-
-    const N: usize = 1 << 12;
-    const ITERS: usize = 32;
-    let p = gen_ntt_primes_excluding(50, N, 1, &[])[0];
-    let table = NttTable::new(N, Modulus::new(p));
-    let mut rng = rand::rngs::StdRng::seed_from_u64(9);
-    let data: Vec<u64> = (0..N).map(|_| rng.gen_range(0..p)).collect();
-
-    run_component("ntt_fwd_inv_2e12", runs, || {
-        for _ in 0..ITERS {
-            let mut d = data.clone();
-            table.forward(&mut d);
-            table.inverse(&mut d);
-            std::hint::black_box(&d);
-        }
-    })
+fn text(s: &str) -> Value {
+    Value::Str(s.to_string())
 }
 
-/// Pointwise-product component: `ITERS` dyadic multiplies of a 4-limb
-/// polynomial at `N = 2^12` through the production `RnsPoly::mul_assign`
-/// path (and therefore the dispatched modmul kernel).
-fn modmul_component(runs: usize) -> ComponentResult {
-    use ckks_math::poly::{Form, PolyContext, RnsPoly};
-    use ckks_math::prime::gen_moduli_chain;
-    use ckks_math::sampler::Sampler;
-    use std::sync::Arc;
-
-    const N: usize = 1 << 12;
-    const ITERS: usize = 32;
-    let chain = gen_moduli_chain(&[50, 50, 50, 50], N);
-    let ctx = PolyContext::new(N, chain, Vec::new());
-    let mut s = Sampler::from_seed(21);
-    let a = RnsPoly::uniform(Arc::clone(&ctx), vec![0, 1, 2, 3], Form::Ntt, &mut s);
-    let b = RnsPoly::uniform(Arc::clone(&ctx), vec![0, 1, 2, 3], Form::Ntt, &mut s);
-
-    run_component("modmul_limbs_2e12", runs, || {
-        for _ in 0..ITERS {
-            let mut x = a.clone();
-            x.mul_assign(&b);
-            std::hint::black_box(x.limbs_flat());
-        }
-    })
+/// A count; every count stays far below 2^53, so the `f64` is exact.
+fn num(v: impl TryInto<u64>) -> Value {
+    Value::Num(v.try_into().unwrap_or(u64::MAX) as f64)
 }
 
-/// Fused-MAC component: `ITERS` Shoup-premultiplied scalar MACs on a
-/// depth-4 ciphertext at `N = 2^10` via `Evaluator::mul_residues_acc` —
-/// the replayed-weight accumulation under every conv tap.
-fn mac_component(runs: usize) -> ComponentResult {
-    use ckks::{CkksParams, Evaluator, KeyGenerator};
-    use std::sync::Arc;
+fn counts(pairs: &[(&str, u64)]) -> Value {
+    obj(pairs.iter().map(|&(k, v)| (k, num(v))).collect())
+}
 
-    const ITERS: usize = 256;
-    let ctx = CkksParams::tiny(4).build();
-    let mut kg = KeyGenerator::new(Arc::clone(&ctx), 31);
-    let sk = kg.gen_secret_key();
-    let pk = kg.gen_public_key(&sk);
-    let ev = Evaluator::new(Arc::clone(&ctx));
-    let slots = ctx.slots();
-    let vals: Vec<f64> = (0..slots).map(|i| (i % 13) as f64 / 13.0).collect();
-    let mut s = ckks_math::sampler::Sampler::from_seed(32);
-    let x = ev.encrypt_real(&vals, &pk, &mut s);
-    let q_m = ctx.chain_moduli()[x.level].value() as f64;
-    let w = ev.prepare_scalar(0.37, q_m, x.level);
-    let mut acc = ev.zero_ciphertext(x.scale * q_m, x.level, x.slots);
-
-    run_component("fused_mac_2e10", runs, || {
-        for _ in 0..ITERS {
-            ev.mul_residues_acc(&mut acc, &x, &w);
-        }
-        std::hint::black_box(&acc);
-    })
+/// The HE ops of one `body()` run, after asserting all [`RUNS`] runs
+/// agree.
+fn steady(label: &str, mut body: impl FnMut()) -> Value {
+    let runs: Vec<OpSnapshot> = (0..RUNS)
+        .map(|_| {
+            let before = OpSnapshot::now();
+            body();
+            OpSnapshot::now().delta(&before)
+        })
+        .collect();
+    assert!(
+        runs.iter().all(|r| *r == runs[0]),
+        "{label}: op counts varied between runs — component is not deterministic: {runs:?}"
+    );
+    counts(&runs[0].named())
 }
 
 /// CNN1's first convolution as a single-layer network on the test ring:
 /// full encrypt → homomorphic conv → decrypt per run.
-fn conv_component(runs: usize) -> ComponentResult {
+fn conv_component() -> Value {
     let full = HeNetwork::from_trained(&cnn1(ActKind::slaf3(), 11), 28);
     let conv1 = HeNetwork {
         layers: vec![full.layers[0].clone()],
@@ -278,63 +97,22 @@ fn conv_component(runs: usize) -> ComponentResult {
     };
     let mut pipe = CnnHePipeline::new(conv1, 1 << 10, 11);
     let img: Vec<f32> = (0..784).map(|i| ((i * 3) % 29) as f32 / 29.0).collect();
-
-    run_component("cnn1_conv1_2e10", runs, || {
-        let cls = pipe.classify(&[&img]);
-        std::hint::black_box(&cls.logits);
-    })
+    let name = "cnn1_conv1_2e10";
+    let ops = steady(name, || {
+        std::hint::black_box(pipe.classify(&[&img]).logits);
+    });
+    obj(vec![("name", text(name)), ("ops", ops)])
 }
 
-/// A miniature CNN1-shaped network (conv → act → dense → act → dense)
-/// over 8×8 inputs — fast enough that the serve component measures the
-/// engine, not 20 s of full-size HE arithmetic.
-pub fn mini_cnn1(seed: u64) -> HeNetwork {
-    use cnn_he::he_layers::{ConvSpec, DenseSpec};
-    use cnn_he::HeLayerSpec;
-    use rand::{Rng, SeedableRng};
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let mut w = |n: usize| -> Vec<f32> { (0..n).map(|_| rng.gen_range(-0.3f32..0.3)).collect() };
-    let conv = ConvSpec {
-        weight: w(2 * 9),
-        bias: vec![0.05, -0.05],
-        in_ch: 1,
-        out_ch: 2,
-        k: 3,
-        stride: 2,
-        pad: 0,
-    };
-    let dense1 = DenseSpec {
-        weight: w(18 * 6),
-        bias: w(6),
-        in_dim: 18,
-        out_dim: 6,
-    };
-    let dense2 = DenseSpec {
-        weight: w(6 * 3),
-        bias: w(3),
-        in_dim: 6,
-        out_dim: 3,
-    };
-    HeNetwork {
-        layers: vec![
-            HeLayerSpec::Conv(conv),
-            HeLayerSpec::Activation(vec![0.1, 0.6, 0.2, 0.05]),
-            HeLayerSpec::Dense(dense1),
-            HeLayerSpec::Activation(vec![0.0, 0.8, 0.15]),
-            HeLayerSpec::Dense(dense2),
-        ],
-        input_side: 8,
-    }
-}
-
-/// Serve component: [`SERVE_BATCH`] requests submitted back-to-back,
-/// coalesced by a generous linger into exactly one slot-packed batch.
-/// Retries once per run if scheduling jitter split the batch (the op
-/// counts would otherwise not be comparable).
-fn serve_component(runs: usize) -> ServeSmoke {
+/// Serve component: [`SERVE_BATCH`] requests submitted back-to-back and
+/// coalesced into exactly one slot-packed batch — the linger window is
+/// far longer than the submissions take, so the batch closes on
+/// reaching its ceiling. Returns the per-run HE ops and the engine's
+/// report counters at shutdown (a warm-up batch plus [`RUNS`] runs).
+fn serve_component() -> (Value, Value) {
     let cfg = ServeConfig {
         max_batch: SERVE_BATCH,
-        max_linger: std::time::Duration::from_secs(2),
+        max_linger: Duration::from_secs(30),
         queue_capacity: 16,
         workers: 1,
         ..Default::default()
@@ -342,103 +120,49 @@ fn serve_component(runs: usize) -> ServeSmoke {
     let engine =
         ServeEngine::start(cfg, || CnnHePipeline::new(mini_cnn1(12), 1 << 10, 12)).expect("start");
     let img: Vec<f32> = (0..64).map(|i| ((i * 5) % 17) as f32 / 17.0).collect();
-    // generous budget: never sheds on a loaded CI box, but populates
-    // the deadline-slack histogram the JSON reports
-    let budget = Some(std::time::Duration::from_secs(60));
-
-    // warm-up batch: lets keys/tables settle and seeds the engine EWMA
-    let handles: Vec<_> = (0..SERVE_BATCH)
-        .map(|_| {
-            engine
-                .submit_with_deadline(img.clone(), budget)
-                .expect("queued")
-        })
-        .collect();
-    for h in handles {
-        h.wait().expect("served");
-    }
-
-    let mut walls = Vec::with_capacity(runs);
-    let mut amortized = Vec::with_capacity(runs);
-    let mut per_run_ops: Option<OpSnapshot> = None;
-    let mut per_run_serve: Option<ServeSnapshot> = None;
-    for _ in 0..runs {
-        let mut attempt = 0;
-        loop {
-            attempt += 1;
-            let ops0 = OpSnapshot::now();
-            let srv0 = ServeSnapshot::now();
-            let t0 = Instant::now();
-            let handles: Vec<_> = (0..SERVE_BATCH)
-                .map(|_| {
-                    engine
-                        .submit_with_deadline(img.clone(), budget)
-                        .expect("queued")
-                })
-                .collect();
-            let results: Vec<_> = handles
-                .into_iter()
-                .map(|h| h.wait().expect("served"))
-                .collect();
-            let wall = t0.elapsed().as_secs_f64();
-            let ops = OpSnapshot::now().delta(&ops0);
-            let srv = ServeSnapshot::now().delta(&srv0);
-            if srv.batches != 1 && attempt == 1 {
-                eprintln!(
-                    "[smoke] serve batch split ({} batches); retrying run",
-                    srv.batches
-                );
-                continue;
-            }
-            assert_eq!(
-                srv.batches, 1,
-                "serve smoke could not coalesce {SERVE_BATCH} requests into one batch"
-            );
-            assert!(results.iter().all(|r| r.batch_size == SERVE_BATCH));
-            walls.push(wall);
-            amortized.push(results[0].amortized.as_secs_f64());
-            if let Some(first) = &per_run_ops {
-                assert_eq!(*first, ops, "serve: op counts varied between runs");
-            } else {
-                per_run_ops = Some(ops);
-            }
-            if per_run_serve.is_none() {
-                per_run_serve = Some(srv);
-            }
-            break;
+    let batch = || {
+        let handles: Vec<_> = (0..SERVE_BATCH)
+            .map(|_| {
+                // generous budget: never sheds on a loaded CI box
+                engine
+                    .submit_with_deadline(img.clone(), Some(Duration::from_secs(60)))
+                    .expect("queued")
+            })
+            .collect();
+        for h in handles {
+            let size = h.wait().expect("served").batch_size;
+            assert_eq!(size, SERVE_BATCH, "serve smoke did not coalesce one batch");
         }
-    }
-    let report = engine.shutdown();
-    let q = |ls: &Option<cnn_he::LatencyStats>, pick: fn(&cnn_he::LatencyStats) -> f64| {
-        ls.as_ref().map_or(0.0, pick)
     };
-    ServeSmoke {
-        runs,
-        batch_size: SERVE_BATCH,
-        wall_median_s: median(&mut walls),
-        amortized_median_s: median(&mut amortized),
-        queue_wait_p50_s: q(&report.queue_wait, |l| l.p50),
-        queue_wait_p95_s: q(&report.queue_wait, |l| l.p95),
-        deadline_slack_p50_s: q(&report.deadline_slack, |l| l.p50),
-        deadline_slack_p95_s: q(&report.deadline_slack, |l| l.p95),
-        ops: per_run_ops.unwrap_or_default(),
-        serve: per_run_serve.unwrap_or_default(),
-    }
+    // warm-up batch: lets keys/tables settle and seeds the engine EWMA
+    batch();
+    let ops = steady("serve", batch);
+    let r = engine.shutdown();
+    let counters = counts(&[
+        ("submitted", r.submitted),
+        ("completed", r.completed),
+        ("rejected", r.rejected),
+        ("overloaded", r.overloaded),
+        ("timed_out", r.timed_out),
+        ("batches", r.batches),
+        ("batched_images", r.batched_images),
+        ("degradations", r.degradations),
+    ]);
+    (ops, counters)
 }
 
 /// Packed-batch sweep: the mini network through the slot-packed path
 /// (the optimized `he-ir` circuit) at each [`PACKED_SWEEP`] batch size,
 /// one `classify` call per run (encrypt → per-shard circuit → decrypt).
-/// Each stride is prepared before its runs, so they measure
-/// steady-state cost.
-fn packed_batch_component(runs: usize) -> Vec<PackedBatchPoint> {
+/// Each stride is prepared before its runs, so they count steady-state
+/// work.
+fn packed_batch_component() -> Vec<Value> {
     let mut pipe = CnnHePipeline::new(mini_cnn1(12), 1 << 10, 12);
     pipe.enable_packed_batching()
         .expect("mini network fits the smoke ring");
     let lanes_cap = pipe.max_batch();
     let mut points = Vec::with_capacity(PACKED_SWEEP.len());
     for batch in PACKED_SWEEP {
-        eprintln!("[smoke] packed batch x{batch} ({runs} runs) ...");
         let images: Vec<Vec<f32>> = (0..batch)
             .map(|b| {
                 (0..64)
@@ -448,81 +172,63 @@ fn packed_batch_component(runs: usize) -> Vec<PackedBatchPoint> {
             .collect();
         let refs: Vec<&[f32]> = images.iter().map(Vec::as_slice).collect();
         // circuit, keys and encoded operands of this batch's stride are
-        // built here, so the measured runs have identical op counts
+        // built here, so the counted runs have identical op counts
         pipe.prepare_batch(batch).expect("admitted");
         let lanes = batch.next_power_of_two().min(lanes_cap).max(1);
-        let shards = batch.div_ceil(lanes);
-        let mut walls = Vec::with_capacity(runs);
-        let mut per_run: Option<OpSnapshot> = None;
-        for _ in 0..runs {
-            let before = OpSnapshot::now();
-            let t0 = Instant::now();
-            let cls = pipe.classify(&refs);
-            walls.push(t0.elapsed().as_secs_f64());
-            std::hint::black_box(&cls.logits);
-            assert_eq!(cls.predictions.len(), batch);
-            let delta = OpSnapshot::now().delta(&before);
-            if let Some(first) = &per_run {
-                assert_eq!(
-                    *first, delta,
-                    "packed batch x{batch}: op counts varied between runs"
-                );
-            } else {
-                per_run = Some(delta);
-            }
-        }
-        let wall = median(&mut walls);
-        points.push(PackedBatchPoint {
-            batch,
-            shards,
-            runs,
-            wall_median_s: wall,
-            amortized_per_image_s: wall / batch as f64,
-            ops: per_run.unwrap_or_default(),
+        let ops = steady(&format!("packed batch x{batch}"), || {
+            assert_eq!(pipe.classify(&refs).predictions.len(), batch);
         });
+        points.push(obj(vec![
+            ("batch", num(batch)),
+            ("shards", num(batch.div_ceil(lanes))),
+            ("ops", ops),
+        ]));
     }
     points
 }
 
 /// Static compiled-vs-eager comparison: lowers each reference network
-/// with both [`cnn_he::PackedLowering`] modes at nominal parameters and
-/// runs the compiled circuit through the optimizing pass pipeline.
-/// `cnn1_full` is the paper's CNN1 (packed dim 1024, on a `N = 2^12`
-/// plan ring); the mini points cover the tiled and batch-strided
-/// layouts the serving engine actually executes.
-pub fn compiler_component() -> Vec<CompilerPoint> {
+/// with both [`cnn_he::PackedLowering`] modes at nominal parameters —
+/// the eager mirror of the runtime BSGS engine, and the compiled
+/// (squat-fold) form run through the optimizing pass pipeline — and
+/// records both circuits' exact op counts. Pure circuit construction
+/// (no keys, no polynomial arithmetic). `cnn1_full` is the paper's CNN1
+/// (packed dim 1024, on a `N = 2^12` plan ring); the mini points cover
+/// the tiled and batch-strided layouts the serving engine executes.
+fn compiler_component() -> Vec<Value> {
     use cnn_he::packed::PackedNetwork;
     use cnn_he::{lower_packed, PackedLowering};
     use he_ir::{GraphBuilder, PassManager};
 
-    let point = |name: &'static str, net: &HeNetwork, n: usize, stride: usize| {
+    let point = |name: &str, net: &HeNetwork, n: usize, stride: usize| {
         let packed = PackedNetwork::from_network(net);
         let mut params = ckks::CkksParams::tiny(packed.required_levels());
         params.n = n;
-        let eager = lower_packed(
-            &packed,
-            GraphBuilder::new(params.clone()),
-            stride,
-            PackedLowering::Eager,
-        );
-        let mut compiled = lower_packed(
-            &packed,
-            GraphBuilder::new(params),
-            stride,
-            PackedLowering::Compiled,
+        let lower = |mode| lower_packed(&packed, GraphBuilder::new(params.clone()), stride, mode);
+        let (eager, mut compiled) = (
+            lower(PackedLowering::Eager),
+            lower(PackedLowering::Compiled),
         );
         PassManager::optimizer()
             .optimize(&mut compiled)
             .expect("optimizer accepts its own lowering");
-        CompilerPoint {
-            name,
-            dim: packed.dim,
-            stride,
-            nodes_eager: eager.nodes.len(),
-            nodes_compiled: compiled.nodes.len(),
-            eager: eager.op_counts(),
-            compiled: compiled.op_counts(),
-        }
+        let ir_counts = |c: he_ir::OpCounts| {
+            counts(&[
+                ("ct_mults", c.ct_mults),
+                ("scalar_macs", c.scalar_macs),
+                ("rescales", c.rescales),
+                ("rotations", c.rotations),
+            ])
+        };
+        obj(vec![
+            ("name", text(name)),
+            ("dim", num(packed.dim)),
+            ("stride", num(stride)),
+            ("nodes_eager", num(eager.nodes.len())),
+            ("nodes_compiled", num(compiled.nodes.len())),
+            ("eager", ir_counts(eager.op_counts())),
+            ("compiled", ir_counts(compiled.op_counts())),
+        ])
     };
 
     let cnn1_net = HeNetwork::from_trained(&cnn1(ActKind::slaf3(), 11), 28);
@@ -533,398 +239,178 @@ pub fn compiler_component() -> Vec<CompilerPoint> {
     ]
 }
 
-/// Runs the full smoke suite (a couple of seconds).
+/// Runs the full smoke suite (a few seconds).
 pub fn run_smoke() -> SmokeReport {
-    let runs = smoke_runs();
-    let backend = ckks_math::kernel::active_backend().name().to_string();
-    eprintln!("[smoke] kernel backend: {backend}");
-    eprintln!("[smoke] ntt component ({runs} runs) ...");
-    let ntt = ntt_component(runs);
-    eprintln!("[smoke] modmul component ({runs} runs) ...");
-    let modmul = modmul_component(runs);
-    eprintln!("[smoke] fused-mac component ({runs} runs) ...");
-    let mac = mac_component(runs);
-    eprintln!("[smoke] conv component ({runs} runs) ...");
-    let conv = conv_component(runs);
-    eprintln!("[smoke] serve component ({runs} runs) ...");
-    let serve = serve_component(runs);
-    eprintln!("[smoke] packed-batch sweep ({runs} runs each) ...");
-    let packed = packed_batch_component(runs);
-    eprintln!("[smoke] compiled-vs-eager lowering ...");
+    let backend = text(ckks_math::kernel::active_backend().name());
+    let conv = conv_component();
+    let (serve_ops, serve_counters) = serve_component();
+    let packed = packed_batch_component();
     let compiler = compiler_component();
     SmokeReport {
-        layers: vec![ntt, modmul, mac, conv],
-        serve,
-        packed,
-        compiler,
-        backend,
+        layers: obj(vec![
+            ("schema", text(SCHEMA)),
+            ("kind", text("layers")),
+            ("backend", backend.clone()),
+            ("components", Value::Arr(vec![conv])),
+            ("compiler", Value::Arr(compiler)),
+        ]),
+        serve: obj(vec![
+            ("schema", text(SCHEMA)),
+            ("kind", text("serve")),
+            ("backend", backend),
+            ("batch_size", num(SERVE_BATCH)),
+            ("ops", serve_ops),
+            ("serve", serve_counters),
+            ("packed_batch", Value::Arr(packed)),
+        ]),
     }
 }
 
-// ---------------------------------------------------------------------
-// JSON trajectory files
-// ---------------------------------------------------------------------
-
-fn json_ops(ops: &OpSnapshot, indent: &str) -> String {
-    let rows: Vec<String> = ops
-        .named()
-        .iter()
-        .map(|(k, v)| format!("{indent}  \"{k}\": {v}"))
-        .collect();
-    format!("{{\n{}\n{indent}}}", rows.join(",\n"))
+/// How an array entry is matched across the two files: by its `name`,
+/// else by its `batch`.
+fn entry_label(v: &Value) -> String {
+    match (v.get("name"), v.get("batch")) {
+        (Some(Value::Str(name)), _) => name.clone(),
+        (_, Some(Value::Num(batch))) => batch.to_string(),
+        _ => String::new(),
+    }
 }
 
-fn json_serve_counters(srv: &ServeSnapshot, indent: &str) -> String {
-    let rows: Vec<String> = srv
-        .named()
-        .iter()
-        .map(|(k, v)| format!("{indent}  \"{k}\": {v}"))
-        .collect();
-    format!("{{\n{}\n{indent}}}", rows.join(",\n"))
-}
-
-fn json_ir_counts(c: &he_ir::OpCounts, indent: &str) -> String {
-    format!(
-        "{{\n{indent}  \"ct_mults\": {},\n{indent}  \"scalar_macs\": {},\n{indent}  \"rescales\": {},\n{indent}  \"rotations\": {}\n{indent}}}",
-        c.ct_mults, c.scalar_macs, c.rescales, c.rotations
-    )
-}
-
-impl SmokeReport {
-    /// `BENCH_layers.json`: the layer-level components plus the static
-    /// compiled-vs-eager lowering comparison.
-    pub fn layers_json(&self) -> String {
-        let comps: Vec<String> = self
-            .layers
-            .iter()
-            .map(|c| {
-                format!(
-                    "    {{\n      \"name\": \"{}\",\n      \"runs\": {},\n      \"wall_median_s\": {:.6},\n      \"ops\": {}\n    }}",
-                    c.name,
-                    c.runs,
-                    c.wall_median_s,
-                    json_ops(&c.ops, "      ")
-                )
-            })
-            .collect();
-        let compiler: Vec<String> = self
-            .compiler
-            .iter()
-            .map(|p| {
-                format!(
-                    "    {{\n      \"name\": \"{}\",\n      \"dim\": {},\n      \"stride\": {},\n      \"nodes_eager\": {},\n      \"nodes_compiled\": {},\n      \"eager\": {},\n      \"compiled\": {}\n    }}",
-                    p.name,
-                    p.dim,
-                    p.stride,
-                    p.nodes_eager,
-                    p.nodes_compiled,
-                    json_ir_counts(&p.eager, "      "),
-                    json_ir_counts(&p.compiled, "      ")
-                )
-            })
-            .collect();
-        format!(
-            "{{\n  \"schema\": \"{SCHEMA}\",\n  \"kind\": \"layers\",\n  \"backend\": \"{}\",\n  \"components\": [\n{}\n  ],\n  \"compiler\": [\n{}\n  ]\n}}\n",
-            self.backend,
-            comps.join(",\n"),
-            if compiler.is_empty() {
-                "  ".to_string()
-            } else {
-                compiler.join(",\n")
+/// Walks a baseline and a fresh tree together. Numbers must be equal
+/// exactly (they are counts: any drift is a real change, not noise);
+/// array entries pair up by [`entry_label`], and a fresh entry with no
+/// baseline partner is a violation. A key or entry present on only one
+/// side is a note, never a failure, so baselines and binaries can
+/// evolve independently by one PR. Other strings are informational.
+fn diff(path: &str, base: &Value, fresh: &Value, problems: &mut Vec<String>) {
+    let note = |what: String| eprintln!("[bench] note: {what}; skipping");
+    let join = |k: &str| match path {
+        "" => k.to_string(),
+        _ => format!("{path}.{k}"),
+    };
+    match (base, fresh) {
+        (Value::Num(b), Value::Num(f)) if b != f => {
+            problems.push(format!(
+                "{path}: count changed {b} -> {f} (exact match required)"
+            ));
+        }
+        (Value::Obj(b), Value::Obj(f)) => {
+            for (k, fv) in f {
+                match base.get(k) {
+                    Some(bv) => diff(&join(k), bv, fv, problems),
+                    None => note(format!("{} not in baseline", join(k))),
+                }
             }
-        )
-    }
-
-    /// `BENCH_serve.json`: the coalesced-batch serving component plus
-    /// the packed-batch sweep.
-    pub fn serve_json(&self) -> String {
-        let s = &self.serve;
-        let packed: Vec<String> = self
-            .packed
-            .iter()
-            .map(|p| {
-                format!(
-                    "    {{\n      \"batch\": {},\n      \"shards\": {},\n      \"runs\": {},\n      \"wall_median_s\": {:.6},\n      \"amortized_per_image_s\": {:.6},\n      \"ops\": {}\n    }}",
-                    p.batch,
-                    p.shards,
-                    p.runs,
-                    p.wall_median_s,
-                    p.amortized_per_image_s,
-                    json_ops(&p.ops, "      ")
-                )
-            })
-            .collect();
-        format!(
-            "{{\n  \"schema\": \"{SCHEMA}\",\n  \"kind\": \"serve\",\n  \"backend\": \"{}\",\n  \"runs\": {},\n  \"batch_size\": {},\n  \"wall_median_s\": {:.6},\n  \"amortized_median_s\": {:.6},\n  \"queue_wait_p50_s\": {:.6},\n  \"queue_wait_p95_s\": {:.6},\n  \"deadline_slack_p50_s\": {:.6},\n  \"deadline_slack_p95_s\": {:.6},\n  \"ops\": {},\n  \"serve\": {},\n  \"packed_batch\": [\n{}\n  ]\n}}\n",
-            self.backend,
-            s.runs,
-            s.batch_size,
-            s.wall_median_s,
-            s.amortized_median_s,
-            s.queue_wait_p50_s,
-            s.queue_wait_p95_s,
-            s.deadline_slack_p50_s,
-            s.deadline_slack_p95_s,
-            json_ops(&s.ops, "  "),
-            json_serve_counters(&s.serve, "  "),
-            if packed.is_empty() {
-                "  ".to_string()
-            } else {
-                packed.join(",\n")
-            }
-        )
-    }
-}
-
-// ---------------------------------------------------------------------
-// Baseline comparison (the CI gate)
-// ---------------------------------------------------------------------
-
-fn num(v: &Value, key: &str) -> Result<f64, String> {
-    v.get(key)
-        .and_then(Value::as_num)
-        .ok_or_else(|| format!("missing numeric field `{key}`"))
-}
-
-fn check_schema(v: &Value, kind: &str) -> Result<(), String> {
-    match v.get("schema").and_then(Value::as_str) {
-        Some(SCHEMA) => {}
-        other => return Err(format!("schema mismatch: {other:?}, want {SCHEMA}")),
-    }
-    match v.get("kind").and_then(Value::as_str) {
-        Some(k) if k == kind => Ok(()),
-        other => Err(format!("kind mismatch: {other:?}, want {kind}")),
-    }
-}
-
-/// Compares an op-count object exactly (host-independent circuit
-/// structure: any drift is a real change, not noise). Keys the
-/// baseline does not know — a fresh counter added after the baseline
-/// was committed, or vice versa — are noted but never fail the gate,
-/// so baselines and binaries can evolve independently by one PR.
-fn diff_counter_object(
-    label: &str,
-    baseline: &Value,
-    fresh_keys: &[(&str, u64)],
-    problems: &mut Vec<String>,
-) {
-    for (key, fresh_val) in fresh_keys {
-        match baseline.get(key).and_then(Value::as_num) {
-            Some(base) if (base - *fresh_val as f64).abs() < 0.5 => {}
-            Some(base) => problems.push(format!(
-                "{label}.{key}: op count changed {base} -> {fresh_val} (exact match required)"
-            )),
-            None => {
-                eprintln!("[bench] note: {label}.{key} not in baseline (new counter?); skipping");
+            for (k, _) in b.iter().filter(|(k, _)| fresh.get(k).is_none()) {
+                note(format!("{} only in baseline", join(k)));
             }
         }
+        (Value::Arr(b), Value::Arr(f)) => {
+            for fe in f {
+                let (key, label) = (entry_label(fe), format!("{path}[{}]", entry_label(fe)));
+                match b.iter().find(|be| entry_label(be) == key) {
+                    Some(be) => diff(&label, be, fe, problems),
+                    None => problems.push(format!("{label}: missing from baseline")),
+                }
+            }
+            for be in b
+                .iter()
+                .filter(|be| f.iter().all(|fe| entry_label(fe) != entry_label(be)))
+            {
+                note(format!("{path}[{}] only in baseline", entry_label(be)));
+            }
+        }
+        (Value::Num(_), Value::Num(_)) | (Value::Str(_), Value::Str(_)) => {}
+        _ => problems.push(format!("{path}: value type changed")),
     }
 }
 
-fn diff_wall(label: &str, baseline_s: f64, fresh_s: f64, problems: &mut Vec<String>) {
-    if fresh_s > baseline_s * WALL_TOLERANCE {
-        problems.push(format!(
-            "{label}: wall regressed {fresh_s:.4}s > {baseline_s:.4}s x{WALL_TOLERANCE} tolerance"
-        ));
-    }
-}
-
-/// Gates a fresh [`SmokeReport`] against committed baseline JSON.
-/// Returns every violation found (empty = gate passes).
+/// Gates a fresh [`SmokeReport`] against committed baseline JSON: an
+/// exact count diff of both files (schema and kind must match) plus the
+/// two payoff gates. Returns every violation found (empty = gate
+/// passes).
 pub fn check_against_baseline(
     report: &SmokeReport,
     layers_baseline: &str,
     serve_baseline: &str,
 ) -> Vec<String> {
     let mut problems = Vec::new();
-
-    match he_trace::json::parse(layers_baseline) {
-        Err(e) => problems.push(format!("BENCH_layers.json: unparseable baseline: {e}")),
-        Ok(base) => {
-            if let Err(e) = check_schema(&base, "layers") {
-                problems.push(format!("BENCH_layers.json: {e}"));
-            }
-            let empty = vec![];
-            let comps = base
-                .get("components")
-                .and_then(Value::as_arr)
-                .unwrap_or(&empty);
-            for c in &report.layers {
-                let Some(bc) = comps
-                    .iter()
-                    .find(|v| v.get("name").and_then(Value::as_str) == Some(c.name))
-                else {
-                    problems.push(format!("{}: component missing from baseline", c.name));
-                    continue;
-                };
-                let bops = bc.get("ops").cloned().unwrap_or(Value::Null);
-                diff_counter_object(c.name, &bops, &c.ops.named(), &mut problems);
-                match num(bc, "wall_median_s") {
-                    Ok(w) => diff_wall(c.name, w, c.wall_median_s, &mut problems),
-                    Err(e) => problems.push(format!("{}: {e}", c.name)),
-                }
-            }
-            let empty = vec![];
-            let bcompiler = base
-                .get("compiler")
-                .and_then(Value::as_arr)
-                .unwrap_or(&empty);
-            for p in &report.compiler {
-                let label = format!("compiler[{}]", p.name);
-                let Some(bp) = bcompiler
-                    .iter()
-                    .find(|v| v.get("name").and_then(Value::as_str) == Some(p.name))
-                else {
-                    problems.push(format!("{label}: point missing from baseline"));
-                    continue;
-                };
-                let ir_pairs = |c: &he_ir::OpCounts| {
-                    [
-                        ("ct_mults", c.ct_mults),
-                        ("scalar_macs", c.scalar_macs),
-                        ("rescales", c.rescales),
-                        ("rotations", c.rotations),
-                    ]
-                };
-                for (key, fresh) in [
-                    ("dim", p.dim as u64),
-                    ("stride", p.stride as u64),
-                    ("nodes_eager", p.nodes_eager as u64),
-                    ("nodes_compiled", p.nodes_compiled as u64),
-                ] {
-                    if let Some(base) = bp.get(key).and_then(Value::as_num) {
-                        if (base - fresh as f64).abs() > 0.5 {
-                            problems.push(format!(
-                                "{label}.{key}: changed {base} -> {fresh} (exact match required)"
-                            ));
-                        }
-                    }
-                }
-                for (side, counts) in [("eager", &p.eager), ("compiled", &p.compiled)] {
-                    let bcounts = bp.get(side).cloned().unwrap_or(Value::Null);
-                    diff_counter_object(
-                        &format!("{label}.{side}"),
-                        &bcounts,
-                        &ir_pairs(counts),
-                        &mut problems,
-                    );
-                }
-            }
+    for (file, baseline, fresh) in [
+        ("BENCH_layers.json", layers_baseline, &report.layers),
+        ("BENCH_serve.json", serve_baseline, &report.serve),
+    ] {
+        let mut found = Vec::new();
+        match he_trace::json::parse(baseline) {
+            Err(e) => found.push(format!("unparseable baseline: {e}")),
+            Ok(base) => match ["schema", "kind"]
+                .into_iter()
+                .find(|k| base.get(k) != fresh.get(k))
+            {
+                Some(k) => found.push(format!(
+                    "{k} mismatch: {:?}, want {:?}",
+                    base.get(k),
+                    fresh.get(k)
+                )),
+                None => diff("", &base, fresh, &mut found),
+            },
         }
+        problems.extend(found.into_iter().map(|p| format!("{file}: {p}")));
     }
-
-    match he_trace::json::parse(serve_baseline) {
-        Err(e) => problems.push(format!("BENCH_serve.json: unparseable baseline: {e}")),
-        Ok(base) => {
-            if let Err(e) = check_schema(&base, "serve") {
-                problems.push(format!("BENCH_serve.json: {e}"));
-            }
-            let s = &report.serve;
-            if let Ok(b) = num(&base, "batch_size") {
-                if (b - s.batch_size as f64).abs() > 0.5 {
-                    problems.push(format!(
-                        "serve.batch_size: changed {b} -> {} (exact match required)",
-                        s.batch_size
-                    ));
-                }
-            }
-            let bops = base.get("ops").cloned().unwrap_or(Value::Null);
-            diff_counter_object("serve.ops", &bops, &s.ops.named(), &mut problems);
-            let bserve = base.get("serve").cloned().unwrap_or(Value::Null);
-            diff_counter_object("serve.counters", &bserve, &s.serve.named(), &mut problems);
-            match num(&base, "wall_median_s") {
-                Ok(w) => diff_wall("serve.wall_median_s", w, s.wall_median_s, &mut problems),
-                Err(e) => problems.push(format!("serve: {e}")),
-            }
-            match num(&base, "amortized_median_s") {
-                Ok(w) => diff_wall(
-                    "serve.amortized_median_s",
-                    w,
-                    s.amortized_median_s,
-                    &mut problems,
-                ),
-                Err(e) => problems.push(format!("serve: {e}")),
-            }
-            let empty = vec![];
-            let bpoints = base
-                .get("packed_batch")
-                .and_then(Value::as_arr)
-                .unwrap_or(&empty);
-            for p in &report.packed {
-                let label = format!("packed_batch[{}]", p.batch);
-                let Some(bp) = bpoints
-                    .iter()
-                    .find(|v| num(v, "batch").is_ok_and(|b| (b - p.batch as f64).abs() < 0.5))
-                else {
-                    problems.push(format!("{label}: point missing from baseline"));
-                    continue;
-                };
-                if let Ok(b) = num(bp, "shards") {
-                    if (b - p.shards as f64).abs() > 0.5 {
-                        problems.push(format!(
-                            "{label}.shards: changed {b} -> {} (exact match required)",
-                            p.shards
-                        ));
-                    }
-                }
-                let bops = bp.get("ops").cloned().unwrap_or(Value::Null);
-                diff_counter_object(&label, &bops, &p.ops.named(), &mut problems);
-                match num(bp, "amortized_per_image_s") {
-                    Ok(w) => diff_wall(
-                        &format!("{label}.amortized_per_image_s"),
-                        w,
-                        p.amortized_per_image_s,
-                        &mut problems,
-                    ),
-                    Err(e) => problems.push(format!("{label}: {e}")),
-                }
-            }
-        }
-    }
-
-    if let Some(p) = amortization_gate(report) {
-        problems.push(p);
-    }
+    problems.extend(amortization_gate(report));
     problems.extend(compiled_gate(report));
-
     problems
+}
+
+/// The entries of a top-level array of `tree`.
+fn entries<'a>(tree: &'a Value, key: &str) -> &'a [Value] {
+    tree.get(key).and_then(Value::as_arr).unwrap_or_default()
+}
+
+/// A count at `path` below `v` (0 when absent).
+fn count(v: &Value, path: &[&str]) -> f64 {
+    path.iter()
+        .try_fold(v, |v, k| v.get(k))
+        .and_then(Value::as_num)
+        .unwrap_or(0.0)
+}
+
+/// The sum of a count object's values: total HE ops of an `ops`,
+/// `eager` or `compiled` object.
+fn total(counts: Option<&Value>) -> f64 {
+    match counts {
+        Some(Value::Obj(pairs)) => pairs.iter().filter_map(|(_, v)| v.as_num()).sum(),
+        _ => 0.0,
+    }
 }
 
 /// The compiler payoff gate. Every lowering point must spend no more
 /// HE ops compiled than eager (the optimizer must never pessimize),
 /// and the `cnn1_full` point must clear the paper-level targets:
 /// rotations ≤ [`COMPILED_ROTATION_CEILING`] × eager and total HE ops
-/// ≤ [`COMPILED_TOTAL_OPS_CEILING`] × eager. Static op counts, so the
-/// gate is exact on every host.
+/// ≤ [`COMPILED_TOTAL_OPS_CEILING`] × eager.
 pub fn compiled_gate(report: &SmokeReport) -> Vec<String> {
     let mut problems = Vec::new();
-    for p in &report.compiler {
-        let (te, tc) = (
-            CompilerPoint::total(&p.eager) as f64,
-            CompilerPoint::total(&p.compiled) as f64,
-        );
-        if p.compiled.rotations > p.eager.rotations || tc > te {
+    for p in entries(&report.layers, "compiler") {
+        let name = entry_label(p);
+        let rotations = |side| count(p, &[side, "rotations"]);
+        let (re, rc) = (rotations("eager"), rotations("compiled"));
+        let (te, tc) = (total(p.get("eager")), total(p.get("compiled")));
+        if rc > re || tc > te {
             problems.push(format!(
-                "compiler[{}]: compiled lowering costs more than eager \
-                 (rotations {} vs {}, total {tc:.0} vs {te:.0})",
-                p.name, p.compiled.rotations, p.eager.rotations
+                "compiler[{name}]: compiled lowering costs more than eager \
+                 (rotations {rc} vs {re}, total {tc} vs {te})"
             ));
         }
-        if p.name == "cnn1_full" {
-            let rot_ratio = p.compiled.rotations as f64 / p.eager.rotations.max(1) as f64;
-            if rot_ratio > COMPILED_ROTATION_CEILING {
+        let targets = [
+            ("rotations", re, rc, COMPILED_ROTATION_CEILING),
+            ("total HE ops", te, tc, COMPILED_TOTAL_OPS_CEILING),
+        ];
+        for (what, e, c, ceiling) in targets.into_iter().filter(|_| name == "cnn1_full") {
+            let ratio = c / e.max(1.0);
+            if ratio > ceiling {
                 problems.push(format!(
-                    "compiler[{}]: rotations only dropped to {rot_ratio:.3}x of eager \
-                     ({} -> {}), need <= {COMPILED_ROTATION_CEILING}x",
-                    p.name, p.eager.rotations, p.compiled.rotations
-                ));
-            }
-            let total_ratio = tc / te.max(1.0);
-            if total_ratio > COMPILED_TOTAL_OPS_CEILING {
-                problems.push(format!(
-                    "compiler[{}]: total HE ops only dropped to {total_ratio:.3}x of eager \
-                     ({te:.0} -> {tc:.0}), need <= {COMPILED_TOTAL_OPS_CEILING}x",
-                    p.name
+                    "compiler[{name}]: {what} only dropped to {ratio:.3}x of eager \
+                     ({e} -> {c}), need <= {ceiling}x"
                 ));
             }
         }
@@ -933,271 +419,174 @@ pub fn compiled_gate(report: &SmokeReport) -> Vec<String> {
 }
 
 /// The packing payoff gate: amortized per-image HE ops at batch 64 must
-/// sit at least [`AMORTIZATION_FLOOR`]× below batch 1. Op counts (not
-/// walls) so the gate is exact on every host. `None` when the sweep
-/// lacks the two anchor points (unit-test reports) — `run_smoke`
+/// sit at least [`AMORTIZATION_FLOOR`]× below batch 1. `None` when the
+/// sweep lacks the two anchor points (unit-test reports) — `run_smoke`
 /// always produces them.
 pub fn amortization_gate(report: &SmokeReport) -> Option<String> {
-    let point = |b: usize| report.packed.iter().find(|p| p.batch == b);
-    let (one, big) = (point(1)?, point(64)?);
-    let per_image_1 = one.total_ops() as f64 / one.batch as f64;
-    let per_image_64 = big.total_ops() as f64 / big.batch as f64;
+    let per_image = |b: f64| {
+        entries(&report.serve, "packed_batch")
+            .iter()
+            .find(|p| count(p, &["batch"]) == b)
+            .map(|p| total(p.get("ops")) / b)
+    };
+    let (per_image_1, per_image_64) = (per_image(1.0)?, per_image(64.0)?);
     if per_image_64 <= 0.0 {
         return Some("packed_batch[64]: zero HE ops recorded (tracing off?)".into());
     }
     let ratio = per_image_1 / per_image_64;
     // 1e-9 slack: the ratio is a quotient of exact integers
-    if ratio + 1e-9 < AMORTIZATION_FLOOR {
-        return Some(format!(
+    (ratio + 1e-9 < AMORTIZATION_FLOOR).then(|| {
+        format!(
             "packed amortization: per-image ops dropped only {ratio:.2}x from batch 1 \
              to batch 64 ({per_image_1:.0} -> {per_image_64:.0}), need >= {AMORTIZATION_FLOOR}x"
-        ));
-    }
-    None
+        )
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use he_trace::json::pretty;
 
-    fn fake_report() -> SmokeReport {
-        let ops = OpSnapshot {
-            ntt_fwd: 64,
-            ntt_inv: 64,
-            ..Default::default()
+    const LAYERS: &str = r#"{"schema": "bench-smoke-v1", "kind": "layers", "backend": "scalar",
+      "components": [{"name": "cnn1_conv1_2e10", "ops": {"ntt_fwd": 64, "ntt_inv": 64}}],
+      "compiler": [{"name": "cnn1_full", "dim": 1024, "stride": 1,
+        "nodes_eager": 4000, "nodes_compiled": 2500,
+        "eager": {"ct_mults": 4, "scalar_macs": 0, "rescales": 11, "rotations": 200},
+        "compiled": {"ct_mults": 4, "scalar_macs": 0, "rescales": 11, "rotations": 100}}]}"#;
+
+    // per-shard circuit: identical ops per shard, so batch 64 (8
+    // shards) costs 8x batch 1 in total = 8x less per image
+    const SERVE: &str = r#"{"schema": "bench-smoke-v1", "kind": "serve", "backend": "scalar",
+      "batch_size": 4, "ops": {"ct_mults": 7}, "serve": {"batches": 1, "batched_images": 4},
+      "packed_batch": [
+        {"batch": 1, "shards": 1, "ops": {"rotations": 48, "ct_mults": 2}},
+        {"batch": 8, "shards": 1, "ops": {"rotations": 48, "ct_mults": 2}},
+        {"batch": 64, "shards": 8, "ops": {"rotations": 384, "ct_mults": 16}},
+        {"batch": 512, "shards": 64, "ops": {"rotations": 3072, "ct_mults": 128}}]}"#;
+
+    /// A fresh report of the fixture, edited by `(from, to)` swaps.
+    fn fresh(layers: &[(&str, &str)], serve: &[(&str, &str)]) -> SmokeReport {
+        let edit = |doc: &str, swaps: &[(&str, &str)]| {
+            let doc = swaps
+                .iter()
+                .fold(doc.to_string(), |d, (a, b)| d.replace(a, b));
+            he_trace::json::parse(&doc).expect("fixture parses")
         };
-        let serve_ops = OpSnapshot {
-            ct_mults: 7,
-            ..Default::default()
-        };
-        let srv = ServeSnapshot {
-            enqueued: 4,
-            batches: 1,
-            batched_images: 4,
-            ..Default::default()
-        };
-        // per-shard circuit: identical ops per shard, so batch 64
-        // (8 shards) costs 8x batch 1 in total = 8x less per image
-        let shard_ops = |shards: u64| OpSnapshot {
-            rotations: 48 * shards,
-            ct_mults: 2 * shards,
-            rescales: 5 * shards,
-            ..Default::default()
-        };
-        let packed = [(1usize, 1u64), (8, 1), (64, 8), (512, 64)]
-            .into_iter()
-            .map(|(batch, shards)| PackedBatchPoint {
-                batch,
-                shards: shards as usize,
-                runs: 3,
-                wall_median_s: 0.020 * shards as f64,
-                amortized_per_image_s: 0.020 * shards as f64 / batch as f64,
-                ops: shard_ops(shards),
-            })
-            .collect();
         SmokeReport {
-            layers: vec![ComponentResult {
-                name: "ntt_fwd_inv_2e12",
-                runs: 3,
-                wall_median_s: 0.010,
-                ops,
-            }],
-            serve: ServeSmoke {
-                runs: 3,
-                batch_size: 4,
-                wall_median_s: 0.200,
-                amortized_median_s: 0.050,
-                queue_wait_p50_s: 0.001,
-                queue_wait_p95_s: 0.002,
-                deadline_slack_p50_s: 59.0,
-                deadline_slack_p95_s: 59.5,
-                ops: serve_ops,
-                serve: srv,
-            },
-            packed,
-            compiler: vec![CompilerPoint {
-                name: "cnn1_full",
-                dim: 1024,
-                stride: 1,
-                nodes_eager: 4000,
-                nodes_compiled: 2500,
-                eager: he_ir::OpCounts {
-                    ct_mults: 4,
-                    scalar_macs: 0,
-                    rescales: 11,
-                    rotations: 200,
-                },
-                compiled: he_ir::OpCounts {
-                    ct_mults: 4,
-                    scalar_macs: 0,
-                    rescales: 11,
-                    rotations: 100,
-                },
-            }],
-            backend: "scalar".to_string(),
+            layers: edit(LAYERS, layers),
+            serve: edit(SERVE, serve),
         }
+    }
+
+    fn check(report: &SmokeReport) -> Vec<String> {
+        check_against_baseline(report, LAYERS, SERVE)
+    }
+
+    /// Asserts some violation mentions `needle`.
+    fn flagged(problems: &[String], needle: &str) {
+        let hit = problems.iter().any(|p| p.contains(needle));
+        assert!(hit, "no {needle:?} in {problems:?}");
     }
 
     #[test]
     fn json_round_trips_and_self_check_passes() {
-        let r = fake_report();
-        let layers = r.layers_json();
-        let serve = r.serve_json();
-        // emitted JSON parses with the vendored parser
-        he_trace::json::parse(&layers).expect("layers json parses");
-        he_trace::json::parse(&serve).expect("serve json parses");
-        // a report checked against its own emission is clean
-        let problems = check_against_baseline(&r, &layers, &serve);
-        assert!(problems.is_empty(), "{problems:?}");
+        let r = fresh(&[], &[]);
+        let (layers, serve) = (pretty(&r.layers), pretty(&r.serve));
+        // emitted JSON parses back to the very trees it was written from
+        assert_eq!(he_trace::json::parse(&layers), Ok(r.layers.clone()));
+        assert_eq!(he_trace::json::parse(&serve), Ok(r.serve.clone()));
+        assert!(check_against_baseline(&r, &layers, &serve).is_empty());
     }
 
     #[test]
-    fn gate_flags_op_drift_and_wall_regression() {
-        let r = fake_report();
-        let layers = r.layers_json();
-        let serve = r.serve_json();
-        let mut drifted = fake_report();
-        drifted.layers[0].ops.ntt_fwd += 1; // op drift: exact fail
-        drifted.serve.wall_median_s = 0.200 * 1.6; // wall: beyond x1.5
-        let problems = check_against_baseline(&drifted, &layers, &serve);
-        assert!(
-            problems.iter().any(|p| p.contains("ntt_fwd")),
-            "{problems:?}"
+    fn gate_flags_op_drift() {
+        let r = fresh(
+            &[("\"ntt_fwd\": 64", "\"ntt_fwd\": 65")],
+            &[("\"batches\": 1", "\"batches\": 2")],
         );
-        assert!(
-            problems.iter().any(|p| p.contains("wall regressed")),
-            "{problems:?}"
+        let problems = check(&r);
+        assert_eq!(problems.len(), 2, "{problems:?}");
+        flagged(
+            &problems,
+            "[cnn1_conv1_2e10].ops.ntt_fwd: count changed 64 -> 65",
         );
-    }
-
-    #[test]
-    fn gate_tolerates_faster_walls_and_jitter_within_budget() {
-        let r = fake_report();
-        let layers = r.layers_json();
-        let serve = r.serve_json();
-        let mut ok = fake_report();
-        ok.layers[0].wall_median_s = 0.002; // faster is always fine
-        ok.serve.wall_median_s = 0.200 * 1.4; // within x1.5
-        assert!(check_against_baseline(&ok, &layers, &serve).is_empty());
+        flagged(&problems, "serve.batches: count changed 1 -> 2");
     }
 
     #[test]
     fn gate_ignores_unknown_fields_in_either_direction() {
-        let r = fake_report();
-        // baseline with extra top-level and nested fields the current
-        // binary doesn't know about: must be ignored, not fatal
-        let serve = r
-            .serve_json()
-            .replace("\"runs\": 3,", "\"runs\": 3,\n  \"future_field\": 1.25,");
-        let layers = r
-            .layers_json()
-            .replace("\"runs\": 3,", "\"runs\": 3,\n      \"future_field\": 7,");
-        let problems = check_against_baseline(&r, &layers, &serve);
-        assert!(problems.is_empty(), "{problems:?}");
-        // fresh counters missing from an older baseline: noted on
-        // stderr, never a gate failure
-        let old_serve = r.serve_json().replace("\"ct_mults\": 7,\n", "");
-        let problems = check_against_baseline(&r, &r.layers_json(), &old_serve);
+        // fresh keys and entries an older baseline lacks ...
+        let r = fresh(
+            &[("\"dim\"", "\"runs\": 3, \"dim\"")],
+            &[("\"batch_size\"", "\"wall_s\": 1.25, \"batch_size\"")],
+        );
+        assert!(check(&r).is_empty(), "{:?}", check(&r));
+        // ... and baseline keys and entries the binary no longer emits
+        // (the retired micro components, say) are notes, not failures
+        let retired = LAYERS.replace(
+            "[{\"name\": \"cnn1_conv1",
+            "[{\"name\": \"ntt\", \"ops\": {}}, {\"name\": \"cnn1_conv1",
+        );
+        let problems = check_against_baseline(
+            &fresh(&[("\"ntt_inv\": 64", "\"crt_decompose\": 0")], &[]),
+            &retired,
+            SERVE,
+        );
         assert!(problems.is_empty(), "{problems:?}");
     }
 
     #[test]
     fn amortization_gate_enforces_the_packing_payoff() {
-        // the healthy fake report sits exactly on the 8x line
-        let r = fake_report();
-        assert!(amortization_gate(&r).is_none());
+        // the healthy fixture sits exactly on the 8x line
+        assert!(amortization_gate(&fresh(&[], &[])).is_none());
         // inflate batch-64 per-shard cost: payoff collapses below 8x
-        let mut bad = fake_report();
-        let p64 = bad.packed.iter_mut().find(|p| p.batch == 64).unwrap();
-        p64.ops.rotations *= 3;
+        let bad = fresh(&[], &[("\"rotations\": 384", "\"rotations\": 1152")]);
         let msg = amortization_gate(&bad).expect("gate must fire");
         assert!(msg.contains("need >= 8"), "{msg}");
-        // ... and the full baseline check carries the violation
-        let r = fake_report();
-        let problems = check_against_baseline(&bad, &r.layers_json(), &r.serve_json());
-        assert!(
-            problems.iter().any(|p| p.contains("amortization")),
-            "{problems:?}"
-        );
+        // ... and the full check carries the violation
+        flagged(&check(&bad), "amortization");
         // sweeps without the anchor points (unit fixtures) are skipped
-        let mut partial = fake_report();
-        partial.packed.retain(|p| p.batch != 64);
+        let partial = fresh(&[], &[("\"batch\": 64", "\"batch\": 63")]);
         assert!(amortization_gate(&partial).is_none());
     }
 
     #[test]
     fn compiled_gate_enforces_the_optimizer_payoff() {
-        // the healthy fake report halves rotations: well clear of both lines
-        let r = fake_report();
-        assert!(compiled_gate(&r).is_empty());
+        // the healthy fixture halves rotations: well clear of both lines
+        assert!(compiled_gate(&fresh(&[], &[])).is_empty());
         // compiled worse than eager on any point: always a violation
-        let mut worse = fake_report();
-        worse.compiler[0].compiled.rotations = 201;
-        let problems = compiled_gate(&worse);
-        assert!(
-            problems.iter().any(|p| p.contains("costs more than eager")),
-            "{problems:?}"
-        );
+        let worse = fresh(&[("\"rotations\": 100", "\"rotations\": 201")], &[]);
+        flagged(&compiled_gate(&worse), "costs more than eager");
         // compiled better than eager but short of the CNN1 targets
-        let mut shy = fake_report();
-        shy.compiler[0].compiled.rotations = 180; // 0.9x > 0.85x ceiling
-        let problems = compiled_gate(&shy);
-        assert!(
-            problems
-                .iter()
-                .any(|p| p.contains("rotations only dropped")),
-            "{problems:?}"
-        );
-        // ... and the full baseline check carries the violation
-        let base = fake_report();
-        let problems = check_against_baseline(&shy, &base.layers_json(), &base.serve_json());
-        assert!(
-            problems.iter().any(|p| p.contains("only dropped")),
-            "{problems:?}"
-        );
+        let shy = fresh(&[("\"rotations\": 100", "\"rotations\": 180")], &[]); // 0.9x > 0.85x
+        flagged(&compiled_gate(&shy), "rotations only dropped");
+        // ... and the full check carries the violation
+        flagged(&check(&shy), "only dropped");
     }
 
     #[test]
     fn gate_flags_compiler_op_drift_and_missing_point() {
-        let r = fake_report();
-        let mut drifted = fake_report();
-        drifted.compiler[0].eager.rotations += 1;
-        let problems = check_against_baseline(&drifted, &r.layers_json(), &r.serve_json());
-        assert!(
-            problems
-                .iter()
-                .any(|p| p.contains("compiler[cnn1_full].eager.rotations")),
-            "{problems:?}"
-        );
-        let mut old = fake_report();
-        old.compiler.clear();
-        let problems = check_against_baseline(&r, &old.layers_json(), &old.serve_json());
-        assert!(
-            problems
-                .iter()
-                .any(|p| p.contains("compiler[cnn1_full]") && p.contains("missing")),
-            "{problems:?}"
-        );
+        let drifted = fresh(&[("\"rotations\": 200", "\"rotations\": 201")], &[]);
+        flagged(&check(&drifted), "compiler[cnn1_full].eager.rotations");
+        let renamed = fresh(&[("cnn1_full", "cnn1_wide")], &[]);
+        flagged(&check(&renamed), "compiler[cnn1_wide]: missing from");
     }
 
     #[test]
     fn gate_flags_packed_point_missing_from_baseline() {
-        let r = fake_report();
-        let mut old = fake_report();
-        old.packed.retain(|p| p.batch != 512);
-        let problems = check_against_baseline(&r, &old.layers_json(), &old.serve_json());
-        assert!(
-            problems
-                .iter()
-                .any(|p| p.contains("packed_batch[512]") && p.contains("missing")),
-            "{problems:?}"
-        );
+        let r = fresh(&[], &[("\"batch\": 512", "\"batch\": 1024")]);
+        flagged(&check(&r), "packed_batch[1024]: missing from baseline");
     }
 
     #[test]
     fn gate_rejects_schema_mismatch() {
-        let r = fake_report();
+        let r = fresh(&[], &[]);
         let problems = check_against_baseline(&r, "{\"schema\": \"other\"}", "{}");
-        assert!(!problems.is_empty());
+        assert_eq!(problems.len(), 2, "{problems:?}");
+        flagged(&problems, "BENCH_layers.json: schema mismatch");
+        flagged(&problems, "BENCH_serve.json: schema mismatch");
+        // the kind must match too: a serve file is no layers baseline
+        flagged(&check_against_baseline(&r, SERVE, SERVE), "kind mismatch");
     }
 }

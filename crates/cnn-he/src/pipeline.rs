@@ -542,7 +542,7 @@ impl CnnHePipeline {
             &self.lower_to_ir(),
         );
         // publish the measured level/headroom trajectory as live gauges
-        // (no-op unless the `metrics` feature is on)
+        // (no-op unless the `trace` feature is on)
         trace.export_gauges();
         let logits = decrypt_tensor(&self.ev, &self.sk, &logits_ct, images.len());
         (

@@ -152,26 +152,26 @@ impl InferenceTrace {
     }
 
     /// Publish the measured trajectory as gauges on the process-global
-    /// he-metrics registry: per-layer ciphertext level, `log₂` scale,
-    /// and structural noise headroom, plus whole-inference headroom
-    /// figures. A scrape can then cross-check the live values against
-    /// the lowered circuit the same way [`ir_cross_check`] does
-    /// post-hoc. Compiles to nothing unless cnn-he's `metrics` feature
-    /// (→ `he-metrics/enabled`) is on.
+    /// [`he_trace::global`] registry: per-layer ciphertext level, `log₂`
+    /// scale, and structural noise headroom, plus whole-inference
+    /// headroom figures. A scrape can then cross-check the live values
+    /// against the lowered circuit the same way [`ir_cross_check`] does
+    /// post-hoc. Compiles to nothing unless cnn-he's `trace` feature
+    /// (→ `he-trace/enabled`) is on.
     pub fn export_gauges(&self) {
-        he_metrics::gauge_set(
+        he_trace::gauge_set(
             "he_infer_start_headroom_bits",
             "Structural noise headroom (bits) of the freshly encrypted input.",
             &[],
             self.start_headroom_bits,
         );
-        he_metrics::gauge_set(
+        he_trace::gauge_set(
             "he_infer_noise_spent_bits",
             "Headroom bits consumed across the most recent traced inference.",
             &[],
             self.noise_spent_bits(),
         );
-        he_metrics::gauge_set(
+        he_trace::gauge_set(
             "he_infer_start_level",
             "Ciphertext level of the freshly encrypted input.",
             &[],
@@ -179,19 +179,19 @@ impl InferenceTrace {
         );
         for l in &self.layers {
             let labels = [("layer", l.name.as_str())];
-            he_metrics::gauge_set(
+            he_trace::gauge_set(
                 "he_layer_level",
                 "Ciphertext level after the layer (most recent traced inference).",
                 &labels,
                 l.level as f64,
             );
-            he_metrics::gauge_set(
+            he_trace::gauge_set(
                 "he_layer_log2_scale",
                 "log2 of the ciphertext scale after the layer.",
                 &labels,
                 l.scale.log2(),
             );
-            he_metrics::gauge_set(
+            he_trace::gauge_set(
                 "he_layer_noise_headroom_bits",
                 "Structural noise headroom (bits) after the layer.",
                 &labels,

@@ -1,5 +1,6 @@
 //! Engine tuning knobs.
 
+use crate::ServeError;
 use cnn_he::ExecMode;
 use std::net::SocketAddr;
 use std::time::Duration;
@@ -53,9 +54,8 @@ pub struct ServeConfig {
     /// Bind address for the live `/metrics` + `/health` HTTP endpoint
     /// (`127.0.0.1:0` picks a free port; read it back via
     /// [`crate::ServeEngine::metrics_addr`]). `None` = no endpoint.
-    /// Requires the `metrics` feature; with the feature compiled out,
-    /// `start` fails with [`crate::ServeError::MetricsUnavailable`]
-    /// rather than silently serving nothing.
+    /// A failed bind makes `start` fail with
+    /// [`crate::ServeError::MetricsUnavailable`].
     pub metrics_addr: Option<SocketAddr>,
     /// Capacity of the per-request JSONL event log ring (`0` = no
     /// event log). Oldest events are evicted when full, so memory
@@ -88,35 +88,78 @@ impl Default for ServeConfig {
 }
 
 impl ServeConfig {
-    /// Panics with a descriptive message on nonsensical settings; run
-    /// before any thread is spawned.
-    pub(crate) fn validate(&self) {
-        assert!(self.max_batch >= 1, "max_batch must be >= 1");
-        assert!(self.queue_capacity >= 1, "queue_capacity must be >= 1");
-        assert!(self.workers >= 1, "workers must be >= 1");
-        assert!(
-            self.ewma_alpha > 0.0 && self.ewma_alpha <= 1.0,
-            "ewma_alpha out of (0, 1]"
-        );
+    /// Refuses nonsensical settings with [`ServeError::Rejected`]
+    /// naming the field; run before any pipeline is built.
+    pub(crate) fn validate(&self) -> Result<(), ServeError> {
+        let alpha_ok = self.ewma_alpha > 0.0 && self.ewma_alpha <= 1.0; // false for NaN
+        let refusal = [
+            (self.max_batch == 0, "max_batch must be >= 1"),
+            (self.queue_capacity == 0, "queue_capacity must be >= 1"),
+            (self.workers == 0, "workers must be >= 1"),
+            (!alpha_ok, "ewma_alpha out of (0, 1]"),
+        ]
+        .into_iter()
+        .find_map(|(bad, reason)| bad.then(|| reason.to_string()));
+        refusal.map_or(Ok(()), |reason| Err(ServeError::Rejected { reason }))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ServeEngine;
+    use cnn_he::CnnHePipeline;
 
-    #[test]
-    fn default_config_is_valid() {
-        ServeConfig::default().validate();
+    /// `start` on `cfg` must refuse typed, naming `field`, before it
+    /// builds a single pipeline.
+    fn refused(cfg: ServeConfig, field: &str) {
+        let no_pipeline = || -> CnnHePipeline { unreachable!("a bad config builds no pipeline") };
+        match ServeEngine::start(cfg, no_pipeline).err() {
+            Some(ServeError::Rejected { reason }) => assert!(reason.contains(field), "{reason}"),
+            other => panic!("expected Rejected naming {field}, got {other:?}"),
+        }
     }
 
     #[test]
-    #[should_panic(expected = "workers must be >= 1")]
+    fn default_config_is_valid() {
+        assert_eq!(ServeConfig::default().validate(), Ok(()));
+    }
+
+    #[test]
+    fn zero_max_batch_rejected() {
+        let cfg = ServeConfig {
+            max_batch: 0,
+            ..Default::default()
+        };
+        refused(cfg, "max_batch");
+    }
+
+    #[test]
+    fn zero_queue_capacity_rejected() {
+        let cfg = ServeConfig {
+            queue_capacity: 0,
+            ..Default::default()
+        };
+        refused(cfg, "queue_capacity");
+    }
+
+    #[test]
     fn zero_workers_rejected() {
-        ServeConfig {
+        let cfg = ServeConfig {
             workers: 0,
             ..Default::default()
+        };
+        refused(cfg, "workers");
+    }
+
+    #[test]
+    fn ewma_alpha_outside_unit_interval_rejected() {
+        for ewma_alpha in [0.0, -0.5, 1.5, f64::NAN] {
+            let cfg = ServeConfig {
+                ewma_alpha,
+                ..Default::default()
+            };
+            refused(cfg, "ewma_alpha");
         }
-        .validate();
     }
 }

@@ -37,7 +37,7 @@ use crate::error::ServeError;
 use crate::metrics::EngineMetrics;
 use crate::queue::{BoundedQueue, Pop, TryPush};
 use crate::response::{response_pair, ResponseHandle, ServeResult};
-use crate::stats::{ServeReport, StatsCore};
+use crate::stats::ServeReport;
 use cnn_he::{CnnHePipeline, WallEwma};
 use he_trace::{cats, OpSnapshot};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -50,7 +50,7 @@ const TICK: Duration = Duration::from_millis(10);
 
 struct Request {
     /// Engine-assigned id threading this request through the metrics
-    /// event log (0 with metrics compiled out).
+    /// event log.
     id: u64,
     image: Vec<f32>,
     submitted: Instant,
@@ -62,7 +62,7 @@ struct Request {
 /// A coalesced unit of work handed from the batcher to a worker.
 struct Batch {
     /// Engine-assigned id tying exec/complete/shed events to their
-    /// batch event (0 with metrics compiled out).
+    /// batch event.
     id: u64,
     requests: Vec<Request>,
 }
@@ -70,7 +70,6 @@ struct Batch {
 struct Shared {
     queue: BoundedQueue<Request>,
     batches: BoundedQueue<Batch>,
-    stats: StatsCore,
     metrics: EngineMetrics,
     /// Current coalescing ceiling (degradation ladder state).
     effective_max_batch: AtomicUsize,
@@ -105,8 +104,7 @@ pub struct ServeEngine {
     default_deadline: Option<Duration>,
     batcher: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
-    #[cfg(feature = "metrics")]
-    metrics_server: Option<he_metrics::MetricsServer>,
+    metrics_server: Option<he_trace::MetricsServer>,
 }
 
 impl ServeEngine {
@@ -116,13 +114,14 @@ impl ServeEngine {
     /// [`Packing::PackedBatch`] every lane stride up to that ceiling is
     /// prepared here (circuit, Galois keys, encoded operands), so the
     /// request path never generates a key. Fails with
-    /// [`ServeError::Rejected`] — carrying the lint summary — when the
+    /// [`ServeError::Rejected`] — before any pipeline is built — on a
+    /// nonsensical `cfg`, and — carrying the lint summary — when the
     /// network cannot run under the factory's parameters.
     pub fn start<F>(cfg: ServeConfig, factory: F) -> Result<Self, ServeError>
     where
         F: Fn() -> CnnHePipeline + Send + Sync + 'static,
     {
-        cfg.validate();
+        cfg.validate()?;
         let factory = Arc::new(factory);
         let mut first = factory();
         first.set_exec_mode(cfg.exec_mode);
@@ -163,7 +162,6 @@ impl ServeEngine {
             // small batch buffer: pressure propagates back to the
             // request queue instead of piling up unexecuted batches
             batches: BoundedQueue::new(cfg.workers * 2),
-            stats: StatsCore::default(),
             metrics: EngineMetrics::new(&cfg, max_batch_cap),
             effective_max_batch: AtomicUsize::new(max_batch_cap),
             max_batch_cap,
@@ -175,7 +173,6 @@ impl ServeEngine {
         // bind the /metrics endpoint before any thread spawns, so a
         // failed bind aborts start-up cleanly instead of leaking
         // workers behind an error return
-        #[cfg(feature = "metrics")]
         let metrics_server = match cfg.metrics_addr {
             Some(addr) => Some(shared.metrics.start_server(addr).map_err(|e| {
                 ServeError::MetricsUnavailable {
@@ -184,12 +181,6 @@ impl ServeEngine {
             })?),
             None => None,
         };
-        #[cfg(not(feature = "metrics"))]
-        if cfg.metrics_addr.is_some() {
-            return Err(ServeError::MetricsUnavailable {
-                reason: "engine built without the `metrics` feature".into(),
-            });
-        }
 
         let batcher = {
             let sh = Arc::clone(&shared);
@@ -235,7 +226,6 @@ impl ServeEngine {
             default_deadline: cfg.default_deadline,
             batcher: Some(batcher),
             workers,
-            #[cfg(feature = "metrics")]
             metrics_server,
         })
     }
@@ -256,11 +246,9 @@ impl ServeEngine {
         budget: Option<Duration>,
     ) -> Result<ResponseHandle, ServeError> {
         let _span = he_trace::span("enqueue", cats::SERVE);
-        StatsCore::bump(&self.shared.stats.submitted, 1);
+        let id = self.shared.metrics.on_submit();
         if image.len() != self.input_len {
-            he_trace::record_serve_rejected(1);
-            StatsCore::bump(&self.shared.stats.rejected, 1);
-            self.shared.metrics.on_rejected();
+            self.shared.metrics.on_rejected(1);
             return Err(ServeError::Rejected {
                 reason: format!(
                     "image has {} pixels, network expects {}",
@@ -271,7 +259,6 @@ impl ServeEngine {
         }
         let now = Instant::now();
         let (handle, responder) = response_pair();
-        let id = self.shared.metrics.next_request_id();
         let request = Request {
             id,
             image,
@@ -282,15 +269,12 @@ impl ServeEngine {
         };
         match self.shared.queue.try_push(request) {
             TryPush::Ok => {
-                he_trace::record_serve_enqueue(1);
                 self.shared
                     .metrics
                     .on_enqueue(id, budget, self.shared.queue.len());
                 Ok(handle)
             }
             TryPush::Full(_refused) => {
-                he_trace::record_serve_overloaded(1);
-                StatsCore::bump(&self.shared.stats.overloaded, 1);
                 self.shared.metrics.on_overloaded();
                 Err(ServeError::Overloaded {
                     capacity: self.shared.queue.capacity(),
@@ -317,25 +301,17 @@ impl ServeEngine {
 
     /// Socket address the live `/metrics` endpoint is bound to, when
     /// [`ServeConfig::metrics_addr`] asked for one (lets callers
-    /// recover the port after binding `127.0.0.1:0`). Always `None`
-    /// with the `metrics` feature compiled out.
+    /// recover the port after binding `127.0.0.1:0`).
     #[must_use]
     pub fn metrics_addr(&self) -> Option<std::net::SocketAddr> {
-        #[cfg(feature = "metrics")]
-        {
-            self.metrics_server
-                .as_ref()
-                .map(he_metrics::MetricsServer::local_addr)
-        }
-        #[cfg(not(feature = "metrics"))]
-        {
-            None
-        }
+        self.metrics_server
+            .as_ref()
+            .map(he_trace::MetricsServer::local_addr)
     }
 
     /// The per-request event log as JSONL, one event per line in
-    /// arrival order (empty without the `metrics` feature or with
-    /// [`ServeConfig::event_log_capacity`] = 0).
+    /// arrival order (empty with [`ServeConfig::event_log_capacity`] =
+    /// 0).
     #[must_use]
     pub fn events_jsonl(&self) -> String {
         self.shared.metrics.events_jsonl()
@@ -347,11 +323,12 @@ impl ServeEngine {
         self.shared.metrics.events_dropped()
     }
 
-    /// Point-in-time serving metrics.
+    /// Point-in-time serving metrics: a snapshot of this engine's
+    /// registry, so it counts this engine's traffic and nothing else.
     pub fn report(&self) -> ServeReport {
         self.shared
-            .stats
-            .snapshot(self.queue_depth(), self.effective_max_batch())
+            .metrics
+            .report(self.queue_depth(), self.effective_max_batch())
     }
 
     /// Stops accepting requests, drains everything already queued
@@ -433,18 +410,11 @@ fn coalesce(shared: &Shared, first: Request) -> Vec<Request> {
 }
 
 fn dispatch(shared: &Shared, requests: Vec<Request>, linger: Duration) {
-    he_trace::record_serve_batch(1);
-    he_trace::record_serve_batched_images(requests.len() as u64);
-    StatsCore::bump(&shared.stats.batches, 1);
-    StatsCore::bump(&shared.stats.batched_images, requests.len() as u64);
     let now = Instant::now();
     let waits: Vec<Duration> = requests
         .iter()
         .map(|r| now.duration_since(r.submitted))
         .collect();
-    for w in &waits {
-        shared.stats.record_queue_wait(*w);
-    }
     let id = shared
         .metrics
         .on_batch(requests.len(), linger, &waits, shared.queue.len());
@@ -464,8 +434,6 @@ fn worker_loop(shared: &Shared, pipe: &mut CnnHePipeline) {
 }
 
 fn respond_timeout(shared: &Shared, request: Request, at: Instant, batch: Option<u64>) {
-    he_trace::record_serve_timeout(1);
-    StatsCore::bump(&shared.stats.timed_out, 1);
     let waited = at.duration_since(request.submitted);
     let late_by = request.deadline.map(|d| at.saturating_duration_since(d));
     shared.metrics.on_shed(request.id, batch, waited, late_by);
@@ -500,10 +468,8 @@ fn execute_batch(shared: &Shared, pipe: &mut CnnHePipeline, batch: Batch) {
         // the whole batch shares one circuit run: refuse every member
         // typed and keep the worker alive for the next batch
         Err(e) => {
-            he_trace::record_serve_rejected(live.len() as u64);
-            StatsCore::bump(&shared.stats.rejected, live.len() as u64);
+            shared.metrics.on_rejected(live.len() as u64);
             for r in live {
-                shared.metrics.on_rejected();
                 r.responder.send(Err(e.clone().into()));
             }
             return;
@@ -512,11 +478,9 @@ fn execute_batch(shared: &Shared, pipe: &mut CnnHePipeline, batch: Batch) {
     let wall = t0.elapsed();
     shared.observe_wall(wall);
     let n = live.len();
-    shared
-        .metrics
-        .on_exec(id, n, wall, &OpSnapshot::now().delta(&ops_before));
     let amortized = wall / u32::try_from(n).unwrap_or(u32::MAX);
-    shared.stats.record_amortized(amortized);
+    let ops = OpSnapshot::now().delta(&ops_before);
+    shared.metrics.on_exec(id, n, wall, amortized, &ops);
 
     // 3. fan results back through each request's own responder
     let end = Instant::now();
@@ -532,11 +496,6 @@ fn execute_batch(shared: &Shared, pipe: &mut CnnHePipeline, batch: Batch) {
         }
         let latency = end.duration_since(r.submitted);
         let slack = r.deadline.map(|d| d.duration_since(end));
-        if let Some(s) = slack {
-            shared.stats.record_deadline_slack(s);
-        }
-        shared.stats.record_latency(latency);
-        StatsCore::bump(&shared.stats.completed, 1);
         shared.metrics.on_complete(r.id, id, slack, latency);
         r.responder.send(Ok(ServeResult {
             logits: cls.logits[i].clone(),
@@ -564,8 +523,6 @@ fn adjust_ceiling(shared: &Shared, overran: bool) {
         if cur > 1 {
             let next = (cur / 2).max(1);
             shared.effective_max_batch.store(next, Ordering::Relaxed);
-            he_trace::record_serve_degraded(1);
-            StatsCore::bump(&shared.stats.degradations, 1);
             shared.metrics.on_ladder(next, true);
         }
     } else {
@@ -637,14 +594,56 @@ mod tests {
         assert_eq!(res.logits.len(), 4);
         assert!(res.batch_size >= 1);
         assert!(res.amortized <= res.batch_wall);
-        // bounded summaries keep exact counts: one latency sample per
-        // completed request, no sampling or truncation
-        assert_eq!(eng.shared.stats.latency_samples(), 1);
         let report = eng.shutdown();
         assert_eq!(report.completed, 1);
         assert_eq!(report.batches, 1);
+        // bounded summaries keep exact counts: one latency sample per
+        // completed request, no sampling or truncation
+        let latency = report.request_latency.expect("latency recorded");
+        assert!(latency.min <= latency.max, "{latency:?}");
         let qw = report.queue_wait.expect("queue wait recorded");
         assert!(qw.p95 >= 0.0 && qw.p95 < 60.0, "{qw:?}");
+    }
+
+    #[test]
+    fn reports_are_per_engine_and_add_up() {
+        // two engines serving concurrently in one process: each report
+        // counts its own traffic only, and at quiescence every
+        // submission has exactly one outcome
+        let a = engine(ServeConfig::default(), 48);
+        let b = engine(ServeConfig::default(), 49);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for i in 0..3 {
+                    a.classify_blocking(image(i as f32 * 0.1)).expect("served");
+                }
+            });
+            s.spawn(|| {
+                let doomed = b.submit_with_deadline(image(0.4), Some(Duration::from_nanos(1)));
+                let shed = doomed.expect("queued").wait();
+                assert!(matches!(shed, Err(ServeError::DeadlineExceeded { .. })));
+                assert!(b.submit(vec![0.5; 10]).is_err());
+                b.classify_blocking(image(0.5)).expect("served");
+            });
+        });
+        // (submitted, completed, rejected, timed out, batches)
+        for (eng, want) in [(&a, (3, 3, 0, 0, 3)), (&b, (3, 1, 1, 1, 2))] {
+            let r = eng.report();
+            let got = (r.submitted, r.completed, r.rejected, r.timed_out, r.batches);
+            assert_eq!(got, want, "{r}");
+            assert_eq!(r.overloaded, 0);
+            assert_eq!(
+                r.submitted,
+                r.completed + r.rejected + r.overloaded + r.timed_out
+            );
+            assert_eq!(r.batched_images, r.batches, "one image per batch");
+            let expo = he_trace::expo::parse(&eng.shared.metrics.render()).unwrap();
+            assert_eq!(
+                expo.value("he_serve_request_latency_seconds_count", &[]),
+                Some(r.completed as f64),
+                "one latency sample per completed request"
+            );
+        }
     }
 
     #[test]
@@ -807,7 +806,6 @@ mod tests {
         let shared = Shared {
             queue: BoundedQueue::new(1),
             batches: BoundedQueue::new(1),
-            stats: StatsCore::default(),
             metrics: EngineMetrics::new(&ServeConfig::default(), 8),
             effective_max_batch: AtomicUsize::new(8),
             max_batch_cap: 8,

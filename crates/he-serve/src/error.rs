@@ -24,8 +24,7 @@ pub enum ServeError {
     /// mid-shutdown) and no result will be produced.
     ShuttingDown,
     /// [`crate::ServeConfig::metrics_addr`] was set but the live
-    /// `/metrics` endpoint could not be provided: the bind failed, or
-    /// the engine was built without the `metrics` feature.
+    /// `/metrics` endpoint could not bind it.
     MetricsUnavailable { reason: String },
 }
 

@@ -1,129 +1,30 @@
-//! Engine-local metrics and the rendered `ServeReport`.
+//! [`ServeReport`]: a point-in-time snapshot of one engine's
+//! [`he_trace::Registry`] instruments (see `metrics.rs`), rendered as
+//! the shared text table.
 //!
-//! Counters here are per-engine (an engine's report must not include a
-//! neighbouring engine's traffic); the process-global
-//! [`he_trace::ServeSnapshot`] counters are bumped alongside for trace
-//! attribution.
-//!
-//! Latency-style samples go into bounded log-bucketed histograms
-//! ([`he_metrics::hist`]) rather than the unbounded `Vec<f64>` earlier
-//! versions accumulated: a server that runs for weeks holds the same
+//! Latency-style summaries come from bounded log-bucketed histograms
+//! ([`he_trace::hist`]): a server that runs for weeks holds the same
 //! few KiB per summary, at the cost of ≤ 12.5% quantile error (count,
 //! min, max and mean stay exact).
 
 use cnn_he::LatencyStats;
-use he_metrics::hist::HistogramCore;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
+use he_trace::Histogram;
 
-/// Bounded latency summary: a microsecond-tick histogram standing in
-/// for the exact sample list.
-#[derive(Default)]
-pub(crate) struct DurationSummary {
-    hist: HistogramCore,
-}
-
-impl DurationSummary {
-    pub fn record(&self, d: Duration) {
-        self.hist
-            .record(u64::try_from(d.as_micros()).unwrap_or(u64::MAX));
-    }
-
-    /// Samples recorded so far (exact).
-    #[cfg(test)]
-    pub fn count(&self) -> u64 {
-        self.hist.count()
-    }
-
-    /// Reconstruct [`LatencyStats`] (seconds) from the histogram:
-    /// min/max/avg are exact, p50/p95 carry the bucket's ≤ 12.5%
-    /// relative error, std-dev comes from the exact sum of squares.
-    pub fn stats(&self) -> Option<LatencyStats> {
-        let s = self.hist.snapshot();
-        if s.count == 0 {
-            return None;
-        }
-        const TO_S: f64 = 1e-6;
-        Some(LatencyStats {
-            min: s.min as f64 * TO_S,
-            max: s.max as f64 * TO_S,
-            avg: s.mean()? * TO_S,
-            p50: s.quantile_ticks(0.50)? as f64 * TO_S,
-            p95: s.quantile_ticks(0.95)? as f64 * TO_S,
-            std_dev: s.std_dev()? * TO_S,
-        })
-    }
-}
-
-/// Shared mutable metric sink (one per engine).
-#[derive(Default)]
-pub(crate) struct StatsCore {
-    pub submitted: AtomicU64,
-    pub completed: AtomicU64,
-    pub rejected: AtomicU64,
-    pub overloaded: AtomicU64,
-    pub timed_out: AtomicU64,
-    pub batches: AtomicU64,
-    pub batched_images: AtomicU64,
-    pub degradations: AtomicU64,
-    /// Completed-request submit → response latencies.
-    latencies: DurationSummary,
-    /// Per-batch amortized per-image wall.
-    amortized: DurationSummary,
-    /// Queue residency of every batched request (pop-to-dispatch).
-    queue_wait: DurationSummary,
-    /// Deadline slack of completed deadline-carrying requests
-    /// (deadline − completion; never negative — overruns time out).
-    deadline_slack: DurationSummary,
-}
-
-impl StatsCore {
-    pub fn bump(counter: &AtomicU64, by: u64) {
-        counter.fetch_add(by, Ordering::Relaxed);
-    }
-
-    pub fn record_latency(&self, latency: Duration) {
-        self.latencies.record(latency);
-    }
-
-    pub fn record_amortized(&self, per_image: Duration) {
-        self.amortized.record(per_image);
-    }
-
-    pub fn record_queue_wait(&self, wait: Duration) {
-        self.queue_wait.record(wait);
-    }
-
-    pub fn record_deadline_slack(&self, slack: Duration) {
-        self.deadline_slack.record(slack);
-    }
-
-    /// Exact number of latency samples recorded (parity check against
-    /// the `completed` counter in tests).
-    #[cfg(test)]
-    pub fn latency_samples(&self) -> u64 {
-        self.latencies.count()
-    }
-
-    pub fn snapshot(&self, queue_depth: usize, effective_max_batch: usize) -> ServeReport {
-        ServeReport {
-            submitted: self.submitted.load(Ordering::Relaxed),
-            completed: self.completed.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
-            overloaded: self.overloaded.load(Ordering::Relaxed),
-            timed_out: self.timed_out.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
-            batched_images: self.batched_images.load(Ordering::Relaxed),
-            degradations: self.degradations.load(Ordering::Relaxed),
-            queue_depth,
-            effective_max_batch,
-            request_latency: self.latencies.stats(),
-            amortized_per_image: self.amortized.stats(),
-            queue_wait: self.queue_wait.stats(),
-            deadline_slack: self.deadline_slack.stats(),
-            backend: cnn_he::kernel::active_backend().name().to_string(),
-        }
-    }
+/// [`LatencyStats`] (seconds) of a microsecond-tick duration histogram:
+/// min/max/avg are exact, p50/p95 carry the bucket's ≤ 12.5% relative
+/// error, std-dev comes from the exact sum of squares. `None` when
+/// nothing was recorded.
+pub(crate) fn summarize(h: &Histogram) -> Option<LatencyStats> {
+    let s = h.snapshot();
+    const TO_S: f64 = 1e-6;
+    Some(LatencyStats {
+        min: s.min as f64 * TO_S,
+        max: s.max as f64 * TO_S,
+        avg: s.mean()? * TO_S,
+        p50: s.quantile_ticks(0.50)? as f64 * TO_S,
+        p95: s.quantile_ticks(0.95)? as f64 * TO_S,
+        std_dev: s.std_dev()? * TO_S,
+    })
 }
 
 /// Point-in-time serving metrics, renderable as the shared text table.
@@ -174,61 +75,43 @@ impl ServeReport {
     pub fn render(&self) -> String {
         use he_trace::{Align, Table};
         let mut t = Table::new(&[("metric", Align::Left), ("value", Align::Right)]);
+        let counts = [
+            ("requests submitted", self.submitted),
+            ("requests completed", self.completed),
+            ("rejected (admission)", self.rejected),
+            ("overloaded (queue full)", self.overloaded),
+            ("timed out (deadline)", self.timed_out),
+            ("batches executed", self.batches),
+        ];
         t.row(vec!["kernel backend".into(), self.backend.clone()]);
-        t.row(vec![
-            "requests submitted".into(),
-            self.submitted.to_string(),
-        ]);
-        t.row(vec![
-            "requests completed".into(),
-            self.completed.to_string(),
-        ]);
-        t.row(vec![
-            "rejected (admission)".into(),
-            self.rejected.to_string(),
-        ]);
-        t.row(vec![
-            "overloaded (queue full)".into(),
-            self.overloaded.to_string(),
-        ]);
-        t.row(vec![
-            "timed out (deadline)".into(),
-            self.timed_out.to_string(),
-        ]);
-        t.row(vec!["batches executed".into(), self.batches.to_string()]);
+        for (metric, v) in counts {
+            t.row(vec![metric.into(), v.to_string()]);
+        }
         t.row(vec![
             "mean batch size".into(),
             format!("{:.2}", self.mean_batch()),
         ]);
-        t.row(vec!["degradations".into(), self.degradations.to_string()]);
-        t.row(vec!["queue depth".into(), self.queue_depth.to_string()]);
-        t.row(vec![
-            "effective max batch".into(),
-            self.effective_max_batch.to_string(),
-        ]);
-        if let Some(l) = &self.request_latency {
-            t.row(vec![
-                "request latency p50/p95 (s)".into(),
-                format!("{:.3} / {:.3}", l.p50, l.p95),
-            ]);
+        for (metric, v) in [
+            ("degradations", self.degradations),
+            ("queue depth", self.queue_depth as u64),
+            ("effective max batch", self.effective_max_batch as u64),
+        ] {
+            t.row(vec![metric.into(), v.to_string()]);
         }
-        if let Some(a) = &self.amortized_per_image {
-            t.row(vec![
-                "amortized per image p50/p95 (s)".into(),
-                format!("{:.4} / {:.4}", a.p50, a.p95),
-            ]);
-        }
-        if let Some(w) = &self.queue_wait {
-            t.row(vec![
-                "queue wait p50/p95 (s)".into(),
-                format!("{:.4} / {:.4}", w.p50, w.p95),
-            ]);
-        }
-        if let Some(s) = &self.deadline_slack {
-            t.row(vec![
-                "deadline slack p50/p95 (s)".into(),
-                format!("{:.4} / {:.4}", s.p50, s.p95),
-            ]);
+        let summaries = [
+            ("request latency", &self.request_latency, 3),
+            ("amortized per image", &self.amortized_per_image, 4),
+            ("queue wait", &self.queue_wait, 4),
+            ("deadline slack", &self.deadline_slack, 4),
+        ];
+        for (metric, stats, digits) in summaries {
+            if let Some(l) = stats {
+                let (p50, p95) = (l.p50, l.p95);
+                t.row(vec![
+                    format!("{metric} p50/p95 (s)"),
+                    format!("{p50:.digits$} / {p95:.digits$}"),
+                ]);
+            }
         }
         t.render()
     }
@@ -243,20 +126,32 @@ impl std::fmt::Display for ServeReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::ServeConfig;
+    use crate::metrics::EngineMetrics;
+    use he_trace::{OpSnapshot, Registry};
+    use std::time::Duration;
+
+    fn seconds() -> Histogram {
+        Registry::new().duration_histogram_with("t_seconds", "T.", &[])
+    }
 
     #[test]
     fn snapshot_aggregates_counters_and_samples() {
-        let core = StatsCore::default();
-        StatsCore::bump(&core.submitted, 5);
-        StatsCore::bump(&core.completed, 4);
-        StatsCore::bump(&core.batches, 2);
-        StatsCore::bump(&core.batched_images, 4);
-        core.record_latency(Duration::from_millis(100));
-        core.record_latency(Duration::from_millis(300));
-        core.record_amortized(Duration::from_millis(50));
-        let r = core.snapshot(3, 8);
+        let m = EngineMetrics::new(&ServeConfig::default(), 8);
+        for _ in 0..5 {
+            m.on_submit();
+        }
+        m.on_rejected(1);
+        m.on_batch(1, Duration::ZERO, &[Duration::ZERO], 0);
+        m.on_batch(3, Duration::ZERO, &[Duration::ZERO; 3], 0);
+        let wall = Duration::from_millis(150);
+        m.on_exec(2, 3, wall, wall / 3, &OpSnapshot::default());
+        m.on_complete(1, 1, None, Duration::from_millis(100));
+        m.on_complete(2, 2, None, Duration::from_millis(300));
+        let r = m.report(3, 8);
         assert_eq!(r.submitted, 5);
-        assert_eq!(r.completed, 4);
+        assert_eq!((r.completed, r.rejected), (2, 1));
+        assert_eq!((r.batches, r.batched_images), (2, 4));
         assert_eq!(r.queue_depth, 3);
         assert_eq!(r.effective_max_batch, 8);
         assert!((r.mean_batch() - 2.0).abs() < 1e-12);
@@ -265,27 +160,27 @@ mod tests {
         assert!((lat.avg - 0.2).abs() < 1e-9);
         assert!((lat.min - 0.1).abs() < 1e-9);
         assert!((lat.max - 0.3).abs() < 1e-9);
-        assert!(r.amortized_per_image.is_some());
+        assert!((r.amortized_per_image.unwrap().avg - 0.05).abs() < 1e-9);
     }
 
     #[test]
     fn bounded_summary_count_parity_is_exact() {
-        // The histogram replacement for the old Vec<f64> must never
+        // The registry histogram behind every summary must never
         // miscount: record N samples, read back exactly N — and keep
         // memory constant however many samples arrive.
-        let s = DurationSummary::default();
+        let h = seconds();
         let n = 10_000u64;
         for i in 0..n {
-            s.record(Duration::from_micros(17 * i % 3_000_000));
+            h.observe_duration(Duration::from_micros(17 * i % 3_000_000));
         }
-        assert_eq!(s.count(), n);
-        let stats = s.stats().unwrap();
+        assert_eq!(h.snapshot().count, n);
+        let stats = summarize(&h).unwrap();
         assert!(stats.min >= 0.0 && stats.max < 3.0);
     }
 
     #[test]
     fn bounded_summary_quantiles_track_exact_values() {
-        let s = DurationSummary::default();
+        let h = seconds();
         let mut exact: Vec<f64> = Vec::new();
         let mut x = 88_172_645_463_325_252u64;
         for _ in 0..2_000 {
@@ -294,10 +189,10 @@ mod tests {
             x ^= x << 17;
             let us = 100 + (x % 500_000); // 100µs .. 0.5s
             exact.push(us as f64 * 1e-6);
-            s.record(Duration::from_micros(us));
+            h.observe_duration(Duration::from_micros(us));
         }
         exact.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let got = s.stats().unwrap();
+        let got = summarize(&h).unwrap();
         for (q, g) in [(0.50, got.p50), (0.95, got.p95)] {
             let rank = ((q * exact.len() as f64).ceil() as usize).clamp(1, exact.len());
             let truth = exact[rank - 1];
@@ -311,12 +206,15 @@ mod tests {
 
     #[test]
     fn report_renders_every_headline_metric() {
-        let core = StatsCore::default();
-        core.record_latency(Duration::from_millis(10));
-        core.record_queue_wait(Duration::from_millis(2));
-        core.record_deadline_slack(Duration::from_millis(90));
-        let r = core.snapshot(0, 4);
-        let s = r.render();
+        let m = EngineMetrics::new(&ServeConfig::default(), 4);
+        m.on_batch(1, Duration::ZERO, &[Duration::from_millis(2)], 0);
+        m.on_complete(
+            1,
+            1,
+            Some(Duration::from_millis(90)),
+            Duration::from_millis(10),
+        );
+        let s = m.report(0, 4).render();
         for needle in [
             "requests submitted",
             "timed out",
@@ -333,8 +231,7 @@ mod tests {
 
     #[test]
     fn empty_report_has_no_latency_rows() {
-        let core = StatsCore::default();
-        let r = core.snapshot(0, 1);
+        let r = EngineMetrics::new(&ServeConfig::default(), 1).report(0, 1);
         assert_eq!(r.mean_batch(), 0.0);
         assert!(r.request_latency.is_none());
         assert!(r.queue_wait.is_none());

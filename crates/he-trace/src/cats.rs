@@ -20,6 +20,6 @@ pub const HE: &str = "he";
 /// batch execution, shutdown drain.
 pub const SERVE: &str = "serve";
 
-/// Live-metrics machinery (he-metrics): scrape handling, op-counter
+/// Live-metrics machinery ([`crate::Registry`]): scrape handling, op-counter
 /// bridge refreshes.
 pub const METRICS: &str = "metrics";

@@ -2,7 +2,7 @@
 //! (`"ph": "X"`) flavor, serialized by hand (no serde). Load the output
 //! in `chrome://tracing` or <https://ui.perfetto.dev>.
 
-use crate::json;
+use crate::json::{self, escape_into};
 use crate::span::SpanEvent;
 
 /// Serialize spans to a chrome trace JSON document:
@@ -77,23 +77,6 @@ pub fn validate_chrome_json(text: &str) -> Result<usize, String> {
         }
     }
     Ok(events.len())
-}
-
-/// JSON string escaping (quotes, backslashes, control characters).
-fn escape_into(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
 }
 
 /// Format a non-negative microsecond quantity with fixed sub-µs

@@ -42,15 +42,6 @@ mod imp {
     pub static FAULTS_INJECTED: AtomicU64 = AtomicU64::new(0);
     pub static FAULTS_DETECTED: AtomicU64 = AtomicU64::new(0);
 
-    // serving-layer event counters (see `ServeSnapshot`)
-    pub static SERVE_ENQUEUED: AtomicU64 = AtomicU64::new(0);
-    pub static SERVE_BATCHES: AtomicU64 = AtomicU64::new(0);
-    pub static SERVE_BATCHED_IMAGES: AtomicU64 = AtomicU64::new(0);
-    pub static SERVE_TIMEOUTS: AtomicU64 = AtomicU64::new(0);
-    pub static SERVE_REJECTED: AtomicU64 = AtomicU64::new(0);
-    pub static SERVE_OVERLOADED: AtomicU64 = AtomicU64::new(0);
-    pub static SERVE_DEGRADED: AtomicU64 = AtomicU64::new(0);
-
     #[inline]
     pub fn bump(c: &AtomicU64, by: u64) {
         c.fetch_add(by, Ordering::Relaxed);
@@ -152,96 +143,11 @@ impl OpSnapshot {
     }
 }
 
-/// A point-in-time copy of the serving-layer event counters.
-///
-/// These count *scheduler* events (he-serve request/batch lifecycle),
-/// not HE primitives, so they live beside [`OpSnapshot`] rather than
-/// inside it: op-count invariance checks (same HE work regardless of
-/// batch size or thread count) must not be perturbed by how many
-/// requests the batcher happened to coalesce.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ServeSnapshot {
-    /// Requests admitted into the serving queue.
-    pub enqueued: u64,
-    /// Batches dispatched to the worker pool.
-    pub batches: u64,
-    /// Total images carried by those batches.
-    pub batched_images: u64,
-    /// Requests answered with a deadline-exceeded error.
-    pub timeouts: u64,
-    /// Requests rejected at admission (lint/shape failures).
-    pub rejected: u64,
-    /// Requests refused because the bounded queue was full.
-    pub overloaded: u64,
-    /// Batch-size degradations (coalescing window halved after a batch
-    /// overran its deadline budget).
-    pub degraded: u64,
-}
-
-impl ServeSnapshot {
-    /// Current counter values. All-zero when tracing is compiled out.
-    #[must_use]
-    pub fn now() -> Self {
-        #[cfg(feature = "enabled")]
-        {
-            use std::sync::atomic::Ordering::Relaxed;
-            Self {
-                enqueued: imp::SERVE_ENQUEUED.load(Relaxed),
-                batches: imp::SERVE_BATCHES.load(Relaxed),
-                batched_images: imp::SERVE_BATCHED_IMAGES.load(Relaxed),
-                timeouts: imp::SERVE_TIMEOUTS.load(Relaxed),
-                rejected: imp::SERVE_REJECTED.load(Relaxed),
-                overloaded: imp::SERVE_OVERLOADED.load(Relaxed),
-                degraded: imp::SERVE_DEGRADED.load(Relaxed),
-            }
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            Self::default()
-        }
-    }
-
-    /// Events recorded between `earlier` and `self` (saturating).
-    #[must_use]
-    pub fn delta(&self, earlier: &Self) -> Self {
-        Self {
-            enqueued: self.enqueued.saturating_sub(earlier.enqueued),
-            batches: self.batches.saturating_sub(earlier.batches),
-            batched_images: self.batched_images.saturating_sub(earlier.batched_images),
-            timeouts: self.timeouts.saturating_sub(earlier.timeouts),
-            rejected: self.rejected.saturating_sub(earlier.rejected),
-            overloaded: self.overloaded.saturating_sub(earlier.overloaded),
-            degraded: self.degraded.saturating_sub(earlier.degraded),
-        }
-    }
-
-    /// True when every counter is zero (e.g. tracing compiled out).
-    #[must_use]
-    pub fn is_zero(&self) -> bool {
-        *self == Self::default()
-    }
-
-    /// `(label, value)` pairs in a stable display order.
-    #[must_use]
-    pub fn named(&self) -> [(&'static str, u64); 7] {
-        [
-            ("serve_enqueued", self.enqueued),
-            ("serve_batches", self.batches),
-            ("serve_batched_images", self.batched_images),
-            ("serve_timeouts", self.timeouts),
-            ("serve_rejected", self.rejected),
-            ("serve_overloaded", self.overloaded),
-            ("serve_degraded", self.degraded),
-        ]
-    }
-}
-
 /// A point-in-time copy of the fault-injection event counters.
 ///
-/// Like [`ServeSnapshot`], these are *harness* events (he-diff fault
-/// injection and the guards that catch the corruptions), not HE
-/// primitives — keeping them out of [`OpSnapshot`] preserves the
-/// op-count invariance checks exactly.
+/// These are *harness* events (he-diff fault injection and the guards
+/// that catch the corruptions), not HE primitives — keeping them out
+/// of [`OpSnapshot`] preserves the op-count invariance checks exactly.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultSnapshot {
     /// Deterministic corruptions injected by the fault harness.
@@ -359,35 +265,6 @@ recorder!(
     /// Record `by` guard-detected fault corruptions.
     record_fault_detected, FAULTS_DETECTED
 );
-recorder!(
-    /// Record `by` requests admitted into the serving queue.
-    record_serve_enqueue, SERVE_ENQUEUED
-);
-recorder!(
-    /// Record `by` batches dispatched to the serving worker pool.
-    record_serve_batch, SERVE_BATCHES
-);
-recorder!(
-    /// Record `by` images coalesced into dispatched batches.
-    record_serve_batched_images, SERVE_BATCHED_IMAGES
-);
-recorder!(
-    /// Record `by` requests that expired past their deadline.
-    record_serve_timeout, SERVE_TIMEOUTS
-);
-recorder!(
-    /// Record `by` requests rejected at admission.
-    record_serve_rejected, SERVE_REJECTED
-);
-recorder!(
-    /// Record `by` requests refused with queue-full backpressure.
-    record_serve_overloaded, SERVE_OVERLOADED
-);
-recorder!(
-    /// Record `by` batch-size degradations after deadline overruns.
-    record_serve_degraded, SERVE_DEGRADED
-);
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -426,32 +303,6 @@ mod tests {
         record_ntt_fwd(100);
         record_ct_mult(100);
         assert!(OpSnapshot::now().is_zero());
-    }
-
-    #[cfg(feature = "enabled")]
-    #[test]
-    fn serve_recorders_increment_serve_snapshot() {
-        let before = ServeSnapshot::now();
-        record_serve_enqueue(4);
-        record_serve_batch(1);
-        record_serve_batched_images(4);
-        record_serve_timeout(2);
-        record_serve_degraded(1);
-        let d = ServeSnapshot::now().delta(&before);
-        assert!(d.enqueued >= 4);
-        assert!(d.batches >= 1);
-        assert!(d.batched_images >= 4);
-        assert!(d.timeouts >= 2);
-        assert!(d.degraded >= 1);
-        assert_eq!(d.named()[0].0, "serve_enqueued");
-    }
-
-    #[cfg(not(feature = "enabled"))]
-    #[test]
-    fn disabled_build_records_no_serve_events() {
-        record_serve_enqueue(9);
-        record_serve_overloaded(9);
-        assert!(ServeSnapshot::now().is_zero());
     }
 
     #[cfg(feature = "enabled")]

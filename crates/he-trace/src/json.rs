@@ -1,6 +1,9 @@
-//! A minimal recursive-descent JSON parser (no external crates), used
-//! to validate that the chrome-trace serializer's output actually
-//! parses, and by the `he-trace` summary binary to read traces back.
+//! A minimal recursive-descent JSON parser (no external crates) — the
+//! workspace's one JSON reader: it validates that the chrome-trace
+//! serializer's output actually parses, reads traces back for the
+//! `he-trace` summary binary, reads event-log lines
+//! ([`crate::events::parse_line`]) and the `BENCH_*.json` baselines,
+//! which [`pretty`] writes.
 //!
 //! Supports the full JSON grammar (objects, arrays, strings with
 //! escapes incl. `\uXXXX`, numbers, booleans, null). Not meant to be
@@ -51,6 +54,64 @@ impl Value {
         match self {
             Value::Num(n) => Some(*n),
             _ => None,
+        }
+    }
+}
+
+/// Two-space-indented JSON text of `v` (no trailing newline); empty
+/// objects and arrays print as `{}` / `[]`. [`parse`] reads it back to
+/// an equal value.
+#[must_use]
+pub fn pretty(v: &Value) -> String {
+    write_pretty(v, 0)
+}
+
+fn write_pretty(v: &Value, depth: usize) -> String {
+    let items: Vec<String> = match v {
+        Value::Obj(pairs) => pairs
+            .iter()
+            .map(|(k, v)| format!("{}: {}", quote(k), write_pretty(v, depth + 1)))
+            .collect(),
+        Value::Arr(vals) => vals.iter().map(|v| write_pretty(v, depth + 1)).collect(),
+        Value::Str(s) => return quote(s),
+        Value::Num(n) => return n.to_string(),
+        Value::Bool(b) => return b.to_string(),
+        Value::Null => return "null".into(),
+    };
+    let (open, close) = if matches!(v, Value::Obj(_)) {
+        ("{", "}")
+    } else {
+        ("[", "]")
+    };
+    if items.is_empty() {
+        return format!("{open}{close}");
+    }
+    let (pad, outer) = ("  ".repeat(depth + 1), "  ".repeat(depth));
+    let body = items.join(&format!(",\n{pad}"));
+    format!("{open}\n{pad}{body}\n{outer}{close}")
+}
+
+fn quote(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    escape_into(s, &mut out);
+    out.push('"');
+    out
+}
+
+/// JSON string escaping (quotes, backslashes, control characters).
+pub(crate) fn escape_into(s: &str, out: &mut String) {
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                out.push_str(&format!("\\u{:04x}", c as u32));
+            }
+            c => out.push(c),
         }
     }
 }
@@ -261,6 +322,19 @@ mod tests {
         assert!(parse("{} x").is_err());
         assert!(parse(r#"{"a": "\q"}"#).is_err());
         assert!(parse("[1,").is_err());
+    }
+
+    #[test]
+    fn pretty_output_parses_back_to_the_same_value() {
+        let v =
+            parse(r#"{"a": [1, 2.5, {"q\"\n": "x\\y"}], "b": {}, "c": [], "d": null}"#).unwrap();
+        let text = pretty(&v);
+        assert_eq!(parse(&text), Ok(v));
+        assert!(
+            text.starts_with("{\n  \"a\": [\n    1,\n    2.5,"),
+            "{text}"
+        );
+        assert!(text.contains("\"b\": {},\n  \"c\": [],"), "{text}");
     }
 
     #[test]

@@ -26,7 +26,7 @@
 
 #![forbid(unsafe_code)]
 
-use bench::smoke::mini_cnn1;
+use bench::harness::mini_cnn1;
 use cnn_he::CnnHePipeline;
 use he_serve::{ServeConfig, ServeEngine};
 use he_trace::OpSnapshot;
@@ -121,7 +121,7 @@ fn main() {
     println!("{} mid-run scrapes captured", mid_run_scrapes.len());
     assert!(!mid_run_scrapes.is_empty(), "scraper never ran");
     for (i, body) in mid_run_scrapes.iter().enumerate() {
-        let expo = he_metrics::expo::parse(body)
+        let expo = he_trace::expo::parse(body)
             .unwrap_or_else(|e| panic!("mid-run scrape {i} does not parse: {e}"));
         for family in [
             "he_serve_queue_depth",
@@ -137,7 +137,7 @@ fn main() {
     // ---- quiescent cross-check: scrape vs report vs trace snapshots
     let report = engine.report();
     let final_scrape = get(addr, "/metrics");
-    let expo = he_metrics::expo::parse(&final_scrape).expect("final scrape parses");
+    let expo = he_trace::expo::parse(&final_scrape).expect("final scrape parses");
     let count = |name: &str, labels: &[(&str, &str)]| {
         expo.value(name, labels)
             .unwrap_or_else(|| panic!("missing series {name}{labels:?}"))
@@ -187,7 +187,7 @@ fn main() {
     assert_eq!(engine.events_dropped(), 0, "4096-slot ring never filled");
     let mut completes = 0u64;
     for (i, line) in events.lines().enumerate() {
-        let parsed = he_metrics::events::parse_line(line)
+        let parsed = he_trace::events::parse_line(line)
             .unwrap_or_else(|e| panic!("event line {i} does not parse: {e}"));
         assert_eq!(parsed.to_json(), line, "event line {i} round-trip drifted");
         if parsed.kind == "complete" {

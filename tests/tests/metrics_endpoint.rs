@@ -13,8 +13,8 @@
 
 use cnn_he::he_layers::{ConvSpec, DenseSpec};
 use cnn_he::{CnnHePipeline, HeLayerSpec, HeNetwork};
-use he_metrics::expo::{self, Exposition};
 use he_serve::{ServeConfig, ServeEngine, ServeError};
+use he_trace::expo::{self, Exposition};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -219,7 +219,7 @@ fn event_log_ring_stays_bounded_and_lines_round_trip() {
     assert!(lines.len() <= 8, "ring grew past capacity: {}", lines.len());
     assert!(!lines.is_empty());
     for line in lines {
-        let parsed = he_metrics::events::parse_line(line).expect("line parses");
+        let parsed = he_trace::events::parse_line(line).expect("line parses");
         assert_eq!(parsed.to_json(), line, "round-trip drift");
     }
     eng.shutdown();

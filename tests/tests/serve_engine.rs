@@ -17,7 +17,7 @@
 use cnn_he::he_layers::{ConvSpec, DenseSpec};
 use cnn_he::{CnnHePipeline, HeLayerSpec, HeNetwork};
 use he_serve::{ServeConfig, ServeEngine, ServeError};
-use he_trace::{OpSnapshot, ServeSnapshot};
+use he_trace::OpSnapshot;
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Duration;
 
@@ -229,7 +229,8 @@ fn shutdown_drains_queued_work() {
 fn he_op_counts_are_batch_size_invariant() {
     let _g = serial();
 
-    let run = |batch: usize| -> (OpSnapshot, ServeSnapshot) {
+    // (HE ops, batches, batched images) of `batch` coalesced requests
+    let run = |batch: usize| -> (OpSnapshot, u64, u64) {
         let eng = engine(ServeConfig {
             max_batch: batch,
             max_linger: Duration::from_secs(2),
@@ -238,23 +239,24 @@ fn he_op_counts_are_batch_size_invariant() {
         // warm-up: keygen and first-run setup happen outside the window
         eng.classify_blocking(image(0)).expect("warmup");
         let ops0 = OpSnapshot::now();
-        let srv0 = ServeSnapshot::now();
+        let r0 = eng.report();
         let handles: Vec<_> = (0..batch)
             .map(|i| eng.submit(image(i % 4)).expect("queued"))
             .collect();
         for h in handles {
             h.wait().expect("served");
         }
-        let delta = (
-            OpSnapshot::now().delta(&ops0),
-            ServeSnapshot::now().delta(&srv0),
-        );
-        eng.shutdown();
-        delta
+        let ops = OpSnapshot::now().delta(&ops0);
+        let r1 = eng.shutdown();
+        (
+            ops,
+            r1.batches - r0.batches,
+            r1.batched_images - r0.batched_images,
+        )
     };
 
-    let (ops1, srv1) = run(1);
-    let (ops4, srv4) = run(4);
+    let (ops1, batches1, images1) = run(1);
+    let (ops4, batches4, images4) = run(4);
 
     // scalar-batch slot packing: four images ride the slots of the same
     // ciphertexts, so the HE work is *identical*, not merely similar
@@ -263,10 +265,10 @@ fn he_op_counts_are_batch_size_invariant() {
         ops1, ops4,
         "HE op counts changed with batch size — slot packing broke"
     );
-    assert_eq!(srv1.batches, 1);
-    assert_eq!(srv4.batches, 1, "4 requests did not coalesce into 1 batch");
-    assert_eq!(srv1.batched_images, 1);
-    assert_eq!(srv4.batched_images, 4);
+    assert_eq!(batches1, 1);
+    assert_eq!(batches4, 1, "4 requests did not coalesce into 1 batch");
+    assert_eq!(images1, 1);
+    assert_eq!(images4, 4);
 }
 
 mod arrival_order_properties {

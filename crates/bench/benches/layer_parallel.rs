@@ -1,20 +1,17 @@
-//! The parallel execution engine on a CNN1-shaped conv layer:
-//!
-//! * unit-thread sweep 1/2/4/8 over `he_conv2d` (same layer, same
-//!   ciphertexts — only `ExecMode` changes; outputs are bit-identical);
-//! * cached vs uncached weight-residue encoding — the
-//!   `WeightResidueTable` hoist measured in isolation on the dense MAC
-//!   chain it accelerates.
+//! The parallel execution engine on a CNN1-shaped conv layer: a
+//! unit-thread sweep 1/2/4/8 over a one-layer conv network run through
+//! `HeNetwork::infer_encrypted_with` (same network, same ciphertexts —
+//! only `ExecMode`'s width cap changes; outputs are bit-identical), and
+//! the tracing overhead on the same run.
 //!
 //! Results land in `bench_results/layer_parallel.txt`. On a single-core
-//! host the thread sweep is expected flat (threads timeshare one CPU);
-//! the weight-residue hoist is an algorithmic win independent of cores.
+//! host the thread sweep is expected flat (threads timeshare one CPU).
 
 use ckks::{CkksParams, Evaluator, KeyGenerator, SecurityLevel};
 use ckks_math::sampler::Sampler;
-use cnn_he::he_layers::{he_conv2d, ConvSpec};
+use cnn_he::he_layers::ConvSpec;
 use cnn_he::he_tensor::encrypt_image_batch;
-use cnn_he::{ExecMode, WeightResidueTable};
+use cnn_he::{ExecMode, HeLayerSpec, HeNetwork};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::sync::Arc;
 
@@ -34,6 +31,7 @@ fn bench_layer_parallel(c: &mut Criterion) {
     let mut kg = KeyGenerator::new(Arc::clone(&ctx), 21);
     let sk = kg.gen_secret_key();
     let pk = kg.gen_public_key(&sk);
+    let rk = kg.gen_relin_key(&sk);
     let ev = Evaluator::new(Arc::clone(&ctx));
     let mut s = Sampler::from_seed(22);
     let _ = sk;
@@ -42,86 +40,30 @@ fn bench_layer_parallel(c: &mut Criterion) {
     // reduced 14×14 input so one sweep point stays in bench budget:
     // 5 × 6×6 = 180 output units, 25 taps each.
     let side = 14;
-    let img: Vec<f32> = (0..side * side).map(|i| (i % 11) as f32 / 11.0).collect();
-    let x = encrypt_image_batch(&ev, &pk, &mut s, &[&img], side, depth);
-    let spec = ConvSpec {
-        weight: (0..5 * 25)
-            .map(|i| ((i % 25) as f32 - 12.0) * 0.03)
-            .collect(),
-        bias: vec![0.1, -0.1, 0.05, 0.0, 0.2],
-        in_ch: 1,
-        out_ch: 5,
-        k: 5,
-        stride: 2,
-        pad: 1,
+    let net = HeNetwork {
+        layers: vec![HeLayerSpec::Conv(ConvSpec {
+            weight: (0..5 * 25)
+                .map(|i| ((i % 25) as f32 - 12.0) * 0.03)
+                .collect(),
+            bias: vec![0.1, -0.1, 0.05, 0.0, 0.2],
+            in_ch: 1,
+            out_ch: 5,
+            k: 5,
+            stride: 2,
+            pad: 1,
+        })],
+        input_side: side,
     };
+    let img: Vec<f32> = (0..side * side).map(|i| (i % 11) as f32 / 11.0).collect();
+    let x = encrypt_image_batch(&ev, &pk, &mut s, &[&img], side, net.required_levels());
+    let run = |mode: ExecMode| net.infer_encrypted_with(&ev, &rk, x.clone(), mode);
 
     let mut g = c.benchmark_group("conv_unit_threads");
     g.sample_size(10);
     for threads in [1usize, 2, 4, 8] {
-        let mode = if threads == 1 {
-            ExecMode::sequential()
-        } else {
-            ExecMode::unit_parallel(threads)
-        };
-        g.bench_function(&format!("threads_{threads}"), |b| {
-            b.iter(|| he_conv2d(&ev, &x, &spec, mode));
-        });
+        let mode = ExecMode::unit_parallel(threads);
+        g.bench_function(&format!("threads_{threads}"), |b| b.iter(|| run(mode)));
     }
-    g.finish();
-
-    // Weight-residue hoisting in isolation: the same 180-unit × 25-tap
-    // MAC chain, with the per-MAC encode (uncached) vs one table build
-    // plus replay (cached).
-    let level = x.level();
-    let q_m = ev.ctx().chain_moduli()[level].value() as f64;
-    let slots = x.cts[0].slots;
-    let s0 = x.scale();
-    let taps: Vec<&ckks::Ciphertext> = (0..25).map(|i| &x.cts[i * 7]).collect();
-    let units = 180usize;
-
-    let mut g = c.benchmark_group("weight_residues");
-    g.sample_size(10);
-    g.bench_function("uncached_encode_per_mac", |b| {
-        b.iter(|| {
-            for _ in 0..units {
-                let mut acc = ev.zero_ciphertext(s0 * q_m, level, slots);
-                for (i, ct) in taps.iter().enumerate() {
-                    ev.mul_scalar_acc(&mut acc, ct, spec.weight[i] as f64, q_m);
-                }
-                criterion::black_box(&acc);
-            }
-        });
-    });
-    g.bench_function("cached_residue_table", |b| {
-        b.iter(|| {
-            let table = WeightResidueTable::build(&ev, &spec.weight, q_m, level);
-            for _ in 0..units {
-                let mut acc = ev.zero_ciphertext(s0 * q_m, level, slots);
-                for (i, ct) in taps.iter().enumerate() {
-                    if let Some(wr) = table.get(i) {
-                        ev.mul_residues_acc(&mut acc, ct, wr);
-                    }
-                }
-                criterion::black_box(&acc);
-            }
-        });
-    });
-    // the encode work itself, isolated: what the uncached path pays
-    // (units × taps encodes) vs what the table pays (one per distinct
-    // weight) — the absolute size of the hoisted term
-    g.bench_function("encode_per_mac_4500x", |b| {
-        b.iter(|| {
-            for _ in 0..units {
-                for &w in &spec.weight[..25] {
-                    criterion::black_box(ev.prepare_scalar(w as f64, q_m, level));
-                }
-            }
-        });
-    });
-    g.bench_function("encode_hoisted_25x", |b| {
-        b.iter(|| criterion::black_box(WeightResidueTable::build(&ev, &spec.weight, q_m, level)));
-    });
     g.finish();
 
     // Tracing overhead on the same conv layer: counters-only (idle, no
@@ -132,12 +74,12 @@ fn bench_layer_parallel(c: &mut Criterion) {
     let mut g = c.benchmark_group("trace_overhead");
     g.sample_size(10);
     g.bench_function("tracing_idle", |b| {
-        b.iter(|| he_conv2d(&ev, &x, &spec, ExecMode::sequential()));
+        b.iter(|| run(ExecMode::sequential()));
     });
     g.bench_function("tracing_recording", |b| {
         b.iter(|| {
             let session = he_trace::TraceSession::begin();
-            let out = he_conv2d(&ev, &x, &spec, ExecMode::sequential());
+            let out = run(ExecMode::sequential());
             criterion::black_box(session.finish());
             out
         });

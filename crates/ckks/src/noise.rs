@@ -35,11 +35,16 @@ pub fn measured_error_bits(
 /// When this reaches 0, further operations wrap around the modulus and
 /// destroy the payload.
 pub fn headroom_bits(ctx: &Arc<CkksContext>, ct: &Ciphertext) -> f64 {
+    headroom_bits_at(ctx, ct.level, ct.scale)
+}
+
+/// [`headroom_bits`] of a ciphertext at `level` and `scale`.
+pub fn headroom_bits_at(ctx: &Arc<CkksContext>, level: usize, scale: f64) -> f64 {
     let mut log_q = 0.0f64;
-    for m in &ctx.chain_moduli()[..=ct.level] {
+    for m in &ctx.chain_moduli()[..=level] {
         log_q += (m.value() as f64).log2();
     }
-    log_q - ct.scale.log2() - 1.0
+    log_q - scale.log2() - 1.0
 }
 
 /// The §III.C observation, quantified: relative error of encoding a

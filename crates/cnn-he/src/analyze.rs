@@ -5,7 +5,8 @@
 //!
 //! * [`admission`] — the scalar network: the chain's depth first, then
 //!   the standard passes over the circuit [`lower_network`] produces.
-//!   `CnnHePipeline` caches it; `he-ir check` prints it.
+//!   `CnnHePipeline` caches the report beside that circuit, prepared,
+//!   which is what its scalar requests run; `he-ir check` prints it.
 //! * [`circuit_admission`] — an already-lowered circuit (the packed
 //!   path's optimized stride circuits) against the keys that exist.
 //! * [`batch_exceeds_slots`] — the request-size error `validate_batch`
@@ -23,18 +24,20 @@ use he_ir::{
     PassOutput, Severity,
 };
 
-/// Admission of the scalar network under the builder's parameters. The
-/// chain's depth is checked first — the same pre-lowering check the
-/// packed path makes — because a lowering past level 0 saturates its
-/// types and every later node cascades into a diagnostic: a short chain
-/// is one `chain-exhausted` error naming the first layer that overruns
-/// it and the shortfall. Otherwise the standard passes run over the
-/// circuit [`lower_network`] produces.
-pub fn admission(net: &HeNetwork, b: GraphBuilder) -> AnalysisReport {
+/// Admission of the scalar network under the builder's parameters, and
+/// the circuit it analyzed. The chain's depth is checked first — the
+/// same pre-lowering check the packed path makes — because a lowering
+/// past level 0 saturates its types and every later node cascades into
+/// a diagnostic: a short chain is one `chain-exhausted` error naming the
+/// first layer that overruns it and the shortfall, and no circuit.
+/// Otherwise the standard passes run over the circuit [`lower_network`]
+/// produces.
+pub fn admission(net: &HeNetwork, b: GraphBuilder) -> (AnalysisReport, Option<Circuit>) {
     let p = b.params();
     let (needed, depth) = (net.required_levels(), p.depth());
     if needed <= depth {
-        return PassManager::standard().run(&lower_network(net, b, EncodeSharing::Shared));
+        let circuit = lower_network(net, b, EncodeSharing::Shared);
+        return (PassManager::standard().run(&circuit), Some(circuit));
     }
     let mut left = depth;
     let (at, layer) = net
@@ -67,7 +70,7 @@ pub fn admission(net: &HeNetwork, b: GraphBuilder) -> AnalysisReport {
             p.scale_bits
         )),
     );
-    AnalysisReport {
+    let report = AnalysisReport {
         per_pass: vec![(
             "depth",
             PassOutput {
@@ -75,7 +78,8 @@ pub fn admission(net: &HeNetwork, b: GraphBuilder) -> AnalysisReport {
                 summary: format!("network needs {needed} levels, chain has {depth}"),
             },
         )],
-    }
+    };
+    (report, None)
 }
 
 /// Admission of an already-lowered circuit against the key material
@@ -203,7 +207,7 @@ mod tests {
     #[test]
     fn adequate_depth_is_clean() {
         // 2 conv(1) + 2 act(2) + dense(1) = 7 levels
-        let report = admission(&cnn(2), GraphBuilder::new(CkksParams::tiny(7)));
+        let (report, _) = admission(&cnn(2), GraphBuilder::new(CkksParams::tiny(7)));
         assert!(!report.has_errors(), "{}", report.render());
         assert!(report.has_code("summary"), "{}", report.render());
     }
@@ -247,7 +251,7 @@ mod tests {
     fn over_deep_plan_flags_chain_exhaustion() {
         // needs 7 levels, chain has 4
         let net = cnn(2);
-        let report = admission(&net, GraphBuilder::new(CkksParams::tiny(4)));
+        let (report, _) = admission(&net, GraphBuilder::new(CkksParams::tiny(4)));
         assert!(report.has_errors());
         assert_eq!(report.merged().diagnostics.len(), 1, "{}", report.render());
         assert!(report.has_code("chain-exhausted"), "{}", report.render());
@@ -269,7 +273,7 @@ mod tests {
     fn activation_exhaustion_uses_slaf_code() {
         // one level left but the cubic needs two: the one
         // chain-exhausted error names the SLAF and its shortfall
-        let report = admission(
+        let (report, _) = admission(
             &net(vec![conv(2), slaf(3)]),
             GraphBuilder::new(CkksParams::tiny(2)),
         );
@@ -375,7 +379,7 @@ mod tests {
         // a second cubic drifts to 3·18 − 60 = −6 bits: the message is
         // gone and admission refuses the network
         let deeper = net(vec![slaf(3), slaf(3)]);
-        let report = admission(&deeper, GraphBuilder::new(params(4)));
+        let (report, _) = admission(&deeper, GraphBuilder::new(params(4)));
         assert!(report.has_errors(), "{}", report.render());
         assert!(report.has_code("noise-budget"), "{}", report.render());
         let c = lower_network(&deeper, GraphBuilder::new(params(4)), EncodeSharing::Shared);
@@ -422,7 +426,7 @@ mod tests {
             chain_bits: vec![24, 26],
             ..CkksParams::tiny(1)
         };
-        let report = admission(&net(vec![dense(9, 2)]), GraphBuilder::new(params));
+        let (report, _) = admission(&net(vec![dense(9, 2)]), GraphBuilder::new(params));
         assert!(report.has_code("low-headroom"), "{}", report.render());
         assert!(report.has_errors());
         assert!(report.render().contains("widen q_0"), "{}", report.render());

@@ -151,7 +151,7 @@ fn run(mut args: Vec<String>) -> i32 {
     if cmd == "check" && !(opts.packed || opts.per_tap || opts.optimize) {
         let params =
             params.unwrap_or_else(|| params_for(opts.depth.unwrap_or(net.required_levels())));
-        let report = admission(&net, GraphBuilder::new(params));
+        let (report, _) = admission(&net, GraphBuilder::new(params));
         print!("{}", report.render());
         return i32::from(report.has_errors());
     }

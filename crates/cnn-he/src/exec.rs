@@ -1,14 +1,14 @@
-//! Execution planning, the real parallel unit executor, and latency
-//! accounting.
+//! Execution width, and the scheduling model behind the paper's tables.
 //!
 //! Two complementary machineries live here:
 //!
-//! * **Real execution** — [`ExecMode`] says how many threads a layer's
-//!   independent output units are split across. [`ExecMode::run_units`]
-//!   is the single fan-out point every encrypted layer goes through;
-//!   `ckks-math`'s per-limb loops inside a unit then run inline (the
-//!   vendored rayon runs a parallel call issued from a pool task on
-//!   that thread).
+//! * **Real execution** — [`ExecMode`] caps how many threads a request
+//!   may use. A circuit region's independent units (one per conv/dense
+//!   output scalar or SLAF ciphertext, `he_ir::Circuit::units`) run
+//!   across at most that many threads of the rayon pool, and
+//!   `ckks-math`'s per-limb loops inside a unit run inline (the vendored
+//!   rayon runs a parallel call issued from a pool task on that thread).
+//!   [`ExecMode::install`] applies the cap around a run.
 //! * **Simulation** — the paper's CNN-HE-RNS processes the decomposed
 //!   signal as `k` independent streams in parallel on an 8-core/16-thread
 //!   Xeon. The harness measures per-unit CPU time and computes the
@@ -18,13 +18,12 @@
 //!   alongside, letting [`InferenceTiming::validate_against`] check the
 //!   simulator against reality.
 
-use rayon::prelude::*;
 use std::time::Duration;
 
-/// How a layer's unit loop actually executes.
+/// How many threads a run may use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecMode {
-    /// Worker threads for the outer per-unit loop. `1` = sequential.
+    /// Width cap of the run. `1` = one thread.
     pub unit_threads: usize,
 }
 
@@ -35,8 +34,7 @@ impl Default for ExecMode {
 }
 
 impl ExecMode {
-    /// One unit at a time; `ckks-math` may still split a large
-    /// polynomial's limbs across the pool.
+    /// One thread: units run one at a time, and no limb loop fans out.
     pub fn sequential() -> Self {
         Self { unit_threads: 1 }
     }
@@ -55,24 +53,16 @@ impl ExecMode {
         Self::unit_parallel(rayon::current_num_threads())
     }
 
-    /// Runs `f(0..n)` and collects results in index order. With
-    /// `unit_threads > 1` the units are split across that many threads
-    /// of the rayon pool (`install` only caps the width; it starts no
-    /// thread). Each unit is computed independently, so outputs are
-    /// bit-identical to a sequential run.
-    pub fn run_units<R, F>(&self, n: usize, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize) -> R + Sync,
-    {
-        if self.unit_threads <= 1 {
-            return (0..n).map(f).collect();
-        }
+    /// Runs `f` with every parallel call it issues capped at
+    /// `unit_threads` wide (`ThreadPool::install` only caps the width;
+    /// it starts no thread). Units are computed independently, so the
+    /// outputs are bit-identical at any width.
+    pub fn install<R>(&self, f: impl FnOnce() -> R) -> R {
         rayon::ThreadPoolBuilder::new()
             .num_threads(self.unit_threads)
             .build()
             .expect("building a width cap cannot fail")
-            .install(|| (0..n).into_par_iter().map(&f).collect())
+            .install(f)
     }
 }
 
@@ -121,16 +111,17 @@ impl ExecPlan {
 #[derive(Debug, Clone)]
 pub struct LayerTiming {
     pub name: String,
-    /// One entry per independent work unit (output scalar / ciphertext).
+    /// Wall of each independent unit of the layer's circuit region
+    /// (output scalar / ciphertext).
     pub unit_times: Vec<Duration>,
     /// Whether this layer's units belong to the RNS-parallel region.
-    /// Linear layers (conv, dense) commute with the stream decomposition
-    /// and parallelize; nonlinear activations require the reassembled
-    /// signal and stay sequential (Fig. 5).
+    /// Linear layers (conv, dense, packed matvec) commute with the
+    /// stream decomposition and parallelize; SLAF activations require
+    /// the reassembled signal and stay sequential (Fig. 5).
     pub parallel: bool,
     /// Fixed sequential overhead of the layer (reassembly, bookkeeping).
     pub fixed: Duration,
-    /// Measured wall-clock of the whole layer. Under a sequential
+    /// Measured wall-clock of the whole layer. Under a one-thread
     /// [`ExecMode`] this ≈ `cpu_total()`; under unit-parallelism it is
     /// what the threads actually achieved.
     pub wall: Duration,

@@ -1,36 +1,36 @@
-//! Lowering of extracted networks into the `he-ir` circuit IR.
+//! Lowering of extracted networks into the `he-ir` circuit IR — the
+//! circuit the scalar engine runs.
 //!
-//! [`lower_network`] replays, against a [`GraphBuilder`], the *exact*
-//! evaluator call sequence the eager engine makes — the same tap
-//! skipping ([`crate::weights::WeightResidueTable`] drops zero weights,
-//! padding drops out-of-bounds taps), the same lazy accumulator
-//! seeding, the same SLAF Horner shape ([`crate::he_layers`]) — so a
-//! circuit lowered with [`GraphBuilder::for_context`] declares types
-//! bit-identical to an eager run and interprets
-//! ([`he_ir::Interpreter`]) to bit-identical ciphertexts.
+//! [`lower_network`] emits CryptoNets-style scalar inference (Eq. 1 per
+//! output unit) against a [`GraphBuilder`]: one input node per pixel,
+//! one region per layer, and inside a region one unit per conv/dense
+//! output scalar or SLAF ciphertext (`he_ir::Circuit::units`). A linear
+//! unit is a lazily seeded accumulator MAC'd over the taps that survive
+//! padding and zero weights, its bias added, one rescale — or a
+//! bias-only ciphertext when no tap survives; a SLAF unit is the
+//! exact-scale degree-≤3 ladder. Scale discipline is exact: linear
+//! layers encode weights at `q_m`, the prime about to be rescaled away,
+//! so the output scale equals the input scale; the degree-3 SLAF uses
+//! plaintext scales `(q_m, s, s)` for `(c₃, c₂, c₁)` so that all terms
+//! meet at `s³/(q_m·q_{m−1})` two levels down.
 //!
-//! Eager execution is untouched: the engine keeps running layer
-//! functions directly; this module is the recording front-end the
-//! static passes and the IR↔eager differential consume. Scalar
-//! admission ([`crate::analyze::admission`]), the `he-ir check` CLI and
-//! (after a run) the trace cross-check all read this lowering.
+//! `he_ir::Prepared` runs this circuit for `HeNetwork::infer_encrypted_with`
+//! and `CnnHePipeline`, preparing each shared weight encode once; scalar
+//! admission, `he-ir check` and the trace cross-check read it too.
 
 use crate::he_layers::{ConvSpec, DenseSpec};
-use crate::he_tensor::CtTensor;
 use crate::network::{HeLayerSpec, HeNetwork};
-use ckks::Ciphertext;
 use he_ir::{Circuit, GraphBuilder, KeyInventory, Layout, NodeId};
 use std::collections::HashMap;
 
 /// How weight/coefficient encodes are materialized in the IR.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EncodeSharing {
-    /// One encode node per distinct `(value, pt_scale, level)` per layer
-    /// — mirrors [`crate::weights::WeightResidueTable`]'s dedup, so the
-    /// circuit's encode count equals the table's `distinct()`.
+    /// One encode node per distinct `(value, pt_scale, level)` per
+    /// layer — what runs: each is prepared once per circuit.
     Shared,
-    /// A fresh encode node per tap — what a table-less engine would do;
-    /// useful to make the CSE pass demonstrate the duplication.
+    /// A fresh encode node per tap; useful to make the CSE pass
+    /// demonstrate the duplication.
     PerTap,
 }
 
@@ -40,17 +40,7 @@ pub fn input_name(i: usize) -> String {
     format!("px{i}")
 }
 
-/// Binds an encrypted input tensor to the circuit's input names, for
-/// [`he_ir::Interpreter::run`].
-pub fn bind_inputs(t: &CtTensor) -> HashMap<String, Ciphertext> {
-    t.cts
-        .iter()
-        .enumerate()
-        .map(|(i, ct)| (input_name(i), ct.clone()))
-        .collect()
-}
-
-/// Per-layer encode dedup (the IR mirror of `WeightResidueTable`).
+/// Per-layer encode dedup.
 struct EncodeCache {
     shared: bool,
     map: HashMap<(u64, u64, usize), NodeId>,
@@ -78,8 +68,8 @@ impl EncodeCache {
 /// Lowers a scalar-engine network to a circuit: one input node per
 /// pixel, one region per layer, outputs in logit order. The builder
 /// chooses the modulus basis: [`GraphBuilder::new`] for nominal
-/// (plan-level) analysis, [`GraphBuilder::for_context`] for types
-/// bit-identical to eager execution.
+/// (plan-level) analysis, [`GraphBuilder::for_context`] for the circuit
+/// that runs.
 pub fn lower_network(net: &HeNetwork, mut b: GraphBuilder, sharing: EncodeSharing) -> Circuit {
     let side = net.input_side;
     let start = net.required_levels().min(b.params().depth());
@@ -95,7 +85,6 @@ pub fn lower_network(net: &HeNetwork, mut b: GraphBuilder, sharing: EncodeSharin
                 (cur, shape) = lower_conv(&mut b, &cur, shape, spec, &mut enc);
             }
             HeLayerSpec::Dense(spec) => {
-                // the eager path flattens first; node order is identical
                 cur = lower_dense(&mut b, &cur, spec, &mut enc);
                 shape = (1, 1, cur.len());
             }
@@ -111,10 +100,10 @@ pub fn lower_network(net: &HeNetwork, mut b: GraphBuilder, sharing: EncodeSharin
     b.finish(KeyInventory::relin_only())
 }
 
-/// Mirror of `he_conv2d`: per output unit, a lazily seeded accumulator
-/// MAC'd over the surviving taps (in-bounds, non-zero weight), bias
-/// added, then one rescale; all-zero units take the bias-only branch at
-/// the already-rescaled scale.
+/// Conv: per output unit, a lazily seeded accumulator MAC'd over the
+/// surviving taps (in-bounds, non-zero weight), bias added, then one
+/// rescale; a unit with no surviving tap is its bias alone, at the
+/// scale a rescale would have produced (`s·q_m / q_m`, bit for bit).
 fn lower_conv(
     b: &mut GraphBuilder,
     cur: &[NodeId],
@@ -177,9 +166,8 @@ fn lower_conv(
     (out, (spec.out_ch, oh, ow))
 }
 
-/// Mirror of `he_dense`: the accumulator is always seeded (a dense row
-/// is never assumed all-zero), non-zero weights MAC'd, bias added, one
-/// rescale.
+/// Dense: the accumulator is always seeded (a dense row is never
+/// assumed all-zero), non-zero weights MAC'd, bias added, one rescale.
 fn lower_dense(
     b: &mut GraphBuilder,
     cur: &[NodeId],
@@ -207,11 +195,10 @@ fn lower_dense(
     out
 }
 
-/// Mirror of `he_poly_eval_deg3`, per ciphertext: square + rescale,
-/// every product rescaled, the `c₃` branch skipped when the
-/// coefficient is exactly zero, and the `c₁` term passed through the
-/// scale-aligning `×1.0` multiply — landing two levels down at
-/// `s³/(q_m·q_{m−1})`.
+/// SLAF `c₀ + c₁x + c₂x² + c₃x³`, per ciphertext: square + rescale,
+/// every product rescaled, the `c₃` branch skipped when the coefficient
+/// is exactly zero, and the `c₁` term passed through the scale-aligning
+/// `×1.0` multiply — landing two levels down at `s³/(q_m·q_{m−1})`.
 fn lower_activation(
     b: &mut GraphBuilder,
     cur: &[NodeId],
@@ -254,8 +241,7 @@ fn lower_activation(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::ExecMode;
-    use crate::pipeline::CnnHePipeline;
+    use crate::he_tensor::encrypt_image_batch;
     use he_ir::{Interpreter, PassManager};
 
     /// A tiny conv→SLAF→dense network over 4×4 inputs (depth 4).
@@ -338,93 +324,79 @@ mod tests {
         assert!(!report.has_errors(), "{}", report.render());
     }
 
+    /// One conv unit and one degree-3 SLAF unit of the lowering, run
+    /// through `he_ir::Prepared` at the pool's full width, against the
+    /// same evaluator calls written out by hand: same limbs, same scale
+    /// bits.
     #[test]
     fn interpreted_circuit_matches_eager_engine_bit_for_bit() {
-        let net = micro_net(9);
-        let mut pipe = CnnHePipeline::new(net, 1 << 10, 900);
+        let mut net = micro_net(9);
+        net.layers.truncate(2); // conv (tap 3 zeroed) → SLAF(deg 3)
+        let ctx = ckks::CkksParams::tiny(net.required_levels()).build();
+        let mut kg = ckks::KeyGenerator::new(std::sync::Arc::clone(&ctx), 900);
+        let sk = kg.gen_secret_key();
+        let (pk, rk) = (kg.gen_public_key(&sk), kg.gen_relin_key(&sk));
+        let ev = ckks::Evaluator::new(std::sync::Arc::clone(&ctx));
         let img: Vec<f32> = (0..16).map(|i| ((i * 7) % 11) as f32 / 11.0).collect();
-        let x = pipe.encrypt(&[&img]);
-        let inputs = bind_inputs(&x);
-
-        // eager reference
-        let (want, _) = pipe.network.infer_encrypted_with(
-            pipe.evaluator(),
-            pipe.relin_key(),
-            x,
-            ExecMode::sequential(),
+        let mut sampler = ckks_math::sampler::Sampler::from_seed(901);
+        let level = net.required_levels();
+        let x = encrypt_image_batch(&ev, &pk, &mut sampler, &[&img], 4, level);
+        let (ev, rk) = (&ev, &rk);
+        let circuit = lower_network(&net, GraphBuilder::for_context(&ctx), EncodeSharing::Shared);
+        let prepared = he_ir::Prepared::new(ev, circuit).expect("prepares");
+        let c = prepared.circuit();
+        assert_eq!(
+            c.units(c.regions[0].nodes()).len(),
+            8,
+            "a unit per conv output"
         );
-
-        // IR path: lower against the real context (with the batch's
-        // actual slot count — `encode` pads batch 1 to a single slot,
-        // and the eager engine threads that through), then interpret
-        let mut b = GraphBuilder::for_context(&pipe.ctx);
-        b.set_slots(inputs.values().next().unwrap().slots);
-        let circuit = lower_network(&pipe.network, b, EncodeSharing::Shared);
-        let got = Interpreter::new(pipe.evaluator())
-            .with_relin(pipe.relin_key())
-            .run(&circuit, &inputs)
-            .expect("interpretation failed");
-
-        assert_eq!(got.len(), want.cts.len());
-        for (g, w) in got.iter().zip(&want.cts) {
-            assert_eq!(g.level, w.level);
-            assert_eq!(g.scale.to_bits(), w.scale.to_bits());
-            assert_eq!(g.slots, w.slots);
-            for li in 0..=g.level {
-                assert_eq!(g.c0.limb(li), w.c0.limb(li), "c0 limb {li} differs");
-                assert_eq!(g.c1.limb(li), w.c1.limb(li), "c1 limb {li} differs");
-            }
-        }
-        // decryptions are bit-identical too
-        let sk = pipe.secret_key();
-        for (g, w) in got.iter().zip(&want.cts) {
-            let dg = pipe.evaluator().decrypt_to_real(g, sk);
-            let dw = pipe.evaluator().decrypt_to_real(w, sk);
-            assert_eq!(dg.len(), dw.len());
-            for (a, b) in dg.iter().zip(&dw) {
-                assert_eq!(a.to_bits(), b.to_bits());
-            }
-        }
-        // and the declared exit types agree with the real ciphertexts
-        for (&o, w) in circuit.outputs.iter().zip(&want.cts) {
-            let ty = circuit.node(o).ty.as_ct().unwrap();
-            assert_eq!(ty.level, w.level);
-            assert_eq!(ty.scale.to_bits(), w.scale.to_bits());
-        }
-    }
-
-    #[test]
-    fn all_zero_conv_row_takes_the_bias_only_branch() {
-        let mut net = micro_net(10);
-        if let HeLayerSpec::Conv(c) = &mut net.layers[0] {
-            // zero out output channel 1 entirely
-            for wv in &mut c.weight[9..18] {
-                *wv = 0.0;
-            }
-        }
-        let mut pipe = CnnHePipeline::new(net, 1 << 10, 901);
-        let img: Vec<f32> = (0..16).map(|i| (i % 5) as f32 / 5.0).collect();
-        let x = pipe.encrypt(&[&img]);
-        let inputs = bind_inputs(&x);
-        let (want, _) = pipe.network.infer_encrypted_with(
-            pipe.evaluator(),
-            pipe.relin_key(),
-            x,
-            ExecMode::sequential(),
+        assert_eq!(
+            c.units(c.regions[1].nodes()).len(),
+            8,
+            "a unit per SLAF input"
         );
-        let mut b = GraphBuilder::for_context(&pipe.ctx);
-        b.set_slots(inputs.values().next().unwrap().slots);
-        let circuit = lower_network(&pipe.network, b, EncodeSharing::Shared);
-        let got = Interpreter::new(pipe.evaluator())
-            .with_relin(pipe.relin_key())
-            .run(&circuit, &inputs)
-            .expect("interpretation failed");
-        for (g, w) in got.iter().zip(&want.cts) {
-            assert_eq!(g.scale.to_bits(), w.scale.to_bits());
-            for li in 0..=g.level {
-                assert_eq!(g.c0.limb(li), w.c0.limb(li));
-                assert_eq!(g.c1.limb(li), w.c1.limb(li));
+        let got = prepared
+            .run(
+                &Interpreter::new(ev).with_relin(rk),
+                (0..16).map(|i| (input_name(i), x.cts[i].clone())).collect(),
+            )
+            .expect("runs")
+            .outputs
+            .remove(0);
+
+        // conv unit 0: channel 0 at (0, 0), taps in row-major order
+        let HeLayerSpec::Conv(conv) = &net.layers[0] else {
+            unreachable!("layer 0 is the conv")
+        };
+        let (level, s) = (x.level(), x.scale());
+        let q = |l: usize| ctx.chain_moduli()[l].value() as f64;
+        let mut acc = ev.zero_ciphertext(s * q(level), level, ctx.slots());
+        for (tap, &w) in conv.weight[..9].iter().enumerate() {
+            if w != 0.0 {
+                let w = ev.prepare_scalar(f64::from(w), q(level), level);
+                ev.mul_residues_acc(&mut acc, &x.cts[(tap / 3) * 4 + tap % 3], &w);
             }
         }
+        ev.add_scalar_assign(&mut acc, f64::from(conv.bias[0]));
+        let u = ev.rescale(&acc);
+        // SLAF unit 0 over it
+        let HeLayerSpec::Activation(k) = &net.layers[1] else {
+            unreachable!("layer 1 is the SLAF")
+        };
+        let (s, q_m) = (u.scale, q(u.level));
+        let x2 = ev.rescale(&ev.square(&u, rk));
+        let mut y = ev.rescale(&ev.mul_scalar(&x2, k[2], s));
+        let t = ev.rescale(&ev.mul_scalar(&u, k[3], q_m));
+        y = ev.add(&y, &ev.rescale(&ev.multiply(&t, &x2, rk)));
+        let t = ev.rescale(&ev.mul_scalar(&u, k[1], s));
+        y = ev.add(&y, &ev.rescale(&ev.mul_scalar(&t, 1.0, s)));
+        let want = ev.add_scalar(&y, k[0]);
+
+        assert_eq!(
+            (got.level, got.scale.to_bits()),
+            (want.level, want.scale.to_bits())
+        );
+        assert_eq!(got.c0.limbs_flat(), want.c0.limbs_flat());
+        assert_eq!(got.c1.limbs_flat(), want.c1.limbs_flat());
     }
 }

@@ -26,19 +26,6 @@ impl CtTensor {
         &self.shape
     }
 
-    /// 3-D (CHW) index.
-    pub fn at3(&self, c: usize, h: usize, w: usize) -> &Ciphertext {
-        let (hh, ww) = (self.shape[1], self.shape[2]);
-        &self.cts[(c * hh + h) * ww + w]
-    }
-
-    /// Reinterprets as a flat vector (the Flatten layer).
-    pub fn flatten(mut self) -> Self {
-        let n = self.numel();
-        self.shape = vec![n];
-        self
-    }
-
     /// Common scale of all ciphertexts (they move in lock-step).
     pub fn scale(&self) -> f64 {
         self.cts[0].scale
@@ -133,9 +120,8 @@ mod tests {
         let img: Vec<f32> = (0..9).map(|i| i as f32 * 0.1).collect();
         let t = encrypt_image_batch(&ev, &pk, &mut s, &[&img], 3, 0);
         // element (0, 2, 1) is pixel index 7
-        let v = ev.decrypt_to_real(t.at3(0, 2, 1), &sk)[0];
+        assert_eq!(t.shape(), &[1, 3, 3]);
+        let v = ev.decrypt_to_real(&t.cts[(2 * 3) + 1], &sk)[0];
         assert!((v - 0.7).abs() < 1e-3);
-        let flat = t.flatten();
-        assert_eq!(flat.shape(), &[9]);
     }
 }

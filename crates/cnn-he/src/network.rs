@@ -9,16 +9,20 @@
 //!
 //! The resulting network evaluates identically in two worlds:
 //! * [`HeNetwork::infer_plain`] — f64 reference;
-//! * [`HeNetwork::infer_encrypted`] — over CKKS ciphertexts, with
-//!   per-unit timing capture for the execution simulator.
+//! * [`HeNetwork::infer_encrypted_with`] — over CKKS ciphertexts: the
+//!   network's lowering ([`crate::graph::lower_network`]) prepared and
+//!   run by `he_ir::Prepared`, with per-unit timing capture for the
+//!   execution simulator.
 
-use crate::exec::{ExecMode, InferenceTiming, LayerTiming};
-use crate::he_layers::{he_activation, he_conv2d, he_dense, ConvSpec, DenseSpec};
+use crate::exec::{ExecMode, InferenceTiming};
+use crate::graph::{input_name, lower_network, EncodeSharing};
+use crate::he_layers::{ConvSpec, DenseSpec};
 use crate::he_tensor::CtTensor;
+use crate::trace::{region_reports, NamedRuns};
 use ckks::{Evaluator, RelinKey};
+use he_ir::{GraphBuilder, Interpreter, Prepared};
 use neural::layers::{BatchNorm, Conv2d, Dense, PolyActivation};
 use neural::Sequential;
-use std::time::{Duration, Instant};
 
 /// One layer of the HE-compatible network.
 #[derive(Debug, Clone)]
@@ -190,8 +194,24 @@ impl HeNetwork {
         cur
     }
 
-    /// Encrypted inference over a ciphertext tensor with the default
-    /// sequential [`ExecMode`]. See [`Self::infer_encrypted_with`].
+    /// Shape of the encrypted output tensor: a conv's `[C, H, W]`, a
+    /// dense layer's `[D]`; an activation keeps its input's shape.
+    fn output_shape(&self) -> Vec<usize> {
+        let mut shape = vec![1, self.input_side, self.input_side];
+        for layer in &self.layers {
+            match layer {
+                HeLayerSpec::Conv(c) => {
+                    shape = vec![c.out_ch, c.out_size(shape[1]), c.out_size(shape[2])];
+                }
+                HeLayerSpec::Dense(d) => shape = vec![d.out_dim],
+                HeLayerSpec::Activation(_) => {}
+            }
+        }
+        shape
+    }
+
+    /// Encrypted inference over a ciphertext tensor on one thread. See
+    /// [`Self::infer_encrypted_with`].
     pub fn infer_encrypted(
         &self,
         ev: &Evaluator,
@@ -201,94 +221,50 @@ impl HeNetwork {
         self.infer_encrypted_with(ev, rk, x, ExecMode::sequential())
     }
 
-    /// Encrypted inference under an explicit execution mode, returning
-    /// the encrypted logits and the per-layer timing record (per-unit
-    /// CPU times for the simulator, plus measured per-layer wall-clock).
-    /// Outputs are bit-identical across modes.
+    /// Encrypted inference under a width cap: lowers the network against
+    /// `ev`'s context, prepares the circuit and runs it on `x` (moved in),
+    /// returning the encrypted logits and the per-layer timing record.
+    /// Outputs are bit-identical across modes. Panics with the typed
+    /// error's text when the circuit cannot run on `x`.
     pub fn infer_encrypted_with(
         &self,
         ev: &Evaluator,
         rk: &RelinKey,
-        mut x: CtTensor,
+        x: CtTensor,
         mode: ExecMode,
     ) -> (CtTensor, InferenceTiming) {
-        debug_assert!(
-            x.level() >= self.required_levels(),
-            "input at level {} but the network consumes {} levels",
-            x.level(),
-            self.required_levels()
+        let circuit = lower_network(
+            self,
+            GraphBuilder::for_context(ev.ctx()),
+            EncodeSharing::Shared,
         );
-        let mut timing = InferenceTiming::default();
-        for layer in &self.layers {
-            let fixed0 = Instant::now();
-            let (out, times, parallel) = run_layer(layer, ev, rk, x, mode);
-            let wall = fixed0.elapsed();
-            let unit_sum: Duration = times.iter().sum();
-            // under unit-parallelism the units overlap, so the wall can
-            // be smaller than the unit CPU sum — fixed saturates to zero
-            let fixed = wall.saturating_sub(unit_sum);
-            timing.layers.push(LayerTiming {
-                name: layer.name(),
-                unit_times: times,
-                parallel,
-                fixed,
-                wall,
-            });
-            x = out;
-        }
-        (x, timing)
+        let prepared = Prepared::new(ev, circuit).unwrap_or_else(|e| panic!("{e}"));
+        let (y, regions) = self
+            .run_prepared(&prepared, ev, rk, x, mode)
+            .unwrap_or_else(|e| panic!("{e}"));
+        (y, region_reports(ev.ctx(), prepared.circuit(), regions).0)
     }
 
-    /// [`Self::infer_encrypted_with`] plus runtime telemetry: each layer
-    /// runs under an `he-trace` span, HE op counters are snapshotted
-    /// around it, and the output ciphertext's level/scale/noise headroom
-    /// are sampled afterwards. Returns the encrypted logits, the timing
-    /// record, and one [`crate::trace::LayerTrace`] per layer.
-    ///
-    /// Counter deltas are only exact when no other HE work runs in the
-    /// process concurrently — [`crate::pipeline::CnnHePipeline::traced_infer`]
-    /// guarantees that by holding the global [`he_trace::TraceSession`].
-    pub fn infer_encrypted_traced(
+    /// Runs this network's prepared lowering on `x` under `mode`'s width
+    /// cap: the logits tensor and one record per layer, named after it.
+    pub(crate) fn run_prepared(
         &self,
+        prepared: &Prepared,
         ev: &Evaluator,
         rk: &RelinKey,
-        mut x: CtTensor,
+        x: CtTensor,
         mode: ExecMode,
-    ) -> (CtTensor, InferenceTiming, Vec<crate::trace::LayerTrace>) {
-        let mut timing = InferenceTiming::default();
-        let mut layer_traces = Vec::with_capacity(self.layers.len());
-        for layer in &self.layers {
-            let ops_before = he_trace::OpSnapshot::now();
-            let span = he_trace::span_owned(layer.name(), he_trace::cats::LAYER);
-            let fixed0 = Instant::now();
-            let (out, times, parallel) = run_layer(layer, ev, rk, x, mode);
-            let wall = fixed0.elapsed();
-            drop(span);
-            let ops = he_trace::OpSnapshot::now().delta(&ops_before);
-            let unit_sum: Duration = times.iter().sum();
-            let fixed = wall.saturating_sub(unit_sum);
-            layer_traces.push(crate::trace::LayerTrace {
-                name: layer.name(),
-                units: times.len(),
-                wall,
-                cpu: unit_sum + fixed,
-                unit_times: times.clone(),
-                parallel,
-                level: out.level(),
-                scale: out.scale(),
-                headroom_bits: ckks::noise::headroom_bits(ev.ctx(), &out.cts[0]),
-                ops,
-            });
-            timing.layers.push(LayerTiming {
-                name: layer.name(),
-                unit_times: times,
-                parallel,
-                fixed,
-                wall,
-            });
-            x = out;
-        }
-        (x, timing, layer_traces)
+    ) -> Result<(CtTensor, NamedRuns), String> {
+        let interp = Interpreter::new(ev).with_relin(rk);
+        let inputs = x.cts.into_iter().enumerate();
+        let inputs = inputs.map(|(i, ct)| (input_name(i), ct)).collect();
+        let run = mode.install(|| prepared.run(&interp, inputs))?;
+        let y = CtTensor {
+            cts: run.outputs,
+            shape: self.output_shape(),
+        };
+        let names = prepared.circuit().regions.iter().map(|r| r.name.clone());
+        Ok((y, names.zip(run.regions).collect()))
     }
 
     /// Text rendering of the architecture (regenerates Figs. 3/4).
@@ -302,39 +278,6 @@ impl HeNetwork {
             out.push_str(&format!("  [{i}] {}\n", l.name()));
         }
         out
-    }
-}
-
-/// Executes one layer. Takes the input tensor by value because Dense
-/// consumes it via [`CtTensor::flatten`]. The `bool` is the
-/// stream-parallel flag recorded in [`LayerTiming`].
-fn run_layer(
-    layer: &HeLayerSpec,
-    ev: &Evaluator,
-    rk: &RelinKey,
-    x: CtTensor,
-    mode: ExecMode,
-) -> (CtTensor, Vec<Duration>, bool) {
-    match layer {
-        HeLayerSpec::Conv(spec) => {
-            let (y, t) = he_conv2d(ev, &x, spec, mode);
-            (y, t, true)
-        }
-        HeLayerSpec::Dense(spec) => {
-            let flat = x.flatten();
-            let (y, t) = he_dense(ev, &flat, spec, mode);
-            (y, t, true)
-        }
-        HeLayerSpec::Activation(coeffs) => {
-            // Nonlinear: must act on the reassembled signal — the
-            // RNS streams cannot carry it (σ(Σβ_j d_j) ≠ Σβ_j σ(d_j)),
-            // so activations are outside the *stream*-parallel
-            // region of the simulator; thread-level unit
-            // parallelism still applies (each ciphertext's SLAF
-            // is independent).
-            let (y, t) = he_activation(ev, rk, &x, coeffs, mode);
-            (y, t, false)
-        }
     }
 }
 

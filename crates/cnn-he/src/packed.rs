@@ -365,7 +365,12 @@ impl PackedNetwork {
         shards: Vec<Ciphertext>,
     ) -> ShardRun {
         let interp = he_ir::Interpreter::new(ev).with_relin(rk).with_galois(gk);
-        run_shards(&pre.prepared, &interp, shards).expect("the reference circuit executes")
+        let (outs, runs) =
+            run_shards(&pre.prepared, &interp, shards).expect("the reference circuit executes");
+        (
+            outs,
+            runs.into_iter().map(|(name, r)| (name, r.wall)).collect(),
+        )
     }
 }
 
@@ -377,13 +382,13 @@ pub type ShardRun = (Vec<Ciphertext>, Vec<(String, Duration)>);
 /// request. Shards are independent runs of the same circuit, so they
 /// fan out across the rayon pool (limb loops inside a shard then run
 /// inline); the order-preserving `collect` keeps shard `s`'s output and
-/// its `shard s: <region>` walls at index `s`, bit-identical to a
+/// its `shard s: <region>` records at index `s`, bit-identical to a
 /// one-thread run. Each run consumes its shard's input.
 pub(crate) fn run_shards(
     prepared: &he_ir::Prepared,
     interp: &he_ir::Interpreter,
     shards: Vec<Ciphertext>,
-) -> Result<ShardRun, String> {
+) -> Result<(Vec<Ciphertext>, crate::trace::NamedRuns), String> {
     let regions = &prepared.circuit().regions;
     let mut inputs: Vec<HashMap<String, Ciphertext>> = shards
         .into_iter()
@@ -394,18 +399,18 @@ pub(crate) fn run_shards(
         .map(|inputs| prepared.run(interp, std::mem::take(inputs)))
         .collect();
     let mut outs = Vec::with_capacity(runs.len());
-    let mut times = Vec::with_capacity(runs.len() * regions.len());
+    let mut records = Vec::with_capacity(runs.len() * regions.len());
     for (s, run) in runs.into_iter().enumerate() {
         let mut run = run?;
         outs.push(run.outputs.remove(0));
-        times.extend(
+        records.extend(
             regions
                 .iter()
-                .zip(run.region_walls)
-                .map(|(r, wall)| (format!("shard {s}: {}", r.name), wall)),
+                .zip(run.regions)
+                .map(|(r, record)| (format!("shard {s}: {}", r.name), record)),
         );
     }
-    Ok((outs, times))
+    Ok((outs, records))
 }
 
 /// The prepared reference circuit of a packed network at one layout.

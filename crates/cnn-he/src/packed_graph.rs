@@ -8,8 +8,8 @@
 //! * [`PackedLowering::Eager`] is the textbook circuit — shared baby
 //!   rotations hoisted up front, giant-step skipping of all-`None`
 //!   diagonals, diagonal plaintexts at `q_m`, bias at the accumulated
-//!   scale, one rescale per linear layer, the exact
-//!   `he_poly_eval_deg3` shape per activation. It is never optimized:
+//!   scale, one rescale per linear layer, the scalar lowering's
+//!   exact-scale SLAF ladder per activation. It is never optimized:
 //!   it is the reference the optimized circuit is tested against, and
 //!   its op counts are the honest baseline the optimizer is measured
 //!   by. Its rotation set is a subset of
@@ -36,7 +36,8 @@
 //!
 //! Regions are named `packed layer i: matvec|fold|slaf`, so per-region
 //! walls attribute time to the linear map, its replication fold and
-//! the activation separately.
+//! the activation separately. One ciphertext flows through each region,
+//! so each is a single unit that `Prepared::run` executes on its caller.
 
 use crate::packed::{PackedLayer, PackedNetwork};
 use he_ir::{Circuit, GraphBuilder, KeyInventory, Layout, NodeId};
@@ -245,8 +246,8 @@ impl Matvec<'_> {
     }
 }
 
-/// Mirror of `he_poly_eval_deg3`: the exact-scale deg-≤3 SLAF recipe,
-/// two levels consumed.
+/// The exact-scale deg-≤3 SLAF ladder of the scalar lowering
+/// ([`crate::graph`]) on one packed ciphertext, two levels consumed.
 fn lower_slaf(b: &mut GraphBuilder, coeffs: &[f64], x: NodeId) -> NodeId {
     let mut c = [0.0f64; 4];
     c[..coeffs.len()].copy_from_slice(coeffs);

@@ -3,18 +3,46 @@
 //! ciphertexts, client decrypts the logits.
 
 use crate::analyze::{admission, batch_exceeds_slots, circuit_admission};
-use crate::exec::{ExecMode, ExecPlan, InferenceTiming, LayerTiming};
+use crate::exec::{ExecMode, ExecPlan, InferenceTiming};
 use crate::he_tensor::{decrypt_tensor, encrypt_image_batch, CtTensor};
 use crate::network::HeNetwork;
 use crate::packed::PackedNetwork;
 use crate::packed_graph::{lower_packed, PackedLowering};
+use crate::trace::InferenceTrace;
 use ckks::{
     CkksContext, CkksParams, Evaluator, GaloisKeys, HeError, KeyGenerator, PublicKey, RelinKey,
     SecretKey, ShardPlan,
 };
 use ckks_math::sampler::Sampler;
+use he_trace::OpSnapshot;
 use std::collections::HashMap;
 use std::sync::Arc;
+
+/// What the scalar path runs, built once per pipeline: the network
+/// lowered against the pipeline's context, the admission report of that
+/// circuit, and the circuit in prepared form — or why it cannot run.
+struct ScalarState {
+    report: he_ir::LintReport,
+    prepared: Result<he_ir::Prepared, HeError>,
+}
+
+impl ScalarState {
+    /// Admission over the one lowering, which is prepared only when
+    /// admitted.
+    fn build(net: &HeNetwork, ctx: &CkksContext, ev: &Evaluator) -> Self {
+        let (report, circuit) = admission(net, he_ir::GraphBuilder::for_context(ctx));
+        let report = report.merged();
+        let prepared = match circuit {
+            Some(c) if !report.has_errors() => {
+                he_ir::Prepared::new(ev, c).map_err(|reason| HeError::Execution { reason })
+            }
+            _ => Err(HeError::PlanRejected {
+                report: report.render(),
+            }),
+        };
+        Self { report, prepared }
+    }
+}
 
 /// What one lane stride of the packed path runs: the optimized circuit
 /// in prepared form (validated, plaintext operands encoded) and the
@@ -64,6 +92,15 @@ pub struct CompiledStats {
     pub report: he_ir::OptimizeReport,
 }
 
+/// The classification of decrypted logits.
+fn classification(logits: Vec<Vec<f64>>, timing: InferenceTiming) -> Classification {
+    Classification {
+        predictions: logits.iter().map(|row| argmax(row)).collect(),
+        logits,
+        timing,
+    }
+}
+
 /// Index of the largest logit; NaN orders above every number
 /// (`f64::total_cmp`), so a poisoned row still yields an index.
 fn argmax(row: &[f64]) -> usize {
@@ -84,15 +121,15 @@ pub struct CnnHePipeline {
     pub network: HeNetwork,
     sampler: Sampler,
     seed: u64,
-    /// How encrypted layers execute (sequential by default); see
+    /// Width cap of the scalar path's runs (one thread by default); see
     /// [`Self::set_exec_mode`].
     exec_mode: ExecMode,
     /// `Some` once slot-packed batching is enabled; [`Self::classify`]
     /// then runs the packed circuit instead of the scalar engine.
     packed: Option<PackedState>,
-    /// The scalar network's admission report, built on the first scalar
-    /// validate (see [`Self::scalar_report`]).
-    scalar_admission: Option<he_ir::LintReport>,
+    /// Built on the first scalar validate or request (see
+    /// [`Self::scalar`]).
+    scalar: Option<ScalarState>,
 }
 
 /// Result of one encrypted classification request.
@@ -153,7 +190,7 @@ impl CnnHePipeline {
             seed,
             exec_mode: ExecMode::sequential(),
             packed: None,
-            scalar_admission: None,
+            scalar: None,
         }
     }
 
@@ -299,10 +336,12 @@ impl CnnHePipeline {
         })
     }
 
-    /// Selects how [`Self::classify`] executes layer unit loops.
-    /// Sequential mode measures clean per-unit CPU times for the
-    /// simulator; [`ExecMode::unit_parallel`] runs units on real threads
-    /// (bit-identical results, lower wall-clock).
+    /// Selects how many threads the scalar path's circuit runs may use.
+    /// [`ExecMode::sequential`] is one thread and measures clean
+    /// per-unit times for the simulator; [`ExecMode::unit_parallel`]
+    /// runs each region's units on real threads (bit-identical results,
+    /// lower wall-clock). The packed path fans its shards out across
+    /// the pool either way.
     pub fn set_exec_mode(&mut self, mode: ExecMode) {
         self.exec_mode = mode;
     }
@@ -313,14 +352,14 @@ impl CnnHePipeline {
 
     /// Static admission check *without touching a ciphertext*. `batch`
     /// is the number of images of the intended request. Scalar engine:
-    /// the cached [`admission`] report, plus a `batch-exceeds-slots`
-    /// error when the batch outgrows the slots. Packed path:
+    /// the cached [`admission`] report of the circuit that runs, plus a
+    /// `batch-exceeds-slots` error when the batch outgrows the slots. Packed path:
     /// [`circuit_admission`] of the optimized circuit that batch size
     /// executes, against the Galois keys generated for it (preparing
     /// that stride if needed).
     pub fn validate_batch(&mut self, batch: usize) -> he_ir::LintReport {
         if self.packed.is_none() {
-            let mut report = self.scalar_report().clone();
+            let mut report = self.scalar().report.clone();
             if let Some(d) = batch_exceeds_slots(batch, self.ctx.params()) {
                 report.push(d);
             }
@@ -347,25 +386,25 @@ impl CnnHePipeline {
         self.validate_batch(1)
     }
 
-    /// The scalar network's admission report under this pipeline's
-    /// context, built on first use and cached: it depends only on the
-    /// network and the parameters, so no request re-lowers the circuit,
-    /// and packed pipelines never lower the scalar network at all.
-    fn scalar_report(&mut self) -> &he_ir::LintReport {
-        let (net, ctx) = (&self.network, &self.ctx);
-        self.scalar_admission
-            .get_or_insert_with(|| admission(net, he_ir::GraphBuilder::for_context(ctx)).merged())
+    /// The scalar path's lowering, admission report and prepared
+    /// circuit, built on first use and cached: they depend only on the
+    /// network and the parameters, so no request lowers or encodes a
+    /// weight, and packed pipelines never lower the scalar network at
+    /// all.
+    fn scalar(&mut self) -> &ScalarState {
+        let (net, ctx, ev) = (&self.network, &self.ctx, &self.ev);
+        self.scalar
+            .get_or_insert_with(|| ScalarState::build(net, ctx, ev))
     }
 
-    /// Lowers the network to the `he-ir` circuit against this
-    /// pipeline's *built* context, so declared types are bit-identical
-    /// to what eager execution computes.
-    pub fn lower_to_ir(&self) -> he_ir::Circuit {
-        crate::graph::lower_network(
-            &self.network,
-            he_ir::GraphBuilder::for_context(&self.ctx),
-            crate::graph::EncodeSharing::Shared,
-        )
+    /// The circuit the scalar path runs: the network lowered once
+    /// against this pipeline's built context, the one admission linted.
+    /// Panics with the refusal when admission refused it.
+    pub fn lower_to_ir(&mut self) -> &he_ir::Circuit {
+        match &self.scalar().prepared {
+            Ok(prepared) => prepared.circuit(),
+            Err(e) => panic!("{e}"),
+        }
     }
 
     /// Largest image batch one slot-packed request can carry — the
@@ -396,24 +435,14 @@ impl CnnHePipeline {
         self.network.input_side * self.network.input_side
     }
 
-    /// Client-side: encrypts a batch of images for the scalar engine.
-    /// Panics with the full admission report if the network cannot run
-    /// under this pipeline's parameters (or the batch outgrows the
-    /// slots, or an image has the wrong length) — catching mis-planned
-    /// circuits before any encrypted compute is spent.
-    pub fn encrypt(&mut self, images: &[&[f32]]) -> CtTensor {
-        self.try_encrypt(images).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`Self::encrypt`] with the refusals typed: the cached admission
-    /// report's errors, a batch past the slots, a wrong-length image.
+    /// Client-side: encrypts a batch of images for the scalar engine,
+    /// refusing typed — the cached admission report's errors, a batch
+    /// past the slots, a wrong-length image — before any encrypted
+    /// compute is spent.
     fn try_encrypt(&mut self, images: &[&[f32]]) -> Result<CtTensor, HeError> {
         let (slots, pixels) = (self.ctx.slots(), self.input_len());
-        let report = self.scalar_report();
-        if report.has_errors() {
-            return Err(HeError::PlanRejected {
-                report: report.render(),
-            });
+        if let Err(e) = &self.scalar().prepared {
+            return Err(e.clone());
         }
         if images.len() > slots {
             return Err(HeError::BatchExceedsSlots {
@@ -450,109 +479,87 @@ impl CnnHePipeline {
     /// wrong-length image, an admission refusal, a batch past the slots
     /// or an executor failure is an `Err`, never a panic — what a
     /// serving worker must call. The scalar and packed paths differ only
-    /// in how the circuit runs.
+    /// in which prepared circuit runs.
     pub fn try_classify(&mut self, images: &[&[f32]]) -> Result<Classification, HeError> {
+        let (logits, trace) = self.run(images)?;
+        Ok(classification(logits, trace.timing))
+    }
+
+    /// Encrypts, runs the circuit, decrypts, and reports the run (spans
+    /// aside): on the packed path [`Self::run_packed`]; on the scalar
+    /// path the cached prepared lowering, under [`Self::exec_mode`]'s
+    /// width cap.
+    fn run(&mut self, images: &[&[f32]]) -> Result<(Vec<Vec<f64>>, InferenceTrace), HeError> {
         if images.is_empty() {
             return Err(HeError::EmptyBatch);
         }
-        let (logits, timing) = if self.packed.is_some() {
-            self.run_packed(images)?
-        } else {
-            let x = self.try_encrypt(images)?;
-            let (logits_ct, timing) =
-                self.network
-                    .infer_encrypted_with(&self.ev, &self.rk, x, self.exec_mode);
-            let logits = decrypt_tensor(&self.ev, &self.sk, &logits_ct, images.len());
-            (logits, timing)
-        };
-        Ok(Classification {
-            predictions: logits.iter().map(|row| argmax(row)).collect(),
-            logits,
-            timing,
-        })
+        if self.packed.is_some() {
+            return self.run_packed(images);
+        }
+        let x = self.try_encrypt(images)?;
+        let start = (x.level(), x.scale());
+        let prepared = self
+            .scalar
+            .as_ref()
+            .and_then(|s| s.prepared.as_ref().ok())
+            .expect("try_encrypt admitted the circuit");
+        let ops = OpSnapshot::now();
+        let (y, regions) = self
+            .network
+            .run_prepared(prepared, &self.ev, &self.rk, x, self.exec_mode)
+            .map_err(|reason| HeError::Execution { reason })?;
+        let ops = OpSnapshot::now().delta(&ops);
+        let trace = InferenceTrace::of_run(&self.ctx, prepared.circuit(), regions, start, ops);
+        Ok((decrypt_tensor(&self.ev, &self.sk, &y, images.len()), trace))
     }
 
     /// The packed circuit run: plan shards, encrypt B images into
     /// `ceil(B / capacity)` batch-strided ciphertexts, interpret the
     /// stride's prepared circuit once per shard, decrypt one logits row
-    /// per image. Timing carries one entry per shard × IR region.
+    /// per image. Records come one per shard × IR region.
     fn run_packed(
         &mut self,
         images: &[&[f32]],
-    ) -> Result<(Vec<Vec<f64>>, InferenceTiming), HeError> {
+    ) -> Result<(Vec<Vec<f64>>, InferenceTrace), HeError> {
         let plan = self.admitted_plan(images.len())?;
         // a field borrow, so the sampler stays mutably borrowable
         let state = self.packed.as_ref().expect("admitted_plan checked");
-        let built = &state.strides[&plan.layout().stride()];
+        let prepared = &state.strides[&plan.layout().stride()].prepared;
         let cts =
             state
                 .packed
                 .encrypt_batch(&self.ev, &self.pk, &mut self.sampler, images, &plan)?;
+        let start = (cts[0].level, cts[0].scale);
         let interp = he_ir::Interpreter::new(&self.ev)
             .with_relin(&self.rk)
             .with_galois(&state.gk);
-        let (outs, walls) = crate::packed::run_shards(&built.prepared, &interp, cts)
+        let ops = OpSnapshot::now();
+        let (outs, regions) = crate::packed::run_shards(prepared, &interp, cts)
             .map_err(|reason| HeError::Execution { reason })?;
+        let ops = OpSnapshot::now().delta(&ops);
+        let trace = InferenceTrace::of_run(&self.ctx, prepared.circuit(), regions, start, ops);
         let logits = state.packed.decrypt_batch(&self.ev, &self.sk, &outs, &plan);
-        let layers = walls
-            .into_iter()
-            .map(|(name, wall)| LayerTiming {
-                name,
-                unit_times: vec![wall],
-                // every packed region works on whole ciphertexts; the
-                // RNS stream decomposition still applies to them
-                parallel: true,
-                fixed: std::time::Duration::ZERO,
-                wall,
-            })
-            .collect();
-        Ok((logits, InferenceTiming { layers }))
+        Ok((logits, trace))
     }
 
-    /// [`Self::classify`] with full runtime telemetry: the whole run is
-    /// wrapped in an [`he_trace::TraceSession`] (spans + exact op-counter
-    /// attribution — the session's global lock serializes concurrent
-    /// traced runs), each layer samples its output level/scale/headroom,
-    /// and the observed trajectory and op counters are cross-checked
-    /// against the lowered circuit ([`Self::lower_to_ir`]).
-    /// `trace.divergence` is empty iff the run followed the circuit.
-    pub fn traced_infer(
-        &mut self,
-        images: &[&[f32]],
-    ) -> (Classification, crate::trace::InferenceTrace) {
+    /// [`Self::classify`] with full runtime telemetry, on whichever path
+    /// `classify` takes: the whole request is wrapped in an
+    /// [`he_trace::TraceSession`] (spans + exact op-counter attribution —
+    /// the session's global lock serializes concurrent traced runs), and
+    /// the same region records `classify` reports become one
+    /// [`crate::trace::LayerTrace`] per region (per shard × region on
+    /// the packed path), cross-checked against the prepared circuit that
+    /// ran. `trace.divergence` is empty iff the run followed the circuit.
+    /// Panics with the typed error's message where [`Self::try_classify`]
+    /// returns it.
+    pub fn traced_infer(&mut self, images: &[&[f32]]) -> (Classification, InferenceTrace) {
         let session = he_trace::TraceSession::begin();
-        let x = self.encrypt(images);
-        let start_level = x.level();
-        let start_scale = x.scale();
-        let start_headroom = ckks::noise::headroom_bits(&self.ctx, &x.cts[0]);
-        let ops0 = he_trace::OpSnapshot::now();
-        let (logits_ct, timing, layers) =
-            self.network
-                .infer_encrypted_traced(&self.ev, &self.rk, x, self.exec_mode);
-        let total_ops = he_trace::OpSnapshot::now().delta(&ops0);
-        let events = session.finish();
-        let trace = crate::trace::InferenceTrace::new(
-            start_level,
-            start_scale,
-            start_headroom,
-            layers,
-            timing.clone(),
-            events,
-            total_ops,
-            &self.lower_to_ir(),
-        );
+        let (logits, mut trace) = self.run(images).unwrap_or_else(|e| panic!("{e}"));
+        trace.events = session.finish();
         // publish the measured level/headroom trajectory as live gauges
         // (no-op unless the `trace` feature is on)
         trace.export_gauges();
-        let logits = decrypt_tensor(&self.ev, &self.sk, &logits_ct, images.len());
-        (
-            Classification {
-                predictions: logits.iter().map(|row| argmax(row)).collect(),
-                logits,
-                timing,
-            },
-            trace,
-        )
+        (classification(logits, trace.timing.clone()), trace)
     }
 
     /// Direct access for benches/tests.
@@ -950,6 +957,29 @@ mod tests {
         let report = trace.report();
         assert_eq!(report.rows.len(), 5);
         assert!(report.breakdown().contains("total"));
+    }
+
+    #[test]
+    fn traced_infer_on_a_packed_pipeline_traces_the_packed_circuit() {
+        let mut pipe = CnnHePipeline::new(mini_network(108), 1 << 10, 108);
+        pipe.enable_packed_batching().unwrap();
+        let img = mini_images(1).remove(0);
+        let (cls, trace) = pipe.traced_infer(&[&img]);
+        assert!(
+            trace.divergence.is_empty(),
+            "{}",
+            trace.divergence.join("\n")
+        );
+        let stride = pipe.built_plan(1).unwrap().layout().stride();
+        let circuit = pipe.packed_state().strides[&stride].prepared.circuit();
+        assert_eq!(trace.layers.len(), circuit.regions.len());
+        assert_eq!(cls.timing.layers.len(), circuit.regions.len());
+        if cfg!(feature = "trace") {
+            assert!(trace.total_ops.rotations > 0, "{:?}", trace.total_ops);
+        }
+        for (g, w) in cls.logits[0].iter().zip(&pipe.network.infer_plain(&img)) {
+            assert!((g - w).abs() < 2e-2, "{g} vs {w}");
+        }
     }
 
     #[cfg(feature = "trace")]

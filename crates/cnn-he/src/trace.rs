@@ -1,13 +1,16 @@
 //! Runtime inference telemetry — the bridge between the measured run
 //! and the circuit admission linted.
 //!
-//! [`crate::network::HeNetwork::infer_encrypted_traced`] produces one
-//! [`LayerTrace`] per layer (wall/CPU, HE op-counter deltas, output
-//! level/scale, structural noise headroom); [`InferenceTrace`] bundles
-//! them with the recorded spans and **cross-checks them against the
-//! lowered `he-ir` circuit** ([`ir_cross_check`]) — any divergence
-//! between what the circuit declares and what the ciphertexts actually
-//! did is reported as a string per mismatch.
+//! Every run of a prepared circuit yields one `he_ir::RegionRun` per
+//! region (wall, per-unit walls, HE op-counter deltas, exit
+//! level/scale). [`region_reports`] is the one conversion from those
+//! records to reports: the [`InferenceTiming`] every request returns and
+//! one [`LayerTrace`] per record, with structural noise headroom.
+//! [`InferenceTrace`] bundles the traces with the recorded spans and
+//! **cross-checks them against the circuit that ran**
+//! ([`ir_cross_check`]) — any divergence between what the circuit
+//! declares and what the ciphertexts actually did is reported as a
+//! string per mismatch.
 //!
 //! Levels must agree exactly. Scales are compared in `log₂` with a
 //! [`SCALE_TOL_BITS`] tolerance: a circuit lowered over nominal primes
@@ -16,25 +19,25 @@
 //! tolerance — while a mis-planned rescale (≥ one prime ≈ 26 bits) is
 //! far outside it.
 
-use crate::exec::InferenceTiming;
+use crate::exec::{InferenceTiming, LayerTiming};
 use crate::metrics::LatencyStats;
+use ckks::CkksContext;
+use he_ir::{Circuit, RegionRun};
 use he_trace::{OpSnapshot, SpanEvent, TraceReport, TraceRow, UnitStats};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Scale-agreement tolerance (bits) for the runtime↔static cross-check.
 pub const SCALE_TOL_BITS: f64 = 0.1;
 
-/// Telemetry of one executed layer.
+/// Telemetry of one executed circuit region: a layer, or on the packed
+/// path one shard's part of a layer.
 #[derive(Debug, Clone)]
 pub struct LayerTrace {
     pub name: String,
-    /// Output units the layer produced.
-    pub units: usize,
-    /// Measured wall-clock of the layer.
+    /// Measured wall-clock of the region.
     pub wall: Duration,
-    /// Summed per-unit CPU time plus fixed overhead.
-    pub cpu: Duration,
-    /// Per-unit CPU times (one per output unit).
+    /// Per-unit walls (one per unit).
     pub unit_times: Vec<Duration>,
     /// Whether the layer belongs to the stream-parallel region.
     pub parallel: bool,
@@ -70,35 +73,28 @@ pub struct InferenceTrace {
 }
 
 impl InferenceTrace {
-    /// Assembles the trace and cross-checks it against `circuit`, the
-    /// network's lowering ([`ir_cross_check`]).
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        start_level: usize,
-        start_scale: f64,
-        start_headroom_bits: f64,
-        layers: Vec<LayerTrace>,
-        timing: InferenceTiming,
-        events: Vec<SpanEvent>,
+    /// The reports of one run of `circuit`, spans aside: the timing and
+    /// per-region traces of its named records ([`region_reports`]),
+    /// cross-checked against it ([`ir_cross_check`]). `start` is the
+    /// first input's level and scale, `total_ops` the run's op delta.
+    pub fn of_run(
+        ctx: &Arc<CkksContext>,
+        circuit: &Circuit,
+        runs: NamedRuns,
+        (start_level, start_scale): (usize, f64),
         total_ops: OpSnapshot,
-        circuit: &he_ir::Circuit,
     ) -> Self {
-        let divergence = ir_cross_check(&layers, circuit);
+        let (timing, layers) = region_reports(ctx, circuit, runs);
         Self {
             start_level,
             start_scale,
-            start_headroom_bits,
+            start_headroom_bits: ckks::noise::headroom_bits_at(ctx, start_level, start_scale),
+            divergence: ir_cross_check(&layers, circuit),
             layers,
             timing,
-            events,
-            divergence,
+            events: Vec::new(),
             total_ops,
         }
-    }
-
-    /// Total measured wall-clock across layers.
-    pub fn wall(&self) -> Duration {
-        self.layers.iter().map(|l| l.wall).sum()
     }
 
     /// Headroom bits consumed across the whole inference.
@@ -122,8 +118,13 @@ impl InferenceTrace {
             rows.push(TraceRow {
                 name: l.name.clone(),
                 wall_s: l.wall.as_secs_f64(),
-                cpu_s: l.cpu.as_secs_f64(),
-                units: l.units,
+                cpu_s: l
+                    .unit_times
+                    .iter()
+                    .sum::<Duration>()
+                    .max(l.wall)
+                    .as_secs_f64(),
+                units: l.unit_times.len(),
                 ops: l.ops,
                 level: l.level as i64,
                 log_scale: l.scale.log2(),
@@ -230,26 +231,74 @@ impl InferenceTrace {
     }
 }
 
-/// Diffs observed per-layer telemetry against the lowered `he-ir`
-/// circuit (one region per layer): exit level must match exactly, exit
-/// scale within [`SCALE_TOL_BITS`] (a `for_context` lowering is
-/// bit-identical, so any drift is real), and the observed HE op
-/// counters must not *undershoot* the static per-region counts.
+/// Region records named for reports: one run's, or every shard's in
+/// shard order.
+pub type NamedRuns = Vec<(String, RegionRun)>;
+
+/// The one conversion from named region records — one run's, or every
+/// shard's in shard order, record `i` from region `i mod regions` — to
+/// the timing record and one [`LayerTrace`] each. A region is
+/// stream-parallel unless it multiplies ciphertexts: a SLAF needs the
+/// reassembled signal (`σ(Σβ_j d_j) ≠ Σβ_j σ(d_j)`).
+pub fn region_reports(
+    ctx: &Arc<CkksContext>,
+    circuit: &Circuit,
+    runs: NamedRuns,
+) -> (InferenceTiming, Vec<LayerTrace>) {
+    let mut timing = InferenceTiming::default();
+    let mut traces = Vec::with_capacity(runs.len());
+    for (i, (name, run)) in runs.into_iter().enumerate() {
+        let region = &circuit.regions[i % circuit.regions.len()];
+        let parallel = circuit.op_counts_in(region).ct_mults == 0;
+        traces.push(LayerTrace {
+            name: name.clone(),
+            wall: run.wall,
+            unit_times: run.unit_walls.clone(),
+            parallel,
+            level: run.level,
+            scale: run.scale,
+            headroom_bits: ckks::noise::headroom_bits_at(ctx, run.level, run.scale),
+            ops: run.ops,
+        });
+        timing.layers.push(LayerTiming {
+            name,
+            // units overlap under a parallel run, so the wall can be
+            // below their sum: fixed saturates to zero
+            fixed: run.wall.saturating_sub(run.unit_walls.iter().sum()),
+            unit_times: run.unit_walls,
+            parallel,
+            wall: run.wall,
+        });
+    }
+    (timing, traces)
+}
+
+/// Diffs observed per-region telemetry against the circuit that ran
+/// (one trace per region, or per shard × region): exit level must match
+/// exactly, exit scale within [`SCALE_TOL_BITS`] (a `for_context`
+/// lowering is bit-identical, so any drift is real), and the observed HE
+/// op counters must not *undershoot* the static per-region counts.
 /// Overshoot is not flagged — the runtime counters are process-global,
 /// so concurrent HE work in other threads can only inflate them — and
-/// layers whose counters are all zero (the `trace` feature compiled
+/// regions whose counters are all zero (the `trace` feature compiled
 /// out) skip the op comparison entirely.
-pub fn ir_cross_check(layers: &[LayerTrace], circuit: &he_ir::Circuit) -> Vec<String> {
+pub fn ir_cross_check(layers: &[LayerTrace], circuit: &Circuit) -> Vec<String> {
     let mut out = Vec::new();
-    if circuit.regions.len() != layers.len() {
+    let regions = circuit.regions.len();
+    let shards = layers.len() / regions.max(1);
+    if shards * regions != layers.len() || (shards == 0 && regions > 0) {
         out.push(format!(
             "region count mismatch: runtime executed {} layers, the IR circuit has {} regions",
             layers.len(),
-            circuit.regions.len()
+            regions
         ));
         return out;
     }
-    for (i, (l, region)) in layers.iter().zip(&circuit.regions).enumerate() {
+    for (i, (l, region)) in layers
+        .iter()
+        .zip(circuit.regions.iter().cycle())
+        .enumerate()
+    {
         let exit = region
             .nodes()
             .rev()
@@ -303,9 +352,7 @@ mod tests {
     fn layer(name: &str, level: usize, scale: f64) -> LayerTrace {
         LayerTrace {
             name: name.to_string(),
-            units: 4,
             wall: Duration::from_millis(10),
-            cpu: Duration::from_millis(12),
             unit_times: vec![Duration::from_millis(3); 4],
             parallel: true,
             level,
@@ -434,16 +481,17 @@ mod tests {
     #[test]
     fn report_and_noise_drain_render() {
         let c = circuit();
-        let trace = InferenceTrace::new(
-            2,
-            26.0f64.exp2(),
-            60.0,
-            matching_layers(&c),
-            InferenceTiming::default(),
-            Vec::new(),
-            OpSnapshot::default(),
-            &c,
-        );
+        let layers = matching_layers(&c);
+        let trace = InferenceTrace {
+            start_level: 2,
+            start_scale: 26.0f64.exp2(),
+            start_headroom_bits: 60.0,
+            divergence: ir_cross_check(&layers, &c),
+            layers,
+            timing: InferenceTiming::default(),
+            events: Vec::new(),
+            total_ops: OpSnapshot::default(),
+        };
         assert!(trace.divergence.is_empty(), "{:?}", trace.divergence);
         let report = trace.report();
         assert_eq!(report.rows.len(), 2);

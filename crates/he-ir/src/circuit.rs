@@ -284,6 +284,49 @@ impl Circuit {
         self.regions.iter().find(|r| r.nodes().contains(&id))
     }
 
+    /// The units of a region's `nodes`: the connected components of its
+    /// computed ciphertext nodes, each in node order, ordered by first
+    /// node. Encodes are constants and inputs are bound by name, so
+    /// neither connects anything. Units share only values computed
+    /// before the region, which is what lets [`crate::Prepared::run`]
+    /// execute them concurrently.
+    pub fn units(&self, range: std::ops::Range<NodeId>) -> Vec<Vec<NodeId>> {
+        let computed = |id: NodeId| {
+            range.contains(&id)
+                && self.nodes[id].ty.as_ct().is_some()
+                && !matches!(self.nodes[id].op, Op::Input { .. })
+        };
+        // union-find over offsets into the region
+        fn root(parent: &mut [usize], mut i: usize) -> usize {
+            while parent[i] != i {
+                parent[i] = parent[parent[i]];
+                i = parent[i];
+            }
+            i
+        }
+        let mut parent: Vec<usize> = (0..range.len()).collect();
+        for id in range.clone().filter(|&id| computed(id)) {
+            for arg in self.nodes[id].op.args() {
+                if computed(arg) {
+                    let a = root(&mut parent, id - range.start);
+                    let b = root(&mut parent, arg - range.start);
+                    parent[a.max(b)] = a.min(b);
+                }
+            }
+        }
+        let mut unit_of = vec![usize::MAX; range.len()];
+        let mut units: Vec<Vec<NodeId>> = Vec::new();
+        for id in range.clone().filter(|&id| computed(id)) {
+            let r = root(&mut parent, id - range.start);
+            if unit_of[r] == usize::MAX {
+                unit_of[r] = units.len();
+                units.push(Vec::new());
+            }
+            units[unit_of[r]].push(id);
+        }
+        units
+    }
+
     /// Static op counts (rotation identities excluded, matching the
     /// runtime counters which never key-switch an identity rotation).
     pub fn op_counts(&self) -> OpCounts {
@@ -364,10 +407,15 @@ impl Circuit {
                 return Err(format!("output {o} is not a ciphertext"));
             }
         }
+        let mut end = 0;
         for (i, r) in self.regions.iter().enumerate() {
-            if r.first + r.len > self.nodes.len() {
-                return Err(format!("region {i} ('{}') exceeds the node list", r.name));
+            if r.first < end || r.first + r.len > self.nodes.len() {
+                return Err(format!(
+                    "region {i} ('{}') overlaps its predecessor or exceeds the node list",
+                    r.name
+                ));
             }
+            end = r.first + r.len;
         }
         Ok(())
     }
@@ -447,6 +495,31 @@ mod tests {
             *src = enc;
         }
         assert!(c2.validate().is_err());
+    }
+
+    #[test]
+    fn units_are_the_components_of_a_regions_computed_nodes() {
+        let params = CkksParams::tiny(2);
+        let mut b = GraphBuilder::new(params);
+        let x = b.input("x", 2, Layout::BatchSlots);
+        b.begin_region("two");
+        let w = b.encode_scalar(0.5, b.q_at(2), 2);
+        let z0 = b.zero(b.scale() * b.q_at(2), 2);
+        let a0 = b.mac_plain(z0, x, w);
+        let z1 = b.zero(b.scale() * b.q_at(2), 2);
+        let a1 = b.mac_plain(z1, x, w);
+        let y0 = b.rescale(a0);
+        let y1 = b.rescale(a1);
+        b.begin_region("one");
+        let s = b.add(y0, y1);
+        b.output(s);
+        let c = b.finish(KeyInventory::relin_only());
+        // the shared input and encode connect nothing
+        assert_eq!(
+            c.units(c.regions[0].nodes()),
+            vec![vec![z0, a0, y0], vec![z1, a1, y1]]
+        );
+        assert_eq!(c.units(c.regions[1].nodes()), vec![vec![s]]);
     }
 
     #[test]

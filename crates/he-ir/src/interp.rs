@@ -9,18 +9,23 @@
 //!
 //! Execution is split into *prepare once / execute many*. A
 //! [`Prepared`] circuit has been validated, carries its deallocation
-//! schedule (the liveness pass's last uses — interpreting a large
-//! circuit holds no more ciphertexts than hand-written code would) and
-//! holds every [`Op::EncodeVec`] operand already broadcast and encoded
-//! at the level/scale its consumer's declared type fixes, so a
-//! steady-state [`Prepared::run`] spends no FFT/NTT on plaintexts.
-//! [`Interpreter::run`] is prepare-then-execute over the same routine;
-//! nothing is cached between calls.
+//! schedule (the liveness pass's last uses), has evaluated every encode
+//! node once — scalars as prepared residues, vector operands broadcast
+//! and encoded at the level/scale their consumer's declared type fixes
+//! — and has split every region into units ([`Circuit::units`]). A run
+//! executes the regions in order, each region's units across the rayon
+//! pool, joined before the next region starts; units read only values
+//! computed before their region, so outputs are bit-identical at any
+//! pool width. [`Interpreter::run`] is prepare-then-execute over the
+//! same routine; nothing is cached between calls.
 
 use crate::circuit::{Circuit, NodeId, Op};
 use crate::passes::liveness;
 use ckks::{Ciphertext, Evaluator, GaloisKeys, Plaintext, PreparedScalar, RelinKey};
+use he_trace::{cats, span_fn, OpSnapshot};
+use rayon::prelude::*;
 use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 use std::time::{Duration, Instant};
 
 /// A value computed for one node.
@@ -99,10 +104,28 @@ impl<'a> Interpreter<'a> {
         c: &Circuit,
         inputs: &HashMap<String, Ciphertext>,
     ) -> Result<Vec<Value>, String> {
-        let (values, _) =
-            Prepared::new(self.ev, c.clone())?.execute(self, inputs.clone(), false)?;
+        let prepared = Prepared::new(self.ev, c.clone())?;
+        let (mut values, _) = prepared.execute(self, inputs.clone(), false)?;
+        for (id, &k) in prepared.const_of.iter().enumerate() {
+            values[id] = values[id].take().or(k.map(|k| prepared.consts[k].clone()));
+        }
         Ok(values.into_iter().map(|v| v.expect("kept")).collect())
     }
+}
+
+/// What one region of a [`Prepared::run`] did.
+#[derive(Debug, Clone, Default)]
+pub struct RegionRun {
+    /// Wall of the whole region.
+    pub wall: Duration,
+    /// Wall of each unit, in unit order.
+    pub unit_walls: Vec<Duration>,
+    /// HE op counters across the region. They are process-global: HE
+    /// work other threads do meanwhile lands here too.
+    pub ops: OpSnapshot,
+    /// Runtime level and scale of the region's last ciphertext.
+    pub level: usize,
+    pub scale: f64,
 }
 
 /// What one [`Prepared::run`] produced.
@@ -110,19 +133,29 @@ impl<'a> Interpreter<'a> {
 pub struct RunOutput {
     /// Output ciphertexts, in the circuit's output order.
     pub outputs: Vec<Ciphertext>,
-    /// Wall spent in each region, aligned with `circuit().regions`.
-    pub region_walls: Vec<Duration>,
+    /// One record per region, aligned with `circuit().regions`.
+    pub regions: Vec<RegionRun>,
+}
+
+/// A run of consecutive nodes: a region, or the nodes between regions.
+struct Span {
+    nodes: Range<NodeId>,
+    region: Option<usize>,
+    units: Vec<Vec<NodeId>>,
 }
 
 /// A circuit made ready to execute many times: validated once, its
-/// deallocation schedule computed once, and one plaintext encoded per
-/// distinct (`EncodeVec` node, lane stride, level, scale) use.
+/// deallocation schedule and units computed once, every encode node
+/// evaluated once, and one plaintext encoded per distinct
+/// (`EncodeVec` node, lane stride, level, scale) use.
 pub struct Prepared {
     circuit: Circuit,
     /// Highest node using each node; `None` for values that are never
     /// freed (outputs) or never used.
     last_use: Vec<Option<NodeId>>,
-    region_of: Vec<Option<usize>>,
+    /// Index into `consts` of each encode node's value.
+    const_of: Vec<Option<usize>>,
+    consts: Vec<Value>,
     encoded: Vec<Plaintext>,
     /// Index into `encoded` of the operand each vector-weight
     /// `MulPlain`/`AddPlain` node consumes.
@@ -130,11 +163,15 @@ pub struct Prepared {
     /// Whether each node is the last `Input` of its name, which moves
     /// the ciphertext out of the run's inputs instead of copying it.
     moves_input: Vec<bool>,
+    spans: Vec<Span>,
+    /// Position of each computed node in its unit (`usize::MAX` for
+    /// inputs and encodes).
+    slot: Vec<usize>,
 }
 
 impl Prepared {
-    /// Validates the circuit and encodes its plaintext-vector operands
-    /// in `ev`'s context. Level and scale of each operand come from the
+    /// Validates the circuit and evaluates its encode nodes in `ev`'s
+    /// context. Level and scale of each vector operand come from the
     /// declared type of the consuming node's ciphertext argument, so
     /// the circuit must have been lowered against that context
     /// ([`crate::GraphBuilder::for_context`]); a run whose ciphertexts
@@ -146,11 +183,18 @@ impl Prepared {
         for &o in &circuit.outputs {
             last_use[o] = None;
         }
-        let mut region_of = vec![None; n];
-        for (r, region) in circuit.regions.iter().enumerate() {
-            for id in region.nodes() {
-                region_of[id] = Some(r);
-            }
+        let mut consts = Vec::new();
+        let mut const_of = vec![None; n];
+        for (id, node) in circuit.nodes.iter().enumerate() {
+            let value = match (&node.op, node.ty.as_plain()) {
+                (Op::EncodeScalar { value, pt_scale }, Some(ty)) => {
+                    Value::Plain(ev.prepare_scalar(*value, *pt_scale, ty.level))
+                }
+                (Op::EncodeVec { values, .. }, _) => Value::PlainVec(std::sync::Arc::clone(values)),
+                _ => continue,
+            };
+            const_of[id] = Some(consts.len());
+            consts.push(value);
         }
         let mut encoded = Vec::new();
         let mut plain_of = vec![None; n];
@@ -190,13 +234,39 @@ impl Prepared {
                 }
             }
         }
+        let mut spans = Vec::new();
+        let mut next = 0;
+        for (r, region) in circuit.regions.iter().enumerate() {
+            spans.push((next..region.first, None));
+            spans.push((region.nodes(), Some(r)));
+            next = region.nodes().end;
+        }
+        spans.push((next..n, None));
+        let mut slot = vec![usize::MAX; n];
+        let spans = spans
+            .into_iter()
+            .map(|(nodes, region)| {
+                let units = circuit.units(nodes.clone());
+                for (i, &id) in units.iter().flat_map(|u| u.iter().enumerate()) {
+                    slot[id] = i;
+                }
+                Span {
+                    nodes,
+                    region,
+                    units,
+                }
+            })
+            .collect();
         Ok(Self {
             circuit,
             last_use,
-            region_of,
+            const_of,
+            consts,
             encoded,
             plain_of,
             moves_input,
+            spans,
+            slot,
         })
     }
 
@@ -217,7 +287,7 @@ impl Prepared {
         interp: &Interpreter,
         inputs: HashMap<String, Ciphertext>,
     ) -> Result<RunOutput, String> {
-        let (values, region_walls) = self.execute(interp, inputs, true)?;
+        let (values, regions) = self.execute(interp, inputs, true)?;
         let outputs = self
             .circuit
             .outputs
@@ -230,46 +300,125 @@ impl Prepared {
                     .cloned()
             })
             .collect::<Result<_, String>>()?;
-        Ok(RunOutput {
-            outputs,
-            region_walls,
-        })
+        Ok(RunOutput { outputs, regions })
     }
 
-    /// The one execution loop: every node in order, `free` dropping
-    /// each operand after its last use.
+    /// The one execution loop, span by span: inputs bind on the caller,
+    /// then the units run across the pool (a single unit runs on the
+    /// caller) and join; `free` drops each value after its last use.
     fn execute(
         &self,
         interp: &Interpreter,
         mut inputs: HashMap<String, Ciphertext>,
         free: bool,
-    ) -> Result<(Vec<Option<Value>>, Vec<Duration>), String> {
+    ) -> Result<(Vec<Option<Value>>, Vec<RegionRun>), String> {
         let c = &self.circuit;
-        let mut values: Vec<Option<Value>> = Vec::with_capacity(c.nodes.len());
-        let mut walls = vec![Duration::ZERO; c.regions.len()];
-        let mut open: Option<(usize, Instant)> = None;
-        for id in 0..c.nodes.len() {
-            let region = self.region_of[id];
-            if region != open.map(|(r, _)| r) {
-                if let Some((r, t0)) = open {
-                    walls[r] += t0.elapsed();
+        let mut values: Vec<Option<Value>> = (0..c.nodes.len()).map(|_| None).collect();
+        let mut runs = Vec::with_capacity(c.regions.len());
+        for span in &self.spans {
+            let name = |r: usize| c.regions[r].name.clone();
+            let _layer = span.region.map(|r| span_fn(cats::LAYER, || name(r)));
+            let (ops, t0) = (OpSnapshot::now(), Instant::now());
+            for id in span.nodes.clone() {
+                if let Op::Input { name } = &c.nodes[id].op {
+                    let bound = if self.moves_input[id] {
+                        inputs.remove(name)
+                    } else {
+                        inputs.get(name).cloned()
+                    };
+                    let ct =
+                        bound.ok_or_else(|| format!("no input ciphertext bound for '{name}'"))?;
+                    values[id] = Some(Value::Ct(ct));
                 }
-                open = region.map(|r| (r, Instant::now()));
             }
-            let v = self.exec(interp, id, &values, &mut inputs)?;
-            values.push(Some(v));
-            if free {
-                for arg in c.nodes[id].op.args() {
-                    if self.last_use[arg] == Some(id) {
-                        values[arg] = None;
+            let shared: &[Option<Value>] = &values;
+            let many = span.region.filter(|_| span.units.len() > 1);
+            let units: Vec<_> = span
+                .units
+                .par_iter()
+                .enumerate()
+                .map(|(u, nodes)| {
+                    let _unit = many.map(|r| span_fn(cats::UNIT, || format!("{}#{u}", name(r))));
+                    let t = Instant::now();
+                    let local = self.run_unit(interp, nodes, &span.nodes, shared, free);
+                    local.map(|local| (local, t.elapsed()))
+                })
+                .collect();
+            let mut unit_walls = Vec::with_capacity(units.len());
+            for (nodes, unit) in span.units.iter().zip(units) {
+                let (local, wall) = unit?;
+                for (&id, v) in nodes.iter().zip(local).filter(|(_, v)| v.is_some()) {
+                    values[id] = v;
+                }
+                unit_walls.push(wall);
+            }
+            // values from before the span die at its end, not mid-unit
+            for id in span.nodes.clone() {
+                for a in c.nodes[id].op.args() {
+                    if free && self.last_use[a] == Some(id) {
+                        values[a] = None;
                     }
                 }
             }
+            if span.region.is_some() {
+                let mut exit = span.nodes.clone().rev();
+                let exit = exit.find_map(|id| values[id].as_ref()?.as_ct());
+                runs.push(RegionRun {
+                    wall: t0.elapsed(),
+                    unit_walls,
+                    ops: OpSnapshot::now().delta(&ops),
+                    level: exit.map_or(0, |ct| ct.level),
+                    scale: exit.map_or(0.0, |ct| ct.scale),
+                });
+            }
         }
-        if let Some((r, t0)) = open {
-            walls[r] += t0.elapsed();
+        Ok((values, runs))
+    }
+
+    /// Executes one unit into its own value store: the unit's nodes read
+    /// each other from it, and everything else from `shared`. An
+    /// accumulator at its last use is updated in place.
+    fn run_unit(
+        &self,
+        interp: &Interpreter,
+        nodes: &[NodeId],
+        span: &Range<NodeId>,
+        shared: &[Option<Value>],
+        free: bool,
+    ) -> Result<Vec<Option<Value>>, String> {
+        let local_slot =
+            |a: NodeId| (span.contains(&a) && self.slot[a] != usize::MAX).then(|| self.slot[a]);
+        let mut local: Vec<Option<Value>> = (0..nodes.len()).map(|_| None).collect();
+        for (i, &id) in nodes.iter().enumerate() {
+            let acc = match self.circuit.nodes[id].op {
+                Op::MacPlain { acc, src, .. } if acc != src => Some(acc),
+                Op::AddScalar { src, .. } => Some(src),
+                _ => None,
+            };
+            let last = |a: NodeId| free && self.last_use[a] == Some(id);
+            let owned = acc.filter(|&a| last(a)).and_then(local_slot);
+            let owned = match owned.map(|s| local[s].take()) {
+                Some(Some(Value::Ct(ct))) => Some(ct),
+                _ => None,
+            };
+            let view: &[Option<Value>] = &local;
+            let get = |a: NodeId| {
+                match (self.const_of[a], local_slot(a)) {
+                    (Some(k), _) => Some(&self.consts[k]),
+                    (None, Some(s)) => view[s].as_ref(),
+                    (None, None) => shared[a].as_ref(),
+                }
+                .ok_or_else(|| format!("node {a} used after being freed"))
+            };
+            local[i] = Some(self.exec(interp, id, get, owned)?);
+            for a in self.circuit.nodes[id].op.args() {
+                match local_slot(a) {
+                    Some(s) if last(a) => local[s] = None,
+                    _ => {}
+                }
+            }
         }
-        Ok((values, walls))
+        Ok(local)
     }
 
     /// The operand encoded for node `id`, checked against the runtime
@@ -293,43 +442,37 @@ impl Prepared {
         Ok(pt)
     }
 
-    fn exec(
-        &self,
+    /// Computes node `id` from the operands `get` reads; `owned` is the
+    /// accumulator it updates in place.
+    fn exec<'v>(
+        &'v self,
         interp: &Interpreter,
         id: NodeId,
-        values: &[Option<Value>],
-        inputs: &mut HashMap<String, Ciphertext>,
+        get: impl Fn(NodeId) -> Result<&'v Value, String>,
+        owned: Option<Ciphertext>,
     ) -> Result<Value, String> {
         let ev = interp.ev;
-        let get = |arg: NodeId| -> Result<&Value, String> {
-            values[arg]
-                .as_ref()
-                .ok_or_else(|| format!("node {arg} used after being freed"))
-        };
         let ct = |arg: NodeId| -> Result<&Ciphertext, String> { get(arg)?.ct() };
+        let acc = |arg: NodeId| -> Result<Ciphertext, String> {
+            owned.map_or_else(|| ct(arg).cloned(), Ok)
+        };
         let node = &self.circuit.nodes[id];
         let out = match &node.op {
-            Op::Input { name } => {
-                let bound = if self.moves_input[id] {
-                    inputs.remove(name)
-                } else {
-                    inputs.get(name).cloned()
-                };
-                Value::Ct(bound.ok_or_else(|| format!("no input ciphertext bound for '{name}'"))?)
+            Op::Input { .. } | Op::EncodeScalar { .. } | Op::EncodeVec { .. } => {
+                return Err(format!("node {id} is not computed"))
             }
             Op::Zero => {
                 let ty = node.ty.as_ct().ok_or("zero node must be a ciphertext")?;
                 Value::Ct(ev.zero_ciphertext(ty.scale, ty.level, ty.slots))
             }
-            Op::EncodeScalar { value, pt_scale } => {
-                let ty = node.ty.as_plain().ok_or("encode node must be plain")?;
-                Value::Plain(ev.prepare_scalar(*value, *pt_scale, ty.level))
-            }
-            Op::EncodeVec { values, .. } => Value::PlainVec(std::sync::Arc::clone(values)),
             Op::Add { a, b } => Value::Ct(ev.add(ct(*a)?, ct(*b)?)),
             Op::Sub { a, b } => Value::Ct(ev.sub(ct(*a)?, ct(*b)?)),
             Op::Negate { src } => Value::Ct(ev.negate(ct(*src)?)),
-            Op::AddScalar { src, value } => Value::Ct(ev.add_scalar(ct(*src)?, *value)),
+            Op::AddScalar { src, value } => {
+                let mut out = acc(*src)?;
+                ev.add_scalar_assign(&mut out, *value);
+                Value::Ct(out)
+            }
             Op::MulPlain { src, plain } => match &self.circuit.nodes[*plain].op {
                 // replay the exact eager call: mul_scalar re-encodes the
                 // weight from the Encode node's value/pt_scale
@@ -345,9 +488,18 @@ impl Prepared {
                 let x = ct(*src)?;
                 Value::Ct(ev.add_plain(x, self.plain_for(id, x, true)?))
             }
-            Op::MacPlain { acc, src, plain } => {
-                let mut out = ct(*acc)?.clone();
-                ev.mul_residues_acc(&mut out, ct(*src)?, get(*plain)?.plain()?);
+            Op::MacPlain { acc: a, src, plain } => {
+                let (x, w, mut out) = (ct(*src)?, get(*plain)?.plain()?, acc(*a)?);
+                // `mul_residues_acc`'s preconditions, as a typed error
+                let scale_ok = (out.scale / (x.scale * w.pt_scale) - 1.0).abs() < ckks::SCALE_RTOL;
+                if x.level != w.level || out.level != w.level || !scale_ok {
+                    return Err(format!(
+                        "node {id}: operand at level {} and accumulator at level {} scale {} but \
+                         the scalar was prepared for the declared level {} and scale {}",
+                        x.level, out.level, out.scale, w.level, w.pt_scale
+                    ));
+                }
+                ev.mul_residues_acc(&mut out, x, w);
                 Value::Ct(out)
             }
             Op::Mul { a, b } => {
@@ -532,7 +684,7 @@ mod tests {
         let first = prepared.run(&interp, inputs.clone()).expect("first run");
         let second = prepared.run(&interp, inputs.clone()).expect("second run");
         let fresh = interp.run(&circuit, &inputs).expect("fresh run");
-        assert_eq!(first.region_walls.len(), circuit.regions.len());
+        assert_eq!(first.regions.len(), circuit.regions.len());
 
         // the same ops by hand, operands broadcast by `expand`'s rule
         let ev = &f.ev;
@@ -566,6 +718,20 @@ mod tests {
         let low = f.ev.mod_switch_to_level(&x, 1);
         let inputs = HashMap::from([("x".to_string(), low)]);
         let err = Interpreter::new(&f.ev).run(&circuit, &inputs).unwrap_err();
+        assert!(err.contains("declared level 2"), "{err}");
+
+        // the same drift under a scalar MAC
+        let mut b = GraphBuilder::for_context(&f.ctx);
+        let xn = b.input("x", 2, Layout::BatchSlots);
+        let q = b.q_at(2);
+        let w = b.encode_scalar(0.5, q, 2);
+        let z = b.zero(b.scale() * q, 2);
+        let acc = b.mac_plain(z, xn, w);
+        let y = b.rescale(acc);
+        b.output(y);
+        let mac = b.finish(KeyInventory::relin_only());
+        let inputs = HashMap::from([("x".to_string(), f.ev.mod_switch_to_level(&x, 1))]);
+        let err = Interpreter::new(&f.ev).run(&mac, &inputs).unwrap_err();
         assert!(err.contains("declared level 2"), "{err}");
     }
 
@@ -615,6 +781,66 @@ mod tests {
         let want = f.ev.add(&x, &x);
         assert_eq!(out.outputs[0].c0.limbs_flat(), want.c0.limbs_flat());
         assert_eq!(out.outputs[0].c1.limbs_flat(), want.c1.limbs_flat());
+    }
+
+    /// A region of two independent MAC chains over one shared input,
+    /// then a region adding them: two units, then one.
+    #[test]
+    fn a_two_unit_region_is_limb_identical_at_any_width_and_reports_both_units() {
+        let mut f = fixture(2, 21);
+        let mut b = GraphBuilder::for_context(&f.ctx);
+        let x = b.input("x", 2, Layout::BatchSlots);
+        b.begin_region("pair");
+        let q = b.q_at(2);
+        let s = b.scale();
+        let mut ys = Vec::new();
+        for (w, bias) in [(0.25, 0.5), (-0.75, 0.125)] {
+            let wn = b.encode_scalar(w, q, 2);
+            let z = b.zero(s * q, 2);
+            let acc = b.mac_plain(z, x, wn);
+            let acc = b.mac_plain(acc, x, wn);
+            let biased = b.add_scalar(acc, bias);
+            ys.push(b.rescale(biased));
+        }
+        b.begin_region("sum");
+        let sum = b.add(ys[0], ys[1]);
+        b.output(sum);
+        let circuit = b.finish(KeyInventory::relin_only());
+        let prepared = Prepared::new(&f.ev, circuit).expect("prepares");
+        let vals: Vec<f64> = (0..f.ctx.slots()).map(|i| (i % 7) as f64 / 8.0).collect();
+        let x_ct = f.ev.encrypt_real(&vals, &f.pk, &mut f.sampler);
+        let interp = Interpreter::new(&f.ev);
+        let inputs = HashMap::from([("x".to_string(), x_ct.clone())]);
+        let one = rayon::ThreadPoolBuilder::new()
+            .num_threads(1)
+            .build()
+            .expect("a width cap");
+        let narrow = one
+            .install(|| prepared.run(&interp, inputs.clone()))
+            .expect("runs");
+        let wide = prepared.run(&interp, inputs).expect("runs");
+
+        // the same evaluator calls by hand
+        let ev = &f.ev;
+        let unit = |w: f64, bias: f64| {
+            let mut acc = ev.zero_ciphertext(x_ct.scale * q, 2, x_ct.slots);
+            let p = ev.prepare_scalar(w, q, 2);
+            ev.mul_residues_acc(&mut acc, &x_ct, &p);
+            ev.mul_residues_acc(&mut acc, &x_ct, &p);
+            ev.rescale(&ev.add_scalar(&acc, bias))
+        };
+        let want = ev.add(&unit(0.25, 0.5), &unit(-0.75, 0.125));
+        for run in [&narrow, &wide] {
+            let got = &run.outputs[0];
+            assert_eq!(got.scale.to_bits(), want.scale.to_bits());
+            assert_eq!(got.c0.limbs_flat(), want.c0.limbs_flat());
+            assert_eq!(got.c1.limbs_flat(), want.c1.limbs_flat());
+            assert_eq!(run.regions.len(), 2);
+            assert_eq!(run.regions[0].unit_walls.len(), 2);
+            assert_eq!(run.regions[1].unit_walls.len(), 1);
+            assert_eq!(run.regions[0].level, 1);
+            assert_eq!(run.regions[1].scale.to_bits(), want.scale.to_bits());
+        }
     }
 
     #[test]

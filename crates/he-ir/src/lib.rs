@@ -4,8 +4,8 @@
 //! analysis pass framework — phase 1 of the he-compile plan in
 //! ROADMAP item 2.
 //!
-//! The eager evaluators in `ckks`/`cnn-he` execute homomorphic ops as
-//! they are issued; every whole-circuit property (level/scale
+//! The `ckks` evaluator executes homomorphic ops as they are
+//! issued; every whole-circuit property (level/scale
 //! trajectory, rotation-key coverage, rescale placement, dead work) is
 //! a property of the graph of those ops. This crate lifts a circuit
 //! into an SSA-style graph first:
@@ -27,9 +27,9 @@
 //! - [`interp::Interpreter`]: replays a circuit through the real
 //!   `Evaluator`, bit-identical to eager execution — the anchor for
 //!   he-diff's IR-vs-eager differential mode. [`interp::Prepared`] is
-//!   its prepare-once / execute-many form (validated, liveness
-//!   schedule and plaintext operands pre-encoded, per-region walls) —
-//!   the only executor of slot-packed inference in `cnn-he`.
+//!   its prepare-once / execute-many form (validated, liveness schedule,
+//!   encodes evaluated, region units fanned out, one record per region)
+//!   — the only executor in `cnn-he`, scalar and slot-packed alike.
 //! - [`dot`]: Graphviz export (full graph or region-collapsed summary).
 //!
 //! These passes are the workspace's only static analysis: `cnn-he`
@@ -52,7 +52,7 @@ pub mod types;
 pub use build::GraphBuilder;
 pub use circuit::{Circuit, KeyInventory, Node, NodeId, Op, OpCounts, Region};
 pub use diag::{Diagnostic, LintReport, Severity};
-pub use interp::{Interpreter, Prepared, RunOutput, Value};
+pub use interp::{Interpreter, Prepared, RegionRun, RunOutput, Value};
 pub use noise::NoiseModel;
 pub use pass::{AnalysisReport, OptimizeReport, Pass, PassManager, PassOutput, RewriteStats};
 pub use types::{CtType, Layout, PlainType, ValueTy};

@@ -5,9 +5,10 @@
 //! duplication that matters at HE cost scales:
 //!
 //! - `duplicate-encode`: the same weight encoded at the same scale and
-//!   level more than once. The runtime's `WeightResidueTable` dedups
-//!   weight encodings per layer; a circuit that re-encodes is leaving
-//!   that saving on the table.
+//!   level more than once. `Prepared` prepares every encode node once,
+//!   so a circuit that shares one node per distinct weight (the scalar
+//!   lowering shares them per layer) prepares each weight once; one
+//!   that re-encodes is leaving that saving on the table.
 //! - `duplicate-rotation`: the same ciphertext rotated by the same
 //!   steps twice — each repeat is a full keyswitch (the dominant packed
 //!   engine cost per arXiv:2306.09189's profiling).
@@ -204,8 +205,8 @@ impl Pass for CsePass {
                     ),
                 )
                 .with_suggestion(
-                    "share prepared scalars across taps (the runtime's WeightResidueTable \
-                     does this per layer)",
+                    "share one encode node across taps (the scalar lowering shares them \
+                     per layer)",
                 ),
             );
         }

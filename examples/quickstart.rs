@@ -11,13 +11,15 @@
 
 use ckks::{CkksParams, Evaluator, KeyGenerator};
 use ckks_math::sampler::Sampler;
+use cnn_he::{CtTensor, HeLayerSpec, HeNetwork};
 use std::sync::Arc;
 
 fn main() {
     // ---- client: parameters + keys -------------------------------
     // A reduced ring (2^12) keeps this instant; Table II's production
-    // setting is CkksParams::paper_table2() (N = 2^14, λ = 128).
-    let ctx = CkksParams::toy(4).build();
+    // setting is CkksParams::paper_table2() (N = 2^14, λ = 128). Depth 3:
+    // one level for the weighted sum, two for the activation.
+    let ctx = CkksParams::toy(3).build();
     println!("context: {}", ctx.describe());
 
     let mut kg = KeyGenerator::new(Arc::clone(&ctx), 42);
@@ -38,18 +40,29 @@ fn main() {
 
     // ---- server: one homomorphic neuron (Eq. 1) ------------------
     // y = σ(w1·x1 + w2·x2 + w3·x3 + β) with a degree-3 polynomial σ.
+    // The weights are encoded at the prime the rescale drops, so z
+    // lands back on the input scale exactly.
     let (w1, w2, w3, beta) = (0.9, -0.5, 1.3, 0.05);
-    let scale = ctx.params().scale();
-    let mut acc = ev.zero_ciphertext(c1.scale * scale, c1.level, c1.slots);
-    ev.mul_scalar_acc(&mut acc, &c1, w1, scale);
-    ev.mul_scalar_acc(&mut acc, &c2, w2, scale);
-    ev.mul_scalar_acc(&mut acc, &c3, w3, scale);
+    let q = ctx.chain_moduli()[c1.level].value() as f64;
+    let mut acc = ev.zero_ciphertext(c1.scale * q, c1.level, c1.slots);
+    ev.mul_scalar_acc(&mut acc, &c1, w1, q);
+    ev.mul_scalar_acc(&mut acc, &c2, w2, q);
+    ev.mul_scalar_acc(&mut acc, &c3, w3, q);
     ev.add_scalar_assign(&mut acc, beta);
     let z = ev.rescale(&acc);
 
-    // σ(z) = 0.1 + 0.55·z + 0.24·z² + 0.02·z³ (a SLAF-style polynomial)
+    // σ(z) = 0.1 + 0.55·z + 0.24·z² + 0.02·z³ (a SLAF-style polynomial),
+    // as a one-ciphertext network
     let coeffs = [0.1, 0.55, 0.24, 0.02];
-    let y = cnn_he::he_layers::he_poly_eval_deg3(&ev, &rk, &z, &coeffs);
+    let sigma = HeNetwork {
+        layers: vec![HeLayerSpec::Activation(coeffs.to_vec())],
+        input_side: 1,
+    };
+    let z = CtTensor {
+        cts: vec![z],
+        shape: vec![1, 1, 1],
+    };
+    let y = sigma.infer_encrypted(&ev, &rk, z).0.cts.remove(0);
     println!(
         "server: evaluated a homomorphic neuron at level {}",
         y.level

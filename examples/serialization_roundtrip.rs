@@ -14,10 +14,12 @@
 use ckks::serialize::*;
 use ckks::{CkksParams, Evaluator, KeyGenerator};
 use ckks_math::sampler::Sampler;
+use cnn_he::{CtTensor, HeLayerSpec, HeNetwork};
 use std::sync::Arc;
 
 fn main() {
-    let ctx = CkksParams::toy(3).build();
+    // depth 2: exactly what the server's activation consumes
+    let ctx = CkksParams::toy(2).build();
     println!("context: {}", ctx.describe());
     let mut kg = KeyGenerator::new(Arc::clone(&ctx), 1234);
     let sk = kg.gen_secret_key();
@@ -51,8 +53,16 @@ fn main() {
         let ct = deserialize_ciphertext(&ct_bytes, &ctx).expect("bad ciphertext blob");
         let rk = deserialize_relin_key(&rk_bytes, &ctx).expect("bad relin key blob");
         // y = 0.2 + x + 0.5·x²  (a CryptoNets-style square neuron)
-        let y = cnn_he::he_layers::he_poly_eval_deg3(&ev, &rk, &ct, &[0.2, 1.0, 0.5, 0.0]);
-        serialize_ciphertext(&y).to_vec()
+        let neuron = HeNetwork {
+            layers: vec![HeLayerSpec::Activation(vec![0.2, 1.0, 0.5])],
+            input_side: 1,
+        };
+        let x = CtTensor {
+            cts: vec![ct],
+            shape: vec![1, 1, 1],
+        };
+        let (y, _) = neuron.infer_encrypted(&ev, &rk, x);
+        serialize_ciphertext(&y.cts[0]).to_vec()
     };
     println!("\nserver returned {} bytes", server_result.len());
 

@@ -112,6 +112,38 @@ fn rotation_set_pass_matches_generated_galois_keys_exactly() {
 }
 
 #[test]
+fn every_packed_cnn1_region_is_one_unit_and_scalar_units_are_output_scalars() {
+    // one ciphertext flows through a packed region, so `Prepared::run`
+    // executes each on its caller, as before units existed
+    let (_, _, circuits) = packed_cnn1_circuits(43);
+    for (circuit, name) in circuits.iter().zip(["reference", "optimized"]) {
+        for region in &circuit.regions {
+            assert_eq!(
+                circuit.units(region.nodes()).len(),
+                1,
+                "{name}: {}",
+                region.name
+            );
+        }
+    }
+    // the scalar lowering: one unit per conv/dense output scalar and per
+    // SLAF ciphertext
+    let net = HeNetwork::from_trained(&cnn1(ActKind::slaf3(), 43), 28);
+    let params = paper_params(net.required_levels(), 1 << 11);
+    let scalar = lower_network(&net, GraphBuilder::new(params), EncodeSharing::Shared);
+    let mut width = 28 * 28;
+    for (region, layer) in scalar.regions.iter().zip(&net.layers) {
+        let units = scalar.units(region.nodes()).len();
+        match layer {
+            cnn_he::HeLayerSpec::Conv(c) => width = c.out_ch * c.out_size(28) * c.out_size(28),
+            cnn_he::HeLayerSpec::Dense(d) => width = d.out_dim,
+            cnn_he::HeLayerSpec::Activation(_) => {}
+        }
+        assert_eq!(units, width, "{}", region.name);
+    }
+}
+
+#[test]
 fn underprovisioned_keys_fail_the_rotation_set_pass() {
     let (_, _, [_, mut circuit]) = packed_cnn1_circuits(42);
     let mut elements = required_elements(&circuit).elements;

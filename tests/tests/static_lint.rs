@@ -47,7 +47,7 @@ fn over_deep_cnn2_plan_is_rejected_statically() {
     let net = cnn2_network(700);
     assert_eq!(net.required_levels(), 10);
     // chain supports only 6 of the 10 required levels
-    let report = admission(&net, GraphBuilder::new(params_with_depth(6)));
+    let (report, _) = admission(&net, GraphBuilder::new(params_with_depth(6)));
     assert!(report.has_errors(), "{}", report.render());
     assert!(
         report.has_code("chain-exhausted") || report.has_code("slaf-degree-vs-depth"),

@@ -132,12 +132,6 @@ impl BigInt {
         b
     }
 
-    pub fn from_u128(v: u128) -> Self {
-        let mut mag = vec![v as u64, (v >> 64) as u64];
-        normalize(&mut mag);
-        Self { neg: false, mag }
-    }
-
     /// Builds from little-endian u64 limbs (unsigned).
     pub fn from_limbs(limbs: &[u64]) -> Self {
         let mut mag = limbs.to_vec();

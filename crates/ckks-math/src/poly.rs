@@ -143,11 +143,6 @@ impl RnsPoly {
         }
     }
 
-    /// Zero polynomial over the first `k` chain limbs.
-    pub fn zero_level(ctx: Arc<PolyContext>, k: usize, form: Form) -> Self {
-        Self::zero(ctx, (0..k).collect(), form)
-    }
-
     /// Reassembles a polynomial from raw parts (deserialization). Panics
     /// on shape mismatches or out-of-range residues.
     pub fn from_parts(

@@ -150,13 +150,6 @@ impl BigPoly {
         }
     }
 
-    pub fn max_abs_f64(&self) -> f64 {
-        self.coeffs
-            .iter()
-            .map(|c| c.to_f64().abs())
-            .fold(0.0, f64::max)
-    }
-
     /// Galois automorphism `X ↦ X^k` (k odd, < 2N) — the bignum mirror of
     /// [`RnsPoly::automorphism`]: coefficient `i` lands at `i·k mod 2N`,
     /// negated when it wraps past `N` (negacyclic ring).

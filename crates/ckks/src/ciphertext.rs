@@ -31,11 +31,4 @@ impl Ciphertext {
         assert_eq!(self.c0.form(), self.c1.form());
         assert!(self.scale > 0.0 && self.scale.is_finite());
     }
-
-    /// True when two ciphertexts can be added/multiplied directly.
-    pub fn compatible_with(&self, other: &Self) -> bool {
-        self.level == other.level
-            && self.slots == other.slots
-            && (self.scale / other.scale - 1.0).abs() < 1e-9
-    }
 }

@@ -52,12 +52,6 @@ pub enum HeError {
         /// The out-of-range recomposed value.
         value: i128,
     },
-    /// A shard-level operation (`shard_combine` / `shard_split`) was
-    /// handed an empty shard list — there is no ciphertext to produce.
-    EmptyShardList {
-        /// The operation that required at least one shard.
-        op: &'static str,
-    },
     /// A batched packing request asked for more lanes than the layout
     /// (or the ring) can hold — `batch` vectors were offered where at
     /// most `capacity` fit.
@@ -68,7 +62,8 @@ pub enum HeError {
         /// vector does not fit the slot count).
         capacity: usize,
     },
-    /// A classification request carried no images.
+    /// A classification request, or the batch a shard plan was asked
+    /// for, carried no images.
     EmptyBatch,
     /// A request input has the wrong size: an image that is not the
     /// network's input length, or a batch that is not the one the shard
@@ -118,9 +113,6 @@ impl std::fmt::Display for HeError {
                 f,
                 "recomposed digit value exceeds i64 at index {index} (value {value})"
             ),
-            HeError::EmptyShardList { op } => {
-                write!(f, "{op} requires at least one shard, got an empty list")
-            }
             HeError::BatchExceedsSlots { batch, capacity } => write!(
                 f,
                 "batch exceeds slot capacity: {batch} lanes requested, {capacity} fit"
@@ -191,13 +183,6 @@ mod tests {
         let msg = e.to_string();
         assert!(msg.contains("batch exceeds slot capacity"), "{msg}");
         assert!(msg.contains("12") && msg.contains('8'), "{msg}");
-
-        let e = HeError::EmptyShardList {
-            op: "shard-combine",
-        };
-        let msg = e.to_string();
-        assert!(msg.contains("shard-combine"), "{msg}");
-        assert!(msg.contains("at least one shard"), "{msg}");
     }
 
     #[test]

@@ -197,15 +197,6 @@ impl Evaluator {
         out
     }
 
-    /// Ciphertext − plaintext.
-    pub fn sub_plain(&self, a: &Ciphertext, pt: &Plaintext) -> Ciphertext {
-        assert_eq!(a.level, pt.level);
-        assert!((a.scale / pt.scale - 1.0).abs() < SCALE_RTOL);
-        let mut out = a.clone();
-        out.c0.sub_assign(&pt.poly);
-        out
-    }
-
     /// Ciphertext × plaintext (no relinearization needed). The result
     /// scale is the product of the scales; rescale afterwards.
     pub fn mul_plain(&self, a: &Ciphertext, pt: &Plaintext) -> Ciphertext {
@@ -215,22 +206,6 @@ impl Evaluator {
         out.c1.mul_assign(&pt.poly);
         out.scale = a.scale * pt.scale;
         out
-    }
-
-    /// Multiplies by a scalar constant, consuming one level: encodes the
-    /// constant at scale Δ, multiplies, rescales.
-    pub fn mul_const_rescale(&self, a: &Ciphertext, value: f64) -> Ciphertext {
-        let pt = encoding::encode_constant(&self.ctx, value, self.ctx.params().scale(), a.level);
-        let prod = self.mul_plain(a, &pt);
-        self.rescale(&prod)
-    }
-
-    /// In-place ciphertext addition (hot path for homomorphic weighted
-    /// sums — avoids the clone in [`Evaluator::add`]).
-    pub fn add_assign_ct(&self, acc: &mut Ciphertext, b: &Ciphertext) {
-        self.assert_addable(acc, b);
-        acc.c0.add_assign(&b.c0);
-        acc.c1.add_assign(&b.c1);
     }
 
     // ---------------------------------------------------------------
@@ -613,15 +588,6 @@ impl Evaluator {
         Ok(out)
     }
 
-    /// Aligns two ciphertexts to the lower of their levels.
-    pub fn align_levels(&self, a: &Ciphertext, b: &Ciphertext) -> (Ciphertext, Ciphertext) {
-        let lv = a.level.min(b.level);
-        (
-            self.mod_switch_to_level(a, lv),
-            self.mod_switch_to_level(b, lv),
-        )
-    }
-
     // ---------------------------------------------------------------
     // Rotations and conjugation
     // ---------------------------------------------------------------
@@ -838,7 +804,8 @@ mod tests {
         let mut f = fixture(1, 17);
         let a: Vec<f64> = (0..16).map(|i| i as f64 * 0.1).collect();
         let ca = f.ev.encrypt_real(&a, &f.pk, &mut f.sampler);
-        let out = f.ev.mul_const_rescale(&ca, -2.5);
+        let c = encoding::encode_constant(&f.ctx, -2.5, f.ctx.params().scale(), ca.level);
+        let out = f.ev.rescale(&f.ev.mul_plain(&ca, &c));
         let back = f.ev.decrypt_to_real(&out, &f.sk);
         let expect: Vec<f64> = a.iter().map(|x| x * -2.5).collect();
         assert!(max_err(&back[..16], &expect) < 1e-3);
@@ -928,8 +895,8 @@ mod tests {
         let ca = f.ev.encrypt_real(&a, &f.pk, &mut f.sampler);
         let cb = f.ev.encrypt_real(&a, &f.pk, &mut f.sampler);
         let prod = f.ev.multiply_rescale(&ca, &cb, &f.rk); // level L-1
-        let (x, y) = f.ev.align_levels(&prod, &ca);
-        assert_eq!(x.level, y.level);
+        let y = f.ev.mod_switch_to_level(&ca, prod.level);
+        assert_eq!(y.level, prod.level);
         // decryption of the mod-switched fresh ct is unchanged
         let back = f.ev.decrypt_to_real(&y, &f.sk);
         assert!(max_err(&back[..16], &a) < 1e-4);

@@ -7,25 +7,19 @@
 //! `j·batch + b (mod period)`, the pattern repeating every
 //! `period = dim·batch` slots. Rotating by `d·batch` shifts every
 //! lane's element index by `d` while leaving the lane assignment
-//! fixed, so the rotate-and-sum / diagonal-matvec algebra of
-//! `ckks::linalg` carries over with every rotation step scaled by the
-//! stride. `batch = 1` reduces to the classic tiled layout
-//! bit-identically.
+//! fixed, so the packed lowering's rotate-and-sum and diagonal-matvec
+//! steps carry over with every rotation step scaled by the stride
+//! ([`PackLayout::rotation_step`]). `batch = 1` reduces to the classic
+//! tiled layout bit-identically.
 //!
 //! When a batch exceeds one ciphertext's lane capacity
 //! (`slots / dim`), a [`ShardPlan`] splits it across several
-//! ciphertexts that share one layout. [`shard_combine`] /
-//! [`shard_split`] move between the two representations
-//! homomorphically — each costs one multiplicative level (a mask
-//! multiplication) and a set of `±s·period` rotations that must be
-//! provisioned in the Galois key set ([`combine_rotation_steps`],
-//! [`split_rotation_steps`]).
+//! ciphertexts that share one layout. Shards are never regrouped
+//! homomorphically: each one is an independent run of the same
+//! prepared circuit.
 
-use crate::ciphertext::Ciphertext;
 use crate::encoding::{self, Plaintext};
 use crate::error::HeError;
-use crate::eval::Evaluator;
-use crate::keys::GaloisKeys;
 use crate::params::CkksContext;
 use std::sync::Arc;
 
@@ -185,10 +179,13 @@ impl ShardPlan {
     /// `slots` slots. The per-ciphertext lane count is
     /// `min(next_pow2(batch), slots/dim)`; whatever does not fit one
     /// ciphertext spills into additional shards. Fails with
-    /// [`HeError::BatchExceedsSlots`] only when even a single vector
-    /// does not fit (`dim > slots`).
+    /// [`HeError::EmptyBatch`] on `batch = 0`, and with
+    /// [`HeError::BatchExceedsSlots`] when even a single vector does
+    /// not fit (`dim > slots`).
     pub fn plan(slots: usize, dim: usize, batch: usize) -> Result<Self, HeError> {
-        assert!(batch >= 1, "cannot plan an empty batch");
+        if batch == 0 {
+            return Err(HeError::EmptyBatch);
+        }
         if dim > slots {
             return Err(HeError::BatchExceedsSlots { batch, capacity: 0 });
         }
@@ -200,19 +197,6 @@ impl ShardPlan {
             total: batch,
             shards: batch.div_ceil(lanes),
         })
-    }
-
-    /// [`Self::plan`], but refuses (typed) any batch that needs more
-    /// than one ciphertext — for callers without sharding support.
-    pub fn plan_single(slots: usize, dim: usize, batch: usize) -> Result<Self, HeError> {
-        let plan = Self::plan(slots, dim, batch)?;
-        if plan.shards > 1 {
-            return Err(HeError::BatchExceedsSlots {
-                batch,
-                capacity: plan.capacity(),
-            });
-        }
-        Ok(plan)
     }
 
     /// The shared per-ciphertext layout.
@@ -242,12 +226,6 @@ impl ShardPlan {
         let filled = s * self.layout.batch();
         (self.total - filled).min(self.layout.batch())
     }
-
-    /// `(shard, lane)` coordinates of global batch index `b`.
-    pub fn position(&self, b: usize) -> (usize, usize) {
-        assert!(b < self.total);
-        (b / self.layout.batch(), b % self.layout.batch())
-    }
 }
 
 /// Encodes up to `layout.batch()` lanes into one plaintext in the
@@ -270,163 +248,10 @@ pub fn encode_batched(
     Ok(encoding::encode_real(ctx, &slot_vals, scale, level))
 }
 
-/// Decodes `lanes` lanes of `take` elements each from a batch-strided
-/// plaintext.
-pub fn decode_batched(
-    ctx: &Arc<CkksContext>,
-    pt: &Plaintext,
-    layout: &PackLayout,
-    lanes: usize,
-    take: usize,
-) -> Vec<Vec<f64>> {
-    let slot_vals = encoding::decode_real(ctx, pt);
-    layout.unpack(&slot_vals, lanes, take)
-}
-
-/// Rotation steps [`shard_combine`] applies for a `shards`-shard plan:
-/// right rotations `-s·period` placing shard `s`'s first repetition at
-/// slot offset `s·period`.
-pub fn combine_rotation_steps(layout: &PackLayout, shards: usize) -> Vec<i64> {
-    (1..shards)
-        .map(|s| -((s * layout.period()) as i64))
-        .collect()
-}
-
-/// Rotation steps [`shard_split`] applies: left rotations `s·period`
-/// to bring each shard's repetition to the front, plus the
-/// log-doubling replication steps `-period·2^t` that re-tile the
-/// extracted repetition over all slots.
-pub fn split_rotation_steps(layout: &PackLayout, shards: usize) -> Vec<i64> {
-    let period = layout.period();
-    let mut steps: Vec<i64> = (1..shards).map(|s| (s * period) as i64).collect();
-    let mut span = period;
-    while span < layout.slots() {
-        steps.push(-(span as i64));
-        span <<= 1;
-    }
-    steps
-}
-
-/// Indicator plaintext of slot range `[0, period)` at scale `q_m` of
-/// `level` — the mask both shard ops multiply by.
-fn period_mask(ev: &Evaluator, layout: &PackLayout, level: usize) -> Plaintext {
-    let q_m = ev.ctx().chain_moduli()[level].value() as f64;
-    let mut mask = vec![0.0f64; layout.slots()];
-    for m in mask.iter_mut().take(layout.period()) {
-        *m = 1.0;
-    }
-    encoding::encode_real(ev.ctx(), &mask, q_m, level)
-}
-
-/// Combines `shards` ciphertexts sharing one layout into a single
-/// ciphertext whose slot range `[s·period, (s+1)·period)` holds shard
-/// `s`'s first repetition. Consumes one multiplicative level (the mask
-/// multiplication) and needs the [`combine_rotation_steps`] Galois
-/// keys. Fails typed when the shards' repetitions do not all fit the
-/// ring.
-pub fn shard_combine(
-    ev: &Evaluator,
-    shards: &[Ciphertext],
-    layout: &PackLayout,
-    gk: &GaloisKeys,
-) -> Result<Ciphertext, HeError> {
-    if shards.is_empty() {
-        return Err(HeError::EmptyShardList {
-            op: "shard-combine",
-        });
-    }
-    if shards.len() * layout.period() > layout.slots() {
-        return Err(HeError::BatchExceedsSlots {
-            batch: shards.len() * layout.batch(),
-            capacity: (layout.slots() / layout.period()) * layout.batch(),
-        });
-    }
-    let level = shards[0].level;
-    if level < 1 {
-        return Err(HeError::LevelExhausted {
-            op: "shard-combine mask",
-            level,
-            needed: 1,
-        });
-    }
-    let mask = period_mask(ev, layout, level);
-    let mut acc: Option<Ciphertext> = None;
-    for (s, ct) in shards.iter().enumerate() {
-        let masked = ev.mul_plain(ct, &mask);
-        let placed = if s == 0 {
-            masked
-        } else {
-            ev.try_rotate(&masked, -((s * layout.period()) as i64), gk)?
-        };
-        acc = Some(match acc {
-            None => placed,
-            Some(a) => ev.add(&a, &placed),
-        });
-    }
-    // the emptiness guard above makes the accumulator infallible here
-    let acc = acc.ok_or(HeError::EmptyShardList {
-        op: "shard-combine",
-    })?;
-    Ok(ev.rescale(&acc))
-}
-
-/// Splits a combined ciphertext (inverse of [`shard_combine`]'s
-/// placement) back into `shards` ciphertexts, each re-tiled cyclically
-/// so it is a valid layout ciphertext again. Consumes one
-/// multiplicative level and needs the [`split_rotation_steps`] keys.
-pub fn shard_split(
-    ev: &Evaluator,
-    ct: &Ciphertext,
-    layout: &PackLayout,
-    shards: usize,
-    gk: &GaloisKeys,
-) -> Result<Vec<Ciphertext>, HeError> {
-    if shards == 0 {
-        return Err(HeError::EmptyShardList { op: "shard-split" });
-    }
-    if shards * layout.period() > layout.slots() {
-        return Err(HeError::BatchExceedsSlots {
-            batch: shards * layout.batch(),
-            capacity: (layout.slots() / layout.period()) * layout.batch(),
-        });
-    }
-    if ct.level < 1 {
-        return Err(HeError::LevelExhausted {
-            op: "shard-split mask",
-            level: ct.level,
-            needed: 1,
-        });
-    }
-    let mask = period_mask(ev, layout, ct.level);
-    let period = layout.period();
-    let mut out = Vec::with_capacity(shards);
-    for s in 0..shards {
-        let fronted = if s == 0 {
-            ct.clone()
-        } else {
-            ev.try_rotate(ct, (s * period) as i64, gk)?
-        };
-        let masked = ev.mul_plain(&fronted, &mask);
-        let mut shard = ev.rescale(&masked);
-        // re-tile the isolated repetition over the whole ring by
-        // log-doubling: after step t the pattern spans period·2^(t+1)
-        let mut span = period;
-        while span < layout.slots() {
-            let shifted = ev.try_rotate(&shard, -(span as i64), gk)?;
-            shard = ev.add(&shard, &shifted);
-            span <<= 1;
-        }
-        out.push(shard);
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::keys::KeyGenerator;
     use crate::params::CkksParams;
-    use ckks_math::sampler::Sampler;
 
     fn ctx() -> Arc<CkksContext> {
         CkksParams::tiny(3).build()
@@ -445,7 +270,6 @@ mod tests {
         assert_eq!((p.layout().batch(), p.shards()), (8, 2));
         assert_eq!(p.lanes_in_shard(0), 8);
         assert_eq!(p.lanes_in_shard(1), 1);
-        assert_eq!(p.position(8), (1, 0));
         let p = ShardPlan::plan(512, 64, 64).unwrap();
         assert_eq!((p.layout().batch(), p.shards()), (8, 8));
     }
@@ -460,14 +284,11 @@ mod tests {
                 capacity: 0
             }
         ));
-        let err = ShardPlan::plan_single(512, 64, 9).unwrap_err();
-        assert!(matches!(
-            err,
-            HeError::BatchExceedsSlots {
-                batch: 9,
-                capacity: 8
-            }
-        ));
+        assert_eq!(ShardPlan::plan(512, 64, 0), Err(HeError::EmptyBatch));
+        // one image past a ciphertext's capacity is not an error: it
+        // spills into a second shard of the same layout
+        let p = ShardPlan::plan(512, 64, 9).unwrap();
+        assert_eq!((p.capacity(), p.shards()), (8, 2));
     }
 
     #[test]
@@ -507,7 +328,7 @@ mod tests {
     }
 
     #[test]
-    fn encode_decode_batched_roundtrip() {
+    fn encode_batched_roundtrips_through_unpack() {
         let ctx = ctx();
         let layout = PackLayout::new(16, 8, ctx.slots()).unwrap();
         let lanes: Vec<Vec<f64>> = (0..8)
@@ -515,7 +336,7 @@ mod tests {
             .collect();
         let refs: Vec<&[f64]> = lanes.iter().map(Vec::as_slice).collect();
         let pt = encode_batched(&ctx, &refs, &layout, ctx.params().scale(), 2).unwrap();
-        let back = decode_batched(&ctx, &pt, &layout, 8, 16);
+        let back = layout.unpack(&encoding::decode_real(&ctx, &pt), 8, 16);
         for (a, b) in back.iter().flatten().zip(lanes.iter().flatten()) {
             assert!((a - b).abs() < 1e-5, "{a} vs {b}");
         }
@@ -585,103 +406,6 @@ mod tests {
         let tiled = PackLayout::tiled(8, 64).unwrap();
         assert_eq!(tiled.rotation_step(3), 3);
         assert_eq!(tiled.rotation_step(-3), 5);
-    }
-
-    #[test]
-    fn empty_shard_lists_are_typed_errors_not_panics() {
-        let ctx = ctx();
-        let ev = Evaluator::new(Arc::clone(&ctx));
-        let layout = PackLayout::new(16, 4, ctx.slots()).unwrap();
-        let mut kg = KeyGenerator::new(Arc::clone(&ctx), 11);
-        let sk = kg.gen_secret_key();
-        let gk = kg.gen_galois_keys(&sk, &[], false);
-
-        let err = shard_combine(&ev, &[], &layout, &gk).unwrap_err();
-        assert!(
-            matches!(
-                err,
-                HeError::EmptyShardList {
-                    op: "shard-combine"
-                }
-            ),
-            "{err}"
-        );
-
-        let pk = kg.gen_public_key(&sk);
-        let mut s = Sampler::from_seed(12);
-        let pt = encode_batched(&ctx, &[], &layout, ctx.params().scale(), 2).unwrap();
-        let ct = ev.encrypt(&pt, &pk, &mut s);
-        let err = shard_split(&ev, &ct, &layout, 0, &gk).unwrap_err();
-        assert!(
-            matches!(err, HeError::EmptyShardList { op: "shard-split" }),
-            "{err}"
-        );
-    }
-
-    #[test]
-    fn shard_combine_then_split_roundtrips_encrypted() {
-        let ctx = ctx();
-        let mut kg = KeyGenerator::new(Arc::clone(&ctx), 7);
-        let sk = kg.gen_secret_key();
-        let pk = kg.gen_public_key(&sk);
-        let ev = Evaluator::new(Arc::clone(&ctx));
-        let mut s = Sampler::from_seed(8);
-
-        let layout = PackLayout::new(16, 4, ctx.slots()).unwrap();
-        let shards_n = 3usize;
-        let mut steps = combine_rotation_steps(&layout, shards_n);
-        steps.extend(split_rotation_steps(&layout, shards_n));
-        let gk = kg.gen_galois_keys(&sk, &steps, false);
-
-        let mut cts = Vec::new();
-        let mut lanes_all = Vec::new();
-        for sh in 0..shards_n {
-            let lanes: Vec<Vec<f64>> = (0..4)
-                .map(|b| {
-                    (0..16)
-                        .map(|j| (sh * 100 + b * 16 + j) as f64 * 1e-3)
-                        .collect()
-                })
-                .collect();
-            let refs: Vec<&[f64]> = lanes.iter().map(Vec::as_slice).collect();
-            let pt = encode_batched(&ctx, &refs, &layout, ctx.params().scale(), 3).unwrap();
-            cts.push(ev.encrypt(&pt, &pk, &mut s));
-            lanes_all.push(lanes);
-        }
-
-        let combined = shard_combine(&ev, &cts, &layout, &gk).unwrap();
-        assert_eq!(combined.level, 2, "mask consumes one level");
-        // slot range [s·period, …) of the combined ct holds shard s
-        let dec = ev.decrypt_to_real(&combined, &sk);
-        for (sh, lanes) in lanes_all.iter().enumerate() {
-            for (b, lane) in lanes.iter().enumerate() {
-                for (j, want) in lane.iter().enumerate() {
-                    let got = dec[sh * layout.period() + layout.slot_of(b, j)];
-                    assert!((got - want).abs() < 1e-4, "shard {sh} lane {b} elem {j}");
-                }
-            }
-        }
-
-        let split = shard_split(&ev, &combined, &layout, shards_n, &gk).unwrap();
-        assert_eq!(split.len(), shards_n);
-        for (sh, ct) in split.iter().enumerate() {
-            assert_eq!(ct.level, 1, "second mask consumes another level");
-            let dec = ev.decrypt_to_real(ct, &sk);
-            // a split shard is a valid layout ciphertext again: the
-            // repetition must cover the whole ring
-            for rep in 0..(ctx.slots() / layout.period()) {
-                let back = layout.unpack(&dec[rep * layout.period()..], 4, 16);
-                for (b, lane) in back.iter().enumerate() {
-                    for (j, got) in lane.iter().enumerate() {
-                        let want = lanes_all[sh][b][j];
-                        assert!(
-                            (got - want).abs() < 1e-3,
-                            "rep {rep} shard {sh} lane {b} elem {j}: {got} vs {want}"
-                        );
-                    }
-                }
-            }
-        }
     }
 
     #[test]
@@ -789,33 +513,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn shard_ops_report_their_rotation_needs() {
-        let layout = PackLayout::new(16, 4, 512).unwrap();
-        assert_eq!(combine_rotation_steps(&layout, 3), vec![-64, -128]);
-        let split = split_rotation_steps(&layout, 3);
-        assert_eq!(split, vec![64, 128, -64, -128, -256]);
-        // combine past the ring is a typed error
-        let ev_steps = combine_rotation_steps(&layout, 8);
-        assert_eq!(ev_steps.len(), 7);
-    }
-
-    #[test]
-    fn combine_rejects_overfull_ring() {
-        let ctx = ctx();
-        let ev = Evaluator::new(Arc::clone(&ctx));
-        let layout = PackLayout::new(64, 4, ctx.slots()).unwrap(); // period 256, 2 reps
-        let mut kg = KeyGenerator::new(Arc::clone(&ctx), 9);
-        let sk = kg.gen_secret_key();
-        let gk = kg.gen_galois_keys(&sk, &[], false);
-        let pk = kg.gen_public_key(&sk);
-        let mut s = Sampler::from_seed(10);
-        let pt = encode_batched(&ctx, &[], &layout, ctx.params().scale(), 2).unwrap();
-        let ct = ev.encrypt(&pt, &pk, &mut s);
-        let cts = vec![ct.clone(), ct.clone(), ct];
-        let err = shard_combine(&ev, &cts, &layout, &gk).unwrap_err();
-        assert!(matches!(err, HeError::BatchExceedsSlots { .. }), "{err}");
     }
 }

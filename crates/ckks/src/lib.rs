@@ -22,7 +22,6 @@ pub mod error;
 pub mod eval;
 pub mod keys;
 pub mod layout;
-pub mod linalg;
 pub mod noise;
 pub mod paramfile;
 pub mod params;
@@ -37,10 +36,7 @@ pub use encoding::{decode, decode_real, encode, encode_constant, encode_real, Pl
 pub use error::HeError;
 pub use eval::{Evaluator, PreparedScalar, SCALE_RTOL};
 pub use keys::{GaloisKeys, KeyGenerator, KeySwitchKey, KsVariant, PublicKey, RelinKey, SecretKey};
-pub use layout::{
-    combine_rotation_steps, decode_batched, encode_batched, shard_combine, shard_split,
-    split_rotation_steps, PackLayout, ShardPlan,
-};
+pub use layout::{encode_batched, PackLayout, ShardPlan};
 pub use paramfile::parse_params;
 pub use params::{CkksContext, CkksParams};
 pub use security::SecurityLevel;

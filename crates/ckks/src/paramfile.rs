@@ -15,8 +15,12 @@
 
 use crate::security::SecurityLevel;
 use crate::CkksParams;
+use ckks_math::modring::MAX_MODULUS_BITS;
 
-/// Parses a parameter file; errors carry the offending line number.
+/// Parses a parameter file; errors carry the offending line number or
+/// key. A file that parses is one [`CkksParams::build`] accepts: every
+/// prime size is in `(log2(2N), 61]` and the total modulus meets
+/// `security`.
 pub fn parse_params(text: &str) -> Result<CkksParams, String> {
     let mut n: Option<usize> = None;
     let mut chain_bits: Option<Vec<u32>> = None;
@@ -79,6 +83,31 @@ pub fn parse_params(text: &str) -> Result<CkksParams, String> {
     if params.chain_bits.is_empty() {
         return Err("chain_bits is empty".to_string());
     }
+    // an NTT prime p ≡ 1 (mod 2N) of b bits needs 2N < 2^b ≤ 2^61
+    let two_n = 2 * params.n as u64;
+    for (key, bits) in [
+        ("chain_bits", &params.chain_bits),
+        ("special_bits", &params.special_bits),
+    ] {
+        for &b in bits {
+            if b > MAX_MODULUS_BITS {
+                return Err(format!(
+                    "{key}: prime size {b} exceeds the {MAX_MODULUS_BITS}-bit limit"
+                ));
+            }
+            if 1u64 << b <= two_n {
+                return Err(format!(
+                    "{key}: prime size {b} is not above log2(2N) = {}, so no prime \
+                     ≡ 1 mod 2N fits",
+                    two_n.ilog2()
+                ));
+            }
+        }
+    }
+    params
+        .security
+        .validate(params.n, params.total_log_q())
+        .map_err(|e| format!("security: {e}"))?;
     Ok(params)
 }
 
@@ -131,5 +160,60 @@ security = 128
         assert!(
             parse_params("n = 1024\nchain_bits = 40\nscale_bits = 26\nsecurity = 111").is_err()
         );
+    }
+
+    /// The refusal of `text`, which must name `needle`.
+    fn refused(text: &str, needle: &str) {
+        let err = parse_params(text).expect_err("must be refused");
+        assert!(err.contains(needle), "{err}");
+    }
+
+    #[test]
+    fn rejects_a_prime_above_61_bits() {
+        refused(
+            "n = 1024\nchain_bits = 40 62\nscale_bits = 26\n",
+            "chain_bits: prime size 62",
+        );
+        refused(
+            "n = 1024\nchain_bits = 40 26\nspecial_bits = 200\nscale_bits = 26\n",
+            "special_bits: prime size 200",
+        );
+    }
+
+    #[test]
+    fn rejects_a_prime_not_above_log2_2n() {
+        // N = 1024: 2N = 2^11, so an 11-bit prime ≡ 1 mod 2N cannot exist
+        refused(
+            "n = 1024\nscale_bits = 26\nchain_bits = 40 11\n",
+            "chain_bits: prime size 11 is not above log2(2N) = 11",
+        );
+        refused(
+            "n = 1024\nchain_bits = 40\nspecial_bits = 1\nscale_bits = 26\n",
+            "special_bits: prime size 1",
+        );
+    }
+
+    #[test]
+    fn rejects_a_chain_the_security_level_forbids() {
+        // 128-bit security at N = 1024 allows log(PQ) ≤ 27
+        refused(
+            "n = 1024\nchain_bits = 40 26\nscale_bits = 26\nsecurity = 128\n",
+            "security: log(PQ) = 106 exceeds",
+        );
+        // a ring degree the HE standard does not tabulate
+        refused(
+            "n = 512\nchain_bits = 20\nspecial_bits = 20\nscale_bits = 16\nsecurity = 128\n",
+            "security: ring degree 512",
+        );
+    }
+
+    #[test]
+    fn accepted_files_build() {
+        let tiny = "n = 1024\nchain_bits = 30 20 20\nspecial_bits = 30\nscale_bits = 20\n";
+        let secure = "n = 2048\nchain_bits = 20\nspecial_bits = 20\nscale_bits = 12\nsecurity = 128\n";
+        for text in [tiny, secure] {
+            let ctx = parse_params(text).unwrap().build();
+            assert_eq!(ctx.max_level() + 1, ctx.params().chain_bits.len());
+        }
     }
 }

@@ -35,7 +35,7 @@ impl Default for ExecMode {
 
 impl ExecMode {
     /// One thread: units run one at a time, and no limb loop fans out.
-    pub fn sequential() -> Self {
+    pub const fn sequential() -> Self {
         Self { unit_threads: 1 }
     }
 

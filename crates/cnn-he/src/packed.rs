@@ -217,7 +217,7 @@ impl PackedNetwork {
 
     /// Plans a logical batch of `batch` images onto ciphertext shards
     /// (lane count capped by `slots / dim`, remainder spilling into
-    /// further shards).
+    /// further shards). An empty batch is [`HeError::EmptyBatch`].
     pub fn plan_batch(&self, slots: usize, batch: usize) -> Result<ShardPlan, HeError> {
         ShardPlan::plan(slots, self.dim, batch)
     }
@@ -657,9 +657,12 @@ mod tests {
         assert_eq!(plan.shards(), 2, "9 images need a 2-shard split");
         assert_eq!(plan.lanes_in_shard(0), 8);
         assert_eq!(plan.lanes_in_shard(1), 1);
-        // typed refusal on the single-ciphertext planner
-        let err = ckks::ShardPlan::plan_single(512, packed.dim, 9).unwrap_err();
-        assert!(matches!(err, HeError::BatchExceedsSlots { .. }));
+    }
+
+    #[test]
+    fn empty_batch_plan_is_a_typed_error() {
+        let packed = PackedNetwork::from_network(&mini_net(54));
+        assert_eq!(packed.plan_batch(512, 0), Err(HeError::EmptyBatch));
     }
 
     #[test]

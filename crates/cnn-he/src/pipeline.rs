@@ -567,14 +567,6 @@ impl CnnHePipeline {
         &self.ev
     }
 
-    pub fn relin_key(&self) -> &RelinKey {
-        &self.rk
-    }
-
-    pub fn secret_key(&self) -> &SecretKey {
-        &self.sk
-    }
-
     /// Renders the execution dataflow of an [`ExecPlan`] — the textual
     /// regeneration of the paper's Fig. 5.
     pub fn execution_plan_description(&self, plan: ExecPlan) -> String {

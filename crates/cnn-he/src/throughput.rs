@@ -59,11 +59,6 @@ fn report(wall: Duration, batch: usize) -> ThroughputReport {
     }
 }
 
-/// The largest batch a context supports (slot count).
-pub fn max_batch(slots: usize) -> usize {
-    slots
-}
-
 impl std::fmt::Display for ThroughputReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(

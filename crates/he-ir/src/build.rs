@@ -28,8 +28,6 @@ pub struct GraphBuilder {
     outputs: Vec<NodeId>,
     regions: Vec<Region>,
     open_region: Option<(String, NodeId)>,
-    layout: Layout,
-    slots: usize,
 }
 
 impl GraphBuilder {
@@ -37,7 +35,6 @@ impl GraphBuilder {
     /// what plan-level analysis uses.
     pub fn new(params: CkksParams) -> Self {
         let moduli = Circuit::nominal_moduli(&params);
-        let slots = params.slots();
         Self {
             params,
             moduli,
@@ -45,8 +42,6 @@ impl GraphBuilder {
             outputs: Vec::new(),
             regions: Vec::new(),
             open_region: None,
-            layout: Layout::BatchSlots,
-            slots,
         }
     }
 
@@ -60,19 +55,6 @@ impl GraphBuilder {
             .map(|m| m.value() as f64)
             .collect();
         b
-    }
-
-    /// Slot interpretation stamped on inputs/zeros created from now on.
-    pub fn set_layout(&mut self, layout: Layout) {
-        self.layout = layout;
-    }
-
-    /// Slot count stamped on inputs/zeros created from now on. Defaults
-    /// to the parameter set's full `N/2`; set it to the actual batch
-    /// slot count (`encode` pads value counts to the next power of two)
-    /// when declared types must match a specific encryption bit for bit.
-    pub fn set_slots(&mut self, slots: usize) {
-        self.slots = slots.clamp(1, self.params.slots());
     }
 
     /// Modulus value at `level` (clamped to the chain).
@@ -114,7 +96,7 @@ impl GraphBuilder {
         let ty = ValueTy::Ct(CtType {
             level: level.min(self.params.depth()),
             scale: self.params.scale(),
-            slots: self.slots,
+            slots: self.params.slots(),
             layout,
         });
         self.push(
@@ -125,13 +107,14 @@ impl GraphBuilder {
         )
     }
 
-    /// Mirror of `Evaluator::zero_ciphertext(scale, level, slots)`.
+    /// Mirror of `Evaluator::zero_ciphertext(scale, level, slots)`, in
+    /// the scalar [`Layout::BatchSlots`] layout.
     pub fn zero(&mut self, scale: f64, level: usize) -> NodeId {
         let ty = ValueTy::Ct(CtType {
             level: level.min(self.params.depth()),
             scale,
-            slots: self.slots,
-            layout: self.layout,
+            slots: self.params.slots(),
+            layout: Layout::BatchSlots,
         });
         self.push(Op::Zero, ty)
     }

@@ -28,13 +28,6 @@ pub struct RotationSet {
     first_use: BTreeMap<usize, usize>,
 }
 
-impl RotationSet {
-    /// Required elements including the conjugation element when used.
-    pub fn all_elements(&self) -> BTreeSet<usize> {
-        self.elements.clone()
-    }
-}
-
 /// Computes the exact Galois-element set the circuit needs.
 pub fn required_elements(c: &Circuit) -> RotationSet {
     let slots = c.params.slots() as i64;

@@ -21,32 +21,25 @@ pub enum Layout {
     Tiled,
     /// Batch-strided packed layout (`ckks::PackLayout`): `stride` lanes
     /// interleaved, element `j` of lane `b` in slot `j·stride + b`,
-    /// tiled cyclically. `stride = 1` is [`Layout::Tiled`].
+    /// tiled cyclically. `stride = 1` is [`Layout::Tiled`]. A batch
+    /// past one ciphertext's lanes is several independent runs of the
+    /// same circuit (one per shard), so no layout spans ciphertexts.
     BatchStrided {
         /// Lanes per ciphertext = slot distance between consecutive
         /// elements of one lane.
         stride: usize,
     },
-    /// One logical vector batch sharded across `shards` ciphertexts,
-    /// each in the batch-strided layout with the given stride. This is
-    /// the type of shard-combine results and shard-split inputs.
-    Sharded {
-        /// Per-ciphertext lane stride.
-        stride: usize,
-        /// Number of ciphertext shards the logical batch occupies.
-        shards: usize,
-    },
 }
 
 impl Layout {
     /// Slot distance between consecutive elements of one lane — 1 for
-    /// the tiled/scalar layouts, the declared stride for batch-strided
-    /// and sharded layouts. This is what [`crate::Op::EncodeVec`]
+    /// the tiled/scalar layouts, the declared stride for the
+    /// batch-strided layout. This is what [`crate::Op::EncodeVec`]
     /// broadcast expansion uses.
     pub fn lane_stride(&self) -> usize {
         match self {
             Layout::BatchSlots | Layout::Tiled => 1,
-            Layout::BatchStrided { stride } | Layout::Sharded { stride, .. } => *stride,
+            Layout::BatchStrided { stride } => *stride,
         }
     }
 }
@@ -57,7 +50,6 @@ impl std::fmt::Display for Layout {
             Layout::BatchSlots => write!(f, "batch"),
             Layout::Tiled => write!(f, "tiled"),
             Layout::BatchStrided { stride } => write!(f, "strided×{stride}"),
-            Layout::Sharded { stride, shards } => write!(f, "sharded×{stride}/{shards}"),
         }
     }
 }
@@ -179,13 +171,5 @@ mod tests {
     #[test]
     fn packed_layouts_render_their_shape() {
         assert_eq!(Layout::BatchStrided { stride: 8 }.to_string(), "strided×8");
-        assert_eq!(
-            Layout::Sharded {
-                stride: 8,
-                shards: 4
-            }
-            .to_string(),
-            "sharded×8/4"
-        );
     }
 }

@@ -20,6 +20,14 @@ pub enum Packing {
     PackedBatch,
 }
 
+/// How every worker executes a pipeline's unit loops: one thread, so
+/// concurrent workers never oversubscribe each other.
+pub(crate) const EXEC_MODE: ExecMode = ExecMode::sequential();
+
+/// Weight of the newest batch wall-clock in the engine's cost-model
+/// EWMA ([`cnn_he::WallEwma`]).
+pub(crate) const EWMA_ALPHA: f64 = 0.3;
+
 /// Configuration of a [`crate::ServeEngine`].
 #[derive(Debug, Clone, Copy)]
 pub struct ServeConfig {
@@ -36,21 +44,15 @@ pub struct ServeConfig {
     pub queue_capacity: usize,
     /// Worker threads executing batches. Each worker owns its own
     /// pipeline (keys and all), built by the factory passed to
-    /// [`crate::ServeEngine::start`].
+    /// [`crate::ServeEngine::start`], and runs it one thread wide
+    /// ([`cnn_he::ExecMode::sequential`]).
     pub workers: usize,
-    /// How each worker executes layer unit loops (see
-    /// [`cnn_he::ExecMode`]).
-    pub exec_mode: ExecMode,
     /// Deadline budget applied to requests submitted without an
-    /// explicit one. `None` = no deadline.
+    /// explicit one. `None` = no deadline. After a batch overruns a
+    /// member's deadline the engine retries batching at half the
+    /// coalescing ceiling (floor 1), recovering multiplicatively on
+    /// clean batches.
     pub default_deadline: Option<Duration>,
-    /// Weight of the newest batch wall-clock in the engine's cost
-    /// model EWMA ([`cnn_he::WallEwma`]), in `(0, 1]`.
-    pub ewma_alpha: f64,
-    /// Degradation ladder switch: after a batch overruns a member's
-    /// deadline, retry batching at half the coalescing ceiling (floor
-    /// 1), recovering multiplicatively on clean batches.
-    pub degrade_on_overrun: bool,
     /// Bind address for the live `/metrics` + `/health` HTTP endpoint
     /// (`127.0.0.1:0` picks a free port; read it back via
     /// [`crate::ServeEngine::metrics_addr`]). `None` = no endpoint.
@@ -76,10 +78,7 @@ impl Default for ServeConfig {
             max_linger: Duration::from_millis(25),
             queue_capacity: 64,
             workers: 1,
-            exec_mode: ExecMode::sequential(),
             default_deadline: None,
-            ewma_alpha: 0.3,
-            degrade_on_overrun: true,
             metrics_addr: None,
             event_log_capacity: 0,
             packing: Packing::default(),
@@ -91,12 +90,10 @@ impl ServeConfig {
     /// Refuses nonsensical settings with [`ServeError::Rejected`]
     /// naming the field; run before any pipeline is built.
     pub(crate) fn validate(&self) -> Result<(), ServeError> {
-        let alpha_ok = self.ewma_alpha > 0.0 && self.ewma_alpha <= 1.0; // false for NaN
         let refusal = [
             (self.max_batch == 0, "max_batch must be >= 1"),
             (self.queue_capacity == 0, "queue_capacity must be >= 1"),
             (self.workers == 0, "workers must be >= 1"),
-            (!alpha_ok, "ewma_alpha out of (0, 1]"),
         ]
         .into_iter()
         .find_map(|(bad, reason)| bad.then(|| reason.to_string()));
@@ -150,16 +147,5 @@ mod tests {
             ..Default::default()
         };
         refused(cfg, "workers");
-    }
-
-    #[test]
-    fn ewma_alpha_outside_unit_interval_rejected() {
-        for ewma_alpha in [0.0, -0.5, 1.5, f64::NAN] {
-            let cfg = ServeConfig {
-                ewma_alpha,
-                ..Default::default()
-            };
-            refused(cfg, "ewma_alpha");
-        }
     }
 }

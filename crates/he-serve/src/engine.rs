@@ -32,7 +32,7 @@
 //!   the floor mid-teardown resolves to [`ServeError::ShuttingDown`]
 //!   rather than hanging its client.
 
-use crate::config::{Packing, ServeConfig};
+use crate::config::{Packing, ServeConfig, EWMA_ALPHA, EXEC_MODE};
 use crate::error::ServeError;
 use crate::metrics::EngineMetrics;
 use crate::queue::{BoundedQueue, Pop, TryPush};
@@ -77,7 +77,6 @@ struct Shared {
     max_batch_cap: usize,
     ewma: Mutex<WallEwma>,
     max_linger: Duration,
-    degrade_on_overrun: bool,
 }
 
 impl Shared {
@@ -124,7 +123,7 @@ impl ServeEngine {
         cfg.validate()?;
         let factory = Arc::new(factory);
         let mut first = factory();
-        first.set_exec_mode(cfg.exec_mode);
+        first.set_exec_mode(EXEC_MODE);
         if cfg.packing == Packing::PackedBatch {
             // typed refusal (BatchExceedsSlots → Rejected) when the
             // packed dimension does not fit the ring; after this,
@@ -165,9 +164,8 @@ impl ServeEngine {
             metrics: EngineMetrics::new(&cfg, max_batch_cap),
             effective_max_batch: AtomicUsize::new(max_batch_cap),
             max_batch_cap,
-            ewma: Mutex::new(WallEwma::new(cfg.ewma_alpha)),
+            ewma: Mutex::new(WallEwma::new(EWMA_ALPHA)),
             max_linger: cfg.max_linger,
-            degrade_on_overrun: cfg.degrade_on_overrun,
         });
 
         // bind the /metrics endpoint before any thread spawns, so a
@@ -195,7 +193,6 @@ impl ServeEngine {
         for w in 0..cfg.workers {
             let sh = Arc::clone(&shared);
             let factory = Arc::clone(&factory);
-            let mode = cfg.exec_mode;
             let packing = cfg.packing;
             let seeded = first.take();
             workers.push(
@@ -204,7 +201,7 @@ impl ServeEngine {
                     .spawn(move || {
                         let mut pipe = seeded.unwrap_or_else(|| {
                             let mut p = factory();
-                            p.set_exec_mode(mode);
+                            p.set_exec_mode(EXEC_MODE);
                             if packing == Packing::PackedBatch {
                                 // the identically-parameterized first
                                 // pipeline already passed this at start
@@ -516,9 +513,6 @@ fn execute_batch(shared: &Shared, pipe: &mut CnnHePipeline, batch: Batch) {
 /// toward the configured cap.
 fn adjust_ceiling(shared: &Shared, overran: bool) {
     if overran {
-        if !shared.degrade_on_overrun {
-            return;
-        }
         let cur = shared.effective_max_batch.load(Ordering::Relaxed);
         if cur > 1 {
             let next = (cur / 2).max(1);
@@ -811,7 +805,6 @@ mod tests {
             max_batch_cap: 8,
             ewma: Mutex::new(WallEwma::new(0.5)),
             max_linger: Duration::ZERO,
-            degrade_on_overrun: true,
         };
         adjust_ceiling(&shared, true);
         assert_eq!(shared.effective_max_batch.load(Ordering::Relaxed), 4);

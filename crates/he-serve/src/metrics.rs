@@ -25,8 +25,8 @@
 //!   `he_serve_degradations_total`: degradation-ladder state.
 //! - `he_ops_total{op=…}`: process-global he-trace HE op counters,
 //!   bridged by snapshot delta on every scrape.
-//! - `he_kernel_backend_info{backend=…}`, `he_serve_workers`,
-//!   `he_serve_exec_mode_info{mode=…}`: run configuration.
+//! - `he_kernel_backend_info{backend=…}`, `he_serve_workers`: run
+//!   configuration.
 
 use crate::config::ServeConfig;
 use crate::stats::{summarize, ServeReport};
@@ -141,13 +141,6 @@ impl EngineMetrics {
         m.registry
             .gauge("he_serve_workers", "Worker threads executing batches.")
             .set(cfg.workers as f64);
-        m.registry
-            .gauge_with(
-                "he_serve_exec_mode_info",
-                "Layer unit-loop execution mode (value is always 1).",
-                &[("mode", &format!("{:?}", cfg.exec_mode))],
-            )
-            .set(1.0);
         m.registry
             .gauge("he_serve_queue_capacity", "Bound of the request queue.")
             .set(cfg.queue_capacity as f64);
@@ -378,7 +371,6 @@ mod tests {
             "he_ops_total",
             "he_kernel_backend_info",
             "he_serve_workers",
-            "he_serve_exec_mode_info",
         ] {
             assert!(expo.has_series(family), "missing {family}:\n{text}");
         }

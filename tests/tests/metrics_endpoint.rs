@@ -246,7 +246,6 @@ fn exposition_agrees_with_report_at_quiescence() {
     );
     assert_eq!(e.value("he_serve_workers", &[]), Some(1.0));
     assert!(e.has_series("he_kernel_backend_info"));
-    assert!(e.has_series("he_serve_exec_mode_info"));
     eng.shutdown();
 }
 

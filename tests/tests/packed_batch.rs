@@ -1,6 +1,6 @@
 //! Integration: slot-packed batch inference end to end — layout
-//! planner edge cases, shard-split behavior, bit-identity of the
-//! stride-1 degenerate case, Galois-key exactness via he-ir's
+//! planner edge cases, shard spill-over, bit-identity of the stride-1
+//! degenerate case, strided Galois-key exactness via he-ir's
 //! rotation-set pass, and packed-vs-per-image parity at batch 64.
 //!
 //! This is the suite the `packed-parity` CI job runs under the full
@@ -9,8 +9,7 @@
 #![forbid(unsafe_code)]
 
 use ckks::{
-    combine_rotation_steps, encode_batched, encode_real, split_rotation_steps, CkksParams, HeError,
-    KeyGenerator, PackLayout, ShardPlan,
+    encode_batched, encode_real, CkksParams, HeError, KeyGenerator, PackLayout, ShardPlan,
 };
 use ckks_math::sampler::Sampler;
 use cnn_he::he_layers::{ConvSpec, DenseSpec};
@@ -113,7 +112,7 @@ fn non_pow2_batch_matches_per_image_inferences() {
 /// A batch one image past the lane capacity must split into exactly
 /// two shards — and still classify every image correctly.
 #[test]
-fn capacity_overflow_forces_two_shard_split() {
+fn capacity_overflow_spills_into_a_second_shard() {
     let net = mini_net(54);
     let packed = PackedNetwork::from_network(&net);
     let slots = 1 << 9; // 2^10 ring
@@ -126,12 +125,6 @@ fn capacity_overflow_forces_two_shard_split() {
     assert_eq!(plan.layout().batch(), cap);
     assert_eq!(plan.lanes_in_shard(0), cap);
     assert_eq!(plan.lanes_in_shard(1), 1);
-    match ShardPlan::plan_single(slots, packed.dim, cap + 1) {
-        Err(HeError::BatchExceedsSlots { batch, capacity }) => {
-            assert_eq!((batch, capacity), (cap + 1, cap));
-        }
-        other => panic!("expected BatchExceedsSlots, got {other:?}"),
-    }
 
     // execution: the 2-shard batch matches the plain reference
     let mut pipe = CnnHePipeline::new(mini_net(54), 1 << 10, 54);
@@ -148,10 +141,10 @@ fn capacity_overflow_forces_two_shard_split() {
     }
 }
 
-/// The Galois keys a sharded batched run generates are *exactly* the
-/// set he-ir's rotation-set pass derives from a circuit using them —
-/// BSGS steps scaled by the stride plus the shard-combine/split steps.
-/// No missing keys, no unused keys.
+/// The Galois keys a stride-2 run generates are *exactly* the set
+/// he-ir's rotation-set pass derives from a circuit using them: the
+/// BSGS steps scaled by the stride. No missing keys, no unused keys.
+/// (`ir_passes.rs` pins the same exactness at stride 1.)
 #[test]
 fn sharded_rotation_set_matches_generated_keys_exactly() {
     let net = mini_net(55);
@@ -159,41 +152,28 @@ fn sharded_rotation_set_matches_generated_keys_exactly() {
     let params = CkksParams::tiny(packed.required_levels());
     let ctx = params.clone().build();
     let slots = ctx.slots();
-    // half-capacity layout (2 of 8 possible lanes): its period is a
-    // quarter of the slots, so combining/splitting 2 shards rotates by
-    // real (non-identity) steps
     let layout = PackLayout::new(packed.dim, 2, slots).expect("fits");
-    let shards = 2usize;
-    assert!(shards * layout.period() <= slots, "combine must fit");
+    assert_eq!(layout.stride(), 2);
 
-    // every step the batched run may rotate by: the strided BSGS
-    // inference steps plus the shard boundary ops. Steps that are ≡ 0
-    // mod slots are identity rotations — no key, exactly as the pass
-    // counts them.
-    let mut steps: BTreeSet<i64> = packed
+    // the strided BSGS inference steps; steps ≡ 0 mod slots are
+    // identity rotations — no key, exactly as the pass counts them
+    let bsgs: BTreeSet<i64> = packed
         .required_rotation_steps_for(&layout)
-        .into_iter()
-        .collect();
-    steps.extend(combine_rotation_steps(&layout, shards));
-    steps.extend(split_rotation_steps(&layout, shards));
-    let steps: Vec<i64> = steps
         .into_iter()
         .filter(|s| s.rem_euclid(slots as i64) != 0)
         .collect();
+    assert!(!bsgs.is_empty());
+    // a uniform element shift moves every lane by whole strides
+    assert!(bsgs.iter().all(|s| s % 2 == 0), "{bsgs:?}");
+    let steps: Vec<i64> = bsgs.iter().copied().collect();
 
     let mut kg = KeyGenerator::new(Arc::clone(&ctx), 56);
     let sk = kg.gen_secret_key();
     let gk = kg.gen_galois_keys(&sk, &steps, false);
     let generated: BTreeSet<usize> = gk.elements().collect();
-    // shard ops contributed steps beyond the BSGS inference set
-    let bsgs_only: BTreeSet<i64> = packed
-        .required_rotation_steps_for(&layout)
-        .into_iter()
-        .collect();
-    assert!(steps.iter().any(|s| !bsgs_only.contains(s)));
 
-    // a batch-strided circuit rotating by every one of those steps
-    // (inference + shard ops), declaring the generated keys
+    // a batch-strided circuit rotating by every one of those steps,
+    // declaring the generated keys
     let mut b = he_ir::GraphBuilder::new(params);
     let mut x = b.input(
         "x",
@@ -215,6 +195,7 @@ fn sharded_rotation_set_matches_generated_keys_exactly() {
     // the declared inventory covers the circuit with nothing missing
     let report = he_ir::PassManager::standard().run(&circuit);
     assert!(!report.has_errors(), "{}", report.render());
+    assert!(!report.has_code("unused-galois-key"), "{}", report.render());
 
     // and the reference inference circuit at this stride rotates only
     // within the strided BSGS set, so those keys run `infer_batch`
@@ -224,7 +205,7 @@ fn sharded_rotation_set_matches_generated_keys_exactly() {
         layout.stride(),
         cnn_he::PackedLowering::Eager,
     );
-    assert!(required_elements(&reference).steps.is_subset(&bsgs_only));
+    assert!(required_elements(&reference).steps.is_subset(&bsgs));
 }
 
 /// The typed slot-capacity error surfaces verbatim through he-serve's

@@ -487,25 +487,17 @@ pub unsafe fn barrett_reduce_slice(m: &Modulus, dst: &mut [u64], src: &[u64]) {
     scalar::barrett_reduce_slice(m, &mut dst[split..], &src[split..]);
 }
 
-/// Rescale/mod-down fusion, AVX2. The centered-lift branch
+/// Centred lift of `src_q`-residues into `p`, AVX2. The branch
 /// (`r > src_q/2` → negate the reduced complement) becomes a blend
 /// between both arms, each computed with the exact scalar formula.
 ///
 /// # Safety
 /// Caller must guarantee the CPU supports AVX2.
 #[target_feature(enable = "avx2")]
-pub unsafe fn lift_sub_mul_shoup(
-    m: &Modulus,
-    dst: &mut [u64],
-    src: &[u64],
-    src_q: u64,
-    inv: u64,
-    inv_shoup: u64,
-) {
+pub unsafe fn centered_lift(m: &Modulus, dst: &mut [u64], src: &[u64], src_q: u64) {
     let (p, _, cr1) = unsafe { barrett_consts(m) };
     let half = unsafe { splat(src_q / 2) };
     let qv = unsafe { splat(src_q) };
-    let (w, ws) = unsafe { (splat(inv), splat(inv_shoup)) };
     let zero = _mm256_setzero_si256();
     let split = dst.len() - dst.len() % LANES;
     for (cd, cs) in dst[..split]
@@ -520,15 +512,35 @@ pub unsafe fn lift_sub_mul_shoup(
             let red = barrett_reduce1_v(arg, p, cr1);
             let nonzero =
                 _mm256_andnot_si256(_mm256_cmpeq_epi64(red, zero), _mm256_sub_epi64(p, red));
-            let lifted = _mm256_blendv_epi8(red, nonzero, hi_mask);
-            // modular subtract with borrow correction
+            store(cd, _mm256_blendv_epi8(red, nonzero, hi_mask));
+        }
+    }
+    scalar::centered_lift(m, &mut dst[split..], &src[split..], src_q);
+}
+
+/// `dst[i] = (dst[i] - src[i]) * s mod p`, AVX2: modular subtract with
+/// borrow correction, then a Shoup multiply.
+///
+/// # Safety
+/// Caller must guarantee the CPU supports AVX2.
+#[target_feature(enable = "avx2")]
+pub unsafe fn sub_mul_shoup(m: &Modulus, dst: &mut [u64], src: &[u64], s: u64, s_shoup: u64) {
+    let p = unsafe { splat(m.value()) };
+    let (w, ws) = unsafe { (splat(s), splat(s_shoup)) };
+    let split = dst.len() - dst.len() % LANES;
+    for (cd, cs) in dst[..split]
+        .chunks_exact_mut(LANES)
+        .zip(src[..split].chunks_exact(LANES))
+    {
+        unsafe {
+            let x = load(cs);
             let dv = load(cd);
-            let borrow = cmpgt_u64(lifted, dv);
-            let diff = _mm256_add_epi64(_mm256_sub_epi64(dv, lifted), _mm256_and_si256(borrow, p));
+            let borrow = cmpgt_u64(x, dv);
+            let diff = _mm256_add_epi64(_mm256_sub_epi64(dv, x), _mm256_and_si256(borrow, p));
             store(cd, mul_shoup_v(diff, w, ws, p));
         }
     }
-    scalar::lift_sub_mul_shoup(m, &mut dst[split..], &src[split..], src_q, inv, inv_shoup);
+    scalar::sub_mul_shoup(m, &mut dst[split..], &src[split..], s, s_shoup);
 }
 
 /// Splat the Barrett constants of `m` into vectors.

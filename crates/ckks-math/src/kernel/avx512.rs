@@ -733,65 +733,67 @@ unsafe fn ntt_inverse_ifma(table: &NttTable, a: &mut [u64], tws52: &[u64]) {
 
 // --- pointwise kernels ------------------------------------------------
 
-/// IFMA eligibility for the dyadic (full-width) products. Beyond the
-/// `4p < 2^52` lazy bound this also needs `p >= 2^49`, so the low
-/// 52-bit product limb (`< 2^52 <= 8p`) folds into the result with four
-/// conditional subtracts. Every 50-bit RNS prime qualifies.
+/// IFMA eligibility for the dyadic (full-width) products: the NTT's own
+/// `4p < 2^52` gate, so every prime the IFMA butterfly takes also gets
+/// the IFMA product.
 #[inline]
 fn dyadic_ifma_ok(p: u64) -> bool {
-    ifma_available() && (1u64 << 49..1u64 << 50).contains(&p)
+    ifma_available() && p < crate::ntt::IFMA_MAX_MODULUS
+}
+
+/// Splatted constants for [`mul_mod52_v`]: `p`, `2p`, and the two
+/// reduction multipliers `2^52 mod p` and `1` with their 52-bit Shoup
+/// companions.
+struct Dyadic52 {
+    p: __m512i,
+    p2: __m512i,
+    c52: __m512i,
+    c52s: __m512i,
+    one: __m512i,
+    ones: __m512i,
+}
+
+impl Dyadic52 {
+    #[inline(always)]
+    unsafe fn new(p_val: u64) -> Self {
+        let c52_val = ((1u128 << 52) % p_val as u128) as u64;
+        unsafe {
+            Self {
+                p: splat(p_val),
+                p2: splat(p_val << 1),
+                c52: splat(c52_val),
+                c52s: splat(shoup52(c52_val, p_val)),
+                one: splat(1),
+                ones: splat(shoup52(1, p_val)),
+            }
+        }
+    }
 }
 
 /// Canonical `a * b mod p` via 52-bit limbs: split the product as
-/// `d1·2^52 + d0`, reduce `d1·2^52` with a Shoup multiply by
-/// `c52 = 2^52 mod p`, fold `d0`, and finish with the subtract chain.
-/// Requires `a, b < p` and `2^49 <= p < 2^50`.
+/// `d1·2^52 + d0` and reduce each half with a lazy Shoup multiply —
+/// `d1` by `2^52 mod p`, `d0` by 1 — so each lands in `[0, 2p)`; two
+/// conditional subtracts bring the `< 4p` sum to canonical. Requires
+/// `a, b < p < 2^50` (both halves are `< 2^52`, the lazy bound).
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
-unsafe fn mul_mod52_v(
-    a: __m512i,
-    b: __m512i,
-    p: __m512i,
-    c52: __m512i,
-    c52s: __m512i,
-    p2: __m512i,
-    p4: __m512i,
-    p8: __m512i,
-) -> __m512i {
+unsafe fn mul_mod52_v(a: __m512i, b: __m512i, k: &Dyadic52) -> __m512i {
     unsafe {
         let zero = _mm512_setzero_si512();
         let d0 = _mm512_madd52lo_epu64(zero, a, b);
         let d1 = _mm512_madd52hi_epu64(zero, a, b);
-        // v ≡ d1·2^52 (mod p), v < 2p; s = v + d0 < 2p + 8p = 10p
-        let v = mul_shoup_lazy52_v(d1, c52, c52s, p);
-        let s = _mm512_add_epi64(v, d0);
-        sub_if_ge(sub_if_ge(sub_if_ge(sub_if_ge(s, p8), p4), p2), p)
-    }
-}
-
-/// Splatted constants for [`mul_mod52_v`].
-#[inline(always)]
-unsafe fn dyadic52_consts(p_val: u64) -> [__m512i; 6] {
-    let c52_val = ((1u128 << 52) % p_val as u128) as u64;
-    unsafe {
-        [
-            splat(p_val),
-            splat(c52_val),
-            splat(shoup52(c52_val, p_val)),
-            splat(p_val << 1),
-            splat(p_val << 2),
-            splat(p_val << 3),
-        ]
+        let hi = mul_shoup_lazy52_v(d1, k.c52, k.c52s, k.p);
+        let lo = mul_shoup_lazy52_v(d0, k.one, k.ones, k.p);
+        sub_if_ge(sub_if_ge(_mm512_add_epi64(hi, lo), k.p2), k.p)
     }
 }
 
 /// `a[i] = a[i] * b[i] mod p`, AVX-512 IFMA (see [`dyadic_ifma_ok`]).
 ///
 /// # Safety
-/// Caller must guarantee AVX-512 F+DQ+IFMA and `2^49 <= p < 2^50`.
+/// Caller must guarantee AVX-512 F+DQ+IFMA and `p < 2^50`.
 #[target_feature(enable = "avx512f,avx512dq,avx512ifma")]
 unsafe fn dyadic_mul_assign_ifma(m: &Modulus, a: &mut [u64], b: &[u64]) {
-    let [p, c52, c52s, p2, p4, p8] = unsafe { dyadic52_consts(m.value()) };
+    let k = unsafe { Dyadic52::new(m.value()) };
     let split = a.len() - a.len() % LANES;
     for (ca, cb) in a[..split]
         .chunks_exact_mut(LANES)
@@ -800,7 +802,7 @@ unsafe fn dyadic_mul_assign_ifma(m: &Modulus, a: &mut [u64], b: &[u64]) {
         unsafe {
             let x = load(ca);
             let y = load(cb);
-            store(ca, mul_mod52_v(x, y, p, c52, c52s, p2, p4, p8));
+            store(ca, mul_mod52_v(x, y, &k));
         }
     }
     scalar::dyadic_mul_assign(m, &mut a[split..], &b[split..]);
@@ -809,10 +811,10 @@ unsafe fn dyadic_mul_assign_ifma(m: &Modulus, a: &mut [u64], b: &[u64]) {
 /// `out[i] = a[i] * b[i] mod p`, AVX-512 IFMA.
 ///
 /// # Safety
-/// Caller must guarantee AVX-512 F+DQ+IFMA and `2^49 <= p < 2^50`.
+/// Caller must guarantee AVX-512 F+DQ+IFMA and `p < 2^50`.
 #[target_feature(enable = "avx512f,avx512dq,avx512ifma")]
 unsafe fn dyadic_mul_ifma(m: &Modulus, out: &mut [u64], a: &[u64], b: &[u64]) {
-    let [p, c52, c52s, p2, p4, p8] = unsafe { dyadic52_consts(m.value()) };
+    let k = unsafe { Dyadic52::new(m.value()) };
     let split = out.len() - out.len() % LANES;
     for ((co, ca), cb) in out[..split]
         .chunks_exact_mut(LANES)
@@ -822,7 +824,7 @@ unsafe fn dyadic_mul_ifma(m: &Modulus, out: &mut [u64], a: &[u64], b: &[u64]) {
         unsafe {
             let x = load(ca);
             let y = load(cb);
-            store(co, mul_mod52_v(x, y, p, c52, c52s, p2, p4, p8));
+            store(co, mul_mod52_v(x, y, &k));
         }
     }
     scalar::dyadic_mul(m, &mut out[split..], &a[split..], &b[split..]);
@@ -831,10 +833,10 @@ unsafe fn dyadic_mul_ifma(m: &Modulus, out: &mut [u64], a: &[u64], b: &[u64]) {
 /// `acc[i] = (acc[i] + a[i] * b[i]) mod p`, AVX-512 IFMA.
 ///
 /// # Safety
-/// Caller must guarantee AVX-512 F+DQ+IFMA and `2^49 <= p < 2^50`.
+/// Caller must guarantee AVX-512 F+DQ+IFMA and `p < 2^50`.
 #[target_feature(enable = "avx512f,avx512dq,avx512ifma")]
 unsafe fn dyadic_mul_acc_ifma(m: &Modulus, acc: &mut [u64], a: &[u64], b: &[u64]) {
-    let [p, c52, c52s, p2, p4, p8] = unsafe { dyadic52_consts(m.value()) };
+    let k = unsafe { Dyadic52::new(m.value()) };
     let split = acc.len() - acc.len() % LANES;
     for ((cr, ca), cb) in acc[..split]
         .chunks_exact_mut(LANES)
@@ -845,8 +847,8 @@ unsafe fn dyadic_mul_acc_ifma(m: &Modulus, acc: &mut [u64], a: &[u64], b: &[u64]
             let r = load(cr);
             let x = load(ca);
             let y = load(cb);
-            let prod = mul_mod52_v(x, y, p, c52, c52s, p2, p4, p8);
-            store(cr, sub_if_ge(_mm512_add_epi64(r, prod), p));
+            let prod = mul_mod52_v(x, y, &k);
+            store(cr, sub_if_ge(_mm512_add_epi64(r, prod), k.p));
         }
     }
     scalar::dyadic_mul_acc(m, &mut acc[split..], &a[split..], &b[split..]);
@@ -1039,24 +1041,16 @@ pub unsafe fn barrett_reduce_slice(m: &Modulus, dst: &mut [u64], src: &[u64]) {
     scalar::barrett_reduce_slice(m, &mut dst[split..], &src[split..]);
 }
 
-/// Rescale/mod-down fusion, AVX-512: centered lift (mask-blend between
-/// the two scalar branch arms), modular subtract, Shoup multiply.
+/// Centred lift of `src_q`-residues into `p`, AVX-512: a mask-blend
+/// between the two scalar branch arms.
 ///
 /// # Safety
 /// Caller must guarantee the CPU supports AVX-512F and AVX-512DQ.
 #[target_feature(enable = "avx512f,avx512dq")]
-pub unsafe fn lift_sub_mul_shoup(
-    m: &Modulus,
-    dst: &mut [u64],
-    src: &[u64],
-    src_q: u64,
-    inv: u64,
-    inv_shoup: u64,
-) {
+pub unsafe fn centered_lift(m: &Modulus, dst: &mut [u64], src: &[u64], src_q: u64) {
     let (p, _, cr1) = unsafe { barrett_consts(m) };
     let half = unsafe { splat(src_q / 2) };
     let qv = unsafe { splat(src_q) };
-    let (w, ws) = unsafe { (splat(inv), splat(inv_shoup)) };
     let zero = _mm512_setzero_si512();
     let split = dst.len() - dst.len() % LANES;
     for (cd, cs) in dst[..split]
@@ -1072,16 +1066,36 @@ pub unsafe fn lift_sub_mul_shoup(
             // m.neg(red): p - red, forced to 0 where red == 0
             let nz = !_mm512_cmpeq_epi64_mask(red, zero);
             let neg = _mm512_maskz_mov_epi64(nz, _mm512_sub_epi64(p, red));
-            let lifted = _mm512_mask_blend_epi64(hi_mask, red, neg);
-            // modular subtract with borrow correction
+            store(cd, _mm512_mask_blend_epi64(hi_mask, red, neg));
+        }
+    }
+    scalar::centered_lift(m, &mut dst[split..], &src[split..], src_q);
+}
+
+/// `dst[i] = (dst[i] - src[i]) * s mod p`, AVX-512: modular subtract
+/// with borrow correction, then a Shoup multiply.
+///
+/// # Safety
+/// Caller must guarantee the CPU supports AVX-512F and AVX-512DQ.
+#[target_feature(enable = "avx512f,avx512dq")]
+pub unsafe fn sub_mul_shoup(m: &Modulus, dst: &mut [u64], src: &[u64], s: u64, s_shoup: u64) {
+    let p = unsafe { splat(m.value()) };
+    let (w, ws) = unsafe { (splat(s), splat(s_shoup)) };
+    let split = dst.len() - dst.len() % LANES;
+    for (cd, cs) in dst[..split]
+        .chunks_exact_mut(LANES)
+        .zip(src[..split].chunks_exact(LANES))
+    {
+        unsafe {
+            let x = load(cs);
             let dv = load(cd);
-            let borrow = _mm512_cmplt_epu64_mask(dv, lifted);
-            let diff = _mm512_sub_epi64(dv, lifted);
+            let borrow = _mm512_cmplt_epu64_mask(dv, x);
+            let diff = _mm512_sub_epi64(dv, x);
             let diff = _mm512_mask_blend_epi64(borrow, diff, _mm512_add_epi64(diff, p));
             store(cd, mul_shoup_v(diff, w, ws, p));
         }
     }
-    scalar::lift_sub_mul_shoup(m, &mut dst[split..], &src[split..], src_q, inv, inv_shoup);
+    scalar::sub_mul_shoup(m, &mut dst[split..], &src[split..], s, s_shoup);
 }
 
 /// Splat the Barrett constants of `m` into vectors.

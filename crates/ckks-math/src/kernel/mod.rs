@@ -511,39 +511,59 @@ pub fn barrett_reduce_slice_with(
     );
 }
 
-/// The rescale / mod-down inner loop, fused:
-/// `dst[i] = (dst[i] - centered_lift(src[i])) * inv mod p`, where
-/// `src` are residues mod `src_q` and `inv_shoup = m.shoup(inv)`.
+/// `dst[i]` = the centred lift of `src[i]`, a residue mod `src_q`, into
+/// `p`: `src[i]` stands for itself up to `src_q/2` and for
+/// `src[i] - src_q` above it. The first half of dropping a limb
+/// (rescale, mod-down).
 #[inline]
-pub fn lift_sub_mul_shoup(
-    m: &Modulus,
-    dst: &mut [u64],
-    src: &[u64],
-    src_q: u64,
-    inv: u64,
-    inv_shoup: u64,
-) {
-    lift_sub_mul_shoup_with(active_backend(), m, dst, src, src_q, inv, inv_shoup);
+pub fn centered_lift(m: &Modulus, dst: &mut [u64], src: &[u64], src_q: u64) {
+    centered_lift_with(active_backend(), m, dst, src, src_q);
 }
 
-/// Explicit-backend [`lift_sub_mul_shoup`].
+/// Explicit-backend [`centered_lift`].
 #[inline]
-pub fn lift_sub_mul_shoup_with(
+pub fn centered_lift_with(
     backend: KernelBackend,
     m: &Modulus,
     dst: &mut [u64],
     src: &[u64],
     src_q: u64,
-    inv: u64,
-    inv_shoup: u64,
 ) {
     assert_eq!(dst.len(), src.len());
     dispatch!(
         backend,
-        scalar::lift_sub_mul_shoup(m, dst, src, src_q, inv, inv_shoup),
-        avx2::lift_sub_mul_shoup(m, dst, src, src_q, inv, inv_shoup),
-        avx512::lift_sub_mul_shoup(m, dst, src, src_q, inv, inv_shoup),
-        neon::lift_sub_mul_shoup(m, dst, src, src_q, inv, inv_shoup)
+        scalar::centered_lift(m, dst, src, src_q),
+        avx2::centered_lift(m, dst, src, src_q),
+        avx512::centered_lift(m, dst, src, src_q),
+        neon::centered_lift(m, dst, src, src_q)
+    );
+}
+
+/// `dst[i] = (dst[i] - src[i]) * s mod p` with `s_shoup = m.shoup(s)` —
+/// the second half of dropping a limb: subtract the lifted residue and
+/// divide by its modulus. Both operands canonical mod `p`.
+#[inline]
+pub fn sub_mul_shoup(m: &Modulus, dst: &mut [u64], src: &[u64], s: u64, s_shoup: u64) {
+    sub_mul_shoup_with(active_backend(), m, dst, src, s, s_shoup);
+}
+
+/// Explicit-backend [`sub_mul_shoup`].
+#[inline]
+pub fn sub_mul_shoup_with(
+    backend: KernelBackend,
+    m: &Modulus,
+    dst: &mut [u64],
+    src: &[u64],
+    s: u64,
+    s_shoup: u64,
+) {
+    assert_eq!(dst.len(), src.len());
+    dispatch!(
+        backend,
+        scalar::sub_mul_shoup(m, dst, src, s, s_shoup),
+        avx2::sub_mul_shoup(m, dst, src, s, s_shoup),
+        avx512::sub_mul_shoup(m, dst, src, s, s_shoup),
+        neon::sub_mul_shoup(m, dst, src, s, s_shoup)
     );
 }
 
@@ -555,8 +575,8 @@ mod tests {
 
     fn moduli_for(n: usize) -> Vec<Modulus> {
         // Span the admissible range: primes inside the AVX-512 IFMA
-        // window (30/45-bit), 50-bit (the IFMA dyadic fold gate), and
-        // primes just under the 2^61 lazy-reduction bound (generic
+        // window (30/45-bit, and 50-bit just under its 2^50 edge), and
+        // primes above it up to the 2^61 lazy-reduction bound (generic
         // vector path only).
         let bits: &[u32] = if cfg!(miri) {
             &[30, 50, 61] // keep the interpreted matrix small
@@ -667,29 +687,60 @@ mod tests {
     }
 
     #[test]
-    fn lift_sub_mul_shoup_parity_hits_boundaries() {
+    fn centered_lift_parity_hits_boundaries() {
         let n = if cfg!(miri) { 1 << 5 } else { 1 << 8 };
         let mut rng = rand::rngs::StdRng::seed_from_u64(11);
         for m in moduli_for(n) {
-            // Lift from a *different* (larger) modulus, as rescale does.
-            let src_q = gen_ntt_primes_excluding(61, n, 2, &[m.value()])[1];
-            let half = src_q / 2;
-            let mut src = rand_limb(&mut rng, n, src_q);
-            // Force the boundary cases: exactly half, half+1, 0, q-1.
-            src[0] = half;
-            src[1] = half + 1;
-            src[2] = 0;
-            src[3] = src_q - 1;
-            let dst0 = rand_limb(&mut rng, n, m.value());
-            let inv = m.reduce(rng.gen_range(1..m.value()));
-            let ishoup = m.shoup(inv);
+            // Lift from a *different* modulus, larger and smaller, as
+            // rescale (26-bit top prime into a 40-bit q_0) and mod-down
+            // (40-bit special prime into 26-bit limbs) both do.
+            for src_bits in [61, 20] {
+                let src_q = gen_ntt_primes_excluding(src_bits, n, 2, &[m.value()])[1];
+                let half = src_q / 2;
+                let mut src = rand_limb(&mut rng, n, src_q);
+                // Force the boundary cases: exactly half, half+1, 0, q-1.
+                src[0] = half;
+                src[1] = half + 1;
+                src[2] = 0;
+                src[3] = src_q - 1;
+                let mut reference = vec![0u64; n];
+                scalar::centered_lift(&m, &mut reference, &src, src_q);
+                // the lift of q-1 is -1, of 0 is 0
+                assert_eq!(reference[2], 0);
+                assert_eq!(reference[3], m.value() - 1);
+                for be in available_backends() {
+                    let mut got = vec![0u64; n];
+                    centered_lift_with(be, &m, &mut got, &src, src_q);
+                    assert_eq!(got, reference, "centered_lift {} q={src_q}", be.name());
+                }
+            }
+        }
+    }
 
-            let mut reference = dst0.clone();
-            scalar::lift_sub_mul_shoup(&m, &mut reference, &src, src_q, inv, ishoup);
-            for be in available_backends() {
-                let mut got = dst0.clone();
-                lift_sub_mul_shoup_with(be, &m, &mut got, &src, src_q, inv, ishoup);
-                assert_eq!(got, reference, "lift_sub_mul_shoup {}", be.name());
+    #[test]
+    fn sub_mul_shoup_parity_hits_borrow_and_edges() {
+        let n = if cfg!(miri) { 1 << 5 } else { 1 << 8 };
+        let mut rng = rand::rngs::StdRng::seed_from_u64(12);
+        for m in moduli_for(n) {
+            let p = m.value();
+            let mut dst0 = rand_limb(&mut rng, n, p);
+            let mut src = rand_limb(&mut rng, n, p);
+            // equal operands, a borrow at both extremes, and no borrow
+            (dst0[0], src[0]) = (5, 5);
+            (dst0[1], src[1]) = (0, p - 1);
+            (dst0[2], src[2]) = (p - 1, 0);
+            (dst0[3], src[3]) = (0, 1);
+            for s in [1, p - 1, m.reduce(rng.gen_range(1..p))] {
+                let ss = m.shoup(s);
+                let mut reference = dst0.clone();
+                scalar::sub_mul_shoup(&m, &mut reference, &src, s, ss);
+                assert_eq!(reference[0], 0);
+                assert_eq!(reference[3], m.mul(p - 1, s));
+                for be in available_backends() {
+                    let mut got = dst0.clone();
+                    sub_mul_shoup_with(be, &m, &mut got, &src, s, ss);
+                    assert_eq!(got, reference, "sub_mul_shoup {} p={p} s={s}", be.name());
+                }
             }
         }
     }
@@ -699,9 +750,17 @@ mod tests {
     #[test]
     #[ignore = "timing probe, run manually in release"]
     fn timing_probe() {
-        use std::time::Instant;
         let n = 1 << 12;
-        let m = Modulus::new(gen_ntt_primes_excluding(50, n, 1, &[])[0]);
+        // CNN1's chain and special primes are 26/40-bit
+        for bits in [26, 40, 50] {
+            let m = Modulus::new(gen_ntt_primes_excluding(bits, n, 1, &[])[0]);
+            eprintln!("{bits}-bit p = {}", m.value());
+            timing_probe_modulus(n, m);
+        }
+    }
+
+    fn timing_probe_modulus(n: usize, m: Modulus) {
+        use std::time::Instant;
         let table = NttTable::new(n, m);
         let mut rng = rand::rngs::StdRng::seed_from_u64(7);
         let data = rand_limb(&mut rng, n, m.value());
@@ -722,6 +781,11 @@ mod tests {
             }
             let mul_us = t0.elapsed().as_secs_f64() * 1e6 / ITERS as f64;
             let mut acc = data.clone();
+            let t0 = Instant::now();
+            for _ in 0..ITERS {
+                dyadic_mul_acc_with(be, &m, &mut acc, &a, &b_op);
+            }
+            let dmac_us = t0.elapsed().as_secs_f64() * 1e6 / ITERS as f64;
             let r = m.reduce(12345);
             let rs = m.shoup(r);
             let t0 = Instant::now();
@@ -730,7 +794,8 @@ mod tests {
             }
             let mac_us = t0.elapsed().as_secs_f64() * 1e6 / ITERS as f64;
             eprintln!(
-                "{:>6}: ntt {ntt_us:8.2} us  dyadic_mul {mul_us:8.2} us  fused_mac {mac_us:8.2} us  (n=2^12)",
+                "{:>6}: ntt {ntt_us:7.2} us  dyadic_mul {mul_us:7.2} us  dyadic_mac {dmac_us:7.2} us  \
+                 fused_mac {mac_us:7.2} us  (n=2^12)",
                 be.name()
             );
         }

@@ -439,24 +439,16 @@ pub unsafe fn barrett_reduce_slice(m: &Modulus, dst: &mut [u64], src: &[u64]) {
     scalar::barrett_reduce_slice(m, &mut dst[split..], &src[split..]);
 }
 
-/// Rescale/mod-down fusion, NEON: centered lift as a blend between the
-/// two scalar branch arms, modular subtract, Shoup multiply.
+/// Centred lift of `src_q`-residues into `p`, NEON: a blend between the
+/// two scalar branch arms.
 ///
 /// # Safety
 /// Caller must guarantee the CPU supports NEON.
 #[target_feature(enable = "neon")]
-pub unsafe fn lift_sub_mul_shoup(
-    m: &Modulus,
-    dst: &mut [u64],
-    src: &[u64],
-    src_q: u64,
-    inv: u64,
-    inv_shoup: u64,
-) {
+pub unsafe fn centered_lift(m: &Modulus, dst: &mut [u64], src: &[u64], src_q: u64) {
     let (p, _, cr1) = unsafe { barrett_consts(m) };
     let half = unsafe { splat(src_q / 2) };
     let qv = unsafe { splat(src_q) };
-    let (w, ws) = unsafe { (splat(inv), splat(inv_shoup)) };
     let split = dst.len() - dst.len() % LANES;
     for (cd, cs) in dst[..split]
         .chunks_exact_mut(LANES)
@@ -471,15 +463,35 @@ pub unsafe fn lift_sub_mul_shoup(
             // m.neg(red): p - red, forced to 0 where red == 0
             let zero_mask = vceqzq_u64(red);
             let neg = vbslq_u64(zero_mask, splat(0), vsubq_u64(p, red));
-            let lifted = vbslq_u64(hi_mask, neg, red);
-            // modular subtract with borrow correction
+            store(cd, vbslq_u64(hi_mask, neg, red));
+        }
+    }
+    scalar::centered_lift(m, &mut dst[split..], &src[split..], src_q);
+}
+
+/// `dst[i] = (dst[i] - src[i]) * s mod p`, NEON: modular subtract with
+/// borrow correction, then a Shoup multiply.
+///
+/// # Safety
+/// Caller must guarantee the CPU supports NEON.
+#[target_feature(enable = "neon")]
+pub unsafe fn sub_mul_shoup(m: &Modulus, dst: &mut [u64], src: &[u64], s: u64, s_shoup: u64) {
+    let p = unsafe { splat(m.value()) };
+    let (w, ws) = unsafe { (splat(s), splat(s_shoup)) };
+    let split = dst.len() - dst.len() % LANES;
+    for (cd, cs) in dst[..split]
+        .chunks_exact_mut(LANES)
+        .zip(src[..split].chunks_exact(LANES))
+    {
+        unsafe {
+            let x = load(cs);
             let dv = load(cd);
-            let borrow = vcgtq_u64(lifted, dv);
-            let diff = vaddq_u64(vsubq_u64(dv, lifted), vandq_u64(borrow, p));
+            let borrow = vcgtq_u64(x, dv);
+            let diff = vaddq_u64(vsubq_u64(dv, x), vandq_u64(borrow, p));
             store(cd, mul_shoup_v(diff, w, ws, p));
         }
     }
-    scalar::lift_sub_mul_shoup(m, &mut dst[split..], &src[split..], src_q, inv, inv_shoup);
+    scalar::sub_mul_shoup(m, &mut dst[split..], &src[split..], s, s_shoup);
 }
 
 /// Splat the Barrett constants of `m` into vectors.

@@ -143,25 +143,22 @@ pub fn barrett_reduce_slice(m: &Modulus, dst: &mut [u64], src: &[u64]) {
     }
 }
 
-/// The rescale / mod-down fusion: centered lift of the `src_q`-residue
-/// into `p`, subtract from `dst`, multiply by the precomputed inverse.
-pub fn lift_sub_mul_shoup(
-    m: &Modulus,
-    dst: &mut [u64],
-    src: &[u64],
-    src_q: u64,
-    inv: u64,
-    inv_shoup: u64,
-) {
+/// Centred lift of `src_q`-residues into `p`: `r` stands for `r` when
+/// `r <= src_q/2` and for `r - src_q` above it.
+pub fn centered_lift(m: &Modulus, dst: &mut [u64], src: &[u64], src_q: u64) {
     let half = src_q / 2;
     for (dv, &r) in dst.iter_mut().zip(src) {
-        // centered lift of the src_q-residue into p
-        let lifted = if r > half {
+        *dv = if r > half {
             m.neg(m.reduce(src_q - r))
         } else {
             m.reduce(r)
         };
-        let diff = m.sub(*dv, lifted);
-        *dv = m.mul_shoup(diff, inv, inv_shoup);
+    }
+}
+
+/// `dst[i] = (dst[i] - src[i]) * s mod p`, `s_shoup = m.shoup(s)`.
+pub fn sub_mul_shoup(m: &Modulus, dst: &mut [u64], src: &[u64], s: u64, s_shoup: u64) {
+    for (dv, &x) in dst.iter_mut().zip(src) {
+        *dv = m.mul_shoup(m.sub(*dv, x), s, s_shoup);
     }
 }

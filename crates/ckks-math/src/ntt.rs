@@ -274,6 +274,35 @@ impl NttTable {
     }
 }
 
+/// The Galois automorphism `σ_g: X ↦ X^g` (g odd, `< 2N`) as a
+/// permutation of NTT evaluation slots: `perm[k]` is the slot of `a`
+/// that slot `k` of `σ_g(a)` reads. Slot `k` of the forward transform
+/// evaluates at `ψ^(2·bitrev(k)+1)`, and `σ_g(a)(ψ^e) = a(ψ^(g·e))`, so
+/// `perm[k] = bitrev((g·(2·bitrev(k)+1) mod 2N − 1) / 2)`. The table
+/// depends on `(n, g)` only — no modulus — and is cached process-wide
+/// like [`NttTable::cached`].
+pub fn galois_permutation(n: usize, g: usize) -> Arc<[u32]> {
+    assert!(n.is_power_of_two() && (2..=1 << 31).contains(&n));
+    assert!(g % 2 == 1 && g < 2 * n, "galois element must be odd, < 2N");
+    type PermCache = Mutex<HashMap<(usize, usize), Arc<[u32]>>>;
+    static CACHE: OnceLock<PermCache> = OnceLock::new();
+    let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
+    const POISONED: &str = "galois permutation cache poisoned";
+    if let Some(p) = cache.lock().expect(POISONED).get(&(n, g)) {
+        return Arc::clone(p);
+    }
+    let log_n = n.trailing_zeros();
+    let two_n = 2 * n as u64;
+    let perm: Arc<[u32]> = (0..n)
+        .map(|k| {
+            let e = 2 * bit_reverse(k, log_n) as u64 + 1;
+            let ge = g as u64 * e % two_n;
+            bit_reverse(((ge - 1) / 2) as usize, log_n) as u32
+        })
+        .collect();
+    Arc::clone(cache.lock().expect(POISONED).entry((n, g)).or_insert(perm))
+}
+
 /// Reference negacyclic convolution, `O(N^2)`, for testing.
 pub fn negacyclic_convolution_naive(a: &[u64], b: &[u64], modulus: &Modulus) -> Vec<u64> {
     let n = a.len();

@@ -22,7 +22,7 @@
 
 use crate::kernel;
 use crate::modring::Modulus;
-use crate::ntt::NttTable;
+use crate::ntt::{galois_permutation, NttTable};
 use crate::sampler::Sampler;
 use rayon::prelude::*;
 use std::sync::Arc;
@@ -474,8 +474,112 @@ impl RnsPoly {
         out
     }
 
-    /// Drops the last limb (used by rescaling and mod-down after the limb's
-    /// contribution has been folded into the others).
+    /// [`Self::automorphism`] for a polynomial in NTT form: `σ_g` permutes
+    /// evaluation slots ([`galois_permutation`]), so no transform runs.
+    /// Limb-identical to the coefficient-domain map between an inverse
+    /// and a forward NTT.
+    pub fn automorphism_ntt(&self, g: usize) -> Self {
+        assert_eq!(self.form, Form::Ntt, "automorphism_ntt requires NTT form");
+        let n = self.ctx.n();
+        let perm = galois_permutation(n, g);
+        let mut data = Vec::with_capacity(self.data.len());
+        for limb in self.data.chunks(n) {
+            data.extend(perm.iter().map(|&k| limb[k as usize]));
+        }
+        Self {
+            ctx: Arc::clone(&self.ctx),
+            limb_indices: self.limb_indices.clone(),
+            data,
+            form: Form::Ntt,
+        }
+    }
+
+    /// Sets this NTT-form polynomial to one key-switch digit: `coeffs`
+    /// are the coefficients of a residue polynomial mod limb `own`'s
+    /// modulus. Every other limb gets `coeffs` reduced into its modulus
+    /// and forward-transformed; limb `own` gets `own_ntt`, the transform
+    /// of `coeffs` the caller already holds, so a digit costs one NTT
+    /// fewer than its limb count.
+    pub fn set_digit_ntt(&mut self, coeffs: &[u64], own: usize, own_ntt: &[u64]) {
+        assert_eq!(self.form, Form::Ntt, "digits are built in NTT form");
+        let n = self.ctx.n();
+        let k = self.num_limbs();
+        assert!(own < k, "own limb {own} out of range");
+        assert_eq!(coeffs.len(), n);
+        assert_eq!(own_ntt.len(), n);
+        he_trace::record_ntt_fwd(k as u64 - 1);
+        let backend = kernel::active_backend();
+        let ctx = &self.ctx;
+        let indices = &self.limb_indices;
+        let lift = |(i, limb): (usize, &mut [u64])| {
+            if i == own {
+                limb.copy_from_slice(own_ntt);
+                return;
+            }
+            let idx = indices[i];
+            kernel::barrett_reduce_slice_with(backend, &ctx.moduli()[idx], limb, coeffs);
+            kernel::ntt_forward_with(backend, ctx.ntt_table(idx), limb);
+        };
+        if kernel::limbs_fan_out(n, k) {
+            self.data.par_chunks_mut(n).enumerate().for_each(lift);
+        } else {
+            self.data.chunks_mut(n).enumerate().for_each(lift);
+        }
+    }
+
+    /// Divides by the last limb's modulus `q`, rounding, and drops that
+    /// limb — rescaling (`q` the top chain prime) and key-switch
+    /// mod-down (`q` the special prime) both are this. Each remaining
+    /// limb becomes `(a − [a]_q) · q⁻¹`, where `[a]_q` is the centred
+    /// residue and `q_inv[i]` is `q⁻¹` mod limb `i`'s modulus.
+    ///
+    /// Stays in NTT form: only the dropped limb is inverse-transformed;
+    /// its centred lift into each remaining limb is forward-transformed
+    /// and subtracted there. The NTT is exact and linear, so the result
+    /// is limb-identical to applying the formula to coefficients.
+    pub fn divide_by_last_limb(&mut self, q_inv: &[u64]) {
+        assert_eq!(
+            self.form,
+            Form::Ntt,
+            "divide_by_last_limb requires NTT form"
+        );
+        assert!(self.num_limbs() > 1, "cannot drop the only limb");
+        let n = self.ctx.n();
+        let k = self.num_limbs() - 1;
+        assert_eq!(q_inv.len(), k, "one q⁻¹ per remaining limb");
+        let last_idx = self.limb_indices.pop().expect("at least two limbs");
+        let mut last = self.data.split_off(k * n);
+        let ctx = &self.ctx;
+        ctx.ntt_table(last_idx).inverse(&mut last);
+        let q = ctx.moduli()[last_idx].value();
+
+        he_trace::record_ntt_fwd(k as u64);
+        let backend = kernel::active_backend();
+        let indices = &self.limb_indices;
+        let mut lifted = vec![0u64; k * n];
+        let step = |(i, (dst, lift)): (usize, (&mut [u64], &mut [u64]))| {
+            let m = ctx.moduli()[indices[i]];
+            kernel::centered_lift_with(backend, &m, lift, &last, q);
+            kernel::ntt_forward_with(backend, ctx.ntt_table(indices[i]), lift);
+            kernel::sub_mul_shoup_with(backend, &m, dst, lift, q_inv[i], m.shoup(q_inv[i]));
+        };
+        if kernel::limbs_fan_out(n, k) {
+            self.data
+                .par_chunks_mut(n)
+                .zip(lifted.par_chunks_mut(n))
+                .enumerate()
+                .for_each(step);
+        } else {
+            self.data
+                .chunks_mut(n)
+                .zip(lifted.chunks_mut(n))
+                .enumerate()
+                .for_each(step);
+        }
+    }
+
+    /// Drops the last limb without folding it into the others (see
+    /// [`Self::divide_by_last_limb`] for the rescaling form).
     pub fn drop_last_limb(&mut self) {
         assert!(self.num_limbs() > 1, "cannot drop the only limb");
         self.limb_indices.pop();

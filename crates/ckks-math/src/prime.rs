@@ -64,20 +64,57 @@ fn pow_mod_u64(mut a: u64, mut e: u64, m: u64) -> u64 {
     acc
 }
 
+/// A prime request the progression `k·2N + 1` cannot serve: fewer
+/// `bits`-bit primes `≡ 1 (mod 2N)` exist than were asked for. Sizes
+/// outside `(log2(2N), 61]` have none.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PrimeShortage {
+    /// Index, into the requested sizes, of the entry that ran out (0
+    /// for a single-size request).
+    pub position: usize,
+    pub bits: u32,
+    pub two_n: u64,
+    /// Distinct primes of this size requested …
+    pub wanted: usize,
+    /// … and how many the progression holds.
+    pub found: usize,
+}
+
+impl std::fmt::Display for PrimeShortage {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{} distinct {}-bit primes ≡ 1 mod 2N = {} requested, only {} exist",
+            self.wanted, self.bits, self.two_n, self.found
+        )
+    }
+}
+
+impl std::error::Error for PrimeShortage {}
+
 /// Generates `count` distinct primes of exactly `bits` bits with
 /// `p ≡ 1 (mod 2n)`, scanning downward from `2^bits - 1`, skipping any
-/// prime already present in `exclude`.
-///
-/// Panics if the progression is exhausted before `count` primes are found
-/// (only possible for tiny `bits` relative to `log2(2n)`).
-pub fn gen_ntt_primes_excluding(bits: u32, n: usize, count: usize, exclude: &[u64]) -> Vec<u64> {
+/// prime already present in `exclude`. Refuses, with how many it found,
+/// when the progression runs out first — always the case for `bits`
+/// outside `(log2(2n), 61]`.
+pub fn try_gen_ntt_primes_excluding(
+    bits: u32,
+    n: usize,
+    count: usize,
+    exclude: &[u64],
+) -> Result<Vec<u64>, PrimeShortage> {
     assert!(n.is_power_of_two(), "ring degree must be a power of two");
-    assert!((2..=crate::modring::MAX_MODULUS_BITS).contains(&bits));
     let two_n = (2 * n) as u64;
-    assert!(
-        (1u64 << bits) > two_n,
-        "bit size {bits} too small for 2N = {two_n}"
-    );
+    let shortage = |found| PrimeShortage {
+        position: 0,
+        bits,
+        two_n,
+        wanted: count,
+        found,
+    };
+    if !(2..=crate::modring::MAX_MODULUS_BITS).contains(&bits) || (1u64 << bits) <= two_n {
+        return Err(shortage(0));
+    }
     let mut out = Vec::with_capacity(count);
     // Largest candidate of the right residue class strictly below 2^bits.
     let hi = (1u64 << bits) - 1;
@@ -89,25 +126,46 @@ pub fn gen_ntt_primes_excluding(bits: u32, n: usize, count: usize, exclude: &[u6
         }
         candidate -= two_n;
     }
-    assert!(
-        out.len() == count,
-        "exhausted {bits}-bit progression: found {} of {count} primes for 2N={two_n}",
-        out.len()
-    );
-    out
+    if out.len() < count {
+        return Err(shortage(out.len()));
+    }
+    Ok(out)
+}
+
+/// [`try_gen_ntt_primes_excluding`] for sizes known to be served;
+/// panics on a [`PrimeShortage`].
+pub fn gen_ntt_primes_excluding(bits: u32, n: usize, count: usize, exclude: &[u64]) -> Vec<u64> {
+    try_gen_ntt_primes_excluding(bits, n, count, exclude).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Generates one prime per entry of `bit_sizes`, all distinct, all
 /// `≡ 1 (mod 2n)` — the SEAL `CoeffModulus::Create` interface the paper's
 /// §VI.A refers to ("the co-prime generation tool provided by SEAL").
-pub fn gen_moduli_chain(bit_sizes: &[u32], n: usize) -> Vec<Modulus> {
+/// Refuses with the first entry whose size has no unused prime left.
+pub fn try_gen_moduli_chain(bit_sizes: &[u32], n: usize) -> Result<Vec<Modulus>, PrimeShortage> {
     let mut found: Vec<u64> = Vec::with_capacity(bit_sizes.len());
-    // Group equal bit sizes so repeated sizes yield distinct primes.
-    for &bits in bit_sizes {
-        let p = gen_ntt_primes_excluding(bits, n, 1, &found)[0];
-        found.push(p);
+    // Excluding earlier picks makes repeated sizes yield distinct primes.
+    for (position, &bits) in bit_sizes.iter().enumerate() {
+        match try_gen_ntt_primes_excluding(bits, n, 1, &found) {
+            Ok(p) => found.push(p[0]),
+            Err(e) => {
+                let same_size = |b: &&u32| **b == bits;
+                return Err(PrimeShortage {
+                    position,
+                    wanted: bit_sizes.iter().filter(same_size).count(),
+                    found: bit_sizes[..position].iter().filter(same_size).count(),
+                    ..e
+                });
+            }
+        }
     }
-    found.into_iter().map(Modulus::new).collect()
+    Ok(found.into_iter().map(Modulus::new).collect())
+}
+
+/// [`try_gen_moduli_chain`] for chains known to be served; panics on a
+/// [`PrimeShortage`].
+pub fn gen_moduli_chain(bit_sizes: &[u32], n: usize) -> Vec<Modulus> {
+    try_gen_moduli_chain(bit_sizes, n).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Generates `count` small pairwise-coprime moduli starting near `start`,
@@ -269,5 +327,23 @@ mod tests {
     #[should_panic]
     fn too_small_bits_panics() {
         let _ = gen_ntt_primes_excluding(10, 1 << 12, 1, &[]);
+    }
+
+    #[test]
+    fn exhausted_progressions_are_typed_shortages() {
+        // 2N = 8192: 14 bits is above log2(2N), yet no 14-bit prime
+        // ≡ 1 mod 8192 exists
+        let n = 1 << 12;
+        let e = try_gen_ntt_primes_excluding(14, n, 1, &[]).unwrap_err();
+        assert_eq!((e.bits, e.two_n, e.wanted, e.found), (14, 8192, 1, 0));
+        for bits in [10, 62, 64] {
+            assert!(try_gen_ntt_primes_excluding(bits, n, 1, &[]).is_err());
+        }
+        // exactly two 17-bit primes ≡ 1 mod 8192 exist: a third repeat
+        // of the size is the entry that runs out
+        assert_eq!(try_gen_moduli_chain(&[40, 17, 17], n).unwrap().len(), 3);
+        let e = try_gen_moduli_chain(&[40, 17, 17, 26, 17], n).unwrap_err();
+        assert_eq!((e.position, e.bits, e.wanted, e.found), (4, 17, 3, 2));
+        assert!(e.to_string().contains("3 distinct 17-bit primes"), "{e}");
     }
 }

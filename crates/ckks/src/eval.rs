@@ -422,6 +422,10 @@ impl Evaluator {
     /// Switches the poly `d` (NTT form, limbs `0..=ℓ`), interpreted as a
     /// coefficient multiplying the key-switching key's source key, into a
     /// pair `(u₀, u₁)` with `u₀ + u₁·s ≈ d·w`.
+    ///
+    /// Digit `j` is the residue polynomial `[d]_{q_j}`: one inverse NTT of
+    /// `d` yields every digit's coefficients, and digit `j`'s own limb is
+    /// limb `j` of `d` as given, so only the other limbs are transformed.
     pub fn key_switch(&self, d: &RnsPoly, ksk: &KeySwitchKey) -> (RnsPoly, RnsPoly) {
         he_trace::record_keyswitch(1);
         let _span = he_trace::span("keyswitch", he_trace::cats::HE);
@@ -439,33 +443,13 @@ impl Evaluator {
             KsVariant::Bv => (0..=level).collect(),
         };
 
-        let mut acc0 = RnsPoly::zero(
-            Arc::clone(self.ctx.poly_ctx()),
-            ext_indices.clone(),
-            Form::Ntt,
-        );
+        let mut acc0 = RnsPoly::zero(Arc::clone(self.ctx.poly_ctx()), ext_indices, Form::Ntt);
         let mut acc1 = acc0.clone();
-
+        let mut digit = acc0.clone();
         for j in 0..=level {
-            // Lift digit j — the residue poly [d]_{q_j} — into every limb.
-            let r = d_coeff.limb(j);
-            let mut t = RnsPoly::zero(
-                Arc::clone(self.ctx.poly_ctx()),
-                ext_indices.clone(),
-                Form::Coeff,
-            );
-            for (li, &idx) in ext_indices.iter().enumerate() {
-                let m = self.ctx.poly_ctx().moduli()[idx];
-                let dst = t.limb_mut(li);
-                if idx == j {
-                    dst.copy_from_slice(r);
-                } else {
-                    kernel::barrett_reduce_slice(&m, dst, r);
-                }
-            }
-            t.ntt_forward();
-            acc0.mul_acc_subset(&t, &ksk.digits[j].0);
-            acc1.mul_acc_subset(&t, &ksk.digits[j].1);
+            digit.set_digit_ntt(d_coeff.limb(j), j, d.limb(j));
+            acc0.mul_acc_subset(&digit, &ksk.digits[j].0);
+            acc1.mul_acc_subset(&digit, &ksk.digits[j].1);
         }
 
         match ksk.variant {
@@ -477,28 +461,13 @@ impl Evaluator {
     /// Divides by the special modulus `P` and drops its limb:
     /// `c ← (c − [c]_P) · P⁻¹ mod q_i`.
     fn mod_down(&self, mut acc: RnsPoly) -> RnsPoly {
-        acc.ntt_inverse();
-        let sp_li = acc.num_limbs() - 1;
         debug_assert_eq!(
-            acc.limb_indices()[sp_li],
-            self.ctx.poly_ctx().chain_len(),
+            acc.limb_indices().last(),
+            Some(&self.ctx.poly_ctx().chain_len()),
             "expected exactly one special limb at the end"
         );
-        let sp_mod = *acc.limb_modulus(sp_li);
-        let p_val = sp_mod.value();
-        let sp_data = acc.limb(sp_li).to_vec();
-        let backend = kernel::active_backend();
-        for li in 0..sp_li {
-            let m = *acc.limb_modulus(li);
-            let p_inv = self.ctx.p_inv_mod_qi()[li];
-            let p_inv_shoup = m.shoup(p_inv);
-            let dst = acc.limb_mut(li);
-            // centered lift of the P-residue into q_i, fused with the
-            // subtract-and-multiply by P⁻¹
-            kernel::lift_sub_mul_shoup_with(backend, &m, dst, &sp_data, p_val, p_inv, p_inv_shoup);
-        }
-        acc.drop_last_limb();
-        acc.ntt_forward();
+        let chain_limbs = acc.num_limbs() - 1;
+        acc.divide_by_last_limb(&self.ctx.p_inv_mod_qi()[..chain_limbs]);
         acc
     }
 
@@ -525,33 +494,17 @@ impl Evaluator {
         he_trace::record_rescale(1);
         let _span = he_trace::span("rescale", he_trace::cats::HE);
         let k = ct.level;
-        let qk = self.ctx.chain_moduli()[k];
-        let qk_val = qk.value();
         let inv = self.ctx.rescale_inv(k);
-        let backend = kernel::active_backend();
-
         let rescale_poly = |poly: &RnsPoly| -> RnsPoly {
             let mut p = poly.clone();
-            p.ntt_inverse();
-            let last = p.limb(k).to_vec();
-            for li in 0..k {
-                let m = *p.limb_modulus(li);
-                let qinv = inv[li];
-                let qinv_shoup = m.shoup(qinv);
-                let dst = p.limb_mut(li);
-                // centered lift of the q_k residue, fused with the
-                // subtract-and-multiply by q_k⁻¹
-                kernel::lift_sub_mul_shoup_with(backend, &m, dst, &last, qk_val, qinv, qinv_shoup);
-            }
-            p.drop_last_limb();
-            p.ntt_forward();
+            p.divide_by_last_limb(inv);
             p
         };
 
         Ok(Ciphertext {
             c0: rescale_poly(&ct.c0),
             c1: rescale_poly(&ct.c1),
-            scale: ct.scale / qk_val as f64,
+            scale: ct.scale / self.ctx.chain_moduli()[k].value() as f64,
             level: ct.level - 1,
             slots: ct.slots,
         })
@@ -639,16 +592,9 @@ impl Evaluator {
         })?;
         he_trace::record_rotation(1);
         let _span = he_trace::span("galois", he_trace::cats::HE);
-        // σ_g over coefficient domain.
-        let mut c0 = ct.c0.clone();
-        c0.ntt_inverse();
-        let mut c0g = c0.automorphism(g);
-        c0g.ntt_forward();
-        let mut c1 = ct.c1.clone();
-        c1.ntt_inverse();
-        let mut c1g = c1.automorphism(g);
-        c1g.ntt_forward();
-
+        // σ_g permutes NTT slots: no transform until key switching.
+        let mut c0g = ct.c0.automorphism_ntt(g);
+        let c1g = ct.c1.automorphism_ntt(g);
         let (u0, u1) = self.key_switch(&c1g, ksk);
         c0g.add_assign(&u0);
         Ok(Ciphertext {

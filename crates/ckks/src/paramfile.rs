@@ -19,7 +19,8 @@ use ckks_math::modring::MAX_MODULUS_BITS;
 
 /// Parses a parameter file; errors carry the offending line number or
 /// key. A file that parses is one [`CkksParams::build`] accepts: every
-/// prime size is in `(log2(2N), 61]` and the total modulus meets
+/// prime size is in `(log2(2N), 61]`, the progression `k·2N + 1` holds
+/// a distinct prime for every entry, and the total modulus meets
 /// `security`.
 pub fn parse_params(text: &str) -> Result<CkksParams, String> {
     let mut n: Option<usize> = None;
@@ -103,6 +104,16 @@ pub fn parse_params(text: &str) -> Result<CkksParams, String> {
                 ));
             }
         }
+    }
+    // the same prime search `build` runs, so a file whose progression
+    // runs out (many equal small sizes, or none ≡ 1 mod 2N) is refused
+    if let Err(e) = params.gen_moduli() {
+        let key = if e.position < params.chain_bits.len() {
+            "chain_bits"
+        } else {
+            "special_bits"
+        };
+        return Err(format!("{key}: {e}"));
     }
     params
         .security
@@ -208,10 +219,37 @@ security = 128
     }
 
     #[test]
+    fn rejects_a_prime_progression_that_runs_out() {
+        // N = 4096: 14 bits is above log2(2N) = 13, yet no 14-bit prime
+        // ≡ 1 mod 8192 exists
+        refused(
+            "n = 4096\nchain_bits = 40 14\nscale_bits = 26\n",
+            "chain_bits: 1 distinct 14-bit primes ≡ 1 mod 2N = 8192 requested, only 0 exist",
+        );
+        refused(
+            "n = 4096\nchain_bits = 40\nspecial_bits = 15\nscale_bits = 26\n",
+            "special_bits: 1 distinct 15-bit primes",
+        );
+        // two 17-bit primes exist, the chain asks for three
+        refused(
+            "n = 4096\nchain_bits = 40 17 17 17\nscale_bits = 16\n",
+            "chain_bits: 3 distinct 17-bit primes ≡ 1 mod 2N = 8192 requested, only 2 exist",
+        );
+        // chain and special primes are distinct from one another too
+        refused(
+            "n = 4096\nchain_bits = 40 17 17\nspecial_bits = 17\nscale_bits = 16\n",
+            "special_bits: 3 distinct 17-bit primes",
+        );
+    }
+
+    #[test]
     fn accepted_files_build() {
         let tiny = "n = 1024\nchain_bits = 30 20 20\nspecial_bits = 30\nscale_bits = 20\n";
-        let secure = "n = 2048\nchain_bits = 20\nspecial_bits = 20\nscale_bits = 12\nsecurity = 128\n";
-        for text in [tiny, secure] {
+        let secure =
+            "n = 2048\nchain_bits = 20\nspecial_bits = 20\nscale_bits = 12\nsecurity = 128\n";
+        // takes every 17-bit prime ≡ 1 mod 8192 there is
+        let exhaustive = "n = 4096\nchain_bits = 40 17 17\nspecial_bits = 16\nscale_bits = 16\n";
+        for text in [tiny, secure, exhaustive] {
             let ctx = parse_params(text).unwrap().build();
             assert_eq!(ctx.max_level() + 1, ctx.params().chain_bits.len());
         }

@@ -12,7 +12,7 @@ use ckks_math::bigint::BigInt;
 use ckks_math::fft::EmbeddingTable;
 use ckks_math::modring::Modulus;
 use ckks_math::poly::PolyContext;
-use ckks_math::prime::gen_moduli_chain;
+use ckks_math::prime::{try_gen_moduli_chain, PrimeShortage};
 use ckks_math::rns::RnsBasis;
 use std::sync::Arc;
 
@@ -127,6 +127,19 @@ impl CkksParams {
         2 * self.n - 1
     }
 
+    /// The concrete primes, chain then special, all distinct — one pass
+    /// over both lists. Refuses when a size has no unused prime
+    /// `≡ 1 (mod 2N)` left.
+    pub fn gen_moduli(&self) -> Result<Vec<Modulus>, PrimeShortage> {
+        let all_bits: Vec<u32> = self
+            .chain_bits
+            .iter()
+            .chain(&self.special_bits)
+            .copied()
+            .collect();
+        try_gen_moduli_chain(&all_bits, self.n)
+    }
+
     /// Builds the full context; panics on invalid or insecure parameters.
     pub fn build(self) -> Arc<CkksContext> {
         CkksContext::new(self)
@@ -164,10 +177,9 @@ impl CkksContext {
             .validate(params.n, params.total_log_q())
             .unwrap_or_else(|e| panic!("insecure parameters: {e}"));
 
-        // One pass so chain and special primes are all distinct.
-        let mut all_bits = params.chain_bits.clone();
-        all_bits.extend(&params.special_bits);
-        let all_moduli = gen_moduli_chain(&all_bits, params.n);
+        let all_moduli = params
+            .gen_moduli()
+            .unwrap_or_else(|e| panic!("unservable prime sizes: {e}"));
         let chain_len = params.chain_bits.len();
         let chain: Vec<Modulus> = all_moduli[..chain_len].to_vec();
         let special: Vec<Modulus> = all_moduli[chain_len..].to_vec();

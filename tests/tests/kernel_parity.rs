@@ -1,21 +1,33 @@
-//! Cross-backend bit-parity for the SIMD kernel layer.
+//! Cross-backend bit-parity for the SIMD kernel layer, and exactness of
+//! the NTT-domain key switching built on it.
 //!
 //! Every vectorized kernel backend must produce **bit-identical**
 //! outputs to the scalar reference for every workspace modulus size
 //! (26..61-bit NTT primes, including primes near the 2^61 modulus cap
 //! that fall outside the AVX-512 IFMA fast path) and every ring degree
-//! the paper's parameter sets use. The suite drives the pure `*_with`
-//! dispatch variants, so it never touches the process-global backend —
-//! except the he-diff smoke tests at the bottom, which pin the global
-//! backend and are serialized through a mutex.
+//! the paper's parameter sets use. The kernel suites drive the pure
+//! `*_with` dispatch variants, so they never touch the process-global
+//! backend. The evaluator suites at the bottom — the he-diff smoke, the
+//! coefficient-domain reference and the exact transform counts — pin the
+//! global backend or read the global op counters, so they are
+//! serialized through a mutex.
 
+use ckks::{
+    Ciphertext, CkksContext, CkksParams, Evaluator, GaloisKeys, KeyGenerator, KeySwitchKey,
+    KsVariant, PublicKey, RelinKey,
+};
 use ckks_math::kernel::{self, KernelBackend};
 use ckks_math::modring::Modulus;
 use ckks_math::ntt::NttTable;
-use ckks_math::prime::gen_ntt_primes_excluding;
+use ckks_math::poly::{Form, PolyContext, RnsPoly};
+use ckks_math::prime::{
+    gen_moduli_chain, gen_ntt_primes_excluding, is_prime, try_gen_ntt_primes_excluding,
+};
+use ckks_math::sampler::Sampler;
+use he_trace::OpSnapshot;
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Bit widths covering every modulus class the workspace generates:
 /// small chain primes, the 40/45/50-bit mid-range, and primes near the
@@ -88,8 +100,9 @@ fn ntt_parity_large_ring() {
 }
 
 /// Pointwise kernels: dyadic (Barrett) products, fused Shoup MAC,
-/// scalar Shoup multiply, Barrett slice reduce, and the rescale lift
-/// fusion. Odd lengths exercise the vector tail handling.
+/// scalar Shoup multiply, Barrett slice reduce, and the two halves of
+/// dropping a limb (centred lift, subtract-and-multiply). Odd lengths
+/// exercise the vector tail handling.
 #[test]
 fn pointwise_parity_across_moduli() {
     for &bits in &BITS {
@@ -105,8 +118,6 @@ fn pointwise_parity_across_moduli() {
             let lift_src = rand_residues(&mut rng, len, q);
             let r = rng.gen_range(1..p);
             let rs = m.shoup(r);
-            let inv = rng.gen_range(1..p);
-            let inv_s = m.shoup(inv);
 
             let scalar = KernelBackend::Scalar;
             let mut d_assign = a.clone();
@@ -121,8 +132,10 @@ fn pointwise_parity_across_moduli() {
             kernel::mul_scalar_shoup_with(scalar, &m, &mut scl, r, rs);
             let mut red = vec![0u64; len];
             kernel::barrett_reduce_slice_with(scalar, &m, &mut red, &wide);
-            let mut lift = acc.clone();
-            kernel::lift_sub_mul_shoup_with(scalar, &m, &mut lift, &lift_src, q, inv, inv_s);
+            let mut lift = vec![0u64; len];
+            kernel::centered_lift_with(scalar, &m, &mut lift, &lift_src, q);
+            let mut sub_mul = acc.clone();
+            kernel::sub_mul_shoup_with(scalar, &m, &mut sub_mul, &a, r, rs);
 
             for be in vector_backends() {
                 let ctx = format!("{be:?}, {bits}-bit, len {len}");
@@ -144,10 +157,76 @@ fn pointwise_parity_across_moduli() {
                 let mut got = vec![0u64; len];
                 kernel::barrett_reduce_slice_with(be, &m, &mut got, &wide);
                 assert_eq!(got, red, "barrett_reduce_slice {ctx}");
+                let mut got = vec![0u64; len];
+                kernel::centered_lift_with(be, &m, &mut got, &lift_src, q);
+                assert_eq!(got, lift, "centered_lift {ctx}");
                 let mut got = acc.clone();
-                kernel::lift_sub_mul_shoup_with(be, &m, &mut got, &lift_src, q, inv, inv_s);
-                assert_eq!(got, lift, "lift_sub_mul_shoup {ctx}");
+                kernel::sub_mul_shoup_with(be, &m, &mut got, &a, r, rs);
+                assert_eq!(got, sub_mul, "sub_mul_shoup {ctx}");
             }
+        }
+    }
+}
+
+/// Dyadic products across the AVX-512 IFMA window `p < 2^50`: the
+/// smallest prime size the NTT accepts at N = 16, the workspace's 26-
+/// and 40-bit sizes, 49 bits, the largest prime below 2^50 (last inside
+/// the window) and the smallest above it (first on the 64-bit path).
+/// Each backend must match scalar, and scalar must match `u128`
+/// arithmetic, on random operands and on the extremes 0, 1, p − 1.
+#[test]
+fn dyadic_parity_at_ifma_boundary_primes() {
+    let smallest = (2..)
+        .find_map(|bits| try_gen_ntt_primes_excluding(bits, 16, 1, &[]).ok())
+        .expect("some size fits")[0];
+    let below = (1..)
+        .map(|i| (1u64 << 50) - i)
+        .find(|&p| is_prime(p))
+        .unwrap();
+    let above = ((1u64 << 50) + 1..).find(|&p| is_prime(p)).unwrap();
+    let primes = [
+        smallest,
+        prime_for(26, 16),
+        prime_for(40, 16),
+        prime_for(49, 16),
+        below,
+        above,
+    ];
+    assert_eq!((smallest, below.ilog2(), above.ilog2()), (97, 49, 50));
+    for p in primes {
+        let m = Modulus::new(p);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(p);
+        let len = 4096 + 5; // a full CNN1 limb plus a vector tail
+        let mut a = rand_residues(&mut rng, len, p);
+        let mut b = rand_residues(&mut rng, len, p);
+        for (i, (x, y)) in [(p - 1, p - 1), (p - 1, 1), (0, p - 1), (1, 1)]
+            .into_iter()
+            .enumerate()
+        {
+            (a[i], b[i]) = (x, y);
+            (a[len - 1 - i], b[len - 1 - i]) = (x, y);
+        }
+        let acc = rand_residues(&mut rng, len, p);
+        let exact = |x: u64, y: u64| (u128::from(x) * u128::from(y) % u128::from(p)) as u64;
+
+        let mut prod = vec![0u64; len];
+        kernel::dyadic_mul_with(KernelBackend::Scalar, &m, &mut prod, &a, &b);
+        assert!(prod
+            .iter()
+            .zip(a.iter().zip(&b))
+            .all(|(&r, (&x, &y))| r == exact(x, y)));
+        let mut mac = acc.clone();
+        kernel::dyadic_mul_acc_with(KernelBackend::Scalar, &m, &mut mac, &a, &b);
+        for be in kernel::available_backends() {
+            let mut got = vec![0u64; len];
+            kernel::dyadic_mul_with(be, &m, &mut got, &a, &b);
+            assert_eq!(got, prod, "dyadic_mul {be:?} p={p}");
+            let mut got = a.clone();
+            kernel::dyadic_mul_assign_with(be, &m, &mut got, &b);
+            assert_eq!(got, prod, "dyadic_mul_assign {be:?} p={p}");
+            let mut got = acc.clone();
+            kernel::dyadic_mul_acc_with(be, &m, &mut got, &a, &b);
+            assert_eq!(got, mac, "dyadic_mul_acc {be:?} p={p}");
         }
     }
 }
@@ -229,4 +308,318 @@ fn he_diff_smoke_auto_backend() {
     let _guard = serial();
     kernel::set_backend_auto();
     diff_smoke();
+}
+
+// --- σ_g in the NTT domain ----------------------------------------------
+
+/// `automorphism_ntt(g)` on the transform of `a` equals the transform of
+/// the coefficient-domain `automorphism(g)`, for every given element.
+fn assert_galois_parity(n: usize, elements: impl IntoIterator<Item = usize>) {
+    let ctx = PolyContext::new(n, gen_moduli_chain(&[26, 40], n), vec![]);
+    let mut sampler = Sampler::from_seed(n as u64);
+    let a = RnsPoly::uniform(ctx, vec![0, 1], Form::Coeff, &mut sampler);
+    let mut a_ntt = a.clone();
+    a_ntt.ntt_forward();
+    for g in elements {
+        let mut want = a.automorphism(g);
+        want.ntt_forward();
+        let got = a_ntt.automorphism_ntt(g);
+        assert_eq!(got.limbs_flat(), want.limbs_flat(), "n={n} g={g}");
+    }
+}
+
+#[test]
+fn ntt_domain_galois_matches_coefficient_automorphism_for_every_element() {
+    let _guard = serial();
+    for log_n in 4..=6 {
+        let n = 1usize << log_n;
+        assert_galois_parity(n, (1..2 * n).step_by(2));
+    }
+}
+
+#[test]
+fn ntt_domain_galois_matches_on_the_cnn1_rotation_set() {
+    use cnn_he::packed::PackedNetwork;
+    use cnn_he::{lower_packed, HeNetwork, PackedLowering};
+    use neural::models::{cnn1, ActKind};
+
+    let _guard = serial();
+    // CNN1's compiled circuit at N = 2^12, as the pipeline lowers it
+    let net = HeNetwork::from_trained(&cnn1(ActKind::slaf3(), 1), 28);
+    let packed = PackedNetwork::from_network(&net);
+    let params = CkksParams::toy(packed.required_levels());
+    let n = params.n;
+    let mut circuit = lower_packed(
+        &packed,
+        he_ir::GraphBuilder::new(params),
+        1,
+        PackedLowering::Compiled,
+    );
+    he_ir::PassManager::optimizer()
+        .optimize(&mut circuit)
+        .expect("optimizes");
+    let elements = he_ir::passes::rotations::required_elements(&circuit).elements;
+    assert!(elements.len() > 4, "CNN1 rotates by several steps");
+    assert_galois_parity(n, elements.into_iter().chain([2 * n - 1]));
+}
+
+// --- NTT-domain key switching vs the coefficient-domain reference -------
+
+/// The coefficient-domain evaluator the NTT-domain one replaced: σ_g
+/// between an inverse and a forward NTT, a forward NTT of every digit
+/// limb, and rescale / mod-down that round-trip the whole polynomial.
+/// Kept as the reference the fast path must match limb for limb.
+mod coeff_reference {
+    use super::*;
+
+    /// `(a − [a]_q)·q⁻¹` per remaining limb, `q` the last limb's modulus.
+    fn divide_by_last_limb(mut p: RnsPoly, q_inv: &[u64]) -> RnsPoly {
+        p.ntt_inverse();
+        let k = p.num_limbs() - 1;
+        let q = p.limb_modulus(k).value();
+        let last = p.limb(k).to_vec();
+        for li in 0..k {
+            let m = *p.limb_modulus(li);
+            for (dv, &r) in p.limb_mut(li).iter_mut().zip(&last) {
+                let lifted = if r > q / 2 {
+                    m.neg(m.reduce(q - r))
+                } else {
+                    m.reduce(r)
+                };
+                *dv = m.mul(m.sub(*dv, lifted), q_inv[li]);
+            }
+        }
+        p.drop_last_limb();
+        p.ntt_forward();
+        p
+    }
+
+    pub fn key_switch(ctx: &CkksContext, d: &RnsPoly, ksk: &KeySwitchKey) -> (RnsPoly, RnsPoly) {
+        let level = d.num_limbs() - 1;
+        let mut d_coeff = d.clone();
+        d_coeff.ntt_inverse();
+        let ext: Vec<usize> = match ksk.variant {
+            KsVariant::Ghs => (0..=level)
+                .chain(ctx.poly_ctx().special_indices())
+                .collect(),
+            KsVariant::Bv => (0..=level).collect(),
+        };
+        let mut acc0 = RnsPoly::zero(Arc::clone(ctx.poly_ctx()), ext.clone(), Form::Ntt);
+        let mut acc1 = acc0.clone();
+        for j in 0..=level {
+            let mut t = RnsPoly::zero(Arc::clone(ctx.poly_ctx()), ext.clone(), Form::Coeff);
+            for (li, &idx) in ext.iter().enumerate() {
+                let m = ctx.poly_ctx().moduli()[idx];
+                if idx == j {
+                    t.limb_mut(li).copy_from_slice(d_coeff.limb(j));
+                } else {
+                    kernel::barrett_reduce_slice(&m, t.limb_mut(li), d_coeff.limb(j));
+                }
+            }
+            t.ntt_forward();
+            acc0.mul_acc_subset(&t, &ksk.digits()[j].0);
+            acc1.mul_acc_subset(&t, &ksk.digits()[j].1);
+        }
+        match ksk.variant {
+            KsVariant::Ghs => {
+                let p_inv = &ctx.p_inv_mod_qi()[..=level];
+                (
+                    divide_by_last_limb(acc0, p_inv),
+                    divide_by_last_limb(acc1, p_inv),
+                )
+            }
+            KsVariant::Bv => (acc0, acc1),
+        }
+    }
+
+    pub fn rescale(ctx: &CkksContext, ct: &Ciphertext) -> Ciphertext {
+        let inv = ctx.rescale_inv(ct.level);
+        Ciphertext {
+            c0: divide_by_last_limb(ct.c0.clone(), inv),
+            c1: divide_by_last_limb(ct.c1.clone(), inv),
+            scale: ct.scale / ctx.chain_moduli()[ct.level].value() as f64,
+            level: ct.level - 1,
+            slots: ct.slots,
+        }
+    }
+
+    pub fn apply_galois(
+        ctx: &CkksContext,
+        ct: &Ciphertext,
+        g: usize,
+        gk: &GaloisKeys,
+    ) -> Ciphertext {
+        let sigma = |p: &RnsPoly| {
+            let mut c = p.clone();
+            c.ntt_inverse();
+            let mut s = c.automorphism(g);
+            s.ntt_forward();
+            s
+        };
+        let mut c0 = sigma(&ct.c0);
+        let (u0, u1) = key_switch(ctx, &sigma(&ct.c1), gk.get(g).expect("key for g"));
+        c0.add_assign(&u0);
+        Ciphertext {
+            c0,
+            c1: u1,
+            ..ct.clone()
+        }
+    }
+
+    pub fn multiply(ev: &Evaluator, a: &Ciphertext, b: &Ciphertext, rk: &RelinKey) -> Ciphertext {
+        let (mut c0, mut c1, d2) = ev.tensor(a, b);
+        let (u0, u1) = key_switch(ev.ctx(), &d2, &rk.0);
+        c0.add_assign(&u0);
+        c1.add_assign(&u1);
+        Ciphertext {
+            c0,
+            c1,
+            scale: a.scale * b.scale,
+            level: a.level,
+            slots: a.slots.max(b.slots),
+        }
+    }
+}
+
+/// CNN1's ring — N = 2^12, chain 40 + 7×26, one 40-bit special prime —
+/// with every key the evaluator suites use and two level-7 ciphertexts.
+struct KsFixture {
+    ctx: Arc<CkksContext>,
+    ev: Evaluator,
+    rk: RelinKey,
+    rk_bv: RelinKey,
+    gk: GaloisKeys,
+    a: Ciphertext,
+    b: Ciphertext,
+}
+
+/// Rotation steps the suites key: a baby step and a giant-ish one.
+const STEPS: [i64; 2] = [1, 7];
+
+fn ks_fixture() -> KsFixture {
+    let ctx = CkksParams::toy(7).build();
+    let mut kg = KeyGenerator::new(Arc::clone(&ctx), 26);
+    let sk = kg.gen_secret_key();
+    let pk: PublicKey = kg.gen_public_key(&sk);
+    let rk = kg.gen_relin_key(&sk);
+    let rk_bv = kg.gen_relin_key_variant(&sk, KsVariant::Bv);
+    let gk = kg.gen_galois_keys(&sk, &STEPS, true);
+    let ev = Evaluator::new(Arc::clone(&ctx));
+    let mut sampler = Sampler::from_seed(27);
+    let vals: Vec<f64> = (0..ctx.slots()).map(|i| (i as f64 * 0.01).sin()).collect();
+    let a = ev.encrypt_real(&vals, &pk, &mut sampler);
+    let b = ev.encrypt_real(&vals[1..], &pk, &mut sampler);
+    KsFixture {
+        ctx,
+        ev,
+        rk,
+        rk_bv,
+        gk,
+        a,
+        b,
+    }
+}
+
+fn assert_same_ct(what: &str, got: &Ciphertext, want: &Ciphertext) {
+    assert_eq!(
+        (got.level, got.scale, got.slots),
+        (want.level, want.scale, want.slots),
+        "{what}: metadata"
+    );
+    assert_eq!(got.c0.limbs_flat(), want.c0.limbs_flat(), "{what}: c0");
+    assert_eq!(got.c1.limbs_flat(), want.c1.limbs_flat(), "{what}: c1");
+}
+
+#[test]
+fn ntt_domain_key_switching_is_limb_identical_to_the_coefficient_reference() {
+    let _guard = serial();
+    let f = ks_fixture();
+    for (name, pin) in [("scalar", Some(KernelBackend::Scalar)), ("auto", None)] {
+        match pin {
+            Some(b) => kernel::set_backend(b),
+            None => kernel::set_backend_auto(),
+        }
+        for level in 1..=7 {
+            let at = |what: &str| format!("{what} at level {level}, {name} backend");
+            let a = f.ev.mod_switch_to_level(&f.a, level);
+            let b = f.ev.mod_switch_to_level(&f.b, level);
+            for steps in STEPS {
+                let g = f.ctx.galois_element_for_rotation(steps);
+                assert_same_ct(
+                    &at(&format!("rotate {steps}")),
+                    &f.ev.rotate(&a, steps, &f.gk),
+                    &coeff_reference::apply_galois(&f.ctx, &a, g, &f.gk),
+                );
+            }
+            let g = f.ctx.galois_element_conjugate();
+            assert_same_ct(
+                &at("conjugate"),
+                &f.ev.conjugate(&a, &f.gk),
+                &coeff_reference::apply_galois(&f.ctx, &a, g, &f.gk),
+            );
+            assert_same_ct(
+                &at("multiply"),
+                &f.ev.multiply(&a, &b, &f.rk),
+                &coeff_reference::multiply(&f.ev, &a, &b, &f.rk),
+            );
+            assert_same_ct(
+                &at("rescale"),
+                &f.ev.rescale(&a),
+                &coeff_reference::rescale(&f.ctx, &a),
+            );
+            for rk in [&f.rk, &f.rk_bv] {
+                let what = at(&format!("key_switch {:?}", rk.0.variant));
+                let got = f.ev.key_switch(&a.c1, &rk.0);
+                let want = coeff_reference::key_switch(&f.ctx, &a.c1, &rk.0);
+                assert_eq!(got.0.limbs_flat(), want.0.limbs_flat(), "{what}: u0");
+                assert_eq!(got.1.limbs_flat(), want.1.limbs_flat(), "{what}: u1");
+            }
+        }
+    }
+    kernel::set_backend_auto();
+}
+
+/// A rotation at level ℓ transforms `ℓ + 1` limbs back once (the key
+/// switch's digits), forward-transforms `ℓ + 1` limbs of each of the
+/// `ℓ + 1` digits (its own limb is reused) plus the `ℓ + 1` lifted
+/// special residues of each half, and inverse-transforms only the
+/// special limb of each half: `(ℓ+1)(ℓ+3)` forward and `ℓ + 3` inverse
+/// NTTs — 80 / 10 at ℓ = 7, where the coefficient-domain path took
+/// 104 / 42. A rescale inverse-transforms only the dropped limb of each
+/// half. The key switch's multiply-accumulates are unchanged.
+#[test]
+fn one_rotation_and_one_rescale_record_exact_transform_counts() {
+    let _guard = serial();
+    kernel::set_backend_auto();
+    let f = ks_fixture();
+    for level in 1..=7 {
+        let a = f.ev.mod_switch_to_level(&f.a, level);
+        let l = level as u64;
+        let counted = |op: &dyn Fn()| {
+            let before = OpSnapshot::now();
+            op();
+            OpSnapshot::now().delta(&before)
+        };
+
+        let d = counted(&|| drop(f.ev.rotate(&a, 1, &f.gk)));
+        assert_eq!(
+            (d.ntt_fwd, d.ntt_inv),
+            ((l + 1) * (l + 3), l + 3),
+            "rotation at level {level}"
+        );
+        assert_eq!(d.modmul_limbs, 2 * (l + 1) * (l + 2), "level {level}");
+        assert_eq!((d.rotations, d.keyswitches), (1, 1));
+
+        let d = counted(&|| drop(f.ev.key_switch(&a.c1, &f.rk.0)));
+        assert_eq!(d.ntt_inv, l + 3, "key switch at level {level}");
+        assert_eq!(d.modmul_limbs, 2 * (l + 1) * (l + 2), "level {level}");
+
+        let d = counted(&|| drop(f.ev.rescale(&a)));
+        assert_eq!(
+            (d.ntt_fwd, d.ntt_inv, d.rescales),
+            (2 * l, 2, 1),
+            "rescale at level {level}"
+        );
+        assert_eq!(d.modmul_limbs, 0);
+    }
 }

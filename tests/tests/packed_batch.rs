@@ -8,9 +8,7 @@
 
 #![forbid(unsafe_code)]
 
-use ckks::{
-    encode_batched, encode_real, CkksParams, HeError, KeyGenerator, PackLayout, ShardPlan,
-};
+use ckks::{encode_batched, encode_real, CkksParams, HeError, KeyGenerator, PackLayout, ShardPlan};
 use ckks_math::sampler::Sampler;
 use cnn_he::he_layers::{ConvSpec, DenseSpec};
 use cnn_he::packed::PackedNetwork;

@@ -3,8 +3,9 @@
 //! circuit that executes; this module decides which circuit, and
 //! against which key material.
 //!
-//! * [`admission`] — the scalar network: the chain's depth first, then
-//!   the standard passes over the circuit [`lower_network`] produces.
+//! * [`admission`] — the scalar network: its shape
+//!   ([`HeNetwork::check`]), the chain's depth, then the standard passes
+//!   over the circuit [`lower_network`] produces.
 //!   `CnnHePipeline` caches the report beside that circuit, prepared,
 //!   which is what its scalar requests run; `he-ir check` prints it.
 //! * [`circuit_admission`] — an already-lowered circuit (the packed
@@ -16,7 +17,7 @@
 //! [`crate::RnsInputCodec::from_moduli`] refuses non-co-prime moduli and
 //! a dynamic range that does not cover the inputs with typed errors.
 
-use crate::graph::{lower_network, EncodeSharing};
+use crate::graph::lower_network;
 use crate::network::HeNetwork;
 use ckks::CkksParams;
 use he_ir::{
@@ -25,18 +26,27 @@ use he_ir::{
 };
 
 /// Admission of the scalar network under the builder's parameters, and
-/// the circuit it analyzed. The chain's depth is checked first — the
-/// same pre-lowering check the packed path makes — because a lowering
-/// past level 0 saturates its types and every later node cascades into
-/// a diagnostic: a short chain is one `chain-exhausted` error naming the
+/// the circuit it analyzed. The network's shape comes first: one that
+/// [`HeNetwork::check`] refuses is one `malformed-network` error naming
+/// the layer, and no circuit. Then the chain's depth — the same
+/// pre-lowering check the packed path makes — because a lowering past
+/// level 0 saturates its types and every later node cascades into a
+/// diagnostic: a short chain is one `chain-exhausted` error naming the
 /// first layer that overruns it and the shortfall, and no circuit.
 /// Otherwise the standard passes run over the circuit [`lower_network`]
 /// produces.
 pub fn admission(net: &HeNetwork, b: GraphBuilder) -> (AnalysisReport, Option<Circuit>) {
+    if let Err(e) = net.check() {
+        let error = Diagnostic::error("malformed-network", None, e.to_string());
+        return (
+            refusal("network", error, "the lowering cannot take it"),
+            None,
+        );
+    }
     let p = b.params();
     let (needed, depth) = (net.required_levels(), p.depth());
     if needed <= depth {
-        let circuit = lower_network(net, b, EncodeSharing::Shared);
+        let circuit = lower_network(net, b);
         return (PassManager::standard().run(&circuit), Some(circuit));
     }
     let mut left = depth;
@@ -52,34 +62,38 @@ pub fn admission(net: &HeNetwork, b: GraphBuilder) -> (AnalysisReport, Option<Ci
             None => true,
         })
         .expect("a network deeper than the chain has a layer that overruns it");
+    let error = Diagnostic::error(
+        "chain-exhausted",
+        None,
+        format!(
+            "modulus chain exhausted at layer {at}, {} ({} level(s) needed, {left} left): \
+             the network consumes {needed} levels but the chain has {depth}",
+            layer.name(),
+            layer.levels()
+        ),
+    )
+    .with_suggestion(format!(
+        "extend chain_bits with {} more ≈{}-bit prime(s)",
+        needed - depth,
+        p.scale_bits
+    ));
+    let summary = format!("network needs {needed} levels, chain has {depth}");
+    (refusal("depth", error, &summary), None)
+}
+
+/// A pre-lowering refusal: one error, reported by pseudo-pass `pass`.
+fn refusal(pass: &'static str, error: Diagnostic, summary: &str) -> AnalysisReport {
     let mut report = LintReport::default();
-    report.push(
-        Diagnostic::error(
-            "chain-exhausted",
-            None,
-            format!(
-                "modulus chain exhausted at layer {at}, {} ({} level(s) needed, {left} left): \
-                 the network consumes {needed} levels but the chain has {depth}",
-                layer.name(),
-                layer.levels()
-            ),
-        )
-        .with_suggestion(format!(
-            "extend chain_bits with {} more ≈{}-bit prime(s)",
-            needed - depth,
-            p.scale_bits
-        )),
-    );
-    let report = AnalysisReport {
+    report.push(error);
+    AnalysisReport {
         per_pass: vec![(
-            "depth",
+            pass,
             PassOutput {
                 report,
-                summary: format!("network needs {needed} levels, chain has {depth}"),
+                summary: summary.to_string(),
             },
         )],
-    };
-    (report, None)
+    }
 }
 
 /// Admission of an already-lowered circuit against the key material
@@ -214,11 +228,7 @@ mod tests {
 
     #[test]
     fn trajectory_replays_exact_scale_discipline() {
-        let c = lower_network(
-            &cnn(2),
-            GraphBuilder::new(CkksParams::tiny(7)),
-            EncodeSharing::Shared,
-        );
+        let c = lower_network(&cnn(2), GraphBuilder::new(CkksParams::tiny(7)));
         let exits = layer_exits(&c);
         // conv(−1) slaf(−2) conv(−1) slaf(−2) dense(−1) from level 7
         let levels: Vec<i64> = exits.iter().map(|s| s.level).collect();
@@ -241,7 +251,6 @@ mod tests {
         let c = lower_network(
             &net(vec![dense(9, 2)]),
             GraphBuilder::new(CkksParams::tiny(5)),
-            EncodeSharing::Shared,
         );
         assert_eq!(c.node(0).ty.as_ct().expect("input").level, 1);
         assert_eq!(layer_exits(&c)[0].level, 0);
@@ -260,11 +269,7 @@ mod tests {
         assert!(text.contains("extend chain_bits with 3 more"), "{text}");
         // the lowering alone runs past level 0 and cascades, but the
         // levels pass names the same shortfall
-        let lowered = lower_network(
-            &net,
-            GraphBuilder::new(CkksParams::tiny(4)),
-            EncodeSharing::Shared,
-        );
+        let lowered = lower_network(&net, GraphBuilder::new(CkksParams::tiny(4)));
         let cascade = PassManager::standard().run(&lowered);
         assert!(cascade.render().contains("3 more"), "{}", cascade.render());
     }
@@ -370,11 +375,7 @@ mod tests {
                 .collect(),
             ..CkksParams::tiny(depth)
         };
-        let c = lower_network(
-            &net(vec![slaf(3)]),
-            GraphBuilder::new(params(2)),
-            EncodeSharing::Shared,
-        );
+        let c = lower_network(&net(vec![slaf(3)]), GraphBuilder::new(params(2)));
         assert!((layer_exits(&c)[0].log_scale() - 18.0).abs() < 1e-9);
         // a second cubic drifts to 3·18 − 60 = −6 bits: the message is
         // gone and admission refuses the network
@@ -382,7 +383,7 @@ mod tests {
         let (report, _) = admission(&deeper, GraphBuilder::new(params(4)));
         assert!(report.has_errors(), "{}", report.render());
         assert!(report.has_code("noise-budget"), "{}", report.render());
-        let c = lower_network(&deeper, GraphBuilder::new(params(4)), EncodeSharing::Shared);
+        let c = lower_network(&deeper, GraphBuilder::new(params(4)));
         assert!((layer_exits(&c)[1].log_scale() + 6.0).abs() < 1e-9);
     }
 

@@ -2,8 +2,8 @@
 //! file, to the circuit IR and run the static analysis passes over them.
 //!
 //! ```text
-//! he-ir check  <MODEL> [--params FILE | --depth N] [--packed] [--per-tap] [--optimize]
-//! he-ir dump   <MODEL> [--params FILE | --depth N] [--dot] [-o FILE] [--packed] [--per-tap] [--optimize]
+//! he-ir check  <MODEL> [--params FILE | --depth N] [--packed] [--optimize]
+//! he-ir dump   <MODEL> [--params FILE | --depth N] [--dot] [-o FILE] [--packed] [--optimize]
 //! he-ir passes
 //! ```
 //!
@@ -34,7 +34,7 @@
 #![forbid(unsafe_code)]
 
 use cnn_he::admission;
-use cnn_he::graph::{lower_network, EncodeSharing};
+use cnn_he::graph::lower_network;
 use cnn_he::network::HeNetwork;
 use cnn_he::packed::PackedNetwork;
 use cnn_he::{lower_packed, PackedLowering};
@@ -42,8 +42,8 @@ use he_ir::{Circuit, GraphBuilder, PassManager};
 use neural::models::{cnn1, cnn2, ActKind};
 
 const USAGE: &str = "usage:
-  he-ir check  <MODEL> [--params FILE | --depth N] [--packed] [--per-tap] [--optimize]
-  he-ir dump   <MODEL> [--params FILE | --depth N] [--dot] [-o FILE] [--packed] [--per-tap] [--optimize]
+  he-ir check  <MODEL> [--params FILE | --depth N] [--packed] [--optimize]
+  he-ir dump   <MODEL> [--params FILE | --depth N] [--dot] [-o FILE] [--packed] [--optimize]
   he-ir passes
 MODEL is cnn1, cnn2 or a HENT model file. A parameter file is `key = value` lines:
     n = 16384
@@ -63,7 +63,6 @@ fn main() {
 struct Opts {
     model: Option<String>,
     packed: bool,
-    per_tap: bool,
     dot: bool,
     out: Option<String>,
     depth: Option<usize>,
@@ -75,7 +74,6 @@ fn parse(args: Vec<String>) -> Result<Opts, String> {
     let mut o = Opts {
         model: None,
         packed: false,
-        per_tap: false,
         dot: false,
         out: None,
         depth: None,
@@ -86,7 +84,6 @@ fn parse(args: Vec<String>) -> Result<Opts, String> {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--packed" => o.packed = true,
-            "--per-tap" => o.per_tap = true,
             "--dot" => o.dot = true,
             "--optimize" => o.optimize = true,
             "-o" => {
@@ -148,7 +145,7 @@ fn run(mut args: Vec<String>) -> i32 {
             return 2;
         }
     };
-    if cmd == "check" && !(opts.packed || opts.per_tap || opts.optimize) {
+    if cmd == "check" && !(opts.packed || opts.optimize) {
         let params =
             params.unwrap_or_else(|| params_for(opts.depth.unwrap_or(net.required_levels())));
         let (report, _) = admission(&net, GraphBuilder::new(params));
@@ -258,12 +255,7 @@ fn build_circuit(net: &HeNetwork, params: Option<ckks::CkksParams>, opts: &Opts)
         lower_packed(&packed, GraphBuilder::new(params), 1, mode)
     } else {
         let params = sized(net.required_levels());
-        let sharing = if opts.per_tap {
-            EncodeSharing::PerTap
-        } else {
-            EncodeSharing::Shared
-        };
-        lower_network(net, GraphBuilder::new(params), sharing)
+        lower_network(net, GraphBuilder::new(params))
     }
 }
 

@@ -4,13 +4,15 @@
 //! [`lower_network`] emits CryptoNets-style scalar inference (Eq. 1 per
 //! output unit) against a [`GraphBuilder`]: one input node per pixel,
 //! one region per layer, and inside a region one unit per conv/dense
-//! output scalar or SLAF ciphertext (`he_ir::Circuit::units`). A linear
-//! unit is a lazily seeded accumulator MAC'd over the taps that survive
-//! padding and zero weights, its bias added, one rescale — or a
-//! bias-only ciphertext when no tap survives; a SLAF unit is the
-//! exact-scale degree-≤3 ladder. Scale discipline is exact: linear
-//! layers encode weights at `q_m`, the prime about to be rescaled away,
-//! so the output scale equals the input scale; the degree-3 SLAF uses
+//! output scalar or SLAF ciphertext (`he_ir::Circuit::units`). Conv and
+//! dense layers arrive in one row form ([`HeNetwork::forms`]): a linear
+//! unit is a lazily seeded accumulator MAC'd over its row's non-zero
+//! taps, its bias added, one rescale — or a bias-only ciphertext when no
+//! tap survives; a SLAF unit is the exact-scale degree-≤3 ladder
+//! (`lower_slaf`, which the packed lowerings share). Scale discipline
+//! is exact: linear layers encode weights at `q_m`, the prime about to
+//! be rescaled away, so the output scale equals the input scale; the
+//! degree-3 SLAF uses
 //! plaintext scales `(q_m, s, s)` for `(c₃, c₂, c₁)` so that all terms
 //! meet at `s³/(q_m·q_{m−1})` two levels down.
 //!
@@ -18,21 +20,10 @@
 //! and `CnnHePipeline`, preparing each shared weight encode once; scalar
 //! admission, `he-ir check` and the trace cross-check read it too.
 
-use crate::he_layers::{ConvSpec, DenseSpec};
-use crate::network::{HeLayerSpec, HeNetwork};
+use crate::he_layers::{LayerForm, Row};
+use crate::network::HeNetwork;
 use he_ir::{Circuit, GraphBuilder, KeyInventory, Layout, NodeId};
 use std::collections::HashMap;
-
-/// How weight/coefficient encodes are materialized in the IR.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EncodeSharing {
-    /// One encode node per distinct `(value, pt_scale, level)` per
-    /// layer — what runs: each is prepared once per circuit.
-    Shared,
-    /// A fresh encode node per tap; useful to make the CSE pass
-    /// demonstrate the duplication.
-    PerTap,
-}
 
 /// Name of the input node carrying flat pixel `i` (the ciphertext
 /// `encrypt_image_batch` produces at the same index).
@@ -40,26 +31,15 @@ pub fn input_name(i: usize) -> String {
     format!("px{i}")
 }
 
-/// Per-layer encode dedup.
-struct EncodeCache {
-    shared: bool,
-    map: HashMap<(u64, u64, usize), NodeId>,
-}
+/// Per-layer encode dedup: one encode node per distinct
+/// `(value, pt_scale, level)`, each prepared once per circuit.
+#[derive(Default)]
+pub(crate) struct EncodeCache(HashMap<(u64, u64, usize), NodeId>);
 
 impl EncodeCache {
-    fn new(sharing: EncodeSharing) -> Self {
-        Self {
-            shared: sharing == EncodeSharing::Shared,
-            map: HashMap::new(),
-        }
-    }
-
     fn get(&mut self, b: &mut GraphBuilder, value: f64, pt_scale: f64, level: usize) -> NodeId {
-        if !self.shared {
-            return b.encode_scalar(value, pt_scale, level);
-        }
         *self
-            .map
+            .0
             .entry((value.to_bits(), pt_scale.to_bits(), level))
             .or_insert_with(|| b.encode_scalar(value, pt_scale, level))
     }
@@ -70,28 +50,22 @@ impl EncodeCache {
 /// chooses the modulus basis: [`GraphBuilder::new`] for nominal
 /// (plan-level) analysis, [`GraphBuilder::for_context`] for the circuit
 /// that runs.
-pub fn lower_network(net: &HeNetwork, mut b: GraphBuilder, sharing: EncodeSharing) -> Circuit {
+pub fn lower_network(net: &HeNetwork, mut b: GraphBuilder) -> Circuit {
     let side = net.input_side;
     let start = net.required_levels().min(b.params().depth());
     let mut cur: Vec<NodeId> = (0..side * side)
         .map(|i| b.input(&input_name(i), start, Layout::BatchSlots))
         .collect();
-    let mut shape = (1usize, side, side);
-    for layer in &net.layers {
+    for (layer, form) in net.layers.iter().zip(net.forms()) {
         b.begin_region(layer.name());
-        let mut enc = EncodeCache::new(sharing);
-        match layer {
-            HeLayerSpec::Conv(spec) => {
-                (cur, shape) = lower_conv(&mut b, &cur, shape, spec, &mut enc);
-            }
-            HeLayerSpec::Dense(spec) => {
-                cur = lower_dense(&mut b, &cur, spec, &mut enc);
-                shape = (1, 1, cur.len());
-            }
-            HeLayerSpec::Activation(coeffs) => {
-                cur = lower_activation(&mut b, &cur, coeffs, &mut enc);
-            }
-        }
+        let mut enc = EncodeCache::default();
+        cur = match form {
+            LayerForm::Linear(rows) => lower_linear(&mut b, &cur, &rows, &mut enc),
+            LayerForm::Slaf(coeffs) => cur
+                .iter()
+                .map(|&x| lower_slaf(&mut b, x, coeffs, &mut enc))
+                .collect(),
+        };
     }
     for &id in &cur {
         b.output(id);
@@ -100,148 +74,107 @@ pub fn lower_network(net: &HeNetwork, mut b: GraphBuilder, sharing: EncodeSharin
     b.finish(KeyInventory::relin_only())
 }
 
-/// Conv: per output unit, a lazily seeded accumulator MAC'd over the
-/// surviving taps (in-bounds, non-zero weight), bias added, then one
-/// rescale; a unit with no surviving tap is its bias alone, at the
-/// scale a rescale would have produced (`s·q_m / q_m`, bit for bit).
-fn lower_conv(
+/// A conv or dense layer, one unit per row: a lazily seeded accumulator
+/// MAC'd over the row's non-zero taps, bias added, then one rescale; a
+/// unit with no non-zero tap is its bias alone, at the scale a rescale
+/// would have produced (`s·q_m / q_m`, bit for bit).
+fn lower_linear(
     b: &mut GraphBuilder,
     cur: &[NodeId],
-    (c_in, h, w): (usize, usize, usize),
-    spec: &ConvSpec,
-    enc: &mut EncodeCache,
-) -> (Vec<NodeId>, (usize, usize, usize)) {
-    assert_eq!(c_in, spec.in_ch, "channel mismatch");
-    let oh = spec.out_size(h);
-    let ow = spec.out_size(w);
-    let ty = b.ct_ty(cur[0]);
-    let (level, s) = (ty.level, ty.scale);
-    let q_m = b.q_at(level);
-    let per_o = spec.in_ch * spec.k * spec.k;
-    let mut out = Vec::with_capacity(spec.out_ch * oh * ow);
-    for o in 0..spec.out_ch {
-        for oy in 0..oh {
-            for ox in 0..ow {
-                let mut acc: Option<NodeId> = None;
-                for ci in 0..c_in {
-                    for ky in 0..spec.k {
-                        let iy = oy * spec.stride + ky;
-                        if iy < spec.pad || iy - spec.pad >= h {
-                            continue;
-                        }
-                        for kx in 0..spec.k {
-                            let ix = ox * spec.stride + kx;
-                            if ix < spec.pad || ix - spec.pad >= w {
-                                continue;
-                            }
-                            let widx = o * per_o + (ci * spec.k + ky) * spec.k + kx;
-                            let wv = spec.weight[widx];
-                            if wv == 0.0 {
-                                continue;
-                            }
-                            let wn = enc.get(b, wv as f64, q_m, level);
-                            let a = match acc {
-                                Some(a) => a,
-                                None => b.zero(s * q_m, level),
-                            };
-                            let x = cur[(ci * h + iy - spec.pad) * w + ix - spec.pad];
-                            acc = Some(b.mac_plain(a, x, wn));
-                        }
-                    }
-                }
-                let bias = spec.bias[o] as f64;
-                out.push(match acc {
-                    Some(a) => {
-                        let biased = b.add_scalar(a, bias);
-                        b.rescale(biased)
-                    }
-                    None => {
-                        let z = b.zero((s * q_m) / q_m, level.saturating_sub(1));
-                        b.add_scalar(z, bias)
-                    }
-                });
-            }
-        }
-    }
-    (out, (spec.out_ch, oh, ow))
-}
-
-/// Dense: the accumulator is always seeded (a dense row is never
-/// assumed all-zero), non-zero weights MAC'd, bias added, one rescale.
-fn lower_dense(
-    b: &mut GraphBuilder,
-    cur: &[NodeId],
-    spec: &DenseSpec,
+    rows: &[Row],
     enc: &mut EncodeCache,
 ) -> Vec<NodeId> {
-    assert_eq!(cur.len(), spec.in_dim, "dense input mismatch");
     let ty = b.ct_ty(cur[0]);
     let (level, s) = (ty.level, ty.scale);
     let q_m = b.q_at(level);
-    let mut out = Vec::with_capacity(spec.out_dim);
-    for o in 0..spec.out_dim {
-        let mut acc = b.zero(s * q_m, level);
-        for (i, &x) in cur.iter().enumerate() {
-            let wv = spec.weight[o * spec.in_dim + i];
-            if wv == 0.0 {
-                continue;
-            }
-            let wn = enc.get(b, wv as f64, q_m, level);
-            acc = b.mac_plain(acc, x, wn);
+    let mut out = Vec::with_capacity(rows.len());
+    for row in rows {
+        let mut acc: Option<NodeId> = None;
+        for &(i, w) in row.taps.iter().filter(|&&(_, w)| w != 0.0) {
+            let wn = enc.get(b, w, q_m, level);
+            let a = match acc {
+                Some(a) => a,
+                None => b.zero(s * q_m, level),
+            };
+            acc = Some(b.mac_plain(a, cur[i], wn));
         }
-        let biased = b.add_scalar(acc, spec.bias[o] as f64);
-        out.push(b.rescale(biased));
+        out.push(match acc {
+            Some(a) => {
+                let biased = b.add_scalar(a, row.bias);
+                b.rescale(biased)
+            }
+            None => {
+                let z = b.zero((s * q_m) / q_m, level.saturating_sub(1));
+                b.add_scalar(z, row.bias)
+            }
+        });
     }
     out
 }
 
-/// SLAF `c₀ + c₁x + c₂x² + c₃x³`, per ciphertext: square + rescale,
-/// every product rescaled, the `c₃` branch skipped when the coefficient
-/// is exactly zero, and the `c₁` term passed through the scale-aligning
-/// `×1.0` multiply — landing two levels down at `s³/(q_m·q_{m−1})`.
-fn lower_activation(
+/// The SLAF `c₀ + c₁x + c₂x² + c₃x³` on one ciphertext — the one ladder
+/// both the scalar lowering (per unit) and the packed lowerings (per
+/// layer) emit: square + rescale, every product rescaled, the `c₃`
+/// branch skipped when the coefficient is exactly zero, and the `c₁`
+/// term passed through the scale-aligning `×1.0` multiply. Plaintext
+/// scales `(q_m, s, s)` for `(c₃, c₂, c₁)` make every term meet at
+/// `s³/(q_m·q_{m−1})` two levels down. On a chain shorter than the
+/// circuit the declared levels saturate at 0 (as
+/// `GraphBuilder::rescale` does) and the levels pass reports the
+/// exhaustion. Panics outside 2..=4 coefficients, which
+/// [`HeNetwork::check`] refuses typed.
+pub(crate) fn lower_slaf(
     b: &mut GraphBuilder,
-    cur: &[NodeId],
+    x: NodeId,
     coeffs: &[f64],
     enc: &mut EncodeCache,
-) -> Vec<NodeId> {
+) -> NodeId {
     assert!((2..=4).contains(&coeffs.len()), "SLAF degree must be 1..=3");
     let mut c = [0.0f64; 4];
     c[..coeffs.len()].copy_from_slice(coeffs);
-    let mut out = Vec::with_capacity(cur.len());
-    for &x in cur {
-        let ty = b.ct_ty(x);
-        let (m, s) = (ty.level, ty.scale);
-        let q_m = b.q_at(m);
-        let x2 = b.square(x);
-        let x2r = b.rescale(x2);
-        let c2n = enc.get(b, c[2], s, m.saturating_sub(1));
-        let a0 = b.mul_plain(x2r, c2n);
-        let mut acc = b.rescale(a0);
-        if c[3] != 0.0 {
-            let c3n = enc.get(b, c[3], q_m, m);
-            let t = b.mul_plain(x, c3n);
-            let tr = b.rescale(t);
-            let y3m = b.mul(tr, x2r);
-            let y3 = b.rescale(y3m);
-            acc = b.add(acc, y3);
-        }
-        let c1n = enc.get(b, c[1], s, m);
-        let t1 = b.mul_plain(x, c1n);
-        let t1r = b.rescale(t1);
-        let onen = enc.get(b, 1.0, s, m.saturating_sub(1));
-        let y1m = b.mul_plain(t1r, onen);
-        let y1 = b.rescale(y1m);
-        acc = b.add(acc, y1);
-        out.push(b.add_scalar(acc, c[0]));
+    let ty = b.ct_ty(x);
+    let (m, s) = (ty.level, ty.scale);
+    let q_m = b.q_at(m);
+    let m1 = m.saturating_sub(1);
+
+    // x² at scale s²/q_m, level m−1
+    let x2 = b.square(x);
+    let x2r = b.rescale(x2);
+
+    // y₂ = c₂·x² → S* = s³/(q_m·q_{m−1}), level m−2
+    let c2n = enc.get(b, c[2], s, m1);
+    let a0 = b.mul_plain(x2r, c2n);
+    let mut acc = b.rescale(a0);
+
+    // y₃ = (c₃·x)·x² via one ct-ct product, same S* by construction
+    if c[3] != 0.0 {
+        let c3n = enc.get(b, c[3], q_m, m);
+        let t = b.mul_plain(x, c3n);
+        let tr = b.rescale(t); // scale s @ m−1
+        let y3m = b.mul(tr, x2r);
+        let y3 = b.rescale(y3m); // S* @ m−2
+        acc = b.add(acc, y3);
     }
-    out
+
+    // y₁ = c₁·x dropped two levels through scales (s, s)
+    let c1n = enc.get(b, c[1], s, m);
+    let t1 = b.mul_plain(x, c1n);
+    let t1r = b.rescale(t1); // s²/q_m @ m−1
+    let onen = enc.get(b, 1.0, s, m1);
+    let y1m = b.mul_plain(t1r, onen);
+    let y1 = b.rescale(y1m); // S* @ m−2
+    acc = b.add(acc, y1);
+
+    // y₀ at the accumulated scale
+    b.add_scalar(acc, c[0])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::he_layers::{ConvSpec, DenseSpec};
     use crate::he_tensor::encrypt_image_batch;
+    use crate::network::HeLayerSpec;
     use he_ir::{Interpreter, PassManager};
 
     /// A tiny conv→SLAF→dense network over 4×4 inputs (depth 4).
@@ -279,7 +212,7 @@ mod tests {
     fn lowered_network_is_clean_under_the_standard_passes() {
         let net = micro_net(7);
         let params = ckks::CkksParams::tiny(net.required_levels());
-        let c = lower_network(&net, GraphBuilder::new(params), EncodeSharing::Shared);
+        let c = lower_network(&net, GraphBuilder::new(params));
         assert!(c.validate().is_ok(), "{:?}", c.validate());
         assert_eq!(c.regions.len(), net.layers.len());
         let report = PassManager::standard().run(&c);
@@ -299,29 +232,38 @@ mod tests {
     fn shared_encodes_match_weight_table_dedup() {
         let mut net = micro_net(8);
         // plant duplicate weights in the dense layer
-        if let HeLayerSpec::Dense(d) = &mut net.layers[2] {
-            d.weight[0] = 0.125;
-            d.weight[1] = 0.125;
-            d.weight[2] = 0.125;
-        }
-        let params = ckks::CkksParams::tiny(net.required_levels());
-        let shared = lower_network(
-            &net,
-            GraphBuilder::new(params.clone()),
-            EncodeSharing::Shared,
-        );
-        let per_tap = lower_network(&net, GraphBuilder::new(params), EncodeSharing::PerTap);
-        let encodes = |c: &Circuit| {
-            c.nodes
-                .iter()
-                .filter(|n| matches!(n.op, he_ir::Op::EncodeScalar { .. }))
-                .count()
+        let HeLayerSpec::Dense(d) = &mut net.layers[2] else {
+            unreachable!("layer 2 is the dense")
         };
-        assert!(encodes(&shared) < encodes(&per_tap));
-        // per-tap duplication is exactly what the CSE pass reports
-        let report = PassManager::standard().run(&per_tap);
-        assert!(report.has_code("duplicate-encode"), "{}", report.render());
-        assert!(!report.has_errors(), "{}", report.render());
+        d.weight[..3].fill(0.125);
+        let distinct = |ws: &[f32]| {
+            let mut bits: Vec<u32> = ws
+                .iter()
+                .filter(|&&w| w != 0.0)
+                .map(|w| w.to_bits())
+                .collect();
+            bits.sort_unstable();
+            bits.dedup();
+            bits.len()
+        };
+        let params = ckks::CkksParams::tiny(net.required_levels());
+        let c = lower_network(&net, GraphBuilder::new(params));
+        // a linear region encodes each distinct non-zero weight once,
+        // as a weight residue table would hold it
+        for (region, layer) in c.regions.iter().zip(&net.layers) {
+            let want = match layer {
+                HeLayerSpec::Conv(s) => distinct(&s.weight),
+                HeLayerSpec::Dense(s) => distinct(&s.weight),
+                HeLayerSpec::Activation(_) => continue,
+            };
+            let encodes = region
+                .nodes()
+                .filter(|&n| matches!(c.nodes[n].op, he_ir::Op::EncodeScalar { .. }))
+                .count();
+            assert_eq!(encodes, want, "{}", region.name);
+        }
+        let report = PassManager::standard().run(&c);
+        assert!(!report.has_code("duplicate-encode"), "{}", report.render());
     }
 
     /// One conv unit and one degree-3 SLAF unit of the lowering, run
@@ -342,7 +284,7 @@ mod tests {
         let level = net.required_levels();
         let x = encrypt_image_batch(&ev, &pk, &mut sampler, &[&img], 4, level);
         let (ev, rk) = (&ev, &rk);
-        let circuit = lower_network(&net, GraphBuilder::for_context(&ctx), EncodeSharing::Shared);
+        let circuit = lower_network(&net, GraphBuilder::for_context(&ctx));
         let prepared = he_ir::Prepared::new(ev, circuit).expect("prepares");
         let c = prepared.circuit();
         assert_eq!(

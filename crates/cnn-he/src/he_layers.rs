@@ -2,10 +2,13 @@
 //!
 //! A convolution or dense layer computes Eq. 1 of the paper per output
 //! unit: a weighted sum of input ciphertexts plus a bias. These specs
-//! are the network's data; [`crate::graph::lower_network`] turns them
-//! into the circuit that runs, one unit per output scalar, with weights
-//! encoded at the prime about to be rescaled away so every layer returns
-//! to the input scale exactly.
+//! are the network's stored form (HENT files, extraction); every reader
+//! sees a linear layer in one [`Row`] form instead, built by the one
+//! shape walk [`crate::network::HeNetwork::forms`]: the plain reference,
+//! the scalar lowering ([`crate::graph::lower_network`], one unit per
+//! row, weights encoded at the prime about to be rescaled away so every
+//! layer returns to the input scale exactly) and the packed engine's
+//! diagonals ([`crate::packed::PackedNetwork::from_network`]).
 
 /// Convolution parameters with BN already folded.
 #[derive(Debug, Clone)]
@@ -37,11 +40,93 @@ pub struct DenseSpec {
     pub out_dim: usize,
 }
 
+/// One output unit of a linear layer: `bias + Σ w·x[i]` over its taps
+/// `(i, w)`.
+#[derive(Debug)]
+pub struct Row {
+    pub bias: f64,
+    pub taps: Vec<(usize, f64)>,
+}
+
+impl Row {
+    /// The unit's value on input `x`, taps summed in order.
+    pub fn eval(&self, x: &[f64]) -> f64 {
+        self.taps
+            .iter()
+            .fold(self.bias, |acc, &(i, w)| acc + w * x[i])
+    }
+}
+
+/// A layer as its readers see it.
+#[derive(Debug)]
+pub enum LayerForm<'a> {
+    /// A conv or dense layer: one row per output unit, in output order.
+    Linear(Vec<Row>),
+    /// SLAF coefficients `[c₀, c₁, …]`.
+    Slaf(&'a [f64]),
+}
+
+/// A conv's rows over a `(c, h, w)` input: one per output unit in
+/// `(o, oy, ox)` order, taps in `(ci, ky, kx)` order over the positions
+/// inside the input (padding contributes nothing), zero weights kept.
+pub(crate) fn conv_rows(spec: &ConvSpec, (c, h, w): (usize, usize, usize)) -> Vec<Row> {
+    assert_eq!(c, spec.in_ch, "channel mismatch");
+    let (oh, ow) = (spec.out_size(h), spec.out_size(w));
+    let mut rows = Vec::with_capacity(spec.out_ch * oh * ow);
+    let per_o = c * spec.k * spec.k;
+    for o in 0..spec.out_ch {
+        for oy in 0..oh {
+            for ox in 0..ow {
+                let mut taps = Vec::with_capacity(per_o);
+                let mut kernel = spec.weight[o * per_o..(o + 1) * per_o].iter();
+                for ci in 0..c {
+                    for iy in oy * spec.stride..oy * spec.stride + spec.k {
+                        for ix in ox * spec.stride..ox * spec.stride + spec.k {
+                            let wt = f64::from(*kernel.next().expect("in_ch·k·k weights"));
+                            if iy < spec.pad
+                                || iy - spec.pad >= h
+                                || ix < spec.pad
+                                || ix - spec.pad >= w
+                            {
+                                continue;
+                            }
+                            taps.push(((ci * h + iy - spec.pad) * w + ix - spec.pad, wt));
+                        }
+                    }
+                }
+                rows.push(Row {
+                    bias: f64::from(spec.bias[o]),
+                    taps,
+                });
+            }
+        }
+    }
+    rows
+}
+
+/// A dense layer's rows over an `in_len` input: one per output, every
+/// input a tap, zero weights kept.
+pub(crate) fn dense_rows(spec: &DenseSpec, in_len: usize) -> Vec<Row> {
+    assert_eq!(in_len, spec.in_dim, "dense input mismatch");
+    let row = |o: usize| &spec.weight[o * in_len..(o + 1) * in_len];
+    (0..spec.out_dim)
+        .map(|o| Row {
+            bias: f64::from(spec.bias[o]),
+            taps: row(o).iter().map(|&w| f64::from(w)).enumerate().collect(),
+        })
+        .collect()
+}
+
+/// `c₀ + c₁x + c₂x² + …` by Horner's rule: the plain SLAF.
+pub(crate) fn horner(coeffs: &[f64], x: f64) -> f64 {
+    coeffs.iter().rev().fold(0.0, |acc, &c| acc * x + c)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::exec::{ExecMode, InferenceTiming};
-    use crate::graph::{lower_network, EncodeSharing};
+    use crate::graph::lower_network;
     use crate::he_tensor::{decrypt_tensor, encrypt_image_batch, CtTensor};
     use crate::network::{HeLayerSpec, HeNetwork};
     use ckks::{CkksParams, Evaluator, KeyGenerator, PublicKey, RelinKey, SecretKey};
@@ -164,11 +249,7 @@ mod tests {
         let (_, y, _) = f.infer(&img, ExecMode::sequential());
         f.assert_matches_plain(&y, &img, 5e-3);
         // the square is each unit's only ct×ct product
-        let c = lower_network(
-            &f.net,
-            he_ir::GraphBuilder::for_context(f.ev.ctx()),
-            EncodeSharing::Shared,
-        );
+        let c = lower_network(&f.net, he_ir::GraphBuilder::for_context(f.ev.ctx()));
         assert_eq!(c.op_counts().ct_mults, 4);
     }
 

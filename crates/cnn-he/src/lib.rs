@@ -45,7 +45,7 @@ pub mod trace;
 pub use analyze::admission;
 pub use ckks_math::kernel;
 pub use exec::{ExecMode, ExecPlan, InferenceTiming, SimulationCheck, WallEwma};
-pub use graph::{lower_network, EncodeSharing};
+pub use graph::lower_network;
 pub use he_tensor::CtTensor;
 pub use metrics::LatencyStats;
 pub use network::{HeLayerSpec, HeNetwork};

@@ -16,9 +16,12 @@
 //! runs it (`he-ir check FILE.hent`, the bench model cache). Every byte
 //! access is bounds-checked and every shape product overflow-checked,
 //! and it accepts only networks [`crate::graph::lower_network`] and the
-//! scalar engine can run: each layer's declared input matches what the
-//! previous layer produces, no dimension is empty, and every SLAF has
-//! degree 1–3. Failures are typed ([`ModelError`]).
+//! packed engine can run: each layer's weights match its declared
+//! shape, its declared input matches what the previous layer produces,
+//! no dimension is empty, and every SLAF has degree 1–3. Failures are
+//! typed ([`ModelError`]). [`HeNetwork::check`] runs the same checks on
+//! a network built in memory; scalar admission and
+//! `CnnHePipeline::enable_packed_batching` call it before lowering.
 
 use crate::he_layers::{ConvSpec, DenseSpec};
 use crate::network::{HeLayerSpec, HeNetwork};
@@ -34,7 +37,8 @@ pub enum ModelError {
     /// The stream does not start with the HENT magic.
     BadMagic { found: u32 },
     /// A declared array length or shape product overflows the address
-    /// space.
+    /// space (`at`: byte offset in the stream, 0 for an in-memory
+    /// network).
     LengthOverflow { at: usize },
     /// A layer's weight/bias payload disagrees with its declared shape.
     ShapeMismatch {
@@ -208,13 +212,6 @@ impl<'a> Reader<'a> {
             })
             .collect())
     }
-
-    /// Overflow-checked product of shape dimensions.
-    fn product(&self, dims: &[usize]) -> Result<usize, ModelError> {
-        dims.iter()
-            .try_fold(1usize, |acc, &d| acc.checked_mul(d))
-            .ok_or(ModelError::LengthOverflow { at: self.pos })
-    }
 }
 
 /// Parses HENT bytes into a network the lowering and the scalar engine
@@ -230,99 +227,152 @@ pub fn network_from_bytes(data: &[u8]) -> Result<HeNetwork, ModelError> {
     let input_side = r.u32()?;
     let count = r.u32()?;
     let mut layers = Vec::with_capacity(count.min(1024));
-    // the tensor entering the next layer: `Some((c, h, w))` while it is
-    // an image, `None` once a dense layer flattened it; `flat` = c·h·w
-    let mut image = Some((1usize, input_side, input_side));
-    let mut flat = r.product(&[input_side, input_side])?;
+    let mut entering = Entering::input(input_side, r.pos)?;
     for layer in 0..count {
-        match r.u32()? {
+        let spec = match r.u32()? {
             0 => {
-                let kind = "conv";
                 let [in_ch, out_ch, k, stride, pad] =
                     [r.u32()?, r.u32()?, r.u32()?, r.u32()?, r.u32()?];
-                let weight = r.array(f32::from_le_bytes)?;
-                let bias = r.array(f32::from_le_bytes)?;
-                let expected = r.product(&[out_ch, in_ch, k, k])?;
-                check_payload(layer, kind, expected, weight.len())?;
-                check_payload(layer, kind, out_ch, bias.len())?;
-                let (c, h, w) = image.ok_or(ModelError::ConvAfterDense { layer })?;
-                if in_ch != c {
-                    return Err(ModelError::InputMismatch {
-                        layer,
-                        kind,
-                        expected: c,
-                        found: in_ch,
-                    });
-                }
-                let padded = |side: usize| {
-                    pad.checked_mul(2)
-                        .and_then(|p| p.checked_add(side))
-                        .ok_or(ModelError::LengthOverflow { at: r.pos })
-                };
-                let (ph, pw) = (padded(h)?, padded(w)?);
-                if out_ch == 0 || k == 0 || stride == 0 || flat == 0 || ph < k || pw < k {
-                    return Err(ModelError::DegenerateGeometry { layer, kind });
-                }
-                let (oh, ow) = ((ph - k) / stride + 1, (pw - k) / stride + 1);
-                flat = r.product(&[out_ch, oh, ow])?;
-                image = Some((out_ch, oh, ow));
-                layers.push(HeLayerSpec::Conv(ConvSpec {
-                    weight,
-                    bias,
+                HeLayerSpec::Conv(ConvSpec {
+                    weight: r.array(f32::from_le_bytes)?,
+                    bias: r.array(f32::from_le_bytes)?,
                     in_ch,
                     out_ch,
                     k,
                     stride,
                     pad,
-                }));
+                })
             }
             1 => {
-                let kind = "dense";
                 let (in_dim, out_dim) = (r.u32()?, r.u32()?);
-                let weight = r.array(f32::from_le_bytes)?;
-                let bias = r.array(f32::from_le_bytes)?;
-                let expected = r.product(&[in_dim, out_dim])?;
-                check_payload(layer, kind, expected, weight.len())?;
-                check_payload(layer, kind, out_dim, bias.len())?;
-                if in_dim != flat {
-                    return Err(ModelError::InputMismatch {
-                        layer,
-                        kind,
-                        expected: flat,
-                        found: in_dim,
-                    });
-                }
-                if in_dim == 0 || out_dim == 0 {
-                    return Err(ModelError::DegenerateGeometry { layer, kind });
-                }
-                flat = out_dim;
-                image = None;
-                layers.push(HeLayerSpec::Dense(DenseSpec {
-                    weight,
-                    bias,
+                HeLayerSpec::Dense(DenseSpec {
+                    weight: r.array(f32::from_le_bytes)?,
+                    bias: r.array(f32::from_le_bytes)?,
                     in_dim,
                     out_dim,
-                }));
+                })
             }
-            2 => {
-                let coeffs = r.array(f64::from_le_bytes)?;
-                if !(2..=4).contains(&coeffs.len()) {
-                    return Err(ModelError::BadActivation {
-                        layer,
-                        coeffs: coeffs.len(),
-                    });
-                }
-                layers.push(HeLayerSpec::Activation(coeffs));
-            }
+            2 => HeLayerSpec::Activation(r.array(f64::from_le_bytes)?),
             tag => {
                 return Err(ModelError::UnknownTag {
                     layer,
                     tag: tag as u32,
                 })
             }
-        }
+        };
+        entering.check(layer, &spec, r.pos)?;
+        layers.push(spec);
     }
     Ok(HeNetwork { layers, input_side })
+}
+
+impl HeNetwork {
+    /// The HENT reader's checks on an in-memory network: what every
+    /// execution path runs before it lowers one, so a network the
+    /// lowerings cannot take is a typed [`ModelError`] naming its layer.
+    /// Overflow errors report byte 0.
+    pub fn check(&self) -> Result<(), ModelError> {
+        let mut entering = Entering::input(self.input_side, 0)?;
+        for (layer, spec) in self.layers.iter().enumerate() {
+            entering.check(layer, spec, 0)?;
+        }
+        Ok(())
+    }
+}
+
+/// The tensor entering a layer: an image `(c, h, w)` until a dense
+/// layer flattens it, and its flat length `c·h·w`.
+struct Entering {
+    image: Option<(usize, usize, usize)>,
+    flat: usize,
+}
+
+/// Overflow-checked product of shape dimensions; `at` is the byte
+/// offset an overflow reports.
+fn product(dims: &[usize], at: usize) -> Result<usize, ModelError> {
+    dims.iter()
+        .try_fold(1usize, |acc, &d| acc.checked_mul(d))
+        .ok_or(ModelError::LengthOverflow { at })
+}
+
+impl Entering {
+    fn input(side: usize, at: usize) -> Result<Self, ModelError> {
+        Ok(Self {
+            image: Some((1, side, side)),
+            flat: product(&[side, side], at)?,
+        })
+    }
+
+    /// Checks layer `layer` against this tensor — payloads against the
+    /// declared shape, the declared input against what arrives, a
+    /// non-degenerate geometry, a SLAF of degree 1–3 — and advances
+    /// past it.
+    fn check(&mut self, layer: usize, spec: &HeLayerSpec, at: usize) -> Result<(), ModelError> {
+        match spec {
+            HeLayerSpec::Conv(c) => {
+                let kind = "conv";
+                let expected = product(&[c.out_ch, c.in_ch, c.k, c.k], at)?;
+                check_payload(layer, kind, expected, c.weight.len())?;
+                check_payload(layer, kind, c.out_ch, c.bias.len())?;
+                let (ch, h, w) = self.image.ok_or(ModelError::ConvAfterDense { layer })?;
+                if c.in_ch != ch {
+                    return Err(ModelError::InputMismatch {
+                        layer,
+                        kind,
+                        expected: ch,
+                        found: c.in_ch,
+                    });
+                }
+                let padded = |side: usize| {
+                    c.pad
+                        .checked_mul(2)
+                        .and_then(|p| p.checked_add(side))
+                        .ok_or(ModelError::LengthOverflow { at })
+                };
+                let (ph, pw) = (padded(h)?, padded(w)?);
+                if c.out_ch == 0
+                    || c.k == 0
+                    || c.stride == 0
+                    || self.flat == 0
+                    || ph < c.k
+                    || pw < c.k
+                {
+                    return Err(ModelError::DegenerateGeometry { layer, kind });
+                }
+                let (oh, ow) = ((ph - c.k) / c.stride + 1, (pw - c.k) / c.stride + 1);
+                self.flat = product(&[c.out_ch, oh, ow], at)?;
+                self.image = Some((c.out_ch, oh, ow));
+            }
+            HeLayerSpec::Dense(d) => {
+                let kind = "dense";
+                let expected = product(&[d.in_dim, d.out_dim], at)?;
+                check_payload(layer, kind, expected, d.weight.len())?;
+                check_payload(layer, kind, d.out_dim, d.bias.len())?;
+                if d.in_dim != self.flat {
+                    return Err(ModelError::InputMismatch {
+                        layer,
+                        kind,
+                        expected: self.flat,
+                        found: d.in_dim,
+                    });
+                }
+                if d.in_dim == 0 || d.out_dim == 0 {
+                    return Err(ModelError::DegenerateGeometry { layer, kind });
+                }
+                self.flat = d.out_dim;
+                self.image = None;
+            }
+            HeLayerSpec::Activation(coeffs) => {
+                if !(2..=4).contains(&coeffs.len()) {
+                    return Err(ModelError::BadActivation {
+                        layer,
+                        coeffs: coeffs.len(),
+                    });
+                }
+            }
+        }
+        Ok(())
+    }
 }
 
 fn check_payload(
@@ -346,7 +396,7 @@ fn check_payload(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::{lower_network, EncodeSharing};
+    use crate::graph::lower_network;
     use he_ir::GraphBuilder;
 
     /// conv(1→1,k2) → cubic SLAF → dense(4→2) on a 3×3 input.
@@ -644,7 +694,7 @@ mod tests {
                 bad[i] = v;
                 if let Ok(net) = network_from_bytes(&bad) {
                     let params = ckks::CkksParams::tiny(net.required_levels().max(1));
-                    let c = lower_network(&net, GraphBuilder::new(params), EncodeSharing::Shared);
+                    let c = lower_network(&net, GraphBuilder::new(params));
                     assert_eq!(c.regions.len(), net.layers.len(), "byte {i} = {v}");
                 }
             }

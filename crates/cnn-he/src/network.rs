@@ -15,8 +15,8 @@
 //!   execution simulator.
 
 use crate::exec::{ExecMode, InferenceTiming};
-use crate::graph::{input_name, lower_network, EncodeSharing};
-use crate::he_layers::{ConvSpec, DenseSpec};
+use crate::graph::{input_name, lower_network};
+use crate::he_layers::{conv_rows, dense_rows, horner, ConvSpec, DenseSpec, LayerForm};
 use crate::he_tensor::CtTensor;
 use crate::trace::{region_reports, NamedRuns};
 use ckks::{Evaluator, RelinKey};
@@ -49,7 +49,7 @@ impl HeLayerSpec {
                 c.in_ch, c.out_ch, c.k, c.k, c.stride, c.pad
             ),
             HeLayerSpec::Dense(d) => format!("Dense({}→{})", d.in_dim, d.out_dim),
-            HeLayerSpec::Activation(c) => format!("SLAF(deg {})", c.len() - 1),
+            HeLayerSpec::Activation(c) => format!("SLAF(deg {})", c.len().saturating_sub(1)),
         }
     }
 }
@@ -124,72 +124,35 @@ impl HeNetwork {
         self.layers.iter().map(HeLayerSpec::levels).sum()
     }
 
+    /// Each layer in the form its readers take, in order: the one shape
+    /// walk over the network. A linear layer's rows are built when the
+    /// iterator reaches it.
+    pub fn forms(&self) -> impl Iterator<Item = LayerForm<'_>> {
+        let mut shape = (1usize, self.input_side, self.input_side);
+        self.layers.iter().map(move |layer| match layer {
+            HeLayerSpec::Conv(spec) => {
+                let rows = conv_rows(spec, shape);
+                shape = (spec.out_ch, spec.out_size(shape.1), spec.out_size(shape.2));
+                LayerForm::Linear(rows)
+            }
+            HeLayerSpec::Dense(spec) => {
+                let rows = dense_rows(spec, shape.0 * shape.1 * shape.2);
+                shape = (1, 1, spec.out_dim);
+                LayerForm::Linear(rows)
+            }
+            HeLayerSpec::Activation(coeffs) => LayerForm::Slaf(coeffs),
+        })
+    }
+
     /// f64 reference inference on one image (flat pixels).
     pub fn infer_plain(&self, image: &[f32]) -> Vec<f64> {
         assert_eq!(image.len(), self.input_side * self.input_side);
-        let mut cur: Vec<f64> = image.iter().map(|&v| v as f64).collect();
-        let mut shape = (1usize, self.input_side, self.input_side);
-        for layer in &self.layers {
-            match layer {
-                HeLayerSpec::Conv(spec) => {
-                    let (c, h, w) = shape;
-                    assert_eq!(c, spec.in_ch);
-                    let oh = spec.out_size(h);
-                    let ow = spec.out_size(w);
-                    let mut out = vec![0.0f64; spec.out_ch * oh * ow];
-                    for o in 0..spec.out_ch {
-                        for oy in 0..oh {
-                            for ox in 0..ow {
-                                let mut acc = spec.bias[o] as f64;
-                                for ci in 0..c {
-                                    for ky in 0..spec.k {
-                                        let iy = oy * spec.stride + ky;
-                                        if iy < spec.pad || iy - spec.pad >= h {
-                                            continue;
-                                        }
-                                        for kx in 0..spec.k {
-                                            let ix = ox * spec.stride + kx;
-                                            if ix < spec.pad || ix - spec.pad >= w {
-                                                continue;
-                                            }
-                                            let widx =
-                                                ((o * spec.in_ch + ci) * spec.k + ky) * spec.k + kx;
-                                            acc += spec.weight[widx] as f64
-                                                * cur[(ci * h + iy - spec.pad) * w + ix - spec.pad];
-                                        }
-                                    }
-                                }
-                                out[(o * oh + oy) * ow + ox] = acc;
-                            }
-                        }
-                    }
-                    cur = out;
-                    shape = (spec.out_ch, oh, ow);
-                }
-                HeLayerSpec::Dense(spec) => {
-                    assert_eq!(cur.len(), spec.in_dim);
-                    let mut out = vec![0.0f64; spec.out_dim];
-                    for (o, ov) in out.iter_mut().enumerate() {
-                        let mut acc = spec.bias[o] as f64;
-                        for i in 0..spec.in_dim {
-                            acc += spec.weight[o * spec.in_dim + i] as f64 * cur[i];
-                        }
-                        *ov = acc;
-                    }
-                    cur = out;
-                    shape = (1, 1, cur.len());
-                }
-                HeLayerSpec::Activation(coeffs) => {
-                    for v in cur.iter_mut() {
-                        let x = *v;
-                        let mut acc = 0.0;
-                        for &c in coeffs.iter().rev() {
-                            acc = acc * x + c;
-                        }
-                        *v = acc;
-                    }
-                }
-            }
+        let mut cur: Vec<f64> = image.iter().map(|&v| f64::from(v)).collect();
+        for form in self.forms() {
+            cur = match form {
+                LayerForm::Linear(rows) => rows.iter().map(|r| r.eval(&cur)).collect(),
+                LayerForm::Slaf(coeffs) => cur.iter().map(|&x| horner(coeffs, x)).collect(),
+            };
         }
         cur
     }
@@ -233,11 +196,7 @@ impl HeNetwork {
         x: CtTensor,
         mode: ExecMode,
     ) -> (CtTensor, InferenceTiming) {
-        let circuit = lower_network(
-            self,
-            GraphBuilder::for_context(ev.ctx()),
-            EncodeSharing::Shared,
-        );
+        let circuit = lower_network(self, GraphBuilder::for_context(ev.ctx()));
         let prepared = Prepared::new(ev, circuit).unwrap_or_else(|e| panic!("{e}"));
         let (y, regions) = self
             .run_prepared(&prepared, ev, rk, x, mode)
@@ -282,10 +241,11 @@ impl HeNetwork {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use neural::models::{cnn1, cnn2, ActKind};
     use neural::Tensor;
+    use proptest::prelude::*;
 
     #[test]
     fn extraction_shapes_cnn1() {
@@ -306,8 +266,97 @@ mod tests {
         assert_eq!(net.required_levels(), 1 + 2 + 1 + 2 + 1 + 2 + 1);
     }
 
+    /// A trained-free conv of the given geometry behind a 1×1 conv that
+    /// fans the `side`×`side` image out to its `in_ch` channels (all
+    /// weights non-zero), about a quarter of its own weights zeroed: the
+    /// `neural` model and the network extracted from it.
+    pub(crate) fn random_conv(
+        seed: u64,
+        (in_ch, out_ch, k, stride, pad, side): (usize, usize, usize, usize, usize, usize),
+    ) -> (Sequential, HeNetwork) {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut fan_out = Conv2d::new(1, in_ch, 1, 1, 0, &mut rng);
+        for w in fan_out.weight.value.data_mut() {
+            *w = rng.gen_range(0.5f32..1.0);
+        }
+        let mut conv = Conv2d::new(in_ch, out_ch, k, stride, pad, &mut rng);
+        for w in conv.weight.value.data_mut() {
+            if rng.gen_bool(0.25) {
+                *w = 0.0;
+            }
+        }
+        for b in conv.bias.value.data_mut() {
+            *b = rng.gen_range(-0.5f32..0.5);
+        }
+        let model = Sequential::new(vec![Box::new(fan_out), Box::new(conv)]);
+        let net = HeNetwork::from_trained(&model, side);
+        (model, net)
+    }
+
+    /// Conv geometries: 1–2 channels in and out, k 1–3, stride 1–2, pad
+    /// 0..k, and an input side from the smallest the padded kernel fits
+    /// (so whole output rows can see only padding) up to four more.
+    pub(crate) fn conv_geometry(
+    ) -> impl Strategy<Value = (usize, usize, usize, usize, usize, usize)> {
+        let channels = (1usize..3, 1usize..3);
+        (channels, 1usize..4, 1usize..3, (0usize..3, 0usize..5)).prop_map(
+            |((in_ch, out_ch), k, stride, (pad, extra))| {
+                let pad = pad % k;
+                let side = k.saturating_sub(2 * pad).max(1) + extra;
+                (in_ch, out_ch, k, stride, pad, side)
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        // Over random conv geometries: the row form's plain reference
+        // is `neural`'s forward, and the scalar lowering emits exactly
+        // one scalar MAC per in-bounds non-zero tap (counted here from
+        // signed input coordinates, not from the rows).
+        #[test]
+        fn plain_reference_matches_neural_forward(seed in 0u64..1_000, geo in conv_geometry()) {
+            let (mut model, net) = random_conv(seed, geo);
+            let (in_ch, out_ch, k, stride, pad, side) = geo;
+            let img: Vec<f32> = (0..side * side)
+                .map(|i| ((i * 13 + seed as usize) % 51) as f32 / 25.5 - 1.0)
+                .collect();
+            let want = model.forward(&Tensor::from_vec(&[1, 1, side, side], img.clone()), false);
+            let got = net.infer_plain(&img);
+            prop_assert_eq!(got.len(), want.numel());
+            for (g, w) in got.iter().zip(want.data()) {
+                prop_assert!((g - f64::from(*w)).abs() < 1e-4, "{g} vs {w}");
+            }
+
+            let HeLayerSpec::Conv(spec) = &net.layers[1] else {
+                unreachable!("the fan-out, then the conv under test")
+            };
+            // output coordinate `o`, kernel offset `t`: inside the input?
+            let on_input = |o: usize, t: usize| {
+                let c = (o * stride + t) as isize - pad as isize;
+                (0..side as isize).contains(&c)
+            };
+            let oside = spec.out_size(side);
+            let mut macs = (in_ch * side * side) as u64; // the fan-out's
+            for (tap, &w) in spec.weight.iter().enumerate() {
+                let (ky, kx) = (tap / k % k, tap % k);
+                for oy in 0..oside {
+                    for ox in 0..oside {
+                        macs += u64::from(w != 0.0 && on_input(oy, ky) && on_input(ox, kx));
+                    }
+                }
+            }
+            prop_assert_eq!(spec.weight.len(), out_ch * in_ch * k * k);
+            let params = ckks::CkksParams::tiny(net.required_levels());
+            let circuit = lower_network(&net, GraphBuilder::new(params));
+            prop_assert_eq!(circuit.op_counts().scalar_macs, macs);
+        }
+    }
+
     #[test]
-    fn plain_reference_matches_neural_forward() {
+    fn plain_reference_folds_batchnorm() {
         // the extracted f64 path must agree with the float model in eval
         // mode (BN folded vs BN applied)
         let mut model = cnn2(ActKind::slaf3(), 92);

@@ -9,7 +9,8 @@
 //!   rotations hoisted up front, giant-step skipping of all-`None`
 //!   diagonals, diagonal plaintexts at `q_m`, bias at the accumulated
 //!   scale, one rescale per linear layer, the scalar lowering's
-//!   exact-scale SLAF ladder per activation. It is never optimized:
+//!   exact-scale SLAF ladder (`graph::lower_slaf`) per
+//!   activation. It is never optimized:
 //!   it is the reference the optimized circuit is tested against, and
 //!   its op counts are the honest baseline the optimizer is measured
 //!   by. Its rotation set is a subset of
@@ -39,6 +40,7 @@
 //! the activation separately. One ciphertext flows through each region,
 //! so each is a single unit that `Prepared::run` executes on its caller.
 
+use crate::graph::{lower_slaf, EncodeCache};
 use crate::packed::{PackedLayer, PackedNetwork};
 use he_ir::{Circuit, GraphBuilder, KeyInventory, Layout, NodeId};
 use std::collections::BTreeSet;
@@ -99,7 +101,7 @@ pub fn lower_packed(
             }
             PackedLayer::Activation(coeffs) => {
                 b.begin_region(format!("packed layer {li}: slaf"));
-                x = lower_slaf(&mut b, coeffs, x);
+                x = lower_slaf(&mut b, x, coeffs, &mut EncodeCache::default());
             }
         }
     }
@@ -245,52 +247,6 @@ impl Matvec<'_> {
         let with_bias = self.b.add_plain(acc, bias_pt);
         self.b.rescale(with_bias)
     }
-}
-
-/// The exact-scale deg-≤3 SLAF ladder of the scalar lowering
-/// ([`crate::graph`]) on one packed ciphertext, two levels consumed.
-fn lower_slaf(b: &mut GraphBuilder, coeffs: &[f64], x: NodeId) -> NodeId {
-    let mut c = [0.0f64; 4];
-    c[..coeffs.len()].copy_from_slice(coeffs);
-    let ty = b.ct_ty(x);
-    let s = ty.scale;
-    let m = ty.level;
-    let q_m = b.q_at(m);
-    // on a chain shorter than the circuit the declared levels saturate
-    // at 0 (as `GraphBuilder::rescale` does) and the levels pass
-    // reports the exhaustion
-    let m1 = m.saturating_sub(1);
-
-    // x² at scale s²/q_m, level m−1
-    let sq = b.square(x);
-    let x2r = b.rescale(sq);
-
-    // y₂ = c₂·x² → S* = s³/(q_m·q_{m−1}), level m−2
-    let c2 = b.encode_scalar(c[2], s, m1);
-    let a0 = b.mul_plain(x2r, c2);
-    let mut acc = b.rescale(a0);
-
-    // y₃ = (c₃·x)·x² via one ct-ct product, same S* by construction
-    if c[3] != 0.0 {
-        let c3 = b.encode_scalar(c[3], q_m, m);
-        let t0 = b.mul_plain(x, c3);
-        let t = b.rescale(t0); // scale s @ m−1
-        let y3m = b.mul(t, x2r);
-        let y3 = b.rescale(y3m); // S* @ m−2
-        acc = b.add(acc, y3);
-    }
-
-    // y₁ = c₁·x dropped two levels through scales (s, s)
-    let c1 = b.encode_scalar(c[1], s, m);
-    let t0 = b.mul_plain(x, c1);
-    let t1 = b.rescale(t0); // s²/q_m @ m−1
-    let one = b.encode_scalar(1.0, s, m1);
-    let y1m = b.mul_plain(t1, one);
-    let y1 = b.rescale(y1m); // S* @ m−2
-    acc = b.add(acc, y1);
-
-    // y₀ at the accumulated scale
-    b.add_scalar(acc, c[0])
 }
 
 #[cfg(test)]

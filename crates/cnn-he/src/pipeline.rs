@@ -201,14 +201,19 @@ impl CnnHePipeline {
     /// [`he_ir::Prepared`]) under Galois keys generated for exactly the
     /// rotations those circuits use. Circuit, keys and pre-encoded
     /// operands are built per lane stride on first use; [`Self::prepare_batch`]
-    /// builds them ahead of time. Fails typed when a single image's
-    /// packed vector does not fit the ring
-    /// ([`HeError::BatchExceedsSlots`]) or the chain is shorter than the
-    /// packed circuit ([`HeError::LevelExhausted`]). Idempotent.
+    /// builds them ahead of time. Fails typed when the network is
+    /// malformed ([`HeError::PlanRejected`] naming the layer
+    /// [`HeNetwork::check`] refuses), a single image's packed vector does
+    /// not fit the ring ([`HeError::BatchExceedsSlots`]) or the chain is
+    /// shorter than the packed circuit ([`HeError::LevelExhausted`]).
+    /// Idempotent.
     pub fn enable_packed_batching(&mut self) -> Result<(), HeError> {
         if self.packed.is_some() {
             return Ok(());
         }
+        self.network.check().map_err(|e| HeError::PlanRejected {
+            report: e.to_string(),
+        })?;
         let packed = PackedNetwork::from_network(&self.network);
         // typed capacity and depth checks before any lowering or keygen
         packed.plan_batch(self.ctx.slots(), 1)?;
@@ -419,17 +424,6 @@ impl CnnHePipeline {
         }
     }
 
-    /// Unclamped lane capacity of one packed ciphertext
-    /// (`slots / dim`), `None` until packed batching is enabled. Unlike
-    /// [`Self::max_batch`] this reports `Some(0)` when the packed
-    /// dimension does not fit the ring, so admission layers can refuse
-    /// instead of silently serving a clamped 1-lane ceiling.
-    pub fn packed_lane_capacity(&self) -> Option<usize> {
-        self.packed
-            .as_ref()
-            .map(|eng| self.ctx.slots() / eng.packed.dim)
-    }
-
     /// Flat pixel count one request image must have.
     pub fn input_len(&self) -> usize {
         self.network.input_side * self.network.input_side
@@ -608,13 +602,13 @@ impl CnnHePipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::network::HeLayerSpec;
     use neural::models::{cnn1, ActKind};
 
     /// A miniature CNN1-shaped network over 8×8 inputs, small enough to
     /// run under tiny ring parameters in unit tests.
     fn mini_network(seed: u64) -> HeNetwork {
         use crate::he_layers::{ConvSpec, DenseSpec};
-        use crate::network::HeLayerSpec;
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let mut w =
@@ -698,14 +692,12 @@ mod tests {
     fn packed_path_classifies_a_sharded_batch_with_fewer_ops_than_the_reference() {
         let net = mini_network(107);
         let mut pipe = CnnHePipeline::new(net, 1 << 10, 107);
-        assert_eq!(pipe.packed_lane_capacity(), None, "not yet enabled");
         pipe.enable_packed_batching().unwrap();
         assert!(pipe.packed_batching_enabled());
         // `compile` is the same switch: already on, nothing to redo
         pipe.compile().unwrap();
         // 512 slots / dim 64 → one packed ciphertext carries 8 lanes
         assert_eq!(pipe.max_batch(), 8);
-        assert_eq!(pipe.packed_lane_capacity(), Some(8));
         assert!(!pipe.validate_batch(10).has_errors());
         let images = mini_images(10);
         let refs: Vec<&[f32]> = images.iter().map(Vec::as_slice).collect();
@@ -853,6 +845,64 @@ mod tests {
         ));
         // refusals leave the pipeline serving
         assert_eq!(pipe.try_classify(&[&img]).unwrap().logits.len(), 1);
+    }
+
+    /// Dense(4→2) over a 2×2 image, then a SLAF with `coeffs`.
+    fn dense_then_slaf(in_dim: usize, coeffs: Vec<f64>) -> HeNetwork {
+        use crate::he_layers::DenseSpec;
+        HeNetwork {
+            layers: vec![
+                HeLayerSpec::Dense(DenseSpec {
+                    weight: vec![0.25; 2 * in_dim],
+                    bias: vec![0.1, -0.1],
+                    in_dim,
+                    out_dim: 2,
+                }),
+                HeLayerSpec::Activation(coeffs),
+            ],
+            input_side: 2,
+        }
+    }
+
+    #[test]
+    fn malformed_networks_are_refused_typed_on_both_engines() {
+        let slaf = |n: usize| dense_then_slaf(4, [0.1, 0.6, 0.2, 0.05, 0.01][..n].to_vec());
+        let bad = [
+            (slaf(0), "activation layer 1: 0 coefficient(s)"),
+            (slaf(1), "activation layer 1: 1 coefficient(s)"),
+            (slaf(5), "activation layer 1: 5 coefficient(s)"),
+            (
+                dense_then_slaf(5, vec![0.0, 1.0]),
+                "dense layer 0: declares input 5 but the previous layer produces 4",
+            ),
+        ];
+        for (net, want) in bad {
+            let names: Vec<String> = net.layers.iter().map(HeLayerSpec::name).collect();
+            assert!(!names[1].is_empty());
+            let img = vec![0.5f32; 4];
+            let mut scalar = CnnHePipeline::new(net.clone(), 1 << 11, 114);
+            match scalar.try_classify(&[&img]) {
+                Err(HeError::PlanRejected { report }) => {
+                    assert!(report.contains("malformed-network"), "{report}");
+                    assert!(report.contains(want), "{report}");
+                }
+                other => panic!("scalar: expected PlanRejected, got {other:?}"),
+            }
+            assert!(scalar.validate().has_code("malformed-network"));
+            let mut packed = CnnHePipeline::new(net, 1 << 11, 115);
+            match packed.enable_packed_batching() {
+                Err(HeError::PlanRejected { report }) => assert!(report.contains(want), "{report}"),
+                other => panic!("packed: expected PlanRejected, got {other:?}"),
+            }
+            assert!(!packed.packed_batching_enabled());
+        }
+        // the boundaries of 2..=4 coefficients run
+        for n in [2, 4] {
+            let mut pipe = CnnHePipeline::new(slaf(n), 1 << 11, 116);
+            assert!(pipe.try_classify(&[&[0.5f32; 4]]).is_ok());
+            pipe.enable_packed_batching().unwrap();
+            assert!(pipe.try_classify(&[&[0.5f32; 4]]).is_ok());
+        }
     }
 
     #[test]

@@ -130,19 +130,6 @@ impl ServeEngine {
             // max_batch() is one shard's lane capacity, so the
             // coalescing ceiling is exactly one packed ciphertext
             first.enable_packed_batching()?;
-            // backstop on the unclamped capacity: max_batch() clamps
-            // `slots / dim` to 1, which would hand the micro-batcher a
-            // phantom 1-lane ceiling over a ring that fits no lane at
-            // all — refuse typed instead of serving it
-            if first.packed_lane_capacity() == Some(0) {
-                return Err(ServeError::Rejected {
-                    reason: format!(
-                        "packed lane capacity is zero: the packed dimension exceeds the \
-                         ring's {} slots",
-                        first.ctx.slots()
-                    ),
-                });
-            }
         }
         let max_batch_cap = cfg.max_batch.min(first.max_batch()).max(1);
         if cfg.packing == Packing::PackedBatch {
@@ -700,6 +687,30 @@ mod tests {
                 assert!(reason.contains("slot capacity"), "{reason}");
             }
             other => panic!("expected Rejected, got {other}"),
+        }
+    }
+
+    #[test]
+    fn malformed_network_is_refused_at_start_on_both_packings() {
+        // a five-coefficient SLAF: no lowering takes it
+        for packing in [Packing::Scalar, Packing::PackedBatch] {
+            let cfg = ServeConfig {
+                packing,
+                ..Default::default()
+            };
+            let err = ServeEngine::start(cfg, || {
+                let mut net = mini_network(50);
+                net.layers[1] = HeLayerSpec::Activation(vec![0.1, 0.6, 0.2, 0.05, 0.01]);
+                CnnHePipeline::new(net, 1 << 10, 50)
+            })
+            .err()
+            .expect("start must refuse the network");
+            match err {
+                ServeError::Rejected { reason } => {
+                    assert!(reason.contains("activation layer 1"), "{reason}");
+                }
+                other => panic!("{packing:?}: expected Rejected, got {other}"),
+            }
         }
     }
 

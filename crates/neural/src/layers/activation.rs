@@ -24,10 +24,6 @@ impl Layer for Relu {
         self
     }
 
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-
     fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
         let mut out = x.clone();
         let mut mask = Vec::new();
@@ -62,53 +58,6 @@ impl Layer for Relu {
 
     fn name(&self) -> &'static str {
         "ReLU"
-    }
-}
-
-/// `f(x) = x²` — CryptoNets' activation, the simplest HE-compatible
-/// nonlinearity. Kept as a baseline.
-#[derive(Default)]
-pub struct Square {
-    cache: Option<Tensor>,
-}
-
-impl Square {
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl Layer for Square {
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        let mut out = x.clone();
-        for v in out.data_mut() {
-            *v *= *v;
-        }
-        if train {
-            self.cache = Some(x.clone());
-        }
-        out
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let x = self.cache.take().expect("backward before forward");
-        let mut dx = grad_out.clone();
-        for (g, &xi) in dx.data_mut().iter_mut().zip(x.data()) {
-            *g *= 2.0 * xi;
-        }
-        dx
-    }
-
-    fn name(&self) -> &'static str {
-        "Square"
     }
 }
 
@@ -166,10 +115,6 @@ impl PolyActivation {
 
 impl Layer for PolyActivation {
     fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
         self
     }
 
@@ -298,17 +243,6 @@ mod tests {
         let g = Tensor::full(&[5], 1.0);
         let dx = relu.backward(&g);
         assert_eq!(dx.data(), &[0.0, 0.0, 0.0, 1.0, 1.0]);
-    }
-
-    #[test]
-    fn square_forward_backward() {
-        let mut sq = Square::new();
-        let x = Tensor::from_vec(&[3], vec![-2.0, 0.5, 3.0]);
-        let y = sq.forward(&x, true);
-        assert_eq!(y.data(), &[4.0, 0.25, 9.0]);
-        let g = Tensor::full(&[3], 1.0);
-        let dx = sq.backward(&g);
-        assert_eq!(dx.data(), &[-4.0, 1.0, 6.0]);
     }
 
     #[test]

@@ -73,10 +73,6 @@ impl Layer for BatchNorm {
         self
     }
 
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-
     fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
         let shape = x.shape().to_vec();
         let f = self.features;

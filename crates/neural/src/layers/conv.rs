@@ -98,10 +98,6 @@ impl Layer for Conv2d {
         self
     }
 
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-
     fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
         let out = self.forward_raw(x);
         if train {

@@ -57,10 +57,6 @@ impl Layer for Dense {
         self
     }
 
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-
     fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
         let out = self.forward_raw(x);
         if train {

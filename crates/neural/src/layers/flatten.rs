@@ -20,10 +20,6 @@ impl Layer for Flatten {
         self
     }
 
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-
     fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
         let n = x.shape()[0];
         let rest: usize = x.shape()[1..].iter().product();

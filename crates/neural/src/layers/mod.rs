@@ -5,14 +5,12 @@ pub mod batchnorm;
 pub mod conv;
 pub mod dense;
 pub mod flatten;
-pub mod pool;
 
-pub use activation::{PolyActivation, Relu, Square};
+pub use activation::{PolyActivation, Relu};
 pub use batchnorm::BatchNorm;
 pub use conv::Conv2d;
 pub use dense::Dense;
 pub use flatten::Flatten;
-pub use pool::AvgPool2d;
 
 use crate::tensor::Tensor;
 
@@ -44,8 +42,6 @@ pub trait Layer: Send {
     fn forward(&mut self, x: &Tensor, train: bool) -> Tensor;
     /// Downcasting hook — the HE engine extracts trained weights through it.
     fn as_any(&self) -> &dyn std::any::Any;
-    /// Mutable downcasting hook (model state loading).
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any;
     fn backward(&mut self, grad_out: &Tensor) -> Tensor;
     /// Visits every trainable parameter (default: none).
     fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Param)) {}
@@ -86,18 +82,6 @@ impl Sequential {
         for layer in self.layers.iter_mut() {
             layer.visit_params(f);
         }
-    }
-
-    /// Zeroes all parameter gradients.
-    pub fn zero_grads(&mut self) {
-        self.visit_params(&mut |p| p.grad.zero_());
-    }
-
-    /// Total number of trainable scalars.
-    pub fn num_params(&mut self) -> usize {
-        let mut n = 0;
-        self.visit_params(&mut |p| n += p.value.numel());
-        n
     }
 
     /// Multi-line architecture summary (regenerates the paper's Fig. 3/4

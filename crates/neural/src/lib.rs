@@ -1,8 +1,8 @@
 //! # neural
 //!
 //! A compact CNN training framework supporting the paper's experimental
-//! pipeline: tensors, convolution / dense / batch-norm / pooling layers,
-//! ReLU and polynomial (SLAF) activations with full backpropagation, SGD
+//! pipeline: tensors, convolution / dense / batch-norm layers, ReLU and
+//! polynomial (SLAF) activations with full backpropagation, SGD
 //! with momentum under a 1-cycle learning-rate policy, Kaiming
 //! initialization, and an MNIST substrate (real IDX loader + procedural
 //! synthetic generator).
@@ -13,7 +13,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod augment;
 pub mod init;
 pub mod layers;
 pub mod loss;
@@ -21,7 +20,6 @@ pub mod metrics;
 pub mod mnist;
 pub mod models;
 pub mod optim;
-pub mod serialize;
 pub mod slaf;
 pub mod tensor;
 pub mod train;

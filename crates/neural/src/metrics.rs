@@ -1,6 +1,6 @@
-//! Classification evaluation metrics: confusion matrix, per-class
-//! precision/recall, and top-k accuracy — the reporting layer behind the
-//! accuracy columns of Tables I/III/V.
+//! Classification evaluation metrics: confusion matrix and per-class
+//! precision/recall — the reporting layer behind the accuracy columns of
+//! Tables I/III/V.
 
 /// A `classes × classes` confusion matrix (`rows = true`,
 /// `cols = predicted`).
@@ -22,16 +22,6 @@ impl ConfusionMatrix {
     pub fn record(&mut self, truth: usize, predicted: usize) {
         assert!(truth < self.classes && predicted < self.classes);
         self.counts[truth * self.classes + predicted] += 1;
-    }
-
-    /// Builds from parallel label/prediction slices.
-    pub fn from_predictions(classes: usize, truths: &[usize], preds: &[usize]) -> Self {
-        assert_eq!(truths.len(), preds.len());
-        let mut m = Self::new(classes);
-        for (&t, &p) in truths.iter().zip(preds) {
-            m.record(t, p);
-        }
-        m
     }
 
     #[inline]
@@ -68,22 +58,6 @@ impl ConfusionMatrix {
         tp / actual as f64
     }
 
-    /// The most confused (true, predicted) off-diagonal pair.
-    pub fn worst_confusion(&self) -> Option<(usize, usize, usize)> {
-        let mut best = None;
-        for t in 0..self.classes {
-            for p in 0..self.classes {
-                if t != p && self.count(t, p) > 0 {
-                    let c = self.count(t, p);
-                    if best.is_none_or(|(_, _, bc)| c > bc) {
-                        best = Some((t, p, c));
-                    }
-                }
-            }
-        }
-        best
-    }
-
     /// Compact text rendering.
     pub fn render(&self) -> String {
         let mut out = String::from("      ");
@@ -102,64 +76,44 @@ impl ConfusionMatrix {
     }
 }
 
-/// Top-k accuracy from raw logits (`[n × classes]`, row-major).
-pub fn top_k_accuracy(logits: &[f64], classes: usize, labels: &[usize], k: usize) -> f64 {
-    assert!(k >= 1 && k <= classes);
-    let n = labels.len();
-    assert_eq!(logits.len(), n * classes);
-    let mut hits = 0usize;
-    for (i, &label) in labels.iter().enumerate() {
-        let row = &logits[i * classes..(i + 1) * classes];
-        let mut idx: Vec<usize> = (0..classes).collect();
-        idx.sort_unstable_by(|&a, &b| row[b].partial_cmp(&row[a]).unwrap());
-        if idx[..k].contains(&label) {
-            hits += 1;
-        }
-    }
-    hits as f64 / n as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// A matrix of parallel label/prediction slices.
+    fn from_predictions(classes: usize, truths: &[usize], preds: &[usize]) -> ConfusionMatrix {
+        let mut m = ConfusionMatrix::new(classes);
+        for (&t, &p) in truths.iter().zip(preds) {
+            m.record(t, p);
+        }
+        m
+    }
+
     #[test]
     fn perfect_classifier() {
-        let m = ConfusionMatrix::from_predictions(3, &[0, 1, 2, 1], &[0, 1, 2, 1]);
+        let m = from_predictions(3, &[0, 1, 2, 1], &[0, 1, 2, 1]);
         assert_eq!(m.accuracy(), 1.0);
         assert_eq!(m.precision(1), 1.0);
         assert_eq!(m.recall(1), 1.0);
-        assert!(m.worst_confusion().is_none());
     }
 
     #[test]
     fn known_confusions() {
         // class 0 always predicted as 1
-        let m = ConfusionMatrix::from_predictions(2, &[0, 0, 1, 1], &[1, 1, 1, 1]);
+        let m = from_predictions(2, &[0, 0, 1, 1], &[1, 1, 1, 1]);
         assert_eq!(m.accuracy(), 0.5);
         assert_eq!(m.recall(0), 0.0);
         assert_eq!(m.recall(1), 1.0);
         assert_eq!(m.precision(1), 0.5);
-        assert_eq!(m.worst_confusion(), Some((0, 1, 2)));
         assert_eq!(m.total(), 4);
     }
 
     #[test]
     fn render_contains_counts() {
-        let m = ConfusionMatrix::from_predictions(2, &[0, 1], &[0, 0]);
+        let m = from_predictions(2, &[0, 1], &[0, 0]);
         let r = m.render();
         assert!(r.contains('1'));
         assert!(r.lines().count() >= 3);
-    }
-
-    #[test]
-    fn top_k() {
-        // rows: [5,1,9] (argmax 2, top-2 {2,0}) and [0,3,2] (argmax 1)
-        let logits = vec![5.0, 1.0, 9.0, 0.0, 3.0, 2.0];
-        assert_eq!(top_k_accuracy(&logits, 3, &[0, 1], 1), 0.5); // row 1 hits
-        assert_eq!(top_k_accuracy(&logits, 3, &[0, 1], 2), 1.0); // both hit
-        assert_eq!(top_k_accuracy(&logits, 3, &[2, 1], 1), 1.0); // both argmax
-        assert_eq!(top_k_accuracy(&logits, 3, &[1, 0], 1), 0.0); // both miss
     }
 
     #[test]

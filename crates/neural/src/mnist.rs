@@ -47,14 +47,6 @@ impl Dataset {
         self.labels.is_empty()
     }
 
-    /// The `i`-th image as a `[1, 1, 28, 28]` tensor.
-    pub fn image_tensor(&self, i: usize) -> Tensor {
-        Tensor::from_vec(
-            &[1, 1, SIDE, SIDE],
-            self.images[i * PIXELS..(i + 1) * PIXELS].to_vec(),
-        )
-    }
-
     /// A batch `[indices.len(), 1, 28, 28]`.
     pub fn batch(&self, indices: &[usize]) -> (Tensor, Vec<usize>) {
         let mut data = Vec::with_capacity(indices.len() * PIXELS);

@@ -8,12 +8,9 @@
 //!
 //! Both accept 28×28 grayscale inputs and emit 10 logits. The `ActKind`
 //! parameter selects the activation family: ReLU for the initial training
-//! pass, Square for the CryptoNets baseline, or a degree-`d` SLAF for the
-//! HE-compatible form.
+//! pass or a degree-`d` SLAF for the HE-compatible form.
 
-use crate::layers::{
-    BatchNorm, Conv2d, Dense, Flatten, Layer, PolyActivation, Relu, Sequential, Square,
-};
+use crate::layers::{BatchNorm, Conv2d, Dense, Flatten, Layer, PolyActivation, Relu, Sequential};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -21,7 +18,6 @@ use rand::SeedableRng;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ActKind {
     Relu,
-    Square,
     /// SLAF of the given degree, warm-started from a least-squares ReLU
     /// fit on `[-radius, radius]`.
     Slaf {
@@ -42,7 +38,6 @@ impl ActKind {
     fn make(&self) -> Box<dyn Layer> {
         match *self {
             ActKind::Relu => Box::new(Relu::new()),
-            ActKind::Square => Box::new(Square::new()),
             ActKind::Slaf { degree, radius } => Box::new(PolyActivation::with_coeffs(
                 &crate::layers::activation::relu_poly_fit(degree, radius, 512),
             )),
@@ -144,7 +139,7 @@ pub fn cnn2(act: ActKind, seed: u64) -> Sequential {
 /// kept as-is.
 pub fn swap_activations_for_slaf(model: &mut Sequential, degree: usize, radius: f32) {
     for layer in model.layers.iter_mut() {
-        let is_act = matches!(layer.name(), "ReLU" | "Square" | "SLAF");
+        let is_act = matches!(layer.name(), "ReLU" | "SLAF");
         if is_act {
             *layer = Box::new(PolyActivation::with_coeffs(
                 &crate::layers::activation::relu_poly_fit(degree, radius, 512),
@@ -166,7 +161,9 @@ mod tests {
         assert_eq!(y.shape(), &[2, 10]);
         // parameter count: conv 5·1·25+5=130; dense1 845·100+100=84600;
         // dense2 100·10+10=1010 → 85740
-        assert_eq!(m.num_params(), 130 + 84_600 + 1_010);
+        let mut params = 0;
+        m.visit_params(&mut |p| params += p.value.numel());
+        assert_eq!(params, 130 + 84_600 + 1_010);
     }
 
     #[test]

@@ -116,14 +116,6 @@ impl Tensor {
         }
     }
 
-    /// Elementwise in-place `self += alpha * other`.
-    pub fn axpy(&mut self, alpha: f32, other: &Tensor) {
-        assert_eq!(self.shape, other.shape);
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
-            *a += alpha * b;
-        }
-    }
-
     /// In-place scaling.
     pub fn scale(&mut self, s: f32) {
         for a in self.data.iter_mut() {
@@ -194,12 +186,10 @@ mod tests {
         let b = Tensor::from_vec(&[3], vec![0.5, 0.5, 0.5]);
         a.add_assign(&b);
         assert_eq!(a.data(), &[1.5, 2.5, 3.5]);
-        a.axpy(2.0, &b);
-        assert_eq!(a.data(), &[2.5, 3.5, 4.5]);
         a.scale(2.0);
-        assert_eq!(a.data(), &[5.0, 7.0, 9.0]);
-        assert_eq!(a.max_abs(), 9.0);
-        assert!((a.mean() - 7.0).abs() < 1e-6);
+        assert_eq!(a.data(), &[3.0, 5.0, 7.0]);
+        assert_eq!(a.max_abs(), 7.0);
+        assert!((a.mean() - 5.0).abs() < 1e-6);
         assert_eq!(a.argmax(), 2);
         a.zero_();
         assert_eq!(a.data(), &[0.0, 0.0, 0.0]);

@@ -9,7 +9,7 @@
 #![forbid(unsafe_code)]
 
 use ckks::{CkksParams, KeyGenerator, SecurityLevel};
-use cnn_he::graph::{lower_network, EncodeSharing};
+use cnn_he::graph::lower_network;
 use cnn_he::packed::PackedNetwork;
 use cnn_he::{lower_packed, HeNetwork, PackedLowering};
 use he_ir::passes::rotations::required_elements;
@@ -44,7 +44,7 @@ fn cnn1_and_cnn2_lower_clean_under_the_standard_passes() {
         ),
     ] {
         let params = paper_params(net.required_levels(), 1 << 14);
-        let circuit = lower_network(&net, GraphBuilder::new(params), EncodeSharing::Shared);
+        let circuit = lower_network(&net, GraphBuilder::new(params));
         circuit.validate().unwrap_or_else(|e| panic!("{name}: {e}"));
         let report = PassManager::standard().run(&circuit);
         assert!(!report.has_errors(), "{name}:\n{}", report.render());
@@ -130,7 +130,7 @@ fn every_packed_cnn1_region_is_one_unit_and_scalar_units_are_output_scalars() {
     // SLAF ciphertext
     let net = HeNetwork::from_trained(&cnn1(ActKind::slaf3(), 43), 28);
     let params = paper_params(net.required_levels(), 1 << 11);
-    let scalar = lower_network(&net, GraphBuilder::new(params), EncodeSharing::Shared);
+    let scalar = lower_network(&net, GraphBuilder::new(params));
     let mut width = 28 * 28;
     for (region, layer) in scalar.regions.iter().zip(&net.layers) {
         let units = scalar.units(region.nodes()).len();

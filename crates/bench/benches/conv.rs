@@ -1,7 +1,7 @@
 //! Microbenchmark: a one-layer convolution network (Eq. 1's weighted
 //! sums, 16 output units) and a one-ciphertext SLAF network — the
-//! building blocks whose per-unit times the Table III–VI simulation
-//! schedules — each lowered, prepared and run through
+//! building blocks of the Table III–VI requests — each lowered,
+//! prepared and run through
 //! `HeNetwork::infer_encrypted_with`.
 
 use ckks::{CkksParams, Evaluator, KeyGenerator, SecurityLevel};

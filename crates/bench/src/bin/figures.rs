@@ -6,7 +6,6 @@
 
 #![forbid(unsafe_code)]
 
-use cnn_he::exec::ExecPlan;
 use cnn_he::quantize::QuantSpec;
 use cnn_he::{CnnHePipeline, HeNetwork, SignalDecomposition};
 use neural::models::{cnn1, cnn2, ActKind};
@@ -72,10 +71,10 @@ fn main() {
     println!("FIG. 5 — CNN-RNS EXECUTION DATAFLOW\n");
     println!("a) CNN1-RNS:");
     let p1 = CnnHePipeline::new(n1, 1 << 10, 3);
-    println!("{}", p1.execution_plan_description(ExecPlan::rns(3)));
+    println!("{}", p1.execution_plan_description(3));
     println!("b) CNN2-RNS:");
     let p2 = CnnHePipeline::new(n2, 1 << 10, 4);
-    println!("{}", p2.execution_plan_description(ExecPlan::rns(3)));
+    println!("{}", p2.execution_plan_description(3));
     println!("(baseline for comparison:)");
-    println!("{}", p2.execution_plan_description(ExecPlan::baseline()));
+    println!("{}", p2.execution_plan_description(1));
 }

@@ -1,8 +1,8 @@
 //! Table IV — CNN1-HE-RNS latency across moduli-chain lengths k = 3…10.
 //!
-//! One measured encrypted inference yields the latency of every k
-//! simultaneously (the simulator schedules the measured per-unit CPU
-//! times under each plan — see `cnn_he::exec`).
+//! Row k is the measured wall of encrypted single-image classification
+//! on t = k threads of the unit-parallel engine; a row with more streams
+//! than the host has cores reads "not measurable on c cores".
 //!
 //! Run: `cargo run --release -p bench --bin table4`
 
@@ -12,14 +12,11 @@ use bench::harness::{self, Arch};
 
 fn main() {
     let model = harness::trained_model(Arch::Cnn1);
-    let runs = harness::latency_runs().min(2);
-    let result = harness::run_experiment_opts(&model, runs, false);
-    harness::print_sweep_table(
+    harness::sweep_table(
         "TABLE IV — PERFORMANCE OF CNN1-HE-RNS WITH MODULO CONFIGURATIONS",
-        &result,
+        &model,
         &[3, 4, 5, 6, 7, 8, 9, 10],
     );
     println!("\npaper reference: 2.27, 2.02, 1.98, 1.89, 1.85, 1.74, 1.67, 1.74 s");
-    println!("(decreasing in k; the paper's k=10 up-tick reflects its scheduler/core");
-    println!(" count — our simulated schedule saturates instead; see EXPERIMENTS.md)");
+    println!("(the paper runs 16 hardware threads; see EXPERIMENTS.md)");
 }

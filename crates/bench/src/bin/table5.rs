@@ -1,5 +1,6 @@
 //! Table V — performance of CNN2-HE vs CNN2-HE-RNS (the CryptoNets-based
-//! two-conv architecture with folded batch normalization).
+//! two-conv architecture with folded batch normalization), measured as
+//! in Table III: one thread against `min(3, c)` threads.
 //!
 //! Run: `cargo run --release -p bench --bin table5`
 
@@ -13,12 +14,6 @@ fn main() {
         "CNN2 architecture (Fig. 4, BN folded):\n{}",
         model.network.describe()
     );
-    let result = harness::run_experiment(&model, harness::latency_runs());
-    harness::print_he_vs_rns_table(
-        "TABLE V — PERFORMANCE OF CNN2-HE AND CNN2-HE-RNS",
-        "CNN2",
-        &result,
-        3,
-    );
+    harness::he_vs_rns_table("TABLE V — PERFORMANCE OF CNN2-HE AND CNN2-HE-RNS", &model);
     println!("\npaper reference: CNN2-HE avg 39.91s / CNN2-HE-RNS avg 23.67s, acc 99.21%");
 }

@@ -6,16 +6,20 @@
 //! * `RNS_CNN_RUNS`   — latency samples per model (default 3).
 //! * `RNS_CNN_TRAIN`  — training-set size (default 2000).
 //! * `RNS_CNN_TEST`   — encrypted-accuracy batch size (default 200).
-//! * `RNS_CNN_CORES`  — simulated core count (default 16, the paper's
-//!   Xeon E5-2650v2 thread count).
+//!
+//! Every latency is the measured wall of one `classify` call (encrypt →
+//! circuit → decrypt) under `ExecMode::unit_parallel(t)`. The paper's k
+//! residue streams run as the `t` threads of the unit-parallel engine;
+//! the decomposed k-stream circuit is not built yet.
 
-use cnn_he::exec::{ExecPlan, InferenceTiming};
-use cnn_he::{CnnHePipeline, HeNetwork, LatencyStats};
+use cnn_he::{CnnHePipeline, ExecMode, HeNetwork, LatencyStats};
 use neural::mnist::{self, Dataset};
 use neural::models::{cnn1, cnn2, ActKind};
 use neural::slaf::{run_protocol, SlafProtocol};
 use neural::train::TrainConfig;
 use neural::Sequential;
+use std::collections::BTreeMap;
+use std::time::Instant;
 
 pub fn env_usize(name: &str, default: usize) -> usize {
     std::env::var(name)
@@ -32,16 +36,21 @@ pub fn latency_runs() -> usize {
     env_usize("RNS_CNN_RUNS", 3)
 }
 
-pub fn virtual_cores() -> usize {
-    env_usize("RNS_CNN_CORES", 16)
+/// The host's core count `c`: the most threads a row is measured with.
+pub fn cores() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZero::get)
 }
 
-/// An execution plan with the harness's virtual-core setting.
-pub fn plan(k: usize) -> ExecPlan {
-    ExecPlan {
-        streams: k,
-        virtual_cores: virtual_cores(),
-    }
+/// The thread count row `k` of Tables IV/VI is measured at on `cores`
+/// cores: `t = k` when `k ≤ cores`, else `None` (not measurable here).
+pub fn row_threads(k: usize, cores: usize) -> Option<usize> {
+    (k <= cores).then_some(k)
+}
+
+/// The thread count Tables III/V and `throughput` compare `t = 1`
+/// against: the paper's k = 3, where the host has the cores.
+pub fn rns_threads(cores: usize) -> usize {
+    cores.min(3)
 }
 
 /// Which of the paper's two architectures.
@@ -152,8 +161,9 @@ pub fn plain_accuracy(net: &HeNetwork, data: &Dataset) -> f32 {
 
 /// Result of the measured encrypted-inference experiment for one model.
 pub struct ExperimentResult {
-    /// One timing record per latency run (single-image requests).
-    pub timings: Vec<InferenceTiming>,
+    /// Per thread count `t`, the measured `classify` walls (s) of the
+    /// single-image latency runs.
+    pub walls: BTreeMap<usize, Vec<f64>>,
     /// Encrypted accuracy over the batched test set.
     pub encrypted_acc: f32,
     /// Agreement between encrypted and plaintext predictions.
@@ -163,31 +173,25 @@ pub struct ExperimentResult {
 }
 
 impl ExperimentResult {
-    /// Latency stats under a given plan, from the measured runs.
-    /// Panics only if the experiment ran zero latency runs.
-    pub fn stats(&self, plan: ExecPlan) -> LatencyStats {
-        let secs: Vec<f64> = self
-            .timings
-            .iter()
-            .map(|t| t.simulated_wall(plan).as_secs_f64())
-            .collect();
-        LatencyStats::from_secs(&secs).expect("experiment recorded no latency runs")
+    /// Latency stats of the runs at `threads` threads. Panics if the
+    /// experiment did not measure at that width.
+    pub fn stats(&self, threads: usize) -> LatencyStats {
+        let secs =
+            (self.walls.get(&threads)).expect("experiment did not measure this thread count");
+        LatencyStats::from_secs(secs).expect("experiment recorded no latency runs")
     }
 }
 
-/// Runs the full measured experiment for one architecture:
-/// * `runs` single-image encrypted classifications (latency samples);
-/// * one batched encrypted classification over the test set (accuracy) —
-///   the batch rides the unused CKKS slots, so it costs one extra run.
-pub fn run_experiment(model: &TrainedModel, runs: usize) -> ExperimentResult {
-    run_experiment_opts(model, runs, true)
-}
-
-/// Like [`run_experiment`] but optionally skipping the batched-accuracy
-/// pass (the moduli-sweep tables report latency only).
-pub fn run_experiment_opts(
+/// Runs the measured experiment for one architecture:
+/// * `runs` single-image encrypted classifications at each thread count
+///   in `threads`, interleaved (latency samples);
+/// * with `with_accuracy` (the moduli-sweep tables report latency only),
+///   one batched encrypted classification over the test set — the
+///   batch rides the unused CKKS slots, so it costs one extra run.
+pub fn run_experiment(
     model: &TrainedModel,
     runs: usize,
+    threads: &[usize],
     with_accuracy: bool,
 ) -> ExperimentResult {
     let n = ring_degree();
@@ -199,22 +203,28 @@ pub fn run_experiment_opts(
     let mut pipe = CnnHePipeline::new(model.network.clone(), n, 1001);
     let test = test_set();
 
-    // latency runs (single-image requests, as the paper measures)
-    let mut timings = Vec::with_capacity(runs);
+    // latency runs (single-image requests, as the paper measures), the
+    // thread counts interleaved so host drift hits each alike
+    let mut walls: BTreeMap<usize, Vec<f64>> = threads.iter().map(|&t| (t, Vec::new())).collect();
     for r in 0..runs {
-        eprintln!("[harness] latency run {}/{runs} ...", r + 1);
         let img = test.image(r % test.len());
-        let res = pipe.classify(&[img]);
-        eprintln!(
-            "[harness]   cpu total {:.1}s",
-            res.timing.cpu_total().as_secs_f64()
-        );
-        timings.push(res.timing);
+        for (t, secs) in &mut walls {
+            eprintln!("[harness] latency run {}/{runs} at t = {t} ...", r + 1);
+            pipe.set_exec_mode(ExecMode::unit_parallel(*t));
+            let start = Instant::now();
+            let res = pipe.classify(&[img]);
+            let wall = start.elapsed().as_secs_f64();
+            secs.push(wall);
+            eprintln!(
+                "[harness]   wall {wall:.2}s, cpu in regions {:.2}s",
+                res.timing.cpu_total().as_secs_f64()
+            );
+        }
     }
 
     if !with_accuracy {
         return ExperimentResult {
-            timings,
+            walls,
             encrypted_acc: f32::NAN,
             agreement: f32::NAN,
             train_acc: model.train_acc,
@@ -244,44 +254,48 @@ pub fn run_experiment_opts(
         }
     }
     ExperimentResult {
-        timings,
+        walls,
         encrypted_acc: correct as f32 / batch as f32,
         agreement: agree as f32 / batch as f32,
         train_acc: model.train_acc,
     }
 }
 
-/// Prints a Table III/V-format comparison row pair.
-pub fn print_he_vs_rns_table(title: &str, arch: &str, result: &ExperimentResult, k: usize) {
-    let base = result.stats(plan(1));
-    let rns = result.stats(plan(k));
+/// The header line every latency table prints under its title.
+fn measured_note(cores: usize) -> String {
+    format!(
+        "(measured wall of classify — encrypt → circuit → decrypt — on c = {cores} cores;\n \
+         streams run as t threads of the unit-parallel engine; see EXPERIMENTS.md)"
+    )
+}
+
+/// Measures and prints a Table III/V-format comparison row pair:
+/// `t = 1` (HE) against `t = rns_threads(c)` (HE-RNS).
+pub fn he_vs_rns_table(title: &str, model: &TrainedModel) {
+    let (cores, arch) = (cores(), model.arch.name());
+    let t = rns_threads(cores);
+    let result = run_experiment(model, latency_runs(), &[1, t], true);
+    let base = result.stats(1);
+    let rns = result.stats(t);
     println!("\n{title}");
+    println!("{}", measured_note(cores));
+    println!("┌──────────────────────┬──────────────┬───────────────────────────┬─────────┐");
+    println!("│ Model                │ Training Acc │ Lat (s)  min   max   avg  │ Acc (%) │");
+    println!("├──────────────────────┼──────────────┼───────────────────────────┼─────────┤");
+    for (name, threads, s) in [("HE", 1, base), ("HE-RNS", t, rns)] {
+        println!(
+            "│ {:<20} │ {:>11.3}% │ {:>10.2} {:>5.2} {:>5.2}  │ {:>6.2}  │",
+            format!("{arch}-{name} (t={threads})"),
+            result.train_acc * 100.0,
+            s.min,
+            s.max,
+            s.avg,
+            result.encrypted_acc * 100.0
+        );
+    }
+    println!("└──────────────────────┴──────────────┴───────────────────────────┴─────────┘");
     println!(
-        "(simulated {}-core schedule from measured per-unit CPU times; see EXPERIMENTS.md)",
-        virtual_cores()
-    );
-    println!("┌─────────────────┬──────────────┬───────────────────────────┬─────────┐");
-    println!("│ Model           │ Training Acc │ Lat (s)  min   max   avg  │ Acc (%) │");
-    println!("├─────────────────┼──────────────┼───────────────────────────┼─────────┤");
-    println!(
-        "│ {arch}-HE         │ {:>11.3}% │ {:>10.2} {:>5.2} {:>5.2}  │ {:>6.2}  │",
-        result.train_acc * 100.0,
-        base.min,
-        base.max,
-        base.avg,
-        result.encrypted_acc * 100.0
-    );
-    println!(
-        "│ {arch}-HE-RNS     │ {:>11.3}% │ {:>10.2} {:>5.2} {:>5.2}  │ {:>6.2}  │",
-        result.train_acc * 100.0,
-        rns.min,
-        rns.max,
-        rns.avg,
-        result.encrypted_acc * 100.0
-    );
-    println!("└─────────────────┴──────────────┴───────────────────────────┴─────────┘");
-    println!(
-        "average speed-up of RNS (k={k}) over baseline: {:.2}%  (paper reports 36.24% / 40.69%)",
+        "average speed-up of t={t} over t=1: {:.2}%  (paper reports 36.24% / 40.69% for k=3)",
         base.speedup_percent_over(&rns)
     );
     println!(
@@ -290,21 +304,25 @@ pub fn print_he_vs_rns_table(title: &str, arch: &str, result: &ExperimentResult,
     );
 }
 
-/// Prints a Table IV/VI-format moduli sweep.
-pub fn print_sweep_table(title: &str, result: &ExperimentResult, ks: &[usize]) {
+/// Measures and prints a Table IV/VI-format moduli sweep: row `k` at
+/// `t = k` threads where the host has them.
+pub fn sweep_table(title: &str, model: &TrainedModel, ks: &[usize]) {
+    let cores = cores();
+    let threads: Vec<usize> = ks.iter().filter_map(|&k| row_threads(k, cores)).collect();
+    let result = run_experiment(model, latency_runs().min(2), &threads, false);
     println!("\n{title}");
-    println!(
-        "(simulated {}-core schedule from measured per-unit CPU times)",
-        virtual_cores()
-    );
-    println!("┌─────────────────────┬─────────┐");
-    println!("│ Moduli chain length │ Lat (s) │");
-    println!("├─────────────────────┼─────────┤");
+    println!("{}", measured_note(cores));
+    println!("┌─────────────────────┬─────┬───────────────────────────┐");
+    println!("│ Moduli chain length │   t │ Lat (s)                   │");
+    println!("├─────────────────────┼─────┼───────────────────────────┤");
     for &k in ks {
-        let s = result.stats(plan(k));
-        println!("│ {k:>19} │ {:>7.2} │", s.avg);
+        let lat = match row_threads(k, cores) {
+            Some(t) => format!("{:.2}", result.stats(t).avg),
+            None => format!("not measurable on {cores} cores"),
+        };
+        println!("│ {k:>19} │ {k:>3} │ {lat:<25} │");
     }
-    println!("└─────────────────────┴─────────┘");
+    println!("└─────────────────────┴─────┴───────────────────────────┘");
 }
 
 /// A miniature CNN1-shaped network (conv → act → dense → act → dense)
@@ -346,5 +364,22 @@ pub fn mini_cnn1(seed: u64) -> HeNetwork {
             HeLayerSpec::Dense(dense2),
         ],
         input_side: 8,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn row_k_is_measured_at_t_equals_k_only_on_enough_cores() {
+        assert_eq!(row_threads(1, 2), Some(1));
+        assert_eq!(row_threads(2, 2), Some(2));
+        assert_eq!(row_threads(3, 2), None);
+        assert_eq!(row_threads(10, 16), Some(10));
+        // Tables III/V: t = 1 against min(3, c)
+        assert_eq!(rns_threads(1), 1);
+        assert_eq!(rns_threads(2), 2);
+        assert_eq!(rns_threads(16), 3);
     }
 }

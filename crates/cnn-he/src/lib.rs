@@ -11,9 +11,9 @@
 //!   ([`graph`]) — which admission lints and `he_ir::Prepared` runs;
 //! * the RNS input-signal decomposition of Figs. 2/5 — residue (CRT) and
 //!   mixed-radix digit forms ([`rns_input`]);
-//! * execution accounting: [`exec::ExecMode`] caps how many threads a
-//!   region's units use, and the `k`-stream CNN-HE-RNS scheduling
-//!   simulation is validated against measured wall-clock ([`exec`]);
+//! * execution width: [`exec::ExecMode`] caps how many threads a
+//!   region's units use, and every request returns one measured record
+//!   per region ([`exec::InferenceTiming`]);
 //! * the end-to-end encrypt → evaluate → decrypt pipeline ([`pipeline`]);
 //! * static admission: the standard passes over the lowered circuit
 //!   ([`analyze`]), from a pipeline or from a HENT model file ([`model`],
@@ -44,7 +44,7 @@ pub mod trace;
 // without depending on ckks-math directly
 pub use analyze::admission;
 pub use ckks_math::kernel;
-pub use exec::{ExecMode, ExecPlan, InferenceTiming, SimulationCheck, WallEwma};
+pub use exec::{ExecMode, InferenceTiming};
 pub use graph::lower_network;
 pub use he_tensor::CtTensor;
 pub use metrics::LatencyStats;

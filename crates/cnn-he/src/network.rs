@@ -11,14 +11,13 @@
 //! * [`HeNetwork::infer_plain`] — f64 reference;
 //! * [`HeNetwork::infer_encrypted_with`] — over CKKS ciphertexts: the
 //!   network's lowering ([`crate::graph::lower_network`]) prepared and
-//!   run by `he_ir::Prepared`, with per-unit timing capture for the
-//!   execution simulator.
+//!   run by `he_ir::Prepared`, with one timing record per layer.
 
 use crate::exec::{ExecMode, InferenceTiming};
 use crate::graph::{input_name, lower_network};
 use crate::he_layers::{conv_rows, dense_rows, horner, ConvSpec, DenseSpec, LayerForm};
 use crate::he_tensor::CtTensor;
-use crate::trace::{region_reports, NamedRuns};
+use crate::trace::region_reports;
 use ckks::{Evaluator, RelinKey};
 use he_ir::{GraphBuilder, Interpreter, Prepared};
 use neural::layers::{BatchNorm, Conv2d, Dense, PolyActivation};
@@ -198,10 +197,8 @@ impl HeNetwork {
     ) -> (CtTensor, InferenceTiming) {
         let circuit = lower_network(self, GraphBuilder::for_context(ev.ctx()));
         let prepared = Prepared::new(ev, circuit).unwrap_or_else(|e| panic!("{e}"));
-        let (y, regions) = self
-            .run_prepared(&prepared, ev, rk, x, mode)
-            .unwrap_or_else(|e| panic!("{e}"));
-        (y, region_reports(ev.ctx(), prepared.circuit(), regions).0)
+        self.run_prepared(&prepared, ev, rk, x, mode)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Runs this network's prepared lowering on `x` under `mode`'s width
@@ -213,7 +210,7 @@ impl HeNetwork {
         rk: &RelinKey,
         x: CtTensor,
         mode: ExecMode,
-    ) -> Result<(CtTensor, NamedRuns), String> {
+    ) -> Result<(CtTensor, InferenceTiming), String> {
         let interp = Interpreter::new(ev).with_relin(rk);
         let inputs = x.cts.into_iter().enumerate();
         let inputs = inputs.map(|(i, ct)| (input_name(i), ct)).collect();
@@ -223,7 +220,7 @@ impl HeNetwork {
             shape: self.output_shape(),
         };
         let names = prepared.circuit().regions.iter().map(|r| r.name.clone());
-        Ok((y, names.zip(run.regions).collect()))
+        Ok((y, region_reports(ev.ctx(), names.zip(run.regions))))
     }
 
     /// Text rendering of the architecture (regenerates Figs. 3/4).

@@ -309,12 +309,10 @@ impl PackedNetwork {
         shards: Vec<Ciphertext>,
     ) -> ShardRun {
         let interp = he_ir::Interpreter::new(ev).with_relin(rk).with_galois(gk);
-        let (outs, runs) =
+        let (outs, timing) =
             run_shards(&pre.prepared, &interp, shards).expect("the reference circuit executes");
-        (
-            outs,
-            runs.into_iter().map(|(name, r)| (name, r.wall)).collect(),
-        )
+        let walls = timing.layers.into_iter().map(|l| (l.name, l.wall));
+        (outs, walls.collect())
     }
 }
 
@@ -332,7 +330,7 @@ pub(crate) fn run_shards(
     prepared: &he_ir::Prepared,
     interp: &he_ir::Interpreter,
     shards: Vec<Ciphertext>,
-) -> Result<(Vec<Ciphertext>, crate::trace::NamedRuns), String> {
+) -> Result<(Vec<Ciphertext>, crate::exec::InferenceTiming), String> {
     let regions = &prepared.circuit().regions;
     let mut inputs: Vec<HashMap<String, Ciphertext>> = shards
         .into_iter()
@@ -354,7 +352,7 @@ pub(crate) fn run_shards(
                 .map(|(r, record)| (format!("shard {s}: {}", r.name), record)),
         );
     }
-    Ok((outs, records))
+    Ok((outs, crate::trace::region_reports(interp.ev.ctx(), records)))
 }
 
 /// The prepared reference circuit of a packed network at one layout.

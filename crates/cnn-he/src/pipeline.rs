@@ -3,7 +3,7 @@
 //! ciphertexts, client decrypts the logits.
 
 use crate::analyze::{admission, batch_exceeds_slots, circuit_admission};
-use crate::exec::{ExecMode, ExecPlan, InferenceTiming};
+use crate::exec::{ExecMode, InferenceTiming};
 use crate::he_tensor::{decrypt_tensor, encrypt_image_batch, CtTensor};
 use crate::network::HeNetwork;
 use crate::packed::PackedNetwork;
@@ -92,6 +92,17 @@ pub struct CompiledStats {
     pub report: he_ir::OptimizeReport,
 }
 
+/// One request's run as the client sees it — decrypted logits and the
+/// timing record — plus what a trace adds: the input's level and scale,
+/// the run's op delta and the circuit that ran.
+struct Run<'a> {
+    logits: Vec<Vec<f64>>,
+    timing: InferenceTiming,
+    start: (usize, f64),
+    ops: OpSnapshot,
+    circuit: &'a he_ir::Circuit,
+}
+
 /// The classification of decrypted logits.
 fn classification(logits: Vec<Vec<f64>>, timing: InferenceTiming) -> Classification {
     Classification {
@@ -139,7 +150,8 @@ pub struct Classification {
     pub logits: Vec<Vec<f64>>,
     /// Predicted class per image.
     pub predictions: Vec<usize>,
-    /// Measured per-layer timing (feed to [`ExecPlan`] simulation).
+    /// One record per executed circuit region: wall, unit walls, exit
+    /// level and scale, headroom and op delta.
     pub timing: InferenceTiming,
 }
 
@@ -342,11 +354,10 @@ impl CnnHePipeline {
     }
 
     /// Selects how many threads the scalar path's circuit runs may use.
-    /// [`ExecMode::sequential`] is one thread and measures clean
-    /// per-unit times for the simulator; [`ExecMode::unit_parallel`]
-    /// runs each region's units on real threads (bit-identical results,
-    /// lower wall-clock). The packed path fans its shards out across
-    /// the pool either way.
+    /// [`ExecMode::sequential`] (the default) is one thread;
+    /// [`ExecMode::unit_parallel`] runs each region's units on real
+    /// threads (bit-identical results, lower wall-clock). The packed
+    /// path fans its shards out across the pool either way.
     pub fn set_exec_mode(&mut self, mode: ExecMode) {
         self.exec_mode = mode;
     }
@@ -475,15 +486,14 @@ impl CnnHePipeline {
     /// serving worker must call. The scalar and packed paths differ only
     /// in which prepared circuit runs.
     pub fn try_classify(&mut self, images: &[&[f32]]) -> Result<Classification, HeError> {
-        let (logits, trace) = self.run(images)?;
-        Ok(classification(logits, trace.timing))
+        let run = self.run(images)?;
+        Ok(classification(run.logits, run.timing))
     }
 
-    /// Encrypts, runs the circuit, decrypts, and reports the run (spans
-    /// aside): on the packed path [`Self::run_packed`]; on the scalar
-    /// path the cached prepared lowering, under [`Self::exec_mode`]'s
-    /// width cap.
-    fn run(&mut self, images: &[&[f32]]) -> Result<(Vec<Vec<f64>>, InferenceTrace), HeError> {
+    /// Encrypts, runs the circuit, decrypts, and reports the run: on the
+    /// packed path [`Self::run_packed`]; on the scalar path the cached
+    /// prepared lowering, under [`Self::exec_mode`]'s width cap.
+    fn run(&mut self, images: &[&[f32]]) -> Result<Run<'_>, HeError> {
         if images.is_empty() {
             return Err(HeError::EmptyBatch);
         }
@@ -498,23 +508,25 @@ impl CnnHePipeline {
             .and_then(|s| s.prepared.as_ref().ok())
             .expect("try_encrypt admitted the circuit");
         let ops = OpSnapshot::now();
-        let (y, regions) = self
+        let (y, timing) = self
             .network
             .run_prepared(prepared, &self.ev, &self.rk, x, self.exec_mode)
             .map_err(|reason| HeError::Execution { reason })?;
         let ops = OpSnapshot::now().delta(&ops);
-        let trace = InferenceTrace::of_run(&self.ctx, prepared.circuit(), regions, start, ops);
-        Ok((decrypt_tensor(&self.ev, &self.sk, &y, images.len()), trace))
+        Ok(Run {
+            logits: decrypt_tensor(&self.ev, &self.sk, &y, images.len()),
+            timing,
+            start,
+            ops,
+            circuit: prepared.circuit(),
+        })
     }
 
     /// The packed circuit run: plan shards, encrypt B images into
     /// `ceil(B / capacity)` batch-strided ciphertexts, interpret the
     /// stride's prepared circuit once per shard, decrypt one logits row
     /// per image. Records come one per shard × IR region.
-    fn run_packed(
-        &mut self,
-        images: &[&[f32]],
-    ) -> Result<(Vec<Vec<f64>>, InferenceTrace), HeError> {
+    fn run_packed(&mut self, images: &[&[f32]]) -> Result<Run<'_>, HeError> {
         let plan = self.admitted_plan(images.len())?;
         // a field borrow, so the sampler stays mutably borrowable
         let state = self.packed.as_ref().expect("admitted_plan checked");
@@ -528,12 +540,16 @@ impl CnnHePipeline {
             .with_relin(&self.rk)
             .with_galois(&state.gk);
         let ops = OpSnapshot::now();
-        let (outs, regions) = crate::packed::run_shards(prepared, &interp, cts)
+        let (outs, timing) = crate::packed::run_shards(prepared, &interp, cts)
             .map_err(|reason| HeError::Execution { reason })?;
         let ops = OpSnapshot::now().delta(&ops);
-        let trace = InferenceTrace::of_run(&self.ctx, prepared.circuit(), regions, start, ops);
-        let logits = state.packed.decrypt_batch(&self.ev, &self.sk, &outs, &plan);
-        Ok((logits, trace))
+        Ok(Run {
+            logits: state.packed.decrypt_batch(&self.ev, &self.sk, &outs, &plan),
+            timing,
+            start,
+            ops,
+            circuit: prepared.circuit(),
+        })
     }
 
     /// [`Self::classify`] with full runtime telemetry, on whichever path
@@ -544,16 +560,22 @@ impl CnnHePipeline {
     /// [`crate::trace::LayerTrace`] per region (per shard × region on
     /// the packed path), cross-checked against the prepared circuit that
     /// ran. `trace.divergence` is empty iff the run followed the circuit.
-    /// Panics with the typed error's message where [`Self::try_classify`]
-    /// returns it.
-    pub fn traced_infer(&mut self, images: &[&[f32]]) -> (Classification, InferenceTrace) {
+    /// Refuses typed exactly where [`Self::try_classify`] does.
+    pub fn traced_infer(
+        &mut self,
+        images: &[&[f32]],
+    ) -> Result<(Classification, InferenceTrace), HeError> {
+        let ctx = Arc::clone(&self.ctx);
         let session = he_trace::TraceSession::begin();
-        let (logits, mut trace) = self.run(images).unwrap_or_else(|e| panic!("{e}"));
-        trace.events = session.finish();
+        let run = self.run(images)?;
+        let events = session.finish();
+        let mut trace =
+            InferenceTrace::of_run(&ctx, run.circuit, run.timing.clone(), run.start, run.ops);
+        trace.events = events;
         // publish the measured level/headroom trajectory as live gauges
         // (no-op unless the `trace` feature is on)
         trace.export_gauges();
-        (classification(logits, trace.timing.clone()), trace)
+        Ok((classification(run.logits, run.timing), trace))
     }
 
     /// Direct access for benches/tests.
@@ -561,11 +583,11 @@ impl CnnHePipeline {
         &self.ev
     }
 
-    /// Renders the execution dataflow of an [`ExecPlan`] — the textual
-    /// regeneration of the paper's Fig. 5.
-    pub fn execution_plan_description(&self, plan: ExecPlan) -> String {
+    /// Renders the dataflow of the paper's `k`-stream CNN-HE-RNS
+    /// (`k = 1`: the sequential baseline) — the textual regeneration of
+    /// Fig. 5.
+    pub fn execution_plan_description(&self, k: usize) -> String {
         let mut out = String::new();
-        let k = plan.streams;
         if k <= 1 {
             out.push_str("CNN-HE (sequential baseline)\n");
             out.push_str("  encrypted input ──► ");
@@ -574,10 +596,7 @@ impl CnnHePipeline {
             }
             out.push_str("encrypted logits\n");
         } else {
-            out.push_str(&format!(
-                "CNN-HE-RNS (k = {k} parallel streams, {} virtual cores)\n",
-                plan.virtual_cores
-            ));
+            out.push_str(&format!("CNN-HE-RNS (k = {k} parallel streams)\n"));
             out.push_str("  encrypted input ──► RNS decompose ─┬─►\n");
             for j in 0..k.min(4) {
                 out.push_str(&format!(
@@ -932,20 +951,52 @@ mod tests {
         assert_eq!(argmax(&[]), 0);
     }
 
+    /// One pipeline per engine over the same network: scalar, and
+    /// slot-packed.
+    fn both_engines(seed: u64) -> [CnnHePipeline; 2] {
+        let scalar = CnnHePipeline::new(mini_network(seed), 1 << 10, seed);
+        let mut packed = CnnHePipeline::new(mini_network(seed), 1 << 10, seed);
+        packed.enable_packed_batching().unwrap();
+        [scalar, packed]
+    }
+
     #[test]
-    fn timing_supports_all_plans_from_one_run() {
-        let net = mini_network(102);
-        let mut pipe = CnnHePipeline::new(net, 1 << 10, 102);
-        let img = vec![0.3f32; 64];
-        let got = pipe.classify(&[&img]);
-        let base = got.timing.simulated_wall(ExecPlan::baseline());
-        let mut prev = base;
-        for k in [3usize, 6, 9] {
-            let w = got.timing.simulated_wall(ExecPlan::rns(k));
-            assert!(w <= prev, "k={k} should not be slower");
-            prev = w;
+    fn untraced_requests_report_one_record_per_region_on_the_circuit() {
+        let img = mini_images(1).remove(0);
+        for mut pipe in both_engines(102) {
+            let got = pipe.try_classify(&[&img]).unwrap();
+            let circuit = if pipe.packed_batching_enabled() {
+                let stride = pipe.built_plan(1).unwrap().layout().stride();
+                pipe.packed_state().strides[&stride].prepared.circuit()
+            } else {
+                pipe.lower_to_ir()
+            };
+            assert_eq!(got.timing.layers.len(), circuit.regions.len());
+            // exit level and scale of every record land on the circuit
+            let divergence = crate::trace::ir_cross_check(&got.timing.layers, circuit);
+            assert!(divergence.is_empty(), "{}", divergence.join("\n"));
+            for l in &got.timing.layers {
+                assert!(!l.unit_times.is_empty(), "{} has no units", l.name);
+                assert!(l.headroom_bits > 0.0, "{} spent all headroom", l.name);
+            }
         }
-        assert!(prev < base, "parallel plan should beat baseline");
+    }
+
+    #[test]
+    fn traced_infer_refuses_typed_on_both_engines() {
+        let short = vec![0.5f32; 10];
+        let img = mini_images(1).remove(0);
+        for mut pipe in both_engines(104) {
+            assert!(matches!(pipe.traced_infer(&[]), Err(HeError::EmptyBatch)));
+            assert!(matches!(
+                pipe.traced_infer(&[&short]),
+                Err(HeError::ShapeMismatch { got: 10, .. })
+            ));
+            // refusals leave the pipeline tracing
+            let (cls, trace) = pipe.traced_infer(&[&img]).unwrap();
+            assert_eq!(cls.logits.len(), 1);
+            assert!(trace.divergence.is_empty(), "{:?}", trace.divergence);
+        }
     }
 
     #[test]
@@ -953,9 +1004,9 @@ mod tests {
         let net = mini_network(103);
         let pipe_net = net.clone();
         let pipe = CnnHePipeline::new(pipe_net, 1 << 10, 103);
-        let d1 = pipe.execution_plan_description(ExecPlan::baseline());
+        let d1 = pipe.execution_plan_description(1);
         assert!(d1.contains("sequential baseline"));
-        let d2 = pipe.execution_plan_description(ExecPlan::rns(5));
+        let d2 = pipe.execution_plan_description(5);
         assert!(d2.contains("k = 5"));
         assert!(d2.contains("CRT reassemble"));
     }
@@ -965,7 +1016,7 @@ mod tests {
         let net = mini_network(105);
         let mut pipe = CnnHePipeline::new(net, 1 << 10, 105);
         let img: Vec<f32> = (0..64).map(|i| ((i * 5) % 11) as f32 / 11.0).collect();
-        let (cls, trace) = pipe.traced_infer(&[&img]);
+        let (cls, trace) = pipe.traced_infer(&[&img]).unwrap();
         // classification unaffected by tracing
         let want = pipe.network.infer_plain(&img);
         for (g, w) in cls.logits[0].iter().zip(&want) {
@@ -1006,7 +1057,7 @@ mod tests {
         let mut pipe = CnnHePipeline::new(mini_network(108), 1 << 10, 108);
         pipe.enable_packed_batching().unwrap();
         let img = mini_images(1).remove(0);
-        let (cls, trace) = pipe.traced_infer(&[&img]);
+        let (cls, trace) = pipe.traced_infer(&[&img]).unwrap();
         assert!(
             trace.divergence.is_empty(),
             "{}",
@@ -1030,7 +1081,7 @@ mod tests {
         let net = mini_network(106);
         let mut pipe = CnnHePipeline::new(net, 1 << 10, 106);
         let img = vec![0.2f32; 64];
-        let (_, trace) = pipe.traced_infer(&[&img]);
+        let (_, trace) = pipe.traced_infer(&[&img]).unwrap();
         // with tracing compiled in, the session captures layer spans …
         assert!(
             trace.events.iter().any(|e| e.cat == he_trace::cats::LAYER),

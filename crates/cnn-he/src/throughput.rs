@@ -7,7 +7,6 @@
 //! 1.69 s") is exactly this effect; this module quantifies it for our
 //! engine.
 
-use crate::exec::{ExecPlan, InferenceTiming};
 use std::time::Duration;
 
 /// Throughput summary for a batched encrypted classification.
@@ -15,7 +14,7 @@ use std::time::Duration;
 pub struct ThroughputReport {
     /// Number of images in the batch.
     pub batch: usize,
-    /// Wall-clock of the request under the plan.
+    /// Measured wall-clock of the request.
     pub request_latency: Duration,
     /// Amortized latency per image.
     pub per_image: Duration,
@@ -23,40 +22,28 @@ pub struct ThroughputReport {
     pub images_per_sec: f64,
 }
 
-/// Computes the throughput report for a measured inference under a plan.
-/// `None` for an empty batch — there is no per-image latency of zero
-/// images (consistent with the zero-duration guards in
-/// [`crate::metrics::LatencyStats`] and [`crate::SimulationCheck`]).
-pub fn throughput(
-    timing: &InferenceTiming,
-    batch: usize,
-    plan: ExecPlan,
-) -> Option<ThroughputReport> {
-    (batch >= 1).then(|| report(timing.simulated_wall(plan), batch))
-}
-
-/// Throughput from the *measured* wall-clock of a real (possibly
-/// unit-parallel) run, rather than the makespan simulation. `None` for
-/// an empty batch.
-pub fn throughput_measured(timing: &InferenceTiming, batch: usize) -> Option<ThroughputReport> {
-    (batch >= 1).then(|| report(timing.measured_wall(), batch))
-}
-
-fn report(wall: Duration, batch: usize) -> ThroughputReport {
-    // zero wall (empty timing record / sub-resolution clocks) must not
-    // become a division blow-up: report zero throughput rather than an
-    // absurd 10^12 images/s from an epsilon clamp
+/// Throughput of a request that took `wall` for `batch` images. `None`
+/// for an empty batch — there is no per-image latency of zero images
+/// (consistent with the zero-duration guards in
+/// [`crate::metrics::LatencyStats`]).
+pub fn throughput(wall: Duration, batch: usize) -> Option<ThroughputReport> {
+    if batch == 0 {
+        return None;
+    }
+    // zero wall (sub-resolution clocks) must not become a division
+    // blow-up: report zero throughput rather than an absurd 10^12
+    // images/s from an epsilon clamp
     let images_per_sec = if wall.is_zero() {
         0.0
     } else {
         batch as f64 / wall.as_secs_f64()
     };
-    ThroughputReport {
+    Some(ThroughputReport {
         batch,
         request_latency: wall,
         per_image: wall / u32::try_from(batch).unwrap_or(u32::MAX),
         images_per_sec,
-    }
+    })
 }
 
 impl std::fmt::Display for ThroughputReport {
@@ -75,25 +62,13 @@ impl std::fmt::Display for ThroughputReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::LayerTiming;
 
-    fn timing() -> InferenceTiming {
-        InferenceTiming {
-            layers: vec![LayerTiming {
-                name: "conv".into(),
-                unit_times: vec![Duration::from_millis(10); 100],
-                parallel: true,
-                fixed: Duration::ZERO,
-                wall: Duration::from_millis(250),
-            }],
-        }
-    }
+    const WALL: Duration = Duration::from_millis(250);
 
     #[test]
     fn amortization_scales_linearly_in_batch() {
-        let t = timing();
-        let r1 = throughput(&t, 1, ExecPlan::baseline()).unwrap();
-        let r64 = throughput(&t, 64, ExecPlan::baseline()).unwrap();
+        let r1 = throughput(WALL, 1).unwrap();
+        let r64 = throughput(WALL, 64).unwrap();
         // same request latency, 64× better per-image
         assert_eq!(r1.request_latency, r64.request_latency);
         assert!((r64.per_image.as_secs_f64() * 64.0 - r1.per_image.as_secs_f64()).abs() < 1e-9);
@@ -101,18 +76,8 @@ mod tests {
     }
 
     #[test]
-    fn parallel_plan_improves_request_latency_too() {
-        let t = timing();
-        let seq = throughput(&t, 8, ExecPlan::baseline()).unwrap();
-        let par = throughput(&t, 8, ExecPlan::rns(4)).unwrap();
-        assert!(par.request_latency < seq.request_latency);
-        assert!(par.images_per_sec > seq.images_per_sec);
-    }
-
-    #[test]
     fn measured_throughput_uses_wall_field() {
-        let t = timing();
-        let r = throughput_measured(&t, 10).unwrap();
+        let r = throughput(WALL, 10).unwrap();
         assert_eq!(r.request_latency, Duration::from_millis(250));
         assert_eq!(r.per_image, Duration::from_millis(25));
     }
@@ -121,28 +86,22 @@ mod tests {
     fn zero_batch_yields_none_not_panic() {
         // a drained serving batch or an empty accuracy pass must not
         // abort the process on the old `assert!(batch >= 1)`
-        let t = timing();
-        assert!(throughput(&t, 0, ExecPlan::baseline()).is_none());
-        assert!(throughput_measured(&t, 0).is_none());
+        assert!(throughput(WALL, 0).is_none());
     }
 
     #[test]
     fn zero_wall_reports_zero_throughput() {
-        // an all-zero timing record (e.g. clocks below resolution) must
-        // not divide by zero or report astronomically large throughput
-        let t = InferenceTiming::default();
-        let r = throughput_measured(&t, 4).unwrap();
+        // a zero wall (clocks below resolution) must not divide by zero
+        // or report astronomically large throughput
+        let r = throughput(Duration::ZERO, 4).unwrap();
         assert_eq!(r.request_latency, Duration::ZERO);
         assert_eq!(r.per_image, Duration::ZERO);
-        assert_eq!(r.images_per_sec, 0.0);
-        let r = throughput(&t, 4, ExecPlan::baseline()).unwrap();
         assert_eq!(r.images_per_sec, 0.0);
     }
 
     #[test]
     fn display_formats() {
-        let t = timing();
-        let s = throughput(&t, 2, ExecPlan::baseline()).unwrap().to_string();
+        let s = throughput(WALL, 2).unwrap().to_string();
         assert!(s.contains("batch"));
         assert!(s.contains("images/s"));
     }

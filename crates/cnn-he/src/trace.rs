@@ -4,11 +4,11 @@
 //! Every run of a prepared circuit yields one `he_ir::RegionRun` per
 //! region (wall, per-unit walls, HE op-counter deltas, exit
 //! level/scale). [`region_reports`] is the one conversion from those
-//! records to reports: the [`InferenceTiming`] every request returns and
-//! one [`LayerTrace`] per record, with structural noise headroom.
-//! [`InferenceTrace`] bundles the traces with the recorded spans and
-//! **cross-checks them against the circuit that ran**
-//! ([`ir_cross_check`]) — any divergence between what the circuit
+//! records to reports: one [`LayerTrace`] per record, with structural
+//! noise headroom, which is both the [`InferenceTiming`] every request
+//! returns and what a trace holds. [`InferenceTrace`] bundles them with
+//! the recorded spans and **cross-checks them against the circuit that
+//! ran** ([`ir_cross_check`]) — any divergence between what the circuit
 //! declares and what the ciphertexts actually did is reported as a
 //! string per mismatch.
 //!
@@ -19,7 +19,7 @@
 //! tolerance — while a mis-planned rescale (≥ one prime ≈ 26 bits) is
 //! far outside it.
 
-use crate::exec::{InferenceTiming, LayerTiming};
+use crate::exec::InferenceTiming;
 use crate::metrics::LatencyStats;
 use ckks::CkksContext;
 use he_ir::{Circuit, RegionRun};
@@ -39,8 +39,6 @@ pub struct LayerTrace {
     pub wall: Duration,
     /// Per-unit walls (one per unit).
     pub unit_times: Vec<Duration>,
-    /// Whether the layer belongs to the stream-parallel region.
-    pub parallel: bool,
     /// Ciphertext level after the layer.
     pub level: usize,
     /// Ciphertext scale after the layer.
@@ -49,6 +47,15 @@ pub struct LayerTrace {
     pub headroom_bits: f64,
     /// HE op counters attributed to this layer (delta across it).
     pub ops: OpSnapshot,
+}
+
+impl LayerTrace {
+    /// CPU time of the region: the sum of its unit walls, or its wall
+    /// when that is larger (time spent outside every unit). Units
+    /// overlap under a parallel run, so the wall can be below their sum.
+    pub fn cpu(&self) -> Duration {
+        self.unit_times.iter().sum::<Duration>().max(self.wall)
+    }
 }
 
 /// Full telemetry of one traced encrypted inference.
@@ -60,9 +67,9 @@ pub struct InferenceTrace {
     pub start_scale: f64,
     /// Structural headroom (bits) of the input.
     pub start_headroom_bits: f64,
+    /// One record per executed region — the request's
+    /// [`InferenceTiming`] records.
     pub layers: Vec<LayerTrace>,
-    /// The timing record the untraced path would have produced.
-    pub timing: InferenceTiming,
     /// Recorded spans (empty when the `trace` feature is off).
     pub events: Vec<SpanEvent>,
     /// Runtime↔static mismatches; empty means the run followed the
@@ -73,25 +80,24 @@ pub struct InferenceTrace {
 }
 
 impl InferenceTrace {
-    /// The reports of one run of `circuit`, spans aside: the timing and
-    /// per-region traces of its named records ([`region_reports`]),
-    /// cross-checked against it ([`ir_cross_check`]). `start` is the
-    /// first input's level and scale, `total_ops` the run's op delta.
+    /// The trace of one run of `circuit`, spans aside: its per-region
+    /// records ([`region_reports`]), cross-checked against it
+    /// ([`ir_cross_check`]). `start` is the first input's level and
+    /// scale, `total_ops` the run's op delta.
     pub fn of_run(
         ctx: &Arc<CkksContext>,
         circuit: &Circuit,
-        runs: NamedRuns,
+        timing: InferenceTiming,
         (start_level, start_scale): (usize, f64),
         total_ops: OpSnapshot,
     ) -> Self {
-        let (timing, layers) = region_reports(ctx, circuit, runs);
+        let layers = timing.layers;
         Self {
             start_level,
             start_scale,
             start_headroom_bits: ckks::noise::headroom_bits_at(ctx, start_level, start_scale),
             divergence: ir_cross_check(&layers, circuit),
             layers,
-            timing,
             events: Vec::new(),
             total_ops,
         }
@@ -118,12 +124,7 @@ impl InferenceTrace {
             rows.push(TraceRow {
                 name: l.name.clone(),
                 wall_s: l.wall.as_secs_f64(),
-                cpu_s: l
-                    .unit_times
-                    .iter()
-                    .sum::<Duration>()
-                    .max(l.wall)
-                    .as_secs_f64(),
+                cpu_s: l.cpu().as_secs_f64(),
                 units: l.unit_times.len(),
                 ops: l.ops,
                 level: l.level as i64,
@@ -231,46 +232,26 @@ impl InferenceTrace {
     }
 }
 
-/// Region records named for reports: one run's, or every shard's in
-/// shard order.
-pub type NamedRuns = Vec<(String, RegionRun)>;
-
 /// The one conversion from named region records — one run's, or every
-/// shard's in shard order, record `i` from region `i mod regions` — to
-/// the timing record and one [`LayerTrace`] each. A region is
-/// stream-parallel unless it multiplies ciphertexts: a SLAF needs the
-/// reassembled signal (`σ(Σβ_j d_j) ≠ Σβ_j σ(d_j)`).
+/// shard's in shard order — to the request's timing record: one
+/// [`LayerTrace`] each, with structural noise headroom.
 pub fn region_reports(
     ctx: &Arc<CkksContext>,
-    circuit: &Circuit,
-    runs: NamedRuns,
-) -> (InferenceTiming, Vec<LayerTrace>) {
-    let mut timing = InferenceTiming::default();
-    let mut traces = Vec::with_capacity(runs.len());
-    for (i, (name, run)) in runs.into_iter().enumerate() {
-        let region = &circuit.regions[i % circuit.regions.len()];
-        let parallel = circuit.op_counts_in(region).ct_mults == 0;
-        traces.push(LayerTrace {
-            name: name.clone(),
+    runs: impl IntoIterator<Item = (String, RegionRun)>,
+) -> InferenceTiming {
+    let layers = runs
+        .into_iter()
+        .map(|(name, run)| LayerTrace {
+            name,
             wall: run.wall,
-            unit_times: run.unit_walls.clone(),
-            parallel,
+            unit_times: run.unit_walls,
             level: run.level,
             scale: run.scale,
             headroom_bits: ckks::noise::headroom_bits_at(ctx, run.level, run.scale),
             ops: run.ops,
-        });
-        timing.layers.push(LayerTiming {
-            name,
-            // units overlap under a parallel run, so the wall can be
-            // below their sum: fixed saturates to zero
-            fixed: run.wall.saturating_sub(run.unit_walls.iter().sum()),
-            unit_times: run.unit_walls,
-            parallel,
-            wall: run.wall,
-        });
-    }
-    (timing, traces)
+        })
+        .collect();
+    InferenceTiming { layers }
 }
 
 /// Diffs observed per-region telemetry against the circuit that ran
@@ -354,7 +335,6 @@ mod tests {
             name: name.to_string(),
             wall: Duration::from_millis(10),
             unit_times: vec![Duration::from_millis(3); 4],
-            parallel: true,
             level,
             scale,
             headroom_bits: 40.0,
@@ -488,7 +468,6 @@ mod tests {
             start_headroom_bits: 60.0,
             divergence: ir_cross_check(&layers, &c),
             layers,
-            timing: InferenceTiming::default(),
             events: Vec::new(),
             total_ops: OpSnapshot::default(),
         };

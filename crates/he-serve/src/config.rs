@@ -25,7 +25,7 @@ pub enum Packing {
 pub(crate) const EXEC_MODE: ExecMode = ExecMode::sequential();
 
 /// Weight of the newest batch wall-clock in the engine's cost-model
-/// EWMA ([`cnn_he::WallEwma`]).
+/// EWMA.
 pub(crate) const EWMA_ALPHA: f64 = 0.3;
 
 /// Configuration of a [`crate::ServeEngine`].

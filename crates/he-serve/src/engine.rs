@@ -38,7 +38,7 @@ use crate::metrics::EngineMetrics;
 use crate::queue::{BoundedQueue, Pop, TryPush};
 use crate::response::{response_pair, ResponseHandle, ServeResult};
 use crate::stats::ServeReport;
-use cnn_he::{CnnHePipeline, WallEwma};
+use cnn_he::CnnHePipeline;
 use he_trace::{cats, OpSnapshot};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -65,6 +65,42 @@ struct Batch {
     /// batch event.
     id: u64,
     requests: Vec<Request>,
+}
+
+/// Exponentially-weighted moving average of observed batch walls: the
+/// engine's batch cost model. Slot-packed inference costs the same
+/// however many slots carry data, so past batch walls predict the next
+/// one. `alpha` is the weight of the newest observation (1.0 = only the
+/// last batch matters, small values smooth over host jitter).
+#[derive(Debug, Clone, Copy)]
+struct WallEwma {
+    alpha: f64,
+    current: Option<f64>,
+}
+
+impl WallEwma {
+    /// `alpha` must lie in `(0, 1]`.
+    fn new(alpha: f64) -> Self {
+        assert!(alpha > 0.0 && alpha <= 1.0, "alpha out of (0, 1]");
+        Self {
+            alpha,
+            current: None,
+        }
+    }
+
+    /// Feeds one measured wall-clock into the average.
+    fn observe(&mut self, wall: Duration) {
+        let w = wall.as_secs_f64();
+        self.current = Some(match self.current {
+            None => w,
+            Some(prev) => self.alpha * w + (1.0 - self.alpha) * prev,
+        });
+    }
+
+    /// Current estimate; `None` until the first observation.
+    fn estimate(&self) -> Option<Duration> {
+        self.current.map(Duration::from_secs_f64)
+    }
 }
 
 struct Shared {
@@ -832,5 +868,29 @@ mod tests {
             adjust_ceiling(&shared, true);
         }
         assert_eq!(shared.effective_max_batch.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn ewma_tracks_observations() {
+        let ms = Duration::from_millis;
+        let mut e = WallEwma::new(0.5);
+        assert_eq!(e.estimate(), None);
+        e.observe(ms(100));
+        assert_eq!(e.estimate(), Some(ms(100)));
+        e.observe(ms(200));
+        // 0.5·200 + 0.5·100 = 150
+        let est = e.estimate().unwrap();
+        assert!((est.as_secs_f64() - 0.150).abs() < 1e-9);
+        // alpha = 1 tracks the last observation exactly
+        let mut last_only = WallEwma::new(1.0);
+        last_only.observe(ms(70));
+        last_only.observe(ms(30));
+        assert_eq!(last_only.estimate(), Some(ms(30)));
+    }
+
+    #[test]
+    #[should_panic(expected = "alpha out of")]
+    fn ewma_rejects_zero_alpha() {
+        let _ = WallEwma::new(0.0);
     }
 }

@@ -4,19 +4,20 @@
 //! decomposition, per-plane parallel convolution with modular reduction,
 //! exact CRT reassembly.
 //!
-//! Part 2 runs one encrypted CNN1 inference on a reduced ring and shows
-//! the latency every `k`-stream execution plan would achieve (Table IV's
-//! shape) — all from a single measured run.
+//! Part 2 runs encrypted CNN1 inference on a reduced ring on t = 1 and
+//! t = 2 threads of the unit-parallel engine and prints the measured
+//! wall of each `classify` (encrypt → circuit → decrypt). Streams run as
+//! threads; the decomposed k-stream circuit is not built yet.
 //!
 //! Run: `cargo run --release -p examples --bin rns_parallel_sweep`
 
 #![forbid(unsafe_code)]
 
-use cnn_he::exec::ExecPlan;
 use cnn_he::quantize::QuantSpec;
-use cnn_he::{CnnHePipeline, HeNetwork, SignalDecomposition};
+use cnn_he::{CnnHePipeline, ExecMode, HeNetwork, SignalDecomposition};
 use neural::mnist;
 use neural::models::{cnn1, ActKind};
+use std::time::Instant;
 
 fn main() {
     // ---------------- Part 1: Fig. 2 numerics ----------------------
@@ -51,33 +52,42 @@ fn main() {
     );
     assert_eq!(direct, via_rns);
 
-    // ---------------- Part 2: Table IV's shape ---------------------
-    println!("\n== Fig. 5: latency of k-stream execution plans ==\n");
+    // ---------------- Part 2: measured walls ------------------------
+    println!("\n== Fig. 5: encrypted CNN1 on t threads ==\n");
     println!("(untrained CNN1 weights — latency does not depend on weight values)");
     let model = cnn1(ActKind::slaf3(), 7);
     let network = HeNetwork::from_trained(&model, mnist::SIDE);
     let mut pipe = CnnHePipeline::new(network, 1 << 11, 7);
     let img: Vec<f32> = (0..784).map(|i| ((i * 31) % 97) as f32 / 97.0).collect();
-    println!("running one encrypted CNN1 inference (reduced ring 2^11) ...");
-    let result = pipe.classify(&[&img]);
-    println!(
-        "measured CPU total: {:.2}s\n",
-        result.timing.cpu_total().as_secs_f64()
-    );
-    println!("{}", result.timing.breakdown());
-
-    println!("\n  streams k | simulated wall (16 virtual cores) | speed-up vs k=1");
-    let base = result.timing.simulated_wall(ExecPlan::baseline());
-    for k in [1usize, 3, 4, 5, 6, 7, 8, 9, 10] {
-        let wall = result.timing.simulated_wall(ExecPlan::rns(k));
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
+    println!("measured wall of classify on c = {cores} cores (reduced ring 2^11):\n");
+    println!("  threads t | wall (s) | speed-up vs t=1");
+    let mut base = None;
+    let mut last = None;
+    for t in [1usize, 2] {
+        if t > cores {
+            println!("  {t:>9} | not measurable on {cores} cores");
+            continue;
+        }
+        pipe.set_exec_mode(ExecMode::unit_parallel(t));
+        let start = Instant::now();
+        let result = pipe.classify(&[&img]);
+        let wall = start.elapsed().as_secs_f64();
+        let base = *base.get_or_insert(wall);
         println!(
-            "  {k:>9} | {:>22.3} s           | {:>6.2}%",
-            wall.as_secs_f64(),
-            (base.as_secs_f64() - wall.as_secs_f64()) / base.as_secs_f64() * 100.0
+            "  {t:>9} | {wall:>8.3} | {:>6.2}%",
+            (base - wall) / base * 100.0
+        );
+        last = Some((t, result));
+    }
+    if let Some((t, result)) = last {
+        println!(
+            "\nper-region breakdown at t = {t}:\n{}",
+            result.timing.breakdown()
         );
     }
     println!(
-        "\nexecution plan (k = 3):\n{}",
-        pipe.execution_plan_description(ExecPlan::rns(3))
+        "\nthe paper's k-stream dataflow (k = 3):\n{}",
+        pipe.execution_plan_description(3)
     );
 }

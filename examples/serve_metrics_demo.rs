@@ -60,7 +60,9 @@ fn main() {
     // ---- one traced inference exports the per-layer noise gauges
     let mut traced_pipe = CnnHePipeline::new(mini_cnn1(31), 1 << 10, 31);
     let img0 = image(0);
-    let (_, trace) = traced_pipe.traced_infer(&[&img0]);
+    let (_, trace) = traced_pipe
+        .traced_infer(&[&img0])
+        .expect("admitted request");
     let last_layer = trace.layers.last().expect("traced layers");
     println!(
         "traced inference: {} layers, final headroom {:.2} bits",

@@ -35,7 +35,7 @@ fn main() {
     let img: Vec<f32> = (0..784).map(|i| ((i * 3) % 29) as f32 / 29.0).collect();
 
     println!("running traced encrypted inference ...\n");
-    let (cls, trace) = pipe.traced_infer(&[&img]);
+    let (cls, trace) = pipe.traced_infer(&[&img]).expect("admitted request");
     println!("predicted class: {}\n", cls.predictions[0]);
 
     // ---- per-layer breakdown --------------------------------------

@@ -4,13 +4,11 @@
 
 #![forbid(unsafe_code)]
 
-use cnn_he::exec::{ExecPlan, InferenceTiming, LayerTiming};
 use cnn_he::{CnnHePipeline, HeNetwork};
 use neural::mnist;
 use neural::models::{cnn1, cnn2, ActKind};
 use neural::slaf::{run_protocol, SlafProtocol};
 use neural::train::TrainConfig;
-use std::time::Duration;
 
 fn quick_protocol() -> SlafProtocol {
     SlafProtocol {
@@ -83,68 +81,4 @@ fn cnn2_with_batchnorm_fold_encrypted_inference() {
             );
         }
     }
-}
-
-#[test]
-fn rns_plans_preserve_results_and_order_latency() {
-    // The RNS execution plan is a scheduling construct: results are
-    // byte-identical (same ciphertext math), only the simulated latency
-    // changes, monotonically in k up to saturation.
-    let data = mnist::synthetic(200, 3);
-    let mut model = cnn1(ActKind::Relu, 3);
-    run_protocol(&mut model, &data, &quick_protocol());
-    let network = HeNetwork::from_trained(&model, mnist::SIDE);
-    let mut pipe = CnnHePipeline::new(network, 1 << 10, 3);
-
-    let test = mnist::synthetic(1, 303);
-    let result = pipe.classify(&[test.image(0)]);
-
-    // Assert on an op-count timing model: the run's units and parallel
-    // flags, but each unit costs its share of the HE ops (1 op = 1 µs)
-    // the lowered circuit's region for that layer contains, so the
-    // makespan ratio is a pure function of the circuit and the LPT
-    // scheduler — immune to host load.
-    let circuit = pipe.lower_to_ir();
-    assert_eq!(circuit.regions.len(), result.timing.layers.len());
-    let layers = circuit
-        .regions
-        .iter()
-        .zip(&result.timing.layers)
-        .map(|(region, run)| {
-            let c = circuit.op_counts_in(region);
-            let units = run.unit_times.len();
-            let ops = c.ct_mults + c.scalar_macs + c.rescales + c.rotations;
-            let unit = Duration::from_micros(ops.div_ceil(units as u64));
-            LayerTiming {
-                name: run.name.clone(),
-                unit_times: vec![unit; units],
-                parallel: run.parallel,
-                fixed: Duration::ZERO,
-                wall: unit * units as u32,
-            }
-        })
-        .collect();
-    let modeled = InferenceTiming { layers };
-    let base = modeled.simulated_wall(ExecPlan::baseline());
-    let mut prev = base;
-    for k in [3usize, 6, 9, 12] {
-        let wall = modeled.simulated_wall(ExecPlan::rns(k));
-        assert!(wall <= prev, "k={k} slower than k-1 plan");
-        prev = wall;
-    }
-    assert!(
-        prev.as_secs_f64() < base.as_secs_f64() * 0.5,
-        "k=12 modeled makespan {prev:?} should halve baseline {base:?}"
-    );
-
-    // measured walls stay a logged diagnostic — informative, never
-    // asserted (they flake under concurrent test load)
-    let mbase = result.timing.simulated_wall(ExecPlan::baseline());
-    let m12 = result.timing.simulated_wall(ExecPlan::rns(12));
-    println!(
-        "measured: baseline {:.3}s, k=12 {:.3}s (ratio {:.2})",
-        mbase.as_secs_f64(),
-        m12.as_secs_f64(),
-        m12.as_secs_f64() / mbase.as_secs_f64().max(1e-12)
-    );
 }

@@ -37,7 +37,7 @@ fn cnn1_trace_matches_static_plan_and_round_trips_chrome_json() {
     let _g = serial();
     let mut pipe = cnn1_pipeline(600);
     let img = test_image();
-    let (cls, trace) = pipe.traced_infer(&[&img]);
+    let (cls, trace) = pipe.traced_infer(&[&img]).unwrap();
     assert_eq!(cls.predictions.len(), 1);
 
     // ---- runtime ↔ static: the built-in cross-check against the
@@ -69,7 +69,7 @@ fn per_layer_op_attribution_partitions_the_total() {
     let _g = serial();
     let mut pipe = cnn1_pipeline(601);
     let img = test_image();
-    let (_, trace) = pipe.traced_infer(&[&img]);
+    let (_, trace) = pipe.traced_infer(&[&img]).unwrap();
     let mut sum = he_trace::OpSnapshot::default();
     for l in &trace.layers {
         sum.ntt_fwd += l.ops.ntt_fwd;
@@ -99,10 +99,10 @@ fn traced_op_counts_identical_sequential_vs_parallel() {
     let img = test_image();
 
     pipe.set_exec_mode(ExecMode::sequential());
-    let (_, seq) = pipe.traced_infer(&[&img]);
+    let (_, seq) = pipe.traced_infer(&[&img]).unwrap();
 
     pipe.set_exec_mode(ExecMode::unit_parallel(4));
-    let (_, par) = pipe.traced_infer(&[&img]);
+    let (_, par) = pipe.traced_infer(&[&img]).unwrap();
 
     assert_eq!(seq.layers.len(), par.layers.len());
     for (a, b) in seq.layers.iter().zip(&par.layers) {
@@ -129,7 +129,7 @@ fn static_ir_op_counts_match_observed_layer_counters_exactly() {
     let mut pipe = cnn1_pipeline(604);
     let img = test_image();
     pipe.set_exec_mode(ExecMode::sequential());
-    let (_, trace) = pipe.traced_infer(&[&img]);
+    let (_, trace) = pipe.traced_infer(&[&img]).unwrap();
     assert!(
         trace.divergence.is_empty(),
         "{}",
@@ -156,8 +156,8 @@ fn trace_session_isolation_between_runs() {
     let _g = serial();
     let mut pipe = cnn1_pipeline(603);
     let img = test_image();
-    let (_, t1) = pipe.traced_infer(&[&img]);
-    let (_, t2) = pipe.traced_infer(&[&img]);
+    let (_, t1) = pipe.traced_infer(&[&img]).unwrap();
+    let (_, t2) = pipe.traced_infer(&[&img]).unwrap();
     // identical workloads record the same number of spans (zero with
     // tracing compiled out)
     assert_eq!(t1.events.len(), t2.events.len());

@@ -467,26 +467,6 @@ pub unsafe fn mul_scalar_shoup(m: &Modulus, data: &mut [u64], s: u64, s_shoup: u
     scalar::mul_scalar_shoup(m, &mut data[split..], s, s_shoup);
 }
 
-/// `dst[i] = src[i] mod p`, AVX2.
-///
-/// # Safety
-/// Caller must guarantee the CPU supports AVX2.
-#[target_feature(enable = "avx2")]
-pub unsafe fn barrett_reduce_slice(m: &Modulus, dst: &mut [u64], src: &[u64]) {
-    let (p, _, cr1) = unsafe { barrett_consts(m) };
-    let split = dst.len() - dst.len() % LANES;
-    for (cd, cs) in dst[..split]
-        .chunks_exact_mut(LANES)
-        .zip(src[..split].chunks_exact(LANES))
-    {
-        unsafe {
-            let x = load(cs);
-            store(cd, barrett_reduce1_v(x, p, cr1));
-        }
-    }
-    scalar::barrett_reduce_slice(m, &mut dst[split..], &src[split..]);
-}
-
 /// Centred lift of `src_q`-residues into `p`, AVX2. The branch
 /// (`r > src_q/2` → negate the reduced complement) becomes a blend
 /// between both arms, each computed with the exact scalar formula.

@@ -319,7 +319,7 @@ pub(crate) const LIMB_FAN_OUT_MIN_N: usize = 1 << 12;
 pub(crate) const LIMB_FAN_OUT_MIN_WORK: usize = 1 << 13;
 
 /// Whether a per-limb loop over `k` limbs of degree `n` fans out.
-pub(crate) fn limbs_fan_out(n: usize, k: usize) -> bool {
+pub fn limbs_fan_out(n: usize, k: usize) -> bool {
     n >= LIMB_FAN_OUT_MIN_N && k * n >= LIMB_FAN_OUT_MIN_WORK
 }
 
@@ -486,31 +486,6 @@ pub fn mul_scalar_shoup_with(
     );
 }
 
-/// `dst[i] = src[i] mod p` (single-word Barrett) — the key-switch digit
-/// lift of a residue limb into a foreign modulus.
-#[inline]
-pub fn barrett_reduce_slice(m: &Modulus, dst: &mut [u64], src: &[u64]) {
-    barrett_reduce_slice_with(active_backend(), m, dst, src);
-}
-
-/// Explicit-backend [`barrett_reduce_slice`].
-#[inline]
-pub fn barrett_reduce_slice_with(
-    backend: KernelBackend,
-    m: &Modulus,
-    dst: &mut [u64],
-    src: &[u64],
-) {
-    assert_eq!(dst.len(), src.len());
-    dispatch!(
-        backend,
-        scalar::barrett_reduce_slice(m, dst, src),
-        avx2::barrett_reduce_slice(m, dst, src),
-        avx512::barrett_reduce_slice(m, dst, src),
-        neon::barrett_reduce_slice(m, dst, src)
-    );
-}
-
 /// `dst[i]` = the centred lift of `src[i]`, a residue mod `src_q`, into
 /// `p`: `src[i]` stands for itself up to `src_q/2` and for
 /// `src[i] - src_q` above it. The first half of dropping a limb
@@ -645,7 +620,6 @@ mod tests {
             let acc0 = rand_limb(&mut rng, n, p);
             let s = rng.gen_range(0..p);
             let ss = m.shoup(s);
-            let raw: Vec<u64> = (0..n).map(|_| rng.gen()).collect();
 
             let mut mul_ref = a.clone();
             scalar::dyadic_mul_assign(&m, &mut mul_ref, &b);
@@ -655,8 +629,6 @@ mod tests {
             scalar::fused_mac_shoup(&m, &mut mac_ref, &a, s, ss);
             let mut scl_ref = a.clone();
             scalar::mul_scalar_shoup(&m, &mut scl_ref, s, ss);
-            let mut red_ref = vec![0u64; n];
-            scalar::barrett_reduce_slice(&m, &mut red_ref, &raw);
 
             for be in available_backends() {
                 let mut got = a.clone();
@@ -678,10 +650,6 @@ mod tests {
                 let mut got = a.clone();
                 mul_scalar_shoup_with(be, &m, &mut got, s, ss);
                 assert_eq!(got, scl_ref, "mul_scalar_shoup {} p={p}", be.name());
-
-                let mut got = vec![0u64; n];
-                barrett_reduce_slice_with(be, &m, &mut got, &raw);
-                assert_eq!(got, red_ref, "barrett_reduce_slice {} p={p}", be.name());
             }
         }
     }

@@ -419,26 +419,6 @@ pub unsafe fn mul_scalar_shoup(m: &Modulus, data: &mut [u64], s: u64, s_shoup: u
     scalar::mul_scalar_shoup(m, &mut data[split..], s, s_shoup);
 }
 
-/// `dst[i] = src[i] mod p`, NEON.
-///
-/// # Safety
-/// Caller must guarantee the CPU supports NEON.
-#[target_feature(enable = "neon")]
-pub unsafe fn barrett_reduce_slice(m: &Modulus, dst: &mut [u64], src: &[u64]) {
-    let (p, _, cr1) = unsafe { barrett_consts(m) };
-    let split = dst.len() - dst.len() % LANES;
-    for (cd, cs) in dst[..split]
-        .chunks_exact_mut(LANES)
-        .zip(src[..split].chunks_exact(LANES))
-    {
-        unsafe {
-            let x = load(cs);
-            store(cd, barrett_reduce1_v(x, p, cr1));
-        }
-    }
-    scalar::barrett_reduce_slice(m, &mut dst[split..], &src[split..]);
-}
-
 /// Centred lift of `src_q`-residues into `p`, NEON: a blend between the
 /// two scalar branch arms.
 ///

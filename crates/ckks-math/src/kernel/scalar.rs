@@ -136,13 +136,6 @@ pub fn mul_scalar_shoup(m: &Modulus, data: &mut [u64], s: u64, s_shoup: u64) {
     }
 }
 
-/// `dst[i] = src[i] mod p` (single-word Barrett).
-pub fn barrett_reduce_slice(m: &Modulus, dst: &mut [u64], src: &[u64]) {
-    for (dv, &rv) in dst.iter_mut().zip(src) {
-        *dv = m.reduce(rv);
-    }
-}
-
 /// Centred lift of `src_q`-residues into `p`: `r` stands for `r` when
 /// `r <= src_q/2` and for `r - src_q` above it.
 pub fn centered_lift(m: &Modulus, dst: &mut [u64], src: &[u64], src_q: u64) {

@@ -1,6 +1,6 @@
 //! Ciphertexts: degree-1 RLWE pairs `(c₀, c₁)` with scale/level metadata.
 
-use ckks_math::poly::RnsPoly;
+use ckks_math::poly::{Form, RnsPoly};
 
 /// A CKKS ciphertext at some level ℓ: decrypts as `c₀ + c₁·s ≈ Δ·m`
 /// over `R_{Q_ℓ}`. Polynomials are kept in NTT form.
@@ -22,6 +22,28 @@ impl Ciphertext {
     /// Number of active RNS limbs (`level + 1`).
     pub fn num_limbs(&self) -> usize {
         self.level + 1
+    }
+
+    /// What key switching would misread in this ciphertext, if
+    /// anything: it needs at least one slot, a level inside a chain of
+    /// `chain_len` primes, and both halves in NTT form over exactly the
+    /// limbs `0..=level`.
+    pub fn check_shape(&self, chain_len: usize) -> Result<(), &'static str> {
+        if self.slots == 0 {
+            return Err("no slots");
+        }
+        if self.level >= chain_len {
+            return Err("level beyond the modulus chain");
+        }
+        for half in [&self.c0, &self.c1] {
+            if half.form() != Form::Ntt {
+                return Err("a half in coefficient form");
+            }
+            if !half.limb_indices().iter().copied().eq(0..=self.level) {
+                return Err("limbs other than 0..=level");
+            }
+        }
+        Ok(())
     }
 
     /// Asserts internal consistency (used by debug paths and tests).

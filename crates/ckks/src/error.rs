@@ -36,6 +36,9 @@ pub enum HeError {
     ScaleMismatch { a: f64, b: f64 },
     /// Two operands sit at different levels (mod-switch first).
     LevelMismatch { a: usize, b: usize },
+    /// A ciphertext key switching cannot read: no slots, a half in
+    /// coefficient form, or limbs other than `0..=level` of the chain.
+    MalformedCiphertext(&'static str),
     /// An RNS input codec's radix weights (`β_j = Π_{i<j} m_j`) overflow
     /// the i128 recomposition arithmetic — too many / too large stream
     /// moduli.
@@ -108,6 +111,7 @@ impl std::fmt::Display for HeError {
             HeError::LevelMismatch { a, b } => {
                 write!(f, "level mismatch (mod-switch first): {a} vs {b}")
             }
+            HeError::MalformedCiphertext(what) => write!(f, "malformed ciphertext: {what}"),
             // keep the historical expect-message prefixes — callers and
             // tests match on them
             HeError::CodecRadixOverflow { k, modulus } => write!(

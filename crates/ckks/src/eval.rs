@@ -12,6 +12,7 @@ use ckks_math::fft::Complex;
 use ckks_math::kernel;
 use ckks_math::poly::{Form, RnsPoly};
 use ckks_math::sampler::Sampler;
+use rayon::prelude::*;
 use std::sync::Arc;
 
 /// Relative tolerance for scale compatibility in additions.
@@ -462,49 +463,93 @@ impl Evaluator {
     // ---------------------------------------------------------------
 
     /// Switches the poly `d` (NTT form, limbs `0..=ℓ`), interpreted as a
-    /// coefficient multiplying the key-switching key's source key, into a
-    /// pair `(u₀, u₁)` with `u₀ + u₁·s ≈ d·w`.
-    ///
-    /// Digit `j` is the residue polynomial `[d]_{q_j}`: one inverse NTT of
-    /// `d` yields every digit's coefficients, and digit `j`'s own limb is
-    /// limb `j` of `d` as given, so only the other limbs are transformed.
-    ///
-    /// Limb-major: one pass over the output limbs, each task building
-    /// every digit's limb in its own scratch buffer and multiplying it
-    /// into both accumulators, then (GHS) both mod-downs — `c ← (c −
-    /// [c]_P)·P⁻¹ mod q_i` — in one pass over the chain limbs.
+    /// coefficient multiplying the key-switching key's payload, into a
+    /// pair `(u₀, u₁)` with `u₀ + u₁·s ≈ d·w` (`s` the key's secret, `w`
+    /// its payload): the same decomposition, inner product and mod-down
+    /// as a rotation. Panics on a `d` that is not an NTT-form poly over
+    /// `0..=ℓ` of the chain.
     pub fn key_switch(&self, d: &RnsPoly, ksk: &KeySwitchKey) -> (RnsPoly, RnsPoly) {
+        let level = d.num_limbs() - 1;
+        let shape_ok = d.form() == Form::Ntt
+            && level < self.ctx.poly_ctx().chain_len()
+            && d.limb_indices().iter().copied().eq(0..=level);
+        assert!(shape_ok, "key_switch input: not NTT over limbs 0..=level");
+        let digits = self.decompose(d, ksk.variant == KsVariant::Ghs, false);
+        self.switch(d, &digits, ksk)
+    }
+
+    /// The digits of `d` over the key-switch basis (the chain limbs
+    /// `0..=ℓ`, plus the special limb when `special`): one inverse NTT
+    /// yields them all ([`Digits::lift`]). Centred digits commute with
+    /// every automorphism exactly, so one decomposition serves a fan of
+    /// rotations. With `store` every lift is computed here, once for a
+    /// fan; otherwise the one switch reading them lifts each into its
+    /// task's scratch as it goes.
+    fn decompose(&self, d: &RnsPoly, special: bool, store: bool) -> Digits {
+        let pctx = self.ctx.poly_ctx();
+        let (n, digits) = (pctx.n(), d.num_limbs());
+        let mut ext: Vec<usize> = (0..digits).collect();
+        if special {
+            ext.extend(pctx.special_indices());
+        }
+        let mut coeff = d.clone();
+        coeff.ntt_inverse();
+        he_trace::record_ntt_fwd((digits * (ext.len() - 1)) as u64);
+        let mut out = Digits {
+            ext,
+            coeff,
+            lifted: None,
+        };
+        if store {
+            let lift = |(i, limb): (usize, &mut [u64])| {
+                for (j, dst) in limb.chunks_mut(n).enumerate() {
+                    out.lift(i, j, dst);
+                }
+            };
+            let mut lifted = vec![0u64; out.ext.len() * digits * n];
+            if kernel::limbs_fan_out(n, out.ext.len()) {
+                lifted.par_chunks_mut(digits * n).enumerate().for_each(lift);
+            } else {
+                lifted.chunks_mut(digits * n).enumerate().for_each(lift);
+            }
+            out.lifted = Some(lifted);
+        }
+        out
+    }
+
+    /// The key switch proper: the inner product of `d`'s digits with the
+    /// key, limb-major (each task multiplies every digit's limb into both
+    /// accumulators), then (GHS) both mod-downs — `c ← (c − [c]_P)·P⁻¹
+    /// mod q_i` — in one pass over the chain limbs. A BV key reads only
+    /// the chain limbs of digits that also carry the special limb.
+    fn switch(&self, d: &RnsPoly, digits: &Digits, ksk: &KeySwitchKey) -> (RnsPoly, RnsPoly) {
         he_trace::record_keyswitch(1);
         let _span = he_trace::span("keyswitch", he_trace::cats::HE);
-        let level = d.num_limbs() - 1;
         let pctx = self.ctx.poly_ctx();
-        assert!(level < pctx.chain_len());
-
-        let mut d_coeff = d.clone();
-        d_coeff.ntt_inverse();
-
-        let ext: Vec<usize> = match ksk.variant {
-            KsVariant::Ghs => (0..=level).chain(pctx.special_indices()).collect(),
-            KsVariant::Bv => (0..=level).collect(),
+        let (n, level) = (pctx.n(), d.num_limbs() - 1);
+        let ext = match ksk.variant {
+            KsVariant::Ghs => &digits.ext[..],
+            KsVariant::Bv => &digits.ext[..=level],
         };
-        let (digits, limbs) = (level as u64 + 1, ext.len() as u64);
-        he_trace::record_ntt_fwd(digits * (limbs - 1));
-        he_trace::record_modmul_limbs(2 * digits * limbs);
+        he_trace::record_modmul_limbs(2 * ((level + 1) * ext.len()) as u64);
 
-        let mut acc0 = RnsPoly::zero(Arc::clone(pctx), ext.clone(), Form::Ntt);
+        let mut acc0 = RnsPoly::zero(Arc::clone(pctx), ext.to_vec(), Form::Ntt);
         let mut acc1 = acc0.clone();
         let backend = kernel::active_backend();
+        let width = (level + 1) * n;
         RnsPoly::for_each_limb_pair(&mut acc0, &mut acc1, |i, acc0, acc1| {
             let idx = ext[i];
             let m = &pctx.moduli()[idx];
-            let mut scratch = vec![0u64; pctx.n()];
+            let mut scratch = Vec::new();
             for (j, (b, a)) in ksk.digits[..=level].iter().enumerate() {
-                let digit: &[u64] = if idx == j {
-                    d.limb(j)
-                } else {
-                    kernel::barrett_reduce_slice_with(backend, m, &mut scratch, d_coeff.limb(j));
-                    kernel::ntt_forward_with(backend, pctx.ntt_table(idx), &mut scratch);
-                    &scratch
+                let digit = match &digits.lifted {
+                    _ if idx == j => d.limb(j),
+                    Some(lifted) => &lifted[i * width + j * n..][..n],
+                    None => {
+                        scratch.resize(n, 0);
+                        digits.lift(i, j, &mut scratch);
+                        &scratch
+                    }
                 };
                 kernel::dyadic_mul_acc_with(backend, m, acc0, digit, b.limb_for(idx));
                 kernel::dyadic_mul_acc_with(backend, m, acc1, digit, a.limb_for(idx));
@@ -521,6 +566,26 @@ impl Evaluator {
             RnsPoly::divide_by_last_limb(&mut acc0, &mut acc1, p_inv);
         }
         (acc0, acc1)
+    }
+
+    /// Decomposes `ct.c1` once, storing every digit's lift, for any
+    /// number of rotations and conjugations of `ct`
+    /// ([`Self::try_rotate_hoisted`], [`Self::try_conjugate_hoisted`]).
+    /// Refuses, typed, a ciphertext key switching would misread
+    /// ([`Ciphertext::check_shape`]).
+    pub fn hoist<'a>(&self, ct: &'a Ciphertext) -> Result<Hoisted<'a>, HeError> {
+        self.hoist_stored(ct, true)
+    }
+
+    /// [`Self::hoist`]; a lone rotation passes `store = false`.
+    fn hoist_stored<'a>(&self, ct: &'a Ciphertext, store: bool) -> Result<Hoisted<'a>, HeError> {
+        ct.check_shape(self.ctx.poly_ctx().chain_len())
+            .map_err(HeError::MalformedCiphertext)?;
+        let _span = he_trace::span("hoist", he_trace::cats::HE);
+        Ok(Hoisted {
+            ct,
+            digits: self.decompose(&ct.c1, true, store),
+        })
     }
 
     // ---------------------------------------------------------------
@@ -602,18 +667,36 @@ impl Evaluator {
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible [`Evaluator::rotate`].
+    /// Fallible [`Evaluator::rotate`]: [`Self::hoist`], then
+    /// [`Self::try_rotate_hoisted`]. An identity rotation decomposes
+    /// nothing.
     pub fn try_rotate(
         &self,
         ct: &Ciphertext,
         steps: i64,
         gk: &GaloisKeys,
     ) -> Result<Ciphertext, HeError> {
+        ct.check_shape(self.ctx.poly_ctx().chain_len())
+            .map_err(HeError::MalformedCiphertext)?;
         if steps.rem_euclid(ct.slots as i64) == 0 {
             return Ok(ct.clone());
         }
+        self.try_rotate_hoisted(&self.hoist_stored(ct, false)?, steps, gk)
+    }
+
+    /// [`Self::try_rotate`] of the hoisted ciphertext, reusing its
+    /// digits: limb-identical to rotating it directly.
+    pub fn try_rotate_hoisted(
+        &self,
+        h: &Hoisted<'_>,
+        steps: i64,
+        gk: &GaloisKeys,
+    ) -> Result<Ciphertext, HeError> {
+        if steps.rem_euclid(h.ct.slots as i64) == 0 {
+            return Ok(h.ct.clone());
+        }
         let g = self.ctx.galois_element_for_rotation(steps);
-        self.try_apply_galois(ct, g, gk)
+        self.apply_galois(h, g, gk)
     }
 
     /// Complex conjugation of every slot.
@@ -623,13 +706,26 @@ impl Evaluator {
 
     /// Fallible [`Evaluator::conjugate`].
     pub fn try_conjugate(&self, ct: &Ciphertext, gk: &GaloisKeys) -> Result<Ciphertext, HeError> {
-        let g = self.ctx.galois_element_conjugate();
-        self.try_apply_galois(ct, g, gk)
+        self.try_conjugate_hoisted(&self.hoist_stored(ct, false)?, gk)
     }
 
-    fn try_apply_galois(
+    /// [`Self::try_conjugate`] of the hoisted ciphertext.
+    pub fn try_conjugate_hoisted(
         &self,
-        ct: &Ciphertext,
+        h: &Hoisted<'_>,
+        gk: &GaloisKeys,
+    ) -> Result<Ciphertext, HeError> {
+        self.apply_galois(h, self.ctx.galois_element_conjugate(), gk)
+    }
+
+    /// `(σ_g(c₀ + u₀), σ_g(u₁))` with `(u₀, u₁)` the switch of `c₁`
+    /// under the key for `g`, which carries payload `s` under the secret
+    /// `σ_g⁻¹(s)`: `u₀ + u₁·σ_g⁻¹(s) ≈ c₁·s`, so the result decrypts
+    /// under `s` to `σ_g(c₀ + c₁·s)`. σ_g permutes NTT slots, so nothing
+    /// is transformed outside the key switch.
+    fn apply_galois(
+        &self,
+        h: &Hoisted<'_>,
         g: usize,
         gk: &GaloisKeys,
     ) -> Result<Ciphertext, HeError> {
@@ -640,19 +736,51 @@ impl Evaluator {
         })?;
         he_trace::record_rotation(1);
         let _span = he_trace::span("galois", he_trace::cats::HE);
-        // σ_g permutes NTT slots: no transform until key switching.
-        let mut c0g = ct.c0.automorphism_ntt(g);
-        let c1g = ct.c1.automorphism_ntt(g);
-        let (u0, u1) = self.key_switch(&c1g, ksk);
-        c0g.add_assign(&u0);
+        let (mut u0, u1) = self.switch(&h.ct.c1, &h.digits, ksk);
+        u0.add_assign(&h.ct.c0);
         Ok(Ciphertext {
-            c0: c0g,
-            c1: u1,
-            scale: ct.scale,
-            level: ct.level,
-            slots: ct.slots,
+            c0: u0.automorphism_ntt(g),
+            c1: u1.automorphism_ntt(g),
+            ..*h.ct
         })
     }
+}
+
+/// The key-switch digits of one polynomial (see `Evaluator::decompose`):
+/// the polynomial in coefficient form and the key-switch basis `ext`,
+/// plus, for a fan, every digit's lift in NTT form, limb-major
+/// (`lifted[(i·(ℓ+1) + j)·N..]` is digit `j` over limb `ext[i]`; a
+/// digit's own limb is left unwritten).
+struct Digits {
+    ext: Vec<usize>,
+    coeff: RnsPoly,
+    lifted: Option<Vec<u64>>,
+}
+
+impl Digits {
+    /// Writes digit `j` over limb `ext[i]` into `dst`: `[d]_{q_j}` read
+    /// in `(−q_j/2, q_j/2)`, lifted into that limb's modulus, then
+    /// forward-transformed. Leaves `dst` alone for the digit's own limb
+    /// (limb `j` of `d` as given).
+    fn lift(&self, i: usize, j: usize, dst: &mut [u64]) {
+        let idx = self.ext[i];
+        if idx == j {
+            return;
+        }
+        let (pctx, backend) = (self.coeff.ctx(), kernel::active_backend());
+        let q_j = pctx.moduli()[j].value();
+        kernel::centered_lift_with(backend, &pctx.moduli()[idx], dst, self.coeff.limb(j), q_j);
+        kernel::ntt_forward_with(backend, pctx.ntt_table(idx), dst);
+    }
+}
+
+/// A ciphertext whose `c₁` has been decomposed once ([`Evaluator::hoist`])
+/// for a fan of rotations and conjugations of it. It borrows the
+/// ciphertext, so its digits are only ever paired with the `c₁` they
+/// came from.
+pub struct Hoisted<'a> {
+    ct: &'a Ciphertext,
+    digits: Digits,
 }
 
 #[cfg(test)]
@@ -1079,6 +1207,67 @@ mod tests {
         assert!(f.ev.try_rescale(&ca).is_ok());
         assert!(f.ev.try_mod_switch_to_level(&ca, 0).is_ok());
         assert!(f.ev.try_rotate(&ca, 0, &GaloisKeys::default()).is_ok());
+    }
+
+    /// Every rotation of a fan, and a conjugation, through one
+    /// `Hoisted` is limb-identical to rotating the ciphertext directly,
+    /// at every level.
+    #[test]
+    fn hoisted_fan_is_limb_identical_to_direct_rotation() {
+        let mut f = fixture(3, 27);
+        let steps = [1i64, 2, 5, -3, 0];
+        let gk = KeyGenerator::new(Arc::clone(&f.ctx), 28).gen_galois_keys(&f.sk, &steps, true);
+        let vals: Vec<f64> = (0..f.ctx.slots()).map(|i| (i as f64 * 0.1).cos()).collect();
+        let top = f.ev.encrypt_real(&vals, &f.pk, &mut f.sampler);
+        let same = |a: &Ciphertext, b: &Ciphertext| {
+            a.c0.limbs_flat() == b.c0.limbs_flat() && a.c1.limbs_flat() == b.c1.limbs_flat()
+        };
+        for level in 1..=top.level {
+            let ct = f.ev.mod_switch_to_level(&top, level);
+            let h = f.ev.hoist(&ct).unwrap();
+            for r in steps {
+                let got = f.ev.try_rotate_hoisted(&h, r, &gk).unwrap();
+                assert!(
+                    same(&got, &f.ev.rotate(&ct, r, &gk)),
+                    "step {r} at level {level}"
+                );
+            }
+            let got = f.ev.try_conjugate_hoisted(&h, &gk).unwrap();
+            assert!(
+                same(&got, &f.ev.conjugate(&ct, &gk)),
+                "conjugate at level {level}"
+            );
+        }
+    }
+
+    /// A ciphertext key switching would misread is refused typed by
+    /// every rotation entry point, never asserted on.
+    #[test]
+    fn rotations_refuse_malformed_ciphertexts_typed() {
+        let mut f = fixture(2, 29);
+        let gk = KeyGenerator::new(Arc::clone(&f.ctx), 30).gen_galois_keys(&f.sk, &[1], true);
+        let ct = f.ev.encrypt_real(&[0.5; 8], &f.pk, &mut f.sampler);
+        let mut no_slots = ct.clone();
+        no_slots.slots = 0;
+        let mut coeff = ct.clone();
+        coeff.c1.ntt_inverse();
+        let mut beyond = ct.clone();
+        beyond.level = f.ctx.poly_ctx().chain_len();
+        let mut special = f.ev.mod_switch_to_level(&ct, 1);
+        let limbs = vec![0, f.ctx.poly_ctx().chain_len()];
+        special.c0 = RnsPoly::zero(Arc::clone(f.ctx.poly_ctx()), limbs, Form::Ntt);
+        for (what, bad) in [
+            ("no slots", no_slots),
+            ("a half in coefficient form", coeff),
+            ("level beyond the modulus chain", beyond),
+            ("limbs other than 0..=level", special),
+        ] {
+            let want = Err(HeError::MalformedCiphertext(what));
+            assert_eq!(f.ev.try_rotate(&bad, 1, &gk).map(|_| ()), want);
+            assert_eq!(f.ev.try_rotate(&bad, 0, &gk).map(|_| ()), want);
+            assert_eq!(f.ev.try_conjugate(&bad, &gk).map(|_| ()), want);
+            assert_eq!(f.ev.hoist(&bad).map(|_| ()), want);
+        }
     }
 
     #[test]

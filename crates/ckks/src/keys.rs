@@ -3,11 +3,13 @@
 //!
 //! Key switching follows the GHS/hybrid approach with limb-digit
 //! decomposition: for each chain prime `q_j`, digit `j` of a key-switching
-//! key encrypts `P · δ_j · w` where `w` is the source key (`s²` for
-//! relinearization, `σ(s)` for rotations), `P` is the product of the
-//! special primes, and `δ_j` is the CRT indicator (`≡ 1 mod q_j`, `≡ 0`
-//! mod every other prime including the special ones). This makes one key
-//! set valid at *every* level — at level ℓ only digits `0..=ℓ` are used.
+//! key encrypts `P · δ_j · w` under a secret `t`, where `w` is the payload
+//! (`s²` under `s` for relinearization; `s` under `σ_g⁻¹(s)` for the
+//! Galois element `g`, so a rotation switches before it permutes), `P` is
+//! the product of the special primes, and `δ_j` is the CRT indicator
+//! (`≡ 1 mod q_j`, `≡ 0` mod every other prime including the special
+//! ones). This makes one key set valid at *every* level — at level ℓ only
+//! digits `0..=ℓ` are used.
 //!
 //! A BV-style variant without the special modulus is included for the
 //! noise/latency ablation benchmarks.
@@ -19,7 +21,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Secret key: `s ← χ_key = HW(h)`, stored both as signed coefficients
-/// (needed to form `σ(s)` for Galois keys) and in NTT form over every
+/// (needed to form `σ_g⁻¹(s)` for Galois keys) and in NTT form over every
 /// modulus.
 ///
 /// **Note:** a production deployment would zeroize `coeffs` on drop and
@@ -79,8 +81,8 @@ pub enum KsVariant {
     Bv,
 }
 
-/// A key-switching key from some source key `w` to the secret `s`:
-/// one RLWE pair per chain-prime digit.
+/// A key-switching key: one RLWE pair per chain-prime digit, each
+/// encrypting a digit of its payload `w` under its secret `t`.
 #[derive(Debug, Clone)]
 pub struct KeySwitchKey {
     /// `digits[j] = (b_j, a_j)`.
@@ -104,7 +106,9 @@ impl KeySwitchKey {
 #[derive(Debug, Clone)]
 pub struct RelinKey(pub KeySwitchKey);
 
-/// Galois keys: one key switch per Galois element `g`, from `σ_g(s)` to `s`.
+/// Galois keys: one key switch per Galois element `g`, carrying payload `s`
+/// under the secret `σ_g⁻¹(s)` (the form a hoisted rotation switches in
+/// before it applies `σ_g`).
 #[derive(Debug, Clone, Default)]
 pub struct GaloisKeys {
     pub(crate) keys: HashMap<usize, KeySwitchKey>,
@@ -219,15 +223,15 @@ impl KeyGenerator {
         PublicKey { b, a }
     }
 
-    /// Generic key-switching key from source key `w` (NTT form over all
-    /// moduli) to `s`.
-    fn gen_ksk(&mut self, w: &RnsPoly, sk: &SecretKey, variant: KsVariant) -> KeySwitchKey {
+    /// Generic key-switching key with payload `w` under the secret `t`
+    /// (both NTT form over all moduli).
+    fn gen_ksk(&mut self, w: &RnsPoly, t: &RnsPoly, variant: KsVariant) -> KeySwitchKey {
         let chain_len = self.ctx.poly_ctx().chain_len();
         let indices = match variant {
             KsVariant::Ghs => self.all_indices(),
             KsVariant::Bv => self.chain_indices(),
         };
-        let s = sk.s_ntt.restrict(&indices);
+        let s = t.restrict(&indices);
         let w_r = w.restrict(&indices);
         let mut digits = Vec::with_capacity(chain_len);
         for j in 0..chain_len {
@@ -271,11 +275,11 @@ impl KeyGenerator {
         let mut s2 = sk.s_ntt.clone();
         let s2_clone = sk.s_ntt.clone();
         s2.mul_assign(&s2_clone);
-        RelinKey(self.gen_ksk(&s2, sk, variant))
+        RelinKey(self.gen_ksk(&s2, &sk.s_ntt, variant))
     }
 
     /// Galois keys for the given rotation steps (and optionally
-    /// conjugation), switching `σ_g(s)` to `s`.
+    /// conjugation): payload `s` under the secret `σ_g⁻¹(s)`.
     pub fn gen_galois_keys(
         &mut self,
         sk: &SecretKey,
@@ -292,17 +296,20 @@ impl KeyGenerator {
         elements.sort_unstable();
         elements.dedup();
 
+        let two_n = 2 * self.ctx.n();
         let mut keys = HashMap::new();
         for g in elements {
-            // σ_g(s) from signed coefficients, over all moduli, NTT form.
+            // σ_g⁻¹(s) from signed coefficients, over all moduli, NTT
+            // form; (Z/2N)^* has exponent N/2, so g⁻¹ = g^(N/2 − 1)
+            let g_inv = (1..self.ctx.n() / 2).fold(1, |a, _| a * g % two_n);
             let s_poly = RnsPoly::from_signed(
                 Arc::clone(self.ctx.poly_ctx()),
                 self.all_indices(),
                 &sk.coeffs,
             );
-            let mut sg = s_poly.automorphism(g);
-            sg.ntt_forward();
-            keys.insert(g, self.gen_ksk(&sg, sk, KsVariant::Ghs));
+            let mut t = s_poly.automorphism(g_inv);
+            t.ntt_forward();
+            keys.insert(g, self.gen_ksk(&sk.s_ntt, &t, KsVariant::Ghs));
         }
         GaloisKeys { keys }
     }

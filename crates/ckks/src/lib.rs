@@ -34,7 +34,7 @@ pub use ciphertext::Ciphertext;
 pub use ckks_math::kernel;
 pub use encoding::{decode, decode_real, encode, encode_constant, encode_real, Plaintext};
 pub use error::HeError;
-pub use eval::{scales_match, Evaluator, PreparedScalar, SCALE_RTOL};
+pub use eval::{scales_match, Evaluator, Hoisted, PreparedScalar, SCALE_RTOL};
 pub use keys::{GaloisKeys, KeyGenerator, KeySwitchKey, KsVariant, PublicKey, RelinKey, SecretKey};
 pub use layout::{encode_batched, PackLayout, ShardPlan};
 pub use paramfile::parse_params;

@@ -6,7 +6,9 @@
 //! serialize their limb set and residues verbatim; deserialization
 //! validates shapes and residue ranges against the receiving context, so
 //! a corrupted or mismatched blob fails loudly rather than decrypting to
-//! garbage.
+//! garbage. Galois-key blobs are at version 2: their keys carry payload
+//! `s` under `σ_g⁻¹(s)`, and a version-1 blob (payload `σ_g(s)` under `s`)
+//! would rotate to garbage, so it is refused.
 
 use crate::ciphertext::Ciphertext;
 use crate::encoding::Plaintext;
@@ -114,14 +116,19 @@ fn get_poly(buf: &mut Bytes, ctx: &Arc<CkksContext>) -> Result<RnsPoly, SerError
     ))
 }
 
+/// Galois keys (σ⁻¹ form, see the module docs) are one version ahead.
+fn version_of(magic: u32) -> u16 {
+    VERSION + u16::from(magic == MAGIC_GK)
+}
+
 fn put_header(out: &mut BytesMut, magic: u32) {
     out.put_u32_le(magic);
-    out.put_u16_le(VERSION);
+    out.put_u16_le(version_of(magic));
 }
 
 fn check_header(buf: &mut Bytes, magic: u32) -> Result<(), SerError> {
     need(buf, 6)?;
-    if buf.get_u32_le() != magic || buf.get_u16_le() != VERSION {
+    if buf.get_u32_le() != magic || buf.get_u16_le() != version_of(magic) {
         return Err(SerError::BadHeader);
     }
     Ok(())
@@ -153,18 +160,16 @@ pub fn deserialize_ciphertext(data: &[u8], ctx: &Arc<CkksContext>) -> Result<Cip
     if !scale.is_finite() || scale <= 0.0 {
         return Err(SerError::Malformed("bad scale"));
     }
-    let c0 = get_poly(&mut buf, ctx)?;
-    let c1 = get_poly(&mut buf, ctx)?;
-    if c0.num_limbs() != level + 1 || c1.num_limbs() != level + 1 {
-        return Err(SerError::Malformed("limb count does not match level"));
-    }
-    Ok(Ciphertext {
-        c0,
-        c1,
+    let ct = Ciphertext {
+        c0: get_poly(&mut buf, ctx)?,
+        c1: get_poly(&mut buf, ctx)?,
         scale,
         level,
         slots,
-    })
+    };
+    ct.check_shape(ctx.poly_ctx().chain_len())
+        .map_err(SerError::Malformed)?;
+    Ok(ct)
 }
 
 /// Serializes a plaintext.
@@ -236,10 +241,21 @@ fn get_ksk(buf: &mut Bytes, ctx: &Arc<CkksContext>) -> Result<KeySwitchKey, SerE
     if k != ctx.poly_ctx().chain_len() {
         return Err(SerError::Malformed("digit count mismatch"));
     }
+    // the basis key generation draws each digit over
+    let basis = match variant {
+        KsVariant::Ghs => ctx.poly_ctx().moduli().len(),
+        KsVariant::Bv => k,
+    };
     let mut digits = Vec::with_capacity(k);
     for _ in 0..k {
-        let b = get_poly(buf, ctx)?;
-        let a = get_poly(buf, ctx)?;
+        let (b, a) = (get_poly(buf, ctx)?, get_poly(buf, ctx)?);
+        for p in [&b, &a] {
+            if p.form() != Form::Ntt || !p.limb_indices().iter().copied().eq(0..basis) {
+                return Err(SerError::Malformed(
+                    "key digit not in NTT form over its basis",
+                ));
+            }
+        }
         digits.push((b, a));
     }
     Ok(KeySwitchKey::from_parts(digits, variant))
@@ -389,6 +405,84 @@ mod tests {
         let rot = ev.rotate(&ct, 2, &gk2);
         let dec = ev.decrypt_to_real(&rot, &sk);
         assert!((dec[0] - vals[2]).abs() < 1e-3);
+    }
+
+    /// Deserialized Galois keys rotate limb-identically to the keys
+    /// they were serialized from; a version-1 blob is refused.
+    #[test]
+    fn galois_keys_roundtrip_rotates_limb_identically() {
+        let (ctx, sk, pk, ev, mut s) = setup();
+        let gk = KeyGenerator::new(Arc::clone(&ctx), 97).gen_galois_keys(&sk, &[1, -3], true);
+        let blob = serialize_galois_keys(&gk);
+        let gk2 = deserialize_galois_keys(&blob, &ctx).unwrap();
+        let ct = ev.encrypt_real(&[0.5, -0.25, 0.125], &pk, &mut s);
+        for (a, b) in [
+            (ev.rotate(&ct, 1, &gk), ev.rotate(&ct, 1, &gk2)),
+            (ev.rotate(&ct, -3, &gk), ev.rotate(&ct, -3, &gk2)),
+            (ev.conjugate(&ct, &gk), ev.conjugate(&ct, &gk2)),
+        ] {
+            assert_eq!(a.c0.limbs_flat(), b.c0.limbs_flat());
+            assert_eq!(a.c1.limbs_flat(), b.c1.limbs_flat());
+        }
+        let mut v1 = blob.to_vec();
+        v1[4..6].copy_from_slice(&1u16.to_le_bytes());
+        assert_eq!(
+            deserialize_galois_keys(&v1, &ctx).unwrap_err(),
+            SerError::BadHeader
+        );
+    }
+
+    /// Serializes `ct` after `tamper` and deserializes it.
+    fn tampered(
+        tamper: impl FnOnce(&mut Ciphertext),
+    ) -> (Result<Ciphertext, SerError>, Ciphertext) {
+        let (ctx, _, pk, ev, mut s) = setup();
+        let mut ct = ev.encrypt_real(&[0.5, 0.25], &pk, &mut s);
+        tamper(&mut ct);
+        (deserialize_ciphertext(&serialize_ciphertext(&ct), &ctx), ct)
+    }
+
+    #[test]
+    fn ciphertext_without_slots_refused() {
+        let (got, _) = tampered(|ct| ct.slots = 0);
+        assert_eq!(got.unwrap_err(), SerError::Malformed("no slots"));
+    }
+
+    /// A coefficient-form half is refused on the wire, and the
+    /// evaluator refuses it typed instead of asserting in the
+    /// NTT-domain automorphism.
+    #[test]
+    fn coefficient_form_ciphertext_refused() {
+        let (ctx, sk, ..) = setup();
+        let (got, ct) = tampered(|ct| ct.c0.ntt_inverse());
+        let want = "a half in coefficient form";
+        assert_eq!(got.unwrap_err(), SerError::Malformed(want));
+        let gk = KeyGenerator::new(Arc::clone(&ctx), 96).gen_galois_keys(&sk, &[1], false);
+        let ev = Evaluator::new(Arc::clone(&ctx));
+        assert_eq!(
+            ev.try_rotate(&ct, 1, &gk).unwrap_err(),
+            crate::HeError::MalformedCiphertext(want)
+        );
+    }
+
+    /// Limb sets other than `0..=level` — a duplicate chain limb, or the
+    /// special limb — would pair key-switch digits with the wrong primes.
+    #[test]
+    fn ciphertext_with_foreign_limbs_refused() {
+        let (ctx, _, pk, ev, mut s) = setup();
+        let ct = ev.encrypt_real(&[0.5, 0.25], &pk, &mut s);
+        // header, scale, level, slots; then c0's form tag, limb count
+        // and limb indices, the last of them at `top`
+        let top = 6 + 8 + 2 + 4 + 1 + 2 + 2 * ct.level;
+        for foreign in [1u16, 3] {
+            let mut blob = serialize_ciphertext(&ct).to_vec();
+            blob[top..top + 2].copy_from_slice(&foreign.to_le_bytes());
+            assert_eq!(
+                deserialize_ciphertext(&blob, &ctx).unwrap_err(),
+                SerError::Malformed("limbs other than 0..=level"),
+                "limb {foreign} in place of the top limb"
+            );
+        }
     }
 
     #[test]

@@ -470,7 +470,8 @@ mod tests {
 
         let img: Vec<f32> = (0..64).map(|i| ((i * 7) % 13) as f32 / 13.0).collect();
         let (y, times) = infer_one(&packed, &ev, (&pk, &rk, &gk), &mut s, &img);
-        assert_eq!(times.len(), 3);
+        // babies, blocks and sum per linear layer, one SLAF region
+        assert_eq!(times.len(), 7);
         assert!(times[1].0.starts_with("shard 0: "), "{}", times[1].0);
         let out = ev.decrypt_to_real(&y, &sk);
         let want = packed.infer_plain(&img);

@@ -5,8 +5,8 @@
 //!
 //! Two lowering modes:
 //!
-//! * [`PackedLowering::Eager`] is the textbook circuit — shared baby
-//!   rotations hoisted up front, giant-step skipping of all-`None`
+//! * [`PackedLowering::Eager`] is the textbook circuit — every baby
+//!   rotation emitted once up front, giant-step skipping of all-`None`
 //!   diagonals, diagonal plaintexts at `q_m`, bias at the accumulated
 //!   scale, one rescale per linear layer, the scalar lowering's
 //!   exact-scale SLAF ladder (`graph::lower_slaf`) per
@@ -25,20 +25,29 @@
 //!   slot `i` holds row `i mod n_o` of the product. The replicas at
 //!   `i ≥ n_o` carry duplicate values, which the *next* layer's padded
 //!   matrix multiplies by its structurally-zero columns — the function
-//!   computed on the true output slots is unchanged. Baby rotations
-//!   are deliberately emitted per *use* (naively): the rotation-hoist
-//!   and CSE passes of [`he_ir::PassManager::optimizer`] merge them,
-//!   which is what makes this lowering an exercise of the optimizer
-//!   rather than a hand-scheduled circuit. This is what
-//!   [`crate::CnnHePipeline`] optimizes and runs.
+//!   computed on the true output slots is unchanged. Only the baby
+//!   rotations some diagonal uses are emitted. This is what
+//!   [`crate::CnnHePipeline`] runs after
+//!   [`he_ir::PassManager::optimizer`].
 //!
 //! The two modes are NOT bit-identical (rescale sinking changes
 //! rounding); they agree within the composed noise-model bound.
 //!
-//! Regions are named `packed layer i: matvec|fold|slaf`, so per-region
-//! walls attribute time to the linear map, its replication fold and
-//! the activation separately. One ciphertext flows through each region,
-//! so each is a single unit that `Prepared::run` executes on its caller.
+//! A linear layer is three regions, named `packed layer i: matvec
+//! babies|blocks|sum`, then `packed layer i: fold` for a squat layer;
+//! an activation is `packed layer i: slaf`. Per-region walls attribute
+//! time to each separately, and each region's units fan across the
+//! pool ([`he_ir::Prepared`]):
+//!
+//! * `babies`: one unit per baby rotation of the layer input. Two or
+//!   more rotations of a value from before the region share one
+//!   decomposition of it (`ckks::Evaluator::hoist`), so the input's
+//!   key-switch digits are computed once per layer.
+//! * `blocks`: one unit per non-empty giant block — its `mul_plain` /
+//!   `mac_plain` chain and its giant rotation.
+//! * `sum`: the block sum, then (unless a fold follows) bias and
+//!   rescale. The fold ladder and the SLAF are single units: each fold
+//!   step rotates the previous step's output.
 
 use crate::graph::{lower_slaf, EncodeCache};
 use crate::packed::{PackedLayer, PackedNetwork};
@@ -84,19 +93,19 @@ pub fn lower_packed(
         match layer {
             PackedLayer::Matrix { diags, bias, dim } => {
                 debug_assert_eq!(*dim, packed.dim);
-                b.begin_region(format!("packed layer {li}: matvec"));
                 let mut m = Matvec {
                     b: &mut b,
                     dim: packed.dim,
                     stride,
                     steps_used: &mut steps_used,
+                    li,
                 };
                 x = match mode {
                     PackedLowering::Eager => {
                         let acc = m.bsgs(x, diags, packed.baby(), true);
                         m.finish(bias.clone(), acc)
                     }
-                    PackedLowering::Compiled => m.squat(x, diags, bias, packed.baby(), li),
+                    PackedLowering::Compiled => m.squat(x, diags, bias, packed.baby()),
                 };
             }
             PackedLayer::Activation(coeffs) => {
@@ -113,12 +122,13 @@ pub fn lower_packed(
     b.finish(KeyInventory::with_galois(true, elements))
 }
 
-/// Builder state shared by the linear-layer lowerings.
+/// Builder state shared by the linear-layer lowerings of layer `li`.
 struct Matvec<'a> {
     b: &'a mut GraphBuilder,
     dim: usize,
     stride: usize,
     steps_used: &'a mut BTreeSet<i64>,
+    li: usize,
 }
 
 impl Matvec<'_> {
@@ -135,49 +145,54 @@ impl Matvec<'_> {
     /// BSGS diagonal matvec over `diags` with baby step `babies`:
     ///   `y = Σ_g rot_g( Σ_b rot_{-g}(diag_{g+b}) ⊙ rot_b(x) )`
     /// so each plaintext is its diagonal rotated right by `g`, at `q_m`.
-    /// A giant block's inner sum is one `mul_plain` then a chain of
-    /// `mac_plain`s, which the interpreter accumulates in place.
-    /// All-`None` giant blocks are skipped. `hoist` emits every baby
-    /// rotation once up front (the reference shape); otherwise a baby
-    /// is emitted at each use and left for the optimizer to share, so
-    /// unused babies never exist.
-    fn bsgs(
-        &mut self,
-        x: NodeId,
-        diags: &[Option<Vec<f64>>],
-        babies: usize,
-        hoist: bool,
-    ) -> NodeId {
-        let dim = self.dim;
+    /// Three regions: the baby rotations of `x` (`all` emits every one,
+    /// the reference shape; otherwise only those some diagonal uses),
+    /// each its own unit reading the one hoisted decomposition of `x`;
+    /// the giant blocks, each one `mul_plain` then a chain of
+    /// `mac_plain`s the interpreter accumulates in place, then its giant
+    /// rotation — one unit per block, so the blocks fan across the pool;
+    /// and the block sum, which the caller's bias and rescale join.
+    /// All-`None` giant blocks are skipped.
+    fn bsgs(&mut self, x: NodeId, diags: &[Option<Vec<f64>>], babies: usize, all: bool) -> NodeId {
+        let (dim, li) = (self.dim, self.li);
         let lvl = self.b.ct_ty(x).level;
         let q_m = self.b.q_at(lvl);
-        let hoisted: Option<Vec<NodeId>> =
-            hoist.then(|| (0..babies).map(|s| self.rotate(x, s)).collect());
-        let mut acc: Option<NodeId> = None;
-        for g in (0..diags.len()).step_by(babies) {
+        let blocks: Vec<&[Option<Vec<f64>>]> = diags.chunks(babies).collect();
+        let used = |bb: usize| {
+            all || blocks
+                .iter()
+                .any(|blk| blk.get(bb).is_some_and(Option::is_some))
+        };
+        self.b
+            .begin_region(format!("packed layer {li}: matvec babies"));
+        let baby: Vec<NodeId> = (0..babies)
+            .map(|bb| if used(bb) { self.rotate(x, bb) } else { x })
+            .collect();
+
+        self.b
+            .begin_region(format!("packed layer {li}: matvec blocks"));
+        let mut sums = Vec::new();
+        for (blk, g) in blocks.iter().zip((0..).step_by(babies)) {
             let mut inner: Option<NodeId> = None;
-            for (bb, diag) in diags[g..].iter().take(babies).enumerate() {
+            for (bb, diag) in blk.iter().enumerate() {
                 let Some(diag) = diag else { continue };
-                let baby = match &hoisted {
-                    Some(h) => h[bb],
-                    None => self.rotate(x, bb),
-                };
                 let rot: Vec<f64> = (0..dim).map(|j| diag[(j + dim - g % dim) % dim]).collect();
                 let pt = self.b.encode_vec(rot, q_m, lvl);
                 inner = Some(match inner {
-                    None => self.b.mul_plain(baby, pt),
-                    Some(a) => self.b.mac_plain(a, baby, pt),
+                    None => self.b.mul_plain(baby[bb], pt),
+                    Some(a) => self.b.mac_plain(a, baby[bb], pt),
                 });
             }
             if let Some(inner) = inner {
-                let rotated = self.rotate(inner, g);
-                acc = Some(match acc {
-                    None => rotated,
-                    Some(a) => self.b.add(a, rotated),
-                });
+                sums.push(self.rotate(inner, g));
             }
         }
-        acc.expect("zero matrix layer")
+
+        self.b
+            .begin_region(format!("packed layer {li}: matvec sum"));
+        let mut sums = sums.into_iter();
+        let first = sums.next().expect("zero matrix layer");
+        sums.fold(first, |acc, s| self.b.add(acc, s))
     }
 
     /// Squat-matrix fold lowering: BSGS over the `n_o` wrapped
@@ -191,7 +206,6 @@ impl Matvec<'_> {
         diags: &[Option<Vec<f64>>],
         bias: &[f64],
         full_babies: usize,
-        li: usize,
     ) -> NodeId {
         let dim = self.dim;
         // used output rows: any row with a nonzero weight or bias
@@ -228,7 +242,8 @@ impl Matvec<'_> {
 
         // fold: slot i accumulates the partial sums of every congruent
         // position, so it ends holding row (i mod n_o) of the product
-        self.b.begin_region(format!("packed layer {li}: fold"));
+        self.b
+            .begin_region(format!("packed layer {}: fold", self.li));
         let mut t = n_o;
         while t < dim {
             let r = self.rotate(acc, t);
@@ -475,6 +490,50 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// CNN1's first layer after optimization: the babies region runs one
+    /// unit per baby rotation some diagonal uses, and the blocks region
+    /// one unit per non-empty giant block, so both fan across the pool.
+    #[test]
+    fn cnn1_layer0_fans_one_unit_per_used_baby_and_per_block() {
+        use neural::models::{cnn1, ActKind};
+        let net = HeNetwork::from_trained(&cnn1(ActKind::slaf3(), 7), 28);
+        let packed = PackedNetwork::from_network(&net);
+        let PackedLayer::Matrix { diags, .. } = &packed.layers[0] else {
+            panic!("CNN1 starts with its conv matrix");
+        };
+        let baby = packed.baby();
+        let blocks: Vec<_> = diags.chunks(baby).collect();
+        let used = (1..baby)
+            .filter(|&bb| {
+                blocks
+                    .iter()
+                    .any(|b| b.get(bb).is_some_and(Option::is_some))
+            })
+            .count();
+        let non_empty = blocks
+            .iter()
+            .filter(|b| b.iter().any(Option::is_some))
+            .count();
+        let params = CkksParams::toy(packed.required_levels());
+        let mut c = lower_packed(
+            &packed,
+            GraphBuilder::new(params),
+            1,
+            PackedLowering::Compiled,
+        );
+        PassManager::optimizer().optimize(&mut c).unwrap();
+        let units = |name: &str| {
+            let r = c.regions.iter().find(|r| r.name == name).unwrap();
+            c.units(r.nodes()).len()
+        };
+        assert_eq!(units("packed layer 0: matvec babies"), used);
+        assert_eq!(units("packed layer 0: matvec blocks"), non_empty);
+        assert!(
+            used > 1 && non_empty > 1,
+            "{used} babies, {non_empty} blocks"
+        );
     }
 
     /// Optimizing the compiled circuit twice is a fixpoint.

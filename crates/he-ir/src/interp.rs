@@ -16,15 +16,19 @@
 //! executes the regions in order, each region's units across the rayon
 //! pool, joined before the next region starts; units read only values
 //! computed before their region, so outputs are bit-identical at any
-//! pool width. [`Interpreter::run`] is prepare-then-execute over the
+//! pool width. A value from before a region (or bound as an input) that
+//! two or more of its rotations/conjugations read is decomposed once
+//! before the units start ([`Evaluator::hoist`]) and its digits are
+//! shared by the units; a hoisted rotation is limb-identical to a
+//! direct one. [`Interpreter::run`] is prepare-then-execute over the
 //! same routine; nothing is cached between calls.
 
 use crate::circuit::{Circuit, NodeId, Op};
 use crate::passes::liveness;
-use ckks::{Ciphertext, Evaluator, GaloisKeys, Plaintext, PreparedScalar, RelinKey};
+use ckks::{Ciphertext, Evaluator, GaloisKeys, Hoisted, Plaintext, PreparedScalar, RelinKey};
 use he_trace::{cats, span_fn, OpSnapshot};
 use rayon::prelude::*;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::ops::Range;
 use std::time::{Duration, Instant};
 
@@ -142,6 +146,11 @@ struct Span {
     nodes: Range<NodeId>,
     region: Option<usize>,
     units: Vec<Vec<NodeId>>,
+    /// Values available before the span's units start (computed earlier
+    /// or bound as inputs) that two or more of its `Rotate`/`Conjugate`
+    /// nodes read: each is decomposed once ([`Evaluator::hoist`]) and
+    /// its digits shared by every unit.
+    hoist: Vec<NodeId>,
 }
 
 /// A circuit made ready to execute many times: validated once, its
@@ -250,10 +259,21 @@ impl Prepared {
                 for (i, &id) in units.iter().flat_map(|u| u.iter().enumerate()) {
                     slot[id] = i;
                 }
+                let mut reads: BTreeMap<NodeId, usize> = BTreeMap::new();
+                for id in nodes.clone() {
+                    if let Op::Rotate { src, .. } | Op::Conjugate { src } = circuit.nodes[id].op {
+                        let before = !nodes.contains(&src);
+                        if before || matches!(circuit.nodes[src].op, Op::Input { .. }) {
+                            *reads.entry(src).or_default() += 1;
+                        }
+                    }
+                }
+                let hoist = reads.into_iter().filter(|&(_, k)| k >= 2);
                 Span {
                     nodes,
                     region,
                     units,
+                    hoist: hoist.map(|(src, _)| src).collect(),
                 }
             })
             .collect();
@@ -332,6 +352,16 @@ impl Prepared {
                 }
             }
             let shared: &[Option<Value>] = &values;
+            // without keys a rotation either is the identity or fails
+            let hoisted = interp
+                .gk
+                .map_or(&[][..], |_| &span.hoist)
+                .iter()
+                .map(|&a| {
+                    let ct = shared[a].as_ref().ok_or("hoisted value is missing")?.ct()?;
+                    Ok((a, interp.ev.hoist(ct).map_err(|e| e.to_string())?))
+                })
+                .collect::<Result<Vec<_>, String>>()?;
             let many = span.region.filter(|_| span.units.len() > 1);
             let units: Vec<_> = span
                 .units
@@ -340,10 +370,11 @@ impl Prepared {
                 .map(|(u, nodes)| {
                     let _unit = many.map(|r| span_fn(cats::UNIT, || format!("{}#{u}", name(r))));
                     let t = Instant::now();
-                    let local = self.run_unit(interp, nodes, &span.nodes, shared, free);
+                    let local = self.run_unit(interp, nodes, &span.nodes, shared, &hoisted, free);
                     local.map(|local| (local, t.elapsed()))
                 })
                 .collect();
+            drop(hoisted);
             let mut unit_walls = Vec::with_capacity(units.len());
             for (nodes, unit) in span.units.iter().zip(units) {
                 let (local, wall) = unit?;
@@ -384,6 +415,7 @@ impl Prepared {
         nodes: &[NodeId],
         span: &Range<NodeId>,
         shared: &[Option<Value>],
+        hoisted: &[(NodeId, Hoisted<'_>)],
         free: bool,
     ) -> Result<Vec<Option<Value>>, String> {
         let local_slot =
@@ -410,7 +442,7 @@ impl Prepared {
                 }
                 .ok_or_else(|| format!("node {a} used after being freed"))
             };
-            local[i] = Some(self.exec(interp, id, get, owned)?);
+            local[i] = Some(self.exec(interp, id, get, hoisted, owned)?);
             for a in self.circuit.nodes[id].op.args() {
                 match local_slot(a) {
                     Some(s) if last(a) => local[s] = None,
@@ -443,12 +475,14 @@ impl Prepared {
     }
 
     /// Computes node `id` from the operands `get` reads; `owned` is the
-    /// accumulator it updates in place.
+    /// accumulator it updates in place, and a rotation of a `hoisted`
+    /// value reuses its digits.
     fn exec<'v>(
         &'v self,
         interp: &Interpreter,
         id: NodeId,
         get: impl Fn(NodeId) -> Result<&'v Value, String>,
+        hoisted: &[(NodeId, Hoisted<'_>)],
         owned: Option<Ciphertext>,
     ) -> Result<Value, String> {
         let ev = interp.ev;
@@ -456,6 +490,7 @@ impl Prepared {
         let acc = |arg: NodeId| -> Result<Ciphertext, String> {
             owned.map_or_else(|| ct(arg).cloned(), Ok)
         };
+        let hoisted_of = |a: NodeId| hoisted.iter().find(|(h, _)| *h == a).map(|(_, h)| h);
         let node = &self.circuit.nodes[id];
         let failed = |e: ckks::HeError| format!("node {id} ({}): {e}", node.op.mnemonic());
         // the evaluator's ct–ct preconditions: one level, and for a sum
@@ -553,16 +588,22 @@ impl Prepared {
             ),
             Op::Rotate { src, steps } => {
                 let x = ct(*src)?;
-                match interp.gk {
-                    Some(gk) => Value::Ct(ev.try_rotate(x, *steps, gk).map_err(|e| e.to_string())?),
+                let rotated = match (interp.gk, hoisted_of(*src)) {
+                    (Some(gk), Some(h)) => ev.try_rotate_hoisted(h, *steps, gk),
+                    (Some(gk), None) => ev.try_rotate(x, *steps, gk),
                     // identity rotations touch no key in the eager engine
-                    None if steps.rem_euclid(x.slots as i64) == 0 => Value::Ct(x.clone()),
-                    None => return Err("rotation but no galois keys bound".into()),
-                }
+                    (None, _) if steps.rem_euclid(x.slots as i64) == 0 => Ok(x.clone()),
+                    (None, _) => return Err("rotation but no galois keys bound".into()),
+                };
+                Value::Ct(rotated.map_err(|e| e.to_string())?)
             }
             Op::Conjugate { src } => {
                 let gk = interp.gk.ok_or("conjugation but no galois keys bound")?;
-                Value::Ct(ev.try_conjugate(ct(*src)?, gk).map_err(|e| e.to_string())?)
+                let conjugated = match hoisted_of(*src) {
+                    Some(h) => ev.try_conjugate_hoisted(h, gk),
+                    None => ev.try_conjugate(ct(*src)?, gk),
+                };
+                Value::Ct(conjugated.map_err(|e| e.to_string())?)
             }
         };
         Ok(out)

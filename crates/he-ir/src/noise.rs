@@ -28,7 +28,8 @@ pub struct NoiseModel {
     pub sigma: f64,
     /// Secret-key Hamming weight `h`.
     pub hamming: f64,
-    /// Largest chain-prime value (bounds the keyswitch digit magnitude).
+    /// Largest chain-prime value; centred digits are bounded by half of
+    /// it.
     pub q_max: f64,
     /// Product of the special primes `P` (GHS hybrid divisor).
     pub p: f64,
@@ -77,8 +78,10 @@ impl NoiseModel {
 
     /// GHS hybrid keyswitch additive bound: the digit-error inner
     /// product shrunk by `P`, plus the mod-down rounding (≈ `B_scale`).
+    /// Digits are centred lifts, so each is bounded by `q_max/2`.
     pub fn keyswitch_coeff(&self) -> f64 {
-        let digit_term = self.n * self.sigma * self.q_max * self.chain_len.sqrt() / self.p;
+        let digit = self.q_max / 2.0;
+        let digit_term = self.n * self.sigma * digit * self.chain_len.sqrt() / self.p;
         digit_term + self.rescale_round_coeff()
     }
 

@@ -100,7 +100,7 @@ fn ntt_parity_large_ring() {
 }
 
 /// Pointwise kernels: dyadic (Barrett) products, fused Shoup MAC,
-/// scalar Shoup multiply, Barrett slice reduce, and the two halves of
+/// scalar Shoup multiply, and the two halves of
 /// dropping a limb (centred lift, subtract-and-multiply). Odd lengths
 /// exercise the vector tail handling.
 #[test]
@@ -114,7 +114,6 @@ fn pointwise_parity_across_moduli() {
             let a = rand_residues(&mut rng, len, p);
             let b = rand_residues(&mut rng, len, p);
             let acc = rand_residues(&mut rng, len, p);
-            let wide = rand_residues(&mut rng, len, u64::MAX); // reduce input
             let lift_src = rand_residues(&mut rng, len, q);
             let r = rng.gen_range(1..p);
             let rs = m.shoup(r);
@@ -130,8 +129,6 @@ fn pointwise_parity_across_moduli() {
             kernel::fused_mac_shoup_with(scalar, &m, &mut mac, &a, r, rs);
             let mut scl = a.clone();
             kernel::mul_scalar_shoup_with(scalar, &m, &mut scl, r, rs);
-            let mut red = vec![0u64; len];
-            kernel::barrett_reduce_slice_with(scalar, &m, &mut red, &wide);
             let mut lift = vec![0u64; len];
             kernel::centered_lift_with(scalar, &m, &mut lift, &lift_src, q);
             let mut sub_mul = acc.clone();
@@ -154,9 +151,6 @@ fn pointwise_parity_across_moduli() {
                 let mut got = a.clone();
                 kernel::mul_scalar_shoup_with(be, &m, &mut got, r, rs);
                 assert_eq!(got, scl, "mul_scalar_shoup {ctx}");
-                let mut got = vec![0u64; len];
-                kernel::barrett_reduce_slice_with(be, &m, &mut got, &wide);
-                assert_eq!(got, red, "barrett_reduce_slice {ctx}");
                 let mut got = vec![0u64; len];
                 kernel::centered_lift_with(be, &m, &mut got, &lift_src, q);
                 assert_eq!(got, lift, "centered_lift {ctx}");
@@ -368,9 +362,20 @@ fn ntt_domain_galois_matches_on_the_cnn1_rotation_set() {
 /// The coefficient-domain evaluator the NTT-domain one replaced: σ_g
 /// between an inverse and a forward NTT, a forward NTT of every digit
 /// limb, and rescale / mod-down that round-trip the whole polynomial.
-/// Kept as the reference the fast path must match limb for limb.
+/// Digits are centred, and a rotation switches `c₁` before it applies
+/// σ_g (the Galois keys carry `s` under `σ_g⁻¹(s)`). Kept as the
+/// reference the fast path must match limb for limb.
 mod coeff_reference {
     use super::*;
+
+    /// The centred lift of `r`, a residue mod `q`, into `m`.
+    fn centred(m: &Modulus, r: u64, q: u64) -> u64 {
+        if r > q / 2 {
+            m.neg(m.reduce(q - r))
+        } else {
+            m.reduce(r)
+        }
+    }
 
     /// `(a − [a]_q)·q⁻¹` per remaining limb, `q` the last limb's modulus.
     fn divide_by_last_limb(mut p: RnsPoly, q_inv: &[u64]) -> RnsPoly {
@@ -381,12 +386,7 @@ mod coeff_reference {
         for li in 0..k {
             let m = *p.limb_modulus(li);
             for (dv, &r) in p.limb_mut(li).iter_mut().zip(&last) {
-                let lifted = if r > q / 2 {
-                    m.neg(m.reduce(q - r))
-                } else {
-                    m.reduce(r)
-                };
-                *dv = m.mul(m.sub(*dv, lifted), q_inv[li]);
+                *dv = m.mul(m.sub(*dv, centred(&m, r, q)), q_inv[li]);
             }
         }
         p.drop_last_limb();
@@ -408,12 +408,11 @@ mod coeff_reference {
         let mut acc1 = acc0.clone();
         for j in 0..=level {
             let mut t = RnsPoly::zero(Arc::clone(ctx.poly_ctx()), ext.clone(), Form::Coeff);
+            let q_j = ctx.poly_ctx().moduli()[j].value();
             for (li, &idx) in ext.iter().enumerate() {
                 let m = ctx.poly_ctx().moduli()[idx];
-                if idx == j {
-                    t.limb_mut(li).copy_from_slice(d_coeff.limb(j));
-                } else {
-                    kernel::barrett_reduce_slice(&m, t.limb_mut(li), d_coeff.limb(j));
+                for (dv, &r) in t.limb_mut(li).iter_mut().zip(d_coeff.limb(j)) {
+                    *dv = centred(&m, r, q_j);
                 }
             }
             t.ntt_forward();
@@ -456,12 +455,11 @@ mod coeff_reference {
             s.ntt_forward();
             s
         };
-        let mut c0 = sigma(&ct.c0);
-        let (u0, u1) = key_switch(ctx, &sigma(&ct.c1), gk.get(g).expect("key for g"));
-        c0.add_assign(&u0);
+        let (mut u0, u1) = key_switch(ctx, &ct.c1, gk.get(g).expect("key for g"));
+        u0.add_assign(&ct.c0);
         Ciphertext {
-            c0,
-            c1: u1,
+            c0: sigma(&u0),
+            c1: sigma(&u1),
             ..ct.clone()
         }
     }
@@ -621,5 +619,70 @@ fn one_rotation_and_one_rescale_record_exact_transform_counts() {
             "rescale at level {level}"
         );
         assert_eq!(d.modmul_limbs, 0);
+    }
+}
+
+/// A circuit region that rotates one value from outside it `k` times
+/// decomposes that value once: at level ℓ it records `(ℓ+1)² + 2k(ℓ+1)`
+/// forward and `(ℓ+1) + 2k` inverse NTTs — the digits once, a mod-down
+/// per key switch — where `k` separate rotations take `k(ℓ+1)(ℓ+3)` and
+/// `k(ℓ+3)`. Each rotation is its own unit, so the units read the shared
+/// digits from across the pool; the outputs are limb-identical to eager
+/// rotations at pool width 1 and at the default width.
+#[test]
+fn a_region_fanning_out_rotations_of_one_value_decomposes_it_once() {
+    use he_ir::{GraphBuilder, Interpreter, KeyInventory, Layout, Prepared};
+    use std::collections::HashMap;
+
+    let _guard = serial();
+    kernel::set_backend_auto();
+    let f = ks_fixture();
+    let conj = f.ctx.galois_element_conjugate();
+    for level in [7, 3] {
+        let x_ct = f.ev.mod_switch_to_level(&f.a, level);
+        let mut b = GraphBuilder::for_context(&f.ctx);
+        let x = b.input("x", level, Layout::Tiled);
+        b.begin_region("fan");
+        let outs = [b.rotate(x, STEPS[0]), b.rotate(x, STEPS[1]), b.conjugate(x)];
+        for o in outs {
+            b.output(o);
+        }
+        let mut elements: Vec<usize> = STEPS
+            .iter()
+            .map(|&r| f.ctx.galois_element_for_rotation(r))
+            .collect();
+        elements.push(conj);
+        let circuit = b.finish(KeyInventory::with_galois(true, elements));
+        let prepared = Prepared::new(&f.ev, circuit).expect("prepares");
+        let interp = Interpreter::new(&f.ev).with_galois(&f.gk);
+        let inputs = HashMap::from([("x".to_string(), x_ct.clone())]);
+        let one = rayon::ThreadPoolBuilder::new()
+            .num_threads(1)
+            .build()
+            .expect("a width cap");
+        let narrow = one
+            .install(|| prepared.run(&interp, inputs.clone()))
+            .expect("runs");
+        let wide = prepared.run(&interp, inputs).expect("runs");
+
+        let want = [
+            f.ev.rotate(&x_ct, STEPS[0], &f.gk),
+            f.ev.rotate(&x_ct, STEPS[1], &f.gk),
+            f.ev.conjugate(&x_ct, &f.gk),
+        ];
+        let (l, k) = (level as u64 + 1, want.len() as u64);
+        for run in [&narrow, &wide] {
+            for (got, want) in run.outputs.iter().zip(&want) {
+                assert_same_ct(&format!("fan at level {level}"), got, want);
+            }
+            assert_eq!(run.regions[0].unit_walls.len(), 3);
+            let ops = &run.regions[0].ops;
+            assert_eq!(
+                (ops.ntt_fwd, ops.ntt_inv),
+                (l * l + 2 * k * l, l + 2 * k),
+                "level {level}"
+            );
+            assert_eq!((ops.rotations, ops.keyswitches), (k, k));
+        }
     }
 }

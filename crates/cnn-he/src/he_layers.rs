@@ -211,7 +211,7 @@ mod tests {
         let img = image(6);
         let (scale, y, timing) = f.infer(&img, ExecMode::sequential());
         assert_eq!(y.shape(), &[2, 3, 3]);
-        assert_eq!(timing.layers[0].unit_times.len(), 18, "a unit per output");
+        assert_eq!(timing.layers[0].unit_walls.len(), 18, "a unit per output");
         assert_eq!(y.level(), 0);
         assert!((y.scale() / scale - 1.0).abs() < 1e-12, "scale drift");
         f.assert_matches_plain(&y, &img, 2e-3);
@@ -297,7 +297,7 @@ mod tests {
         let img: Vec<f32> = (0..9).map(|i| 0.1 + 0.08 * i as f32).collect();
         let (scale, y, timing) = f.infer(&img, ExecMode::sequential());
         assert_eq!(y.shape(), &[1, 3, 3]);
-        assert_eq!(timing.layers[0].unit_times.len(), 9);
+        assert_eq!(timing.layers[0].unit_walls.len(), 9);
         // bias-only outputs land on the same level/scale as the
         // MAC+rescale outputs, so the tensor stays homogeneous
         for ct in &y.cts {
@@ -322,7 +322,7 @@ mod tests {
         let (y_par, timing) =
             f.net
                 .infer_encrypted_with(&f.ev, &f.rk, x, ExecMode::unit_parallel(4));
-        assert_eq!(timing.layers[0].unit_times.len(), 18);
+        assert_eq!(timing.layers[0].unit_walls.len(), 18);
         assert_eq!(y_seq.cts.len(), y_par.cts.len());
         for (a, b) in y_seq.cts.iter().zip(&y_par.cts) {
             assert_eq!(a.level, b.level);

@@ -44,7 +44,7 @@ pub mod trace;
 // without depending on ckks-math directly
 pub use analyze::admission;
 pub use ckks_math::kernel;
-pub use exec::{ExecMode, InferenceTiming};
+pub use exec::{breakdown, spends, ExecMode, InferenceTiming};
 pub use graph::lower_network;
 pub use he_tensor::CtTensor;
 pub use metrics::LatencyStats;
@@ -52,4 +52,4 @@ pub use network::{HeLayerSpec, HeNetwork};
 pub use packed_graph::{lower_packed, PackedLowering, PACKED_INPUT};
 pub use pipeline::{Classification, CnnHePipeline, CompiledStats};
 pub use rns_input::{RnsInputCodec, SignalDecomposition};
-pub use trace::{InferenceTrace, LayerTrace};
+pub use trace::InferenceTrace;

@@ -17,7 +17,6 @@ use crate::exec::{ExecMode, InferenceTiming};
 use crate::graph::{input_name, lower_network};
 use crate::he_layers::{conv_rows, dense_rows, horner, ConvSpec, DenseSpec, LayerForm};
 use crate::he_tensor::CtTensor;
-use crate::trace::region_reports;
 use ckks::{Evaluator, RelinKey};
 use he_ir::{GraphBuilder, Interpreter, Prepared};
 use neural::layers::{BatchNorm, Conv2d, Dense, PolyActivation};
@@ -202,7 +201,7 @@ impl HeNetwork {
     }
 
     /// Runs this network's prepared lowering on `x` under `mode`'s width
-    /// cap: the logits tensor and one record per layer, named after it.
+    /// cap: the logits tensor and one record per layer.
     pub(crate) fn run_prepared(
         &self,
         prepared: &Prepared,
@@ -219,8 +218,8 @@ impl HeNetwork {
             cts: run.outputs,
             shape: self.output_shape(),
         };
-        let names = prepared.circuit().regions.iter().map(|r| r.name.clone());
-        Ok((y, region_reports(ev.ctx(), names.zip(run.regions))))
+        let layers = run.regions;
+        Ok((y, InferenceTiming { layers }))
     }
 
     /// Text rendering of the architecture (regenerates Figs. 3/4).

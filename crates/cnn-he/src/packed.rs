@@ -331,7 +331,6 @@ pub(crate) fn run_shards(
     interp: &he_ir::Interpreter,
     shards: Vec<Ciphertext>,
 ) -> Result<(Vec<Ciphertext>, crate::exec::InferenceTiming), String> {
-    let regions = &prepared.circuit().regions;
     let mut inputs: Vec<HashMap<String, Ciphertext>> = shards
         .into_iter()
         .map(|ct| HashMap::from([(PACKED_INPUT.to_string(), ct)]))
@@ -341,18 +340,16 @@ pub(crate) fn run_shards(
         .map(|inputs| prepared.run(interp, std::mem::take(inputs)))
         .collect();
     let mut outs = Vec::with_capacity(runs.len());
-    let mut records = Vec::with_capacity(runs.len() * regions.len());
+    let mut layers = Vec::new();
     for (s, run) in runs.into_iter().enumerate() {
         let mut run = run?;
         outs.push(run.outputs.remove(0));
-        records.extend(
-            regions
-                .iter()
-                .zip(run.regions)
-                .map(|(r, record)| (format!("shard {s}: {}", r.name), record)),
-        );
+        for mut record in run.regions {
+            record.name.insert_str(0, &format!("shard {s}: "));
+            layers.push(record);
+        }
     }
-    Ok((outs, crate::trace::region_reports(interp.ev.ctx(), records)))
+    Ok((outs, crate::exec::InferenceTiming { layers }))
 }
 
 /// The prepared reference circuit of a packed network at one layout.

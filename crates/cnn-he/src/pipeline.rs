@@ -556,10 +556,10 @@ impl CnnHePipeline {
     /// `classify` takes: the whole request is wrapped in an
     /// [`he_trace::TraceSession`] (spans + exact op-counter attribution —
     /// the session's global lock serializes concurrent traced runs), and
-    /// the same region records `classify` reports become one
-    /// [`crate::trace::LayerTrace`] per region (per shard × region on
-    /// the packed path), cross-checked against the prepared circuit that
-    /// ran. `trace.divergence` is empty iff the run followed the circuit.
+    /// the same region records `classify` reports — one
+    /// [`he_ir::RegionRun`] per region, per shard × region on the packed
+    /// path — are cross-checked against the prepared circuit that ran.
+    /// `trace.divergence` is empty iff the run followed the circuit.
     /// Refuses typed exactly where [`Self::try_classify`] does.
     pub fn traced_infer(
         &mut self,
@@ -976,7 +976,7 @@ mod tests {
             let divergence = crate::trace::ir_cross_check(&got.timing.layers, circuit);
             assert!(divergence.is_empty(), "{}", divergence.join("\n"));
             for l in &got.timing.layers {
-                assert!(!l.unit_times.is_empty(), "{} has no units", l.name);
+                assert!(!l.unit_walls.is_empty(), "{} has no units", l.name);
                 assert!(l.headroom_bits > 0.0, "{} spent all headroom", l.name);
             }
         }
@@ -1011,45 +1011,86 @@ mod tests {
         assert!(d2.contains("CRT reassemble"));
     }
 
-    #[test]
-    fn traced_infer_matches_static_plan() {
-        let net = mini_network(105);
-        let mut pipe = CnnHePipeline::new(net, 1 << 10, 105);
-        let img: Vec<f32> = (0..64).map(|i| ((i * 5) % 11) as f32 / 11.0).collect();
-        let (cls, trace) = pipe.traced_infer(&[&img]).unwrap();
-        // classification unaffected by tracing
-        let want = pipe.network.infer_plain(&img);
-        for (g, w) in cls.logits[0].iter().zip(&want) {
-            assert!((g - w).abs() < 2e-2);
-        }
-        // the observed level/scale trajectory must agree with the circuit
+    /// A traced request on `pipe` over `images`, checked against the
+    /// circuit that ran: `shards` × its regions records, no divergence,
+    /// headroom that never rises within a shard run, each run's spends
+    /// summing to its input minus exit headroom, no negative number in
+    /// the rendered table, and one table row per record plus the total.
+    fn check_trace(
+        pipe: &mut CnnHePipeline,
+        images: &[&[f32]],
+        shards: usize,
+    ) -> (Classification, InferenceTrace) {
+        let (cls, trace) = pipe.traced_infer(images).unwrap();
+        let regions = if pipe.packed_batching_enabled() {
+            let stride = pipe.built_plan(images.len()).unwrap().layout().stride();
+            let circuit = pipe.packed_state().strides[&stride].prepared.circuit();
+            circuit.regions.len()
+        } else {
+            pipe.lower_to_ir().regions.len()
+        };
+        assert_eq!(trace.layers.len(), shards * regions);
         assert!(
             trace.divergence.is_empty(),
             "runtime diverged from the static plan:\n{}",
             trace.divergence.join("\n")
         );
+        let start = trace.start_headroom_bits;
+        let spends = crate::exec::spends(&trace.layers, Some(start));
+        for (run, spent) in trace.layers.chunks(regions).zip(spends.chunks(regions)) {
+            assert!(run.iter().map(|l| l.region).eq(0..regions));
+            let mut prev = start;
+            for l in run {
+                assert!(
+                    l.headroom_bits <= prev + 1e-9,
+                    "headroom grew at {}: {} > {prev}",
+                    l.name,
+                    l.headroom_bits
+                );
+                prev = l.headroom_bits;
+            }
+            let total: f64 = spent.iter().map(|b| b.unwrap()).sum();
+            assert!(
+                (total - (start - prev)).abs() < 1e-9,
+                "{total} vs {}",
+                start - prev
+            );
+        }
+        let input = (trace.start_level, trace.start_scale, start);
+        let table = crate::exec::breakdown(&trace.layers, Some(input));
+        // no number is negative, not even a spend printed as -0.0
+        let negative = table.split_whitespace().find(|t| {
+            t.strip_prefix('-')
+                .is_some_and(|v| v.parse::<f64>().is_ok())
+        });
+        assert_eq!(negative, None, "{table}");
+        // backend line, header, rule, input, records, rule, total
+        assert_eq!(table.lines().count(), 4 + trace.layers.len() + 2, "{table}");
+        (cls, trace)
+    }
+
+    #[test]
+    fn traced_infer_matches_static_plan() {
+        let [mut scalar, mut packed] = both_engines(105);
+        let img: Vec<f32> = (0..64).map(|i| ((i * 5) % 11) as f32 / 11.0).collect();
+        let (cls, trace) = check_trace(&mut scalar, &[&img], 1);
+        // classification unaffected by tracing
+        let want = scalar.network.infer_plain(&img);
+        for (g, w) in cls.logits[0].iter().zip(&want) {
+            assert!((g - w).abs() < 2e-2);
+        }
         assert_eq!(trace.layers.len(), 5);
-        assert_eq!(trace.start_level, pipe.network.required_levels());
+        assert_eq!(trace.start_level, scalar.network.required_levels());
         // logits land at level 0 with the input scale (exact-scale
         // discipline end to end)
         let last = trace.layers.last().unwrap();
         assert_eq!(last.level, 0);
         assert!((last.scale.log2() - trace.start_scale.log2()).abs() < 0.1);
-        // headroom drains monotonically
-        let mut prev = trace.start_headroom_bits;
-        for l in &trace.layers {
-            assert!(
-                l.headroom_bits <= prev + 1e-9,
-                "headroom grew at {}: {} > {prev}",
-                l.name,
-                l.headroom_bits
-            );
-            prev = l.headroom_bits;
-        }
-        // report renders with one row per layer
-        let report = trace.report();
-        assert_eq!(report.rows.len(), 5);
-        assert!(report.breakdown().contains("total"));
+        // the packed engine, one image and a batch spilling into 2 shards
+        check_trace(&mut packed, &[&img], 1);
+        let batch = mini_images(10);
+        let refs: Vec<&[f32]> = batch.iter().map(Vec::as_slice).collect();
+        check_trace(&mut packed, &refs, 2);
     }
 
     #[test]

@@ -2,15 +2,14 @@
 //! and the circuit admission linted.
 //!
 //! Every run of a prepared circuit yields one `he_ir::RegionRun` per
-//! region (wall, per-unit walls, HE op-counter deltas, exit
-//! level/scale). [`region_reports`] is the one conversion from those
-//! records to reports: one [`LayerTrace`] per record, with structural
-//! noise headroom, which is both the [`InferenceTiming`] every request
-//! returns and what a trace holds. [`InferenceTrace`] bundles them with
-//! the recorded spans and **cross-checks them against the circuit that
+//! region (name, wall, per-unit walls, HE op-counter deltas, exit
+//! level/scale and structural noise headroom): the [`InferenceTiming`]
+//! every request returns, and what a trace holds. [`InferenceTrace`]
+//! bundles them with the input's level, scale and headroom and the
+//! recorded spans, and **cross-checks them against the circuit that
 //! ran** ([`ir_cross_check`]) — any divergence between what the circuit
 //! declares and what the ciphertexts actually did is reported as a
-//! string per mismatch.
+//! string per mismatch. [`crate::exec::breakdown`] renders it.
 //!
 //! Levels must agree exactly. Scales are compared in `log₂` with a
 //! [`SCALE_TOL_BITS`] tolerance: a circuit lowered over nominal primes
@@ -20,43 +19,13 @@
 //! far outside it.
 
 use crate::exec::InferenceTiming;
-use crate::metrics::LatencyStats;
 use ckks::CkksContext;
 use he_ir::{Circuit, RegionRun};
-use he_trace::{OpSnapshot, SpanEvent, TraceReport, TraceRow, UnitStats};
+use he_trace::{OpSnapshot, SpanEvent};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Scale-agreement tolerance (bits) for the runtime↔static cross-check.
 pub const SCALE_TOL_BITS: f64 = 0.1;
-
-/// Telemetry of one executed circuit region: a layer, or on the packed
-/// path one shard's part of a layer.
-#[derive(Debug, Clone)]
-pub struct LayerTrace {
-    pub name: String,
-    /// Measured wall-clock of the region.
-    pub wall: Duration,
-    /// Per-unit walls (one per unit).
-    pub unit_times: Vec<Duration>,
-    /// Ciphertext level after the layer.
-    pub level: usize,
-    /// Ciphertext scale after the layer.
-    pub scale: f64,
-    /// Structural noise headroom (bits) after the layer.
-    pub headroom_bits: f64,
-    /// HE op counters attributed to this layer (delta across it).
-    pub ops: OpSnapshot,
-}
-
-impl LayerTrace {
-    /// CPU time of the region: the sum of its unit walls, or its wall
-    /// when that is larger (time spent outside every unit). Units
-    /// overlap under a parallel run, so the wall can be below their sum.
-    pub fn cpu(&self) -> Duration {
-        self.unit_times.iter().sum::<Duration>().max(self.wall)
-    }
-}
 
 /// Full telemetry of one traced encrypted inference.
 #[derive(Debug, Clone)]
@@ -69,7 +38,7 @@ pub struct InferenceTrace {
     pub start_headroom_bits: f64,
     /// One record per executed region — the request's
     /// [`InferenceTiming`] records.
-    pub layers: Vec<LayerTrace>,
+    pub layers: Vec<RegionRun>,
     /// Recorded spans (empty when the `trace` feature is off).
     pub events: Vec<SpanEvent>,
     /// Runtime↔static mismatches; empty means the run followed the
@@ -81,9 +50,9 @@ pub struct InferenceTrace {
 
 impl InferenceTrace {
     /// The trace of one run of `circuit`, spans aside: its per-region
-    /// records ([`region_reports`]), cross-checked against it
-    /// ([`ir_cross_check`]). `start` is the first input's level and
-    /// scale, `total_ops` the run's op delta.
+    /// records, cross-checked against it ([`ir_cross_check`]). `start`
+    /// is the first input's level and scale, `total_ops` the run's op
+    /// delta.
     pub fn of_run(
         ctx: &Arc<CkksContext>,
         circuit: &Circuit,
@@ -108,37 +77,6 @@ impl InferenceTrace {
         self.layers
             .last()
             .map_or(0.0, |l| self.start_headroom_bits - l.headroom_bits)
-    }
-
-    /// The per-layer [`TraceReport`]: timings, op counts, level/scale
-    /// trajectory, noise drain, and per-unit latency spread.
-    pub fn report(&self) -> TraceReport {
-        let mut rows = Vec::with_capacity(self.layers.len());
-        let mut prev_headroom = self.start_headroom_bits;
-        for l in &self.layers {
-            let unit_stats = LatencyStats::from_durations(&l.unit_times).map(|s| UnitStats {
-                p50_s: s.p50,
-                p95_s: s.p95,
-                std_dev_s: s.std_dev,
-            });
-            rows.push(TraceRow {
-                name: l.name.clone(),
-                wall_s: l.wall.as_secs_f64(),
-                cpu_s: l.cpu().as_secs_f64(),
-                units: l.unit_times.len(),
-                ops: l.ops,
-                level: l.level as i64,
-                log_scale: l.scale.log2(),
-                headroom_bits: Some(l.headroom_bits),
-                noise_spent_bits: Some(prev_headroom - l.headroom_bits),
-                unit_stats,
-            });
-            prev_headroom = l.headroom_bits;
-        }
-        TraceReport {
-            rows,
-            backend: ckks_math::kernel::active_backend().name().to_string(),
-        }
     }
 
     /// chrome://tracing JSON of the recorded spans. Errors only if a
@@ -201,57 +139,6 @@ impl InferenceTrace {
             );
         }
     }
-
-    /// A compact noise-drain table: headroom after each layer and the
-    /// bits each layer consumed.
-    pub fn noise_drain(&self) -> String {
-        use he_trace::{Align, Table};
-        let mut t = Table::new(&[
-            ("layer", Align::Left),
-            ("lvl", Align::Right),
-            ("headroom (bits)", Align::Right),
-            ("spent (bits)", Align::Right),
-        ]);
-        t.row(vec![
-            "(input)".to_string(),
-            self.start_level.to_string(),
-            format!("{:.1}", self.start_headroom_bits),
-            String::new(),
-        ]);
-        let mut prev = self.start_headroom_bits;
-        for l in &self.layers {
-            t.row(vec![
-                l.name.clone(),
-                l.level.to_string(),
-                format!("{:.1}", l.headroom_bits),
-                format!("{:.1}", prev - l.headroom_bits),
-            ]);
-            prev = l.headroom_bits;
-        }
-        t.render()
-    }
-}
-
-/// The one conversion from named region records — one run's, or every
-/// shard's in shard order — to the request's timing record: one
-/// [`LayerTrace`] each, with structural noise headroom.
-pub fn region_reports(
-    ctx: &Arc<CkksContext>,
-    runs: impl IntoIterator<Item = (String, RegionRun)>,
-) -> InferenceTiming {
-    let layers = runs
-        .into_iter()
-        .map(|(name, run)| LayerTrace {
-            name,
-            wall: run.wall,
-            unit_times: run.unit_walls,
-            level: run.level,
-            scale: run.scale,
-            headroom_bits: ckks::noise::headroom_bits_at(ctx, run.level, run.scale),
-            ops: run.ops,
-        })
-        .collect();
-    InferenceTiming { layers }
 }
 
 /// Diffs observed per-region telemetry against the circuit that ran
@@ -263,7 +150,7 @@ pub fn region_reports(
 /// so concurrent HE work in other threads can only inflate them — and
 /// regions whose counters are all zero (the `trace` feature compiled
 /// out) skip the op comparison entirely.
-pub fn ir_cross_check(layers: &[LayerTrace], circuit: &Circuit) -> Vec<String> {
+pub fn ir_cross_check(layers: &[RegionRun], circuit: &Circuit) -> Vec<String> {
     let mut out = Vec::new();
     let regions = circuit.regions.len();
     let shards = layers.len() / regions.max(1);
@@ -329,16 +216,17 @@ mod tests {
     use super::*;
     use ckks::CkksParams;
     use he_ir::{Circuit, GraphBuilder, KeyInventory, Layout};
+    use std::time::Duration;
 
-    fn layer(name: &str, level: usize, scale: f64) -> LayerTrace {
-        LayerTrace {
+    fn layer(name: &str, level: usize, scale: f64) -> RegionRun {
+        RegionRun {
             name: name.to_string(),
             wall: Duration::from_millis(10),
-            unit_times: vec![Duration::from_millis(3); 4],
+            unit_walls: vec![Duration::from_millis(3); 4],
             level,
             scale,
             headroom_bits: 40.0,
-            ops: OpSnapshot::default(),
+            ..RegionRun::default()
         }
     }
 
@@ -363,16 +251,20 @@ mod tests {
     }
 
     /// Telemetry landing exactly on every region's exit type.
-    fn matching_layers(c: &Circuit) -> Vec<LayerTrace> {
+    fn matching_layers(c: &Circuit) -> Vec<RegionRun> {
         c.regions
             .iter()
-            .map(|r| {
+            .enumerate()
+            .map(|(i, r)| {
                 let ty = r
                     .nodes()
                     .rev()
                     .find_map(|id| c.node(id).ty.as_ct())
                     .unwrap();
-                layer(&r.name, ty.level, ty.scale)
+                RegionRun {
+                    region: i,
+                    ..layer(&r.name, ty.level, ty.scale)
+                }
             })
             .collect()
     }
@@ -459,7 +351,7 @@ mod tests {
     }
 
     #[test]
-    fn report_and_noise_drain_render() {
+    fn trace_breakdown_renders_the_input_row_and_spends() {
         let c = circuit();
         let layers = matching_layers(&c);
         let trace = InferenceTrace {
@@ -472,15 +364,24 @@ mod tests {
             total_ops: OpSnapshot::default(),
         };
         assert!(trace.divergence.is_empty(), "{:?}", trace.divergence);
-        let report = trace.report();
-        assert_eq!(report.rows.len(), 2);
-        // first layer spent 60 − 40 = 20 bits
-        assert!((report.rows[0].noise_spent_bits.unwrap() - 20.0).abs() < 1e-9);
-        let drain = trace.noise_drain();
-        assert!(drain.contains("(input)"));
-        assert!(drain.contains("headroom"));
+        let input = (
+            trace.start_level,
+            trace.start_scale,
+            trace.start_headroom_bits,
+        );
+        let table = crate::exec::breakdown(&trace.layers, Some(input));
+        let rows: Vec<Vec<&str>> = table
+            .lines()
+            .map(|l| l.split_whitespace().collect())
+            .collect();
+        // backend, header, rule, input, two regions, rule, total
+        assert_eq!(rows.len(), 8, "{table}");
+        assert_eq!(rows[3], ["(input)", "2", "26.00", "60.0"]);
+        // the first layer spent 60 − 40 = 20 bits, the second none; unit
+        // p50/p95 of four 3 ms units
+        assert_eq!(rows[4][9..], ["40.0", "20.0", "3.0/3.0ms"]);
+        assert_eq!(rows[5][9..], ["40.0", "0.0", "3.0/3.0ms"]);
+        assert_eq!(rows[7].last(), Some(&"20.0"), "{table}");
         assert!((trace.noise_spent_bits() - 20.0).abs() < 1e-9);
-        // unit stats survive into the report
-        assert!(report.rows[0].unit_stats.is_some());
     }
 }

@@ -117,9 +117,14 @@ impl<'a> Interpreter<'a> {
     }
 }
 
-/// What one region of a [`Prepared::run`] did.
+/// What one region of a [`Prepared::run`] did — the one per-region
+/// record every timing table and trace reads.
 #[derive(Debug, Clone, Default)]
 pub struct RegionRun {
+    /// The region's name (callers may prefix it, e.g. with a shard).
+    pub name: String,
+    /// Position of the region in the circuit's regions: `0` opens a run.
+    pub region: usize,
     /// Wall of the whole region.
     pub wall: Duration,
     /// Wall of each unit, in unit order.
@@ -130,6 +135,18 @@ pub struct RegionRun {
     /// Runtime level and scale of the region's last ciphertext.
     pub level: usize,
     pub scale: f64,
+    /// Structural noise headroom (bits) at that level and scale
+    /// ([`ckks::noise::headroom_bits_at`]).
+    pub headroom_bits: f64,
+}
+
+impl RegionRun {
+    /// CPU time of the region: the sum of its unit walls, or its wall
+    /// when that is larger (time spent outside every unit). Units
+    /// overlap under a parallel run, so the wall can be below their sum.
+    pub fn cpu(&self) -> Duration {
+        self.unit_walls.iter().sum::<Duration>().max(self.wall)
+    }
 }
 
 /// What one [`Prepared::run`] produced.
@@ -391,15 +408,20 @@ impl Prepared {
                     }
                 }
             }
-            if span.region.is_some() {
+            if let Some(r) = span.region {
+                let (wall, ops) = (t0.elapsed(), OpSnapshot::now().delta(&ops));
                 let mut exit = span.nodes.clone().rev();
                 let exit = exit.find_map(|id| values[id].as_ref()?.as_ct());
+                let (level, scale) = exit.map_or((0, 0.0), |ct| (ct.level, ct.scale));
                 runs.push(RegionRun {
-                    wall: t0.elapsed(),
+                    name: name(r),
+                    region: r,
+                    wall,
                     unit_walls,
-                    ops: OpSnapshot::now().delta(&ops),
-                    level: exit.map_or(0, |ct| ct.level),
-                    scale: exit.map_or(0.0, |ct| ct.scale),
+                    ops,
+                    level,
+                    scale,
+                    headroom_bits: ckks::noise::headroom_bits_at(interp.ev.ctx(), level, scale),
                 });
             }
         }
@@ -1081,6 +1103,11 @@ mod tests {
             assert_eq!(run.regions[1].unit_walls.len(), 1);
             assert_eq!(run.regions[0].level, 1);
             assert_eq!(run.regions[1].scale.to_bits(), want.scale.to_bits());
+            for (record, region) in run.regions.iter().zip(&prepared.circuit().regions) {
+                assert_eq!(record.name, region.name);
+                let headroom = ckks::noise::headroom_bits_at(&f.ctx, record.level, record.scale);
+                assert_eq!(record.headroom_bits.to_bits(), headroom.to_bits());
+            }
         }
     }
 

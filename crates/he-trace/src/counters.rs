@@ -143,6 +143,25 @@ impl OpSnapshot {
     }
 }
 
+/// Field-wise sum: the ops of several regions, or of a whole run.
+impl std::iter::Sum for OpSnapshot {
+    fn sum<I: Iterator<Item = Self>>(iter: I) -> Self {
+        iter.fold(Self::default(), |a, b| Self {
+            ntt_fwd: a.ntt_fwd + b.ntt_fwd,
+            ntt_inv: a.ntt_inv + b.ntt_inv,
+            modmul_limbs: a.modmul_limbs + b.modmul_limbs,
+            ct_mults: a.ct_mults + b.ct_mults,
+            rotations: a.rotations + b.rotations,
+            relins: a.relins + b.relins,
+            rescales: a.rescales + b.rescales,
+            keyswitches: a.keyswitches + b.keyswitches,
+            scalar_macs: a.scalar_macs + b.scalar_macs,
+            crt_decompose: a.crt_decompose + b.crt_decompose,
+            crt_recompose: a.crt_recompose + b.crt_recompose,
+        })
+    }
+}
+
 /// A point-in-time copy of the fault-injection event counters.
 ///
 /// These are *harness* events (he-diff fault injection and the guards

@@ -9,7 +9,8 @@
 //!   primitives (NTTs, limb modmuls, rotations, relinearizations,
 //!   rescales, key switches, CRT codec calls). Instrumented crates call
 //!   `record_*` once per primitive; consumers diff [`OpSnapshot`]s
-//!   around a region to attribute work.
+//!   around a region to attribute work, and sum regions' snapshots
+//!   field-wise (`impl Sum for OpSnapshot`) to total them.
 //! * **Spans** ([`mod@span`]) — RAII wall-clock spans with thread identity,
 //!   recorded only while a [`TraceSession`] has recording switched on.
 //!   Works under the vendored rayon pool: each OS thread gets a stable
@@ -20,9 +21,8 @@
 //!   plus a minimal JSON parser ([`json`]) — the one JSON reader of the
 //!   workspace: traces, bench baselines and event-log lines all parse
 //!   through it.
-//! * **Reporting** ([`report`], [`table`]) — a `TraceReport` per-layer
-//!   breakdown table and the shared column-aligned text-table
-//!   formatter.
+//! * **Tables** ([`table`]) — the column-aligned text-table formatter
+//!   every human-readable breakdown renders through.
 //! * **Live metrics** — a [`Registry`] of typed instruments (monotonic
 //!   [`Counter`]s, [`Gauge`]s, log-bucketed [`Histogram`]s from
 //!   [`hist`] with lock-free recording) rendered to the Prometheus text
@@ -54,7 +54,6 @@ pub mod hist;
 pub mod http;
 pub mod json;
 pub mod registry;
-pub mod report;
 pub mod span;
 pub mod table;
 
@@ -67,7 +66,6 @@ pub use counters::{
 pub use folded::to_folded_stacks;
 pub use http::MetricsServer;
 pub use registry::{Counter, Gauge, Histogram, Kind, Registry};
-pub use report::{TraceReport, TraceRow, UnitStats};
 pub use span::{is_recording, span, span_fn, span_owned, SpanEvent, SpanGuard, TraceSession};
 pub use table::{Align, Table};
 

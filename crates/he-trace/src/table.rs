@@ -1,8 +1,8 @@
 //! A small column-aligned text-table formatter shared by every
-//! human-readable breakdown in the workspace (`TraceReport` here,
-//! `InferenceTiming::breakdown()` in cnn-he). Columns auto-size to
-//! their widest cell, so long layer names can't shear the header out
-//! of alignment.
+//! human-readable breakdown in the workspace (cnn-he's per-region
+//! `exec::breakdown`, he-serve's `ServeReport`, this crate's CLI
+//! summary). Columns auto-size to their widest cell, so long layer
+//! names can't shear the header out of alignment.
 
 /// Per-column alignment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

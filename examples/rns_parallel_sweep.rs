@@ -83,7 +83,7 @@ fn main() {
     if let Some((t, result)) = last {
         println!(
             "\nper-region breakdown at t = {t}:\n{}",
-            result.timing.breakdown()
+            cnn_he::breakdown(&result.timing.layers, None)
         );
     }
     println!(

@@ -17,7 +17,7 @@
 //! 2. the process-global he-trace [`he_trace::OpSnapshot`] (the
 //!    `he_ops_total` bridge must agree exactly at quiescence),
 //! 3. the [`cnn_he::InferenceTrace`] (per-layer headroom gauges carry
-//!    the traced values bit-for-bit).
+//!    each traced `RegionRun`'s `headroom_bits` bit-for-bit).
 //!
 //! Every mid-run scrape must parse under the strict exposition parser,
 //! and every event-log line must survive a parse → re-serialize

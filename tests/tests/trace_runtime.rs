@@ -70,20 +70,7 @@ fn per_layer_op_attribution_partitions_the_total() {
     let mut pipe = cnn1_pipeline(601);
     let img = test_image();
     let (_, trace) = pipe.traced_infer(&[&img]).unwrap();
-    let mut sum = he_trace::OpSnapshot::default();
-    for l in &trace.layers {
-        sum.ntt_fwd += l.ops.ntt_fwd;
-        sum.ntt_inv += l.ops.ntt_inv;
-        sum.modmul_limbs += l.ops.modmul_limbs;
-        sum.ct_mults += l.ops.ct_mults;
-        sum.rotations += l.ops.rotations;
-        sum.relins += l.ops.relins;
-        sum.rescales += l.ops.rescales;
-        sum.keyswitches += l.ops.keyswitches;
-        sum.scalar_macs += l.ops.scalar_macs;
-        sum.crt_decompose += l.ops.crt_decompose;
-        sum.crt_recompose += l.ops.crt_recompose;
-    }
+    let sum: he_trace::OpSnapshot = trace.layers.iter().map(|l| l.ops).sum();
     assert_eq!(sum, trace.total_ops);
     // the scalar engine never rotates
     assert_eq!(trace.total_ops.rotations, 0);

@@ -62,7 +62,7 @@ fn main() {
     );
     if let Some(stats) = pipe.compiled_stats(1) {
         println!(
-            "(packed circuit: {} rotations after optimization, {} in the textbook BSGS form; \
+            "(packed circuit: {} rotations in the squat-fold form, {} in the textbook BSGS form; \
              scalar amortizes over {slots} slots instead)",
             stats.compiled.rotations, stats.eager.rotations
         );

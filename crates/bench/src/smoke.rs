@@ -152,7 +152,7 @@ fn serve_component() -> (Value, Value) {
 }
 
 /// Packed-batch sweep: the mini network through the slot-packed path
-/// (the optimized `he-ir` circuit) at each [`PACKED_SWEEP`] batch size,
+/// (the compiled `he-ir` circuit) at each [`PACKED_SWEEP`] batch size,
 /// one `classify` call per run (encrypt → per-shard circuit → decrypt).
 /// Each stride is prepared before its runs, so they count steady-state
 /// work.
@@ -189,29 +189,26 @@ fn packed_batch_component() -> Vec<Value> {
 
 /// Static compiled-vs-eager comparison: lowers each reference network
 /// with both [`cnn_he::PackedLowering`] modes at nominal parameters —
-/// the eager mirror of the runtime BSGS engine, and the compiled
-/// (squat-fold) form run through the optimizing pass pipeline — and
-/// records both circuits' exact op counts. Pure circuit construction
-/// (no keys, no polynomial arithmetic). `cnn1_full` is the paper's CNN1
-/// (packed dim 1024, on a `N = 2^12` plan ring); the mini points cover
-/// the tiled and batch-strided layouts the serving engine executes.
+/// the eager reference and the compiled (squat-fold) form packed
+/// inference runs — and records both circuits' exact op counts. Pure
+/// circuit construction (no keys, no polynomial arithmetic). `cnn1_full`
+/// is the paper's CNN1 (packed dim 1024, on a `N = 2^12` plan ring); the
+/// mini points cover the tiled and batch-strided layouts the serving
+/// engine executes.
 fn compiler_component() -> Vec<Value> {
     use cnn_he::packed::PackedNetwork;
     use cnn_he::{lower_packed, PackedLowering};
-    use he_ir::{GraphBuilder, PassManager};
+    use he_ir::GraphBuilder;
 
     let point = |name: &str, net: &HeNetwork, n: usize, stride: usize| {
         let packed = PackedNetwork::from_network(net);
         let mut params = ckks::CkksParams::tiny(packed.required_levels());
         params.n = n;
         let lower = |mode| lower_packed(&packed, GraphBuilder::new(params.clone()), stride, mode);
-        let (eager, mut compiled) = (
+        let (eager, compiled) = (
             lower(PackedLowering::Eager),
             lower(PackedLowering::Compiled),
         );
-        PassManager::optimizer()
-            .optimize(&mut compiled)
-            .expect("optimizer accepts its own lowering");
         let ir_counts = |c: he_ir::OpCounts| {
             counts(&[
                 ("ct_mults", c.ct_mults),
@@ -384,7 +381,7 @@ fn total(counts: Option<&Value>) -> f64 {
 }
 
 /// The compiler payoff gate. Every lowering point must spend no more
-/// HE ops compiled than eager (the optimizer must never pessimize),
+/// HE ops compiled than eager (the squat fold must never pessimize),
 /// and the `cnn1_full` point must clear the paper-level targets:
 /// rotations ≤ [`COMPILED_ROTATION_CEILING`] × eager and total HE ops
 /// ≤ [`COMPILED_TOTAL_OPS_CEILING`] × eager.

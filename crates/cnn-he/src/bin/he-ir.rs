@@ -2,8 +2,8 @@
 //! file, to the circuit IR and run the static analysis passes over them.
 //!
 //! ```text
-//! he-ir check  <MODEL> [--params FILE | --depth N] [--packed] [--optimize]
-//! he-ir dump   <MODEL> [--params FILE | --depth N] [--dot] [-o FILE] [--packed] [--optimize]
+//! he-ir check  <MODEL> [--params FILE | --depth N] [--packed]
+//! he-ir dump   <MODEL> [--params FILE | --depth N] [--dot] [-o FILE] [--packed]
 //! he-ir passes
 //! ```
 //!
@@ -12,15 +12,12 @@
 //! pipeline's admission ([`cnn_he::admission`]): the chain's depth,
 //! then the full standard pass suite, printing every diagnostic;
 //! `dump` prints a per-region table (or Graphviz DOT with `--dot`);
-//! `passes` lists the registered analyses. With `--optimize`
-//! the circuit is first run through the optimizing pass pipeline
-//! (`PassManager::optimizer()`) and the per-pass op-count report is
-//! printed. `--packed` lowers the slot-packed network: alone, the
-//! un-optimized reference circuit (`PackedLowering::Eager`); with
-//! `--optimize`, the squat-fold lowering the optimizer is built for —
-//! exactly what `CnnHePipeline` prepares and runs. Exits 0 when the
-//! circuit is clean (warnings allowed), 1 on error diagnostics, 2 on
-//! usage problems or an unreadable model or parameter file.
+//! `passes` lists the registered analyses. `--packed` lowers the
+//! slot-packed network to the squat-fold circuit
+//! (`PackedLowering::Compiled`) — exactly what `CnnHePipeline` prepares
+//! and runs. Exits 0 when the circuit is clean (warnings allowed), 1 on
+//! error diagnostics, 2 on usage problems or an unreadable model or
+//! parameter file.
 //!
 //! Parameters come from `--params FILE` (`key = value` lines, see
 //! [`ckks::paramfile`]) or are sized like `CnnHePipeline::new` to the
@@ -42,8 +39,8 @@ use he_ir::{Circuit, GraphBuilder, PassManager};
 use neural::models::{cnn1, cnn2, ActKind};
 
 const USAGE: &str = "usage:
-  he-ir check  <MODEL> [--params FILE | --depth N] [--packed] [--optimize]
-  he-ir dump   <MODEL> [--params FILE | --depth N] [--dot] [-o FILE] [--packed] [--optimize]
+  he-ir check  <MODEL> [--params FILE | --depth N] [--packed]
+  he-ir dump   <MODEL> [--params FILE | --depth N] [--dot] [-o FILE] [--packed]
   he-ir passes
 MODEL is cnn1, cnn2 or a HENT model file. A parameter file is `key = value` lines:
     n = 16384
@@ -67,7 +64,6 @@ struct Opts {
     out: Option<String>,
     depth: Option<usize>,
     params: Option<String>,
-    optimize: bool,
 }
 
 fn parse(args: Vec<String>) -> Result<Opts, String> {
@@ -78,14 +74,12 @@ fn parse(args: Vec<String>) -> Result<Opts, String> {
         out: None,
         depth: None,
         params: None,
-        optimize: false,
     };
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--packed" => o.packed = true,
             "--dot" => o.dot = true,
-            "--optimize" => o.optimize = true,
             "-o" => {
                 o.out = Some(it.next().ok_or("-o needs a file path")?);
             }
@@ -145,23 +139,14 @@ fn run(mut args: Vec<String>) -> i32 {
             return 2;
         }
     };
-    if cmd == "check" && !(opts.packed || opts.optimize) {
+    if cmd == "check" && !opts.packed {
         let params =
             params.unwrap_or_else(|| params_for(opts.depth.unwrap_or(net.required_levels())));
         let (report, _) = admission(&net, GraphBuilder::new(params));
         print!("{}", report.render());
         return i32::from(report.has_errors());
     }
-    let mut circuit = build_circuit(&net, params, &opts);
-    if opts.optimize {
-        match PassManager::optimizer().optimize(&mut circuit) {
-            Ok(report) => eprintln!("{}", report.render()),
-            Err(e) => {
-                eprintln!("error: optimizer produced an invalid circuit: {e}");
-                return 1;
-            }
-        }
-    }
+    let circuit = build_circuit(&net, params, &opts);
 
     match cmd.as_str() {
         "check" => {
@@ -247,12 +232,12 @@ fn build_circuit(net: &HeNetwork, params: Option<ckks::CkksParams>, opts: &Opts)
         // exactly its rotation set
         let packed = PackedNetwork::from_network(net);
         let params = sized(packed.required_levels());
-        let mode = if opts.optimize {
-            PackedLowering::Compiled
-        } else {
-            PackedLowering::Eager
-        };
-        lower_packed(&packed, GraphBuilder::new(params), 1, mode)
+        lower_packed(
+            &packed,
+            GraphBuilder::new(params),
+            1,
+            PackedLowering::Compiled,
+        )
     } else {
         let params = sized(net.required_levels());
         lower_network(net, GraphBuilder::new(params))

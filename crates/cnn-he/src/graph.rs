@@ -12,9 +12,9 @@
 //! (`lower_slaf`, which the packed lowerings share). Scale discipline
 //! is exact: linear layers encode weights at `q_m`, the prime about to
 //! be rescaled away, so the output scale equals the input scale; the
-//! degree-3 SLAF uses
-//! plaintext scales `(q_m, s, s)` for `(c₃, c₂, c₁)` so that all terms
-//! meet at `s³/(q_m·q_{m−1})` two levels down.
+//! degree-3 SLAF uses plaintext scales `(q_m, s, s)` for `(c₃, c₂, c₁)`
+//! so that all terms meet at `s³/q_m` one level down, where their sum
+//! takes the ladder's one closing rescale.
 //!
 //! `he_ir::Prepared` runs this circuit for `HeNetwork::infer_encrypted_with`
 //! and `CnnHePipeline`, preparing each shared weight encode once; scalar
@@ -114,11 +114,13 @@ fn lower_linear(
 
 /// The SLAF `c₀ + c₁x + c₂x² + c₃x³` on one ciphertext — the one ladder
 /// both the scalar lowering (per unit) and the packed lowerings (per
-/// layer) emit: square + rescale, every product rescaled, the `c₃`
-/// branch skipped when the coefficient is exactly zero, and the `c₁`
-/// term passed through the scale-aligning `×1.0` multiply. Plaintext
-/// scales `(q_m, s, s)` for `(c₃, c₂, c₁)` make every term meet at
-/// `s³/(q_m·q_{m−1})` two levels down. On a chain shorter than the
+/// layer) emit. `x²` is squared and rescaled; the `c₃` branch is skipped
+/// when the coefficient is exactly zero, and the `c₁` term passes
+/// through the scale-aligning `×1.0` multiply. Plaintext scales
+/// `(q_m, s, s)` for `(c₃, c₂, c₁)` make every term meet unrescaled at
+/// `s³/q_m` on level m−1, so the terms are summed there and the sum is
+/// rescaled once to `s³/(q_m·q_{m−1})` two levels down: four rescales
+/// for degree 3, three for degree 2. On a chain shorter than the
 /// circuit the declared levels saturate at 0 (as
 /// `GraphBuilder::rescale` does) and the levels pass reports the
 /// exhaustion. Panics outside 2..=4 coefficients, which
@@ -141,31 +143,29 @@ pub(crate) fn lower_slaf(
     let x2 = b.square(x);
     let x2r = b.rescale(x2);
 
-    // y₂ = c₂·x² → S* = s³/(q_m·q_{m−1}), level m−2
+    // c₂·x² at s³/q_m, level m−1
     let c2n = enc.get(b, c[2], s, m1);
-    let a0 = b.mul_plain(x2r, c2n);
-    let mut acc = b.rescale(a0);
+    let mut acc = b.mul_plain(x2r, c2n);
 
-    // y₃ = (c₃·x)·x² via one ct-ct product, same S* by construction
+    // (c₃·x)·x² via one ct-ct product, same scale by construction
     if c[3] != 0.0 {
         let c3n = enc.get(b, c[3], q_m, m);
         let t = b.mul_plain(x, c3n);
         let tr = b.rescale(t); // scale s @ m−1
-        let y3m = b.mul(tr, x2r);
-        let y3 = b.rescale(y3m); // S* @ m−2
+        let y3 = b.mul(tr, x2r);
         acc = b.add(acc, y3);
     }
 
-    // y₁ = c₁·x dropped two levels through scales (s, s)
+    // c₁·x brought to the same scale through (s, s)
     let c1n = enc.get(b, c[1], s, m);
     let t1 = b.mul_plain(x, c1n);
     let t1r = b.rescale(t1); // s²/q_m @ m−1
     let onen = enc.get(b, 1.0, s, m1);
-    let y1m = b.mul_plain(t1r, onen);
-    let y1 = b.rescale(y1m); // S* @ m−2
+    let y1 = b.mul_plain(t1r, onen);
     acc = b.add(acc, y1);
 
-    // y₀ at the accumulated scale
+    // one rescale of the sum, then y₀ at the accumulated scale
+    let acc = b.rescale(acc); // s³/(q_m·q_{m−1}) @ m−2
     b.add_scalar(acc, c[0])
 }
 
@@ -210,22 +210,28 @@ mod tests {
 
     #[test]
     fn lowered_network_is_clean_under_the_standard_passes() {
-        let net = micro_net(7);
-        let params = ckks::CkksParams::tiny(net.required_levels());
-        let c = lower_network(&net, GraphBuilder::new(params));
-        assert!(c.validate().is_ok(), "{:?}", c.validate());
-        assert_eq!(c.regions.len(), net.layers.len());
-        let report = PassManager::standard().run(&c);
-        assert!(!report.has_errors(), "{}", report.render());
-        // scalar engine: no rotations, everything else present
-        let counts = c.op_counts();
-        assert_eq!(counts.rotations, 0);
-        // conv: ch0 units 8 taps (one zeroed), ch1 units 9; dense: 3×8
-        assert_eq!(counts.scalar_macs, 4 * 8 + 4 * 9 + 3 * 8);
-        // conv 8 + dense 3 rescales + 8 deg-3 SLAF units × 6 rescales
-        assert_eq!(counts.rescales, 8 + 3 + 8 * 6);
-        // one square + one ct×ct mul per deg-3 SLAF unit
-        assert_eq!(counts.ct_mults, 2 * 8);
+        let deg3 = micro_net(7);
+        let mut deg2 = micro_net(7);
+        deg2.layers[1] = HeLayerSpec::Activation(vec![0.1, 0.5, 0.25]);
+        // (net, rescales and ct×ct products per SLAF unit): a degree-3
+        // unit rescales x², c₃x, c₁x and the sum; a degree-2 unit has no
+        // c₃ branch
+        for (net, slaf_rescales, slaf_mults) in [(deg3, 4, 2), (deg2, 3, 1)] {
+            let params = ckks::CkksParams::tiny(net.required_levels());
+            let c = lower_network(&net, GraphBuilder::new(params));
+            assert!(c.validate().is_ok(), "{:?}", c.validate());
+            assert_eq!(c.regions.len(), net.layers.len());
+            let report = PassManager::standard().run(&c);
+            assert!(!report.has_errors(), "{}", report.render());
+            // scalar engine: no rotations, everything else present
+            let counts = c.op_counts();
+            assert_eq!(counts.rotations, 0);
+            // conv: ch0 units 8 taps (one zeroed), ch1 units 9; dense: 3×8
+            assert_eq!(counts.scalar_macs, 4 * 8 + 4 * 9 + 3 * 8);
+            // conv 8 + dense 3 rescales + 8 SLAF units
+            assert_eq!(counts.rescales, 8 + 3 + 8 * slaf_rescales);
+            assert_eq!(counts.ct_mults, 8 * slaf_mults);
+        }
     }
 
     #[test]
@@ -327,12 +333,12 @@ mod tests {
         };
         let (s, q_m) = (u.scale, q(u.level));
         let x2 = ev.rescale(&ev.square(&u, rk));
-        let mut y = ev.rescale(&ev.mul_scalar(&x2, k[2], s));
+        let mut y = ev.mul_scalar(&x2, k[2], s);
         let t = ev.rescale(&ev.mul_scalar(&u, k[3], q_m));
-        y = ev.add(&y, &ev.rescale(&ev.multiply(&t, &x2, rk)));
+        y = ev.add(&y, &ev.multiply(&t, &x2, rk));
         let t = ev.rescale(&ev.mul_scalar(&u, k[1], s));
-        y = ev.add(&y, &ev.rescale(&ev.mul_scalar(&t, 1.0, s)));
-        let want = ev.add_scalar(&y, k[0]);
+        y = ev.add(&y, &ev.mul_scalar(&t, 1.0, s));
+        let want = ev.add_scalar(&ev.rescale(&y), k[0]);
 
         assert_eq!(
             (got.level, got.scale.to_bits()),

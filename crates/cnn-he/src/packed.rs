@@ -276,11 +276,11 @@ impl PackedNetwork {
         out
     }
 
-    /// Prepares the un-optimized reference circuit
-    /// ([`PackedLowering::Eager`]) for a layout: every diagonal and bias
-    /// plaintext is broadcast to every lane and encoded once, hoisting
-    /// the embedding+NTT cost out of inference. The production path
-    /// ([`crate::CnnHePipeline`]) prepares the *optimized* circuit the
+    /// Prepares the reference circuit ([`PackedLowering::Eager`]) for a
+    /// layout: every diagonal and bias plaintext is broadcast to every
+    /// lane and encoded once, hoisting the embedding+NTT cost out of
+    /// inference. The production path
+    /// ([`crate::CnnHePipeline`]) prepares the *compiled* circuit the
     /// same way; this one is the reference tests and benchmarks compare
     /// it against.
     pub fn precompute_layout(&self, ev: &Evaluator, layout: &PackLayout) -> PackedPrecomputed {

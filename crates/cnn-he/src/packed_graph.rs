@@ -9,11 +9,10 @@
 //!   rotation emitted once up front, giant-step skipping of all-`None`
 //!   diagonals, diagonal plaintexts at `q_m`, bias at the accumulated
 //!   scale, one rescale per linear layer, the scalar lowering's
-//!   exact-scale SLAF ladder (`graph::lower_slaf`) per
-//!   activation. It is never optimized:
-//!   it is the reference the optimized circuit is tested against, and
-//!   its op counts are the honest baseline the optimizer is measured
-//!   by. Its rotation set is a subset of
+//!   exact-scale SLAF ladder (`graph::lower_slaf`) per activation. It
+//!   is the reference the compiled circuit is tested against, and its
+//!   op counts are the baseline the squat fold is measured by. Its
+//!   rotation set is a subset of
 //!   [`PackedNetwork::required_rotation_steps_for`].
 //! * [`PackedLowering::Compiled`] lowers each linear layer in
 //!   *squat-matrix fold* form when the used output rows `n_o` (rounded
@@ -26,12 +25,13 @@
 //!   `i ≥ n_o` carry duplicate values, which the *next* layer's padded
 //!   matrix multiplies by its structurally-zero columns — the function
 //!   computed on the true output slots is unchanged. Only the baby
-//!   rotations some diagonal uses are emitted. This is what
-//!   [`crate::CnnHePipeline`] runs after
-//!   [`he_ir::PassManager::optimizer`].
+//!   rotations some diagonal uses are emitted. This is the circuit
+//!   [`crate::CnnHePipeline`] prepares and runs, exactly as lowered.
 //!
-//! The two modes are NOT bit-identical (rescale sinking changes
-//! rounding); they agree within the composed noise-model bound.
+//! The two modes share the SLAF ladder but are NOT bit-identical: the
+//! squat fold sums a layer's products in a different order and adds
+//! its bias after the fold, which changes rounding. They agree within
+//! the composed noise-model bound.
 //!
 //! A linear layer is three regions, named `packed layer i: matvec
 //! babies|blocks|sum`, then `packed layer i: fold` for a squat layer;
@@ -57,10 +57,9 @@ use std::collections::BTreeSet;
 /// Which circuit shape [`lower_packed`] emits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PackedLowering {
-    /// The un-optimized reference circuit.
+    /// The reference circuit.
     Eager,
-    /// Squat-matrix fold form, meant to be run through
-    /// [`he_ir::PassManager::optimizer`] before execution.
+    /// Squat-matrix fold form: the circuit packed inference runs.
     Compiled,
 }
 
@@ -198,8 +197,8 @@ impl Matvec<'_> {
     /// Squat-matrix fold lowering: BSGS over the `n_o` wrapped
     /// diagonals (baby step `√n_o`), then `log2(dim/n_o)` rotate-and-add
     /// folds in their own region. Tall/square layers gain nothing from
-    /// folding and get plain per-use BSGS, whose op count after
-    /// hoist/CSE is never worse than the reference.
+    /// folding and get plain BSGS over only the used baby rotations,
+    /// whose op count is never worse than the reference.
     fn squat(
         &mut self,
         x: NodeId,
@@ -271,15 +270,8 @@ mod tests {
     use crate::network::{HeLayerSpec, HeNetwork};
     use ckks::{CkksParams, Evaluator, KeyGenerator};
     use ckks_math::sampler::Sampler;
-    use he_ir::PassManager;
     use rand::{Rng, SeedableRng};
     use std::sync::Arc;
-
-    /// The packed test network of `packed.rs` (conv 18 rows, dense 5
-    /// rows, dim 64).
-    fn mini_net(seed: u64) -> PackedNetwork {
-        random_net(seed, 2, 3, &[5])
-    }
 
     /// A small conv → SLAF → dense (→ SLAF → dense …) network over 8×8
     /// inputs with seeded weights; packs to dim 64.
@@ -400,10 +392,10 @@ mod tests {
 
         // Over random small nets × every lane stride of the tiny ring:
         // each lowering computes the network's function exactly in the
-        // clear, and both the optimized circuit and the un-optimized
-        // reference decrypt within the noise bound composed along the
-        // *reference's* ops — the optimizer gets no noise allowance of
-        // its own, and nobody gets a tuned epsilon.
+        // clear, and both the compiled circuit and the reference decrypt
+        // within the noise bound composed along the *reference's* ops —
+        // the compiled circuit gets no noise allowance of its own, and
+        // nobody gets a tuned epsilon.
         #[test]
         fn optimized_reference_and_plain_agree_within_the_noise_bound(
             seed in 0u64..1_000,
@@ -428,15 +420,12 @@ mod tests {
                 let lower =
                     |mode| lower_packed(&packed, GraphBuilder::for_context(&ctx), stride, mode);
                 let reference = lower(PackedLowering::Eager);
-                let mut optimized = lower(PackedLowering::Compiled);
+                let compiled = lower(PackedLowering::Compiled);
+                let (r_ref, r_comp) =
+                    (reference.op_counts().rotations, compiled.op_counts().rotations);
                 proptest::prop_assert!(
-                    PassManager::optimizer().optimize(&mut optimized).unwrap().changed()
-                );
-                let (r_ref, r_opt) =
-                    (reference.op_counts().rotations, optimized.op_counts().rotations);
-                proptest::prop_assert!(
-                    r_opt as f64 <= 0.85 * r_ref as f64,
-                    "rotations: optimized {r_opt} vs reference {r_ref}"
+                    r_comp as f64 <= 0.85 * r_ref as f64,
+                    "rotations: compiled {r_comp} vs reference {r_ref}"
                 );
 
                 let images: Vec<Vec<f32>> = (0..lanes)
@@ -453,7 +442,7 @@ mod tests {
                 let cts = packed.encrypt_batch(&ev, &pk, &mut s, &refs, &plan).unwrap();
                 let (_, bound) = shadow(&reference, &slots_in);
 
-                for (name, circuit) in [("reference", reference), ("optimized", optimized)] {
+                for (name, circuit) in [("reference", reference), ("compiled", compiled)] {
                     // every rotation step is a multiple of the lane stride,
                     // and the declared inventory is exactly the rotation set
                     let required = he_ir::passes::rotations::required_elements(&circuit);
@@ -492,7 +481,7 @@ mod tests {
         }
     }
 
-    /// CNN1's first layer after optimization: the babies region runs one
+    /// CNN1's first compiled layer: the babies region runs one
     /// unit per baby rotation some diagonal uses, and the blocks region
     /// one unit per non-empty giant block, so both fan across the pool.
     #[test]
@@ -517,13 +506,12 @@ mod tests {
             .filter(|b| b.iter().any(Option::is_some))
             .count();
         let params = CkksParams::toy(packed.required_levels());
-        let mut c = lower_packed(
+        let c = lower_packed(
             &packed,
             GraphBuilder::new(params),
             1,
             PackedLowering::Compiled,
         );
-        PassManager::optimizer().optimize(&mut c).unwrap();
         let units = |name: &str| {
             let r = c.regions.iter().find(|r| r.name == name).unwrap();
             c.units(r.nodes()).len()
@@ -534,81 +522,5 @@ mod tests {
             used > 1 && non_empty > 1,
             "{used} babies, {non_empty} blocks"
         );
-    }
-
-    /// Optimizing the compiled circuit twice is a fixpoint.
-    #[test]
-    fn compiled_lowering_optimization_is_idempotent() {
-        let packed = mini_net(69);
-        let params = CkksParams::tiny(packed.required_levels());
-        let mut c = lower_packed(
-            &packed,
-            he_ir::GraphBuilder::new(params),
-            1,
-            PackedLowering::Compiled,
-        );
-        let r1 = PassManager::optimizer().optimize(&mut c).unwrap();
-        assert!(r1.changed());
-        let r2 = PassManager::optimizer().optimize(&mut c).unwrap();
-        assert!(!r2.changed(), "{}", r2.render());
-    }
-
-    mod pass_props {
-        use super::*;
-        use he_ir::passes::{
-            cse::CsePass, dce::DeadOpPass, hoist::RotationHoistPass, placement::PlacementPass,
-        };
-        use he_ir::Pass;
-        use proptest::prelude::*;
-
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(12))]
-
-            // Every optimizing pass is individually idempotent: a second
-            // `rewrite` on its own output reports `changed == false` and
-            // the circuit stays valid after every application — over
-            // randomized networks, both lowering modes, and tiled as
-            // well as batch-strided layouts.
-            #[test]
-            fn each_optimizing_pass_is_idempotent(
-                seed in 0u64..1_000,
-                stride_log in 0u32..3,
-                want_compiled in any::<bool>(),
-            ) {
-                let packed = mini_net(seed);
-                let params = CkksParams::tiny(packed.required_levels());
-                let mode = if want_compiled {
-                    PackedLowering::Compiled
-                } else {
-                    PackedLowering::Eager
-                };
-                let mut c = lower_packed(
-                    &packed,
-                    he_ir::GraphBuilder::new(params),
-                    1usize << stride_log,
-                    mode,
-                );
-                let passes: [&dyn Pass; 4] =
-                    [&RotationHoistPass, &CsePass, &PlacementPass, &DeadOpPass];
-                for p in passes {
-                    let s1 = p.rewrite(&mut c).expect("optimizing pass has rewrite mode");
-                    prop_assert!(
-                        c.validate().is_ok(),
-                        "{} broke circuit validity: {:?}",
-                        p.name(),
-                        c.validate()
-                    );
-                    let s2 = p.rewrite(&mut c).expect("optimizing pass has rewrite mode");
-                    prop_assert!(
-                        !s2.changed,
-                        "{} not idempotent: first {:?}, second {:?}",
-                        p.name(),
-                        s1,
-                        s2
-                    );
-                    prop_assert!(c.validate().is_ok());
-                }
-            }
-        }
     }
 }

@@ -44,12 +44,11 @@ impl ScalarState {
     }
 }
 
-/// What one lane stride of the packed path runs: the optimized circuit
+/// What one lane stride of the packed path runs: the compiled circuit
 /// in prepared form (validated, plaintext operands encoded) and the
 /// admission verdict of the standard lint passes over it.
 struct PackedStride {
     prepared: he_ir::Prepared,
-    report: he_ir::OptimizeReport,
     /// Rendered lint report when admission refused the circuit.
     rejected: Option<String>,
 }
@@ -79,17 +78,14 @@ impl PackedState {
     }
 }
 
-/// Reference-vs-optimized op accounting for one lane stride, for
+/// Reference-vs-compiled op accounting for one lane stride, for
 /// benches and regression gates.
 #[derive(Debug, Clone)]
 pub struct CompiledStats {
-    /// Counts of the un-optimized reference lowering
-    /// ([`PackedLowering::Eager`]).
+    /// Counts of the reference lowering ([`PackedLowering::Eager`]).
     pub eager: he_ir::OpCounts,
-    /// Counts of the optimized circuit `classify` runs.
+    /// Counts of the compiled circuit `classify` runs.
     pub compiled: he_ir::OpCounts,
-    /// What the optimizer pipeline did.
-    pub report: he_ir::OptimizeReport,
 }
 
 /// One request's run as the client sees it — decrypted logits and the
@@ -208,10 +204,10 @@ impl CnnHePipeline {
 
     /// Switches [`Self::classify`] to the slot-packed path: B images
     /// coalesce into `ceil(B / capacity)` batch-strided ciphertexts, and
-    /// each runs the network as one optimized `he-ir` circuit
-    /// (squat-fold lowering → [`he_ir::PassManager::optimizer`] →
-    /// [`he_ir::Prepared`]) under Galois keys generated for exactly the
-    /// rotations those circuits use. Circuit, keys and pre-encoded
+    /// each runs the network as one `he-ir` circuit (the squat-fold
+    /// lowering [`PackedLowering::Compiled`] → [`he_ir::Prepared`])
+    /// under Galois keys generated for exactly the rotations those
+    /// circuits use. Circuit, keys and pre-encoded
     /// operands are built per lane stride on first use; [`Self::prepare_batch`]
     /// builds them ahead of time. Fails typed when the network is
     /// malformed ([`HeError::PlanRejected`] naming the layer
@@ -251,7 +247,7 @@ impl CnnHePipeline {
         self.packed.is_some()
     }
 
-    /// Alias of [`Self::enable_packed_batching`]: the optimized circuit
+    /// Alias of [`Self::enable_packed_batching`]: the compiled circuit
     /// is the only packed path, so "compiling" and "enabling packed
     /// batching" are the same switch.
     pub fn compile(&mut self) -> Result<(), HeError> {
@@ -259,9 +255,9 @@ impl CnnHePipeline {
     }
 
     /// Builds (once) everything a `batch`-image packed request runs
-    /// with, so the request itself does no lowering, optimization,
-    /// keygen, linting or plaintext encoding. Fails typed when packed
-    /// batching is not enabled or admission refuses the circuit.
+    /// with, so the request itself does no lowering, keygen, linting or
+    /// plaintext encoding. Fails typed when packed batching is not
+    /// enabled or admission refuses the circuit.
     pub fn prepare_batch(&mut self, batch: usize) -> Result<(), HeError> {
         self.admitted_plan(batch).map(|_| ())
     }
@@ -280,15 +276,12 @@ impl CnnHePipeline {
         if state.strides.contains_key(&stride) {
             return Ok(plan);
         }
-        let mut circuit = lower_packed(
+        let circuit = lower_packed(
             &state.packed,
             he_ir::GraphBuilder::for_context(&self.ctx),
             stride,
             PackedLowering::Compiled,
         );
-        let report = he_ir::PassManager::optimizer()
-            .optimize(&mut circuit)
-            .map_err(|reason| HeError::Execution { reason })?;
         // keys for the rotation steps no earlier stride already needed
         let params = self.ctx.params();
         let missing: Vec<i64> = he_ir::passes::rotations::required_elements(&circuit)
@@ -305,7 +298,6 @@ impl CnnHePipeline {
             stride,
             PackedStride {
                 prepared,
-                report,
                 rejected: lint.has_errors().then(|| lint.render()),
             },
         );
@@ -334,7 +326,7 @@ impl CnnHePipeline {
             .expect("a built stride implies packed state")
     }
 
-    /// Reference-vs-optimized op accounting for the stride a
+    /// Reference-vs-compiled op accounting for the stride a
     /// `batch`-image request runs at (preparing that stride if needed).
     /// `None` until packed batching is enabled.
     pub fn compiled_stats(&mut self, batch: usize) -> Option<CompiledStats> {
@@ -349,7 +341,6 @@ impl CnnHePipeline {
         Some(CompiledStats {
             eager: reference.op_counts(),
             compiled: built.prepared.circuit().op_counts(),
-            report: built.report.clone(),
         })
     }
 
@@ -370,7 +361,7 @@ impl CnnHePipeline {
     /// is the number of images of the intended request. Scalar engine:
     /// the cached [`admission`] report of the circuit that runs, plus a
     /// `batch-exceeds-slots` error when the batch outgrows the slots. Packed path:
-    /// [`circuit_admission`] of the optimized circuit that batch size
+    /// [`circuit_admission`] of the compiled circuit that batch size
     /// executes, against the Galois keys generated for it (preparing
     /// that stride if needed).
     pub fn validate_batch(&mut self, batch: usize) -> he_ir::LintReport {
@@ -752,11 +743,10 @@ mod tests {
         for (a, b) in one.logits[0].iter().zip(&got.logits[0]) {
             assert!((a - b).abs() < 2e-2, "{a} vs {b}");
         }
-        // the optimizer must beat the reference lowering by the gated
-        // thresholds on both strides seen above
+        // the compiled lowering must beat the reference lowering by the
+        // gated thresholds on both strides seen above
         for batch in [1usize, 10] {
             let stats = pipe.compiled_stats(batch).unwrap();
-            assert!(stats.report.changed());
             let (e, c) = (stats.eager, stats.compiled);
             assert!(
                 (c.rotations as f64) <= 0.85 * e.rotations as f64,

@@ -176,203 +176,6 @@ pub fn run_ir_vs_eager(
     })
 }
 
-/// Summary of a clean compiled differential run.
-#[derive(Debug, Clone, Copy)]
-pub struct CompiledReport {
-    /// Ops executed eagerly.
-    pub ops: usize,
-    /// Live end-of-sequence registers compared.
-    pub outputs: usize,
-    /// Circuit size before / after optimization.
-    pub nodes_before: usize,
-    pub nodes_after: usize,
-    /// Keyswitching rotations before / after optimization.
-    pub rotations_before: u64,
-    pub rotations_after: u64,
-    /// Worst observed `measured / bound` over the compared outputs.
-    pub worst_ratio: f64,
-}
-
-/// The compiled-vs-eager differential: the generated sequence runs
-/// eagerly on the production evaluator, then its lowered circuit is put
-/// through the full optimizing pipeline
-/// ([`PassManager::optimizer`]) and interpreted. Optimization is
-/// allowed to change rounding (rescale sinking reorders divisions), so
-/// the contract is *not* bit-equality: every live output must stay
-/// within `safety ×` the composed [`he_ir::NoiseModel`] bound of the
-/// exact plaintext reference — the oracle's own admission criterion —
-/// and within twice that bound of the eager ciphertext.
-pub fn run_compiled_vs_eager(
-    ctx: &Arc<CkksContext>,
-    seed: u64,
-    count: usize,
-    safety: f64,
-) -> Result<CompiledReport, String> {
-    let ops = crate::generate(ctx, seed, count);
-    let slots = ctx.slots();
-    let scale = ctx.params().scale();
-    let model = he_ir::NoiseModel::new(ctx.params());
-
-    let mut kg = KeyGenerator::new(Arc::clone(ctx), seed ^ 0xA11C_E5ED);
-    let sk = kg.gen_secret_key();
-    let pk = kg.gen_public_key(&sk);
-    let rk = kg.gen_relin_key(&sk);
-    let gk = kg.gen_galois_keys(&sk, &crate::ROTATE_STEPS, false);
-    let ev = Evaluator::new(Arc::clone(ctx));
-    let mut enc = Sampler::from_seed_stream(seed, 1);
-
-    // eager leg, tracking the plaintext reference and the composed
-    // analytic error bound per register (the oracle's trajectory,
-    // single-world)
-    struct Reg {
-        ct: Ciphertext,
-        refv: Vec<f64>,
-        err: f64,
-    }
-    let mag = |r: &Reg| r.refv.iter().fold(0.0f64, |m, v| m.max(v.abs()));
-    let mut regs: [Option<Reg>; NUM_REGS] = Default::default();
-    let mut inputs: HashMap<String, Ciphertext> = HashMap::new();
-    for (i, op) in ops.iter().enumerate() {
-        let reg = |r: usize| regs[r].as_ref().expect("operand initialized");
-        let state = match *op {
-            DiffOp::Encrypt { value_seed, .. } => {
-                let mut vs = Sampler::from_seed_stream(value_seed, 0);
-                let refv: Vec<f64> = (0..slots).map(|_| vs.rng().gen_range(-1.0..1.0)).collect();
-                let ct = ev.encrypt_real(&refv, &pk, &mut enc);
-                inputs.insert(input_name(i), ct.clone());
-                Some(Reg {
-                    ct,
-                    refv,
-                    err: model.fresh_value(scale),
-                })
-            }
-            DiffOp::Add { a, b, .. } | DiffOp::Sub { a, b, .. } => {
-                let sub = matches!(op, DiffOp::Sub { .. });
-                let (ra, rb) = (reg(a), reg(b));
-                Some(Reg {
-                    ct: if sub {
-                        ev.sub(&ra.ct, &rb.ct)
-                    } else {
-                        ev.add(&ra.ct, &rb.ct)
-                    },
-                    refv: ra
-                        .refv
-                        .iter()
-                        .zip(&rb.refv)
-                        .map(|(x, y)| if sub { x - y } else { x + y })
-                        .collect(),
-                    err: model.add_value(ra.err, rb.err),
-                })
-            }
-            DiffOp::Negate { src, .. } => {
-                let r = reg(src);
-                Some(Reg {
-                    ct: ev.negate(&r.ct),
-                    refv: r.refv.iter().map(|v| -v).collect(),
-                    err: r.err,
-                })
-            }
-            DiffOp::MulRelin { a, b, .. } => {
-                let (ra, rb) = (reg(a), reg(b));
-                let err =
-                    model.mul_value(mag(ra), ra.err, mag(rb), rb.err, ra.ct.scale * rb.ct.scale);
-                Some(Reg {
-                    ct: ev.multiply(&ra.ct, &rb.ct, &rk),
-                    refv: ra.refv.iter().zip(&rb.refv).map(|(x, y)| x * y).collect(),
-                    err,
-                })
-            }
-            DiffOp::Rescale { src, .. } => {
-                let r = reg(src);
-                let ct = ev.rescale(&r.ct);
-                let err = model.rescale_value(r.err, ct.scale);
-                Some(Reg {
-                    ct,
-                    refv: r.refv.clone(),
-                    err,
-                })
-            }
-            DiffOp::Rotate { src, steps, .. } => {
-                let r = reg(src);
-                let shift = steps.rem_euclid(slots as i64) as usize;
-                let err = model.rotate_value(r.err, r.ct.scale);
-                Some(Reg {
-                    ct: ev.rotate(&r.ct, steps, &gk),
-                    refv: (0..slots).map(|j| r.refv[(j + shift) % slots]).collect(),
-                    err,
-                })
-            }
-            DiffOp::CrtRoundTrip { .. } => None,
-        };
-        if let (Some(state), Some(dst)) = (state, op.dst()) {
-            regs[dst] = Some(state);
-        }
-    }
-
-    // compiled leg: lower, optimize (re-validated at every pass
-    // boundary), interpret
-    let (mut circuit, _) = lower_ops(&ops, GraphBuilder::for_context(ctx));
-    let nodes_before = circuit.nodes.len();
-    let counts_before = circuit.op_counts();
-    let report = PassManager::optimizer()
-        .optimize(&mut circuit)
-        .map_err(|e| format!("optimizer rejected the lowered sequence: {e}"))?;
-    let outs = Interpreter::new(&ev)
-        .with_relin(&rk)
-        .with_galois(&gk)
-        .run(&circuit, &inputs)?;
-
-    // live registers in ascending index order — the order lower_ops
-    // declared the outputs in (optimization preserves output order)
-    let live: Vec<&Reg> = regs.iter().flatten().collect();
-    if live.len() != outs.len() {
-        return Err(format!(
-            "output arity changed under optimization: {} live registers, {} circuit outputs",
-            live.len(),
-            outs.len()
-        ));
-    }
-    let mut worst = 0.0f64;
-    for (k, (want, got)) in live.iter().zip(&outs).enumerate() {
-        let bound = safety * want.err;
-        let dec_eager = ev.decrypt_to_real(&want.ct, &sk);
-        let dec_comp = ev.decrypt_to_real(got, &sk);
-        let d_ref = dec_comp[..slots]
-            .iter()
-            .zip(&want.refv)
-            .map(|(x, y)| (x - y).abs())
-            .fold(0.0f64, f64::max);
-        let d_cross = dec_comp[..slots]
-            .iter()
-            .zip(&dec_eager[..slots])
-            .map(|(x, y)| (x - y).abs())
-            .fold(0.0f64, f64::max);
-        if d_ref > bound {
-            return Err(format!(
-                "output #{k}: compiled error {d_ref:.3e} exceeds noise bound {bound:.3e}"
-            ));
-        }
-        // eager is itself within `bound` of the reference, so the two
-        // worlds may drift at most twice the bound apart
-        if d_cross > 2.0 * bound {
-            return Err(format!(
-                "output #{k}: compiled and eager worlds {d_cross:.3e} apart (bound {:.3e})",
-                2.0 * bound
-            ));
-        }
-        worst = worst.max(d_ref / bound);
-    }
-    Ok(CompiledReport {
-        ops: ops.len(),
-        outputs: outs.len(),
-        nodes_before,
-        nodes_after: report.nodes_after,
-        rotations_before: counts_before.rotations,
-        rotations_after: circuit.op_counts().rotations,
-        worst_ratio: worst,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -386,24 +189,6 @@ mod tests {
             assert_eq!(report.ops, 50);
             assert!(report.compares >= 40, "most ops write a register");
             assert!(report.nodes >= report.compares);
-        }
-    }
-
-    #[test]
-    fn compiled_agrees_within_the_noise_bound_on_every_preset() {
-        for p in crate::presets() {
-            let ctx = p.params.build();
-            for seed in [1u64, 7] {
-                let r = run_compiled_vs_eager(&ctx, seed, 80, 64.0)
-                    .unwrap_or_else(|e| panic!("preset {} seed {seed}: {e}", p.name));
-                assert_eq!(r.ops, 80);
-                assert!(r.outputs >= 1);
-                assert!(r.worst_ratio <= 1.0);
-                // dead register chains and duplicate work exist in any
-                // long random sequence; the optimizer must shrink it
-                assert!(r.nodes_after <= r.nodes_before);
-                assert!(r.rotations_after <= r.rotations_before);
-            }
         }
     }
 

@@ -19,11 +19,7 @@
 //!   `he-ir` circuit IR and interpreted with the same keys, and each
 //!   register write must match the eager ciphertext **bit for bit**
 //!   (limb for limb, zero tolerance), with the lowered circuit passing
-//!   the full static-analysis suite. The fourth world
-//!   ([`ir::run_compiled_vs_eager`], CLI `--compiled`) sends the same
-//!   circuit through the optimizing pass pipeline first; optimization
-//!   may legally change rounding (rescale sinking reorders divisions),
-//!   so its contract is the analytic noise bound, not bit-equality.
+//!   the full static-analysis suite (CLI `--ir`).
 //! * [`mod@minimize`] — failing sequences shrink to a minimal
 //!   reproducing op list, reported with the replayable seed.
 //! * `fault` (feature `fault-inject`) — deterministic corruption
@@ -51,7 +47,7 @@ pub mod sim;
 pub mod fault;
 
 pub use gen::{generate, DiffOp};
-pub use ir::{lower_ops, run_compiled_vs_eager, run_ir_vs_eager, CompiledReport, IrReport};
+pub use ir::{lower_ops, run_ir_vs_eager, IrReport};
 pub use minimize::{minimize, minimize_with};
 pub use oracle::{run_sequence, DiffConfig, Divergence, RunReport};
 

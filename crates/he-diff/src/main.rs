@@ -1,7 +1,7 @@
 //! `he-diff` — differential oracle runner.
 //!
 //! ```text
-//! he-diff run [--seed S] [--ops N] [--preset NAME|all] [--safety F] [--minimize] [--ir] [--compiled]
+//! he-diff run [--seed S] [--ops N] [--preset NAME|all] [--safety F] [--minimize] [--ir]
 //! he-diff presets
 //! ```
 //!
@@ -53,7 +53,6 @@ fn run_cmd(args: Vec<String>) -> i32 {
     let mut cfg = DiffConfig::default();
     let mut shrink = false;
     let mut ir = false;
-    let mut compiled = false;
 
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
@@ -84,7 +83,6 @@ fn run_cmd(args: Vec<String>) -> i32 {
             }
             "--minimize" => shrink = true,
             "--ir" => ir = true,
-            "--compiled" => compiled = true,
             _ => {
                 eprintln!("unknown flag `{arg}`\n{USAGE}");
                 return 2;
@@ -153,28 +151,6 @@ fn run_cmd(args: Vec<String>) -> i32 {
                 }
             }
         }
-        if compiled {
-            match he_diff::run_compiled_vs_eager(&ctx, seed, ops_count, cfg.safety) {
-                Ok(r) => println!(
-                    "{:8} compiled: {} output(s) within bound (worst {:.3}), {} → {} node(s), rotations {} → {} ok",
-                    p.name,
-                    r.outputs,
-                    r.worst_ratio,
-                    r.nodes_before,
-                    r.nodes_after,
-                    r.rotations_before,
-                    r.rotations_after
-                ),
-                Err(e) => {
-                    failed = true;
-                    println!("{:8} COMPILED DIVERGENCE: {e}", p.name);
-                    println!(
-                        "replay: he-diff run --seed {seed} --ops {ops_count} --preset {} --compiled",
-                        p.name
-                    );
-                }
-            }
-        }
     }
     i32::from(failed)
 }
@@ -187,7 +163,7 @@ fn report_divergence(preset: &str, seed: u64, ops: usize, div: &Divergence) {
 const USAGE: &str = "usage: he-diff <command>
 
 commands:
-    run [--seed S] [--ops N] [--preset NAME|all] [--safety F] [--minimize] [--ir] [--compiled]
+    run [--seed S] [--ops N] [--preset NAME|all] [--safety F] [--minimize] [--ir]
         Generate a seeded op sequence and execute it on the production
         RNS evaluator and the bignum CKKS reference simultaneously,
         checking both against the analytic noise bound after every op.
@@ -195,10 +171,7 @@ commands:
         reproducing op list before reporting. With --ir, the sequence
         is additionally lowered to the he-ir circuit IR and interpreted
         with the same keys, demanding bit-identical ciphertexts at
-        every register write. With --compiled, the lowered circuit is
-        run through the optimizing pass pipeline first and every live
-        output must stay within the analytic noise bound of the exact
-        reference (and within twice it of the eager world).
+        every register write.
     presets
         List the oracle's parameter presets.
 

@@ -171,24 +171,6 @@ impl Op {
         }
     }
 
-    /// Mutable references to the operand node ids, in the same order as
-    /// [`Op::args`] — what rewriting passes redirect.
-    pub fn args_mut(&mut self) -> Vec<&mut NodeId> {
-        match self {
-            Op::Input { .. } | Op::Zero | Op::EncodeScalar { .. } | Op::EncodeVec { .. } => vec![],
-            Op::Add { a, b } | Op::Sub { a, b } | Op::Mul { a, b } => vec![a, b],
-            Op::Negate { src }
-            | Op::AddScalar { src, .. }
-            | Op::Square { src }
-            | Op::Rescale { src }
-            | Op::ModSwitch { src, .. }
-            | Op::Rotate { src, .. }
-            | Op::Conjugate { src } => vec![src],
-            Op::MulPlain { src, plain } | Op::AddPlain { src, plain } => vec![src, plain],
-            Op::MacPlain { acc, src, plain } => vec![acc, src, plain],
-        }
-    }
-
     /// Short lowercase mnemonic for rendering.
     pub fn mnemonic(&self) -> &'static str {
         match self {

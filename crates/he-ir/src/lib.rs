@@ -18,12 +18,9 @@
 //!   producing typed diagnostics ([`diag::Diagnostic`]).
 //! - [`passes`]: the standard analyses — level/scale/noise abstract
 //!   interpretation, rotation-set/key coverage, liveness + dead ops,
-//!   value-numbering/CSE, and rescale/relin placement — plus the
-//!   optimizing rewrites ([`pass::PassManager::optimizer`]): rotation
-//!   hoisting/BSGS baby-step sharing, CSE merging, rescale sinking and
-//!   relin-redundancy elimination, and dead-op elimination, each
-//!   re-validated at the pass boundary
-//!   ([`pass::PassManager::optimize`]).
+//!   value-numbering/CSE, and rescale/relin placement. Passes only
+//!   read a circuit: a lowering (`cnn-he`'s scalar and packed ones)
+//!   emits exactly the circuit that runs.
 //! - [`interp::Interpreter`]: replays a circuit through the real
 //!   `Evaluator`, bit-identical to eager execution — the anchor for
 //!   he-diff's IR-vs-eager differential mode. [`interp::Prepared`] is
@@ -54,5 +51,5 @@ pub use circuit::{Circuit, KeyInventory, Node, NodeId, Op, OpCounts, Region};
 pub use diag::{Diagnostic, LintReport, Severity};
 pub use interp::{Interpreter, Prepared, RegionRun, RunOutput, Value};
 pub use noise::NoiseModel;
-pub use pass::{AnalysisReport, OptimizeReport, Pass, PassManager, PassOutput, RewriteStats};
+pub use pass::{AnalysisReport, Pass, PassManager, PassOutput};
 pub use types::{CtType, Layout, PlainType, ValueTy};

@@ -1,16 +1,12 @@
 //! The pass framework: a [`Pass`] trait, the standard analysis
-//! pipeline, the optimizing pipeline, and merged reporting.
+//! pipeline, and merged reporting.
 //!
-//! A pass has two modes. `run` is a pure analysis `&Circuit →
-//! PassOutput` returning a [`LintReport`] in the shared severity model
-//! plus a one-line summary for CLI display. `rewrite` (optional — the
-//! default implementation declines) is the transform mode: it mutates
-//! the circuit in place and reports [`RewriteStats`]. The optimizing
-//! pipeline ([`PassManager::optimize`]) re-validates the circuit after
-//! every rewriting pass, so an ill-behaved transform is caught at the
-//! pass boundary instead of corrupting downstream passes.
+//! A pass is a pure analysis `&Circuit → PassOutput` returning a
+//! [`LintReport`] in the shared severity model plus a one-line summary
+//! for CLI display. Passes never rewrite a circuit: the lowering emits
+//! the circuit that runs.
 
-use crate::circuit::{Circuit, OpCounts};
+use crate::circuit::Circuit;
 use crate::diag::{Diagnostic, LintReport};
 use crate::passes;
 
@@ -22,31 +18,13 @@ pub struct PassOutput {
     pub summary: String,
 }
 
-/// What a rewriting pass did to the circuit.
-#[derive(Debug, Clone, Default)]
-pub struct RewriteStats {
-    /// True when the circuit was actually mutated. A pass re-run on its
-    /// own output must report `changed == false` (idempotence).
-    pub changed: bool,
-    /// Nodes whose operands/outputs were redirected or whose op was
-    /// replaced in place.
-    pub nodes_rewritten: usize,
-    /// Nodes deleted from the graph (only DCE deletes).
-    pub nodes_removed: usize,
-}
-
-/// A static analysis (and optionally a transform) over a circuit.
+/// A static analysis over a circuit.
 pub trait Pass {
     /// Stable kebab-case identifier (`levels`, `rotation-set`, …).
     fn name(&self) -> &'static str;
     /// One-line description for `he-ir passes`.
     fn description(&self) -> &'static str;
     fn run(&self, circuit: &Circuit) -> PassOutput;
-    /// Transform mode: mutate the circuit, returning what changed.
-    /// `None` means the pass is analysis-only (the default).
-    fn rewrite(&self, _circuit: &mut Circuit) -> Option<RewriteStats> {
-        None
-    }
 }
 
 /// Ordered collection of passes.
@@ -71,18 +49,12 @@ impl PassManager {
         pm
     }
 
-    /// The optimizing pipeline, in legality order: rotation hoisting
-    /// first (canonicalizes rotation steps so CSE sees through them),
-    /// then CSE merging, then rescale/relin placement (pattern rewrites
-    /// on the merged graph), then dead-op elimination to sweep the
-    /// orphans the earlier passes leave behind.
+    /// The empty manager: a shim kept only because hebench
+    /// (`hebench/src/adapter.rs`) still calls it and [`Self::optimize`],
+    /// and its sources change only with the benchmark definition.
+    /// Delete both with that call.
     pub fn optimizer() -> Self {
-        let mut pm = Self::empty();
-        pm.add(passes::hoist::RotationHoistPass);
-        pm.add(passes::cse::CsePass);
-        pm.add(passes::placement::PlacementPass);
-        pm.add(passes::dce::DeadOpPass);
-        pm
+        Self::empty()
     }
 
     pub fn add(&mut self, pass: impl Pass + 'static) {
@@ -123,81 +95,10 @@ impl PassManager {
         }
     }
 
-    /// Runs every rewrite-capable pass over the circuit in order,
-    /// re-running structural validation after each one (a transform
-    /// that breaks SSA order, operand kinds, or region bounds aborts
-    /// the pipeline with the offending pass named). Analysis-only
-    /// passes are skipped. Returns per-pass stats plus the before/after
-    /// op counts.
-    pub fn optimize(&self, circuit: &mut Circuit) -> Result<OptimizeReport, String> {
-        if let Err(e) = circuit.validate() {
-            return Err(format!("input circuit is malformed: {e}"));
-        }
-        let before = circuit.op_counts();
-        let nodes_before = circuit.nodes.len();
-        let mut per_pass = Vec::new();
-        for pass in &self.passes {
-            let Some(stats) = pass.rewrite(circuit) else {
-                continue;
-            };
-            if stats.changed {
-                if let Err(e) = circuit.validate() {
-                    return Err(format!(
-                        "pass '{}' produced an invalid circuit: {e}",
-                        pass.name()
-                    ));
-                }
-            }
-            per_pass.push((pass.name(), stats));
-        }
-        Ok(OptimizeReport {
-            per_pass,
-            before,
-            after: circuit.op_counts(),
-            nodes_before,
-            nodes_after: circuit.nodes.len(),
-        })
-    }
-}
-
-/// What one [`PassManager::optimize`] run did.
-#[derive(Debug, Clone, Default)]
-pub struct OptimizeReport {
-    /// Rewriting passes that ran, in order, with their stats.
-    pub per_pass: Vec<(&'static str, RewriteStats)>,
-    /// Keyswitch-relevant op counts before optimization.
-    pub before: OpCounts,
-    /// Op counts after all passes.
-    pub after: OpCounts,
-    pub nodes_before: usize,
-    pub nodes_after: usize,
-}
-
-impl OptimizeReport {
-    /// True when any pass mutated the circuit.
-    pub fn changed(&self) -> bool {
-        self.per_pass.iter().any(|(_, s)| s.changed)
-    }
-
-    /// One-line digest for CLI display.
-    pub fn render(&self) -> String {
-        let passes: Vec<String> = self
-            .per_pass
-            .iter()
-            .map(|(name, s)| format!("{name}: ~{} -{}", s.nodes_rewritten, s.nodes_removed))
-            .collect();
-        format!(
-            "{} → {} nodes; rotations {} → {}, rescales {} → {}, ct mults {} → {} [{}]",
-            self.nodes_before,
-            self.nodes_after,
-            self.before.rotations,
-            self.after.rotations,
-            self.before.rescales,
-            self.after.rescales,
-            self.before.ct_mults,
-            self.after.ct_mults,
-            passes.join(", ")
-        )
+    /// Structural validation ([`Circuit::validate`]) and nothing else:
+    /// the hebench-only shim that pairs with [`Self::optimizer`].
+    pub fn optimize(&self, circuit: &Circuit) -> Result<(), String> {
+        circuit.validate()
     }
 }
 
@@ -293,57 +194,5 @@ mod tests {
             names,
             vec!["levels", "rotation-set", "liveness", "cse", "placement"]
         );
-    }
-
-    /// A naive BSGS-style lowering with duplicated rotations and
-    /// encodes: the full optimizer pipeline merges the duplicates,
-    /// sweeps the orphans, and the result is stable under a second run.
-    #[test]
-    fn optimizer_pipeline_shrinks_and_is_idempotent() {
-        let params = CkksParams::tiny(2);
-        let slots = params.slots() as i64;
-        let build = || {
-            let mut b = GraphBuilder::new(params.clone());
-            let top = b.params().depth();
-            let x = b.input("x", top, Layout::Tiled);
-            let q = b.q_at(top);
-            let mut terms = Vec::new();
-            for g in 0..2i64 {
-                // each "giant" naively re-derives the same baby rotations
-                for d in 0..2i64 {
-                    let steps = if g == 0 { d } else { d - slots };
-                    let baby = b.rotate(x, steps);
-                    let w = b.encode_scalar(0.25, q, top);
-                    let p = b.mul_plain(baby, w);
-                    terms.push(b.rescale(p));
-                }
-            }
-            let mut acc = terms[0];
-            for &t in &terms[1..] {
-                acc = b.add(acc, t);
-            }
-            b.output(acc);
-            b.finish(KeyInventory::relin_only())
-        };
-
-        let mut c = build();
-        let report = PassManager::optimizer().optimize(&mut c).unwrap();
-        assert!(report.changed());
-        assert!(c.validate().is_ok(), "{:?}", c.validate());
-        // four rotations (two of them -slots aliases) collapse to one
-        // real rotation plus one identity
-        assert!(
-            report.after.rotations < report.before.rotations,
-            "{}",
-            report.render()
-        );
-        // rescale sinking merged the per-term rescales
-        assert!(report.after.rescales < report.before.rescales);
-        assert!(report.nodes_after < report.nodes_before);
-
-        // idempotence: a second full pipeline run changes nothing
-        let report2 = PassManager::optimizer().optimize(&mut c).unwrap();
-        assert!(!report2.changed(), "{}", report2.render());
-        assert!(!report.render().is_empty());
     }
 }

@@ -244,30 +244,6 @@ impl Pass for CsePass {
         );
         PassOutput { report, summary }
     }
-
-    /// Transform mode: redirect every use of a duplicate node to its
-    /// value-number representative (the *first* node computing that
-    /// value — always an earlier id, so SSA order is preserved). The
-    /// orphaned duplicates are left for DCE. Merging duplicate ct×ct
-    /// products also drops their fused relinearizations — the
-    /// "provably redundant relin" case: the keyswitch of a product
-    /// that is bit-identical to an already-relinearized one.
-    fn rewrite(&self, circuit: &mut Circuit) -> Option<crate::pass::RewriteStats> {
-        let numbers = number(circuit);
-        let mut fwd: Vec<NodeId> = (0..circuit.nodes.len()).collect();
-        for (id, &rep) in numbers.vn.iter().enumerate() {
-            // guard: only merge when the declared types agree exactly
-            if rep != id && circuit.nodes[rep].ty == circuit.nodes[id].ty {
-                fwd[id] = rep;
-            }
-        }
-        let rewritten = crate::passes::rewrite::redirect_uses(circuit, &fwd);
-        Some(crate::pass::RewriteStats {
-            changed: rewritten > 0,
-            nodes_rewritten: rewritten,
-            nodes_removed: 0,
-        })
-    }
 }
 
 #[cfg(test)]

@@ -6,10 +6,7 @@
 //! [`liveness::analyze`]).
 
 pub mod cse;
-pub mod dce;
-pub mod hoist;
 pub mod levels;
 pub mod liveness;
 pub mod placement;
-pub mod rewrite;
 pub mod rotations;

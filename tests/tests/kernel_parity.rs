@@ -343,15 +343,12 @@ fn ntt_domain_galois_matches_on_the_cnn1_rotation_set() {
     let packed = PackedNetwork::from_network(&net);
     let params = CkksParams::toy(packed.required_levels());
     let n = params.n;
-    let mut circuit = lower_packed(
+    let circuit = lower_packed(
         &packed,
         he_ir::GraphBuilder::new(params),
         1,
         PackedLowering::Compiled,
     );
-    he_ir::PassManager::optimizer()
-        .optimize(&mut circuit)
-        .expect("optimizes");
     let elements = he_ir::passes::rotations::required_elements(&circuit).elements;
     assert!(elements.len() > 4, "CNN1 rotates by several steps");
     assert_galois_parity(n, elements.into_iter().chain([2 * n - 1]));

@@ -12,7 +12,7 @@ use ckks_math::sampler::Sampler;
 use cnn_he::he_layers::{ConvSpec, DenseSpec};
 use cnn_he::packed::PackedNetwork;
 use cnn_he::{lower_packed, CnnHePipeline, HeLayerSpec, HeNetwork, PackedLowering, PACKED_INPUT};
-use he_ir::{GraphBuilder, Interpreter, PassManager, Prepared};
+use he_ir::{GraphBuilder, Interpreter, Prepared};
 use he_trace::OpSnapshot;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -69,13 +69,12 @@ fn steady_state_requests_encode_nothing_and_generate_no_keys() {
     let rk = kg.gen_relin_key(&sk);
     let ev = Evaluator::new(Arc::clone(&ctx));
     let plan = packed.plan_batch(ctx.slots(), 2).unwrap();
-    let mut circuit = lower_packed(
+    let circuit = lower_packed(
         &packed,
         GraphBuilder::for_context(&ctx),
         plan.layout().stride(),
         PackedLowering::Compiled,
     );
-    PassManager::optimizer().optimize(&mut circuit).unwrap();
     let steps: Vec<i64> = he_ir::passes::rotations::required_elements(&circuit)
         .steps
         .into_iter()

@@ -66,17 +66,14 @@ fn missing_rotation_key_plan_is_rejected_statically() {
     // power of two), so the vector needs the 2048 slots of N = 2^12
     let params = params_with_depth_on_ring(packed.required_levels(), 1 << 12);
     assert!(packed.dim <= params.slots());
-    // the circuit the packed path optimizes and runs, provisioned with
-    // every element it rotates by except the largest
+    // the circuit the packed path runs, provisioned with every element
+    // it rotates by except the largest
     let mut circuit = lower_packed(
         &packed,
         GraphBuilder::new(params),
         1,
         PackedLowering::Compiled,
     );
-    he_ir::PassManager::optimizer()
-        .optimize(&mut circuit)
-        .expect("optimizes");
     let mut elements = required_elements(&circuit).elements;
     let full = RotationSetPass.run(&circuit).report;
     assert!(!full.has_errors(), "{}", full.render());

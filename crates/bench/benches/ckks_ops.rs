@@ -2,7 +2,7 @@
 //! production-shaped parameter set (N = 2^13 keeps criterion's budget
 //! reasonable on one core; scale to 2^14 with RNS_CNN_LOGN).
 
-use ckks::{encode_real, CkksParams, Evaluator, KeyGenerator, SecurityLevel};
+use ckks::{encode_real, CkksParams, Evaluator, KeyGenerator};
 use ckks_math::sampler::Sampler;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::sync::Arc;
@@ -14,16 +14,7 @@ fn bench_ckks(c: &mut Criterion) {
         .unwrap_or(13);
     let n = 1usize << log_n;
     let depth = 7usize;
-    let mut chain_bits = vec![40u32];
-    chain_bits.extend(std::iter::repeat_n(26, depth));
-    let ctx = CkksParams {
-        n,
-        chain_bits,
-        special_bits: vec![40],
-        scale_bits: 26,
-        security: SecurityLevel::None,
-    }
-    .build();
+    let ctx = CkksParams::paper(n, depth).build();
     let mut kg = KeyGenerator::new(Arc::clone(&ctx), 9);
     let sk = kg.gen_secret_key();
     let pk = kg.gen_public_key(&sk);

@@ -4,7 +4,7 @@
 //! prepared and run through
 //! `HeNetwork::infer_encrypted_with`.
 
-use ckks::{CkksParams, Evaluator, KeyGenerator, SecurityLevel};
+use ckks::{CkksParams, Evaluator, KeyGenerator};
 use ckks_math::sampler::Sampler;
 use cnn_he::he_layers::ConvSpec;
 use cnn_he::he_tensor::encrypt_image_batch;
@@ -15,16 +15,7 @@ use std::sync::Arc;
 fn bench_conv(c: &mut Criterion) {
     let n = 1usize << 12;
     let depth = 2usize;
-    let mut chain_bits = vec![40u32];
-    chain_bits.extend(std::iter::repeat_n(26, depth));
-    let ctx = CkksParams {
-        n,
-        chain_bits,
-        special_bits: vec![40],
-        scale_bits: 26,
-        security: SecurityLevel::None,
-    }
-    .build();
+    let ctx = CkksParams::paper(n, depth).build();
     let mut kg = KeyGenerator::new(Arc::clone(&ctx), 11);
     let sk = kg.gen_secret_key();
     let pk = kg.gen_public_key(&sk);

@@ -7,7 +7,7 @@
 //! Results land in `bench_results/layer_parallel.txt`. On a single-core
 //! host the thread sweep is expected flat (threads timeshare one CPU).
 
-use ckks::{CkksParams, Evaluator, KeyGenerator, SecurityLevel};
+use ckks::{CkksParams, Evaluator, KeyGenerator};
 use ckks_math::sampler::Sampler;
 use cnn_he::he_layers::ConvSpec;
 use cnn_he::he_tensor::encrypt_image_batch;
@@ -18,16 +18,7 @@ use std::sync::Arc;
 fn bench_layer_parallel(c: &mut Criterion) {
     let n = 1usize << 12;
     let depth = 2usize;
-    let mut chain_bits = vec![40u32];
-    chain_bits.extend(std::iter::repeat_n(26, depth));
-    let ctx = CkksParams {
-        n,
-        chain_bits,
-        special_bits: vec![40],
-        scale_bits: 26,
-        security: SecurityLevel::None,
-    }
-    .build();
+    let ctx = CkksParams::paper(n, depth).build();
     let mut kg = KeyGenerator::new(Arc::clone(&ctx), 21);
     let sk = kg.gen_secret_key();
     let pk = kg.gen_public_key(&sk);

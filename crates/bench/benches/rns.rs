@@ -18,14 +18,7 @@ fn bench_bignum_vs_rns(c: &mut Criterion) {
 
     // N = 512 keeps the O(N²) bignum path inside a criterion budget; the
     // asymptotic gap only grows with N (bignum is O(N²·w²) vs O(k·N log N)).
-    let ctx = CkksParams {
-        n: 512,
-        chain_bits: vec![40, 26, 26, 26],
-        special_bits: vec![40],
-        scale_bits: 26,
-        security: ckks::SecurityLevel::None,
-    }
-    .build();
+    let ctx = CkksParams::paper(512, 3).build();
     let mut s = Sampler::from_seed(5);
     let level = 3usize;
     let indices: Vec<usize> = (0..=level).collect();

@@ -494,14 +494,7 @@ mod tests {
 
     /// N = 256 params keep the O(N²) schoolbook paths affordable.
     fn micro_ctx() -> Arc<CkksContext> {
-        CkksParams {
-            n: 256,
-            chain_bits: vec![40, 26, 26],
-            special_bits: vec![40],
-            scale_bits: 26,
-            security: crate::security::SecurityLevel::None,
-        }
-        .build()
+        CkksParams::paper(256, 2).build()
     }
 
     #[test]

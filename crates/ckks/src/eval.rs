@@ -6,7 +6,7 @@
 use crate::ciphertext::Ciphertext;
 use crate::encoding::{self, Plaintext};
 use crate::error::HeError;
-use crate::keys::{GaloisKeys, KeySwitchKey, KsVariant, PublicKey, RelinKey, SecretKey};
+use crate::keys::{GaloisKeys, KeySwitchKey, PublicKey, RelinKey, SecretKey};
 use crate::params::CkksContext;
 use ckks_math::fft::Complex;
 use ckks_math::kernel;
@@ -474,24 +474,20 @@ impl Evaluator {
             && level < self.ctx.poly_ctx().chain_len()
             && d.limb_indices().iter().copied().eq(0..=level);
         assert!(shape_ok, "key_switch input: not NTT over limbs 0..=level");
-        let digits = self.decompose(d, ksk.variant == KsVariant::Ghs, false);
-        self.switch(d, &digits, ksk)
+        self.switch(d, &self.decompose(d, false), ksk)
     }
 
     /// The digits of `d` over the key-switch basis (the chain limbs
-    /// `0..=ℓ`, plus the special limb when `special`): one inverse NTT
-    /// yields them all ([`Digits::lift`]). Centred digits commute with
-    /// every automorphism exactly, so one decomposition serves a fan of
-    /// rotations. With `store` every lift is computed here, once for a
-    /// fan; otherwise the one switch reading them lifts each into its
-    /// task's scratch as it goes.
-    fn decompose(&self, d: &RnsPoly, special: bool, store: bool) -> Digits {
+    /// `0..=ℓ` and the special limb): one inverse NTT yields them all
+    /// ([`Digits::lift`]). Centred digits commute with every automorphism
+    /// exactly, so one decomposition serves a fan of rotations. With
+    /// `store` every lift is computed here, once for a fan; otherwise the
+    /// one switch reading them lifts each into its task's scratch as it
+    /// goes.
+    fn decompose(&self, d: &RnsPoly, store: bool) -> Digits {
         let pctx = self.ctx.poly_ctx();
         let (n, digits) = (pctx.n(), d.num_limbs());
-        let mut ext: Vec<usize> = (0..digits).collect();
-        if special {
-            ext.extend(pctx.special_indices());
-        }
+        let ext: Vec<usize> = (0..digits).chain(pctx.special_indices()).collect();
         let mut coeff = d.clone();
         coeff.ntt_inverse();
         he_trace::record_ntt_fwd((digits * (ext.len() - 1)) as u64);
@@ -518,19 +514,16 @@ impl Evaluator {
     }
 
     /// The key switch proper: the inner product of `d`'s digits with the
-    /// key, limb-major (each task multiplies every digit's limb into both
-    /// accumulators), then (GHS) both mod-downs — `c ← (c − [c]_P)·P⁻¹
-    /// mod q_i` — in one pass over the chain limbs. A BV key reads only
-    /// the chain limbs of digits that also carry the special limb.
+    /// key over the extended basis `0..=ℓ` plus the special limb,
+    /// limb-major (each task multiplies every digit's limb into both
+    /// accumulators), then both mod-downs by `P` — `c ← (c − [c]_P)·P⁻¹
+    /// mod q_i` — in one pass over the chain limbs.
     fn switch(&self, d: &RnsPoly, digits: &Digits, ksk: &KeySwitchKey) -> (RnsPoly, RnsPoly) {
         he_trace::record_keyswitch(1);
         let _span = he_trace::span("keyswitch", he_trace::cats::HE);
         let pctx = self.ctx.poly_ctx();
         let (n, level) = (pctx.n(), d.num_limbs() - 1);
-        let ext = match ksk.variant {
-            KsVariant::Ghs => &digits.ext[..],
-            KsVariant::Bv => &digits.ext[..=level],
-        };
+        let ext = &digits.ext;
         he_trace::record_modmul_limbs(2 * ((level + 1) * ext.len()) as u64);
 
         let mut acc0 = RnsPoly::zero(Arc::clone(pctx), ext.to_vec(), Form::Ntt);
@@ -556,15 +549,13 @@ impl Evaluator {
             }
         });
 
-        if ksk.variant == KsVariant::Ghs {
-            debug_assert_eq!(
-                acc0.limb_indices().last(),
-                Some(&pctx.chain_len()),
-                "expected exactly one special limb at the end"
-            );
-            let p_inv = &self.ctx.p_inv_mod_qi()[..=level];
-            RnsPoly::divide_by_last_limb(&mut acc0, &mut acc1, p_inv);
-        }
+        debug_assert_eq!(
+            acc0.limb_indices().last(),
+            Some(&pctx.chain_len()),
+            "expected exactly one special limb at the end"
+        );
+        let p_inv = &self.ctx.p_inv_mod_qi()[..=level];
+        RnsPoly::divide_by_last_limb(&mut acc0, &mut acc1, p_inv);
         (acc0, acc1)
     }
 
@@ -584,7 +575,7 @@ impl Evaluator {
         let _span = he_trace::span("hoist", he_trace::cats::HE);
         Ok(Hoisted {
             ct,
-            digits: self.decompose(&ct.c1, true, store),
+            digits: self.decompose(&ct.c1, store),
         })
     }
 
@@ -980,34 +971,6 @@ mod tests {
         for (b, v) in back.iter().zip(&vals) {
             assert!((*b - v.conj()).abs() < 1e-3, "{b:?} vs {:?}", v.conj());
         }
-    }
-
-    #[test]
-    fn bv_relinearization_works_but_noisier() {
-        let a: Vec<f64> = (0..32).map(|i| 0.5 + 0.01 * i as f64).collect();
-        let expect: Vec<f64> = a.iter().map(|x| x * x).collect();
-        // BV noise scales with q_j·N·σ and is dominated by the key
-        // draw, so average over independent (key, encryption) streams
-        // rather than pinning a single draw.
-        const STREAMS: u64 = 12;
-        let (mut sum_ghs, mut sum_bv) = (0.0f64, 0.0f64);
-        for stream in 0..STREAMS {
-            let f = fixture(2, 20 + stream);
-            let mut kg = KeyGenerator::new(Arc::clone(&f.ctx), 555 + stream);
-            let rk_bv = kg.gen_relin_key_variant(&f.sk, KsVariant::Bv);
-            let mut s = Sampler::from_seed_stream(1020, stream);
-            let ca = f.ev.encrypt_real(&a, &f.pk, &mut s);
-            let ghs = f.ev.multiply_rescale(&ca, &ca, &f.rk);
-            let bv = f.ev.multiply_rescale(&ca, &ca, &rk_bv);
-            sum_ghs += max_err(&f.ev.decrypt_to_real(&ghs, &f.sk)[..32], &expect);
-            sum_bv += max_err(&f.ev.decrypt_to_real(&bv, &f.sk)[..32], &expect);
-        }
-        let avg_ghs = sum_ghs / STREAMS as f64;
-        let avg_bv = sum_bv / STREAMS as f64;
-        // both correct to coarse precision, GHS strictly tighter
-        assert!(avg_ghs < 1e-3, "GHS error {avg_ghs}");
-        assert!(avg_bv < 0.3, "BV error {avg_bv}");
-        assert!(avg_ghs < avg_bv, "GHS {avg_ghs} should beat BV {avg_bv}");
     }
 
     #[test]

@@ -9,10 +9,9 @@
 //! the product of the special primes, and `δ_j` is the CRT indicator
 //! (`≡ 1 mod q_j`, `≡ 0` mod every other prime including the special
 //! ones). This makes one key set valid at *every* level — at level ℓ only
-//! digits `0..=ℓ` are used.
-//!
-//! A BV-style variant without the special modulus is included for the
-//! noise/latency ablation benchmarks.
+//! digits `0..=ℓ` are used. This is the only key switch: every
+//! relinearization and rotation key is drawn over the chain and the
+//! special primes.
 
 use crate::params::CkksContext;
 use ckks_math::poly::{Form, RnsPoly};
@@ -68,26 +67,13 @@ impl PublicKey {
     }
 }
 
-/// Key-switching algorithm variant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KsVariant {
-    /// Hybrid/GHS with special modulus `P`: digits carry a `P` factor and
-    /// the switched result is scaled down by `P`, making the added noise
-    /// negligible. The default.
-    Ghs,
-    /// BV-style digit decomposition without a special modulus. Cheaper per
-    /// digit but adds noise proportional to `q_j · N · σ`; kept for the
-    /// ablation study.
-    Bv,
-}
-
 /// A key-switching key: one RLWE pair per chain-prime digit, each
-/// encrypting a digit of its payload `w` under its secret `t`.
+/// encrypting `[P]_{q_j}` times a digit of its payload `w` under its
+/// secret `t`, over every chain and special modulus.
 #[derive(Debug, Clone)]
 pub struct KeySwitchKey {
     /// `digits[j] = (b_j, a_j)`.
     pub(crate) digits: Vec<(RnsPoly, RnsPoly)>,
-    pub variant: KsVariant,
 }
 
 impl KeySwitchKey {
@@ -97,8 +83,8 @@ impl KeySwitchKey {
     }
 
     /// Reassembles a key-switching key (deserialization).
-    pub fn from_parts(digits: Vec<(RnsPoly, RnsPoly)>, variant: KsVariant) -> Self {
-        Self { digits, variant }
+    pub fn from_parts(digits: Vec<(RnsPoly, RnsPoly)>) -> Self {
+        Self { digits }
     }
 }
 
@@ -225,14 +211,9 @@ impl KeyGenerator {
 
     /// Generic key-switching key with payload `w` under the secret `t`
     /// (both NTT form over all moduli).
-    fn gen_ksk(&mut self, w: &RnsPoly, t: &RnsPoly, variant: KsVariant) -> KeySwitchKey {
+    fn gen_ksk(&mut self, w: &RnsPoly, t: &RnsPoly) -> KeySwitchKey {
         let chain_len = self.ctx.poly_ctx().chain_len();
-        let indices = match variant {
-            KsVariant::Ghs => self.all_indices(),
-            KsVariant::Bv => self.chain_indices(),
-        };
-        let s = t.restrict(&indices);
-        let w_r = w.restrict(&indices);
+        let indices = self.all_indices();
         let mut digits = Vec::with_capacity(chain_len);
         for j in 0..chain_len {
             let a_j = RnsPoly::uniform(
@@ -243,39 +224,26 @@ impl KeyGenerator {
             );
             let e_j = self.error_ntt(&indices);
             let mut b_j = a_j.clone();
-            b_j.mul_assign(&s);
+            b_j.mul_assign(t);
             b_j.neg_assign();
             b_j.add_assign(&e_j);
-            // add the digit payload on limb j only:
-            //   GHS: [P]_{q_j} · w_j     BV: w_j
+            // add the digit payload [P]_{q_j} · w_j on limb j only
             let m = self.ctx.chain_moduli()[j];
-            let factor = match variant {
-                KsVariant::Ghs => self.ctx.p_mod_qi()[j],
-                KsVariant::Bv => 1,
-            };
-            let fs = m.shoup(m.reduce(factor));
-            let w_limb = w_r.limb(j);
-            // limb j of b_j has the same position j (indices are 0..)
-            let dst = b_j.limb_mut(j);
-            for (d, &wv) in dst.iter_mut().zip(w_limb) {
-                let t = m.mul_shoup(wv, m.reduce(factor), fs);
-                *d = m.add(*d, t);
+            let factor = self.ctx.p_mod_qi()[j];
+            let fs = m.shoup(factor);
+            for (d, &wv) in b_j.limb_mut(j).iter_mut().zip(w.limb(j)) {
+                *d = m.add(*d, m.mul_shoup(wv, factor, fs));
             }
             digits.push((b_j, a_j));
         }
-        KeySwitchKey { digits, variant }
+        KeySwitchKey { digits }
     }
 
     /// Relinearization key (`ek`): switches `s²` to `s`.
     pub fn gen_relin_key(&mut self, sk: &SecretKey) -> RelinKey {
-        self.gen_relin_key_variant(sk, KsVariant::Ghs)
-    }
-
-    pub fn gen_relin_key_variant(&mut self, sk: &SecretKey, variant: KsVariant) -> RelinKey {
         let mut s2 = sk.s_ntt.clone();
-        let s2_clone = sk.s_ntt.clone();
-        s2.mul_assign(&s2_clone);
-        RelinKey(self.gen_ksk(&s2, &sk.s_ntt, variant))
+        s2.mul_assign(&sk.s_ntt);
+        RelinKey(self.gen_ksk(&s2, &sk.s_ntt))
     }
 
     /// Galois keys for the given rotation steps (and optionally
@@ -309,7 +277,7 @@ impl KeyGenerator {
             );
             let mut t = s_poly.automorphism(g_inv);
             t.ntt_forward();
-            keys.insert(g, self.gen_ksk(&sk.s_ntt, &t, KsVariant::Ghs));
+            keys.insert(g, self.gen_ksk(&sk.s_ntt, &t));
         }
         GaloisKeys { keys }
     }
@@ -367,12 +335,16 @@ mod tests {
         let mut kg = KeyGenerator::new(Arc::clone(&ctx), 3);
         let sk = kg.gen_secret_key();
         let rk = kg.gen_relin_key(&sk);
-        assert_eq!(rk.0.digits.len(), ctx.poly_ctx().chain_len());
-        assert_eq!(rk.0.variant, KsVariant::Ghs);
-        // GHS digits live over chain + special moduli
-        assert_eq!(rk.0.digits[0].0.num_limbs(), ctx.poly_ctx().moduli().len());
-        let bv = kg.gen_relin_key_variant(&sk, KsVariant::Bv);
-        assert_eq!(bv.0.digits[0].0.num_limbs(), ctx.poly_ctx().chain_len());
+        let gk = kg.gen_galois_keys(&sk, &[1], false);
+        let rot = gk.get(ctx.galois_element_for_rotation(1)).unwrap();
+        // one digit per chain prime, each over chain + special moduli
+        for ksk in [&rk.0, rot] {
+            assert_eq!(ksk.digits.len(), ctx.poly_ctx().chain_len());
+            for (b, a) in &ksk.digits {
+                assert_eq!(b.num_limbs(), ctx.poly_ctx().moduli().len());
+                assert_eq!(a.num_limbs(), ctx.poly_ctx().moduli().len());
+            }
+        }
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //! Provides the scheme primitives of the paper's §II — `KeyGen`,
 //! `Encrypt`, `Decrypt`, `Add`, `Mult` (+ relinearization), `Resc`,
 //! `Rot` — over a double-CRT (RNS × NTT) polynomial representation, with
-//! GHS (special-modulus) and BV key switching, HE-standard security
+//! GHS (special-modulus) key switching, the paper's parameter shape in
+//! one constructor ([`CkksParams::paper`]), HE-standard security
 //! validation, a bignum reference implementation for cross-validation,
 //! and binary serialization.
 
@@ -35,7 +36,7 @@ pub use ckks_math::kernel;
 pub use encoding::{decode, decode_real, encode, encode_constant, encode_real, Plaintext};
 pub use error::HeError;
 pub use eval::{scales_match, Evaluator, Hoisted, PreparedScalar, SCALE_RTOL};
-pub use keys::{GaloisKeys, KeyGenerator, KeySwitchKey, KsVariant, PublicKey, RelinKey, SecretKey};
+pub use keys::{GaloisKeys, KeyGenerator, KeySwitchKey, PublicKey, RelinKey, SecretKey};
 pub use layout::{encode_batched, PackLayout, ShardPlan};
 pub use paramfile::parse_params;
 pub use params::{CkksContext, CkksParams};

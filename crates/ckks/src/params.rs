@@ -34,48 +34,40 @@ pub struct CkksParams {
 }
 
 impl CkksParams {
-    /// The paper's Table II setting: `N = 2^14`, `Δ = 2^26`, λ = 128,
-    /// chain `[40, 26 × L]` plus one 40-bit special prime, `L = 13`.
+    /// The paper's parameter shape (Table II) on ring `n` with `depth`
+    /// rescaling levels: chain `[40, 26 × depth]`, one 40-bit special
+    /// prime, Δ = 2^26. Rings of 2^14 and up validate against 128-bit
+    /// security; smaller rings cannot reach it at this shape and are
+    /// for correctness work only, so they validate against nothing.
+    pub fn paper(n: usize, depth: usize) -> Self {
+        let mut chain_bits = vec![40u32];
+        chain_bits.extend(std::iter::repeat_n(26, depth));
+        Self {
+            n,
+            chain_bits,
+            special_bits: vec![40],
+            scale_bits: 26,
+            security: if n >= 1 << 14 {
+                SecurityLevel::Bits128
+            } else {
+                SecurityLevel::None
+            },
+        }
+    }
+
+    /// The paper's Table II setting: `N = 2^14`, λ = 128, `L = 13`.
     pub fn paper_table2() -> Self {
-        let mut chain_bits = vec![40u32];
-        chain_bits.extend(std::iter::repeat_n(26, 13));
-        Self {
-            n: 1 << 14,
-            chain_bits,
-            special_bits: vec![40],
-            scale_bits: 26,
-            security: SecurityLevel::Bits128,
-        }
+        Self::paper(1 << 14, 13)
     }
 
-    /// A reduced setting with the same shape (`Δ = 2^26`, 40-bit ends)
-    /// but ring degree 2^12 and `depth` rescaling levels — used by tests
-    /// and fast examples. Security checking is disabled: the modulus is
-    /// deliberately too big for 2^12 to keep the arithmetic identical to
-    /// the full-size setting.
+    /// [`Self::paper`] on a 2^12 ring — used by tests and fast examples.
     pub fn toy(depth: usize) -> Self {
-        let mut chain_bits = vec![40u32];
-        chain_bits.extend(std::iter::repeat_n(26, depth));
-        Self {
-            n: 1 << 12,
-            chain_bits,
-            special_bits: vec![40],
-            scale_bits: 26,
-            security: SecurityLevel::None,
-        }
+        Self::paper(1 << 12, depth)
     }
 
-    /// Smallest usable setting for unit tests (`N = 2^10`).
+    /// Smallest usable setting for unit tests: [`Self::paper`] on 2^10.
     pub fn tiny(depth: usize) -> Self {
-        let mut chain_bits = vec![40u32];
-        chain_bits.extend(std::iter::repeat_n(26, depth));
-        Self {
-            n: 1 << 10,
-            chain_bits,
-            special_bits: vec![40],
-            scale_bits: 26,
-            security: SecurityLevel::None,
-        }
+        Self::paper(1 << 10, depth)
     }
 
     /// Maximum multiplicative depth `L` (number of rescaling primes).
@@ -353,6 +345,17 @@ mod tests {
         assert_eq!(p.depth(), 13);
         assert_eq!(p.scale_bits, 26);
         assert!(p.security.validate(p.n, p.total_log_q()).is_ok());
+        // the security rule: 128-bit from 2^14 up at every depth the
+        // standard admits there, nothing below
+        assert_eq!(CkksParams::paper(1 << 13, 13).security, SecurityLevel::None);
+        for d in 0..=13 {
+            let q = CkksParams::paper(1 << 14, d);
+            assert_eq!(q.security, SecurityLevel::Bits128, "depth {d}");
+            assert!(
+                q.security.validate(q.n, q.total_log_q()).is_ok(),
+                "depth {d}"
+            );
+        }
         // building materializes ~16k-degree NTT tables for 15 primes — keep
         // it in one test only
         let ctx = p.build();

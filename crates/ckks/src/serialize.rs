@@ -8,11 +8,13 @@
 //! a corrupted or mismatched blob fails loudly rather than decrypting to
 //! garbage. Galois-key blobs are at version 2: their keys carry payload
 //! `s` under `σ_g⁻¹(s)`, and a version-1 blob (payload `σ_g(s)` under `s`)
-//! would rotate to garbage, so it is refused.
+//! would rotate to garbage, so it is refused. Every key-switching key
+//! opens with a tag byte, always 0 (keys are drawn over the chain and the
+//! special primes); any other tag is refused before a digit is read.
 
 use crate::ciphertext::Ciphertext;
 use crate::encoding::Plaintext;
-use crate::keys::{GaloisKeys, KeySwitchKey, KsVariant, PublicKey, RelinKey};
+use crate::keys::{GaloisKeys, KeySwitchKey, PublicKey, RelinKey};
 use crate::params::CkksContext;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use ckks_math::poly::{Form, RnsPoly};
@@ -218,11 +220,11 @@ pub fn deserialize_public_key(data: &[u8], ctx: &Arc<CkksContext>) -> Result<Pub
     Ok(PublicKey::from_parts(b, a))
 }
 
+/// The tag byte every key-switching key opens with.
+const KSK_TAG: u8 = 0;
+
 fn put_ksk(out: &mut BytesMut, ksk: &KeySwitchKey) {
-    out.put_u8(match ksk.variant {
-        KsVariant::Ghs => 0,
-        KsVariant::Bv => 1,
-    });
+    out.put_u8(KSK_TAG);
     out.put_u16_le(ksk.digits().len() as u16);
     for (b, a) in ksk.digits() {
         put_poly(out, b);
@@ -232,20 +234,15 @@ fn put_ksk(out: &mut BytesMut, ksk: &KeySwitchKey) {
 
 fn get_ksk(buf: &mut Bytes, ctx: &Arc<CkksContext>) -> Result<KeySwitchKey, SerError> {
     need(buf, 3)?;
-    let variant = match buf.get_u8() {
-        0 => KsVariant::Ghs,
-        1 => KsVariant::Bv,
-        _ => return Err(SerError::Malformed("bad ks variant")),
-    };
+    if buf.get_u8() != KSK_TAG {
+        return Err(SerError::Malformed("bad ks variant"));
+    }
     let k = buf.get_u16_le() as usize;
     if k != ctx.poly_ctx().chain_len() {
         return Err(SerError::Malformed("digit count mismatch"));
     }
     // the basis key generation draws each digit over
-    let basis = match variant {
-        KsVariant::Ghs => ctx.poly_ctx().moduli().len(),
-        KsVariant::Bv => k,
-    };
+    let basis = ctx.poly_ctx().moduli().len();
     let mut digits = Vec::with_capacity(k);
     for _ in 0..k {
         let (b, a) = (get_poly(buf, ctx)?, get_poly(buf, ctx)?);
@@ -258,7 +255,7 @@ fn get_ksk(buf: &mut Bytes, ctx: &Arc<CkksContext>) -> Result<KeySwitchKey, SerE
         }
         digits.push((b, a));
     }
-    Ok(KeySwitchKey::from_parts(digits, variant))
+    Ok(KeySwitchKey::from_parts(digits))
 }
 
 /// Serializes a relinearization key.
@@ -377,10 +374,7 @@ mod tests {
         let (ctx, sk, pk, ev, mut s) = setup();
         let mut kg = KeyGenerator::new(Arc::clone(&ctx), 50);
         let _ = kg.gen_secret_key(); // advance to match fixture determinism (unused)
-        let rk = {
-            let mut kg2 = KeyGenerator::new(Arc::clone(&ctx), 99);
-            kg2.gen_relin_key_variant(&sk, KsVariant::Ghs)
-        };
+        let rk = KeyGenerator::new(Arc::clone(&ctx), 99).gen_relin_key(&sk);
         let blob = serialize_relin_key(&rk);
         let rk2 = deserialize_relin_key(&blob, &ctx).unwrap();
         let vals = vec![0.5; 16];
@@ -430,6 +424,24 @@ mod tests {
             deserialize_galois_keys(&v1, &ctx).unwrap_err(),
             SerError::BadHeader
         );
+    }
+
+    /// The key-switching tag byte is always 0; any other tag is refused
+    /// before a digit is read.
+    #[test]
+    fn relin_key_with_another_tag_refused() {
+        let (ctx, sk, ..) = setup();
+        let rk = KeyGenerator::new(Arc::clone(&ctx), 95).gen_relin_key(&sk);
+        let blob = serialize_relin_key(&rk).to_vec();
+        for tag in [1u8, 2] {
+            let mut bad = blob.clone();
+            bad[6] = tag; // after the magic and the version
+            assert_eq!(
+                deserialize_relin_key(&bad, &ctx).unwrap_err(),
+                SerError::Malformed("bad ks variant"),
+                "tag {tag}"
+            );
+        }
     }
 
     /// Serializes `ct` after `tamper` and deserializes it.

@@ -20,8 +20,9 @@
 //! parameter file.
 //!
 //! Parameters come from `--params FILE` (`key = value` lines, see
-//! [`ckks::paramfile`]) or are sized like `CnnHePipeline::new` to the
-//! network's depth (`--depth N` overrides it). Lowering is *nominal*
+//! [`ckks::paramfile`]) or are `CkksParams::paper` on the 2^14 ring,
+//! sized like `CnnHePipeline::new` to the network's depth (`--depth N`
+//! overrides it). Lowering is *nominal*
 //! (`q_i = 2^chain_bits[i]`): no ring context is built and no key
 //! material exists, so checking the full 28×28 models is fast. `cnn1`
 //! and `cnn2` are freshly initialized from a fixed seed — the analyses
@@ -30,6 +31,7 @@
 
 #![forbid(unsafe_code)]
 
+use ckks::CkksParams;
 use cnn_he::admission;
 use cnn_he::graph::lower_network;
 use cnn_he::network::HeNetwork;
@@ -139,14 +141,19 @@ fn run(mut args: Vec<String>) -> i32 {
             return 2;
         }
     };
+    // without a file: the paper's shape on its 2^14 ring, deep enough
+    let sized = |levels: usize| {
+        let depth = opts.depth.unwrap_or(levels);
+        params
+            .clone()
+            .unwrap_or_else(|| CkksParams::paper(1 << 14, depth))
+    };
     if cmd == "check" && !opts.packed {
-        let params =
-            params.unwrap_or_else(|| params_for(opts.depth.unwrap_or(net.required_levels())));
-        let (report, _) = admission(&net, GraphBuilder::new(params));
+        let (report, _) = admission(&net, GraphBuilder::new(sized(net.required_levels())));
         print!("{}", report.render());
         return i32::from(report.has_errors());
     }
-    let circuit = build_circuit(&net, params, &opts);
+    let circuit = build_circuit(&net, sized, opts.packed);
 
     match cmd.as_str() {
         "check" => {
@@ -202,7 +209,7 @@ fn load_model(model: &str) -> Result<HeNetwork, String> {
 }
 
 /// The `--params` file's parameter set, when one was given.
-fn load_params(path: Option<&str>) -> Result<Option<ckks::CkksParams>, String> {
+fn load_params(path: Option<&str>) -> Result<Option<CkksParams>, String> {
     let Some(path) = path else { return Ok(None) };
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     ckks::parse_params(&text)
@@ -210,24 +217,12 @@ fn load_params(path: Option<&str>) -> Result<Option<ckks::CkksParams>, String> {
         .map_err(|e| format!("{path}: {e}"))
 }
 
-/// Paper-style parameters sized to the network (`CnnHePipeline::new`'s
-/// chain: `[40, 26 × levels]`, Δ = 2^26, ring 2^14), nominal moduli —
-/// no context build.
-fn params_for(levels: usize) -> ckks::CkksParams {
-    let mut chain_bits = vec![40u32];
-    chain_bits.extend(std::iter::repeat_n(26, levels));
-    ckks::CkksParams {
-        n: 1 << 14,
-        chain_bits,
-        special_bits: vec![40],
-        scale_bits: 26,
-        security: ckks::SecurityLevel::Bits128,
-    }
-}
-
-fn build_circuit(net: &HeNetwork, params: Option<ckks::CkksParams>, opts: &Opts) -> Circuit {
-    let sized = |levels: usize| params.unwrap_or_else(|| params_for(opts.depth.unwrap_or(levels)));
-    if opts.packed {
+fn build_circuit(
+    net: &HeNetwork,
+    sized: impl Fn(usize) -> CkksParams,
+    slot_packed: bool,
+) -> Circuit {
+    if slot_packed {
         // single-image (stride 1) packed circuit, declared keys =
         // exactly its rotation set
         let packed = PackedNetwork::from_network(net);

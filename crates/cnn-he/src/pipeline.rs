@@ -152,27 +152,10 @@ pub struct Classification {
 }
 
 impl CnnHePipeline {
-    /// Builds a pipeline with parameters sized to the network's depth:
-    /// chain `[40, 26 × required_levels]`, one 40-bit special prime,
-    /// Δ = 2^26, ring degree `n` (Table II uses `2^14`).
+    /// Builds a pipeline with [`CkksParams::paper`] sized to the
+    /// network's depth on ring degree `n` (Table II uses `2^14`).
     pub fn new(network: HeNetwork, n: usize, seed: u64) -> Self {
-        let depth = network.required_levels();
-        let mut chain_bits = vec![40u32];
-        chain_bits.extend(std::iter::repeat_n(26, depth));
-        let security = if n >= 1 << 14 {
-            ckks::SecurityLevel::Bits128
-        } else {
-            // toy/test rings cannot reach 128-bit security with this
-            // depth; callers use them for correctness work only
-            ckks::SecurityLevel::None
-        };
-        let params = CkksParams {
-            n,
-            chain_bits,
-            special_bits: vec![40],
-            scale_bits: 26,
-            security,
-        };
+        let params = CkksParams::paper(n, network.required_levels());
         Self::with_params(network, params, seed)
     }
 
@@ -820,13 +803,7 @@ mod tests {
     #[test]
     fn scalar_try_classify_refuses_typed_instead_of_panicking() {
         // a chain 4 levels short of the network's 7
-        let params = CkksParams {
-            n: 1 << 10,
-            chain_bits: vec![40, 26, 26, 26],
-            special_bits: vec![40],
-            scale_bits: 26,
-            security: ckks::SecurityLevel::None,
-        };
+        let params = CkksParams::paper(1 << 10, 3);
         let mut pipe = CnnHePipeline::with_params(mini_network(112), params, 112);
         let img = vec![0.5f32; 64];
         match pipe.try_classify(&[&img]) {
@@ -916,13 +893,7 @@ mod tests {
 
     #[test]
     fn packed_batching_refuses_a_chain_shorter_than_the_circuit() {
-        let params = CkksParams {
-            n: 1 << 10,
-            chain_bits: vec![40, 26, 26],
-            special_bits: vec![40],
-            scale_bits: 26,
-            security: ckks::SecurityLevel::None,
-        };
+        let params = CkksParams::paper(1 << 10, 2);
         let mut pipe = CnnHePipeline::with_params(mini_network(111), params, 111);
         assert!(matches!(
             pipe.enable_packed_batching(),

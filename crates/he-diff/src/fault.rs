@@ -77,7 +77,7 @@ pub fn truncate_relin_digit(rk: &RelinKey) -> RelinKey {
         |p: &RnsPoly| RnsPoly::zero(Arc::clone(p.ctx()), p.limb_indices().to_vec(), p.form());
     digits[last] = (zero_like(&digits[last].0), zero_like(&digits[last].1));
     he_trace::record_fault_injected(1);
-    RelinKey(KeySwitchKey::from_parts(digits, rk.0.variant))
+    RelinKey(KeySwitchKey::from_parts(digits))
 }
 
 // ---------------------------------------------------------------------

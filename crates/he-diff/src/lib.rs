@@ -51,7 +51,7 @@ pub use ir::{lower_ops, run_ir_vs_eager, IrReport};
 pub use minimize::{minimize, minimize_with};
 pub use oracle::{run_sequence, DiffConfig, Divergence, RunReport};
 
-use ckks::{CkksParams, SecurityLevel};
+use ckks::CkksParams;
 
 /// A named parameter preset the differential oracle runs against.
 #[derive(Debug, Clone)]
@@ -60,41 +60,17 @@ pub struct Preset {
     pub params: CkksParams,
 }
 
-/// Every oracle preset: micro rings where the O(N²) bignum reference is
-/// affordable, covering depths 2 and 3 and two ring degrees.
+/// Every oracle preset: [`CkksParams::paper`] on micro rings where the
+/// O(N²) bignum reference is affordable, covering depths 2 and 3 and two
+/// ring degrees.
 pub fn presets() -> Vec<Preset> {
-    vec![
-        Preset {
-            name: "micro2",
-            params: CkksParams {
-                n: 256,
-                chain_bits: vec![40, 26, 26],
-                special_bits: vec![40],
-                scale_bits: 26,
-                security: SecurityLevel::None,
-            },
-        },
-        Preset {
-            name: "micro3",
-            params: CkksParams {
-                n: 256,
-                chain_bits: vec![40, 26, 26, 26],
-                special_bits: vec![40],
-                scale_bits: 26,
-                security: SecurityLevel::None,
-            },
-        },
-        Preset {
-            name: "small3",
-            params: CkksParams {
-                n: 512,
-                chain_bits: vec![40, 26, 26, 26],
-                special_bits: vec![40],
-                scale_bits: 26,
-                security: SecurityLevel::None,
-            },
-        },
-    ]
+    [("micro2", 256, 2), ("micro3", 256, 3), ("small3", 512, 3)]
+        .into_iter()
+        .map(|(name, n, depth)| Preset {
+            name,
+            params: CkksParams::paper(n, depth),
+        })
+        .collect()
 }
 
 /// Looks up a preset by name.

@@ -134,13 +134,7 @@ mod tests {
     use super::*;
 
     fn micro() -> CkksParams {
-        CkksParams {
-            n: 256,
-            chain_bits: vec![40, 26, 26],
-            special_bits: vec![40],
-            scale_bits: 26,
-            security: ckks::SecurityLevel::None,
-        }
+        CkksParams::paper(256, 2)
     }
 
     #[test]

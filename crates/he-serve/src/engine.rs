@@ -707,13 +707,7 @@ mod tests {
             ..Default::default()
         };
         let err = ServeEngine::start(cfg, || {
-            let params = ckks::CkksParams {
-                n: 1 << 6,
-                chain_bits: vec![40, 26, 26, 26],
-                special_bits: vec![40],
-                scale_bits: 26,
-                security: ckks::SecurityLevel::None,
-            };
+            let params = ckks::CkksParams::paper(1 << 6, 3);
             CnnHePipeline::with_params(mini_network(46), params, 46)
         })
         .err()
@@ -824,13 +818,7 @@ mod tests {
     }
 
     fn ckks_params_too_shallow() -> ckks::CkksParams {
-        ckks::CkksParams {
-            n: 1 << 10,
-            chain_bits: vec![40, 26],
-            special_bits: vec![40],
-            scale_bits: 26,
-            security: ckks::SecurityLevel::None,
-        }
+        ckks::CkksParams::paper(1 << 10, 1)
     }
 
     #[test]

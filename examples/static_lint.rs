@@ -21,23 +21,13 @@
 
 #![forbid(unsafe_code)]
 
-use ckks::{CkksParams, SecurityLevel};
+use ckks::CkksParams;
 use cnn_he::{CnnHePipeline, HeNetwork};
 use neural::models::{cnn2, ActKind};
 use std::path::Path;
 
 fn params_with_depth(depth: usize) -> CkksParams {
-    CkksParams {
-        n: 1 << 13,
-        chain_bits: {
-            let mut v = vec![40u32];
-            v.extend(std::iter::repeat_n(26, depth));
-            v
-        },
-        special_bits: vec![40],
-        scale_bits: 26,
-        security: SecurityLevel::None,
-    }
+    CkksParams::paper(1 << 13, depth)
 }
 
 fn write_params_file(path: &Path, p: &CkksParams) {

@@ -5,22 +5,12 @@
 #![forbid(unsafe_code)]
 
 use ckks::bigckks::{BigCkks, BigPoly};
-use ckks::{CkksParams, Evaluator, KeyGenerator, SecurityLevel};
+use ckks::{CkksParams, Evaluator, KeyGenerator};
 use ckks_math::sampler::Sampler;
 use std::sync::Arc;
 
 fn micro_params(depth: usize) -> CkksParams {
-    CkksParams {
-        n: 256,
-        chain_bits: {
-            let mut v = vec![40u32];
-            v.extend(std::iter::repeat_n(26, depth));
-            v
-        },
-        special_bits: vec![40],
-        scale_bits: 26,
-        security: SecurityLevel::None,
-    }
+    CkksParams::paper(256, depth)
 }
 
 #[test]
@@ -97,39 +87,6 @@ fn both_schemes_decrypt_the_same_plaintext_semantics() {
         assert!((rns_out[i] - vals[i]).abs() < 1e-3);
         assert!((big_out[i].re - vals[i]).abs() < 1e-3);
     }
-}
-
-#[test]
-fn keyswitch_noise_ghs_beats_bv_quantitatively() {
-    // the noise half of the key-switching ablation (latency half lives in
-    // benches/keyswitch_ablation.rs)
-    let ctx = CkksParams::tiny(2).build();
-    let mut kg = KeyGenerator::new(Arc::clone(&ctx), 505);
-    let sk = kg.gen_secret_key();
-    let pk = kg.gen_public_key(&sk);
-    let rk_ghs = kg.gen_relin_key_variant(&sk, ckks::KsVariant::Ghs);
-    let rk_bv = kg.gen_relin_key_variant(&sk, ckks::KsVariant::Bv);
-    let ev = Evaluator::new(Arc::clone(&ctx));
-    let mut s = Sampler::from_seed(506);
-
-    let vals: Vec<f64> = (0..64).map(|i| 0.01 * i as f64).collect();
-    let ct = ev.encrypt_real(&vals, &pk, &mut s);
-    let expect: Vec<f64> = vals.iter().map(|v| v * v).collect();
-
-    let measure = |rk| {
-        let sq = ev.multiply_rescale(&ct, &ct, rk);
-        let out = ev.decrypt_to_real(&sq, &sk);
-        out.iter()
-            .zip(&expect)
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0f64, f64::max)
-    };
-    let err_ghs = measure(&rk_ghs);
-    let err_bv = measure(&rk_bv);
-    assert!(
-        err_bv / err_ghs.max(1e-12) > 10.0,
-        "expected ≥10× noise gap, got GHS {err_ghs:.2e} vs BV {err_bv:.2e}"
-    );
 }
 
 #[test]

@@ -8,7 +8,7 @@
 
 #![forbid(unsafe_code)]
 
-use ckks::{CkksParams, KeyGenerator, SecurityLevel};
+use ckks::{CkksParams, KeyGenerator};
 use cnn_he::graph::lower_network;
 use cnn_he::packed::PackedNetwork;
 use cnn_he::{lower_packed, HeNetwork, PackedLowering};
@@ -17,19 +17,6 @@ use he_ir::{GraphBuilder, PassManager};
 use neural::models::{cnn1, cnn2, ActKind};
 use std::collections::BTreeSet;
 use std::sync::Arc;
-
-/// The paper's chain shape (`[40, 26×levels]`, Δ = 2²⁶) on ring `n`.
-fn paper_params(levels: usize, n: usize) -> CkksParams {
-    let mut chain_bits = vec![40u32];
-    chain_bits.extend(std::iter::repeat_n(26, levels));
-    CkksParams {
-        n,
-        chain_bits,
-        special_bits: vec![40],
-        scale_bits: 26,
-        security: SecurityLevel::None,
-    }
-}
 
 #[test]
 fn cnn1_and_cnn2_lower_clean_under_the_standard_passes() {
@@ -43,7 +30,7 @@ fn cnn1_and_cnn2_lower_clean_under_the_standard_passes() {
             HeNetwork::from_trained(&cnn2(ActKind::slaf3(), 1), 28),
         ),
     ] {
-        let params = paper_params(net.required_levels(), 1 << 14);
+        let params = CkksParams::paper(1 << 14, net.required_levels());
         let circuit = lower_network(&net, GraphBuilder::new(params));
         circuit.validate().unwrap_or_else(|e| panic!("{name}: {e}"));
         let report = PassManager::standard().run(&circuit);
@@ -67,7 +54,7 @@ fn cnn1_and_cnn2_lower_clean_under_the_standard_passes() {
 fn packed_cnn1_circuits(seed: u64) -> (PackedNetwork, CkksParams, [he_ir::Circuit; 2]) {
     let net = HeNetwork::from_trained(&cnn1(ActKind::slaf3(), seed), 28);
     let packed = PackedNetwork::from_network(&net);
-    let params = paper_params(packed.required_levels(), 1 << 11);
+    let params = CkksParams::paper(1 << 11, packed.required_levels());
     assert!(packed.dim <= params.slots());
     let lower = |mode| lower_packed(&packed, GraphBuilder::new(params.clone()), 1, mode);
     let circuits = [
@@ -142,7 +129,7 @@ fn packed_cnn1_fans_babies_and_blocks_and_scalar_units_are_output_scalars() {
     // the scalar lowering: one unit per conv/dense output scalar and per
     // SLAF ciphertext
     let net = HeNetwork::from_trained(&cnn1(ActKind::slaf3(), 43), 28);
-    let params = paper_params(net.required_levels(), 1 << 11);
+    let params = CkksParams::paper(1 << 11, net.required_levels());
     let scalar = lower_network(&net, GraphBuilder::new(params));
     let mut width = 28 * 28;
     for (region, layer) in scalar.regions.iter().zip(&net.layers) {

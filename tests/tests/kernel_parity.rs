@@ -14,7 +14,7 @@
 
 use ckks::{
     Ciphertext, CkksContext, CkksParams, Evaluator, GaloisKeys, KeyGenerator, KeySwitchKey,
-    KsVariant, PublicKey, RelinKey,
+    PublicKey, RelinKey,
 };
 use ckks_math::kernel::{self, KernelBackend};
 use ckks_math::modring::Modulus;
@@ -395,12 +395,9 @@ mod coeff_reference {
         let level = d.num_limbs() - 1;
         let mut d_coeff = d.clone();
         d_coeff.ntt_inverse();
-        let ext: Vec<usize> = match ksk.variant {
-            KsVariant::Ghs => (0..=level)
-                .chain(ctx.poly_ctx().special_indices())
-                .collect(),
-            KsVariant::Bv => (0..=level).collect(),
-        };
+        let ext: Vec<usize> = (0..=level)
+            .chain(ctx.poly_ctx().special_indices())
+            .collect();
         let mut acc0 = RnsPoly::zero(Arc::clone(ctx.poly_ctx()), ext.clone(), Form::Ntt);
         let mut acc1 = acc0.clone();
         for j in 0..=level {
@@ -416,16 +413,11 @@ mod coeff_reference {
             acc0.mul_acc(&t, &ksk.digits()[j].0.restrict(&ext));
             acc1.mul_acc(&t, &ksk.digits()[j].1.restrict(&ext));
         }
-        match ksk.variant {
-            KsVariant::Ghs => {
-                let p_inv = &ctx.p_inv_mod_qi()[..=level];
-                (
-                    divide_by_last_limb(acc0, p_inv),
-                    divide_by_last_limb(acc1, p_inv),
-                )
-            }
-            KsVariant::Bv => (acc0, acc1),
-        }
+        let p_inv = &ctx.p_inv_mod_qi()[..=level];
+        (
+            divide_by_last_limb(acc0, p_inv),
+            divide_by_last_limb(acc1, p_inv),
+        )
     }
 
     pub fn rescale(ctx: &CkksContext, ct: &Ciphertext) -> Ciphertext {
@@ -482,7 +474,6 @@ struct KsFixture {
     ctx: Arc<CkksContext>,
     ev: Evaluator,
     rk: RelinKey,
-    rk_bv: RelinKey,
     gk: GaloisKeys,
     a: Ciphertext,
     b: Ciphertext,
@@ -497,7 +488,6 @@ fn ks_fixture() -> KsFixture {
     let sk = kg.gen_secret_key();
     let pk: PublicKey = kg.gen_public_key(&sk);
     let rk = kg.gen_relin_key(&sk);
-    let rk_bv = kg.gen_relin_key_variant(&sk, KsVariant::Bv);
     let gk = kg.gen_galois_keys(&sk, &STEPS, true);
     let ev = Evaluator::new(Arc::clone(&ctx));
     let mut sampler = Sampler::from_seed(27);
@@ -508,7 +498,6 @@ fn ks_fixture() -> KsFixture {
         ctx,
         ev,
         rk,
-        rk_bv,
         gk,
         a,
         b,
@@ -562,13 +551,11 @@ fn ntt_domain_key_switching_is_limb_identical_to_the_coefficient_reference() {
                 &f.ev.rescale(&a),
                 &coeff_reference::rescale(&f.ctx, &a),
             );
-            for rk in [&f.rk, &f.rk_bv] {
-                let what = at(&format!("key_switch {:?}", rk.0.variant));
-                let got = f.ev.key_switch(&a.c1, &rk.0);
-                let want = coeff_reference::key_switch(&f.ctx, &a.c1, &rk.0);
-                assert_eq!(got.0.limbs_flat(), want.0.limbs_flat(), "{what}: u0");
-                assert_eq!(got.1.limbs_flat(), want.1.limbs_flat(), "{what}: u1");
-            }
+            let what = at("key_switch");
+            let got = f.ev.key_switch(&a.c1, &f.rk.0);
+            let want = coeff_reference::key_switch(&f.ctx, &a.c1, &f.rk.0);
+            assert_eq!(got.0.limbs_flat(), want.0.limbs_flat(), "{what}: u0");
+            assert_eq!(got.1.limbs_flat(), want.1.limbs_flat(), "{what}: u1");
         }
     }
     kernel::set_backend_auto();

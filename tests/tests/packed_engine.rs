@@ -3,7 +3,7 @@
 
 #![forbid(unsafe_code)]
 
-use ckks::{CkksParams, SecurityLevel};
+use ckks::CkksParams;
 use cnn_he::packed::PackedNetwork;
 use cnn_he::{CnnHePipeline, HeNetwork};
 use neural::metrics::ConfusionMatrix;
@@ -44,16 +44,7 @@ fn packed_engine_classifies_trained_cnn1() {
     assert_eq!(packed.dim, 1024); // max(845, 784, 100, 10) → 1024
 
     // dim 1024 needs slots ≥ 1024 → N ≥ 2^11
-    let depth = packed.required_levels();
-    let mut chain_bits = vec![40u32];
-    chain_bits.extend(std::iter::repeat_n(26, depth));
-    let params = CkksParams {
-        n: 1 << 11,
-        chain_bits,
-        special_bits: vec![40],
-        scale_bits: 26,
-        security: SecurityLevel::None,
-    };
+    let params = CkksParams::paper(1 << 11, packed.required_levels());
     let mut pipe = CnnHePipeline::with_params(net.clone(), params, 61);
     pipe.enable_packed_batching()
         .expect("dim 1024 fits 1024 slots");

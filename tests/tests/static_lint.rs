@@ -8,7 +8,7 @@
 
 #![forbid(unsafe_code)]
 
-use ckks::{CkksParams, SecurityLevel};
+use ckks::CkksParams;
 use cnn_he::packed::PackedNetwork;
 use cnn_he::{admission, lower_packed, CnnHePipeline, HeNetwork, PackedLowering};
 use he_ir::passes::rotations::{required_elements, RotationSetPass};
@@ -18,21 +18,7 @@ use neural::models::{cnn2, ActKind};
 /// Chain with `depth` rescaling primes on a toy ring — deliberately NOT
 /// sized to any network.
 fn params_with_depth(depth: usize) -> CkksParams {
-    params_with_depth_on_ring(depth, 1 << 10)
-}
-
-fn params_with_depth_on_ring(depth: usize, n: usize) -> CkksParams {
-    CkksParams {
-        n,
-        chain_bits: {
-            let mut v = vec![40u32];
-            v.extend(std::iter::repeat_n(26, depth));
-            v
-        },
-        special_bits: vec![40],
-        scale_bits: 26,
-        security: SecurityLevel::None,
-    }
+    CkksParams::paper(1 << 10, depth)
 }
 
 /// The paper's CNN2 (conv+BN ×2, three SLAFs, two dense) extracted at
@@ -64,7 +50,7 @@ fn missing_rotation_key_plan_is_rejected_statically() {
     let packed = PackedNetwork::from_network(&net);
     // CNN2's padded packed dimension is 2048 (max layer dim 1250 → next
     // power of two), so the vector needs the 2048 slots of N = 2^12
-    let params = params_with_depth_on_ring(packed.required_levels(), 1 << 12);
+    let params = CkksParams::paper(1 << 12, packed.required_levels());
     assert!(packed.dim <= params.slots());
     // the circuit the packed path runs, provisioned with every element
     // it rotates by except the largest

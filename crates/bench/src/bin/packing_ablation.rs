@@ -38,7 +38,6 @@ fn main() {
     eprintln!("[ablation] packed path: circuit + keys + operand encoding ...");
     let mut pipe = CnnHePipeline::new(model.network.clone(), n, 31338);
     pipe.enable_packed_batching()
-        .and_then(|()| pipe.prepare_batch(1))
         .expect("CNN1 packs into the ring");
 
     eprintln!("[ablation] packed path inference ...");
@@ -60,7 +59,7 @@ fn main() {
         "\nspeed-up of packed over scalar: {:.1}×",
         scalar_wall.as_secs_f64() / packed_wall.as_secs_f64()
     );
-    if let Some(stats) = pipe.compiled_stats(1) {
+    if let Some(stats) = pipe.compiled_stats() {
         println!(
             "(packed circuit: {} rotations in the squat-fold form, {} in the textbook BSGS form; \
              scalar amortizes over {slots} slots instead)",

@@ -154,13 +154,13 @@ fn serve_component() -> (Value, Value) {
 /// Packed-batch sweep: the mini network through the slot-packed path
 /// (the compiled `he-ir` circuit) at each [`PACKED_SWEEP`] batch size,
 /// one `classify` call per run (encrypt → per-shard circuit → decrypt).
-/// Each stride is prepared before its runs, so they count steady-state
-/// work.
+/// Enabling packing prepares the one circuit every batch size runs, so
+/// the counted runs are steady-state work.
 fn packed_batch_component() -> Vec<Value> {
     let mut pipe = CnnHePipeline::new(mini_cnn1(12), 1 << 10, 12);
     pipe.enable_packed_batching()
         .expect("mini network fits the smoke ring");
-    let lanes_cap = pipe.max_batch();
+    let packed = cnn_he::packed::PackedNetwork::from_network(&pipe.network);
     let mut points = Vec::with_capacity(PACKED_SWEEP.len());
     for batch in PACKED_SWEEP {
         let images: Vec<Vec<f32>> = (0..batch)
@@ -171,16 +171,16 @@ fn packed_batch_component() -> Vec<Value> {
             })
             .collect();
         let refs: Vec<&[f32]> = images.iter().map(Vec::as_slice).collect();
-        // circuit, keys and encoded operands of this batch's stride are
-        // built here, so the counted runs have identical op counts
-        pipe.prepare_batch(batch).expect("admitted");
-        let lanes = batch.next_power_of_two().min(lanes_cap).max(1);
+        let shards = packed
+            .plan_batch(pipe.ctx.slots(), batch)
+            .expect("a non-empty batch plans")
+            .shards();
         let ops = steady(&format!("packed batch x{batch}"), || {
             assert_eq!(pipe.classify(&refs).predictions.len(), batch);
         });
         points.push(obj(vec![
             ("batch", num(batch)),
-            ("shards", num(batch.div_ceil(lanes))),
+            ("shards", num(shards)),
             ("ops", ops),
         ]));
     }
@@ -192,9 +192,10 @@ fn packed_batch_component() -> Vec<Value> {
 /// the eager reference and the compiled (squat-fold) form packed
 /// inference runs — and records both circuits' exact op counts. Pure
 /// circuit construction (no keys, no polynomial arithmetic). `cnn1_full`
-/// is the paper's CNN1 (packed dim 1024, on a `N = 2^12` plan ring); the
-/// mini points cover the tiled and batch-strided layouts the serving
-/// engine executes.
+/// is the paper's CNN1 (packed dim 1024, on a `N = 2^12` plan ring). The
+/// op counts do not depend on the lane stride (only rotation step values
+/// scale with it), so stride 1 stands for every stride; `mini_cnn1_x8`
+/// is the 8-lane stride the mini network runs at on its ring.
 fn compiler_component() -> Vec<Value> {
     use cnn_he::packed::PackedNetwork;
     use cnn_he::{lower_packed, PackedLowering};

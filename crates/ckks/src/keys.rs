@@ -117,11 +117,6 @@ impl GaloisKeys {
     pub fn insert(&mut self, galois_element: usize, key: KeySwitchKey) {
         self.keys.insert(galois_element, key);
     }
-
-    /// Moves every key of `other` into this set.
-    pub fn extend(&mut self, other: GaloisKeys) {
-        self.keys.extend(other.keys);
-    }
 }
 
 /// Generates all key material for a context.

@@ -1,66 +1,62 @@
 //! Packing layouts: how batches of vectors map onto CKKS slots.
 //!
-//! The packed (BSGS) execution path tiles one `dim`-long activation
-//! vector cyclically across the slots. A [`PackLayout`] generalizes
-//! that to a *batch-strided* layout holding `batch` independent lanes
-//! in one ciphertext: element `j` of lane `b` lives in slot
-//! `j·batch + b (mod period)`, the pattern repeating every
-//! `period = dim·batch` slots. Rotating by `d·batch` shifts every
-//! lane's element index by `d` while leaving the lane assignment
-//! fixed, so the packed lowering's rotate-and-sum and diagonal-matvec
-//! steps carry over with every rotation step scaled by the stride
-//! ([`PackLayout::rotation_step`]). `batch = 1` reduces to the classic
-//! tiled layout bit-identically.
+//! A [`PackLayout`] holds `stride = slots / dim` independent lanes of
+//! one `dim`-long vector each in one ciphertext: element `j` of lane `b`
+//! lives in slot `j·stride + b`, so the lanes fill the slots exactly.
+//! Rotating by `d·stride` shifts every lane's element index by `d`
+//! (cyclically modulo `dim`) while leaving the lane assignment fixed,
+//! so the packed lowering's rotate-and-sum and diagonal-matvec steps
+//! carry over with every rotation step scaled by the stride
+//! ([`PackLayout::rotation_step`]). A rotation or key switch costs the
+//! same whatever share of the slots carries data, so a ring packs every
+//! request at its full lane capacity: lanes a request leaves empty hold
+//! zeros, which never mix with occupied lanes.
 //!
-//! When a batch exceeds one ciphertext's lane capacity
-//! (`slots / dim`), a [`ShardPlan`] splits it across several
-//! ciphertexts that share one layout. Shards are never regrouped
-//! homomorphically: each one is an independent run of the same
-//! prepared circuit.
+//! When a batch exceeds one ciphertext's lanes, a [`ShardPlan`] splits
+//! it across several ciphertexts that share the one layout. Shards are
+//! never regrouped homomorphically: each one is an independent run of
+//! the same prepared circuit.
 
 use crate::encoding::{self, Plaintext};
 use crate::error::HeError;
 use crate::params::CkksContext;
 use std::sync::Arc;
 
-/// A batch-strided slot layout: `batch` lanes of `dim`-long vectors
-/// interleaved at stride `batch`, tiled cyclically over `slots`.
+/// A batch-strided slot layout: `slots / dim` lanes of `dim`-long
+/// vectors interleaved at that stride.
 ///
-/// Invariants (checked at construction): `dim`, `batch` and `slots`
-/// are powers of two and `dim · batch ≤ slots`.
+/// Invariants (checked at construction): `dim` and `slots` are powers
+/// of two and `dim ≤ slots`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PackLayout {
     dim: usize,
-    batch: usize,
     slots: usize,
 }
 
 impl PackLayout {
-    /// Builds a layout; fails with [`HeError::BatchExceedsSlots`] when
-    /// `dim · batch > slots`. `dim` and `batch` must be powers of two
-    /// (the rotation algebra requires exact period divisibility).
-    pub fn new(dim: usize, batch: usize, slots: usize) -> Result<Self, HeError> {
-        assert!(dim.is_power_of_two(), "dim {dim} must be a power of two");
-        assert!(
-            batch.is_power_of_two(),
-            "batch {batch} must be a power of two"
-        );
-        assert!(
-            slots.is_power_of_two(),
-            "slot count {slots} must be a power of two"
-        );
-        if dim * batch > slots {
+    /// The full-capacity layout of `dim`-long vectors on a ring with
+    /// `slots` slots. Refuses typed: a `dim` or `slots` that is not a
+    /// power of two (the rotation algebra needs exact divisibility) is
+    /// [`HeError::ShapeMismatch`] naming the field, with the next power
+    /// of two as the expected value; a `dim` past the slots is
+    /// [`HeError::BatchExceedsSlots`] with capacity 0.
+    pub fn new(dim: usize, slots: usize) -> Result<Self, HeError> {
+        for (what, n) in [("layout dim", dim), ("layout slot count", slots)] {
+            if !n.is_power_of_two() {
+                return Err(HeError::ShapeMismatch {
+                    what,
+                    got: n,
+                    expected: n.next_power_of_two(),
+                });
+            }
+        }
+        if dim > slots {
             return Err(HeError::BatchExceedsSlots {
-                batch,
-                capacity: slots / dim,
+                batch: 1,
+                capacity: 0,
             });
         }
-        Ok(Self { dim, batch, slots })
-    }
-
-    /// The classic single-vector tiled layout (stride 1).
-    pub fn tiled(dim: usize, slots: usize) -> Result<Self, HeError> {
-        Self::new(dim, 1, slots)
+        Ok(Self { dim, slots })
     }
 
     /// Padded vector dimension.
@@ -68,15 +64,10 @@ impl PackLayout {
         self.dim
     }
 
-    /// Lanes per ciphertext (equals the slot stride between consecutive
-    /// elements of one lane).
-    pub fn batch(&self) -> usize {
-        self.batch
-    }
-
-    /// Slot stride between element `j` and `j+1` of a lane.
+    /// Slot stride between element `j` and `j+1` of a lane, which is
+    /// also the number of lanes one ciphertext carries.
     pub fn stride(&self) -> usize {
-        self.batch
+        self.slots / self.dim
     }
 
     /// Slot count of the ring this layout targets.
@@ -84,15 +75,10 @@ impl PackLayout {
         self.slots
     }
 
-    /// Length of one full pattern repetition (`dim · batch`).
-    pub fn period(&self) -> usize {
-        self.dim * self.batch
-    }
-
-    /// Canonical slot of element `j` of lane `lane` (first repetition).
+    /// Slot of element `j` of lane `lane`.
     pub fn slot_of(&self, lane: usize, j: usize) -> usize {
-        debug_assert!(lane < self.batch && j < self.dim);
-        j * self.batch + lane
+        debug_assert!(lane < self.stride() && j < self.dim);
+        j * self.stride() + lane
     }
 
     /// The rotation step realizing a uniform element shift by
@@ -100,64 +86,46 @@ impl PackLayout {
     ///
     /// The element shift is cyclic modulo `dim`, so it is reduced first
     /// — this keeps the multiplication by the stride overflow-free for
-    /// any `i64` input (the old `element_steps * batch` form wrapped
-    /// for `|element_steps| > i64::MAX / batch` and produced negative
-    /// steps that every consumer then cast or reduced differently).
-    /// The result is a canonical left-rotation count usable directly as
-    /// a Galois rotation step.
+    /// any `i64` input. The result is a canonical left-rotation count
+    /// usable directly as a Galois rotation step.
     pub fn rotation_step(&self, element_steps: i64) -> i64 {
         let e = element_steps.rem_euclid(self.dim as i64);
-        (e * self.batch as i64).rem_euclid(self.slots as i64)
+        (e * self.stride() as i64).rem_euclid(self.slots as i64)
     }
 
-    /// Expands an element-indexed vector (length `dim`) to a full slot
-    /// vector: every lane sees the same value per element. This is how
-    /// diagonal and bias plaintexts are broadcast across the batch.
-    pub fn expand(&self, per_element: &[f64]) -> Vec<f64> {
-        assert_eq!(per_element.len(), self.dim, "expand expects a dim vector");
-        let mut out = vec![0.0f64; self.slots];
-        for (i, o) in out.iter_mut().enumerate() {
-            *o = per_element[(i / self.batch) % self.dim];
-        }
-        out
-    }
-
-    /// Packs up to `batch` lanes (each of length ≤ `dim`; shorter lanes
+    /// Packs up to `stride` lanes (each of length ≤ `dim`; shorter lanes
     /// are zero-padded, missing lanes are all-zero) into a full slot
-    /// vector, tiled cyclically.
+    /// vector. Too many lanes is [`HeError::BatchExceedsSlots`]; a lane
+    /// longer than `dim` is [`HeError::ShapeMismatch`] on "lane length".
     pub fn pack(&self, lanes: &[&[f64]]) -> Result<Vec<f64>, HeError> {
-        if lanes.len() > self.batch {
+        let stride = self.stride();
+        if lanes.len() > stride {
             return Err(HeError::BatchExceedsSlots {
                 batch: lanes.len(),
-                capacity: self.batch,
+                capacity: stride,
             });
         }
-        for lane in lanes {
-            assert!(
-                lane.len() <= self.dim,
-                "lane length {} exceeds layout dim {}",
-                lane.len(),
-                self.dim
-            );
+        if let Some(lane) = lanes.iter().find(|l| l.len() > self.dim) {
+            return Err(HeError::ShapeMismatch {
+                what: "lane length",
+                got: lane.len(),
+                expected: self.dim,
+            });
         }
         let mut out = vec![0.0f64; self.slots];
-        for (i, o) in out.iter_mut().enumerate() {
-            let lane = i % self.batch;
-            let j = (i / self.batch) % self.dim;
-            if let Some(l) = lanes.get(lane) {
-                if j < l.len() {
-                    *o = l[j];
-                }
+        for (b, lane) in lanes.iter().enumerate() {
+            for (j, &v) in lane.iter().enumerate() {
+                out[j * stride + b] = v;
             }
         }
         Ok(out)
     }
 
     /// Reads `lanes` lanes of `take` elements each back out of a full
-    /// slot vector (inverse of [`Self::pack`] on the first repetition).
+    /// slot vector (inverse of [`Self::pack`]).
     pub fn unpack(&self, slot_vals: &[f64], lanes: usize, take: usize) -> Vec<Vec<f64>> {
-        assert!(lanes <= self.batch && take <= self.dim);
-        assert!(slot_vals.len() >= self.period());
+        assert!(lanes <= self.stride() && take <= self.dim);
+        assert!(slot_vals.len() >= self.slots);
         (0..lanes)
             .map(|b| (0..take).map(|j| slot_vals[self.slot_of(b, j)]).collect())
             .collect()
@@ -165,8 +133,8 @@ impl PackLayout {
 }
 
 /// How a logical batch of `total` vectors is distributed over
-/// ciphertexts: `shards` ciphertexts, each in the same [`PackLayout`]
-/// with `layout.batch()` lanes; the last shard may be partially filled.
+/// ciphertexts: `shards` ciphertexts, each in the same full-capacity
+/// [`PackLayout`]; the last shard may be partially filled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardPlan {
     layout: PackLayout,
@@ -176,12 +144,13 @@ pub struct ShardPlan {
 
 impl ShardPlan {
     /// Plans a batch of `batch` `dim`-long vectors onto a ring with
-    /// `slots` slots. The per-ciphertext lane count is
-    /// `min(next_pow2(batch), slots/dim)`; whatever does not fit one
+    /// `slots` slots. Every shard is laid out at the full lane capacity
+    /// `slots / dim`, whatever the batch; whatever does not fit one
     /// ciphertext spills into additional shards. Fails with
-    /// [`HeError::EmptyBatch`] on `batch = 0`, and with
+    /// [`HeError::EmptyBatch`] on `batch = 0`, with
     /// [`HeError::BatchExceedsSlots`] when even a single vector does
-    /// not fit (`dim > slots`).
+    /// not fit (`dim > slots`), and as [`PackLayout::new`] does on a
+    /// `dim` or `slots` that is not a power of two.
     pub fn plan(slots: usize, dim: usize, batch: usize) -> Result<Self, HeError> {
         if batch == 0 {
             return Err(HeError::EmptyBatch);
@@ -189,13 +158,11 @@ impl ShardPlan {
         if dim > slots {
             return Err(HeError::BatchExceedsSlots { batch, capacity: 0 });
         }
-        let cap = slots / dim;
-        let lanes = batch.next_power_of_two().min(cap);
-        let layout = PackLayout::new(dim, lanes, slots)?;
+        let layout = PackLayout::new(dim, slots)?;
         Ok(Self {
             layout,
             total: batch,
-            shards: batch.div_ceil(lanes),
+            shards: batch.div_ceil(layout.stride()),
         })
     }
 
@@ -214,23 +181,18 @@ impl ShardPlan {
         self.shards
     }
 
-    /// Lanes one ciphertext can carry (`slots / dim`).
-    pub fn capacity(&self) -> usize {
-        self.layout.slots() / self.layout.dim()
-    }
-
     /// Lanes actually occupied in shard `s` (the last shard may be
     /// partial).
     pub fn lanes_in_shard(&self, s: usize) -> usize {
         assert!(s < self.shards);
-        let filled = s * self.layout.batch();
-        (self.total - filled).min(self.layout.batch())
+        let lanes = self.layout.stride();
+        (self.total - s * lanes).min(lanes)
     }
 }
 
-/// Encodes up to `layout.batch()` lanes into one plaintext in the
+/// Encodes up to `layout.stride()` lanes into one plaintext in the
 /// batch-strided layout. Typed failure instead of the encoder's panic
-/// when too many lanes are offered.
+/// when the lanes do not fit ([`PackLayout::pack`]).
 pub fn encode_batched(
     ctx: &Arc<CkksContext>,
     lanes: &[&[f64]],
@@ -259,19 +221,20 @@ mod tests {
 
     #[test]
     fn planner_picks_lanes_and_shards() {
-        // 512 slots, dim 64 → capacity 8 lanes per ciphertext
-        let p = ShardPlan::plan(512, 64, 1).unwrap();
-        assert_eq!((p.layout().batch(), p.shards()), (1, 1));
-        let p = ShardPlan::plan(512, 64, 5).unwrap();
-        assert_eq!((p.layout().batch(), p.shards()), (8, 1), "non-pow2 pads");
-        let p = ShardPlan::plan(512, 64, 8).unwrap();
-        assert_eq!((p.layout().batch(), p.shards()), (8, 1));
-        let p = ShardPlan::plan(512, 64, 9).unwrap();
-        assert_eq!((p.layout().batch(), p.shards()), (8, 2));
-        assert_eq!(p.lanes_in_shard(0), 8);
+        // 512 slots, dim 64 → capacity 8 lanes per ciphertext, and every
+        // batch is laid out at that capacity
+        let cap = 8;
+        for (batch, shards) in [(1, 1), (3, 1), (cap, 1), (cap + 1, 2), (64, 8)] {
+            let p = ShardPlan::plan(512, 64, batch).unwrap();
+            assert_eq!(
+                (p.layout().stride(), p.shards()),
+                (cap, shards),
+                "batch {batch}"
+            );
+        }
+        let p = ShardPlan::plan(512, 64, cap + 1).unwrap();
+        assert_eq!(p.lanes_in_shard(0), cap);
         assert_eq!(p.lanes_in_shard(1), 1);
-        let p = ShardPlan::plan(512, 64, 64).unwrap();
-        assert_eq!((p.layout().batch(), p.shards()), (8, 8));
     }
 
     #[test]
@@ -288,49 +251,66 @@ mod tests {
         // one image past a ciphertext's capacity is not an error: it
         // spills into a second shard of the same layout
         let p = ShardPlan::plan(512, 64, 9).unwrap();
-        assert_eq!((p.capacity(), p.shards()), (8, 2));
+        assert_eq!((p.layout().stride(), p.shards()), (8, 2));
+    }
+
+    #[test]
+    fn layout_calls_refuse_typed_instead_of_asserting() {
+        // a dim that is not a power of two names the field
+        assert_eq!(
+            ShardPlan::plan(512, 100, 1),
+            Err(HeError::ShapeMismatch {
+                what: "layout dim",
+                got: 100,
+                expected: 128
+            })
+        );
+        assert!(matches!(
+            PackLayout::new(64, 500),
+            Err(HeError::ShapeMismatch {
+                what: "layout slot count",
+                got: 500,
+                ..
+            })
+        ));
+        // a lane longer than the layout's dim
+        let ctx = ctx();
+        let layout = PackLayout::new(64, ctx.slots()).unwrap();
+        let long = vec![0.5f64; 65];
+        let err = encode_batched(&ctx, &[&long], &layout, ctx.params().scale(), 1).unwrap_err();
+        assert_eq!(
+            err,
+            HeError::ShapeMismatch {
+                what: "lane length",
+                got: 65,
+                expected: 64
+            }
+        );
     }
 
     #[test]
     fn pack_unpack_roundtrip() {
-        let layout = PackLayout::new(8, 4, 64).unwrap();
+        let layout = PackLayout::new(8, 32).unwrap();
+        assert_eq!(layout.stride(), 4);
         let lanes: Vec<Vec<f64>> = (0..3)
             .map(|b| (0..8).map(|j| (b * 10 + j) as f64).collect())
             .collect();
         let refs: Vec<&[f64]> = lanes.iter().map(Vec::as_slice).collect();
         let slots = layout.pack(&refs).unwrap();
-        // element j of lane b sits at j·4 + b, repeating every 32 slots
+        // element j of lane b sits at j·4 + b
         assert_eq!(slots[layout.slot_of(1, 3)], 13.0);
-        assert_eq!(slots[layout.slot_of(1, 3) + layout.period()], 13.0);
+        assert_eq!(layout.slot_of(1, 3), 13);
         assert_eq!(slots[layout.slot_of(3, 0)], 0.0, "missing lane is zero");
         let back = layout.unpack(&slots, 3, 8);
         assert_eq!(back, lanes);
     }
 
     #[test]
-    fn stride_one_pack_equals_plain_tiling() {
-        let layout = PackLayout::tiled(8, 64).unwrap();
-        let lane: Vec<f64> = (0..6).map(|j| j as f64 + 0.5).collect();
-        let packed = layout.pack(&[&lane]).unwrap();
-        for (i, &v) in packed.iter().enumerate() {
-            let j = i % 8;
-            let want = if j < 6 { j as f64 + 0.5 } else { 0.0 };
-            assert_eq!(v, want, "slot {i}");
-        }
-    }
-
-    #[test]
-    fn expand_broadcasts_per_element_values() {
-        let layout = PackLayout::new(4, 2, 16).unwrap();
-        let e = layout.expand(&[1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(e[..8], [1.0, 1.0, 2.0, 2.0, 3.0, 3.0, 4.0, 4.0]);
-        assert_eq!(e[8..], e[..8]);
-    }
-
-    #[test]
     fn encode_batched_roundtrips_through_unpack() {
         let ctx = ctx();
-        let layout = PackLayout::new(16, 8, ctx.slots()).unwrap();
+        let layout = PackLayout::new(64, ctx.slots()).unwrap();
+        assert_eq!(layout.stride(), 8);
+        // short lanes are zero-padded up to the dim
         let lanes: Vec<Vec<f64>> = (0..8)
             .map(|b| (0..16).map(|j| ((b * 16 + j) as f64).sin() * 0.5).collect())
             .collect();
@@ -345,7 +325,7 @@ mod tests {
     #[test]
     fn encode_batched_rejects_excess_lanes_typed() {
         let ctx = ctx();
-        let layout = PackLayout::new(16, 2, ctx.slots()).unwrap();
+        let layout = PackLayout::new(ctx.slots() / 2, ctx.slots()).unwrap();
         let lane = vec![0.5f64; 16];
         let lanes: Vec<&[f64]> = vec![&lane; 3];
         let err = encode_batched(&ctx, &lanes, &layout, ctx.params().scale(), 1).unwrap_err();
@@ -360,7 +340,7 @@ mod tests {
 
     #[test]
     fn rotation_by_stride_shifts_elements_within_lanes() {
-        let layout = PackLayout::new(8, 4, 32).unwrap();
+        let layout = PackLayout::new(8, 32).unwrap();
         assert_eq!(layout.rotation_step(1), 4);
         // a left shift by −3 elements is the same cyclic shift as by
         // dim−3 = 5: the step comes back normalized into [0, slots)
@@ -384,7 +364,7 @@ mod tests {
 
     #[test]
     fn rotation_step_normalizes_boundary_shifts() {
-        let layout = PackLayout::new(8, 4, 64).unwrap();
+        let layout = PackLayout::new(8, 32).unwrap();
         // negative shifts map to their positive complement
         assert_eq!(layout.rotation_step(-1), layout.rotation_step(7));
         assert_eq!(layout.rotation_step(-3), 5 * 4);
@@ -394,25 +374,23 @@ mod tests {
         // … and over-long shifts reduce before scaling by the stride
         assert_eq!(layout.rotation_step(11), layout.rotation_step(3));
         assert_eq!(layout.rotation_step(8 + 5), 5 * 4);
-        // extreme inputs no longer overflow the stride multiplication
+        // extreme inputs do not overflow the stride multiplication
         assert_eq!(layout.rotation_step(i64::MAX), layout.rotation_step(7));
         assert_eq!(layout.rotation_step(i64::MIN), layout.rotation_step(0));
         // every result is a canonical in-ring left rotation
         for e in [-17i64, -8, -1, 0, 1, 7, 8, 9, 1_000_003] {
             let s = layout.rotation_step(e);
-            assert!((0..64).contains(&s), "step {s} for shift {e}");
+            assert!((0..32).contains(&s), "step {s} for shift {e}");
         }
-        // the stride-1 layout reduces to plain element rotation
-        let tiled = PackLayout::tiled(8, 64).unwrap();
-        assert_eq!(tiled.rotation_step(3), 3);
-        assert_eq!(tiled.rotation_step(-3), 5);
+        // a one-lane layout reduces to plain element rotation
+        let one_lane = PackLayout::new(8, 8).unwrap();
+        assert_eq!(one_lane.rotation_step(3), 3);
+        assert_eq!(one_lane.rotation_step(-3), 5);
     }
 
     #[test]
     fn full_capacity_pack_unpack_roundtrip() {
-        // boundary: dim · batch == slots (one repetition fills the ring)
-        let layout = PackLayout::new(16, 8, 128).unwrap();
-        assert_eq!(layout.period(), layout.slots());
+        let layout = PackLayout::new(16, 128).unwrap();
         let lanes: Vec<Vec<f64>> = (0..8)
             .map(|b| (0..16).map(|j| (b * 16 + j) as f64 + 0.25).collect())
             .collect();
@@ -440,21 +418,18 @@ mod tests {
 
             // pack → unpack is the identity on any lane set the layout
             // admits: non-power-of-two lane counts and lengths
-            // (zero-padded), stride 1 through 8, up to the full
-            // slot-capacity boundary (extra = 0 ⇒ period == slots)
+            // (zero-padded), stride 1 through 8
             #[test]
             fn pack_unpack_roundtrip(
                 dim_log in 0u32..6,
-                batch_log in 0u32..4,
-                extra_log in 0u32..3,
+                stride_log in 0u32..4,
                 seed in 0u64..1_000,
             ) {
                 let dim = 1usize << dim_log;
-                let batch = 1usize << batch_log;
-                let slots = 1usize << (dim_log + batch_log + extra_log);
-                let layout = PackLayout::new(dim, batch, slots).unwrap();
+                let stride = 1usize << stride_log;
+                let layout = PackLayout::new(dim, dim * stride).unwrap();
                 let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-                let lanes_n = rng.gen_range(0..=batch);
+                let lanes_n = rng.gen_range(0..=stride);
                 let lanes: Vec<Vec<f64>> = (0..lanes_n)
                     .map(|_| {
                         let len = rng.gen_range(0..=dim);
@@ -463,7 +438,7 @@ mod tests {
                     .collect();
                 let refs: Vec<&[f64]> = lanes.iter().map(Vec::as_slice).collect();
                 let packed = layout.pack(&refs).unwrap();
-                prop_assert_eq!(packed.len(), slots);
+                prop_assert_eq!(packed.len(), dim * stride);
                 let back = layout.unpack(&packed, lanes_n, dim);
                 for (lane, got) in lanes.iter().zip(&back) {
                     for (j, g) in got.iter().enumerate() {
@@ -480,7 +455,7 @@ mod tests {
             #[test]
             fn rotation_step_realizes_element_shift(
                 dim_log in 0u32..5,
-                batch_log in 0u32..4,
+                stride_log in 0u32..4,
                 shift_idx in 0usize..12,
                 seed in 0u64..1_000,
             ) {
@@ -489,11 +464,11 @@ mod tests {
                 ];
                 let shift = SHIFTS[shift_idx];
                 let dim = 1usize << dim_log;
-                let batch = 1usize << batch_log;
-                let slots = (dim * batch * 2).next_power_of_two();
-                let layout = PackLayout::new(dim, batch, slots).unwrap();
+                let stride = 1usize << stride_log;
+                let slots = dim * stride;
+                let layout = PackLayout::new(dim, slots).unwrap();
                 let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-                let lanes: Vec<Vec<f64>> = (0..batch)
+                let lanes: Vec<Vec<f64>> = (0..stride)
                     .map(|_| (0..dim).map(|_| rng.gen_range(-1.0f64..1.0)).collect())
                     .collect();
                 let refs: Vec<&[f64]> = lanes.iter().map(Vec::as_slice).collect();
@@ -502,7 +477,7 @@ mod tests {
                 prop_assert!((0..slots as i64).contains(&r), "non-canonical step {r}");
                 let rotated: Vec<f64> =
                     (0..slots).map(|i| v[(i + r as usize) % slots]).collect();
-                let back = layout.unpack(&rotated, batch, dim);
+                let back = layout.unpack(&rotated, stride, dim);
                 // i64::MIN.rem_euclid is still well-defined — compute the
                 // expected element shift the same way a caller reasons: d ≡ shift (mod dim)
                 let d = shift.rem_euclid(dim as i64) as usize;

@@ -9,7 +9,7 @@
 //!   `CnnHePipeline` caches the report beside that circuit, prepared,
 //!   which is what its scalar requests run; `he-ir check` prints it.
 //! * [`circuit_admission`] — an already-lowered circuit (the packed
-//!   path's compiled stride circuits) against the keys that exist.
+//!   path's one compiled circuit) against the keys that exist.
 //! * [`batch_exceeds_slots`] — the request-size error `validate_batch`
 //!   adds on the scalar path.
 //!

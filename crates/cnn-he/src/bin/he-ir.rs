@@ -14,10 +14,11 @@
 //! `dump` prints a per-region table (or Graphviz DOT with `--dot`);
 //! `passes` lists the registered analyses. `--packed` lowers the
 //! slot-packed network to the squat-fold circuit
-//! (`PackedLowering::Compiled`) — exactly what `CnnHePipeline` prepares
-//! and runs. Exits 0 when the circuit is clean (warnings allowed), 1 on
-//! error diagnostics, 2 on usage problems or an unreadable model or
-//! parameter file.
+//! (`PackedLowering::Compiled`) at the ring's full lane capacity —
+//! exactly what `CnnHePipeline` prepares and runs for every batch size.
+//! Exits 0 when the circuit is clean (warnings allowed), 1 on error
+//! diagnostics or a packed dim past the ring's slots, 2 on usage
+//! problems or an unreadable model or parameter file.
 //!
 //! Parameters come from `--params FILE` (`key = value` lines, see
 //! [`ckks::paramfile`]) or are `CkksParams::paper` on the 2^14 ring,
@@ -153,7 +154,13 @@ fn run(mut args: Vec<String>) -> i32 {
         print!("{}", report.render());
         return i32::from(report.has_errors());
     }
-    let circuit = build_circuit(&net, sized, opts.packed);
+    let circuit = match build_circuit(&net, sized, opts.packed) {
+        Ok(circuit) => circuit,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return 1;
+        }
+    };
 
     match cmd.as_str() {
         "check" => {
@@ -217,25 +224,27 @@ fn load_params(path: Option<&str>) -> Result<Option<CkksParams>, String> {
         .map_err(|e| format!("{path}: {e}"))
 }
 
+/// The scalar circuit, or with `slot_packed` the packed circuit at the
+/// lane stride every packed request runs at (declared keys = exactly its
+/// rotation set); a packed dim past the ring's slots is refused.
 fn build_circuit(
     net: &HeNetwork,
     sized: impl Fn(usize) -> CkksParams,
     slot_packed: bool,
-) -> Circuit {
+) -> Result<Circuit, ckks::HeError> {
     if slot_packed {
-        // single-image (stride 1) packed circuit, declared keys =
-        // exactly its rotation set
         let packed = PackedNetwork::from_network(net);
         let params = sized(packed.required_levels());
-        lower_packed(
+        let stride = packed.plan_batch(params.slots(), 1)?.layout().stride();
+        Ok(lower_packed(
             &packed,
             GraphBuilder::new(params),
-            1,
+            stride,
             PackedLowering::Compiled,
-        )
+        ))
     } else {
         let params = sized(net.required_levels());
-        lower_network(net, GraphBuilder::new(params))
+        Ok(lower_network(net, GraphBuilder::new(params)))
     }
 }
 

@@ -2,7 +2,7 @@
 //! packing, provided as the packing ablation of DESIGN.md §13.
 //!
 //! The whole activation vector of a layer lives in ONE ciphertext
-//! (tiled cyclically across the slots); linear layers become
+//! (one lane of a batch-strided layout); linear layers become
 //! plaintext-matrix × encrypted-vector products evaluated with the
 //! baby-step/giant-step diagonal method (≈ 2√D rotations instead of D),
 //! and each nonlinearity is a *single* SLAF evaluation per layer instead
@@ -139,33 +139,24 @@ impl PackedNetwork {
         b
     }
 
-    /// Galois rotation steps the encrypted path needs (baby steps
-    /// `1..B` and giant steps `B, 2B, …`) in the stride-1 tiled layout.
-    pub fn required_rotation_steps(&self) -> Vec<i64> {
-        let b = self.baby();
-        let mut steps: Vec<i64> = (1..b as i64).collect();
-        let mut g = b;
-        while g < self.dim {
-            steps.push(g as i64);
-            g += b;
-        }
-        steps
-    }
-
-    /// [`Self::required_rotation_steps`] for a batch-strided layout:
-    /// every BSGS step scales by the lane stride (rotating by `d·stride`
-    /// shifts every lane's elements by `d`).
+    /// Galois rotation steps the textbook BSGS circuit needs in
+    /// `layout`: the baby element shifts `1..B` and the giant shifts
+    /// `B, 2B, …` below `dim`, each scaled by the lane stride (rotating
+    /// by `d·stride` shifts every lane's elements by `d`).
     pub fn required_rotation_steps_for(&self, layout: &PackLayout) -> Vec<i64> {
         assert_eq!(layout.dim(), self.dim, "layout dim mismatch");
-        self.required_rotation_steps()
-            .iter()
-            .map(|&s| layout.rotation_step(s))
+        let b = self.baby();
+        let giants = (b..self.dim).step_by(b);
+        (1..b)
+            .chain(giants)
+            .map(|s| layout.rotation_step(s as i64))
             .collect()
     }
 
-    /// Plans a logical batch of `batch` images onto ciphertext shards
-    /// (lane count capped by `slots / dim`, remainder spilling into
-    /// further shards). An empty batch is [`HeError::EmptyBatch`].
+    /// Plans a logical batch of `batch` images onto ciphertext shards,
+    /// each at the full lane capacity `slots / dim`, the remainder
+    /// spilling into further shards. An empty batch is
+    /// [`HeError::EmptyBatch`].
     pub fn plan_batch(&self, slots: usize, batch: usize) -> Result<ShardPlan, HeError> {
         ShardPlan::plan(slots, self.dim, batch)
     }
@@ -214,7 +205,7 @@ impl PackedNetwork {
 
     /// Encrypts a batch of images into the plan's shard ciphertexts:
     /// `plan.shards()` ciphertexts, each packing up to
-    /// `plan.layout().batch()` images in the batch-strided layout.
+    /// `plan.layout().stride()` images in the batch-strided layout.
     /// Typed failure when the images cannot be packed as planned.
     pub fn encrypt_batch(
         &self,
@@ -243,8 +234,8 @@ impl PackedNetwork {
         let scale = ev.ctx().params().scale();
         let mut out = Vec::with_capacity(plan.shards());
         for s in 0..plan.shards() {
-            let lo = s * layout.batch();
-            let hi = (lo + layout.batch()).min(images.len());
+            let lo = s * layout.stride();
+            let hi = (lo + layout.stride()).min(images.len());
             let lanes: Vec<Vec<f64>> = images[lo..hi]
                 .iter()
                 .map(|img| img.iter().map(|&v| v as f64).collect())
@@ -395,7 +386,8 @@ mod tests {
         }
     }
 
-    /// One tiled (stride-1) image through the reference circuit.
+    /// One image through the reference circuit, in lane 0 of the
+    /// ring's full-capacity layout.
     fn infer_one(
         packed: &PackedNetwork,
         ev: &Evaluator,
@@ -461,7 +453,8 @@ mod tests {
         let sk = kg.gen_secret_key();
         let pk = kg.gen_public_key(&sk);
         let rk = kg.gen_relin_key(&sk);
-        let gk = kg.gen_galois_keys(&sk, &packed.required_rotation_steps(), false);
+        let layout = packed.plan_batch(ctx.slots(), 1).unwrap().layout();
+        let gk = kg.gen_galois_keys(&sk, &packed.required_rotation_steps_for(&layout), false);
         let ev = Evaluator::new(Arc::clone(&ctx));
         let mut s = Sampler::from_seed(43);
 
@@ -470,8 +463,8 @@ mod tests {
         // babies, blocks and sum per linear layer, one SLAF region
         assert_eq!(times.len(), 7);
         assert!(times[1].0.starts_with("shard 0: "), "{}", times[1].0);
-        let out = ev.decrypt_to_real(&y, &sk);
-        let want = packed.infer_plain(&img);
+        let out = layout.unpack(&ev.decrypt_to_real(&y, &sk), 1, packed.output_dim);
+        let (out, want) = (&out[0], packed.infer_plain(&img));
         for i in 0..packed.output_dim {
             assert!(
                 (out[i] - want[i]).abs() < 0.02,
@@ -488,7 +481,8 @@ mod tests {
         // linear layer instead of D·taps scalar MACs + per-neuron SLAFs
         let net = mini_net(44);
         let packed = PackedNetwork::from_network(&net);
-        let rot_steps = packed.required_rotation_steps().len();
+        let layout = packed.plan_batch(512, 1).unwrap().layout();
+        let rot_steps = packed.required_rotation_steps_for(&layout).len();
         assert!(
             rot_steps <= 2 * (packed.dim as f64).sqrt() as usize + 2,
             "rotation budget blew up: {rot_steps} for dim {}",
@@ -533,8 +527,9 @@ mod tests {
 
     #[test]
     fn batched_inference_matches_plain_per_lane() {
-        // 3 images (non-pow2 → padded to 4 lanes) in ONE ciphertext:
-        // the packed BSGS circuit runs once, every lane gets its logits
+        // 3 images in ONE 8-lane ciphertext (the other lanes hold
+        // zeros): the packed BSGS circuit runs once, every lane gets its
+        // logits
         let net = mini_net(51);
         let packed = PackedNetwork::from_network(&net);
         let ctx = CkksParams::tiny(packed.required_levels()).build();
@@ -547,7 +542,7 @@ mod tests {
 
         let plan = packed.plan_batch(ctx.slots(), 3).unwrap();
         assert_eq!(plan.shards(), 1);
-        assert_eq!(plan.layout().batch(), 4, "3 lanes pad to 4");
+        assert_eq!(plan.layout().stride(), 8, "3 lanes ride the full capacity");
         let gk = kg.gen_galois_keys(
             &sk,
             &packed.required_rotation_steps_for(&plan.layout()),
@@ -611,7 +606,8 @@ mod tests {
         let sk = kg.gen_secret_key();
         let pk = kg.gen_public_key(&sk);
         let rk = kg.gen_relin_key(&sk);
-        let gk = kg.gen_galois_keys(&sk, &packed.required_rotation_steps(), false);
+        let layout = packed.plan_batch(ctx.slots(), 1).unwrap().layout();
+        let gk = kg.gen_galois_keys(&sk, &packed.required_rotation_steps_for(&layout), false);
         let ev = Evaluator::new(Arc::clone(&ctx));
         let mut s = Sampler::from_seed(47);
 
@@ -624,7 +620,8 @@ mod tests {
 
         // packed engine
         let (packed_out, _) = infer_one(&packed, &ev, (&pk, &rk, &gk), &mut s, &img);
-        let packed_logits = ev.decrypt_to_real(&packed_out, &sk);
+        let dec = ev.decrypt_to_real(&packed_out, &sk);
+        let packed_logits = layout.unpack(&dec, 1, packed.output_dim).remove(0);
 
         for i in 0..packed.output_dim {
             assert!(

@@ -79,14 +79,9 @@ pub fn lower_packed(
     mode: PackedLowering,
 ) -> Circuit {
     assert!(stride >= 1, "lane stride must be positive");
-    let layout = if stride == 1 {
-        Layout::Tiled
-    } else {
-        Layout::BatchStrided { stride }
-    };
     let start = packed.required_levels().min(b.params().depth());
     let mut steps_used: BTreeSet<i64> = BTreeSet::new();
-    let mut x = b.input(PACKED_INPUT, start, layout);
+    let mut x = b.input(PACKED_INPUT, start, Layout::BatchStrided { stride });
 
     for (li, layer) in packed.layers.iter().enumerate() {
         match layer {
@@ -390,10 +385,11 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(4))]
 
-        // Over random small nets × every lane stride of the tiny ring:
-        // each lowering computes the network's function exactly in the
-        // clear, and both the compiled circuit and the reference decrypt
-        // within the noise bound composed along the *reference's* ops —
+        // Over random small nets × one, some and all lanes of the tiny
+        // ring's 8-lane stride: each lowering computes the network's
+        // function exactly in the clear, and both the compiled circuit
+        // and the reference decrypt within the noise bound composed
+        // along the *reference's* ops —
         // the compiled circuit gets no noise allowance of its own, and
         // nobody gets a tuned epsilon.
         #[test]
@@ -414,7 +410,7 @@ mod tests {
             let ev = Evaluator::new(Arc::clone(&ctx));
             let mut s = Sampler::from_seed(seed + 1);
 
-            for lanes in [1usize, 2, 4, 8] {
+            for lanes in [1usize, 3, 8] {
                 let plan = packed.plan_batch(ctx.slots(), lanes).unwrap();
                 let (layout, stride) = (plan.layout(), plan.layout().stride());
                 let lower =

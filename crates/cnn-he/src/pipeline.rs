@@ -11,11 +11,10 @@ use crate::packed_graph::{lower_packed, PackedLowering};
 use crate::trace::InferenceTrace;
 use ckks::{
     CkksContext, CkksParams, Evaluator, GaloisKeys, HeError, KeyGenerator, PublicKey, RelinKey,
-    SecretKey, ShardPlan,
+    SecretKey,
 };
 use ckks_math::sampler::Sampler;
 use he_trace::OpSnapshot;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// What the scalar path runs, built once per pipeline: the network
@@ -44,41 +43,31 @@ impl ScalarState {
     }
 }
 
-/// What one lane stride of the packed path runs: the compiled circuit
-/// in prepared form (validated, plaintext operands encoded) and the
-/// admission verdict of the standard lint passes over it.
-struct PackedStride {
+/// State of the slot-packed path, built once by
+/// [`CnnHePipeline::enable_packed_batching`]: the network in packed
+/// form, the Galois keys of exactly the rotations its circuit uses, that
+/// circuit (lowered at the ring's full lane capacity) in prepared form,
+/// and the admission verdict of the standard lint passes over it.
+struct PackedState {
+    packed: PackedNetwork,
+    gk: GaloisKeys,
     prepared: he_ir::Prepared,
     /// Rendered lint report when admission refused the circuit.
     rejected: Option<String>,
 }
 
-/// State of the slot-packed path once
-/// [`CnnHePipeline::enable_packed_batching`] has run: the network in
-/// packed form, one [`PackedStride`] per lane stride, built on first
-/// use (or ahead of time by [`CnnHePipeline::prepare_batch`]), and the
-/// Galois keys those circuits rotate by. The strides' rotation sets
-/// overlap (every stride-8 step is also a stride-1 step), so the keys
-/// are one pool holding exactly the union, each element generated once.
-struct PackedState {
-    packed: PackedNetwork,
-    strides: HashMap<usize, PackedStride>,
-    kg: KeyGenerator,
-    gk: GaloisKeys,
-}
-
 impl PackedState {
-    /// Admission of a stride's circuit against the keys that actually
+    /// Admission of the prepared circuit against the keys that actually
     /// exist.
-    fn lint(&self, circuit: &he_ir::Circuit) -> he_ir::LintReport {
+    fn lint(&self) -> he_ir::LintReport {
         circuit_admission(
-            circuit,
+            self.prepared.circuit(),
             he_ir::KeyInventory::with_galois(true, self.gk.elements()),
         )
     }
 }
 
-/// Reference-vs-compiled op accounting for one lane stride, for
+/// Reference-vs-compiled op accounting of the packed circuit, for
 /// benches and regression gates.
 #[derive(Debug, Clone)]
 pub struct CompiledStats {
@@ -186,17 +175,19 @@ impl CnnHePipeline {
     }
 
     /// Switches [`Self::classify`] to the slot-packed path: B images
-    /// coalesce into `ceil(B / capacity)` batch-strided ciphertexts, and
-    /// each runs the network as one `he-ir` circuit (the squat-fold
-    /// lowering [`PackedLowering::Compiled`] → [`he_ir::Prepared`])
-    /// under Galois keys generated for exactly the rotations those
-    /// circuits use. Circuit, keys and pre-encoded
-    /// operands are built per lane stride on first use; [`Self::prepare_batch`]
-    /// builds them ahead of time. Fails typed when the network is
-    /// malformed ([`HeError::PlanRejected`] naming the layer
+    /// coalesce into `ceil(B / capacity)` batch-strided ciphertexts, all
+    /// at the ring's full lane capacity `slots / dim`, and each runs the
+    /// network as one `he-ir` circuit. That circuit (the squat-fold
+    /// lowering [`PackedLowering::Compiled`]) is lowered, keyed with
+    /// Galois keys for exactly the rotations it uses, linted and
+    /// prepared ([`he_ir::Prepared`]) here, once, so no request lowers,
+    /// generates a key or encodes an operand. Fails typed when the
+    /// network is malformed ([`HeError::PlanRejected`] naming the layer
     /// [`HeNetwork::check`] refuses), a single image's packed vector does
     /// not fit the ring ([`HeError::BatchExceedsSlots`]) or the chain is
-    /// shorter than the packed circuit ([`HeError::LevelExhausted`]).
+    /// shorter than the packed circuit ([`HeError::LevelExhausted`]); an
+    /// admission refusal of the circuit surfaces on the first request as
+    /// [`HeError::PlanRejected`] and in [`Self::validate_batch`].
     /// Idempotent.
     pub fn enable_packed_batching(&mut self) -> Result<(), HeError> {
         if self.packed.is_some() {
@@ -207,7 +198,7 @@ impl CnnHePipeline {
         })?;
         let packed = PackedNetwork::from_network(&self.network);
         // typed capacity and depth checks before any lowering or keygen
-        packed.plan_batch(self.ctx.slots(), 1)?;
+        let stride = packed.plan_batch(self.ctx.slots(), 1)?.layout().stride();
         let (needed, depth) = (packed.required_levels(), self.ctx.params().depth());
         if needed > depth {
             return Err(HeError::LevelExhausted {
@@ -216,12 +207,29 @@ impl CnnHePipeline {
                 needed: needed - depth,
             });
         }
-        self.packed = Some(PackedState {
+        let circuit = lower_packed(
+            &packed,
+            he_ir::GraphBuilder::for_context(&self.ctx),
+            stride,
+            PackedLowering::Compiled,
+        );
+        let steps: Vec<i64> = he_ir::passes::rotations::required_elements(&circuit)
+            .steps
+            .into_iter()
+            .collect();
+        let gk = KeyGenerator::new(Arc::clone(&self.ctx), self.seed ^ 0x9A71)
+            .gen_galois_keys(&self.sk, &steps, false);
+        let prepared = he_ir::Prepared::new(&self.ev, circuit)
+            .map_err(|reason| HeError::Execution { reason })?;
+        let mut state = PackedState {
             packed,
-            strides: HashMap::new(),
-            kg: KeyGenerator::new(Arc::clone(&self.ctx), self.seed ^ 0x9A71),
-            gk: GaloisKeys::default(),
-        });
+            gk,
+            prepared,
+            rejected: None,
+        };
+        let lint = state.lint();
+        state.rejected = lint.has_errors().then(|| lint.render());
+        self.packed = Some(state);
         Ok(())
     }
 
@@ -237,93 +245,27 @@ impl CnnHePipeline {
         self.enable_packed_batching()
     }
 
-    /// Builds (once) everything a `batch`-image packed request runs
-    /// with, so the request itself does no lowering, keygen, linting or
-    /// plaintext encoding. Fails typed when packed batching is not
-    /// enabled or admission refuses the circuit.
-    pub fn prepare_batch(&mut self, batch: usize) -> Result<(), HeError> {
-        self.admitted_plan(batch).map(|_| ())
+    /// The Galois keys the packed circuit rotates under — exactly its
+    /// rotation set, element for element. `None` until packed batching
+    /// is enabled.
+    pub fn packed_galois_keys(&self) -> Option<&GaloisKeys> {
+        self.packed.as_ref().map(|state| &state.gk)
     }
 
-    /// The shard plan of a `batch`-image request, with the
-    /// [`PackedStride`] of its lane stride built on first use.
-    fn built_plan(&mut self, batch: usize) -> Result<ShardPlan, HeError> {
-        if batch == 0 {
-            return Err(HeError::EmptyBatch);
-        }
-        let state = self.packed.as_mut().ok_or(HeError::Execution {
-            reason: "packed batching is not enabled".into(),
-        })?;
-        let plan = state.packed.plan_batch(self.ctx.slots(), batch)?;
-        let stride = plan.layout().stride();
-        if state.strides.contains_key(&stride) {
-            return Ok(plan);
-        }
-        let circuit = lower_packed(
-            &state.packed,
-            he_ir::GraphBuilder::for_context(&self.ctx),
-            stride,
-            PackedLowering::Compiled,
-        );
-        // keys for the rotation steps no earlier stride already needed
-        let params = self.ctx.params();
-        let missing: Vec<i64> = he_ir::passes::rotations::required_elements(&circuit)
-            .steps
-            .into_iter()
-            .filter(|&s| !state.gk.contains(params.galois_element_for_rotation(s)))
-            .collect();
-        let fresh = state.kg.gen_galois_keys(&self.sk, &missing, false);
-        state.gk.extend(fresh);
-        let lint = state.lint(&circuit);
-        let prepared = he_ir::Prepared::new(&self.ev, circuit)
-            .map_err(|reason| HeError::Execution { reason })?;
-        state.strides.insert(
-            stride,
-            PackedStride {
-                prepared,
-                rejected: lint.has_errors().then(|| lint.render()),
-            },
-        );
-        Ok(plan)
-    }
-
-    /// [`Self::built_plan`], refused typed when admission rejected the
-    /// stride's circuit.
-    fn admitted_plan(&mut self, batch: usize) -> Result<ShardPlan, HeError> {
-        let plan = self.built_plan(batch)?;
-        match &self.packed_stride(&plan).rejected {
-            Some(report) => Err(HeError::PlanRejected {
-                report: report.clone(),
-            }),
-            None => Ok(plan),
-        }
-    }
-
-    fn packed_stride(&self, plan: &ShardPlan) -> &PackedStride {
-        &self.packed_state().strides[&plan.layout().stride()]
-    }
-
-    fn packed_state(&self) -> &PackedState {
-        self.packed
-            .as_ref()
-            .expect("a built stride implies packed state")
-    }
-
-    /// Reference-vs-compiled op accounting for the stride a
-    /// `batch`-image request runs at (preparing that stride if needed).
-    /// `None` until packed batching is enabled.
-    pub fn compiled_stats(&mut self, batch: usize) -> Option<CompiledStats> {
-        let plan = self.built_plan(batch.max(1)).ok()?;
+    /// Reference-vs-compiled op accounting of the packed circuit. `None`
+    /// until packed batching is enabled.
+    pub fn compiled_stats(&self) -> Option<CompiledStats> {
+        let state = self.packed.as_ref()?;
+        let plan = state.packed.plan_batch(self.ctx.slots(), 1).ok()?;
         let reference = lower_packed(
-            &self.packed_state().packed,
+            &state.packed,
             he_ir::GraphBuilder::for_context(&self.ctx),
             plan.layout().stride(),
             PackedLowering::Eager,
         );
-        let built = self.packed_stride(&plan);
         Some(CompiledStats {
             eager: reference.op_counts(),
-            compiled: built.prepared.circuit().op_counts(),
+            compiled: state.prepared.circuit().op_counts(),
         })
     }
 
@@ -344,31 +286,18 @@ impl CnnHePipeline {
     /// is the number of images of the intended request. Scalar engine:
     /// the cached [`admission`] report of the circuit that runs, plus a
     /// `batch-exceeds-slots` error when the batch outgrows the slots. Packed path:
-    /// [`circuit_admission`] of the compiled circuit that batch size
-    /// executes, against the Galois keys generated for it (preparing
-    /// that stride if needed).
+    /// [`circuit_admission`] of the one compiled circuit every batch
+    /// size executes (a batch past the lane capacity is more shards of
+    /// it), against the Galois keys that exist.
     pub fn validate_batch(&mut self, batch: usize) -> he_ir::LintReport {
-        if self.packed.is_none() {
-            let mut report = self.scalar().report.clone();
-            if let Some(d) = batch_exceeds_slots(batch, self.ctx.params()) {
-                report.push(d);
-            }
-            return report;
+        if let Some(state) = &self.packed {
+            return state.lint();
         }
-        match self.built_plan(batch.max(1)) {
-            Ok(plan) => self
-                .packed_state()
-                .lint(self.packed_stride(&plan).prepared.circuit()),
-            Err(e) => {
-                let mut report = he_ir::LintReport::default();
-                report.push(he_ir::Diagnostic::error(
-                    "packed-prepare-failed",
-                    None,
-                    e.to_string(),
-                ));
-                report
-            }
+        let mut report = self.scalar().report.clone();
+        if let Some(d) = batch_exceeds_slots(batch, self.ctx.params()) {
+            report.push(d);
         }
+        report
     }
 
     /// [`Self::validate_batch`] for a single image.
@@ -498,13 +427,18 @@ impl CnnHePipeline {
 
     /// The packed circuit run: plan shards, encrypt B images into
     /// `ceil(B / capacity)` batch-strided ciphertexts, interpret the
-    /// stride's prepared circuit once per shard, decrypt one logits row
-    /// per image. Records come one per shard × IR region.
+    /// prepared circuit once per shard, decrypt one logits row per
+    /// image. Records come one per shard × IR region.
     fn run_packed(&mut self, images: &[&[f32]]) -> Result<Run<'_>, HeError> {
-        let plan = self.admitted_plan(images.len())?;
         // a field borrow, so the sampler stays mutably borrowable
-        let state = self.packed.as_ref().expect("admitted_plan checked");
-        let prepared = &state.strides[&plan.layout().stride()].prepared;
+        let state = self.packed.as_ref().expect("run checked packed state");
+        if let Some(report) = &state.rejected {
+            return Err(HeError::PlanRejected {
+                report: report.clone(),
+            });
+        }
+        let plan = state.packed.plan_batch(self.ctx.slots(), images.len())?;
+        let prepared = &state.prepared;
         let cts =
             state
                 .packed
@@ -671,6 +605,12 @@ mod tests {
         }
     }
 
+    /// The one circuit a packed pipeline runs.
+    fn packed_circuit(pipe: &CnnHePipeline) -> &he_ir::Circuit {
+        let state = pipe.packed.as_ref().expect("packed batching is enabled");
+        state.prepared.circuit()
+    }
+
     fn mini_images(n: usize) -> Vec<Vec<f32>> {
         (0..n)
             .map(|k| {
@@ -706,11 +646,7 @@ mod tests {
             assert_eq!(got.predictions[k], argmax(&want), "image {k}");
         }
         // timing: one entry per shard × IR region, named by both
-        let regions = pipe.packed_state().strides[&8]
-            .prepared
-            .circuit()
-            .regions
-            .len();
+        let regions = packed_circuit(&pipe).regions.len();
         assert_eq!(got.timing.layers.len(), 2 * regions);
         assert!(got.timing.layers[0]
             .name
@@ -721,30 +657,29 @@ mod tests {
             .iter()
             .filter(|l| l.name.ends_with(": fold"));
         assert!(folds.count() >= 2, "squat layers report their fold");
-        // a singleton batch exercises the stride-1 circuit
+        // a singleton batch runs the same circuit in one of its 8 lanes
         let one = pipe.classify(&refs[..1]);
+        assert_eq!(one.timing.layers.len(), regions);
         for (a, b) in one.logits[0].iter().zip(&got.logits[0]) {
             assert!((a - b).abs() < 2e-2, "{a} vs {b}");
         }
         // the compiled lowering must beat the reference lowering by the
-        // gated thresholds on both strides seen above
-        for batch in [1usize, 10] {
-            let stats = pipe.compiled_stats(batch).unwrap();
-            let (e, c) = (stats.eager, stats.compiled);
-            assert!(
-                (c.rotations as f64) <= 0.85 * e.rotations as f64,
-                "batch {batch} rotations: {} vs {}",
-                c.rotations,
-                e.rotations
-            );
-            let total = |o: he_ir::OpCounts| o.ct_mults + o.scalar_macs + o.rescales + o.rotations;
-            assert!(
-                (total(c) as f64) <= 0.90 * total(e) as f64,
-                "batch {batch} total ops: {} vs {}",
-                total(c),
-                total(e)
-            );
-        }
+        // gated thresholds
+        let stats = pipe.compiled_stats().unwrap();
+        let (e, c) = (stats.eager, stats.compiled);
+        assert!(
+            (c.rotations as f64) <= 0.85 * e.rotations as f64,
+            "rotations: {} vs {}",
+            c.rotations,
+            e.rotations
+        );
+        let total = |o: he_ir::OpCounts| o.ct_mults + o.scalar_macs + o.rescales + o.rotations;
+        assert!(
+            (total(c) as f64) <= 0.90 * total(e) as f64,
+            "total ops: {} vs {}",
+            total(c),
+            total(e)
+        );
     }
 
     #[test]
@@ -752,10 +687,9 @@ mod tests {
         let mut pipe = CnnHePipeline::new(mini_network(109), 1 << 10, 109);
         pipe.enable_packed_batching().unwrap();
         assert!(!pipe.validate_batch(3).has_errors());
-        // drop one Galois element the stride-4 circuit rotates by
-        let stride = pipe.built_plan(3).unwrap().layout().stride();
+        // drop one Galois element the packed circuit rotates by
         let state = pipe.packed.as_mut().unwrap();
-        let circuit = state.strides[&stride].prepared.circuit();
+        let circuit = state.prepared.circuit();
         let dropped = he_ir::passes::rotations::required_elements(circuit).elements;
         let dropped = *dropped.first().unwrap();
         let mut fewer = GaloisKeys::default();
@@ -779,10 +713,8 @@ mod tests {
     #[test]
     fn misshapen_packed_requests_are_typed_errors_and_leave_the_pipeline_usable() {
         let mut pipe = CnnHePipeline::new(mini_network(110), 1 << 10, 110);
-        assert!(matches!(
-            pipe.prepare_batch(1),
-            Err(HeError::Execution { .. })
-        ));
+        assert!(pipe.compiled_stats().is_none());
+        assert!(pipe.packed_galois_keys().is_none());
         pipe.enable_packed_batching().unwrap();
         assert_eq!(pipe.try_classify(&[]).unwrap_err(), HeError::EmptyBatch);
         let images = mini_images(2);
@@ -927,8 +859,7 @@ mod tests {
         for mut pipe in both_engines(102) {
             let got = pipe.try_classify(&[&img]).unwrap();
             let circuit = if pipe.packed_batching_enabled() {
-                let stride = pipe.built_plan(1).unwrap().layout().stride();
-                pipe.packed_state().strides[&stride].prepared.circuit()
+                packed_circuit(&pipe)
             } else {
                 pipe.lower_to_ir()
             };
@@ -984,9 +915,7 @@ mod tests {
     ) -> (Classification, InferenceTrace) {
         let (cls, trace) = pipe.traced_infer(images).unwrap();
         let regions = if pipe.packed_batching_enabled() {
-            let stride = pipe.built_plan(images.len()).unwrap().layout().stride();
-            let circuit = pipe.packed_state().strides[&stride].prepared.circuit();
-            circuit.regions.len()
+            packed_circuit(pipe).regions.len()
         } else {
             pipe.lower_to_ir().regions.len()
         };
@@ -1065,8 +994,7 @@ mod tests {
             "{}",
             trace.divergence.join("\n")
         );
-        let stride = pipe.built_plan(1).unwrap().layout().stride();
-        let circuit = pipe.packed_state().strides[&stride].prepared.circuit();
+        let circuit = packed_circuit(&pipe);
         assert_eq!(trace.layers.len(), circuit.regions.len());
         assert_eq!(cls.timing.layers.len(), circuit.regions.len());
         if cfg!(feature = "trace") {

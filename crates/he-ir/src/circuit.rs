@@ -76,9 +76,8 @@ pub enum Op {
     /// `ckks::encode_real` of an element-domain vector broadcast across
     /// the consuming ciphertext's layout: slot `i` holds
     /// `values[(i / stride) % values.len()]`, where `stride` is the lane
-    /// stride of the ciphertext operand's layout (1 for `Tiled` /
-    /// `BatchSlots`). This is exactly [`ckks::PackLayout::expand`], so
-    /// packed-engine plaintext operands are bit-identical to eager.
+    /// stride of the ciphertext operand's layout (1 for `BatchSlots`),
+    /// so every lane sees the same value per element.
     EncodeVec {
         values: std::sync::Arc<Vec<f64>>,
         pt_scale: f64,
@@ -550,7 +549,7 @@ mod tests {
         let params = CkksParams::tiny(1);
         let slots = params.slots() as i64;
         let mut b = GraphBuilder::new(params);
-        let x = b.input("x", 1, Layout::Tiled);
+        let x = b.input("x", 1, Layout::BatchStrided { stride: 1 });
         let r1 = b.rotate(x, 1);
         let r2 = b.rotate(r1, slots); // identity
         b.output(r2);

@@ -633,9 +633,8 @@ impl Prepared {
 }
 
 /// Expands an element-domain pattern across a lane stride and encodes
-/// it — slot `i` holds `values[(i / stride) % values.len()]`, which is
-/// exactly `ckks::PackLayout::expand` for batch-strided layouts and
-/// plain cyclic tiling at stride 1.
+/// it — slot `i` holds `values[(i / stride) % values.len()]`, so every
+/// lane of a batch-strided layout sees the same value per element.
 fn encode_broadcast(
     ev: &Evaluator,
     values: &[f64],
@@ -838,10 +837,7 @@ mod tests {
     /// it — rotated operands times diagonals — either as products and
     /// adds or as one product and a chain of in-place MACs.
     fn diagonal_sum(f: &Fixture, stride: usize, fused: bool) -> Circuit {
-        let layout = match stride {
-            1 => Layout::Tiled,
-            stride => Layout::BatchStrided { stride },
-        };
+        let layout = Layout::BatchStrided { stride };
         let dim = f.ctx.slots() / stride;
         let mut b = GraphBuilder::for_context(&f.ctx);
         let x = b.input("x", 2, layout);
@@ -925,8 +921,8 @@ mod tests {
     fn a_drifted_vector_mac_accumulator_is_a_typed_error() {
         let mut f = fixture(2, 27);
         let mut b = GraphBuilder::for_context(&f.ctx);
-        let acc = b.input("acc", 2, Layout::Tiled);
-        let x = b.input("x", 2, Layout::Tiled);
+        let acc = b.input("acc", 2, Layout::BatchStrided { stride: 1 });
+        let x = b.input("x", 2, Layout::BatchStrided { stride: 1 });
         // at plaintext scale 1 the accumulator's declared Δ is x's
         let w = b.encode_vec(vec![1.0, -1.0], 1.0, 2);
         let mac = b.mac_plain(acc, x, w);

@@ -299,7 +299,7 @@ mod tests {
     #[test]
     fn repeated_rotation_is_flagged_and_distinct_steps_are_not() {
         let mut b = GraphBuilder::new(CkksParams::tiny(1));
-        let x = b.input("x", 1, Layout::Tiled);
+        let x = b.input("x", 1, Layout::BatchStrided { stride: 1 });
         let r1 = b.rotate(x, 1);
         let r2 = b.rotate(x, 1); // duplicate
         let r3 = b.rotate(x, 2); // distinct
@@ -311,7 +311,7 @@ mod tests {
         assert!(out.report.has_code("duplicate-rotation"));
 
         let mut b = GraphBuilder::new(CkksParams::tiny(1));
-        let x = b.input("x", 1, Layout::Tiled);
+        let x = b.input("x", 1, Layout::BatchStrided { stride: 1 });
         let r1 = b.rotate(x, 1);
         let r2 = b.rotate(x, 2);
         let y = b.add(r1, r2);

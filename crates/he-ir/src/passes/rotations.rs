@@ -148,7 +148,7 @@ mod tests {
 
     fn rotating_circuit(steps: &[i64], keys: KeyInventory) -> Circuit {
         let mut b = GraphBuilder::new(CkksParams::tiny(1));
-        let mut x = b.input("x", 1, Layout::Tiled);
+        let mut x = b.input("x", 1, Layout::BatchStrided { stride: 1 });
         for &s in steps {
             x = b.rotate(x, s);
         }
@@ -213,7 +213,7 @@ mod tests {
     fn conjugation_requires_its_element() {
         let params = CkksParams::tiny(1);
         let mut b = GraphBuilder::new(params.clone());
-        let x = b.input("x", 1, Layout::Tiled);
+        let x = b.input("x", 1, Layout::BatchStrided { stride: 1 });
         let y = b.conjugate(x);
         b.output(y);
         let c = b.finish(KeyInventory::relin_only());

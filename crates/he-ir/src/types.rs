@@ -16,14 +16,12 @@ pub enum Layout {
     /// Scalar CryptoNets packing: one ciphertext per activation scalar,
     /// slots indexed by image batch position.
     BatchSlots,
-    /// Packed BSGS layout: one activation vector tiled cyclically
-    /// across the slots.
-    Tiled,
-    /// Batch-strided packed layout (`ckks::PackLayout`): `stride` lanes
+    /// Packed BSGS layout (`ckks::PackLayout`): `stride` lanes
     /// interleaved, element `j` of lane `b` in slot `j·stride + b`,
-    /// tiled cyclically. `stride = 1` is [`Layout::Tiled`]. A batch
-    /// past one ciphertext's lanes is several independent runs of the
-    /// same circuit (one per shard), so no layout spans ciphertexts.
+    /// repeating cyclically when `dim·stride` is below the slot count.
+    /// A batch past one ciphertext's lanes is several independent runs
+    /// of the same circuit (one per shard), so no layout spans
+    /// ciphertexts.
     BatchStrided {
         /// Lanes per ciphertext = slot distance between consecutive
         /// elements of one lane.
@@ -33,12 +31,12 @@ pub enum Layout {
 
 impl Layout {
     /// Slot distance between consecutive elements of one lane — 1 for
-    /// the tiled/scalar layouts, the declared stride for the
-    /// batch-strided layout. This is what [`crate::Op::EncodeVec`]
+    /// the scalar layout, the declared stride for the batch-strided
+    /// layout. This is what [`crate::Op::EncodeVec`]
     /// broadcast expansion uses.
     pub fn lane_stride(&self) -> usize {
         match self {
-            Layout::BatchSlots | Layout::Tiled => 1,
+            Layout::BatchSlots => 1,
             Layout::BatchStrided { stride } => *stride,
         }
     }
@@ -48,7 +46,6 @@ impl std::fmt::Display for Layout {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Layout::BatchSlots => write!(f, "batch"),
-            Layout::Tiled => write!(f, "tiled"),
             Layout::BatchStrided { stride } => write!(f, "strided×{stride}"),
         }
     }
@@ -158,7 +155,7 @@ mod tests {
             level: 1,
             scale: 2f64.powi(26),
             slots: 128,
-            layout: Layout::Tiled,
+            layout: Layout::BatchStrided { stride: 1 },
         });
         let pt = ValueTy::Plain(PlainType {
             level: 1,

@@ -14,9 +14,11 @@ pub enum Packing {
     Scalar,
     /// Slot-packed BSGS engine with the batch-strided layout
     /// ([`ckks::PackLayout`]): coalesced requests share one ciphertext
-    /// (lane per request), spilling into shards past the lane capacity.
-    /// The coalescing ceiling clamps to one shard's lane capacity so a
-    /// batch is exactly one packed ciphertext.
+    /// (lane per request) laid out at the ring's full lane capacity,
+    /// whatever the batch size, so every batch runs the one circuit
+    /// each pipeline prepares at start-up. The coalescing ceiling clamps
+    /// to that lane capacity so a batch is exactly one packed
+    /// ciphertext.
     PackedBatch,
 }
 

@@ -146,9 +146,9 @@ impl ServeEngine {
     /// Builds the pipelines (one per worker, via `factory`), runs the
     /// static admission check at the maximum coalescible batch, and
     /// spawns the batcher and worker threads. With
-    /// [`Packing::PackedBatch`] every lane stride up to that ceiling is
-    /// prepared here (circuit, Galois keys, encoded operands), so the
-    /// request path never generates a key. Fails with
+    /// [`Packing::PackedBatch`] each pipeline enables packing here,
+    /// which builds its one packed circuit, Galois keys and encoded
+    /// operands, so the request path never generates a key. Fails with
     /// [`ServeError::Rejected`] — before any pipeline is built — on a
     /// nonsensical `cfg`, and — carrying the lint summary — when the
     /// network cannot run under the factory's parameters.
@@ -168,9 +168,6 @@ impl ServeEngine {
             first.enable_packed_batching()?;
         }
         let max_batch_cap = cfg.max_batch.min(first.max_batch()).max(1);
-        if cfg.packing == Packing::PackedBatch {
-            prepare_strides(&mut first, max_batch_cap)?;
-        }
         let admission = first.validate_batch(max_batch_cap);
         if admission.has_errors() {
             return Err(ServeError::Rejected {
@@ -229,7 +226,6 @@ impl ServeEngine {
                                 // the identically-parameterized first
                                 // pipeline already passed this at start
                                 p.enable_packed_batching()
-                                    .and_then(|()| prepare_strides(&mut p, max_batch_cap))
                                     .expect("packed batching passed admission");
                             }
                             p
@@ -376,11 +372,6 @@ impl Drop for ServeEngine {
     fn drop(&mut self) {
         self.shutdown_inner();
     }
-}
-
-/// Prepares the packed stride of every batch size the batcher may ship.
-fn prepare_strides(pipe: &mut CnnHePipeline, max_batch: usize) -> Result<(), ckks::HeError> {
-    (1..=max_batch).try_for_each(|batch| pipe.prepare_batch(batch))
 }
 
 fn batcher_loop(shared: &Shared) {

@@ -49,14 +49,20 @@ fn cnn1_and_cnn2_lower_clean_under_the_standard_passes() {
     }
 }
 
-/// Packed CNN1 at stride 1 on a 2^11 ring: the reference lowering and
-/// the compiled circuit the pipeline runs.
+/// Packed CNN1 on a 2^11 ring at the lane stride every request runs at
+/// (1024 slots over dim 1024: one lane): the reference lowering and the
+/// compiled circuit the pipeline runs.
 fn packed_cnn1_circuits(seed: u64) -> (PackedNetwork, CkksParams, [he_ir::Circuit; 2]) {
     let net = HeNetwork::from_trained(&cnn1(ActKind::slaf3(), seed), 28);
     let packed = PackedNetwork::from_network(&net);
     let params = CkksParams::paper(1 << 11, packed.required_levels());
     assert!(packed.dim <= params.slots());
-    let lower = |mode| lower_packed(&packed, GraphBuilder::new(params.clone()), 1, mode);
+    let stride = packed
+        .plan_batch(params.slots(), 1)
+        .unwrap()
+        .layout()
+        .stride();
+    let lower = |mode| lower_packed(&packed, GraphBuilder::new(params.clone()), stride, mode);
     let circuits = [
         lower(PackedLowering::Eager),
         lower(PackedLowering::Compiled),
@@ -67,12 +73,16 @@ fn packed_cnn1_circuits(seed: u64) -> (PackedNetwork, CkksParams, [he_ir::Circui
 #[test]
 fn rotation_set_pass_matches_generated_galois_keys_exactly() {
     // diff the pass result against the keys the runtime generates for
-    // the steps it reports — the way `CnnHePipeline` provisions a stride
+    // the steps it reports — the way `CnnHePipeline` provisions its keys
     let (packed, params, circuits) = packed_cnn1_circuits(41);
     let ctx = params.build();
     let mut kg = KeyGenerator::new(Arc::clone(&ctx), 41);
     let sk = kg.gen_secret_key();
-    let bsgs: BTreeSet<i64> = packed.required_rotation_steps().into_iter().collect();
+    let layout = packed.plan_batch(ctx.slots(), 1).unwrap().layout();
+    let bsgs: BTreeSet<i64> = packed
+        .required_rotation_steps_for(&layout)
+        .into_iter()
+        .collect();
     for (circuit, name) in circuits.iter().zip(["reference", "compiled"]) {
         let required = required_elements(circuit);
         assert!(

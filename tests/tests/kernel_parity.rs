@@ -625,7 +625,7 @@ fn a_region_fanning_out_rotations_of_one_value_decomposes_it_once() {
     for level in [7, 3] {
         let x_ct = f.ev.mod_switch_to_level(&f.a, level);
         let mut b = GraphBuilder::for_context(&f.ctx);
-        let x = b.input("x", level, Layout::Tiled);
+        let x = b.input("x", level, Layout::BatchStrided { stride: 1 });
         b.begin_region("fan");
         let outs = [b.rotate(x, STEPS[0]), b.rotate(x, STEPS[1]), b.conjugate(x)];
         for o in outs {

@@ -1,14 +1,14 @@
 //! Integration: slot-packed batch inference end to end — layout
-//! planner edge cases, shard spill-over, bit-identity of the stride-1
-//! degenerate case, strided Galois-key exactness via he-ir's
-//! rotation-set pass, and packed-vs-per-image parity at batch 64.
+//! planner edge cases, shard spill-over, Galois-key exactness at the
+//! ring's one lane stride via he-ir's rotation-set pass, and
+//! packed-vs-per-image parity at batch 64.
 //!
 //! This is the suite the `packed-parity` CI job runs under the full
 //! `HE_KERNEL_BACKEND` × `RAYON_NUM_THREADS` matrix.
 
 #![forbid(unsafe_code)]
 
-use ckks::{encode_batched, encode_real, CkksParams, HeError, KeyGenerator, PackLayout, ShardPlan};
+use ckks::{CkksParams, HeError, KeyGenerator, ShardPlan};
 use ckks_math::sampler::Sampler;
 use cnn_he::he_layers::{ConvSpec, DenseSpec};
 use cnn_he::packed::PackedNetwork;
@@ -54,41 +54,9 @@ fn image(seed: usize) -> Vec<f32> {
         .collect()
 }
 
-/// The stride-1 layout must reproduce the historical tiled encoding
-/// limb for limb: `PackLayout::tiled` packing equals the old
-/// `input[i % dim]` formula, and `encode_batched` of one lane equals
-/// `encode_real` of the hand-tiled vector exactly.
-#[test]
-fn batch_one_encoding_is_bit_identical_to_historical_tiling() {
-    let net = mini_net(50);
-    let packed = PackedNetwork::from_network(&net);
-    let ctx = CkksParams::tiny(packed.required_levels()).build();
-    let slots = ctx.slots();
-    let layout = PackLayout::tiled(packed.dim, slots).expect("dim fits");
-    assert_eq!(layout.stride(), 1);
-
-    let img: Vec<f64> = (0..packed.dim)
-        .map(|i| ((i * 3) % 10) as f64 / 10.0)
-        .collect();
-    // historical layout: the vector tiled cyclically across all slots
-    let tiled: Vec<f64> = (0..slots).map(|i| img[i % packed.dim]).collect();
-    let level = packed.required_levels();
-    let scale = ctx.params().scale();
-
-    let legacy = encode_real(&ctx, &tiled, scale, level);
-    let batched = encode_batched(&ctx, &[&img], &layout, scale, level).expect("one lane packs");
-    assert_eq!(batched.level, legacy.level);
-    assert_eq!(batched.scale, legacy.scale);
-    assert_eq!(
-        batched.poly.limbs_flat(),
-        legacy.poly.limbs_flat(),
-        "stride-1 encode_batched must be limb-identical to the historical tiling"
-    );
-}
-
-/// Non-pow2 batches zero-pad up to the next lane count: 5 images ride
-/// an 8-lane ciphertext and every lane matches its independent
-/// per-image inference.
+/// A partial batch rides the full-capacity layout: 5 images fill 5 of
+/// the 8 lanes (the rest hold zeros) and every lane matches its
+/// independent per-image inference.
 #[test]
 fn non_pow2_batch_matches_per_image_inferences() {
     let net = mini_net(53);
@@ -120,7 +88,7 @@ fn capacity_overflow_spills_into_a_second_shard() {
     // planner: 9 images do not fit one ciphertext
     let plan = packed.plan_batch(slots, cap + 1).expect("plans");
     assert_eq!(plan.shards(), 2);
-    assert_eq!(plan.layout().batch(), cap);
+    assert_eq!(plan.layout().stride(), cap);
     assert_eq!(plan.lanes_in_shard(0), cap);
     assert_eq!(plan.lanes_in_shard(1), 1);
 
@@ -139,10 +107,12 @@ fn capacity_overflow_spills_into_a_second_shard() {
     }
 }
 
-/// The Galois keys a stride-2 run generates are *exactly* the set
-/// he-ir's rotation-set pass derives from a circuit using them: the
-/// BSGS steps scaled by the stride. No missing keys, no unused keys.
-/// (`ir_passes.rs` pins the same exactness at stride 1.)
+/// The Galois keys generated at the ring's lane stride (8 lanes of dim
+/// 64 in 512 slots) are *exactly* the set he-ir's rotation-set pass
+/// derives from a circuit using them: the BSGS steps scaled by the
+/// stride. No missing keys, no unused keys. A pipeline that served a
+/// one-image and a full batch holds exactly its one circuit's set.
+/// (`ir_passes.rs` pins the same exactness for packed CNN1.)
 #[test]
 fn sharded_rotation_set_matches_generated_keys_exactly() {
     let net = mini_net(55);
@@ -150,8 +120,9 @@ fn sharded_rotation_set_matches_generated_keys_exactly() {
     let params = CkksParams::tiny(packed.required_levels());
     let ctx = params.clone().build();
     let slots = ctx.slots();
-    let layout = PackLayout::new(packed.dim, 2, slots).expect("fits");
-    assert_eq!(layout.stride(), 2);
+    let layout = packed.plan_batch(slots, 1).expect("fits").layout();
+    let cap = layout.stride();
+    assert_eq!(cap, 8);
 
     // the strided BSGS inference steps; steps ≡ 0 mod slots are
     // identity rotations — no key, exactly as the pass counts them
@@ -162,7 +133,7 @@ fn sharded_rotation_set_matches_generated_keys_exactly() {
         .collect();
     assert!(!bsgs.is_empty());
     // a uniform element shift moves every lane by whole strides
-    assert!(bsgs.iter().all(|s| s % 2 == 0), "{bsgs:?}");
+    assert!(bsgs.iter().all(|s| s % cap as i64 == 0), "{bsgs:?}");
     let steps: Vec<i64> = bsgs.iter().copied().collect();
 
     let mut kg = KeyGenerator::new(Arc::clone(&ctx), 56);
@@ -204,6 +175,32 @@ fn sharded_rotation_set_matches_generated_keys_exactly() {
         cnn_he::PackedLowering::Eager,
     );
     assert!(required_elements(&reference).steps.is_subset(&bsgs));
+
+    // the pipeline's key pool after batches of 1 and `cap` images is
+    // exactly the one compiled circuit's rotation set
+    let mut pipe = CnnHePipeline::new(mini_net(55), 1 << 10, 55);
+    pipe.enable_packed_batching().expect("fits the ring");
+    let images: Vec<Vec<f32>> = (0..cap).map(image).collect();
+    let refs: Vec<&[f32]> = images.iter().map(Vec::as_slice).collect();
+    for batch in [1, cap] {
+        assert_eq!(pipe.classify(&refs[..batch]).logits.len(), batch);
+    }
+    let compiled = cnn_he::lower_packed(
+        &packed,
+        he_ir::GraphBuilder::for_context(&pipe.ctx),
+        cap,
+        cnn_he::PackedLowering::Compiled,
+    );
+    let held: BTreeSet<usize> = pipe
+        .packed_galois_keys()
+        .expect("packing is enabled")
+        .elements()
+        .collect();
+    assert_eq!(
+        held,
+        required_elements(&compiled).elements,
+        "the pipeline holds exactly one circuit's Galois keys"
+    );
 }
 
 /// The typed slot-capacity error surfaces verbatim through he-serve's
@@ -246,7 +243,7 @@ fn batch_64_matches_64_independent_per_image_inferences() {
     assert_eq!(batched.logits.len(), 64);
 
     for (i, img) in refs.iter().enumerate() {
-        // independent per-image run through the same engine (stride 1)
+        // independent per-image run through the same circuit, one lane
         let single = pipe.classify(&[img]);
         assert_eq!(batched.predictions[i], single.predictions[0], "image {i}");
         for (a, b) in batched.logits[i].iter().zip(&single.logits[0]) {

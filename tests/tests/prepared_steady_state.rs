@@ -114,22 +114,21 @@ fn steady_state_requests_encode_nothing_and_generate_no_keys() {
     let (_, fresh_again) = counted(|| interp.run(&circuit, &inputs).unwrap());
     assert_eq!(fresh, fresh_again);
 
-    // --- the pipeline: a prepared stride's first request is steady ----
+    // --- the pipeline: enabling packing prepares the one circuit -----
+    // every batch size runs, so each size's first request is steady
     let mut pipe = CnnHePipeline::new(mini_net(), 1 << 10, 72);
     pipe.enable_packed_batching().unwrap();
-    let images: Vec<Vec<f32>> = (0..3).map(image).collect();
+    let cap = pipe.max_batch();
+    assert_eq!(cap, 8);
+    let images: Vec<Vec<f32>> = (0..cap + 1).map(image).collect();
     let refs: Vec<&[f32]> = images.iter().map(Vec::as_slice).collect();
-    pipe.prepare_batch(3).unwrap();
-    let (_, first) = counted(|| pipe.classify(&refs));
-    let (_, second) = counted(|| pipe.classify(&refs));
-    assert_eq!(
-        first, second,
-        "after prepare_batch the first request already moves no keygen or encode work"
-    );
-    // whereas an unprepared stride pays its preparation on first use
-    let (_, lazy) = counted(|| pipe.classify(&refs[..1]));
-    let (_, warm) = counted(|| pipe.classify(&refs[..1]));
-    assert!(lazy.ntt_fwd > warm.ntt_fwd, "{lazy:?} vs {warm:?}");
-    let (_, warm_again) = counted(|| pipe.classify(&refs[..1]));
-    assert_eq!(warm, warm_again);
+    // one lane, some lanes, all lanes, and a second shard
+    for batch in [1, 3, cap, cap + 1] {
+        let (_, first) = counted(|| pipe.classify(&refs[..batch]));
+        let (_, again) = counted(|| pipe.classify(&refs[..batch]));
+        assert_eq!(
+            first, again,
+            "batch {batch}: the first request already moves no keygen or encode work"
+        );
+    }
 }

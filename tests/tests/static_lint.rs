@@ -126,5 +126,4 @@ fn packed_cnn2_is_admitted_with_its_noise_estimate_as_a_warning() {
     let report = pipe.validate();
     assert!(!report.has_errors(), "{}", report.render());
     assert!(report.has_code("noise-budget"), "{}", report.render());
-    pipe.prepare_batch(1).expect("admitted");
 }

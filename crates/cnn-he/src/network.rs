@@ -122,24 +122,37 @@ impl HeNetwork {
         self.layers.iter().map(HeLayerSpec::levels).sum()
     }
 
-    /// Each layer in the form its readers take, in order: the one shape
-    /// walk over the network. A linear layer's rows are built when the
-    /// iterator reaches it.
-    pub fn forms(&self) -> impl Iterator<Item = LayerForm<'_>> {
-        let mut shape = (1usize, self.input_side, self.input_side);
-        self.layers.iter().map(move |layer| match layer {
-            HeLayerSpec::Conv(spec) => {
-                let rows = conv_rows(spec, shape);
-                shape = (spec.out_ch, spec.out_size(shape.1), spec.out_size(shape.2));
-                LayerForm::Linear(rows)
+    /// The `(c, h, w)` input shape of each layer, in order: the one shape
+    /// walk over the network. A dense layer's output is `(1, 1, out_dim)`.
+    pub fn input_shapes(&self) -> impl Iterator<Item = (usize, usize, usize)> + '_ {
+        let first = (1usize, self.input_side, self.input_side);
+        self.layers.iter().scan(first, |shape, layer| {
+            let input = *shape;
+            match layer {
+                HeLayerSpec::Conv(spec) => {
+                    *shape = (spec.out_ch, spec.out_size(input.1), spec.out_size(input.2));
+                }
+                HeLayerSpec::Dense(spec) => *shape = (1, 1, spec.out_dim),
+                HeLayerSpec::Activation(_) => {}
             }
-            HeLayerSpec::Dense(spec) => {
-                let rows = dense_rows(spec, shape.0 * shape.1 * shape.2);
-                shape = (1, 1, spec.out_dim);
-                LayerForm::Linear(rows)
-            }
-            HeLayerSpec::Activation(coeffs) => LayerForm::Slaf(coeffs),
+            Some(input)
         })
+    }
+
+    /// Each layer in the form its readers take, in order. A linear
+    /// layer's rows are built when the iterator reaches it.
+    pub fn forms(&self) -> impl Iterator<Item = LayerForm<'_>> {
+        let shapes = self.input_shapes();
+        self.layers
+            .iter()
+            .zip(shapes)
+            .map(|(layer, shape)| match layer {
+                HeLayerSpec::Conv(spec) => LayerForm::Linear(conv_rows(spec, shape)),
+                HeLayerSpec::Dense(spec) => {
+                    LayerForm::Linear(dense_rows(spec, shape.0 * shape.1 * shape.2))
+                }
+                HeLayerSpec::Activation(coeffs) => LayerForm::Slaf(coeffs),
+            })
     }
 
     /// f64 reference inference on one image (flat pixels).

@@ -1,9 +1,13 @@
-//! Lowering of a packed (BSGS) network into the `he-ir` circuit IR —
-//! the only way a [`PackedNetwork`] reaches the `Evaluator`: the
-//! circuit is prepared once ([`he_ir::Prepared`]) and interpreted per
-//! request.
+//! Lowering of a packed network into the `he-ir` circuit IR — the
+//! only way a [`PackedNetwork`] reaches the `Evaluator`: the circuit is
+//! prepared once ([`he_ir::Prepared`]) and interpreted per request.
 //!
-//! Two lowering modes:
+//! A conv in tap form ([`PackedLayer::Conv`]) has one lowering, which
+//! both modes call: its tap rotations of the layer input, each channel's
+//! `mul_plain`/`mac_plain` chain over the per-slot tap weights at `q_m`
+//! and its placement rotation, then the channel sum, the bias and one
+//! rescale — one ciphertext at one level. A matrix layer
+//! ([`PackedLayer::Matrix`]) has two lowering modes:
 //!
 //! * [`PackedLowering::Eager`] is the textbook circuit — every baby
 //!   rotation emitted once up front, giant-step skipping of all-`None`
@@ -14,7 +18,7 @@
 //!   op counts are the baseline the squat fold is measured by. Its
 //!   rotation set is a subset of
 //!   [`PackedNetwork::required_rotation_steps_for`].
-//! * [`PackedLowering::Compiled`] lowers each linear layer in
+//! * [`PackedLowering::Compiled`] lowers each matrix layer in
 //!   *squat-matrix fold* form when the used output rows `n_o` (rounded
 //!   to a power of two) are fewer than the packed dimension: the
 //!   matrix is re-diagonalized as `n_o` *wrapped* diagonals
@@ -28,29 +32,35 @@
 //!   rotations some diagonal uses are emitted. This is the circuit
 //!   [`crate::CnnHePipeline`] prepares and runs, exactly as lowered.
 //!
-//! The two modes share the SLAF ladder but are NOT bit-identical: the
-//! squat fold sums a layer's products in a different order and adds
-//! its bias after the fold, which changes rounding. They agree within
-//! the composed noise-model bound.
+//! The two modes share the conv and SLAF lowerings but are NOT
+//! bit-identical: the squat fold sums a layer's products in a different
+//! order and adds its bias after the fold, which changes rounding. They
+//! agree within the composed noise-model bound.
 //!
-//! A linear layer is three regions, named `packed layer i: matvec
+//! A linear layer with no non-zero weight lowers to its bias on the
+//! zero product `x ⊙ 0`, with its one rescale, so the level schedule
+//! does not depend on the weights.
+//!
+//! A conv is three regions, named `packed layer i: conv taps|channels|sum`;
+//! a matrix layer three, named `packed layer i: matvec
 //! babies|blocks|sum`, then `packed layer i: fold` for a squat layer;
 //! an activation is `packed layer i: slaf`. Per-region walls attribute
 //! time to each separately, and each region's units fan across the
 //! pool ([`he_ir::Prepared`]):
 //!
-//! * `babies`: one unit per baby rotation of the layer input. Two or
-//!   more rotations of a value from before the region share one
+//! * `conv taps` / `babies`: one unit per rotation of the layer input.
+//!   Two or more rotations of a value from before the region share one
 //!   decomposition of it (`ckks::Evaluator::hoist`), so the input's
 //!   key-switch digits are computed once per layer.
-//! * `blocks`: one unit per non-empty giant block — its `mul_plain` /
-//!   `mac_plain` chain and its giant rotation.
-//! * `sum`: the block sum, then (unless a fold follows) bias and
-//!   rescale. The fold ladder and the SLAF are single units: each fold
-//!   step rotates the previous step's output.
+//! * `conv channels`: one unit per output channel — its MAC chain and
+//!   its placement rotation. `blocks`: one unit per non-empty giant
+//!   block — its `mul_plain` / `mac_plain` chain and its giant rotation.
+//! * `sum`: the channel or block sum, then (unless a fold follows) bias
+//!   and rescale. The fold ladder and the SLAF are single units: each
+//!   fold step rotates the previous step's output.
 
 use crate::graph::{lower_slaf, EncodeCache};
-use crate::packed::{PackedLayer, PackedNetwork};
+use crate::packed::{ConvTaps, PackedLayer, PackedNetwork};
 use he_ir::{Circuit, GraphBuilder, KeyInventory, Layout, NodeId};
 use std::collections::BTreeSet;
 
@@ -84,29 +94,27 @@ pub fn lower_packed(
     let mut x = b.input(PACKED_INPUT, start, Layout::BatchStrided { stride });
 
     for (li, layer) in packed.layers.iter().enumerate() {
-        match layer {
-            PackedLayer::Matrix { diags, bias, dim } => {
-                debug_assert_eq!(*dim, packed.dim);
-                let mut m = Matvec {
-                    b: &mut b,
-                    dim: packed.dim,
-                    stride,
-                    steps_used: &mut steps_used,
-                    li,
-                };
-                x = match mode {
-                    PackedLowering::Eager => {
-                        let acc = m.bsgs(x, diags, packed.baby(), true);
-                        m.finish(bias.clone(), acc)
-                    }
-                    PackedLowering::Compiled => m.squat(x, diags, bias, packed.baby()),
-                };
+        let mut m = Lowering {
+            b: &mut b,
+            dim: packed.dim,
+            stride,
+            steps_used: &mut steps_used,
+            li,
+        };
+        x = match (layer, mode) {
+            (PackedLayer::Matrix { diags, bias, .. }, PackedLowering::Eager) => {
+                let acc = m.bsgs(x, diags, packed.baby(), true);
+                m.finish(bias.clone(), acc)
             }
-            PackedLayer::Activation(coeffs) => {
-                b.begin_region(format!("packed layer {li}: slaf"));
-                x = lower_slaf(&mut b, x, coeffs, &mut EncodeCache::default());
+            (PackedLayer::Matrix { diags, bias, .. }, PackedLowering::Compiled) => {
+                m.squat(x, diags, bias, packed.baby())
             }
-        }
+            (PackedLayer::Conv(taps), _) => m.conv(x, taps),
+            (PackedLayer::Activation(coeffs), _) => {
+                m.b.begin_region(format!("packed layer {li}: slaf"));
+                lower_slaf(m.b, x, coeffs, &mut EncodeCache::default())
+            }
+        };
     }
     b.output(x);
     let elements: Vec<usize> = steps_used
@@ -116,8 +124,8 @@ pub fn lower_packed(
     b.finish(KeyInventory::with_galois(true, elements))
 }
 
-/// Builder state shared by the linear-layer lowerings of layer `li`.
-struct Matvec<'a> {
+/// Builder state shared by the layer lowerings of layer `li`.
+struct Lowering<'a> {
     b: &'a mut GraphBuilder,
     dim: usize,
     stride: usize,
@@ -125,7 +133,7 @@ struct Matvec<'a> {
     li: usize,
 }
 
-impl Matvec<'_> {
+impl Lowering<'_> {
     /// `rot(src, s·stride)`, recording the step; `s = 0` is `src`.
     fn rotate(&mut self, src: NodeId, s: usize) -> NodeId {
         if s == 0 {
@@ -184,9 +192,60 @@ impl Matvec<'_> {
 
         self.b
             .begin_region(format!("packed layer {li}: matvec sum"));
-        let mut sums = sums.into_iter();
-        let first = sums.next().expect("zero matrix layer");
-        sums.fold(first, |acc, s| self.b.add(acc, s))
+        self.sum(x, sums)
+    }
+
+    /// Tap-form convolution ([`ConvTaps`]) over `x`: its tap rotations,
+    /// all reading `x` (one hoisted decomposition);
+    /// per channel with a weight, its `mul_plain`/`mac_plain` chain over
+    /// the tap plaintexts at `q_m` and its placement rotation, one unit
+    /// each; then the channel sum, the bias and the layer's one rescale.
+    fn conv(&mut self, x: NodeId, taps: &ConvTaps) -> NodeId {
+        let li = self.li;
+        let lvl = self.b.ct_ty(x).level;
+        let q_m = self.b.q_at(lvl);
+        self.b.begin_region(format!("packed layer {li}: conv taps"));
+        let rotated: Vec<NodeId> = taps.steps.iter().map(|&s| self.rotate(x, s)).collect();
+
+        self.b
+            .begin_region(format!("packed layer {li}: conv channels"));
+        let mut channels = Vec::with_capacity(taps.weights.len());
+        for (ch, &place) in taps.weights.iter().zip(&taps.place) {
+            let mut acc: Option<NodeId> = None;
+            for (t, w) in ch.iter().enumerate() {
+                let Some(w) = w else { continue };
+                let pt = self.b.encode_vec(w.clone(), q_m, lvl);
+                acc = Some(match acc {
+                    None => self.b.mul_plain(rotated[t], pt),
+                    Some(a) => self.b.mac_plain(a, rotated[t], pt),
+                });
+            }
+            if let Some(acc) = acc {
+                channels.push(self.rotate(acc, place));
+            }
+        }
+
+        self.b.begin_region(format!("packed layer {li}: conv sum"));
+        let acc = self.sum(x, channels);
+        self.finish(taps.bias.clone(), acc)
+    }
+
+    /// Sum of a layer's `terms`; for a layer without a non-zero weight,
+    /// the zero product `x ⊙ 0` at the scale and level the terms would
+    /// have, so the bias and rescale that follow keep the schedule.
+    fn sum(&mut self, x: NodeId, terms: Vec<NodeId>) -> NodeId {
+        let mut terms = terms.into_iter();
+        let first = match terms.next() {
+            Some(t) => t,
+            None => {
+                let lvl = self.b.ct_ty(x).level;
+                let zero = self
+                    .b
+                    .encode_vec(vec![0.0; self.dim], self.b.q_at(lvl), lvl);
+                self.b.mul_plain(x, zero)
+            }
+        };
+        terms.fold(first, |acc, t| self.b.add(acc, t))
     }
 
     /// Squat-matrix fold lowering: BSGS over the `n_o` wrapped
@@ -269,20 +328,28 @@ mod tests {
     use std::sync::Arc;
 
     /// A small conv → SLAF → dense (→ SLAF → dense …) network over 8×8
-    /// inputs with seeded weights; packs to dim 64.
-    fn random_net(seed: u64, out_ch: usize, act_len: usize, dense: &[usize]) -> PackedNetwork {
+    /// inputs with seeded weights; packs to dim 64. The conv is 3×3
+    /// unpadded, or with `wide` 5×5 with padding 1; both stride 2 onto a
+    /// 3×3 output.
+    fn random_net(
+        seed: u64,
+        (out_ch, wide): (usize, bool),
+        act_len: usize,
+        dense: &[usize],
+    ) -> PackedNetwork {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let mut w =
             |n: usize| -> Vec<f32> { (0..n).map(|_| rng.gen_range(-0.25f32..0.25)).collect() };
         let act = [0.05, 0.7, 0.2, 0.04];
+        let (k, pad) = if wide { (5, 1) } else { (3, 0) };
         let mut layers = vec![HeLayerSpec::Conv(ConvSpec {
-            weight: w(out_ch * 9),
+            weight: w(out_ch * k * k),
             bias: vec![0.1, -0.1][..out_ch].to_vec(),
             in_ch: 1,
             out_ch,
-            k: 3,
+            k,
             stride: 2,
-            pad: 0,
+            pad,
         })];
         let mut in_dim = out_ch * 9;
         for &out_dim in dense {
@@ -395,13 +462,13 @@ mod tests {
         #[test]
         fn optimized_reference_and_plain_agree_within_the_noise_bound(
             seed in 0u64..1_000,
-            out_ch in 1usize..3,
+            conv in (1usize..3, proptest::prelude::any::<bool>()),
             act_len in 3usize..5,
             mid in 2usize..9,
             two_dense in proptest::prelude::any::<bool>(),
         ) {
             let dense = if two_dense { vec![mid, 3] } else { vec![mid] };
-            let packed = random_net(seed, out_ch, act_len, &dense);
+            let packed = random_net(seed, conv, act_len, &dense);
             let ctx = CkksParams::tiny(packed.required_levels()).build();
             let mut kg = KeyGenerator::new(Arc::clone(&ctx), seed);
             let sk = kg.gen_secret_key();
@@ -451,14 +518,14 @@ mod tests {
                     let gk = kg.gen_galois_keys(&sk, &steps, false);
 
                     let (slots_out, _) = shadow(&circuit, &slots_in);
-                    let exact = layout.unpack(&slots_out, lanes, packed.output_dim);
+                    let exact = layout.unpack(&slots_out, lanes, packed.output_slots.len());
                     let prepared = he_ir::Prepared::new(&ev, circuit).unwrap();
                     let interp = he_ir::Interpreter::new(&ev).with_relin(&rk).with_galois(&gk);
                     let (outs, _) =
                         crate::packed::run_shards(&prepared, &interp, cts.clone()).unwrap();
                     let got = packed.decrypt_batch(&ev, &sk, &outs, &plan);
                     for k in 0..lanes {
-                        for i in 0..packed.output_dim {
+                        for i in 0..packed.output_slots.len() {
                             let (e, g, w) = (exact[k][i], got[k][i], want[k][i]);
                             proptest::prop_assert!(
                                 (e - w).abs() < 1e-9,
@@ -477,30 +544,25 @@ mod tests {
         }
     }
 
-    /// CNN1's first compiled layer: the babies region runs one
-    /// unit per baby rotation some diagonal uses, and the blocks region
-    /// one unit per non-empty giant block, so both fan across the pool.
+    /// CNN1's first compiled layer is its tap-form conv at dim 2048:
+    /// 24 tap rotations of the input, one unit each, that share its one
+    /// hoisted decomposition; one unit per output channel, four of which
+    /// place with a rotation; 125 tap plaintexts and the bias; one
+    /// rescale.
     #[test]
-    fn cnn1_layer0_fans_one_unit_per_used_baby_and_per_block() {
+    fn cnn1_layer0_is_24_hoisted_taps_and_one_unit_per_channel() {
         use neural::models::{cnn1, ActKind};
         let net = HeNetwork::from_trained(&cnn1(ActKind::slaf3(), 7), 28);
         let packed = PackedNetwork::from_network(&net);
-        let PackedLayer::Matrix { diags, .. } = &packed.layers[0] else {
-            panic!("CNN1 starts with its conv matrix");
+        assert_eq!(
+            packed.dim, 2048,
+            "five channels of 169 anchors need 2048 slots"
+        );
+        let PackedLayer::Conv(taps) = &packed.layers[0] else {
+            panic!("CNN1 starts with its tap-form conv");
         };
-        let baby = packed.baby();
-        let blocks: Vec<_> = diags.chunks(baby).collect();
-        let used = (1..baby)
-            .filter(|&bb| {
-                blocks
-                    .iter()
-                    .any(|b| b.get(bb).is_some_and(Option::is_some))
-            })
-            .count();
-        let non_empty = blocks
-            .iter()
-            .filter(|b| b.iter().any(Option::is_some))
-            .count();
+        let offsets: Vec<usize> = taps.place.iter().map(|&p| (2048 - p) % 2048).collect();
+        assert_eq!(offsets, [0, 1, 26, 27, 724]);
         let params = CkksParams::toy(packed.required_levels());
         let c = lower_packed(
             &packed,
@@ -508,15 +570,32 @@ mod tests {
             1,
             PackedLowering::Compiled,
         );
-        let units = |name: &str| {
-            let r = c.regions.iter().find(|r| r.name == name).unwrap();
-            c.units(r.nodes()).len()
-        };
-        assert_eq!(units("packed layer 0: matvec babies"), used);
-        assert_eq!(units("packed layer 0: matvec blocks"), non_empty);
-        assert!(
-            used > 1 && non_empty > 1,
-            "{used} babies, {non_empty} blocks"
+        let region = |name: &str| c.regions.iter().find(|r| r.name == name).unwrap();
+        let taps_region = region("packed layer 0: conv taps");
+        let channels = region("packed layer 0: conv channels");
+        let sum = region("packed layer 0: conv sum");
+        let units = |r: &he_ir::Region| c.units(r.nodes());
+        assert_eq!(units(taps_region).len(), 24);
+        assert_eq!(c.op_counts_in(taps_region).rotations, 24);
+        assert_eq!(units(channels).len(), 5);
+        assert_eq!(c.op_counts_in(channels).rotations, 4);
+        assert_eq!(units(sum).len(), 1);
+        let layer0 = taps_region.first..sum.nodes().end;
+        let encoded = layer0
+            .clone()
+            .filter(|&id| matches!(c.nodes[id].op, he_ir::Op::EncodeVec { .. }))
+            .count();
+        assert!(encoded <= 126, "{encoded} plaintexts");
+        let rescales = layer0
+            .filter(|&id| matches!(c.nodes[id].op, he_ir::Op::Rescale { .. }))
+            .count();
+        assert_eq!(rescales, 1);
+        // every other layer's counts are what they were at dim 1024, bar
+        // one more fold per dense layer: 67 rotations in all
+        let counts = c.op_counts();
+        assert_eq!(
+            (counts.rotations, counts.ct_mults, counts.rescales),
+            (67, 4, 11)
         );
     }
 }

@@ -650,7 +650,7 @@ mod tests {
         assert_eq!(got.timing.layers.len(), 2 * regions);
         assert!(got.timing.layers[0]
             .name
-            .starts_with("shard 0: packed layer 0: matvec"));
+            .starts_with("shard 0: packed layer 0: conv taps"));
         let folds = got
             .timing
             .layers
@@ -680,6 +680,60 @@ mod tests {
             total(c),
             total(e)
         );
+    }
+
+    #[test]
+    fn zero_weight_layers_run_packed_as_their_bias() {
+        // an all-zero conv or dense layer passes `check` and is a layer
+        // a HENT file can carry: the packed circuit lowers it to its
+        // bias, keeps its one rescale and answers like the network
+        let rescales = |pipe: &CnnHePipeline| packed_circuit(pipe).op_counts().rescales;
+        let mut reference = CnnHePipeline::new(mini_network(117), 1 << 10, 117);
+        reference.enable_packed_batching().unwrap();
+        for zeroed in [0usize, 2] {
+            let mut net = mini_network(117);
+            match &mut net.layers[zeroed] {
+                HeLayerSpec::Conv(c) => c.weight.fill(0.0),
+                HeLayerSpec::Dense(d) => d.weight.fill(0.0),
+                HeLayerSpec::Activation(_) => unreachable!("a linear layer"),
+            }
+            net.check().unwrap();
+            let mut pipe = CnnHePipeline::new(net, 1 << 10, 117);
+            pipe.enable_packed_batching().unwrap();
+            assert_eq!(rescales(&pipe), rescales(&reference), "layer {zeroed}");
+            let images = mini_images(3);
+            let refs: Vec<&[f32]> = images.iter().map(Vec::as_slice).collect();
+            let got = pipe.classify(&refs);
+            for (img, logits) in images.iter().zip(&got.logits) {
+                let want = pipe.network.infer_plain(img);
+                for (g, w) in logits.iter().zip(&want) {
+                    assert!((g - w).abs() < 1e-3, "layer {zeroed} zeroed: {g} vs {w}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_conv_output_decrypts_through_its_slot_map() {
+        // a net whose last linear layer is a tap-form conv: its outputs
+        // sit at the anchors plus the channel offsets, not at 0..len
+        let mut net = mini_network(118);
+        net.layers.truncate(1);
+        let mut pipe = CnnHePipeline::new(net, 1 << 10, 118);
+        pipe.enable_packed_batching().unwrap();
+        let slots = &pipe.packed.as_ref().unwrap().packed.output_slots;
+        assert_eq!(slots.len(), 18);
+        assert!(slots.iter().enumerate().any(|(i, &s)| i != s));
+        let images = mini_images(3);
+        let refs: Vec<&[f32]> = images.iter().map(Vec::as_slice).collect();
+        let got = pipe.classify(&refs);
+        for (img, logits) in images.iter().zip(&got.logits) {
+            let want = pipe.network.infer_plain(img);
+            assert_eq!(logits.len(), want.len());
+            for (g, w) in logits.iter().zip(&want) {
+                assert!((g - w).abs() < 1e-3, "{g} vs {w}");
+            }
+        }
     }
 
     #[test]

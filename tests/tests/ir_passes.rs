@@ -49,13 +49,13 @@ fn cnn1_and_cnn2_lower_clean_under_the_standard_passes() {
     }
 }
 
-/// Packed CNN1 on a 2^11 ring at the lane stride every request runs at
-/// (1024 slots over dim 1024: one lane): the reference lowering and the
+/// Packed CNN1 on a 2^12 ring at the lane stride every request runs at
+/// (2048 slots over dim 2048: one lane): the reference lowering and the
 /// compiled circuit the pipeline runs.
 fn packed_cnn1_circuits(seed: u64) -> (PackedNetwork, CkksParams, [he_ir::Circuit; 2]) {
     let net = HeNetwork::from_trained(&cnn1(ActKind::slaf3(), seed), 28);
     let packed = PackedNetwork::from_network(&net);
-    let params = CkksParams::paper(1 << 11, packed.required_levels());
+    let params = CkksParams::paper(1 << 12, packed.required_levels());
     assert!(packed.dim <= params.slots());
     let stride = packed
         .plan_batch(params.slots(), 1)
@@ -79,7 +79,7 @@ fn rotation_set_pass_matches_generated_galois_keys_exactly() {
     let mut kg = KeyGenerator::new(Arc::clone(&ctx), 41);
     let sk = kg.gen_secret_key();
     let layout = packed.plan_batch(ctx.slots(), 1).unwrap().layout();
-    let bsgs: BTreeSet<i64> = packed
+    let keyed: BTreeSet<i64> = packed
         .required_rotation_steps_for(&layout)
         .into_iter()
         .collect();
@@ -103,16 +103,20 @@ fn rotation_set_pass_matches_generated_galois_keys_exactly() {
         assert!(!out.has_code("missing-galois-key"), "{}", out.render());
         assert!(!out.has_code("unused-galois-key"), "{}", out.render());
     }
-    // keys for the textbook BSGS step set cover the reference circuit
-    assert!(required_elements(&circuits[0]).steps.is_subset(&bsgs));
+    // keys for the reference step set (the conv's taps and placements,
+    // the textbook BSGS shifts of each matrix) cover the reference
+    // circuit
+    assert!(required_elements(&circuits[0]).steps.is_subset(&keyed));
 }
 
 #[test]
 fn packed_cnn1_fans_babies_and_blocks_and_scalar_units_are_output_scalars() {
-    // a packed matvec's baby rotations are one unit each, and so is each
-    // giant block (its MAC chain and at most one giant rotation); the
-    // block sum, the fold and the SLAF carry one ciphertext, so they are
-    // one unit that `Prepared::run` executes on its caller
+    // a packed matvec's baby rotations and a conv's tap rotations are
+    // one unit each, and so is each giant block (its MAC chain and at
+    // most one giant rotation) and each conv channel (its MAC chain and
+    // at most one placement rotation); the sums, the fold and the SLAF
+    // carry one ciphertext, so they are one unit that `Prepared::run`
+    // executes on its caller
     use he_ir::Op;
     let (_, _, circuits) = packed_cnn1_circuits(43);
     for (circuit, name) in circuits.iter().zip(["reference", "compiled"]) {
@@ -123,12 +127,14 @@ fn packed_cnn1_fans_babies_and_blocks_and_scalar_units_are_output_scalars() {
                 u.iter().filter(rotates).count()
             };
             let what = format!("{name}: {}", region.name);
-            if region.name.ends_with("matvec babies") {
+            if region.name.ends_with("matvec babies") || region.name.ends_with("conv taps") {
                 assert!(
                     units.iter().all(|u| u.len() == 1 && rotations(u) == 1),
                     "{what}"
                 );
-            } else if region.name.ends_with("matvec blocks") {
+            } else if region.name.ends_with("matvec blocks")
+                || region.name.ends_with("conv channels")
+            {
                 assert!(units.len() > 1, "{what}");
                 assert!(units.iter().all(|u| rotations(u) <= 1), "{what}");
             } else {

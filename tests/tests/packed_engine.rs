@@ -40,14 +40,16 @@ fn packed_engine_classifies_trained_cnn1() {
     let net = small_trained_network();
     let packed = PackedNetwork::from_network(&net);
     assert_eq!(packed.input_dim, 784);
-    assert_eq!(packed.output_dim, 10);
-    assert_eq!(packed.dim, 1024); // max(845, 784, 100, 10) → 1024
+    assert_eq!(packed.output_slots, (0..10).collect::<Vec<_>>());
+    // max(845, 784, 100, 10) → 1024, doubled: the conv's five channels
+    // of 169 anchors have no disjoint placement in 1024 slots
+    assert_eq!(packed.dim, 2048);
 
-    // dim 1024 needs slots ≥ 1024 → N ≥ 2^11
-    let params = CkksParams::paper(1 << 11, packed.required_levels());
+    // dim 2048 needs slots ≥ 2048 → N ≥ 2^12
+    let params = CkksParams::paper(1 << 12, packed.required_levels());
     let mut pipe = CnnHePipeline::with_params(net.clone(), params, 61);
     pipe.enable_packed_batching()
-        .expect("dim 1024 fits 1024 slots");
+        .expect("dim 2048 fits 2048 slots");
     assert_eq!(pipe.max_batch(), 1);
 
     let test = mnist::synthetic(4, 6060);

@@ -7,7 +7,7 @@
 use ckks::bigckks::BigPoly;
 use ckks::CkksParams;
 use ckks_math::poly::{Form, RnsPoly};
-use ckks_math::rns::RnsBasis;
+use ckks_math::rns::{FastBaseConverter, RnsBasis};
 use ckks_math::sampler::Sampler;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::sync::Arc;
@@ -63,6 +63,31 @@ fn bench_bignum_vs_rns(c: &mut Criterion) {
     let target = ckks_math::prime::gen_moduli_chain(&[50, 50], 1 << 10);
     g.bench_function("fast_base_conversion_5to2", |bch| {
         bch.iter(|| basis.convert_to(&residues, &target));
+    });
+    // the limb-wise conversion key switching runs, over whole N = 2^10
+    // limbs of the same bases: divide by 1024 for the per-coefficient
+    // cost beside `convert_to`'s
+    let n = 1 << 10;
+    let conv = FastBaseConverter::new(basis.moduli(), &target);
+    let backend = ckks_math::kernel::active_backend();
+    let mut s = Sampler::from_seed(6);
+    let limbs: Vec<u64> = basis
+        .moduli()
+        .iter()
+        .flat_map(|m| s.uniform_limb(n, m))
+        .collect();
+    g.bench_function("limbwise_base_conversion_5to2_n1024", |bch| {
+        let mut dst = vec![0u64; n];
+        bch.iter(|| {
+            let mut scaled = limbs.clone();
+            for (i, limb) in scaled.chunks_mut(n).enumerate() {
+                conv.scale_input(backend, i, limb);
+            }
+            for t in 0..target.len() {
+                conv.convert_into(backend, &scaled, t, &mut dst);
+            }
+            dst[0]
+        });
     });
     g.finish();
 }

@@ -190,9 +190,10 @@ fn packed_batch_component() -> Vec<Value> {
 /// Static compiled-vs-eager comparison: lowers each reference network
 /// with both [`cnn_he::PackedLowering`] modes at nominal parameters —
 /// the eager reference and the compiled (squat-fold) form packed
-/// inference runs — and records both circuits' exact op counts. Pure
-/// circuit construction (no keys, no polynomial arithmetic). `cnn1_full`
-/// is the paper's CNN1 (packed dim 1024, on a `N = 2^12` plan ring). The
+/// inference runs — and records both circuits' exact op counts, by
+/// circuit construction alone. `cnn1_full` is the paper's CNN1 (packed
+/// dim 2048, on a `N = 2^12` plan ring); it also records the
+/// [`galois_key_bytes`] its compiled circuit keys on that ring. The
 /// op counts do not depend on the lane stride (only rotation step values
 /// scale with it), so stride 1 stands for every stride; `mini_cnn1_x8`
 /// is the 8-lane stride the mini network runs at on its ring.
@@ -203,8 +204,7 @@ fn compiler_component() -> Vec<Value> {
 
     let point = |name: &str, net: &HeNetwork, n: usize, stride: usize| {
         let packed = PackedNetwork::from_network(net);
-        let mut params = ckks::CkksParams::tiny(packed.required_levels());
-        params.n = n;
+        let params = ckks::CkksParams::paper(n, packed.required_levels());
         let lower = |mode| lower_packed(&packed, GraphBuilder::new(params.clone()), stride, mode);
         let (eager, compiled) = (
             lower(PackedLowering::Eager),
@@ -230,11 +230,42 @@ fn compiler_component() -> Vec<Value> {
     };
 
     let cnn1_net = HeNetwork::from_trained(&cnn1(ActKind::slaf3(), 11), 28);
+    let mut cnn1_point = point("cnn1_full", &cnn1_net, 1 << 12, 1);
+    if let Value::Obj(pairs) = &mut cnn1_point {
+        let bytes = galois_key_bytes(&cnn1_net, 1 << 12);
+        pairs.push(("galois_key_bytes".to_string(), num(bytes)));
+    }
     vec![
-        point("cnn1_full", &cnn1_net, 1 << 12, 1),
+        cnn1_point,
         point("mini_cnn1", &mini_cnn1(12), 1 << 10, 1),
         point("mini_cnn1_x8", &mini_cnn1(12), 1 << 10, 8),
     ]
+}
+
+/// Resident bytes of the Galois keys packed inference generates for
+/// `net` on the `n` ring — one key per rotation of its compiled circuit
+/// at full lane capacity, every residue of every digit pair — as
+/// [`CnnHePipeline::enable_packed_batching`] keys it, without preparing
+/// the circuit.
+fn galois_key_bytes(net: &HeNetwork, n: usize) -> usize {
+    use ckks::KeyGenerator;
+    use std::sync::Arc;
+    let packed = cnn_he::packed::PackedNetwork::from_network(net);
+    let ctx = ckks::CkksParams::paper(n, packed.required_levels()).build();
+    let stride = packed
+        .plan_batch(ctx.slots(), 1)
+        .expect("fits")
+        .layout()
+        .stride();
+    let builder = he_ir::GraphBuilder::for_context(&ctx);
+    let circuit = cnn_he::lower_packed(&packed, builder, stride, cnn_he::PackedLowering::Compiled);
+    let steps: Vec<i64> = he_ir::passes::rotations::required_elements(&circuit)
+        .steps
+        .into_iter()
+        .collect();
+    let mut kg = KeyGenerator::new(Arc::clone(&ctx), 1);
+    let sk = kg.gen_secret_key();
+    kg.gen_galois_keys(&sk, &steps, false).residue_bytes()
 }
 
 /// Runs the full smoke suite (a few seconds).

@@ -116,7 +116,7 @@ unsafe fn mul_hi64(a: __m256i, b: __m256i) -> __m256i {
     }
 }
 
-/// Lazy Shoup multiply `a * b mod p` in `[0, 2p)`; requires `a < 2p`.
+/// Lazy Shoup multiply `a * b mod p` in `[0, 2p)` for any 64-bit `a`.
 /// Identical wrapping formula to `Modulus::mul_shoup_lazy`.
 #[inline(always)]
 unsafe fn mul_shoup_lazy_v(a: __m256i, b: __m256i, b_shoup: __m256i, p: __m256i) -> __m256i {
@@ -496,6 +496,42 @@ pub unsafe fn centered_lift(m: &Modulus, dst: &mut [u64], src: &[u64], src_q: u6
         }
     }
     scalar::centered_lift(m, &mut dst[split..], &src[split..], src_q);
+}
+
+/// `acc[i] += c·lift(src[i]) mod p`, AVX2: the Shoup product of the
+/// raw residue, then `[src_q·c]_p` taken back off the lanes that stand
+/// for `r − src_q` (see [`scalar::centered_mac_shoup`]).
+///
+/// # Safety
+/// Caller must guarantee the CPU supports AVX2.
+#[target_feature(enable = "avx2")]
+pub unsafe fn centered_mac_shoup(
+    m: &Modulus,
+    acc: &mut [u64],
+    src: &[u64],
+    src_q: u64,
+    c: u64,
+    c_shoup: u64,
+) {
+    let p_val = m.value();
+    let qc = m.mul(m.reduce(src_q), c);
+    let (p, w, ws) = unsafe { (splat(p_val), splat(c), splat(c_shoup)) };
+    let (half, p_minus_qc) = unsafe { (splat(src_q / 2), splat(p_val - qc)) };
+    let split = acc.len() - acc.len() % LANES;
+    for (ca, cs) in acc[..split]
+        .chunks_exact_mut(LANES)
+        .zip(src[..split].chunks_exact(LANES))
+    {
+        unsafe {
+            let r = load(cs);
+            let t = mul_shoup_v(r, w, ws, p);
+            // t − qc mod p, as (t + p − qc) less p when that stays ≥ 0
+            let lowered = sub_if_ge(_mm256_add_epi64(t, p_minus_qc), p);
+            let t = _mm256_blendv_epi8(t, lowered, cmpgt_u64(r, half));
+            store(ca, sub_if_ge(_mm256_add_epi64(load(ca), t), p));
+        }
+    }
+    scalar::centered_mac_shoup(m, &mut acc[split..], &src[split..], src_q, c, c_shoup);
 }
 
 /// `dst[i] = (dst[i] - src[i]) * s mod p`, AVX2: modular subtract with

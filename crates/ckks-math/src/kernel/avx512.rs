@@ -138,7 +138,7 @@ unsafe fn mul_hi64(a: __m512i, b: __m512i) -> __m512i {
     }
 }
 
-/// Lazy Shoup multiply in `[0, 2p)` (requires `a < 2p`), identical
+/// Lazy Shoup multiply in `[0, 2p)` for any 64-bit `a`, identical
 /// wrapping formula to `Modulus::mul_shoup_lazy`.
 #[inline(always)]
 unsafe fn mul_shoup_lazy_v(a: __m512i, b: __m512i, b_shoup: __m512i, p: __m512i) -> __m512i {
@@ -1050,6 +1050,80 @@ pub unsafe fn centered_lift(m: &Modulus, dst: &mut [u64], src: &[u64], src_q: u6
         }
     }
     scalar::centered_lift(m, &mut dst[split..], &src[split..], src_q);
+}
+
+/// `acc[i] += c·lift(src[i]) mod p`, AVX-512 IFMA: the lazy 52-bit
+/// Shoup product of the raw residue, one correction, then `[src_q·c]_p`
+/// taken back off the lanes that stand for `r − src_q`.
+///
+/// # Safety
+/// Caller must guarantee AVX-512 F+DQ+IFMA, `4p < 2^52` and
+/// `src_q <= 2^52` (every residue fits a 52-bit multiplier operand).
+#[target_feature(enable = "avx512f,avx512dq,avx512ifma")]
+unsafe fn centered_mac_shoup_ifma(
+    m: &Modulus,
+    acc: &mut [u64],
+    src: &[u64],
+    src_q: u64,
+    c: u64,
+    c_shoup: u64,
+) {
+    let p_val = m.value();
+    let qc = m.mul(m.reduce(src_q), c);
+    let (p, w, ws) = unsafe { (splat(p_val), splat(c), splat(shoup52(c, p_val))) };
+    let (half, p_minus_qc) = unsafe { (splat(src_q / 2), splat(p_val - qc)) };
+    let split = acc.len() - acc.len() % LANES;
+    for (ca, cs) in acc[..split]
+        .chunks_exact_mut(LANES)
+        .zip(src[..split].chunks_exact(LANES))
+    {
+        unsafe {
+            let r = load(cs);
+            let t = sub_if_ge(mul_shoup_lazy52_v(r, w, ws, p), p);
+            // t − qc mod p, as (t + p − qc) less p when that stays ≥ 0
+            let lowered = sub_if_ge(_mm512_add_epi64(t, p_minus_qc), p);
+            let t = _mm512_mask_blend_epi64(_mm512_cmpgt_epu64_mask(r, half), t, lowered);
+            store(ca, sub_if_ge(_mm512_add_epi64(load(ca), t), p));
+        }
+    }
+    scalar::centered_mac_shoup(m, &mut acc[split..], &src[split..], src_q, c, c_shoup);
+}
+
+/// `acc[i] += c·lift(src[i]) mod p`, AVX-512 (see
+/// [`scalar::centered_mac_shoup`]).
+///
+/// # Safety
+/// Caller must guarantee the CPU supports AVX-512F and AVX-512DQ.
+#[target_feature(enable = "avx512f,avx512dq")]
+pub unsafe fn centered_mac_shoup(
+    m: &Modulus,
+    acc: &mut [u64],
+    src: &[u64],
+    src_q: u64,
+    c: u64,
+    c_shoup: u64,
+) {
+    if ifma_available() && m.value() < crate::ntt::IFMA_MAX_MODULUS && src_q <= 1 << 52 {
+        return unsafe { centered_mac_shoup_ifma(m, acc, src, src_q, c, c_shoup) };
+    }
+    let p_val = m.value();
+    let qc = m.mul(m.reduce(src_q), c);
+    let (p, w, ws) = unsafe { (splat(p_val), splat(c), splat(c_shoup)) };
+    let (half, p_minus_qc) = unsafe { (splat(src_q / 2), splat(p_val - qc)) };
+    let split = acc.len() - acc.len() % LANES;
+    for (ca, cs) in acc[..split]
+        .chunks_exact_mut(LANES)
+        .zip(src[..split].chunks_exact(LANES))
+    {
+        unsafe {
+            let r = load(cs);
+            let t = mul_shoup_v(r, w, ws, p);
+            let lowered = sub_if_ge(_mm512_add_epi64(t, p_minus_qc), p);
+            let t = _mm512_mask_blend_epi64(_mm512_cmpgt_epu64_mask(r, half), t, lowered);
+            store(ca, sub_if_ge(_mm512_add_epi64(load(ca), t), p));
+        }
+    }
+    scalar::centered_mac_shoup(m, &mut acc[split..], &src[split..], src_q, c, c_shoup);
 }
 
 /// `dst[i] = (dst[i] - src[i]) * s mod p`, AVX-512: modular subtract

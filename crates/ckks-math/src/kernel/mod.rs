@@ -514,6 +514,64 @@ pub fn centered_lift_with(
     );
 }
 
+/// `acc[i] = (acc[i] + c·lift(src[i])) mod p` with `c_shoup =
+/// m.shoup(c)`, where `lift` is [`centered_lift`]'s reading of a
+/// residue mod `src_q` (`src_q < 2^61`): one source limb's term of a
+/// fast base conversion ([`crate::rns::FastBaseConverter`]). From a
+/// zero accumulator with `c = 1` it writes [`centered_lift`] exactly.
+#[inline]
+pub fn centered_mac_shoup(
+    m: &Modulus,
+    acc: &mut [u64],
+    src: &[u64],
+    src_q: u64,
+    c: u64,
+    c_shoup: u64,
+) {
+    centered_mac_shoup_with(active_backend(), m, acc, src, src_q, c, c_shoup);
+}
+
+/// Explicit-backend [`centered_mac_shoup`]. NEON runs the scalar loop.
+#[inline]
+pub fn centered_mac_shoup_with(
+    backend: KernelBackend,
+    m: &Modulus,
+    acc: &mut [u64],
+    src: &[u64],
+    src_q: u64,
+    c: u64,
+    c_shoup: u64,
+) {
+    assert_eq!(acc.len(), src.len());
+    match backend {
+        #[cfg(target_arch = "x86_64")]
+        KernelBackend::Avx2 => {
+            assert!(
+                backend.is_supported(),
+                "avx2 kernels need an AVX2-capable CPU"
+            );
+            // SAFETY: AVX2 support just asserted.
+            #[allow(unsafe_code)]
+            unsafe {
+                avx2::centered_mac_shoup(m, acc, src, src_q, c, c_shoup);
+            }
+        }
+        #[cfg(target_arch = "x86_64")]
+        KernelBackend::Avx512 => {
+            assert!(
+                backend.is_supported(),
+                "avx512 kernels need an AVX-512F+DQ-capable CPU"
+            );
+            // SAFETY: AVX-512F+DQ support just asserted.
+            #[allow(unsafe_code)]
+            unsafe {
+                avx512::centered_mac_shoup(m, acc, src, src_q, c, c_shoup);
+            }
+        }
+        _ => scalar::centered_mac_shoup(m, acc, src, src_q, c, c_shoup),
+    }
+}
+
 /// `dst[i] = (dst[i] - src[i]) * s mod p` with `s_shoup = m.shoup(s)` —
 /// the second half of dropping a limb: subtract the lifted residue and
 /// divide by its modulus. Both operands canonical mod `p`.
@@ -680,6 +738,52 @@ mod tests {
                     let mut got = vec![0u64; n];
                     centered_lift_with(be, &m, &mut got, &src, src_q);
                     assert_eq!(got, reference, "centered_lift {} q={src_q}", be.name());
+                }
+            }
+        }
+    }
+
+    /// The base-conversion term: every backend matches scalar for
+    /// residues from a larger and a smaller modulus (so the raw residue
+    /// is both below and far above `p`), at the centring boundary, and
+    /// from `c = 1` on a zero accumulator it is the centred lift itself.
+    #[test]
+    fn centered_mac_shoup_parity_hits_boundaries() {
+        let n = if cfg!(miri) { 1 << 5 } else { 1 << 8 };
+        let mut rng = rand::rngs::StdRng::seed_from_u64(14);
+        for m in moduli_for(n) {
+            let p = m.value();
+            // 52 bits is the IFMA path's widest source, 61 the generic one's
+            let src_sizes: &[u32] = if cfg!(miri) {
+                &[61, 20]
+            } else {
+                &[61, 52, 40, 20]
+            };
+            for &src_bits in src_sizes {
+                let src_q = gen_ntt_primes_excluding(src_bits, n, 2, &[p])[1];
+                let half = src_q / 2;
+                let mut src = rand_limb(&mut rng, n, src_q);
+                (src[0], src[1], src[2], src[3]) = (half, half + 1, 0, src_q - 1);
+                let acc0 = rand_limb(&mut rng, n, p);
+                let mut lift = vec![0u64; n];
+                scalar::centered_lift(&m, &mut lift, &src, src_q);
+                for c in [1, p - 1, rng.gen_range(1..p)] {
+                    let cs = m.shoup(c);
+                    let mut reference = acc0.clone();
+                    scalar::centered_mac_shoup(&m, &mut reference, &src, src_q, c, cs);
+                    let mut want = acc0.clone();
+                    scalar::fused_mac_shoup(&m, &mut want, &lift, c, cs);
+                    assert_eq!(reference, want, "scalar vs lift-then-MAC p={p} q={src_q}");
+                    for be in available_backends() {
+                        let mut got = acc0.clone();
+                        centered_mac_shoup_with(be, &m, &mut got, &src, src_q, c, cs);
+                        assert_eq!(got, reference, "centered_mac_shoup {} q={src_q}", be.name());
+                    }
+                }
+                for be in available_backends() {
+                    let mut got = vec![0u64; n];
+                    centered_mac_shoup_with(be, &m, &mut got, &src, src_q, 1, m.shoup(1));
+                    assert_eq!(got, lift, "c = 1 is the centred lift, {}", be.name());
                 }
             }
         }

@@ -149,6 +149,27 @@ pub fn centered_lift(m: &Modulus, dst: &mut [u64], src: &[u64], src_q: u64) {
     }
 }
 
+/// `acc[i] = (acc[i] + c·lift(src[i])) mod p`, `c_shoup = m.shoup(c)`,
+/// where `lift` is [`centered_lift`]'s: `r` stands for `r − src_q`
+/// above `src_q/2`, so those lanes subtract `[src_q·c]_p`. The Shoup
+/// product is exact for any 64-bit `r`, so `r` need not be below `p`.
+pub fn centered_mac_shoup(
+    m: &Modulus,
+    acc: &mut [u64],
+    src: &[u64],
+    src_q: u64,
+    c: u64,
+    c_shoup: u64,
+) {
+    let half = src_q / 2;
+    let qc = m.mul(m.reduce(src_q), c);
+    for (a, &r) in acc.iter_mut().zip(src) {
+        let t = m.mul_shoup(r, c, c_shoup);
+        let t = if r > half { m.sub(t, qc) } else { t };
+        *a = m.add(*a, t);
+    }
+}
+
 /// `dst[i] = (dst[i] - src[i]) * s mod p`, `s_shoup = m.shoup(s)`.
 pub fn sub_mul_shoup(m: &Modulus, dst: &mut [u64], src: &[u64], s: u64, s_shoup: u64) {
     for (dv, &x) in dst.iter_mut().zip(src) {

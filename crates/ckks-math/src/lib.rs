@@ -32,5 +32,5 @@ pub use kernel::KernelBackend;
 pub use modring::Modulus;
 pub use ntt::NttTable;
 pub use poly::{Form, PolyContext, RnsPoly};
-pub use rns::{IntegerRns, RnsBasis};
+pub use rns::{FastBaseConverter, IntegerRns, RnsBasis};
 pub use sampler::Sampler;

@@ -167,7 +167,9 @@ impl Modulus {
     }
 
     /// Shoup multiplication `a * b mod p` where `b_shoup = shoup(b)`.
-    /// Requires `a < 2p`. Result `< p`.
+    /// Result `< p` for any 64-bit `a`: the quotient estimate is short
+    /// by less than `a/2^64 + 1 < 2`, so the lazy remainder stays in
+    /// `[0, 2p)`.
     #[inline(always)]
     pub fn mul_shoup(&self, a: u64, b: u64, b_shoup: u64) -> u64 {
         let r = self.mul_shoup_lazy(a, b, b_shoup);
@@ -178,7 +180,7 @@ impl Modulus {
         }
     }
 
-    /// Lazy Shoup multiplication: result in `[0, 2p)`. Requires `a < 2p`.
+    /// Lazy Shoup multiplication: result in `[0, 2p)` for any 64-bit `a`.
     #[inline(always)]
     pub fn mul_shoup_lazy(&self, a: u64, b: u64, b_shoup: u64) -> u64 {
         let q = ((a as u128 * b_shoup as u128) >> 64) as u64;

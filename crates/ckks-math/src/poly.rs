@@ -23,6 +23,7 @@
 use crate::kernel;
 use crate::modring::Modulus;
 use crate::ntt::{galois_permutation, NttTable};
+use crate::rns::FastBaseConverter;
 use crate::sampler::Sampler;
 use rayon::prelude::*;
 use std::sync::Arc;
@@ -497,8 +498,8 @@ impl RnsPoly {
 
     /// Divides two polynomials over the same limbs by the last limb's
     /// modulus `q`, rounding, and drops that limb — rescaling a
-    /// ciphertext (`q` the top chain prime) and the two key-switch
-    /// mod-downs (`q` the special prime) both are this. Each remaining
+    /// ciphertext (`q` the top chain prime; the key-switch mod-down by
+    /// the special primes is [`Self::divide_by_last_limbs`]). Each remaining
     /// limb becomes `(a − [a]_q) · q⁻¹`, where `[a]_q` is the centred
     /// residue and `q_inv[i]` is `q⁻¹` mod limb `i`'s modulus.
     ///
@@ -535,6 +536,62 @@ impl RnsPoly {
                 kernel::centered_lift_with(backend, &m, &mut lift, last, q);
                 kernel::ntt_forward_with(backend, table, &mut lift);
                 kernel::sub_mul_shoup_with(backend, &m, dst, &lift, q_inv[i], m.shoup(q_inv[i]));
+            }
+        });
+    }
+
+    /// Divides both polynomials, rounding, by the product `P` of their
+    /// last `k` limbs — `conv`'s source moduli, in order — and drops
+    /// those limbs: the key-switch mod-down. Each remaining limb becomes
+    /// `(a − conv([a]_P))·P⁻¹` with `p_inv[i]` = `P⁻¹` mod limb `i`'s
+    /// modulus and `conv`'s targets indexed by context modulus. With one
+    /// dropped limb this is [`Self::divide_by_last_limb`], limb for limb;
+    /// with more, the fast conversion's `e·P` overflow (`|e| ≤ k/2`)
+    /// shifts the result by at most `k/2`.
+    ///
+    /// Stays in NTT form like [`Self::divide_by_last_limb`]: only the
+    /// dropped limbs are inverse-transformed, and each remaining limb
+    /// task converts, forward-transforms and subtracts for both halves.
+    pub fn divide_by_last_limbs(
+        a: &mut Self,
+        b: &mut Self,
+        conv: &FastBaseConverter,
+        p_inv: &[u64],
+    ) {
+        a.assert_compatible(b);
+        assert_eq!(a.form, Form::Ntt, "divide_by_last_limbs requires NTT form");
+        let k = conv.source().len();
+        assert!(a.num_limbs() > k, "cannot drop every limb");
+        let rest = a.num_limbs() - k;
+        assert_eq!(p_inv.len(), rest, "one P⁻¹ per remaining limb");
+        let (n, ctx) = (a.ctx.n(), Arc::clone(&a.ctx));
+        let dropped = a.limb_indices.split_off(rest);
+        b.limb_indices.truncate(rest);
+        assert!(
+            dropped
+                .iter()
+                .zip(conv.source())
+                .all(|(&idx, q)| ctx.moduli()[idx] == *q),
+            "dropped limbs are not the converter's source"
+        );
+        let backend = kernel::active_backend();
+        let mut tails = [a.data.split_off(rest * n), b.data.split_off(rest * n)];
+        for tail in &mut tails {
+            for (s, limb) in tail.chunks_mut(n).enumerate() {
+                ctx.ntt_table(dropped[s]).inverse(limb);
+                conv.scale_input(backend, s, limb);
+            }
+        }
+
+        he_trace::record_ntt_fwd(2 * rest as u64);
+        let indices = a.limb_indices.clone();
+        Self::for_each_limb_pair(a, b, |i, x, y| {
+            let (m, table) = (ctx.moduli()[indices[i]], ctx.ntt_table(indices[i]));
+            let mut lift = vec![0u64; n];
+            for (dst, tail) in [(x, &tails[0]), (y, &tails[1])] {
+                conv.convert_into(backend, tail, indices[i], &mut lift);
+                kernel::ntt_forward_with(backend, table, &mut lift);
+                kernel::sub_mul_shoup_with(backend, &m, dst, &lift, p_inv[i], m.shoup(p_inv[i]));
             }
         });
     }

@@ -4,13 +4,17 @@
 //!
 //! * CRT **composition** (`residues → BigInt`) and **decomposition**
 //!   (`BigInt → residues`), including centered variants;
-//! * **fast base conversion** between bases (Halevi–Polyakov–Shoup style
-//!   with a floating-point estimate of the overflow multiple, making the
-//!   conversion exact for centered inputs bounded away from `Q/2`);
+//! * **fast base conversion** between bases: [`RnsBasis::convert_to`]
+//!   per coefficient with bignum tables and a floating-point estimate of
+//!   the overflow multiple (Halevi–Polyakov–Shoup, exact for centred
+//!   inputs bounded away from `Q/2`) — the reference — and
+//!   [`FastBaseConverter`], limb-wise over whole polynomials with word
+//!   tables and no overflow correction, which key switching runs;
 //! * the scalar precomputations (punctured products and their inverses)
 //!   shared by rescaling and key switching.
 
 use crate::bigint::BigInt;
+use crate::kernel::{self, KernelBackend};
 use crate::modring::Modulus;
 
 /// An RNS basis `{q_0, …, q_{k-1}}` of pairwise co-prime word-sized
@@ -159,6 +163,109 @@ impl RnsBasis {
     }
 }
 
+/// Limb-wise fast base conversion from a source basis `{q_i}` (product
+/// `Q`) into target moduli, with no overflow correction: a value `x`
+/// given by its residues becomes
+///
+/// `x̃ = Σ_i [x·(Q/q_i)⁻¹]_{q_i} · (Q/q_i)`, each bracket centred,
+///
+/// which is `≡ x (mod q_i)` on every source modulus and equals the
+/// centred `x` plus `e·Q` for an integer `|e| ≤ k/2` (`k` source
+/// moduli), so `|x̃| ≤ k·Q/2`. Hybrid key switching needs exactly this:
+/// any representative of the digit works, and the small overflow only
+/// scales the switching noise. Every table is a word with its Shoup
+/// companion — `[(Q/q_i)⁻¹]_{q_i}` per source modulus and `[Q/q_i]_t`
+/// per (target, source) pair — so no bignum is touched per coefficient
+/// ([`RnsBasis::convert_to`] is the exact per-coefficient reference).
+/// A one-modulus source has both tables at 1 and converts by the
+/// centred lift alone.
+#[derive(Debug, Clone)]
+pub struct FastBaseConverter {
+    source: Vec<Modulus>,
+    /// `[(Q/q_i)⁻¹]_{q_i}` and its Shoup companion.
+    inv: Vec<(u64, u64)>,
+    /// `hat[t][i] = [Q/q_i]_t` and its Shoup companion.
+    hat: Vec<Vec<(u64, u64)>>,
+    targets: Vec<Modulus>,
+}
+
+impl FastBaseConverter {
+    /// Tables from `source` into every modulus of `targets` (a target
+    /// that is also a source modulus is allowed; converting into it is
+    /// the caller's choice).
+    pub fn new(source: &[Modulus], targets: &[Modulus]) -> Self {
+        assert!(!source.is_empty(), "empty source basis");
+        // Q/q_i mod m, by word products (no bignum)
+        let hat_mod = |m: &Modulus, i: usize| {
+            source
+                .iter()
+                .enumerate()
+                .filter(|&(j, _)| j != i)
+                .fold(1 % m.value(), |acc, (_, q)| m.mul(acc, m.reduce(q.value())))
+        };
+        let with_shoup = |m: &Modulus, v: u64| (v, m.shoup(v));
+        let inv = source
+            .iter()
+            .enumerate()
+            .map(|(i, q)| with_shoup(q, q.inv(hat_mod(q, i))))
+            .collect();
+        let hat = targets
+            .iter()
+            .map(|t| {
+                (0..source.len())
+                    .map(|i| with_shoup(t, hat_mod(t, i)))
+                    .collect()
+            })
+            .collect();
+        Self {
+            source: source.to_vec(),
+            inv,
+            hat,
+            targets: targets.to_vec(),
+        }
+    }
+
+    /// The source moduli.
+    pub fn source(&self) -> &[Modulus] {
+        &self.source
+    }
+
+    /// First half, in place on source limb `i`:
+    /// `x_i ← [x_i·(Q/q_i)⁻¹]_{q_i}`. A no-op for a one-modulus source.
+    pub fn scale_input(&self, backend: KernelBackend, i: usize, limb: &mut [u64]) {
+        let (inv, inv_shoup) = self.inv[i];
+        if self.source.len() > 1 {
+            kernel::mul_scalar_shoup_with(backend, &self.source[i], limb, inv, inv_shoup);
+        }
+    }
+
+    /// Second half: writes `x̃ mod targets[t]` into `dst` from `scaled`,
+    /// the source limbs (limb-major, coefficient form) after
+    /// [`Self::scale_input`] — one [`kernel::centered_mac_shoup`] per
+    /// source limb.
+    pub fn convert_into(&self, backend: KernelBackend, scaled: &[u64], t: usize, dst: &mut [u64]) {
+        let n = dst.len();
+        assert_eq!(
+            scaled.len(),
+            n * self.source.len(),
+            "one limb per source modulus"
+        );
+        dst.fill(0);
+        for ((q, &(c, c_shoup)), limb) in self.source.iter().zip(&self.hat[t]).zip(scaled.chunks(n))
+        {
+            kernel::centered_mac_shoup_with(
+                backend,
+                &self.targets[t],
+                dst,
+                limb,
+                q.value(),
+                c,
+                c_shoup,
+            );
+        }
+    }
+}
+
 fn gcd(a: u64, b: u64) -> u64 {
     if b == 0 {
         a
@@ -301,6 +408,45 @@ mod tests {
             for (c, m) in converted.iter().zip(&target) {
                 assert_eq!(*c, m.from_i64(x), "x={x} target={}", m.value());
             }
+        }
+    }
+
+    /// The limb-wise conversion is `convert_to`'s exact value plus a
+    /// multiple `e·Q` with `|e| ≤ k/2`, the same `e` in every target.
+    #[test]
+    fn fast_conversion_is_exact_up_to_a_small_multiple_of_q() {
+        let source = gen_moduli_chain(&[40, 26, 26], 1 << 4);
+        let b = RnsBasis::new(source.clone());
+        let target = gen_moduli_chain(&[41, 27, 50], 1 << 4);
+        let conv = FastBaseConverter::new(&source, &target);
+        let xs = [
+            0i64,
+            1,
+            -1,
+            123_456_789_012,
+            -987_654_321_098,
+            1 << 55,
+            -(1 << 60),
+        ];
+        for &x in &xs {
+            let mut limbs = b.decompose_i64(x);
+            for (i, limb) in limbs.chunks_mut(1).enumerate() {
+                conv.scale_input(KernelBackend::Scalar, i, limb);
+            }
+            let overflow: Vec<i64> = (-1..=1).collect();
+            let mut shared = overflow.clone();
+            for (t, m) in target.iter().enumerate() {
+                let mut out = [0u64];
+                conv.convert_into(KernelBackend::Scalar, &limbs, t, &mut out);
+                let exact = b.convert_to(&b.decompose_i64(x), std::slice::from_ref(m))[0];
+                let q_mod = b.big_q().rem_u64(m.value());
+                shared.retain(|&e| m.add(exact, m.mul(m.from_i64(e), q_mod)) == out[0]);
+            }
+            assert_eq!(
+                shared.len(),
+                1,
+                "x = {x}: no single overflow in {overflow:?}"
+            );
         }
     }
 

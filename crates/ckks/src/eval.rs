@@ -13,6 +13,7 @@ use ckks_math::kernel;
 use ckks_math::poly::{Form, RnsPoly};
 use ckks_math::sampler::Sampler;
 use rayon::prelude::*;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Relative tolerance for scale compatibility in additions.
@@ -477,36 +478,51 @@ impl Evaluator {
         self.switch(d, &self.decompose(d, false), ksk)
     }
 
-    /// The digits of `d` over the key-switch basis (the chain limbs
-    /// `0..=ℓ` and the special limb): one inverse NTT yields them all
-    /// ([`Digits::lift`]). Centred digits commute with every automorphism
-    /// exactly, so one decomposition serves a fan of rotations. With
-    /// `store` every lift is computed here, once for a fan; otherwise the
-    /// one switch reading them lifts each into its task's scratch as it
-    /// goes.
+    /// The key-switch digits of `d` at its level ℓ
+    /// ([`CkksContext::digits_at`]) over the key-switch basis `ext` (the
+    /// chain limbs `0..=ℓ` and the special limbs): one inverse NTT, then
+    /// per digit its limbs scaled for the fast base conversion
+    /// ([`Digits::lift`] converts a digit into each other limb of `ext`
+    /// and forward-transforms it; on its own limbs a digit is `d`
+    /// itself). A fan of rotations shares one decomposition because
+    /// each rotation applies σ_g only after its switch
+    /// ([`Self::apply_galois`]), so every key switch of the fan
+    /// decomposes the same `c₁`. With `store` every lift is computed
+    /// here, once for a fan; otherwise the one switch reading them lifts
+    /// each into its task's scratch as it goes.
     fn decompose(&self, d: &RnsPoly, store: bool) -> Digits {
         let pctx = self.ctx.poly_ctx();
-        let (n, digits) = (pctx.n(), d.num_limbs());
-        let ext: Vec<usize> = (0..digits).chain(pctx.special_indices()).collect();
-        let mut coeff = d.clone();
-        coeff.ntt_inverse();
-        he_trace::record_ntt_fwd((digits * (ext.len() - 1)) as u64);
+        let (n, level) = (pctx.n(), d.num_limbs() - 1);
+        let ext: Vec<usize> = (0..=level).chain(pctx.special_indices()).collect();
+        let parts: Vec<Range<usize>> = self.ctx.digits_at(level).collect();
+        let mut scaled = d.clone();
+        scaled.ntt_inverse();
+        let backend = kernel::active_backend();
+        for (j, part) in parts.iter().enumerate() {
+            let conv = self.ctx.digit_converter(j, part.len());
+            for (s, i) in part.clone().enumerate() {
+                conv.scale_input(backend, s, scaled.limb_mut(i));
+            }
+        }
+        he_trace::record_ntt_fwd(parts.iter().map(|p| ext.len() - p.len()).sum::<usize>() as u64);
         let mut out = Digits {
             ext,
-            coeff,
+            parts,
+            scaled,
             lifted: None,
         };
         if store {
+            let dnum = out.parts.len();
             let lift = |(i, limb): (usize, &mut [u64])| {
                 for (j, dst) in limb.chunks_mut(n).enumerate() {
-                    out.lift(i, j, dst);
+                    out.lift(&self.ctx, i, j, dst);
                 }
             };
-            let mut lifted = vec![0u64; out.ext.len() * digits * n];
+            let mut lifted = vec![0u64; out.ext.len() * dnum * n];
             if kernel::limbs_fan_out(n, out.ext.len()) {
-                lifted.par_chunks_mut(digits * n).enumerate().for_each(lift);
+                lifted.par_chunks_mut(dnum * n).enumerate().for_each(lift);
             } else {
-                lifted.chunks_mut(digits * n).enumerate().for_each(lift);
+                lifted.chunks_mut(dnum * n).enumerate().for_each(lift);
             }
             out.lifted = Some(lifted);
         }
@@ -514,33 +530,38 @@ impl Evaluator {
     }
 
     /// The key switch proper: the inner product of `d`'s digits with the
-    /// key over the extended basis `0..=ℓ` plus the special limb,
-    /// limb-major (each task multiplies every digit's limb into both
-    /// accumulators), then both mod-downs by `P` — `c ← (c − [c]_P)·P⁻¹
-    /// mod q_i` — in one pass over the chain limbs.
+    /// key's digit pairs over the extended basis `ext`, limb-major (each
+    /// task multiplies every digit's limb into both accumulators), then
+    /// both mod-downs by `P` — `c ← (c − conv([c]_P))·P⁻¹ mod q_i`, the
+    /// special limbs converted back into the chain
+    /// ([`RnsPoly::divide_by_last_limbs`]) — in one pass over the chain
+    /// limbs.
     fn switch(&self, d: &RnsPoly, digits: &Digits, ksk: &KeySwitchKey) -> (RnsPoly, RnsPoly) {
         he_trace::record_keyswitch(1);
         let _span = he_trace::span("keyswitch", he_trace::cats::HE);
         let pctx = self.ctx.poly_ctx();
         let (n, level) = (pctx.n(), d.num_limbs() - 1);
-        let ext = &digits.ext;
-        he_trace::record_modmul_limbs(2 * ((level + 1) * ext.len()) as u64);
+        let (ext, dnum) = (&digits.ext, digits.parts.len());
+        assert!(
+            ksk.digits.len() >= dnum,
+            "key has fewer digits than the switch"
+        );
+        he_trace::record_modmul_limbs(2 * (dnum * ext.len()) as u64);
 
         let mut acc0 = RnsPoly::zero(Arc::clone(pctx), ext.to_vec(), Form::Ntt);
         let mut acc1 = acc0.clone();
         let backend = kernel::active_backend();
-        let width = (level + 1) * n;
         RnsPoly::for_each_limb_pair(&mut acc0, &mut acc1, |i, acc0, acc1| {
             let idx = ext[i];
             let m = &pctx.moduli()[idx];
             let mut scratch = Vec::new();
-            for (j, (b, a)) in ksk.digits[..=level].iter().enumerate() {
+            for (j, ((b, a), part)) in ksk.digits.iter().zip(&digits.parts).enumerate() {
                 let digit = match &digits.lifted {
-                    _ if idx == j => d.limb(j),
-                    Some(lifted) => &lifted[i * width + j * n..][..n],
+                    _ if part.contains(&idx) => d.limb(idx),
+                    Some(lifted) => &lifted[(i * dnum + j) * n..][..n],
                     None => {
                         scratch.resize(n, 0);
-                        digits.lift(i, j, &mut scratch);
+                        digits.lift(&self.ctx, i, j, &mut scratch);
                         &scratch
                     }
                 };
@@ -549,13 +570,9 @@ impl Evaluator {
             }
         });
 
-        debug_assert_eq!(
-            acc0.limb_indices().last(),
-            Some(&pctx.chain_len()),
-            "expected exactly one special limb at the end"
-        );
         let p_inv = &self.ctx.p_inv_mod_qi()[..=level];
-        RnsPoly::divide_by_last_limb(&mut acc0, &mut acc1, p_inv);
+        let conv = self.ctx.mod_down_converter();
+        RnsPoly::divide_by_last_limbs(&mut acc0, &mut acc1, conv, p_inv);
         (acc0, acc1)
     }
 
@@ -738,29 +755,34 @@ impl Evaluator {
 }
 
 /// The key-switch digits of one polynomial (see `Evaluator::decompose`):
-/// the polynomial in coefficient form and the key-switch basis `ext`,
-/// plus, for a fan, every digit's lift in NTT form, limb-major
-/// (`lifted[(i·(ℓ+1) + j)·N..]` is digit `j` over limb `ext[i]`; a
-/// digit's own limb is left unwritten).
+/// the key-switch basis `ext`, the digit ranges of the chain, the
+/// polynomial in coefficient form with each digit's limbs scaled for its
+/// base conversion, plus, for a fan, every digit's lift in NTT form,
+/// limb-major (`lifted[(i·dnum + j)·N..]` is digit `j` over limb
+/// `ext[i]`; a digit's own limbs are left unwritten).
 struct Digits {
     ext: Vec<usize>,
-    coeff: RnsPoly,
+    parts: Vec<Range<usize>>,
+    scaled: RnsPoly,
     lifted: Option<Vec<u64>>,
 }
 
 impl Digits {
-    /// Writes digit `j` over limb `ext[i]` into `dst`: `[d]_{q_j}` read
-    /// in `(−q_j/2, q_j/2)`, lifted into that limb's modulus, then
-    /// forward-transformed. Leaves `dst` alone for the digit's own limb
-    /// (limb `j` of `d` as given).
-    fn lift(&self, i: usize, j: usize, dst: &mut [u64]) {
-        let idx = self.ext[i];
-        if idx == j {
+    /// Writes digit `j` over limb `ext[i]` into `dst`: the digit's
+    /// residues fast-base-converted into that limb's modulus
+    /// ([`FastBaseConverter`](ckks_math::rns::FastBaseConverter); for a
+    /// one-limb digit, its centred lift), then forward-transformed.
+    /// Leaves `dst` alone on the digit's own limbs (`d` as given).
+    fn lift(&self, ctx: &CkksContext, i: usize, j: usize, dst: &mut [u64]) {
+        let (idx, part) = (self.ext[i], &self.parts[j]);
+        if part.contains(&idx) {
             return;
         }
-        let (pctx, backend) = (self.coeff.ctx(), kernel::active_backend());
-        let q_j = pctx.moduli()[j].value();
-        kernel::centered_lift_with(backend, &pctx.moduli()[idx], dst, self.coeff.limb(j), q_j);
+        let (pctx, backend) = (ctx.poly_ctx(), kernel::active_backend());
+        let n = pctx.n();
+        let src = &self.scaled.limbs_flat()[part.start * n..part.end * n];
+        ctx.digit_converter(j, part.len())
+            .convert_into(backend, src, idx, dst);
         kernel::ntt_forward_with(backend, pctx.ntt_table(idx), dst);
     }
 }

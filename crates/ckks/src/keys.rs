@@ -1,17 +1,19 @@
 //! Key material: secret, public, relinearization and Galois keys, plus the
 //! generator implementing the paper's `KeyGen(N, q, L) → sk, pk, ek`.
 //!
-//! Key switching follows the GHS/hybrid approach with limb-digit
-//! decomposition: for each chain prime `q_j`, digit `j` of a key-switching
-//! key encrypts `P · δ_j · w` under a secret `t`, where `w` is the payload
-//! (`s²` under `s` for relinearization; `s` under `σ_g⁻¹(s)` for the
-//! Galois element `g`, so a rotation switches before it permutes), `P` is
-//! the product of the special primes, and `δ_j` is the CRT indicator
-//! (`≡ 1 mod q_j`, `≡ 0` mod every other prime including the special
-//! ones). This makes one key set valid at *every* level — at level ℓ only
-//! digits `0..=ℓ` are used. This is the only key switch: every
-//! relinearization and rotation key is drawn over the chain and the
-//! special primes.
+//! Key switching is hybrid (Han–Ki): the chain is cut into digits of
+//! consecutive limbs ([`crate::CkksParams::digit_partition`]), and digit
+//! `j` of a key-switching key encrypts `P · ι_j · w` under a secret `t`,
+//! where `w` is the payload (`s²` under `s` for relinearization; `s`
+//! under `σ_g⁻¹(s)` for the Galois element `g`, so a rotation switches
+//! before it permutes), `P` is the product of the special primes, and
+//! `ι_j` is the digit indicator (`≡ 1` mod every prime of digit `j`,
+//! `≡ 0` mod every other prime including the special ones). This makes
+//! one key set valid at *every* level — at level ℓ only the digits that
+//! start at or below ℓ are used, the last one truncated. With one
+//! special prime every digit is one limb and this is GHS key switching.
+//! This is the only key switch: every relinearization and rotation key
+//! is drawn over the chain and the special primes.
 
 use crate::params::CkksContext;
 use ckks_math::poly::{Form, RnsPoly};
@@ -67,9 +69,10 @@ impl PublicKey {
     }
 }
 
-/// A key-switching key: one RLWE pair per chain-prime digit, each
-/// encrypting `[P]_{q_j}` times a digit of its payload `w` under its
-/// secret `t`, over every chain and special modulus.
+/// A key-switching key: one RLWE pair per key-switch digit, each
+/// encrypting `P` times its payload `w` on the digit's own limbs
+/// (`[P]_{q_i}·w` on limb `i`) under its secret `t`, over every chain
+/// and special modulus.
 #[derive(Debug, Clone)]
 pub struct KeySwitchKey {
     /// `digits[j] = (b_j, a_j)`.
@@ -116,6 +119,18 @@ impl GaloisKeys {
     /// Inserts a key for a Galois element (deserialization / merging).
     pub fn insert(&mut self, galois_element: usize, key: KeySwitchKey) {
         self.keys.insert(galois_element, key);
+    }
+
+    /// Bytes of residues the keys hold: 8 per coefficient of every
+    /// limb of every digit pair.
+    pub fn residue_bytes(&self) -> usize {
+        let per_key = |k: &KeySwitchKey| -> usize {
+            k.digits
+                .iter()
+                .map(|(b, a)| b.limbs_flat().len() + a.limbs_flat().len())
+                .sum()
+        };
+        8 * self.keys.values().map(per_key).sum::<usize>()
     }
 }
 
@@ -205,14 +220,14 @@ impl KeyGenerator {
     }
 
     /// Generic key-switching key with payload `w` under the secret `t`
-    /// (both NTT form over all moduli).
+    /// (both NTT form over all moduli): one pair per digit.
     fn gen_ksk(&mut self, w: &RnsPoly, t: &RnsPoly) -> KeySwitchKey {
-        let chain_len = self.ctx.poly_ctx().chain_len();
         let indices = self.all_indices();
-        let mut digits = Vec::with_capacity(chain_len);
-        for j in 0..chain_len {
+        let ctx = Arc::clone(&self.ctx);
+        let mut digits = Vec::with_capacity(ctx.digit_partition().len());
+        for digit in ctx.digit_partition() {
             let a_j = RnsPoly::uniform(
-                Arc::clone(self.ctx.poly_ctx()),
+                Arc::clone(ctx.poly_ctx()),
                 indices.clone(),
                 Form::Ntt,
                 &mut self.sampler,
@@ -222,12 +237,15 @@ impl KeyGenerator {
             b_j.mul_assign(t);
             b_j.neg_assign();
             b_j.add_assign(&e_j);
-            // add the digit payload [P]_{q_j} · w_j on limb j only
-            let m = self.ctx.chain_moduli()[j];
-            let factor = self.ctx.p_mod_qi()[j];
-            let fs = m.shoup(factor);
-            for (d, &wv) in b_j.limb_mut(j).iter_mut().zip(w.limb(j)) {
-                *d = m.add(*d, m.mul_shoup(wv, factor, fs));
+            // the digit indicator's payload: [P]_{q_i} · w_i on each of
+            // the digit's limbs, nothing elsewhere
+            for i in digit.clone() {
+                let m = ctx.chain_moduli()[i];
+                let factor = ctx.p_mod_qi()[i];
+                let fs = m.shoup(factor);
+                for (d, &wv) in b_j.limb_mut(i).iter_mut().zip(w.limb(i)) {
+                    *d = m.add(*d, m.mul_shoup(wv, factor, fs));
+                }
             }
             digits.push((b_j, a_j));
         }
@@ -332,9 +350,9 @@ mod tests {
         let rk = kg.gen_relin_key(&sk);
         let gk = kg.gen_galois_keys(&sk, &[1], false);
         let rot = gk.get(ctx.galois_element_for_rotation(1)).unwrap();
-        // one digit per chain prime, each over chain + special moduli
+        // one digit per key-switch digit, each over chain + special moduli
         for ksk in [&rk.0, rot] {
-            assert_eq!(ksk.digits.len(), ctx.poly_ctx().chain_len());
+            assert_eq!(ksk.digits.len(), ctx.digit_partition().len());
             for (b, a) in &ksk.digits {
                 assert_eq!(b.num_limbs(), ctx.poly_ctx().moduli().len());
                 assert_eq!(a.num_limbs(), ctx.poly_ctx().moduli().len());
@@ -344,9 +362,11 @@ mod tests {
 
     #[test]
     fn ksk_digit_decrypts_to_payload() {
-        // b_j + a_j·s = e + P·δ_j·s²: checking limb j carries [P]_{q_j}·s²
-        // plus small error, other limbs only the error.
-        let ctx = CkksParams::tiny(1).build();
+        // b_j + a_j·s = e + P·ι_j·s²: checking every limb of digit j
+        // carries [P]_{q_i}·s² plus small error, other limbs only the
+        // error — at two special primes, where digits span several limbs.
+        let ctx = CkksParams::tiny(3).build();
+        assert!(ctx.digit_partition().iter().any(|d| d.len() > 1));
         let mut kg = KeyGenerator::new(Arc::clone(&ctx), 4);
         let sk = kg.gen_secret_key();
         let rk = kg.gen_relin_key(&sk);
@@ -360,13 +380,12 @@ mod tests {
             let mut lhs = a_j.clone();
             lhs.mul_assign(&s);
             lhs.add_assign(b_j);
-            // subtract the expected payload on limb j
-            let m = ctx.chain_moduli()[j];
-            let p_mod = ctx.p_mod_qi()[j];
-            {
-                let s2_limb = s2.limb(j).to_vec();
-                let dst = lhs.limb_mut(j);
-                for (d, &sv) in dst.iter_mut().zip(&s2_limb) {
+            // subtract the expected payload on the digit's limbs
+            for i in ctx.digit_partition()[j].clone() {
+                let m = ctx.chain_moduli()[i];
+                let p_mod = ctx.p_mod_qi()[i];
+                let s2_limb = s2.limb(i).to_vec();
+                for (d, &sv) in lhs.limb_mut(i).iter_mut().zip(&s2_limb) {
                     *d = m.sub(*d, m.mul(p_mod, sv));
                 }
             }

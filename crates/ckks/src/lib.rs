@@ -9,10 +9,13 @@
 //! Provides the scheme primitives of the paper's §II — `KeyGen`,
 //! `Encrypt`, `Decrypt`, `Add`, `Mult` (+ relinearization), `Resc`,
 //! `Rot` — over a double-CRT (RNS × NTT) polynomial representation, with
-//! GHS (special-modulus) key switching, the paper's parameter shape in
-//! one constructor ([`CkksParams::paper`]), HE-standard security
-//! validation, a bignum reference implementation for cross-validation,
-//! and binary serialization.
+//! hybrid key switching (Han–Ki: digits of several chain limbs, each
+//! key pair carrying the payload under its digit indicator instead of a
+//! one-limb CRT indicator δ_j, switched over the product of the special
+//! primes; GHS is its one-limb-per-digit case), the paper's parameter
+//! shape in one constructor ([`CkksParams::paper`]), HE-standard
+//! security validation, a bignum reference implementation for
+//! cross-validation, and binary serialization.
 
 #![forbid(unsafe_code)]
 

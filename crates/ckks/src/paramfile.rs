@@ -84,6 +84,9 @@ pub fn parse_params(text: &str) -> Result<CkksParams, String> {
     if params.chain_bits.is_empty() {
         return Err("chain_bits is empty".to_string());
     }
+    if params.special_bits.is_empty() {
+        return Err("special_bits is empty: key switching needs a special prime".to_string());
+    }
     // an NTT prime p ≡ 1 (mod 2N) of b bits needs 2N < 2^b ≤ 2^61
     let two_n = 2 * params.n as u64;
     for (key, bits) in [
@@ -188,6 +191,14 @@ security = 128
         refused(
             "n = 1024\nchain_bits = 40 26\nspecial_bits = 200\nscale_bits = 26\n",
             "special_bits: prime size 200",
+        );
+    }
+
+    #[test]
+    fn rejects_an_empty_special_list() {
+        refused(
+            "n = 1024\nchain_bits = 40 26\nspecial_bits =\nscale_bits = 26\n",
+            "special_bits is empty",
         );
     }
 

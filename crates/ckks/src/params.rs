@@ -13,7 +13,8 @@ use ckks_math::fft::EmbeddingTable;
 use ckks_math::modring::Modulus;
 use ckks_math::poly::PolyContext;
 use ckks_math::prime::{try_gen_moduli_chain, PrimeShortage};
-use ckks_math::rns::RnsBasis;
+use ckks_math::rns::{FastBaseConverter, RnsBasis};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Declarative CKKS-RNS parameter set.
@@ -35,24 +36,33 @@ pub struct CkksParams {
 
 impl CkksParams {
     /// The paper's parameter shape (Table II) on ring `n` with `depth`
-    /// rescaling levels: chain `[40, 26 × depth]`, one 40-bit special
-    /// prime, Δ = 2^26. Rings of 2^14 and up validate against 128-bit
-    /// security; smaller rings cannot reach it at this shape and are
-    /// for correctness work only, so they validate against nothing.
+    /// rescaling levels: chain `[40, 26 × depth]`, Δ = 2^26, and two
+    /// 40-bit special primes wherever the security target admits the
+    /// extra 40 bits, else one (Table II's 2^14, L = 13: 418 bits of the
+    /// 438 λ = 128 allows). Two special primes widen the key-switch
+    /// digits to several chain limbs ([`Self::digit_partition`]). Rings
+    /// of 2^14 and up validate against 128-bit security; smaller rings
+    /// cannot reach it at this shape and are for correctness work only,
+    /// so they validate against nothing.
     pub fn paper(n: usize, depth: usize) -> Self {
         let mut chain_bits = vec![40u32];
         chain_bits.extend(std::iter::repeat_n(26, depth));
-        Self {
+        let security = if n >= 1 << 14 {
+            SecurityLevel::Bits128
+        } else {
+            SecurityLevel::None
+        };
+        let mut params = Self {
             n,
             chain_bits,
-            special_bits: vec![40],
+            special_bits: vec![40, 40],
             scale_bits: 26,
-            security: if n >= 1 << 14 {
-                SecurityLevel::Bits128
-            } else {
-                SecurityLevel::None
-            },
+            security,
+        };
+        if security.validate(n, params.total_log_q()).is_err() {
+            params.special_bits.pop();
         }
+        params
     }
 
     /// The paper's Table II setting: `N = 2^14`, λ = 128, `L = 13`.
@@ -98,6 +108,29 @@ impl CkksParams {
     pub fn log_q_at_level(&self, level: usize) -> f64 {
         assert!(level < self.chain_bits.len(), "level beyond the chain");
         self.chain_bits[..=level].iter().map(|&b| b as f64).sum()
+    }
+
+    /// The key-switch digits: consecutive chain limbs join one digit
+    /// while the digit's product stays within `P`, the product of the
+    /// special primes, and every digit holds at least one limb (Han–Ki
+    /// hybrid key switching; one limb per digit is GHS). Judged on the
+    /// nominal bit sizes, so static analysis ([`Self::log_q_at_level`],
+    /// the noise model) and a built context agree on it. With one 40-bit
+    /// special prime every digit is one limb; with two, the paper's
+    /// `[40, 26 × 7]` chain splits as `{q0,q1}, {q2,q3,q4}, {q5,q6,q7}`.
+    pub fn digit_partition(&self) -> Vec<Range<usize>> {
+        let p_bits: u32 = self.special_bits.iter().sum();
+        let mut digits = Vec::new();
+        let (mut start, mut bits) = (0, 0);
+        for (i, &b) in self.chain_bits.iter().enumerate() {
+            if i > start && bits + b > p_bits {
+                digits.push(start..i);
+                (start, bits) = (i, 0);
+            }
+            bits += b;
+        }
+        digits.push(start..self.chain_bits.len());
+        digits
     }
 
     /// Galois element realizing a left rotation by `steps` slots —
@@ -156,6 +189,14 @@ pub struct CkksContext {
     p_mod_qi: Vec<u64>,
     /// `P^{-1} mod q_i`.
     p_inv_mod_qi: Vec<u64>,
+    /// The key-switch digits ([`CkksParams::digit_partition`]).
+    digits: Vec<Range<usize>>,
+    /// Per digit `j` and limb count `m` (index `m − 1`): the conversion
+    /// from the digit's first `m` limbs into every modulus — a
+    /// ciphertext below the top level reads a truncated last digit.
+    digit_convs: Vec<Vec<FastBaseConverter>>,
+    /// The mod-down conversion from the special primes into the chain.
+    mod_down: FastBaseConverter,
     /// `5^j mod 2N` for slot rotations.
     five_pows: Vec<usize>,
 }
@@ -164,6 +205,10 @@ impl CkksContext {
     fn new(params: CkksParams) -> Arc<Self> {
         assert!(params.n.is_power_of_two() && params.n >= 8);
         assert!(!params.chain_bits.is_empty());
+        assert!(
+            !params.special_bits.is_empty(),
+            "key switching needs a special prime"
+        );
         params
             .security
             .validate(params.n, params.total_log_q())
@@ -201,6 +246,17 @@ impl CkksContext {
             .map(|(m, &p)| m.inv(p))
             .collect();
 
+        let digits = params.digit_partition();
+        let digit_convs = digits
+            .iter()
+            .map(|d| {
+                (d.start..d.end)
+                    .map(|end| FastBaseConverter::new(&chain[d.start..=end], &all_moduli))
+                    .collect()
+            })
+            .collect();
+        let mod_down = FastBaseConverter::new(&special, &chain);
+
         let two_n = 2 * params.n;
         let mut five_pows = Vec::with_capacity(params.n / 2);
         let mut f = 1usize;
@@ -218,6 +274,9 @@ impl CkksContext {
             big_p,
             p_mod_qi,
             p_inv_mod_qi,
+            digits,
+            digit_convs,
+            mod_down,
             five_pows,
         })
     }
@@ -290,6 +349,32 @@ impl CkksContext {
         &self.p_inv_mod_qi
     }
 
+    /// The key-switch digits over the whole chain: one key-switching
+    /// key pair per digit.
+    pub fn digit_partition(&self) -> &[Range<usize>] {
+        &self.digits
+    }
+
+    /// The digits a key switch at `level` decomposes into: those that
+    /// start at or below it, the last truncated to `..=level`.
+    pub fn digits_at(&self, level: usize) -> impl Iterator<Item = Range<usize>> + '_ {
+        self.digits
+            .iter()
+            .take_while(move |d| d.start <= level)
+            .map(move |d| d.start..d.end.min(level + 1))
+    }
+
+    /// The conversion from the first `limbs` limbs of digit `j` into
+    /// every modulus.
+    pub fn digit_converter(&self, j: usize, limbs: usize) -> &FastBaseConverter {
+        &self.digit_convs[j][limbs - 1]
+    }
+
+    /// The mod-down conversion from the special primes into the chain.
+    pub fn mod_down_converter(&self) -> &FastBaseConverter {
+        &self.mod_down
+    }
+
     /// Galois element realizing a left rotation by `steps` slots
     /// (`steps` may wrap; negative steps = right rotation).
     pub fn galois_element_for_rotation(&self, steps: i64) -> usize {
@@ -334,8 +419,50 @@ mod tests {
         assert_eq!(ctx.n(), 1 << 10);
         assert_eq!(ctx.max_level(), 3);
         assert_eq!(ctx.chain_moduli().len(), 4);
-        assert_eq!(ctx.special_moduli().len(), 1);
+        assert_eq!(ctx.special_moduli().len(), 2);
         assert_eq!(ctx.slots(), 512);
+        assert_eq!(ctx.digit_partition(), &[0..2, 2..4]);
+    }
+
+    /// Two 40-bit special primes wherever the security target admits
+    /// them, one at Table II's 2^14, L = 13; the digits follow P.
+    #[test]
+    fn paper_special_primes_and_digit_partition() {
+        assert_eq!(CkksParams::paper(1 << 12, 7).special_bits, vec![40, 40]);
+        assert_eq!(
+            CkksParams::paper(1 << 12, 7).digit_partition(),
+            vec![0..2, 2..5, 5..8]
+        );
+        for d in 0..=12 {
+            assert_eq!(
+                CkksParams::paper(1 << 14, d).special_bits,
+                vec![40, 40],
+                "depth {d}"
+            );
+        }
+        let table2 = CkksParams::paper_table2();
+        assert_eq!(table2.special_bits, vec![40]);
+        assert_eq!(table2.total_log_q(), 418);
+        // one special prime: one limb per digit, GHS
+        assert_eq!(
+            table2.digit_partition(),
+            (0..14).map(|i| i..i + 1).collect::<Vec<_>>()
+        );
+        // a digit holds at least one limb even past P
+        let mut wide = CkksParams::tiny(2);
+        wide.special_bits = vec![20];
+        assert_eq!(wide.digit_partition(), vec![0..1, 1..2, 2..3]);
+    }
+
+    #[test]
+    fn digits_at_truncates_the_last_digit() {
+        let ctx = CkksParams::paper(1 << 10, 7).build();
+        let at = |l| ctx.digits_at(l).collect::<Vec<_>>();
+        assert_eq!(at(7), vec![0..2, 2..5, 5..8]);
+        assert_eq!(at(3), vec![0..2, 2..4]);
+        assert_eq!(at(2), vec![0..2, 2..3]);
+        assert_eq!(at(1), vec![0..2]);
+        assert_eq!(at(0), vec![0..1]);
     }
 
     #[test]

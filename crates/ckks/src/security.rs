@@ -80,10 +80,14 @@ mod tests {
 
     #[test]
     fn paper_setting_is_valid() {
-        // Table II: N = 2^14, λ = 128. Our chain [40, 26×13] + special [40]
-        // totals 418 bits <= 438.
+        // Table II: N = 2^14, λ = 128. The chain [40, 26×13] leaves room
+        // for one 40-bit special prime only: 418 bits <= 438, where a
+        // second one (458) would not fit.
         let total = 40 + 26 * 13 + 40;
         assert!(SecurityLevel::Bits128.validate(1 << 14, total).is_ok());
+        assert!(SecurityLevel::Bits128
+            .validate(1 << 14, total + 40)
+            .is_err());
     }
 
     #[test]

@@ -6,11 +6,16 @@
 //! serialize their limb set and residues verbatim; deserialization
 //! validates shapes and residue ranges against the receiving context, so
 //! a corrupted or mismatched blob fails loudly rather than decrypting to
-//! garbage. Galois-key blobs are at version 2: their keys carry payload
-//! `s` under `σ_g⁻¹(s)`, and a version-1 blob (payload `σ_g(s)` under `s`)
-//! would rotate to garbage, so it is refused. Every key-switching key
-//! opens with a tag byte, always 0 (keys are drawn over the chain and the
-//! special primes); any other tag is refused before a digit is read.
+//! garbage. Key-switching keys carry one RLWE pair per key-switch digit
+//! of the receiving context ([`CkksContext::digit_partition`]), and a
+//! blob whose digit count differs is refused. Relinearization-key blobs
+//! are at version 2 and Galois-key blobs at version 3: the versions
+//! before carried one digit per chain limb, and Galois keys before
+//! their version 2 carried payload `σ_g(s)` under `s` (they now carry
+//! `s` under `σ_g⁻¹(s)`), so older blobs are refused by their header.
+//! Every key-switching key opens with a tag byte, always 0 (keys are
+//! drawn over the chain and the special primes); any other tag is
+//! refused before a digit is read.
 
 use crate::ciphertext::Ciphertext;
 use crate::encoding::Plaintext;
@@ -25,7 +30,6 @@ const MAGIC_PT: u32 = 0x434b_5054; // "CKPT"
 const MAGIC_PK: u32 = 0x434b_504b; // "CKPK"
 const MAGIC_KSK: u32 = 0x434b_4b53; // "CKKS"
 const MAGIC_GK: u32 = 0x434b_474b; // "CKGK"
-const VERSION: u16 = 1;
 
 /// Serialization/deserialization errors.
 #[derive(Debug, PartialEq, Eq)]
@@ -118,9 +122,14 @@ fn get_poly(buf: &mut Bytes, ctx: &Arc<CkksContext>) -> Result<RnsPoly, SerError
     ))
 }
 
-/// Galois keys (σ⁻¹ form, see the module docs) are one version ahead.
+/// The header version of each object (key blobs are ahead, see the
+/// module docs).
 fn version_of(magic: u32) -> u16 {
-    VERSION + u16::from(magic == MAGIC_GK)
+    match magic {
+        MAGIC_KSK => 2,
+        MAGIC_GK => 3,
+        _ => 1,
+    }
 }
 
 fn put_header(out: &mut BytesMut, magic: u32) {
@@ -238,7 +247,7 @@ fn get_ksk(buf: &mut Bytes, ctx: &Arc<CkksContext>) -> Result<KeySwitchKey, SerE
         return Err(SerError::Malformed("bad ks variant"));
     }
     let k = buf.get_u16_le() as usize;
-    if k != ctx.poly_ctx().chain_len() {
+    if k != ctx.digit_partition().len() {
         return Err(SerError::Malformed("digit count mismatch"));
     }
     // the basis key generation draws each digit over
@@ -402,7 +411,8 @@ mod tests {
     }
 
     /// Deserialized Galois keys rotate limb-identically to the keys
-    /// they were serialized from; a version-1 blob is refused.
+    /// they were serialized from; a blob of an earlier version is
+    /// refused.
     #[test]
     fn galois_keys_roundtrip_rotates_limb_identically() {
         let (ctx, sk, pk, ev, mut s) = setup();
@@ -418,12 +428,14 @@ mod tests {
             assert_eq!(a.c0.limbs_flat(), b.c0.limbs_flat());
             assert_eq!(a.c1.limbs_flat(), b.c1.limbs_flat());
         }
-        let mut v1 = blob.to_vec();
-        v1[4..6].copy_from_slice(&1u16.to_le_bytes());
-        assert_eq!(
-            deserialize_galois_keys(&v1, &ctx).unwrap_err(),
-            SerError::BadHeader
-        );
+        for version in [1u16, 2] {
+            let mut old = blob.to_vec();
+            old[4..6].copy_from_slice(&version.to_le_bytes());
+            assert_eq!(
+                deserialize_galois_keys(&old, &ctx).unwrap_err(),
+                SerError::BadHeader
+            );
+        }
     }
 
     /// The key-switching tag byte is always 0; any other tag is refused
@@ -441,6 +453,104 @@ mod tests {
                 SerError::Malformed("bad ks variant"),
                 "tag {tag}"
             );
+        }
+    }
+
+    /// Relin and Galois key blobs over a 16-coefficient ring with two
+    /// special primes (three digits), small enough to probe every byte,
+    /// each with its decoder.
+    #[allow(clippy::type_complexity)]
+    fn small_key_blobs() -> Vec<(Vec<u8>, Box<dyn Fn(&[u8]) -> Result<(), SerError>>)> {
+        let ctx = CkksParams::paper(16, 5).build();
+        assert_eq!(ctx.digit_partition().len(), 3);
+        let mut kg = KeyGenerator::new(Arc::clone(&ctx), 98);
+        let sk = kg.gen_secret_key();
+        let rk = serialize_relin_key(&kg.gen_relin_key(&sk)).to_vec();
+        let gk = serialize_galois_keys(&kg.gen_galois_keys(&sk, &[1, 2], true)).to_vec();
+        let ctx2 = Arc::clone(&ctx);
+        vec![
+            (
+                rk,
+                Box::new(move |b: &[u8]| deserialize_relin_key(b, &ctx).map(drop)),
+            ),
+            (
+                gk,
+                Box::new(move |b: &[u8]| deserialize_galois_keys(b, &ctx2).map(drop)),
+            ),
+        ]
+    }
+
+    /// Every truncation of a key blob is refused as truncated, and an
+    /// earlier version of either blob by its header.
+    #[test]
+    fn truncated_or_old_key_blobs_refused() {
+        for (blob, decode) in small_key_blobs() {
+            decode(&blob).expect("the whole blob decodes");
+            for len in 0..blob.len() {
+                assert_eq!(
+                    decode(&blob[..len]),
+                    Err(SerError::Truncated),
+                    "{len} bytes"
+                );
+            }
+            let mut old = blob.clone();
+            old[4] -= 1;
+            assert_eq!(decode(&old), Err(SerError::BadHeader));
+        }
+    }
+
+    /// A digit count other than the context's partition, and a limb
+    /// index past the basis, are refused typed.
+    #[test]
+    fn key_blob_lying_digit_count_or_limb_index_refused() {
+        for (blob, decode) in small_key_blobs() {
+            // the first key-switching key's digit count follows its tag
+            // byte: after the header (6), and for Galois keys after the
+            // element count (2) and the first element (4)
+            let count_at = if blob[..4] == MAGIC_GK.to_le_bytes() {
+                13
+            } else {
+                7
+            };
+            assert_eq!(u16::from_le_bytes([blob[count_at], blob[count_at + 1]]), 3);
+            for lie in [0u16, 1, 2, 4, 9] {
+                let mut bad = blob.clone();
+                bad[count_at..count_at + 2].copy_from_slice(&lie.to_le_bytes());
+                assert_eq!(
+                    decode(&bad),
+                    Err(SerError::Malformed("digit count mismatch")),
+                    "{lie} digits"
+                );
+            }
+            // the first digit's b: form tag, limb count, then the indices
+            let first_index = count_at + 2 + 1 + 2;
+            for past in [8u16, 9, u16::MAX] {
+                let mut bad = blob.clone();
+                bad[first_index..first_index + 2].copy_from_slice(&past.to_le_bytes());
+                assert_eq!(
+                    decode(&bad),
+                    Err(SerError::Malformed("limb index out of range")),
+                    "limb index {past}"
+                );
+            }
+        }
+    }
+
+    // Any byte of a key blob set to any value decodes or is refused
+    // typed — never a panic.
+    proptest::proptest! {
+        #[test]
+        fn prop_corrupted_key_blob_never_panics(
+            which in 0usize..2,
+            at in proptest::prelude::any::<u64>(),
+            byte in proptest::prelude::any::<u8>(),
+        ) {
+            let blobs = small_key_blobs();
+            let (blob, decode) = &blobs[which];
+            let mut bad = blob.clone();
+            let i = (at % bad.len() as u64) as usize;
+            bad[i] = byte;
+            let _ = decode(&bad);
         }
     }
 

@@ -258,6 +258,102 @@ pub struct PackedNetwork {
     pub output_slots: Vec<usize>,
 }
 
+/// The client side of a packed network — what encrypting a batch into
+/// shards and reading the logits back needs, without the layers (a
+/// pipeline keeps this once its circuit is prepared; the layers' weights
+/// live on in the prepared plaintexts).
+#[derive(Debug, Clone)]
+pub struct PackedIo {
+    /// Common padded vector dimension (power of two).
+    pub dim: usize,
+    /// True input length (≤ dim), at identity slots.
+    pub input_dim: usize,
+    /// The lane slot of each true output, in output order.
+    pub output_slots: Vec<usize>,
+    /// The level a fresh input is encrypted at
+    /// ([`PackedNetwork::required_levels`]).
+    pub level: usize,
+}
+
+impl PackedIo {
+    /// Plans a logical batch of `batch` images onto ciphertext shards,
+    /// each at the full lane capacity `slots / dim`, the remainder
+    /// spilling into further shards. An empty batch is
+    /// [`HeError::EmptyBatch`].
+    pub fn plan_batch(&self, slots: usize, batch: usize) -> Result<ShardPlan, HeError> {
+        ShardPlan::plan(slots, self.dim, batch)
+    }
+
+    /// Encrypts a batch of images into the plan's shard ciphertexts:
+    /// `plan.shards()` ciphertexts, each packing up to
+    /// `plan.layout().stride()` images in the batch-strided layout.
+    /// Typed failure when the images cannot be packed as planned.
+    pub fn encrypt_batch(
+        &self,
+        ev: &Evaluator,
+        pk: &PublicKey,
+        sampler: &mut Sampler,
+        images: &[&[f32]],
+        plan: &ShardPlan,
+    ) -> Result<Vec<Ciphertext>, HeError> {
+        if images.len() != plan.total() {
+            return Err(HeError::ShapeMismatch {
+                what: "batch size",
+                got: images.len(),
+                expected: plan.total(),
+            });
+        }
+        if let Some(img) = images.iter().find(|img| img.len() != self.input_dim) {
+            return Err(HeError::ShapeMismatch {
+                what: "image length",
+                got: img.len(),
+                expected: self.input_dim,
+            });
+        }
+        let layout = plan.layout();
+        let level = self.level;
+        let scale = ev.ctx().params().scale();
+        let mut out = Vec::with_capacity(plan.shards());
+        for s in 0..plan.shards() {
+            let lo = s * layout.stride();
+            let hi = (lo + layout.stride()).min(images.len());
+            let lanes: Vec<Vec<f64>> = images[lo..hi]
+                .iter()
+                .map(|img| img.iter().map(|&v| v as f64).collect())
+                .collect();
+            let refs: Vec<&[f64]> = lanes.iter().map(Vec::as_slice).collect();
+            let pt = encode_batched(ev.ctx(), &refs, &layout, scale, level)?;
+            out.push(ev.encrypt(&pt, pk, sampler));
+        }
+        Ok(out)
+    }
+
+    /// Decrypts the shard ciphertexts of a batched inference back to
+    /// one logits row per image (the true logits, read
+    /// through the output slot map, in the original batch order).
+    pub fn decrypt_batch(
+        &self,
+        ev: &Evaluator,
+        sk: &SecretKey,
+        shards: &[Ciphertext],
+        plan: &ShardPlan,
+    ) -> Vec<Vec<f64>> {
+        assert_eq!(shards.len(), plan.shards(), "plan/shard count mismatch");
+        let layout = plan.layout();
+        let mut out = Vec::with_capacity(plan.total());
+        for (s, ct) in shards.iter().enumerate() {
+            let dec = ev.decrypt_to_real(ct, sk);
+            let lanes = layout.unpack(&dec, plan.lanes_in_shard(s), self.dim);
+            out.extend(
+                lanes
+                    .into_iter()
+                    .map(|lane| self.output_slots.iter().map(|&j| lane[j]).collect()),
+            );
+        }
+        out
+    }
+}
+
 /// The network's layers at `dim`, each linear layer in the form the
 /// module docs give it, with the output slot map and whether every
 /// single-input-channel conv over identity slots took the tap form.
@@ -363,14 +459,6 @@ impl PackedNetwork {
             .collect()
     }
 
-    /// Plans a logical batch of `batch` images onto ciphertext shards,
-    /// each at the full lane capacity `slots / dim`, the remainder
-    /// spilling into further shards. An empty batch is
-    /// [`HeError::EmptyBatch`].
-    pub fn plan_batch(&self, slots: usize, batch: usize) -> Result<ShardPlan, HeError> {
-        ShardPlan::plan(slots, self.dim, batch)
-    }
-
     /// Plaintext reference of the packed function on one lane's slots
     /// (must equal the original network's `infer_plain` on the true
     /// outputs).
@@ -415,10 +503,23 @@ impl PackedNetwork {
             .sum()
     }
 
-    /// Encrypts a batch of images into the plan's shard ciphertexts:
-    /// `plan.shards()` ciphertexts, each packing up to
-    /// `plan.layout().stride()` images in the batch-strided layout.
-    /// Typed failure when the images cannot be packed as planned.
+    /// What a request reads of the network: its lane dimension, input
+    /// length, output slot map and input level.
+    pub fn io(&self) -> PackedIo {
+        PackedIo {
+            dim: self.dim,
+            input_dim: self.input_dim,
+            output_slots: self.output_slots.clone(),
+            level: self.required_levels(),
+        }
+    }
+
+    /// [`PackedIo::plan_batch`].
+    pub fn plan_batch(&self, slots: usize, batch: usize) -> Result<ShardPlan, HeError> {
+        ShardPlan::plan(slots, self.dim, batch)
+    }
+
+    /// [`PackedIo::encrypt_batch`].
     pub fn encrypt_batch(
         &self,
         ev: &Evaluator,
@@ -427,41 +528,10 @@ impl PackedNetwork {
         images: &[&[f32]],
         plan: &ShardPlan,
     ) -> Result<Vec<Ciphertext>, HeError> {
-        if images.len() != plan.total() {
-            return Err(HeError::ShapeMismatch {
-                what: "batch size",
-                got: images.len(),
-                expected: plan.total(),
-            });
-        }
-        if let Some(img) = images.iter().find(|img| img.len() != self.input_dim) {
-            return Err(HeError::ShapeMismatch {
-                what: "image length",
-                got: img.len(),
-                expected: self.input_dim,
-            });
-        }
-        let layout = plan.layout();
-        let level = self.required_levels();
-        let scale = ev.ctx().params().scale();
-        let mut out = Vec::with_capacity(plan.shards());
-        for s in 0..plan.shards() {
-            let lo = s * layout.stride();
-            let hi = (lo + layout.stride()).min(images.len());
-            let lanes: Vec<Vec<f64>> = images[lo..hi]
-                .iter()
-                .map(|img| img.iter().map(|&v| v as f64).collect())
-                .collect();
-            let refs: Vec<&[f64]> = lanes.iter().map(Vec::as_slice).collect();
-            let pt = encode_batched(ev.ctx(), &refs, &layout, scale, level)?;
-            out.push(ev.encrypt(&pt, pk, sampler));
-        }
-        Ok(out)
+        self.io().encrypt_batch(ev, pk, sampler, images, plan)
     }
 
-    /// Decrypts the shard ciphertexts of a batched inference back to
-    /// one logits row per image (the true logits, read
-    /// through the output slot map, in the original batch order).
+    /// [`PackedIo::decrypt_batch`].
     pub fn decrypt_batch(
         &self,
         ev: &Evaluator,
@@ -469,19 +539,7 @@ impl PackedNetwork {
         shards: &[Ciphertext],
         plan: &ShardPlan,
     ) -> Vec<Vec<f64>> {
-        assert_eq!(shards.len(), plan.shards(), "plan/shard count mismatch");
-        let layout = plan.layout();
-        let mut out = Vec::with_capacity(plan.total());
-        for (s, ct) in shards.iter().enumerate() {
-            let dec = ev.decrypt_to_real(ct, sk);
-            let lanes = layout.unpack(&dec, plan.lanes_in_shard(s), self.dim);
-            out.extend(
-                lanes
-                    .into_iter()
-                    .map(|lane| self.output_slots.iter().map(|&j| lane[j]).collect()),
-            );
-        }
-        out
+        self.io().decrypt_batch(ev, sk, shards, plan)
     }
 
     /// Prepares the reference circuit ([`PackedLowering::Eager`]) for a

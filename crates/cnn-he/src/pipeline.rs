@@ -6,7 +6,7 @@ use crate::analyze::{admission, batch_exceeds_slots, circuit_admission};
 use crate::exec::{ExecMode, InferenceTiming};
 use crate::he_tensor::{decrypt_tensor, encrypt_image_batch, CtTensor};
 use crate::network::HeNetwork;
-use crate::packed::PackedNetwork;
+use crate::packed::{PackedIo, PackedNetwork};
 use crate::packed_graph::{lower_packed, PackedLowering};
 use crate::trace::InferenceTrace;
 use ckks::{
@@ -44,12 +44,14 @@ impl ScalarState {
 }
 
 /// State of the slot-packed path, built once by
-/// [`CnnHePipeline::enable_packed_batching`]: the network in packed
-/// form, the Galois keys of exactly the rotations its circuit uses, that
-/// circuit (lowered at the ring's full lane capacity) in prepared form,
-/// and the admission verdict of the standard lint passes over it.
+/// [`CnnHePipeline::enable_packed_batching`]: what requests read of the
+/// packed network (not its layers — the prepared circuit holds every
+/// encoded weight), the Galois keys of exactly the rotations its circuit
+/// uses, that circuit (lowered at the ring's full lane capacity) in
+/// prepared form, and the admission verdict of the standard lint passes
+/// over it.
 struct PackedState {
-    packed: PackedNetwork,
+    io: PackedIo,
     gk: GaloisKeys,
     prepared: he_ir::Prepared,
     /// Rendered lint report when admission refused the circuit.
@@ -222,7 +224,7 @@ impl CnnHePipeline {
         let prepared = he_ir::Prepared::new(&self.ev, circuit)
             .map_err(|reason| HeError::Execution { reason })?;
         let mut state = PackedState {
-            packed,
+            io: packed.io(),
             gk,
             prepared,
             rejected: None,
@@ -256,9 +258,9 @@ impl CnnHePipeline {
     /// until packed batching is enabled.
     pub fn compiled_stats(&self) -> Option<CompiledStats> {
         let state = self.packed.as_ref()?;
-        let plan = state.packed.plan_batch(self.ctx.slots(), 1).ok()?;
+        let plan = state.io.plan_batch(self.ctx.slots(), 1).ok()?;
         let reference = lower_packed(
-            &state.packed,
+            &PackedNetwork::from_network(&self.network),
             he_ir::GraphBuilder::for_context(&self.ctx),
             plan.layout().stride(),
             PackedLowering::Eager,
@@ -333,7 +335,7 @@ impl CnnHePipeline {
     /// stays a single packed ciphertext.
     pub fn max_batch(&self) -> usize {
         match &self.packed {
-            Some(eng) => (self.ctx.slots() / eng.packed.dim).max(1),
+            Some(eng) => (self.ctx.slots() / eng.io.dim).max(1),
             None => self.ctx.slots(),
         }
     }
@@ -437,12 +439,11 @@ impl CnnHePipeline {
                 report: report.clone(),
             });
         }
-        let plan = state.packed.plan_batch(self.ctx.slots(), images.len())?;
+        let plan = state.io.plan_batch(self.ctx.slots(), images.len())?;
         let prepared = &state.prepared;
-        let cts =
-            state
-                .packed
-                .encrypt_batch(&self.ev, &self.pk, &mut self.sampler, images, &plan)?;
+        let cts = state
+            .io
+            .encrypt_batch(&self.ev, &self.pk, &mut self.sampler, images, &plan)?;
         let start = (cts[0].level, cts[0].scale);
         let interp = he_ir::Interpreter::new(&self.ev)
             .with_relin(&self.rk)
@@ -452,7 +453,7 @@ impl CnnHePipeline {
             .map_err(|reason| HeError::Execution { reason })?;
         let ops = OpSnapshot::now().delta(&ops);
         Ok(Run {
-            logits: state.packed.decrypt_batch(&self.ev, &self.sk, &outs, &plan),
+            logits: state.io.decrypt_batch(&self.ev, &self.sk, &outs, &plan),
             timing,
             start,
             ops,
@@ -721,7 +722,7 @@ mod tests {
         net.layers.truncate(1);
         let mut pipe = CnnHePipeline::new(net, 1 << 10, 118);
         pipe.enable_packed_batching().unwrap();
-        let slots = &pipe.packed.as_ref().unwrap().packed.output_slots;
+        let slots = &pipe.packed.as_ref().unwrap().io.output_slots;
         assert_eq!(slots.len(), 18);
         assert!(slots.iter().enumerate().any(|(i, &s)| i != s));
         let images = mini_images(3);

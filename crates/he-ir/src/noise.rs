@@ -28,13 +28,15 @@ pub struct NoiseModel {
     pub sigma: f64,
     /// Secret-key Hamming weight `h`.
     pub hamming: f64,
-    /// Largest chain-prime value; centred digits are bounded by half of
-    /// it.
-    pub q_max: f64,
-    /// Product of the special primes `P` (GHS hybrid divisor).
+    /// Bound on one key-switch digit: the largest `α_j·Q_j/2` over the
+    /// digit partition ([`CkksParams::digit_partition`]), `Q_j` the
+    /// product of digit `j`'s `α_j` limbs — a fast-base-converted digit
+    /// is a sum of `α_j` centred terms each at most `Q_j/2`.
+    pub digit_bound: f64,
+    /// Product of the special primes `P` (the hybrid divisor).
     pub p: f64,
-    /// Chain length (number of keyswitch digits at the deepest level).
-    pub chain_len: f64,
+    /// Number of key-switch digits at the deepest level (`dnum`).
+    pub dnum: f64,
 }
 
 impl NoiseModel {
@@ -42,10 +44,13 @@ impl NoiseModel {
     /// choices (`h = min(64, N/2)`, CBD-21 error).
     pub fn new(params: &CkksParams) -> Self {
         let n = params.n as f64;
-        let q_max = params
-            .chain_bits
+        let digits = params.digit_partition();
+        let digit_bound = digits
             .iter()
-            .map(|&b| 2f64.powi(b as i32))
+            .map(|d| {
+                let bits: u32 = params.chain_bits[d.clone()].iter().sum();
+                d.len() as f64 * 2f64.powi(bits as i32) / 2.0
+            })
             .fold(0.0, f64::max);
         let p: f64 = params
             .special_bits
@@ -56,9 +61,9 @@ impl NoiseModel {
             n,
             sigma: (21.0f64 / 2.0).sqrt(),
             hamming: 64f64.min(n / 2.0),
-            q_max,
+            digit_bound,
             p,
-            chain_len: params.chain_bits.len() as f64,
+            dnum: digits.len() as f64,
         }
     }
 
@@ -76,12 +81,13 @@ impl NoiseModel {
         (self.n / 3.0).sqrt() * (3.0 + 8.0 * self.hamming.sqrt())
     }
 
-    /// GHS hybrid keyswitch additive bound: the digit-error inner
-    /// product shrunk by `P`, plus the mod-down rounding (≈ `B_scale`).
-    /// Digits are centred lifts, so each is bounded by `q_max/2`.
+    /// Hybrid keyswitch additive bound: the digit-error inner product
+    /// over `dnum` digits, each bounded by `digit_bound`, shrunk by `P`,
+    /// plus the mod-down rounding (≈ `B_scale`). With one limb per digit
+    /// (one special prime) the digit bound is half the largest chain
+    /// prime and `dnum` the chain length, the GHS bound.
     pub fn keyswitch_coeff(&self) -> f64 {
-        let digit = self.q_max / 2.0;
-        let digit_term = self.n * self.sigma * digit * self.chain_len.sqrt() / self.p;
+        let digit_term = self.n * self.sigma * self.digit_bound * self.dnum.sqrt() / self.p;
         digit_term + self.rescale_round_coeff()
     }
 
@@ -180,6 +186,25 @@ mod tests {
         let double = m.mul_plain_value(1.0, e, 2.0, scale);
         assert!(half < double);
         assert!(double > 2.0 * e);
+    }
+
+    /// The key-switch term follows the digit partition: one special
+    /// prime is the GHS bound (half the largest prime, √(chain length)),
+    /// two make three wider digits over a larger `P` — a smaller term.
+    #[test]
+    fn keyswitch_bound_follows_the_digit_partition() {
+        let hybrid = CkksParams::paper(1 << 12, 7);
+        let mut ghs = hybrid.clone();
+        ghs.special_bits = vec![40];
+        let (h, g) = (NoiseModel::new(&hybrid), NoiseModel::new(&ghs));
+        assert_eq!(
+            (g.digit_bound, g.dnum, g.p),
+            (2f64.powi(39), 8.0, 2f64.powi(40))
+        );
+        // {q0,q1}, {q2,q3,q4}, {q5,q6,q7}: the widest is 3 limbs of 78 bits
+        assert_eq!((h.digit_bound, h.dnum), (3.0 * 2f64.powi(77), 3.0));
+        assert!(h.keyswitch_coeff() < g.keyswitch_coeff());
+        assert!(h.keyswitch_coeff() > h.rescale_round_coeff());
     }
 
     #[test]

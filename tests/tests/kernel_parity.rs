@@ -354,14 +354,82 @@ fn ntt_domain_galois_matches_on_the_cnn1_rotation_set() {
     assert_galois_parity(n, elements.into_iter().chain([2 * n - 1]));
 }
 
+// --- limb-wise fast base conversion vs the bignum reference -------------
+
+/// `FastBaseConverter` over whole limbs, on every backend, is the exact
+/// centred conversion `RnsBasis::convert_to` computes per coefficient
+/// with bignum tables, plus `e·Q` for one integer `|e| ≤ k/2` shared by
+/// every target — the overflow hybrid key switching tolerates — and for
+/// a one-modulus source exactly `convert_to`. Sources are the digit
+/// shapes of the paper's chain over two special primes.
+#[test]
+fn fast_base_conversion_matches_convert_to_up_to_its_overflow() {
+    use ckks_math::rns::{FastBaseConverter, RnsBasis};
+    let n = 256;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(31);
+    let targets = gen_moduli_chain(&[40, 26, 26, 40, 40], 1 << 12);
+    for source_bits in [&[26][..], &[40, 26], &[26, 26, 26]] {
+        let mut taken: Vec<u64> = targets.iter().map(Modulus::value).collect();
+        let source: Vec<Modulus> = source_bits
+            .iter()
+            .map(|&b| {
+                let q = gen_ntt_primes_excluding(b, 1 << 12, 1, &taken)[0];
+                taken.push(q);
+                Modulus::new(q)
+            })
+            .collect();
+        let (k, basis) = (source.len(), RnsBasis::new(source.clone()));
+        let conv = FastBaseConverter::new(&source, &targets);
+        let limbs: Vec<Vec<u64>> = source
+            .iter()
+            .map(|q| rand_residues(&mut rng, n, q.value()))
+            .collect();
+        let exact: Vec<Vec<u64>> = (0..n)
+            .map(|c| {
+                let residues: Vec<u64> = limbs.iter().map(|l| l[c]).collect();
+                basis.convert_to(&residues, &targets)
+            })
+            .collect();
+        for be in kernel::available_backends() {
+            let mut scaled: Vec<u64> = limbs.concat();
+            for (i, limb) in scaled.chunks_mut(n).enumerate() {
+                conv.scale_input(be, i, limb);
+            }
+            let fast: Vec<Vec<u64>> = (0..targets.len())
+                .map(|t| {
+                    let mut dst = vec![0u64; n];
+                    conv.convert_into(be, &scaled, t, &mut dst);
+                    dst
+                })
+                .collect();
+            let half = k as i64 / 2;
+            for c in 0..n {
+                let overflow = (-half..=half).find(|&e| {
+                    targets.iter().enumerate().all(|(t, m)| {
+                        let q_mod = basis.big_q().rem_u64(m.value());
+                        m.add(exact[c][t], m.mul(m.from_i64(e), q_mod)) == fast[t][c]
+                    })
+                });
+                assert!(overflow.is_some(), "{} k={k} coefficient {c}", be.name());
+                if k == 1 {
+                    assert_eq!(overflow, Some(0));
+                }
+            }
+        }
+    }
+}
+
 // --- NTT-domain key switching vs the coefficient-domain reference -------
 
 /// The coefficient-domain evaluator the NTT-domain one replaced: σ_g
-/// between an inverse and a forward NTT, a forward NTT of every digit
-/// limb, and rescale / mod-down that round-trip the whole polynomial.
-/// Digits are centred, and a rotation switches `c₁` before it applies
-/// σ_g (the Galois keys carry `s` under `σ_g⁻¹(s)`). Kept as the
-/// reference the fast path must match limb for limb.
+/// between an inverse and a forward NTT, every digit converted one
+/// coefficient at a time with plain modular arithmetic then
+/// forward-transformed, and rescale / mod-down that round-trip the
+/// whole polynomial. Digits are the hybrid partition's, converted by
+/// the uncorrected fast base conversion with centred terms, and a
+/// rotation switches `c₁` before it applies σ_g (the Galois keys carry
+/// `s` under `σ_g⁻¹(s)`). Kept as the reference the fast path must
+/// match limb for limb.
 mod coeff_reference {
     use super::*;
 
@@ -374,25 +442,60 @@ mod coeff_reference {
         }
     }
 
-    /// `(a − [a]_q)·q⁻¹` per remaining limb, `q` the last limb's modulus.
-    fn divide_by_last_limb(mut p: RnsPoly, q_inv: &[u64]) -> RnsPoly {
+    /// `[Π_{j≠i} q_j]_m`.
+    fn hat(m: &Modulus, source: &[Modulus], i: usize) -> u64 {
+        (0..source.len())
+            .filter(|&j| j != i)
+            .fold(1, |acc, j| m.mul(acc, m.reduce(source[j].value())))
+    }
+
+    /// Per coefficient `c` of the limb-major `src` (one limb per
+    /// `source` modulus): `Σ_i centred([x_i·(Q/q_i)⁻¹]_{q_i})·[Q/q_i]_m`.
+    fn convert(m: &Modulus, src: &[Vec<u64>], source: &[Modulus]) -> Vec<u64> {
+        let n = src[0].len();
+        let terms: Vec<(u64, u64)> = (0..source.len())
+            .map(|i| (source[i].inv(hat(&source[i], source, i)), hat(m, source, i)))
+            .collect();
+        (0..n)
+            .map(|c| {
+                source
+                    .iter()
+                    .zip(&terms)
+                    .zip(src)
+                    .fold(0, |acc, ((q, &(inv, h)), limb)| {
+                        let y = q.mul(limb[c], inv);
+                        m.add(acc, m.mul(centred(m, y, q.value()), h))
+                    })
+            })
+            .collect()
+    }
+
+    /// `(a − conv([a]_P))·P⁻¹` per remaining limb, `P` the product of
+    /// the last `k` limbs' moduli.
+    fn divide_by_last_limbs(mut p: RnsPoly, k: usize, p_inv: &[u64]) -> RnsPoly {
         p.ntt_inverse();
-        let k = p.num_limbs() - 1;
-        let q = p.limb_modulus(k).value();
-        let last = p.limb(k).to_vec();
-        for li in 0..k {
+        let rest = p.num_limbs() - k;
+        let source: Vec<Modulus> = (rest..p.num_limbs())
+            .map(|li| *p.limb_modulus(li))
+            .collect();
+        let tails: Vec<Vec<u64>> = (rest..p.num_limbs())
+            .map(|li| p.limb(li).to_vec())
+            .collect();
+        for li in 0..rest {
             let m = *p.limb_modulus(li);
-            for (dv, &r) in p.limb_mut(li).iter_mut().zip(&last) {
-                *dv = m.mul(m.sub(*dv, centred(&m, r, q)), q_inv[li]);
+            let lift = convert(&m, &tails, &source);
+            for (dv, &v) in p.limb_mut(li).iter_mut().zip(&lift) {
+                *dv = m.mul(m.sub(*dv, v), p_inv[li]);
             }
         }
-        p.drop_last_limb();
+        p.truncate_limbs(rest);
         p.ntt_forward();
         p
     }
 
     pub fn key_switch(ctx: &CkksContext, d: &RnsPoly, ksk: &KeySwitchKey) -> (RnsPoly, RnsPoly) {
         let level = d.num_limbs() - 1;
+        let moduli = ctx.poly_ctx().moduli();
         let mut d_coeff = d.clone();
         d_coeff.ntt_inverse();
         let ext: Vec<usize> = (0..=level)
@@ -400,31 +503,30 @@ mod coeff_reference {
             .collect();
         let mut acc0 = RnsPoly::zero(Arc::clone(ctx.poly_ctx()), ext.clone(), Form::Ntt);
         let mut acc1 = acc0.clone();
-        for j in 0..=level {
+        for (j, part) in ctx.digits_at(level).enumerate() {
+            let source = &moduli[part.clone()];
+            let src: Vec<Vec<u64>> = part.clone().map(|i| d_coeff.limb(i).to_vec()).collect();
             let mut t = RnsPoly::zero(Arc::clone(ctx.poly_ctx()), ext.clone(), Form::Coeff);
-            let q_j = ctx.poly_ctx().moduli()[j].value();
             for (li, &idx) in ext.iter().enumerate() {
-                let m = ctx.poly_ctx().moduli()[idx];
-                for (dv, &r) in t.limb_mut(li).iter_mut().zip(d_coeff.limb(j)) {
-                    *dv = centred(&m, r, q_j);
-                }
+                t.limb_mut(li)
+                    .copy_from_slice(&convert(&moduli[idx], &src, source));
             }
             t.ntt_forward();
             acc0.mul_acc(&t, &ksk.digits()[j].0.restrict(&ext));
             acc1.mul_acc(&t, &ksk.digits()[j].1.restrict(&ext));
         }
-        let p_inv = &ctx.p_inv_mod_qi()[..=level];
+        let (k, p_inv) = (ctx.special_moduli().len(), &ctx.p_inv_mod_qi()[..=level]);
         (
-            divide_by_last_limb(acc0, p_inv),
-            divide_by_last_limb(acc1, p_inv),
+            divide_by_last_limbs(acc0, k, p_inv),
+            divide_by_last_limbs(acc1, k, p_inv),
         )
     }
 
     pub fn rescale(ctx: &CkksContext, ct: &Ciphertext) -> Ciphertext {
         let inv = ctx.rescale_inv(ct.level);
         Ciphertext {
-            c0: divide_by_last_limb(ct.c0.clone(), inv),
-            c1: divide_by_last_limb(ct.c1.clone(), inv),
+            c0: divide_by_last_limbs(ct.c0.clone(), 1, inv),
+            c1: divide_by_last_limbs(ct.c1.clone(), 1, inv),
             scale: ct.scale / ctx.chain_moduli()[ct.level].value() as f64,
             level: ct.level - 1,
             slots: ct.slots,
@@ -468,8 +570,9 @@ mod coeff_reference {
     }
 }
 
-/// CNN1's ring — N = 2^12, chain 40 + 7×26, one 40-bit special prime —
-/// with every key the evaluator suites use and two level-7 ciphertexts.
+/// CNN1's ring — N = 2^12, chain 40 + 7×26, two 40-bit special primes,
+/// so the digits are `{q0,q1}, {q2,q3,q4}, {q5,q6,q7}` — with every key
+/// the evaluator suites use and two level-7 ciphertexts.
 struct KsFixture {
     ctx: Arc<CkksContext>,
     ev: Evaluator,
@@ -561,22 +664,34 @@ fn ntt_domain_key_switching_is_limb_identical_to_the_coefficient_reference() {
     kernel::set_backend_auto();
 }
 
-/// A rotation at level ℓ transforms `ℓ + 1` limbs back once (the key
-/// switch's digits), forward-transforms `ℓ + 1` limbs of each of the
-/// `ℓ + 1` digits (its own limb is reused) plus the `ℓ + 1` lifted
-/// special residues of each half, and inverse-transforms only the
-/// special limb of each half: `(ℓ+1)(ℓ+3)` forward and `ℓ + 3` inverse
-/// NTTs — 80 / 10 at ℓ = 7, where the coefficient-domain path took
-/// 104 / 42. A rescale inverse-transforms only the dropped limb of each
-/// half. The key switch's multiply-accumulates are unchanged.
+/// Forward NTTs of one decomposition at `level`: every digit over every
+/// limb of the key-switch basis but its own.
+fn decomposition_ntts(ctx: &CkksContext, level: usize) -> u64 {
+    let ext = level + 1 + ctx.special_moduli().len();
+    ctx.digits_at(level).map(|d| (ext - d.len()) as u64).sum()
+}
+
+/// A rotation at level ℓ (`dnum` digits, `k` special primes) transforms
+/// `ℓ + 1` limbs back once (the key switch's digits), forward-transforms
+/// each digit into every other limb of the `ℓ + 1 + k`-limb key-switch
+/// basis plus the `ℓ + 1` mod-down conversions of each half, and
+/// inverse-transforms only the `k` special limbs of each half; the inner
+/// product is `dnum·(ℓ + 1 + k)` limb products per half. At ℓ = 7 that
+/// is 22 + 16 = 38 forward and 12 inverse NTTs and 60 limb products,
+/// where one limb per digit over one special prime took 80, 10 and 144.
+/// A rescale inverse-transforms only the dropped limb of each half.
 #[test]
 fn one_rotation_and_one_rescale_record_exact_transform_counts() {
     let _guard = serial();
     kernel::set_backend_auto();
     let f = ks_fixture();
+    let k = f.ctx.special_moduli().len() as u64;
+    assert_eq!(k, 2);
     for level in 1..=7 {
         let a = f.ev.mod_switch_to_level(&f.a, level);
         let l = level as u64;
+        let (dnum, ext) = (f.ctx.digits_at(level).count() as u64, l + 1 + k);
+        let fwd = decomposition_ntts(&f.ctx, level) + 2 * (l + 1);
         let counted = |op: &dyn Fn()| {
             let before = OpSnapshot::now();
             op();
@@ -586,15 +701,18 @@ fn one_rotation_and_one_rescale_record_exact_transform_counts() {
         let d = counted(&|| drop(f.ev.rotate(&a, 1, &f.gk)));
         assert_eq!(
             (d.ntt_fwd, d.ntt_inv),
-            ((l + 1) * (l + 3), l + 3),
+            (fwd, l + 1 + 2 * k),
             "rotation at level {level}"
         );
-        assert_eq!(d.modmul_limbs, 2 * (l + 1) * (l + 2), "level {level}");
+        assert_eq!(d.modmul_limbs, 2 * dnum * ext, "level {level}");
         assert_eq!((d.rotations, d.keyswitches), (1, 1));
+        if level == 7 {
+            assert_eq!((d.ntt_fwd, d.ntt_inv, d.modmul_limbs), (38, 12, 60));
+        }
 
         let d = counted(&|| drop(f.ev.key_switch(&a.c1, &f.rk.0)));
-        assert_eq!(d.ntt_inv, l + 3, "key switch at level {level}");
-        assert_eq!(d.modmul_limbs, 2 * (l + 1) * (l + 2), "level {level}");
+        assert_eq!(d.ntt_inv, l + 1 + 2 * k, "key switch at level {level}");
+        assert_eq!(d.modmul_limbs, 2 * dnum * ext, "level {level}");
 
         let d = counted(&|| drop(f.ev.rescale(&a)));
         assert_eq!(
@@ -606,11 +724,11 @@ fn one_rotation_and_one_rescale_record_exact_transform_counts() {
     }
 }
 
-/// A circuit region that rotates one value from outside it `k` times
-/// decomposes that value once: at level ℓ it records `(ℓ+1)² + 2k(ℓ+1)`
-/// forward and `(ℓ+1) + 2k` inverse NTTs — the digits once, a mod-down
-/// per key switch — where `k` separate rotations take `k(ℓ+1)(ℓ+3)` and
-/// `k(ℓ+3)`. Each rotation is its own unit, so the units read the shared
+/// A circuit region that rotates one value from outside it `r` times
+/// decomposes that value once: at level ℓ it records one decomposition's
+/// forward NTTs plus `2r(ℓ+1)`, and `(ℓ+1) + 2rk` inverse NTTs (`k`
+/// special primes) — the digits once, a mod-down per key switch — where
+/// `r` separate rotations decompose `r` times. Each rotation is its own unit, so the units read the shared
 /// digits from across the pool; the outputs are limb-identical to eager
 /// rotations at pool width 1 and at the default width.
 #[test]
@@ -654,7 +772,8 @@ fn a_region_fanning_out_rotations_of_one_value_decomposes_it_once() {
             f.ev.rotate(&x_ct, STEPS[1], &f.gk),
             f.ev.conjugate(&x_ct, &f.gk),
         ];
-        let (l, k) = (level as u64 + 1, want.len() as u64);
+        let (l, r) = (level as u64 + 1, want.len() as u64);
+        let k = f.ctx.special_moduli().len() as u64;
         for run in [&narrow, &wide] {
             for (got, want) in run.outputs.iter().zip(&want) {
                 assert_same_ct(&format!("fan at level {level}"), got, want);
@@ -663,10 +782,10 @@ fn a_region_fanning_out_rotations_of_one_value_decomposes_it_once() {
             let ops = &run.regions[0].ops;
             assert_eq!(
                 (ops.ntt_fwd, ops.ntt_inv),
-                (l * l + 2 * k * l, l + 2 * k),
+                (decomposition_ntts(&f.ctx, level) + 2 * r * l, l + 2 * r * k),
                 "level {level}"
             );
-            assert_eq!((ops.rotations, ops.keyswitches), (k, k));
+            assert_eq!((ops.rotations, ops.keyswitches), (r, r));
         }
     }
 }

@@ -216,6 +216,7 @@ fn compiler_component() -> Vec<Value> {
                 ("scalar_macs", c.scalar_macs),
                 ("rescales", c.rescales),
                 ("rotations", c.rotations),
+                ("mod_downs", c.mod_downs),
             ])
         };
         obj(vec![

@@ -341,6 +341,18 @@ impl BigCkks {
         }
     }
 
+    /// Plaintext product: both halves times the integer polynomial `w`
+    /// (an [`Self::encode_slots`] at `pt_scale`); the scales multiply.
+    pub fn mul_plain(&self, ct: &BigCiphertext, w: &BigPoly, pt_scale: f64) -> BigCiphertext {
+        let q = self.modulus_at(ct.level);
+        BigCiphertext {
+            c0: ct.c0.mul(w).reduce_centered(&q),
+            c1: ct.c1.mul(w).reduce_centered(&q),
+            scale: ct.scale * pt_scale,
+            level: ct.level,
+        }
+    }
+
     /// Switches the key under `d` using a switching key over `P·Q_L`:
     /// returns `round(d · kk / P) mod Q_ℓ`.
     fn key_switch(&self, d: &BigPoly, kk: &(BigPoly, BigPoly), q: &BigInt) -> (BigPoly, BigPoly) {

@@ -23,6 +23,32 @@ pub struct Plaintext {
 /// Coefficients larger than 2^62 fall back to an exact bignum path so
 /// encoding stays correct at large composite scales (e.g. Δ²).
 pub fn encode(ctx: &Arc<CkksContext>, values: &[Complex], scale: f64, level: usize) -> Plaintext {
+    encode_over(ctx, values, scale, level, (0..=level).collect())
+}
+
+/// [`encode`] of a real vector over the key-switch basis at `level`
+/// ([`CkksContext::ks_basis`]): the same integer polynomial, reduced
+/// into the special limbs too — the operand of
+/// [`Evaluator::mul_plain_ext`](crate::Evaluator::mul_plain_ext) and
+/// [`Evaluator::mac_plain_ext`](crate::Evaluator::mac_plain_ext).
+pub fn encode_real_ext(
+    ctx: &Arc<CkksContext>,
+    values: &[f64],
+    scale: f64,
+    level: usize,
+) -> Plaintext {
+    let cv: Vec<Complex> = values.iter().map(|&v| Complex::from(v)).collect();
+    encode_over(ctx, &cv, scale, level, ctx.ks_basis(level))
+}
+
+/// [`encode`] over the context limbs `limb_indices`.
+fn encode_over(
+    ctx: &Arc<CkksContext>,
+    values: &[Complex],
+    scale: f64,
+    level: usize,
+    limb_indices: Vec<usize>,
+) -> Plaintext {
     assert!(!values.is_empty(), "cannot encode an empty vector");
     assert!(level <= ctx.max_level(), "level out of range");
     assert!(scale > 0.0 && scale.is_finite());
@@ -38,8 +64,6 @@ pub fn encode(ctx: &Arc<CkksContext>, values: &[Complex], scale: f64, level: usi
 
     let coeffs = ctx.embedding().slots_to_coeffs(&padded);
     let n = ctx.n();
-    let limb_indices: Vec<usize> = (0..=level).collect();
-    let moduli = ctx.chain_moduli();
 
     // Fast path: every scaled coefficient fits i64.
     let max_abs = coeffs.iter().fold(0.0f64, |m, c| m.max(c.abs())) * scale;
@@ -52,8 +76,7 @@ pub fn encode(ctx: &Arc<CkksContext>, values: &[Complex], scale: f64, level: usi
         for (i, &c) in coeffs.iter().enumerate() {
             let big = BigInt::from_f64_rounded(c * scale);
             for li in 0..poly.num_limbs() {
-                let m = moduli[li];
-                let r = big.rem_u64(m.value());
+                let r = big.rem_u64(poly.limb_modulus(li).value());
                 poly.limb_mut(li)[i] = r;
             }
         }

@@ -39,6 +39,10 @@ pub enum HeError {
     /// A ciphertext key switching cannot read: no slots, a half in
     /// coefficient form, or limbs other than `0..=level` of the chain.
     MalformedCiphertext(&'static str),
+    /// A plaintext operand of an operation over the key-switch basis
+    /// (an [`ExtCiphertext`](crate::ExtCiphertext)) is not encoded over
+    /// that basis: the chain limbs `0..=level` and the special limbs.
+    PlaintextBasisMismatch,
     /// An RNS input codec's radix weights (`β_j = Π_{i<j} m_j`) overflow
     /// the i128 recomposition arithmetic — too many / too large stream
     /// moduli.
@@ -112,6 +116,9 @@ impl std::fmt::Display for HeError {
                 write!(f, "level mismatch (mod-switch first): {a} vs {b}")
             }
             HeError::MalformedCiphertext(what) => write!(f, "malformed ciphertext: {what}"),
+            HeError::PlaintextBasisMismatch => {
+                write!(f, "plaintext is not encoded over the key-switch basis")
+            }
             // keep the historical expect-message prefixes — callers and
             // tests match on them
             HeError::CodecRadixOverflow { k, modulus } => write!(

@@ -2,19 +2,29 @@
 //! operations of the paper's §II — `Add`, `Mult` (+ relinearization),
 //! `Resc`, `Rot`, conjugation — plus plaintext-operand variants and level
 //! management.
+//!
+//! A rotation can also stop before its mod-down ([`Evaluator::rotate_ext`]):
+//! its result is an [`ExtCiphertext`] over the key-switch basis, which
+//! [`Evaluator::mul_plain_ext`], [`Evaluator::mac_plain_ext`] and
+//! [`Evaluator::add_ext`] keep there and [`Evaluator::mod_down`] divides
+//! by `P` once for a whole sum — the hoisted mod-down of Bossuat et al.
+//! (EUROCRYPT 2021). Each is one call, refusing malformed operands with a
+//! typed [`HeError`], so the he-ir interpreter still maps every circuit
+//! node to exactly one evaluator call.
 
-use crate::ciphertext::Ciphertext;
+use crate::ciphertext::{Ciphertext, ExtCiphertext};
 use crate::encoding::{self, Plaintext};
 use crate::error::HeError;
 use crate::keys::{GaloisKeys, KeySwitchKey, PublicKey, RelinKey, SecretKey};
 use crate::params::CkksContext;
 use ckks_math::fft::Complex;
 use ckks_math::kernel;
+use ckks_math::ntt::galois_permutation;
 use ckks_math::poly::{Form, RnsPoly};
 use ckks_math::sampler::Sampler;
 use rayon::prelude::*;
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Relative tolerance for scale compatibility in additions.
 pub const SCALE_RTOL: f64 = 1e-9;
@@ -493,7 +503,7 @@ impl Evaluator {
     fn decompose(&self, d: &RnsPoly, store: bool) -> Digits {
         let pctx = self.ctx.poly_ctx();
         let (n, level) = (pctx.n(), d.num_limbs() - 1);
-        let ext: Vec<usize> = (0..=level).chain(pctx.special_indices()).collect();
+        let ext = self.ctx.ks_basis(level);
         let parts: Vec<Range<usize>> = self.ctx.digits_at(level).collect();
         let mut scaled = d.clone();
         scaled.ntt_inverse();
@@ -529,18 +539,50 @@ impl Evaluator {
         out
     }
 
-    /// The key switch proper: the inner product of `d`'s digits with the
-    /// key's digit pairs over the extended basis `ext`, limb-major (each
-    /// task multiplies every digit's limb into both accumulators), then
-    /// both mod-downs by `P` — `c ← (c − conv([c]_P))·P⁻¹ mod q_i`, the
+    /// The key switch proper: [`Self::inner_product`], then both
+    /// mod-downs by `P` — `c ← (c − conv([c]_P))·P⁻¹ mod q_i`, the
     /// special limbs converted back into the chain
     /// ([`RnsPoly::divide_by_last_limbs`]) — in one pass over the chain
     /// limbs.
     fn switch(&self, d: &RnsPoly, digits: &Digits, ksk: &KeySwitchKey) -> (RnsPoly, RnsPoly) {
+        let zero = RnsPoly::zero(
+            Arc::clone(self.ctx.poly_ctx()),
+            digits.ext.clone(),
+            Form::Ntt,
+        );
+        let (mut acc0, mut acc1) = (zero.clone(), zero);
+        self.inner_product(d, digits, ksk, (&mut acc0, &mut acc1), None);
+        self.divide_by_p(&mut acc0, &mut acc1);
+        (acc0, acc1)
+    }
+
+    /// `(c₀, c₁) ← (c₀, c₁)/P`, rounded, over the chain limbs of the
+    /// key-switch basis: the mod-down of a key switch.
+    fn divide_by_p(&self, c0: &mut RnsPoly, c1: &mut RnsPoly) {
+        let level = c0.num_limbs() - self.ctx.special_moduli().len() - 1;
+        let p_inv = &self.ctx.p_inv_mod_qi()[..=level];
+        RnsPoly::divide_by_last_limbs(c0, c1, self.ctx.mod_down_converter(), p_inv);
+    }
+
+    /// The inner product of `d`'s digits with the key's digit pairs over
+    /// the key-switch basis `ext`, limb-major (each task multiplies every
+    /// digit's limb into both accumulators): `(u₀·P, u₁·P)` accumulated
+    /// onto `out`, before any mod-down. With `galois = (σ_g, P·c₀)` each
+    /// task accumulates its limb onto `P·c₀` in a scratch pair instead
+    /// and writes the pair through σ_g (the NTT-slot permutation `perm`)
+    /// into `out` while it is hot: `(σ_g(P·c₀ + u₀·P), σ_g(u₁·P))`.
+    fn inner_product(
+        &self,
+        d: &RnsPoly,
+        digits: &Digits,
+        ksk: &KeySwitchKey,
+        (out0, out1): (&mut RnsPoly, &mut RnsPoly),
+        galois: Option<(&[u32], &RnsPoly)>,
+    ) {
         he_trace::record_keyswitch(1);
         let _span = he_trace::span("keyswitch", he_trace::cats::HE);
         let pctx = self.ctx.poly_ctx();
-        let (n, level) = (pctx.n(), d.num_limbs() - 1);
+        let n = pctx.n();
         let (ext, dnum) = (&digits.ext, digits.parts.len());
         assert!(
             ksk.digits.len() >= dnum,
@@ -548,10 +590,8 @@ impl Evaluator {
         );
         he_trace::record_modmul_limbs(2 * (dnum * ext.len()) as u64);
 
-        let mut acc0 = RnsPoly::zero(Arc::clone(pctx), ext.to_vec(), Form::Ntt);
-        let mut acc1 = acc0.clone();
         let backend = kernel::active_backend();
-        RnsPoly::for_each_limb_pair(&mut acc0, &mut acc1, |i, acc0, acc1| {
+        let mac = |i: usize, acc0: &mut [u64], acc1: &mut [u64]| {
             let idx = ext[i];
             let m = &pctx.moduli()[idx];
             let mut scratch = Vec::new();
@@ -568,17 +608,23 @@ impl Evaluator {
                 kernel::dyadic_mul_acc_with(backend, m, acc0, digit, b.limb_for(idx));
                 kernel::dyadic_mul_acc_with(backend, m, acc1, digit, a.limb_for(idx));
             }
+        };
+        RnsPoly::for_each_limb_pair(out0, out1, |i, out0, out1| match galois {
+            None => mac(i, out0, out1),
+            Some((perm, p_c0)) => {
+                let (mut acc0, mut acc1) = (p_c0.limb(i).to_vec(), vec![0u64; n]);
+                mac(i, &mut acc0, &mut acc1);
+                for ((o0, o1), &k) in out0.iter_mut().zip(out1.iter_mut()).zip(perm) {
+                    (*o0, *o1) = (acc0[k as usize], acc1[k as usize]);
+                }
+            }
         });
-
-        let p_inv = &self.ctx.p_inv_mod_qi()[..=level];
-        let conv = self.ctx.mod_down_converter();
-        RnsPoly::divide_by_last_limbs(&mut acc0, &mut acc1, conv, p_inv);
-        (acc0, acc1)
     }
 
     /// Decomposes `ct.c1` once, storing every digit's lift, for any
     /// number of rotations and conjugations of `ct`
-    /// ([`Self::try_rotate_hoisted`], [`Self::try_conjugate_hoisted`]).
+    /// ([`Self::try_rotate_hoisted`], [`Self::try_conjugate_hoisted`],
+    /// and before their mod-down [`Self::rotate_ext_hoisted`]).
     /// Refuses, typed, a ciphertext key switching would misread
     /// ([`Ciphertext::check_shape`]).
     pub fn hoist<'a>(&self, ct: &'a Ciphertext) -> Result<Hoisted<'a>, HeError> {
@@ -593,6 +639,7 @@ impl Evaluator {
         Ok(Hoisted {
             ct,
             digits: self.decompose(&ct.c1, store),
+            p_c0: OnceLock::new(),
         })
     }
 
@@ -737,11 +784,7 @@ impl Evaluator {
         g: usize,
         gk: &GaloisKeys,
     ) -> Result<Ciphertext, HeError> {
-        let ksk = gk.get(g).ok_or_else(|| {
-            let mut available: Vec<usize> = gk.elements().collect();
-            available.sort_unstable();
-            HeError::MissingGaloisKey { elem: g, available }
-        })?;
+        let ksk = galois_key(gk, g)?;
         he_trace::record_rotation(1);
         let _span = he_trace::span("galois", he_trace::cats::HE);
         let (mut u0, u1) = self.switch(&h.ct.c1, &h.digits, ksk);
@@ -752,6 +795,264 @@ impl Evaluator {
             ..*h.ct
         })
     }
+
+    // ---------------------------------------------------------------
+    // The key-switch basis
+    // ---------------------------------------------------------------
+    //
+    // A rotation's key switch ends in a mod-down by `P`: the special
+    // limbs of both halves inverse-transformed, and their conversions
+    // into the `ℓ + 1` chain limbs forward-transformed. A sum of rotated
+    // ciphertexts times plaintexts can divide by `P` once instead: each
+    // rotation stops before its mod-down (`rotate_ext`), products and
+    // sums stay over the key-switch basis, and one `mod_down` divides
+    // the sum. `mod_down(rotate_ext(ct, r))` is limb-identical to
+    // `rotate(ct, r)`: `P·c₀` is zero modulo every special prime, so it
+    // passes the division exactly, and σ_g commutes with the centred
+    // fast base conversion.
+
+    /// `x·P` over the key-switch basis at `x`'s level: `x·[P]_{q_i}` on
+    /// each chain limb, zero on the special limbs.
+    fn times_p(&self, x: &RnsPoly) -> RnsPoly {
+        let level = x.num_limbs() - 1;
+        he_trace::record_modmul_limbs(level as u64 + 1);
+        let pctx = self.ctx.poly_ctx();
+        let mut out = RnsPoly::zero(Arc::clone(pctx), self.ctx.ks_basis(level), Form::Ntt);
+        let backend = kernel::active_backend();
+        for (i, (m, &p)) in self.ctx.chain_moduli()[..=level]
+            .iter()
+            .zip(self.ctx.p_mod_qi())
+            .enumerate()
+        {
+            let dst = out.limb_mut(i);
+            dst.copy_from_slice(x.limb(i));
+            kernel::mul_scalar_shoup_with(backend, m, dst, p, m.shoup(p));
+        }
+        out
+    }
+
+    /// The exact lift `P·ct` over the key-switch basis, which
+    /// [`Self::mod_down`] returns to `ct` limb for limb.
+    fn lift(&self, ct: &Ciphertext) -> ExtCiphertext {
+        ExtCiphertext {
+            c0: self.times_p(&ct.c0),
+            c1: self.times_p(&ct.c1),
+            scale: ct.scale,
+            level: ct.level,
+            slots: ct.slots,
+        }
+    }
+
+    /// [`Self::try_rotate`] stopped before its mod-down: the rotation
+    /// times `P` over the key-switch basis, which [`Self::mod_down`]
+    /// turns into `try_rotate(ct, steps)` limb for limb. An identity
+    /// rotation is the exact lift `P·ct` and decomposes nothing.
+    pub fn rotate_ext(
+        &self,
+        ct: &Ciphertext,
+        steps: i64,
+        gk: &GaloisKeys,
+    ) -> Result<ExtCiphertext, HeError> {
+        ct.check_shape(self.ctx.poly_ctx().chain_len())
+            .map_err(HeError::MalformedCiphertext)?;
+        if steps.rem_euclid(ct.slots as i64) == 0 {
+            return Ok(self.lift(ct));
+        }
+        self.rotate_ext_hoisted(&self.hoist_stored(ct, false)?, steps, gk)
+    }
+
+    /// [`Self::rotate_ext`] of the hoisted ciphertext, reusing its
+    /// digits and its `P·c₀` (computed by the fan's first extended
+    /// rotation).
+    pub fn rotate_ext_hoisted(
+        &self,
+        h: &Hoisted<'_>,
+        steps: i64,
+        gk: &GaloisKeys,
+    ) -> Result<ExtCiphertext, HeError> {
+        if steps.rem_euclid(h.ct.slots as i64) == 0 {
+            return Ok(self.lift(h.ct));
+        }
+        let g = self.ctx.galois_element_for_rotation(steps);
+        self.apply_galois_ext(h, g, gk)
+    }
+
+    /// [`Self::try_conjugate_hoisted`] stopped before its mod-down.
+    pub fn conjugate_ext_hoisted(
+        &self,
+        h: &Hoisted<'_>,
+        gk: &GaloisKeys,
+    ) -> Result<ExtCiphertext, HeError> {
+        self.apply_galois_ext(h, self.ctx.galois_element_conjugate(), gk)
+    }
+
+    /// `(σ_g(P·c₀ + u₀·P), σ_g(u₁·P))`: [`Self::apply_galois`] over the
+    /// key-switch basis, with `P·c₀` folded into the inner product's
+    /// accumulators and σ_g applied over every limb as each is finished.
+    fn apply_galois_ext(
+        &self,
+        h: &Hoisted<'_>,
+        g: usize,
+        gk: &GaloisKeys,
+    ) -> Result<ExtCiphertext, HeError> {
+        let ksk = galois_key(gk, g)?;
+        he_trace::record_rotation(1);
+        let _span = he_trace::span("galois", he_trace::cats::HE);
+        let p_c0 = h.p_c0.get_or_init(|| self.times_p(&h.ct.c0));
+        let pctx = self.ctx.poly_ctx();
+        let perm = galois_permutation(pctx.n(), g);
+        let mut c0 = RnsPoly::zero(Arc::clone(pctx), h.digits.ext.clone(), Form::Ntt);
+        let mut c1 = c0.clone();
+        let galois = Some((&perm[..], p_c0));
+        self.inner_product(&h.ct.c1, &h.digits, ksk, (&mut c0, &mut c1), galois);
+        Ok(ExtCiphertext {
+            c0,
+            c1,
+            scale: h.ct.scale,
+            level: h.ct.level,
+            slots: h.ct.slots,
+        })
+    }
+
+    /// `x` refused typed unless it is a well-formed extended-basis
+    /// ciphertext ([`ExtCiphertext::check_shape`]).
+    fn check_ext(&self, x: &ExtCiphertext) -> Result<(), HeError> {
+        x.check_shape(self.ctx.poly_ctx())
+            .map_err(HeError::MalformedCiphertext)
+    }
+
+    /// `pt` refused typed unless it sits at `x`'s level, over `x`'s
+    /// limbs.
+    fn check_ext_plain(&self, x: &ExtCiphertext, pt: &Plaintext) -> Result<(), HeError> {
+        if pt.level != x.level {
+            return Err(HeError::LevelMismatch {
+                a: x.level,
+                b: pt.level,
+            });
+        }
+        if pt.poly.form() != Form::Ntt || pt.poly.limb_indices() != x.c0.limb_indices() {
+            return Err(HeError::PlaintextBasisMismatch);
+        }
+        Ok(())
+    }
+
+    /// [`Self::mul_plain`] over the key-switch basis: `pt` must be
+    /// encoded over it at `x`'s level ([`crate::encode_real_ext`]). The
+    /// result scale is the product of the scales.
+    pub fn mul_plain_ext(
+        &self,
+        x: &ExtCiphertext,
+        pt: &Plaintext,
+    ) -> Result<ExtCiphertext, HeError> {
+        self.check_ext(x)?;
+        self.check_ext_plain(x, pt)?;
+        let mut out = x.clone();
+        // both halves in one pass over the limbs, each plaintext limb
+        // read once
+        he_trace::record_modmul_limbs(2 * out.c0.num_limbs() as u64);
+        let backend = kernel::active_backend();
+        let moduli = self.ctx.poly_ctx().moduli();
+        let basis = x.c0.limb_indices();
+        RnsPoly::for_each_limb_pair(&mut out.c0, &mut out.c1, |i, c0, c1| {
+            let (m, w) = (&moduli[basis[i]], pt.poly.limb(i));
+            kernel::dyadic_mul_assign_with(backend, m, c0, w);
+            kernel::dyadic_mul_assign_with(backend, m, c1, w);
+        });
+        out.scale = x.scale * pt.scale;
+        Ok(out)
+    }
+
+    /// [`Self::try_mul_plain_acc`] over the key-switch basis: `acc +=
+    /// x·pt` in one fused pass, limb-identical to
+    /// `add_ext(acc, mul_plain_ext(x, pt))`. A typed error leaves `acc`
+    /// untouched.
+    pub fn mac_plain_ext(
+        &self,
+        acc: &mut ExtCiphertext,
+        x: &ExtCiphertext,
+        pt: &Plaintext,
+    ) -> Result<(), HeError> {
+        self.check_ext(acc)?;
+        self.check_ext(x)?;
+        self.check_ext_plain(x, pt)?;
+        if acc.level != x.level {
+            return Err(HeError::LevelMismatch {
+                a: acc.level,
+                b: x.level,
+            });
+        }
+        let product = x.scale * pt.scale;
+        if !scales_match(acc.scale, product) {
+            return Err(HeError::ScaleMismatch {
+                a: acc.scale,
+                b: product,
+            });
+        }
+        he_trace::record_modmul_limbs(2 * acc.c0.num_limbs() as u64);
+        let backend = kernel::active_backend();
+        let moduli = self.ctx.poly_ctx().moduli();
+        let basis = x.c0.limb_indices();
+        RnsPoly::for_each_limb_pair(&mut acc.c0, &mut acc.c1, |i, c0, c1| {
+            let (m, w) = (&moduli[basis[i]], pt.poly.limb(i));
+            kernel::dyadic_mul_acc_with(backend, m, c0, x.c0.limb(i), w);
+            kernel::dyadic_mul_acc_with(backend, m, c1, x.c1.limb(i), w);
+        });
+        Ok(())
+    }
+
+    /// [`Self::add`] over the key-switch basis, summing into `a`.
+    pub fn add_ext(
+        &self,
+        mut a: ExtCiphertext,
+        b: &ExtCiphertext,
+    ) -> Result<ExtCiphertext, HeError> {
+        self.check_ext(&a)?;
+        self.check_ext(b)?;
+        if a.level != b.level {
+            return Err(HeError::LevelMismatch {
+                a: a.level,
+                b: b.level,
+            });
+        }
+        if !scales_match(a.scale, b.scale) {
+            return Err(HeError::ScaleMismatch {
+                a: a.scale,
+                b: b.scale,
+            });
+        }
+        a.c0.add_assign(&b.c0);
+        a.c1.add_assign(&b.c1);
+        Ok(a)
+    }
+
+    /// Divides an extended-basis ciphertext by `P`, rounding, back onto
+    /// the chain limbs `0..=ℓ` at the same scale: the mod-down a key
+    /// switch ends with, once for a whole sum. It inverse-transforms the
+    /// `k` special limbs of each half and forward-transforms their
+    /// conversion into each of the `ℓ + 1` chain limbs.
+    pub fn mod_down(&self, x: ExtCiphertext) -> Result<Ciphertext, HeError> {
+        self.check_ext(&x)?;
+        let _span = he_trace::span("mod_down", he_trace::cats::HE);
+        let (mut c0, mut c1) = (x.c0, x.c1);
+        self.divide_by_p(&mut c0, &mut c1);
+        Ok(Ciphertext {
+            c0,
+            c1,
+            scale: x.scale,
+            level: x.level,
+            slots: x.slots,
+        })
+    }
+}
+
+/// The key for Galois element `g`, or a typed error naming the keys
+/// that do exist.
+fn galois_key(gk: &GaloisKeys, g: usize) -> Result<&KeySwitchKey, HeError> {
+    gk.get(g).ok_or_else(|| {
+        let mut available: Vec<usize> = gk.elements().collect();
+        available.sort_unstable();
+        HeError::MissingGaloisKey { elem: g, available }
+    })
 }
 
 /// The key-switch digits of one polynomial (see `Evaluator::decompose`):
@@ -794,6 +1095,9 @@ impl Digits {
 pub struct Hoisted<'a> {
     ct: &'a Ciphertext,
     digits: Digits,
+    /// `P·c₀` over the key-switch basis, computed by the first extended
+    /// rotation of the fan and shared by the rest.
+    p_c0: OnceLock<RnsPoly>,
 }
 
 #[cfg(test)]
@@ -1252,6 +1556,177 @@ mod tests {
             assert_eq!(f.ev.try_rotate(&bad, 0, &gk).map(|_| ()), want);
             assert_eq!(f.ev.try_conjugate(&bad, &gk).map(|_| ()), want);
             assert_eq!(f.ev.hoist(&bad).map(|_| ()), want);
+        }
+    }
+
+    /// A chain of four limbs on the 2^10 ring over `special` special
+    /// primes, with Galois keys for `steps` and conjugation.
+    fn ext_fixture(special: usize, steps: &[i64]) -> (Fixture, GaloisKeys) {
+        let mut params = CkksParams::tiny(3);
+        params.special_bits.truncate(special);
+        let ctx = params.build();
+        assert_eq!(ctx.special_moduli().len(), special);
+        let mut kg = KeyGenerator::new(Arc::clone(&ctx), 41);
+        let sk = kg.gen_secret_key();
+        let pk = kg.gen_public_key(&sk);
+        let rk = kg.gen_relin_key(&sk);
+        let gk = kg.gen_galois_keys(&sk, steps, true);
+        let ev = Evaluator::new(Arc::clone(&ctx));
+        let f = Fixture {
+            ctx,
+            sk,
+            pk,
+            rk,
+            ev,
+            sampler: Sampler::from_seed(42),
+        };
+        (f, gk)
+    }
+
+    fn same(a: &Ciphertext, b: &Ciphertext) -> bool {
+        (a.level, a.scale.to_bits(), a.slots) == (b.level, b.scale.to_bits(), b.slots)
+            && a.c0.limbs_flat() == b.c0.limbs_flat()
+            && a.c1.limbs_flat() == b.c1.limbs_flat()
+    }
+
+    /// Stopping a rotation before its mod-down and dividing by `P`
+    /// afterwards changes no limb: every keyed step, the identity and
+    /// conjugation, hoisted and direct, at every level, over one and
+    /// over two special primes.
+    #[test]
+    fn mod_down_of_an_extended_rotation_is_the_rotation() {
+        let steps = [1i64, 3, -2];
+        for special in [1, 2] {
+            let (mut f, gk) = ext_fixture(special, &steps);
+            let vals: Vec<f64> = (0..f.ctx.slots())
+                .map(|i| (i as f64 * 0.07).sin())
+                .collect();
+            let top = f.ev.encrypt_real(&vals, &f.pk, &mut f.sampler);
+            for level in 0..=top.level {
+                let ct = f.ev.mod_switch_to_level(&top, level);
+                let h = f.ev.hoist(&ct).unwrap();
+                for r in steps.into_iter().chain([0]) {
+                    let want = f.ev.try_rotate_hoisted(&h, r, &gk).unwrap();
+                    let hoisted = f.ev.rotate_ext_hoisted(&h, r, &gk).unwrap();
+                    let direct = f.ev.rotate_ext(&ct, r, &gk).unwrap();
+                    for ext in [hoisted, direct] {
+                        let got = f.ev.mod_down(ext).unwrap();
+                        assert!(same(&got, &want), "step {r}, level {level}, k = {special}");
+                    }
+                }
+                let want = f.ev.try_conjugate_hoisted(&h, &gk).unwrap();
+                let got = f.ev.mod_down(f.ev.conjugate_ext_hoisted(&h, &gk).unwrap());
+                assert!(same(&got.unwrap(), &want), "conjugate, level {level}");
+            }
+        }
+    }
+
+    /// A weighted sum of extended rotations, divided by `P` once,
+    /// decrypts to the weighted sum of the rotated slots; the fused MAC
+    /// is the product-then-add it replaces, limb for limb.
+    #[test]
+    fn an_extended_weighted_rotation_sum_decrypts_to_its_slots() {
+        let steps = [1i64, 3, -2];
+        let (mut f, gk) = ext_fixture(2, &steps);
+        let slots = f.ctx.slots();
+        let vals: Vec<f64> = (0..slots).map(|i| (i % 9) as f64 / 9.0 - 0.4).collect();
+        let ct = f.ev.encrypt_real(&vals, &f.pk, &mut f.sampler);
+        let (ev, level) = (&f.ev, ct.level);
+        let q = f.ctx.chain_moduli()[level].value() as f64;
+        let h = ev.hoist(&ct).unwrap();
+        let mut acc: Option<ExtCiphertext> = None;
+        let mut want = vec![0.0; slots];
+        for (t, r) in [0i64].into_iter().chain(steps).enumerate() {
+            let w: Vec<f64> = (0..slots)
+                .map(|i| ((i + t) % 5) as f64 / 4.0 - 0.5)
+                .collect();
+            let pt = encoding::encode_real_ext(&f.ctx, &w, q, level);
+            let x = ev.rotate_ext_hoisted(&h, r, &gk).unwrap();
+            for (i, y) in want.iter_mut().enumerate() {
+                *y += w[i] * vals[(i as i64 + r).rem_euclid(slots as i64) as usize];
+            }
+            acc = Some(match acc {
+                None => ev.mul_plain_ext(&x, &pt).unwrap(),
+                Some(mut a) => {
+                    let sum = ev
+                        .add_ext(a.clone(), &ev.mul_plain_ext(&x, &pt).unwrap())
+                        .unwrap();
+                    ev.mac_plain_ext(&mut a, &x, &pt).unwrap();
+                    assert_eq!(a.c0.limbs_flat(), sum.c0.limbs_flat());
+                    assert_eq!(a.c1.limbs_flat(), sum.c1.limbs_flat());
+                    a
+                }
+            });
+        }
+        let out = ev.rescale(&ev.mod_down(acc.unwrap()).unwrap());
+        let got = ev.decrypt_to_real(&out, &f.sk);
+        assert!(max_err(&got, &want) < 1e-3, "{}", max_err(&got, &want));
+    }
+
+    /// Every extended-basis operation refuses, typed, a plaintext that is
+    /// not over the key-switch basis, a level or scale mismatch, and a
+    /// malformed extended ciphertext — and a refused MAC leaves its
+    /// accumulator untouched.
+    #[test]
+    fn extended_basis_operations_refuse_typed() {
+        let (mut f, gk) = ext_fixture(2, &[1]);
+        let ct = f.ev.encrypt_real(&[0.25; 8], &f.pk, &mut f.sampler);
+        let (ev, ctx, level) = (&f.ev, &f.ctx, ct.level);
+        let x = ev.rotate_ext(&ct, 1, &gk).unwrap();
+        let w = vec![0.5; 8];
+        let pt = encoding::encode_real_ext(ctx, &w, 1.0, level);
+
+        // a plaintext over the chain limbs only
+        let chain_pt = encoding::encode_real(ctx, &w, 1.0, level);
+        assert_eq!(
+            ev.mul_plain_ext(&x, &chain_pt).map(|_| ()),
+            Err(HeError::PlaintextBasisMismatch)
+        );
+        let mut acc = ev.mul_plain_ext(&x, &pt).unwrap();
+        let before = acc.c0.limbs_flat().to_vec();
+        assert_eq!(
+            ev.mac_plain_ext(&mut acc, &x, &chain_pt),
+            Err(HeError::PlaintextBasisMismatch)
+        );
+
+        // a level mismatch: a plaintext, an operand or an addend below
+        let low_pt = encoding::encode_real_ext(ctx, &w, 1.0, level - 1);
+        let low = ev
+            .rotate_ext(&ev.mod_switch_to_level(&ct, level - 1), 1, &gk)
+            .unwrap();
+        let mismatch = Err(HeError::LevelMismatch {
+            a: level,
+            b: level - 1,
+        });
+        assert_eq!(ev.mul_plain_ext(&x, &low_pt).map(|_| ()), mismatch);
+        assert_eq!(ev.mac_plain_ext(&mut acc, &x, &low_pt), mismatch);
+        assert_eq!(ev.add_ext(x.clone(), &low).map(|_| ()), mismatch);
+
+        // a scale mismatch: the accumulator or an addend drifted
+        let mut drifted = x.clone();
+        drifted.scale *= 2.0;
+        let err = ev.mac_plain_ext(&mut acc, &drifted, &pt).unwrap_err();
+        assert!(matches!(err, HeError::ScaleMismatch { .. }), "{err}");
+        let err = ev.add_ext(x.clone(), &drifted).unwrap_err();
+        assert!(matches!(err, HeError::ScaleMismatch { .. }), "{err}");
+        assert_eq!(acc.c0.limbs_flat(), &before[..]);
+
+        // malformed extended ciphertexts: a chain-only half, no slots
+        let mut chain_only = x.clone();
+        chain_only.c0 = ct.c0.clone();
+        let mut no_slots = x.clone();
+        no_slots.slots = 0;
+        for (what, bad) in [
+            (
+                "limbs other than the key-switch basis at its level",
+                chain_only,
+            ),
+            ("no slots", no_slots),
+        ] {
+            let want = Err(HeError::MalformedCiphertext(what));
+            assert_eq!(ev.mod_down(bad.clone()).map(|_| ()), want);
+            assert_eq!(ev.add_ext(x.clone(), &bad).map(|_| ()), want);
+            assert_eq!(ev.mul_plain_ext(&bad, &pt).map(|_| ()), want);
         }
     }
 

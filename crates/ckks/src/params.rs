@@ -349,6 +349,16 @@ impl CkksContext {
         &self.p_inv_mod_qi
     }
 
+    /// The key-switch basis at `level`: the chain limbs `0..=level`,
+    /// then every special limb — the limbs of a key switch's inner
+    /// product and of an [`ExtCiphertext`](crate::ExtCiphertext).
+    pub fn ks_basis(&self, level: usize) -> Vec<usize> {
+        let pctx = &self.poly_ctx;
+        (0..=level)
+            .chain(pctx.chain_len()..pctx.moduli().len())
+            .collect()
+    }
+
     /// The key-switch digits over the whole chain: one key-switching
     /// key pair per digit.
     pub fn digit_partition(&self) -> &[Range<usize>] {

@@ -263,17 +263,25 @@ fn region_table(c: &Circuit) -> String {
             .rev()
             .find_map(|id| c.node(id).ty.as_ct())
             .map_or_else(String::new, |t| {
-                format!("  → L{} Δ2^{:.2}", t.level, t.log2_scale())
+                let basis = if t.is_ext() { "+P" } else { "" };
+                format!("  → L{}{basis} Δ2^{:.2}", t.level, t.log2_scale())
             });
         out.push_str(&format!(
-            "  {:<22} {:>7} nodes  {:>6} macs  {:>4} ct-mults  {:>5} rescales  {:>4} rots{exit}\n",
-            r.name, r.len, counts.scalar_macs, counts.ct_mults, counts.rescales, counts.rotations
+            "  {:<22} {:>7} nodes  {:>6} macs  {:>4} ct-mults  {:>5} rescales  {:>4} rots  \
+             {:>4} mod-downs{exit}\n",
+            r.name,
+            r.len,
+            counts.scalar_macs,
+            counts.ct_mults,
+            counts.rescales,
+            counts.rotations,
+            counts.mod_downs
         ));
     }
     let t = c.op_counts();
     out.push_str(&format!(
-        "total: {} macs, {} ct-mults, {} rescales, {} rotations\n",
-        t.scalar_macs, t.ct_mults, t.rescales, t.rotations
+        "total: {} macs, {} ct-mults, {} rescales, {} rotations, {} mod-downs\n",
+        t.scalar_macs, t.ct_mults, t.rescales, t.rotations, t.mod_downs
     ));
     out
 }

@@ -6,7 +6,11 @@
 //! both modes call: its tap rotations of the layer input, each channel's
 //! `mul_plain`/`mac_plain` chain over the per-slot tap weights at `q_m`
 //! and its placement rotation, then the channel sum, the bias and one
-//! rescale — one ciphertext at one level. A matrix layer
+//! rescale — one ciphertext at one level. The taps, the chains and the
+//! sum stay in the key-switch basis (`rotate_ext`, values times `P`), so
+//! the layer divides by `P` once per placed channel and once for the
+//! sum instead of once per rotation: CNN1's first layer does 5
+//! mod-downs for its 28 rotations. A matrix layer
 //! ([`PackedLayer::Matrix`]) has two lowering modes:
 //!
 //! * [`PackedLowering::Eager`] is the textbook circuit — every baby
@@ -48,15 +52,19 @@
 //! time to each separately, and each region's units fan across the
 //! pool ([`he_ir::Prepared`]):
 //!
-//! * `conv taps` / `babies`: one unit per rotation of the layer input.
-//!   Two or more rotations of a value from before the region share one
+//! * `conv taps` / `babies`: one unit per rotation of the layer input
+//!   (for the conv, also the lift of its unrotated tap). Two or more
+//!   rotations of a value from before the region share one
 //!   decomposition of it (`ckks::Evaluator::hoist`), so the input's
 //!   key-switch digits are computed once per layer.
-//! * `conv channels`: one unit per output channel — its MAC chain and
-//!   its placement rotation. `blocks`: one unit per non-empty giant
-//!   block — its `mul_plain` / `mac_plain` chain and its giant rotation.
-//! * `sum`: the channel or block sum, then (unless a fold follows) bias
-//!   and rescale. The fold ladder and the SLAF are single units: each
+//! * `conv channels`: one unit per output channel off offset 0 — its MAC
+//!   chain, mod-down and placement rotation. `blocks`: one unit per
+//!   non-empty giant block — its `mul_plain` / `mac_plain` chain and its
+//!   giant rotation.
+//! * `sum`: the channel or block sum, then (the conv's after its one
+//!   mod-down; unless a fold follows) bias and rescale. The conv's
+//!   offset-0 channel needs no placement, so its MAC chain opens this
+//!   region: a lone unit, whose products fan their limbs across the pool. The fold ladder and the SLAF are single units: each
 //!   fold step rotates the previous step's output.
 
 use crate::graph::{lower_slaf, EncodeCache};
@@ -195,38 +203,76 @@ impl Lowering<'_> {
         self.sum(x, sums)
     }
 
-    /// Tap-form convolution ([`ConvTaps`]) over `x`: its tap rotations,
-    /// all reading `x` (one hoisted decomposition);
-    /// per channel with a weight, its `mul_plain`/`mac_plain` chain over
-    /// the tap plaintexts at `q_m` and its placement rotation, one unit
-    /// each; then the channel sum, the bias and the layer's one rescale.
+    /// `rotate_ext(src, s·stride)`, recording the step; `s = 0` is the
+    /// exact lift `P·src`, which needs no key.
+    fn rotate_ext(&mut self, src: NodeId, s: usize) -> NodeId {
+        let step = (s * self.stride) as i64;
+        if s != 0 {
+            self.steps_used.insert(step);
+        }
+        self.b.rotate_ext(src, step)
+    }
+
+    /// Tap-form convolution ([`ConvTaps`]) over `x`, in the key-switch
+    /// basis so that each channel divides by `P` once, not once per
+    /// rotation: its tap rotations as `rotate_ext`, all reading `x` (one
+    /// hoisted decomposition), the unrotated tap as the lift `P·x`; per
+    /// channel with a weight, its `mul_plain`/`mac_plain` chain over the
+    /// tap plaintexts at `q_m` (encoded over the key-switch basis). A
+    /// channel off offset 0 is one unit of the channels region: its
+    /// chain, one `mod_down` and its placement as an extended rotation.
+    /// A channel at offset 0 needs no placement, so its chain runs in
+    /// the sum region, where a lone unit's products fan their limbs
+    /// across the pool instead of queueing behind the placed channels.
+    /// Then the channel sum (in channel order), one `mod_down`, the bias
+    /// and the layer's one rescale.
     fn conv(&mut self, x: NodeId, taps: &ConvTaps) -> NodeId {
         let li = self.li;
         let lvl = self.b.ct_ty(x).level;
         let q_m = self.b.q_at(lvl);
         self.b.begin_region(format!("packed layer {li}: conv taps"));
-        let rotated: Vec<NodeId> = taps.steps.iter().map(|&s| self.rotate(x, s)).collect();
-
-        self.b
-            .begin_region(format!("packed layer {li}: conv channels"));
-        let mut channels = Vec::with_capacity(taps.weights.len());
-        for (ch, &place) in taps.weights.iter().zip(&taps.place) {
+        let rotated: Vec<NodeId> = taps.steps.iter().map(|&s| self.rotate_ext(x, s)).collect();
+        let chain = |b: &mut GraphBuilder, ch: &[Option<Vec<f64>>]| {
             let mut acc: Option<NodeId> = None;
             for (t, w) in ch.iter().enumerate() {
                 let Some(w) = w else { continue };
-                let pt = self.b.encode_vec(w.clone(), q_m, lvl);
+                let pt = b.encode_vec(w.clone(), q_m, lvl);
                 acc = Some(match acc {
-                    None => self.b.mul_plain(rotated[t], pt),
-                    Some(a) => self.b.mac_plain(a, rotated[t], pt),
+                    None => b.mul_plain(rotated[t], pt),
+                    Some(a) => b.mac_plain(a, rotated[t], pt),
                 });
             }
-            if let Some(acc) = acc {
-                channels.push(self.rotate(acc, place));
-            }
+            acc
+        };
+
+        self.b
+            .begin_region(format!("packed layer {li}: conv channels"));
+        let channels = taps.weights.iter().zip(&taps.place);
+        let mut placed: Vec<Option<NodeId>> = Vec::with_capacity(taps.weights.len());
+        for (ch, &place) in channels.clone() {
+            placed.push(match place {
+                0 => None,
+                _ => chain(self.b, ch).map(|acc| {
+                    let down = self.b.mod_down(acc);
+                    self.rotate_ext(down, place)
+                }),
+            });
         }
 
         self.b.begin_region(format!("packed layer {li}: conv sum"));
-        let acc = self.sum(x, channels);
+        let mut terms = Vec::with_capacity(placed.len());
+        for ((ch, &place), placed) in channels.zip(placed) {
+            terms.extend(if place == 0 {
+                chain(self.b, ch)
+            } else {
+                placed
+            });
+        }
+        let acc = self.sum(x, terms);
+        let acc = match self.b.ct_ty(acc).is_ext() {
+            true => self.b.mod_down(acc),
+            false => acc,
+        };
         self.finish(taps.bias.clone(), acc)
     }
 
@@ -436,11 +482,20 @@ mod tests {
                     let (v, e) = &nodes[*src];
                     (v.clone(), model.rescale_value(*e, scale))
                 }
-                Op::Rotate { src, steps } => {
+                Op::Rotate { src, steps } | Op::RotateExt { src, steps } => {
                     let (v, e) = &nodes[*src];
                     let by = steps.rem_euclid(v.len() as i64) as usize;
                     let rotated = (0..v.len()).map(|j| v[(j + by) % v.len()]).collect();
-                    (rotated, model.rotate_value(*e, scale))
+                    let err = match node.op {
+                        Op::RotateExt { .. } if by == 0 => *e,
+                        Op::RotateExt { .. } => model.rotate_ext_value(*e, scale),
+                        _ => model.rotate_value(*e, scale),
+                    };
+                    (rotated, err)
+                }
+                Op::ModDown { src } => {
+                    let (v, e) = &nodes[*src];
+                    (v.clone(), model.mod_down_value(*e, scale))
                 }
                 other => panic!("lower_packed does not emit {}", other.mnemonic()),
             };
@@ -545,10 +600,12 @@ mod tests {
     }
 
     /// CNN1's first compiled layer is its tap-form conv at dim 2048:
-    /// 24 tap rotations of the input, one unit each, that share its one
-    /// hoisted decomposition; one unit per output channel, four of which
-    /// place with a rotation; 125 tap plaintexts and the bias; one
-    /// rescale.
+    /// 24 extended tap rotations of the input and the lift of its
+    /// unrotated tap, one unit each, that share its one hoisted
+    /// decomposition; one unit per placed output channel, each dividing
+    /// by `P` and placing with an extended rotation; the offset-0
+    /// channel's chain and one more division in the sum — 5 mod-downs
+    /// for 28 rotations; 125 tap plaintexts and the bias; one rescale.
     #[test]
     fn cnn1_layer0_is_24_hoisted_taps_and_one_unit_per_channel() {
         use neural::models::{cnn1, ActKind};
@@ -575,11 +632,13 @@ mod tests {
         let channels = region("packed layer 0: conv channels");
         let sum = region("packed layer 0: conv sum");
         let units = |r: &he_ir::Region| c.units(r.nodes());
-        assert_eq!(units(taps_region).len(), 24);
+        assert_eq!(units(taps_region).len(), 25);
         assert_eq!(c.op_counts_in(taps_region).rotations, 24);
-        assert_eq!(units(channels).len(), 5);
+        assert_eq!(units(channels).len(), 4);
         assert_eq!(c.op_counts_in(channels).rotations, 4);
         assert_eq!(units(sum).len(), 1);
+        let mod_downs = [taps_region, channels, sum].map(|r| c.op_counts_in(r).mod_downs);
+        assert_eq!(mod_downs, [0, 4, 1]);
         let layer0 = taps_region.first..sum.nodes().end;
         let encoded = layer0
             .clone()

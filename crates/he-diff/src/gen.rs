@@ -51,6 +51,16 @@ pub enum DiffOp {
         src: usize,
         steps: i64,
     },
+    /// `Σ_t rot(src, steps[t]) ⊙ w_t` over the key-switch basis, divided
+    /// by `P` once: each keyed step an extended rotation of one hoisted
+    /// `src`, each times a plaintext of slot values from `value_seed`
+    /// ([`rot_sum_weights`]) at scale Δ, summed, then one `mod_down`.
+    RotSum {
+        dst: usize,
+        src: usize,
+        steps: Vec<i64>,
+        value_seed: u64,
+    },
     /// Plain-integer CRT codec split→recompose over `streams` moduli,
     /// checked bit-exact (residue and digit forms).
     CrtRoundTrip {
@@ -70,7 +80,8 @@ impl DiffOp {
             | DiffOp::Negate { dst, .. }
             | DiffOp::MulRelin { dst, .. }
             | DiffOp::Rescale { dst, .. }
-            | DiffOp::Rotate { dst, .. } => Some(dst),
+            | DiffOp::Rotate { dst, .. }
+            | DiffOp::RotSum { dst, .. } => Some(dst),
             DiffOp::CrtRoundTrip { .. } => None,
         }
     }
@@ -84,7 +95,8 @@ impl DiffOp {
             }
             DiffOp::Negate { src, .. }
             | DiffOp::Rescale { src, .. }
-            | DiffOp::Rotate { src, .. } => {
+            | DiffOp::Rotate { src, .. }
+            | DiffOp::RotSum { src, .. } => {
                 vec![src]
             }
         }
@@ -93,6 +105,12 @@ impl DiffOp {
     /// Compact single-line rendering (`add r2 <- r0, r1`).
     pub fn render(&self) -> String {
         match *self {
+            DiffOp::RotSum {
+                dst,
+                src,
+                ref steps,
+                value_seed,
+            } => format!("rotsum({steps:?}) r{dst} <- r{src}, seed {value_seed:#x}"),
             DiffOp::Encrypt { dst, value_seed } => format!("enc r{dst} <- seed {value_seed:#x}"),
             DiffOp::Add { dst, a, b } => format!("add r{dst} <- r{a}, r{b}"),
             DiffOp::Sub { dst, a, b } => format!("sub r{dst} <- r{a}, r{b}"),
@@ -107,6 +125,15 @@ impl DiffOp {
             } => format!("crt k={streams} max={max_abs} seed {value_seed:#x}"),
         }
     }
+}
+
+/// The plaintext weights of a [`DiffOp::RotSum`]: one vector of `slots`
+/// values in `[-1, 1)` per term, from the op's `value_seed`.
+pub fn rot_sum_weights(value_seed: u64, terms: usize, slots: usize) -> Vec<Vec<f64>> {
+    let mut vs = Sampler::from_seed_stream(value_seed, 2);
+    (0..terms)
+        .map(|_| (0..slots).map(|_| vs.rng().gen_range(-1.0..1.0)).collect())
+        .collect()
 }
 
 /// Generates a feasible `count`-op sequence for the context, seeded.
@@ -133,7 +160,7 @@ pub fn generate(ctx: &Arc<CkksContext>, seed: u64, count: usize) -> Vec<DiffOp> 
     }
 
     while ops.len() < count {
-        let r = chooser.rng().gen_range(0..13u32);
+        let r = chooser.rng().gen_range(0..14u32);
         let dst = chooser.rng().gen_range(0..NUM_REGS);
         let pick = |c: &mut Sampler| c.rng().gen_range(0..NUM_REGS);
         let candidate = match r {
@@ -169,6 +196,18 @@ pub fn generate(ctx: &Arc<CkksContext>, seed: u64, count: usize) -> Vec<DiffOp> 
                 src: pick(&mut chooser),
                 steps: crate::ROTATE_STEPS[chooser.rng().gen_range(0..crate::ROTATE_STEPS.len())],
             },
+            12 => {
+                let keyed = &crate::ROTATE_STEPS;
+                let terms = chooser.rng().gen_range(1..=4usize);
+                DiffOp::RotSum {
+                    dst,
+                    src: pick(&mut chooser),
+                    steps: (0..terms)
+                        .map(|_| keyed[chooser.rng().gen_range(0..keyed.len())])
+                        .collect(),
+                    value_seed: next_value_seed(&mut chooser),
+                }
+            }
             _ => DiffOp::CrtRoundTrip {
                 streams: chooser.rng().gen_range(1..=6usize),
                 max_abs: [255i64, 1 << 15, 1 << 30][chooser.rng().gen_range(0..3usize)],
@@ -212,8 +251,9 @@ mod tests {
             DiffOp::Rescale { .. } => 5,
             DiffOp::Rotate { .. } => 6,
             DiffOp::CrtRoundTrip { .. } => 7,
+            DiffOp::RotSum { .. } => 8,
         };
-        let mut seen = [false; 8];
+        let mut seen = [false; 9];
         for op in &ops {
             seen[kind(op)] = true;
         }

@@ -8,7 +8,9 @@
 //! bits, identical RNS residues. There is no tolerance at all: the IR
 //! interpreter claims to replay the exact evaluator call sequence, so
 //! any difference, down to one u64, is a lowering or interpretation
-//! bug.
+//! bug. A [`DiffOp::RotSum`] lowers to `rotate_ext`, `mul_plain` /
+//! `mac_plain` over the key-switch basis and one `mod_down`, so the
+//! extended path is held to the same limb-for-limb standard.
 //!
 //! The lowered circuit also runs through the full standard pass suite
 //! (with the harness's real Galois-key inventory declared), so every
@@ -35,7 +37,7 @@ pub fn input_name(i: usize) -> String {
 /// plus, per op, the node id the op wrote (`None` for ops with no
 /// ciphertext effect). Every register live at the end is an output.
 pub fn lower_ops(ops: &[DiffOp], mut b: GraphBuilder) -> (he_ir::Circuit, Vec<Option<usize>>) {
-    let top = b.params().depth();
+    let (top, slots, scale) = (b.params().depth(), b.slots(), b.scale());
     let mut regs: [Option<usize>; NUM_REGS] = [None; NUM_REGS];
     let mut writes = Vec::with_capacity(ops.len());
     for (i, op) in ops.iter().enumerate() {
@@ -48,6 +50,26 @@ pub fn lower_ops(ops: &[DiffOp], mut b: GraphBuilder) -> (he_ir::Circuit, Vec<Op
             DiffOp::MulRelin { a, b: rb, .. } => Some(b.mul(reg(a), reg(rb))),
             DiffOp::Rescale { src, .. } => Some(b.rescale(reg(src))),
             DiffOp::Rotate { src, steps, .. } => Some(b.rotate(reg(src), steps)),
+            DiffOp::RotSum {
+                src,
+                ref steps,
+                value_seed,
+                ..
+            } => {
+                let x = reg(src);
+                let level = b.ct_ty(x).level;
+                let weights = crate::gen::rot_sum_weights(value_seed, steps.len(), slots);
+                let mut acc = None;
+                for (&step, w) in steps.iter().zip(weights) {
+                    let r = b.rotate_ext(x, step);
+                    let pt = b.encode_vec(w, scale, level);
+                    acc = Some(match acc {
+                        None => b.mul_plain(r, pt),
+                        Some(a) => b.mac_plain(a, r, pt),
+                    });
+                }
+                Some(b.mod_down(acc.expect("a rotation sum has a term")))
+            }
             DiffOp::CrtRoundTrip { .. } => None,
         };
         if let (Some(n), Some(dst)) = (node, op.dst()) {
@@ -117,6 +139,15 @@ pub fn run_ir_vs_eager(
             DiffOp::MulRelin { a, b, .. } => Some(ev.multiply(reg(a), reg(b), &rk)),
             DiffOp::Rescale { src, .. } => Some(ev.rescale(reg(src))),
             DiffOp::Rotate { src, steps, .. } => Some(ev.rotate(reg(src), steps, &gk)),
+            DiffOp::RotSum {
+                src,
+                ref steps,
+                value_seed,
+                ..
+            } => {
+                let weights = crate::gen::rot_sum_weights(value_seed, steps.len(), slots);
+                Some(crate::oracle::rot_sum(&ev, &gk, reg(src), steps, &weights))
+            }
             DiffOp::CrtRoundTrip { .. } => None,
         };
         if let (Some(ct), Some(dst)) = (ct.clone(), op.dst()) {
@@ -190,6 +221,24 @@ mod tests {
             assert!(report.compares >= 40, "most ops write a register");
             assert!(report.nodes >= report.compares);
         }
+    }
+
+    /// The bit-exact leg covers the extended path: the sequences it runs
+    /// carry rotation sums of one to four terms.
+    #[test]
+    fn generated_sequences_exercise_extended_rotation_sums() {
+        let ctx = crate::preset("micro3").unwrap().params.build();
+        let ops = crate::generate(&ctx, 21, 200);
+        let terms: Vec<usize> = ops
+            .iter()
+            .filter_map(|op| match op {
+                DiffOp::RotSum { steps, .. } => Some(steps.len()),
+                _ => None,
+            })
+            .collect();
+        assert!(terms.len() >= 3, "{terms:?}");
+        assert!(terms.iter().all(|t| (1..=4).contains(t)));
+        run_ir_vs_eager(&ctx, 21, 200).unwrap_or_else(|e| panic!("{e}"));
     }
 
     #[test]

@@ -24,7 +24,9 @@ use crate::gen::DiffOp;
 use crate::sim::NUM_REGS;
 use ckks::bigckks::{BigCiphertext, BigCkks, BigGaloisKeys, BigKeys};
 use ckks::params::CkksContext;
-use ckks::{Ciphertext, Evaluator, GaloisKeys, KeyGenerator, PublicKey, RelinKey, SecretKey};
+use ckks::{
+    Ciphertext, Evaluator, ExtCiphertext, GaloisKeys, KeyGenerator, PublicKey, RelinKey, SecretKey,
+};
 use ckks_math::sampler::Sampler;
 use cnn_he::rns_input::SignalDecomposition;
 use he_ir::NoiseModel;
@@ -271,6 +273,47 @@ impl Harness {
                         err,
                     })
                 }
+                DiffOp::RotSum {
+                    src,
+                    ref steps,
+                    value_seed,
+                    ..
+                } => {
+                    // the RNS world divides the sum by P once; the bignum
+                    // world rotates (and divides) per term
+                    let r = regs[src].as_ref().unwrap();
+                    let weights = crate::gen::rot_sum_weights(value_seed, steps.len(), slots);
+                    let rns = rot_sum(&self.ev, &self.gk, &r.rns, steps, &weights);
+                    let (m, e, s) = (self.model, r.err, r.rns.scale);
+                    let mut refv = vec![0.0; slots];
+                    let (mut big, mut e_ext, mut e_rot) = (None, 0.0, 0.0);
+                    for (&step, w) in steps.iter().zip(&weights) {
+                        let rotated = self.scheme.rotate(&r.big, step, &self.big_gk);
+                        let pt = self.scheme.encode_slots(w, scale);
+                        let term = self.scheme.mul_plain(&rotated, &pt, scale);
+                        big = Some(match big {
+                            None => term,
+                            Some(acc) => self.scheme.add(&acc, &term),
+                        });
+                        let shift = step.rem_euclid(slots as i64) as usize;
+                        for (j, y) in refv.iter_mut().enumerate() {
+                            *y += w[j] * r.refv[(j + shift) % slots];
+                        }
+                        let w_mag = w.iter().fold(0.0f64, |a, v| a.max(v.abs()));
+                        let product = |e| m.mul_plain_value(r.mag(), e, w_mag, scale);
+                        e_ext = m.add_value(e_ext, product(m.rotate_ext_value(e, s)));
+                        e_rot = m.add_value(e_rot, product(m.rotate_value(e, s)));
+                    }
+                    // each world is bounded by the composition of its
+                    // own ops; the register carries the larger
+                    let e_ext = m.mod_down_value(e_ext, rns.scale);
+                    Some(RegState {
+                        rns,
+                        big: big.expect("a rotation sum has a term"),
+                        refv,
+                        err: e_ext.max(e_rot),
+                    })
+                }
                 DiffOp::CrtRoundTrip {
                     streams,
                     max_abs,
@@ -314,6 +357,36 @@ impl Harness {
             worst_ratio: worst,
         })
     }
+}
+
+/// The RNS world's [`DiffOp::RotSum`]: `ct` hoisted once, each step an
+/// extended rotation of it times its weights encoded over the key-switch
+/// basis at Δ, accumulated in place, then one `mod_down`. Panics on an
+/// op the generator's feasibility rules would not have emitted.
+pub fn rot_sum(
+    ev: &Evaluator,
+    gk: &GaloisKeys,
+    ct: &Ciphertext,
+    steps: &[i64],
+    weights: &[Vec<f64>],
+) -> Ciphertext {
+    let scale = ev.ctx().params().scale();
+    let h = ev.hoist(ct).expect("a register is well-formed");
+    let mut acc: Option<ExtCiphertext> = None;
+    for (&step, w) in steps.iter().zip(weights) {
+        let x = ev.rotate_ext_hoisted(&h, step, gk).expect("a keyed step");
+        let pt = ckks::encode_real_ext(ev.ctx(), w, scale, ct.level);
+        acc = Some(match acc {
+            None => ev.mul_plain_ext(&x, &pt).expect("matching operands"),
+            Some(mut a) => {
+                ev.mac_plain_ext(&mut a, &x, &pt)
+                    .expect("matching operands");
+                a
+            }
+        });
+    }
+    ev.mod_down(acc.expect("a rotation sum has a term"))
+        .expect("a well-formed sum")
 }
 
 /// Plain-integer CRT codec split→recompose, both forms, bit-exact.
@@ -384,6 +457,34 @@ mod tests {
         let report =
             run_sequence(&ctx, 5, 60, &DiffConfig::default()).unwrap_or_else(|d| panic!("{d}"));
         assert!(report.worst_ratio > 0.0, "checks actually measured error");
+    }
+
+    /// A four-term extended rotation sum, divided by `P` once, lands
+    /// within the composed bound of the per-rotation sum the bignum world
+    /// computes — and an absurd safety factor makes the same check fire.
+    #[test]
+    fn an_extended_rotation_sum_agrees_with_the_per_rotation_sum() {
+        let ctx = crate::preset("micro2").unwrap().params.build();
+        let ops = vec![
+            DiffOp::Encrypt {
+                dst: 0,
+                value_seed: 5,
+            },
+            DiffOp::RotSum {
+                dst: 1,
+                src: 0,
+                steps: vec![1, 2, 4, 1],
+                value_seed: 6,
+            },
+        ];
+        let report = Harness::new(Arc::clone(&ctx), 3)
+            .run(&ops, &DiffConfig::default())
+            .unwrap_or_else(|d| panic!("{d}"));
+        assert_eq!(report.checks, 2);
+        assert!(report.worst_ratio > 0.0 && report.worst_ratio <= 1.0);
+        let tiny = DiffConfig { safety: 1e-9 };
+        let err = Harness::new(ctx, 3).run(&ops, &tiny).unwrap_err();
+        assert_eq!(err.op_index, 0);
     }
 
     #[test]

@@ -118,6 +118,24 @@ impl SimState {
                 }
                 Some(Some(live(src)?))
             }
+            DiffOp::RotSum { src, ref steps, .. } => {
+                let r = live(src)?;
+                if steps.is_empty() || !steps.iter().all(|s| crate::ROTATE_STEPS.contains(s)) {
+                    return None;
+                }
+                // weights |w| ≤ 1 encoded at Δ: the product scale, and
+                // the magnitude bound of the sum
+                let scale = r.scale * self.ctx.params().scale();
+                let mag = r.mag * steps.len() as f64;
+                if mag > MAG_CAP {
+                    return None;
+                }
+                // P·(sum) must stay ≥2 bits under Q_ℓ·P
+                if scale.log2() + mag.log2().max(0.0) + 2.0 > self.log_q(r.level) {
+                    return None;
+                }
+                Some(Some(SimReg { scale, mag, ..r }))
+            }
             // plain-integer codec ops don't touch ciphertext registers
             DiffOp::CrtRoundTrip { .. } => Some(None),
         }

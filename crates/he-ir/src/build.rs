@@ -17,7 +17,7 @@
 //! passes produce the diagnostics.
 
 use crate::circuit::{Circuit, KeyInventory, Node, NodeId, Op, Region};
-use crate::types::{CtType, Layout, PlainType, ValueTy};
+use crate::types::{Basis, CtType, Layout, PlainType, ValueTy};
 use ckks::{CkksContext, CkksParams};
 
 /// Records evaluator calls as circuit nodes. See the module docs.
@@ -98,6 +98,7 @@ impl GraphBuilder {
             scale: self.params.scale(),
             slots: self.params.slots(),
             layout,
+            basis: Basis::Chain,
         });
         self.push(
             Op::Input {
@@ -115,6 +116,7 @@ impl GraphBuilder {
             scale,
             slots: self.params.slots(),
             layout: Layout::BatchSlots,
+            basis: Basis::Chain,
         });
         self.push(Op::Zero, ty)
     }
@@ -269,6 +271,27 @@ impl GraphBuilder {
     pub fn conjugate(&mut self, src: NodeId) -> NodeId {
         let ty = ValueTy::Ct(self.ct_ty(src));
         self.push(Op::Conjugate { src }, ty)
+    }
+
+    /// Mirror of `Evaluator::rotate_ext`: the rotation before its
+    /// mod-down, over the key-switch basis (`steps ≡ 0` is the exact
+    /// lift `P·src`).
+    pub fn rotate_ext(&mut self, src: NodeId, steps: i64) -> NodeId {
+        let ty = ValueTy::Ct(CtType {
+            basis: Basis::KeySwitch,
+            ..self.ct_ty(src)
+        });
+        self.push(Op::RotateExt { src, steps }, ty)
+    }
+
+    /// Mirror of `Evaluator::mod_down`: back onto the chain, scale
+    /// and level preserved.
+    pub fn mod_down(&mut self, src: NodeId) -> NodeId {
+        let ty = ValueTy::Ct(CtType {
+            basis: Basis::Chain,
+            ..self.ct_ty(src)
+        });
+        self.push(Op::ModDown { src }, ty)
     }
 
     // -----------------------------------------------------------------

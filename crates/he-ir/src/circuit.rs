@@ -150,6 +150,19 @@ pub enum Op {
     Conjugate {
         src: NodeId,
     },
+    /// `Evaluator::rotate_ext`: a rotation by `steps` that stops before
+    /// its mod-down — one key switch without the division by `P`,
+    /// producing a key-switch-basis value ([`crate::Basis::KeySwitch`]).
+    /// An identity step is the exact lift `P·src`, no key switch.
+    RotateExt {
+        src: NodeId,
+        steps: i64,
+    },
+    /// `Evaluator::mod_down`: divides a key-switch-basis value by `P`,
+    /// back onto the chain.
+    ModDown {
+        src: NodeId,
+    },
 }
 
 impl Op {
@@ -164,7 +177,9 @@ impl Op {
             | Op::Rescale { src }
             | Op::ModSwitch { src, .. }
             | Op::Rotate { src, .. }
-            | Op::Conjugate { src } => vec![*src],
+            | Op::Conjugate { src }
+            | Op::RotateExt { src, .. }
+            | Op::ModDown { src } => vec![*src],
             Op::MulPlain { src, plain } | Op::AddPlain { src, plain } => vec![*src, *plain],
             Op::MacPlain { acc, src, plain } => vec![*acc, *src, *plain],
         }
@@ -190,6 +205,8 @@ impl Op {
             Op::ModSwitch { .. } => "mod_switch",
             Op::Rotate { .. } => "rotate",
             Op::Conjugate { .. } => "conjugate",
+            Op::RotateExt { .. } => "rotate_ext",
+            Op::ModDown { .. } => "mod_down",
         }
     }
 }
@@ -230,8 +247,14 @@ pub struct OpCounts {
     /// no field.
     pub scalar_macs: u64,
     pub rescales: u64,
-    /// Non-identity rotations plus conjugations — each a keyswitch.
+    /// Non-identity rotations (`Rotate` and `RotateExt`) plus
+    /// conjugations — each a keyswitch.
     pub rotations: u64,
+    /// Divisions by the special primes `P`: one per key switch that
+    /// ends in one (a ct×ct product, a non-identity `Rotate`, a
+    /// `Conjugate`) and one per `ModDown`. A `RotateExt` defers its
+    /// division to a `ModDown`.
+    pub mod_downs: u64,
 }
 
 /// A complete circuit: parameters, per-level modulus values, nodes,
@@ -331,24 +354,65 @@ impl Circuit {
         let mut c = OpCounts::default();
         for node in &self.nodes[nodes] {
             match &node.op {
-                Op::Mul { .. } | Op::Square { .. } => c.ct_mults += 1,
+                Op::Mul { .. } | Op::Square { .. } => {
+                    c.ct_mults += 1;
+                    c.mod_downs += 1;
+                }
                 Op::MacPlain { plain, .. }
                     if matches!(self.nodes[*plain].op, Op::EncodeScalar { .. }) =>
                 {
                     c.scalar_macs += 1;
                 }
                 Op::Rescale { .. } => c.rescales += 1,
-                Op::Rotate { steps, .. } if steps.rem_euclid(slots) != 0 => c.rotations += 1,
-                Op::Conjugate { .. } => c.rotations += 1,
+                Op::Rotate { steps, .. } if steps.rem_euclid(slots) != 0 => {
+                    c.rotations += 1;
+                    c.mod_downs += 1;
+                }
+                Op::Conjugate { .. } => {
+                    c.rotations += 1;
+                    c.mod_downs += 1;
+                }
+                Op::RotateExt { steps, .. } if steps.rem_euclid(slots) != 0 => c.rotations += 1,
+                Op::ModDown { .. } => c.mod_downs += 1,
                 _ => {}
             }
         }
         c
     }
 
+    /// How `node` misreads a key-switch-basis value, if it does: only
+    /// `mul_plain`, `mac_plain` (over vector weights), `add` and
+    /// `mod_down` read one — the evaluator has no other operation over
+    /// that basis — the operands they combine share one basis, and
+    /// `mod_down` reads nothing else. Operands are assumed validated.
+    fn basis_misuse(&self, node: &Node) -> Option<&'static str> {
+        let ext = |a: NodeId| self.nodes[a].ty.is_ext();
+        let vector = |p: NodeId| matches!(self.nodes[p].op, Op::EncodeVec { .. });
+        match node.op {
+            Op::ModDown { src } => {
+                (!ext(src)).then_some("divides a value that is not over the key-switch basis")
+            }
+            Op::Add { a, b } => (ext(a) != ext(b)).then_some("adds values over different bases"),
+            Op::MacPlain { acc, src, plain } => {
+                if ext(acc) != ext(src) {
+                    Some("accumulates across bases")
+                } else {
+                    (ext(src) && !vector(plain))
+                        .then_some("reads a key-switch-basis value with a scalar weight")
+                }
+            }
+            Op::MulPlain { src, plain } => (ext(src) && !vector(plain))
+                .then_some("reads a key-switch-basis value with a scalar weight"),
+            ref op => op.args().into_iter().any(ext).then_some(
+                "reads a key-switch-basis value; only mul_plain, mac_plain, add and mod_down may",
+            ),
+        }
+    }
+
     /// Structural validation: operands precede their users (SSA/topo
-    /// order), operand kinds match (ct vs plain), and outputs exist.
-    /// Returns the first violation found.
+    /// order), operand kinds match (ct vs plain), key-switch-basis
+    /// values are read only by the ops defined over that basis, and
+    /// outputs exist on the chain. Returns the first violation found.
     pub fn validate(&self) -> Result<(), String> {
         for (id, node) in self.nodes.iter().enumerate() {
             for arg in node.op.args() {
@@ -377,6 +441,9 @@ impl Circuit {
                     node.op.mnemonic()
                 ));
             }
+            if let Some(bad) = self.basis_misuse(node) {
+                return Err(format!("node {id} ({}) {bad}", node.op.mnemonic()));
+            }
             if let Op::EncodeVec { values, .. } = &node.op {
                 if values.is_empty() {
                     return Err(format!("node {id} (encode_vec) has an empty value vector"));
@@ -394,8 +461,15 @@ impl Circuit {
             if o >= self.nodes.len() {
                 return Err(format!("output {o} is out of range"));
             }
-            if self.nodes[o].ty.as_ct().is_none() {
-                return Err(format!("output {o} is not a ciphertext"));
+            match self.nodes[o].ty.as_ct() {
+                None => return Err(format!("output {o} is not a ciphertext")),
+                Some(t) if t.is_ext() => {
+                    return Err(format!(
+                        "output {o} ({}) is over the key-switch basis; mod_down it first",
+                        self.nodes[o].op.mnemonic()
+                    ))
+                }
+                Some(_) => {}
             }
         }
         let mut end = 0;
@@ -491,6 +565,7 @@ mod tests {
                 scalar_macs: 1,
                 rescales: 1,
                 rotations: 0,
+                mod_downs: 0,
             }
         );
     }
@@ -517,6 +592,88 @@ mod tests {
             *src = enc;
         }
         assert!(c2.validate().is_err());
+    }
+
+    /// An extended rotation of `x` at level 2, then `tail` over it.
+    fn extended(tail: impl FnOnce(&mut GraphBuilder, NodeId, NodeId) -> NodeId) -> Circuit {
+        let mut b = GraphBuilder::new(CkksParams::tiny(2));
+        let x = b.input("x", 2, Layout::BatchStrided { stride: 1 });
+        let r = b.rotate_ext(x, 1);
+        let y = tail(&mut b, x, r);
+        b.output(y);
+        b.finish(KeyInventory::unknown())
+    }
+
+    #[test]
+    fn validate_accepts_the_ops_defined_over_the_key_switch_basis() {
+        let c = extended(|b, x, r| {
+            let w = b.encode_vec(vec![0.5], b.q_at(2), 2);
+            let p = b.mul_plain(r, w);
+            let lift = b.rotate_ext(x, 0);
+            let m = b.mac_plain(p, lift, w);
+            let s = b.add(m, r);
+            b.mod_down(s)
+        });
+        assert_eq!(c.validate(), Ok(()));
+        assert_eq!(c.op_counts().mod_downs, 1);
+        assert_eq!(c.op_counts().rotations, 1);
+    }
+
+    #[test]
+    fn validate_refuses_any_other_reader_of_an_extended_value_naming_it() {
+        let c = extended(|b, _, r| b.rescale(r));
+        let err = c.validate().unwrap_err();
+        assert!(
+            err.starts_with("node 2 (rescale) reads a key-switch-basis value"),
+            "{err}"
+        );
+        let c = extended(|b, _, r| b.rotate(r, 1));
+        assert!(c
+            .validate()
+            .unwrap_err()
+            .starts_with("node 2 (rotate) reads"));
+    }
+
+    #[test]
+    fn validate_refuses_an_extended_output() {
+        let c = extended(|_, _, r| r);
+        let err = c.validate().unwrap_err();
+        assert!(
+            err.contains("output 1 (rotate_ext) is over the key-switch basis"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn validate_refuses_a_sum_or_product_across_bases() {
+        let c = extended(|b, x, r| {
+            let s = b.add(r, x);
+            b.mod_down(s)
+        });
+        assert!(c
+            .validate()
+            .unwrap_err()
+            .contains("(add) adds values over different bases"));
+        let c = extended(|b, _, r| {
+            let w = b.encode_scalar(0.5, b.q_at(2), 2);
+            let p = b.mul_plain(r, w);
+            b.mod_down(p)
+        });
+        assert!(c.validate().unwrap_err().contains("with a scalar weight"));
+    }
+
+    #[test]
+    fn validate_refuses_a_mod_down_of_a_chain_value() {
+        let c = extended(|b, x, r| {
+            let d = b.mod_down(r);
+            let s = b.add(d, x);
+            b.mod_down(s)
+        });
+        let err = c.validate().unwrap_err();
+        assert!(
+            err.contains("node 4 (mod_down) divides a value that is not over"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -32,11 +32,12 @@ fn node_label(c: &Circuit, id: usize) -> String {
         Op::EncodeScalar { value, .. } => format!(" {value}"),
         Op::EncodeVec { values, .. } => format!(" [{}]", values.len()),
         Op::AddScalar { value, .. } => format!(" {value}"),
-        Op::Rotate { steps, .. } => format!(" by {steps}"),
+        Op::Rotate { steps, .. } | Op::RotateExt { steps, .. } => format!(" by {steps}"),
         Op::ModSwitch { level, .. } => format!(" to L{level}"),
         _ => String::new(),
     };
     let ty = match node.ty.as_ct() {
+        Some(t) if t.is_ext() => format!("L{}+P Δ2^{:.0}", t.level, t.log2_scale()),
         Some(t) => format!("L{} Δ2^{:.0}", t.level, t.log2_scale()),
         None => match node.ty.as_plain() {
             Some(p) => format!("pt L{} 2^{:.0}", p.level, p.pt_scale.log2()),
@@ -44,6 +45,20 @@ fn node_label(c: &Circuit, id: usize) -> String {
         },
     };
     format!("n{id}: {}{detail}\\n{ty}", node.op.mnemonic())
+}
+
+/// Extra DOT attributes that set a node apart: a value over the
+/// key-switch basis is drawn dashed and blue, a `mod_down` (the division
+/// by `P` back onto the chain) as an inverted trapezium.
+fn node_style(c: &Circuit, id: usize) -> &'static str {
+    let node = &c.nodes[id];
+    if matches!(node.op, Op::ModDown { .. }) {
+        ", shape=invtrapezium, color=blue"
+    } else if node.ty.is_ext() {
+        ", style=dashed, color=blue"
+    } else {
+        ""
+    }
 }
 
 /// Full node-per-node graph with one cluster per region.
@@ -58,13 +73,15 @@ pub fn render_full(c: &Circuit) -> String {
             esc(&r.name)
         );
         for id in r.nodes() {
-            let _ = writeln!(out, "    n{id} [label=\"{}\"];", esc(&node_label(c, id)));
+            let (label, style) = (esc(&node_label(c, id)), node_style(c, id));
+            let _ = writeln!(out, "    n{id} [label=\"{label}\"{style}];");
         }
         out.push_str("  }\n");
     }
     for id in 0..c.nodes.len() {
         if !in_region(id) {
-            let _ = writeln!(out, "  n{id} [label=\"{}\"];", esc(&node_label(c, id)));
+            let (label, style) = (esc(&node_label(c, id)), node_style(c, id));
+            let _ = writeln!(out, "  n{id} [label=\"{label}\"{style}];");
         }
     }
     for (id, node) in c.nodes.iter().enumerate() {
@@ -95,7 +112,8 @@ pub fn render_regions(c: &Circuit) -> String {
                 None => counts.push((m, 1)),
             }
             if let Some(t) = c.nodes[id].ty.as_ct() {
-                exit_ty = format!("L{} Δ2^{:.1}", t.level, t.log2_scale());
+                let basis = if t.is_ext() { "+P" } else { "" };
+                exit_ty = format!("L{}{basis} Δ2^{:.1}", t.level, t.log2_scale());
             }
         }
         let ops = counts
@@ -146,6 +164,28 @@ mod tests {
         assert!(dot.contains("->"));
         assert!(dot.contains("doublecircle"));
         assert!(dot.trim_end().ends_with('}'));
+    }
+
+    /// Key-switch-basis values are dashed and blue, a `mod_down` an
+    /// inverted trapezium; chain values keep the plain box.
+    #[test]
+    fn extended_values_and_mod_downs_are_drawn_apart() {
+        let mut b = GraphBuilder::new(CkksParams::tiny(2));
+        let x = b.input("x", 2, Layout::BatchStrided { stride: 1 });
+        let r = b.rotate_ext(x, 1);
+        let d = b.mod_down(r);
+        b.output(d);
+        let dot = render(&b.finish(KeyInventory::unknown()));
+        let line = |id: usize| {
+            dot.lines()
+                .find(|l| l.trim_start().starts_with(&format!("n{id} [")))
+                .unwrap()
+                .to_string()
+        };
+        assert!(line(r).contains("rotate_ext by 1") && line(r).contains("style=dashed"));
+        assert!(line(r).contains("L2+P"));
+        assert!(line(d).contains("shape=invtrapezium"));
+        assert!(!line(x).contains("color="));
     }
 
     #[test]

@@ -5,29 +5,38 @@
 //! recorded from an eager op sequence and interpreted with the same
 //! context, keys, and input ciphertexts produces **bit-identical**
 //! outputs — the property he-diff's IR-vs-eager differential mode
-//! checks limb for limb.
+//! checks limb for limb. That holds over the key-switch basis too: a
+//! value the declared type puts there ([`crate::Basis::KeySwitch`]) is
+//! a [`Value::Ext`], and `rotate_ext`, `mod_down` and the `mul_plain`,
+//! `mac_plain` and `add` that read it are each one extended-basis
+//! evaluator call (`Evaluator::rotate_ext`, `mod_down`,
+//! `mul_plain_ext`, `mac_plain_ext`, `add_ext`).
 //!
 //! Execution is split into *prepare once / execute many*. A
 //! [`Prepared`] circuit has been validated, carries its deallocation
 //! schedule (the liveness pass's last uses), has evaluated every encode
 //! node once — scalars as prepared residues, vector operands broadcast
-//! and encoded at the level/scale their consumer's declared type fixes
-//! — and has split every region into units ([`Circuit::units`]). A run
-//! executes the regions in order, each region's units across the rayon
-//! pool, joined before the next region starts; units read only values
-//! computed before their region, so outputs are bit-identical at any
-//! pool width. A value from before a region (or bound as an input) that
-//! two or more of its rotations/conjugations read is decomposed once
-//! before the units start ([`Evaluator::hoist`]) and its digits are
-//! shared by the units; a hoisted rotation is limb-identical to a
-//! direct one. [`Interpreter::run`] is prepare-then-execute over the
+//! and encoded, across the pool, at the level, scale and basis their
+//! consumer's declared type fixes — and has split every region into
+//! units ([`Circuit::units`]). A run executes the regions in order, each
+//! region's units across the rayon pool, joined before the next region
+//! starts; units read only values computed before their region, so
+//! outputs are bit-identical at any pool width. A value from before a
+//! region (or bound as an input) that two or more of its rotations or
+//! conjugations (chain or extended) read is decomposed once before the
+//! units start ([`Evaluator::hoist`]) and its digits are shared by the
+//! units; a hoisted rotation is limb-identical to a direct one. [`Interpreter::run`] is prepare-then-execute over the
 //! same routine; nothing is cached between calls.
 
 use crate::circuit::{Circuit, NodeId, Op};
 use crate::passes::liveness;
-use ckks::{Ciphertext, Evaluator, GaloisKeys, Hoisted, Plaintext, PreparedScalar, RelinKey};
+use crate::types::Basis;
+use ckks::{
+    Ciphertext, Evaluator, ExtCiphertext, GaloisKeys, Hoisted, Plaintext, PreparedScalar, RelinKey,
+};
 use he_trace::{cats, span_fn, OpSnapshot};
 use rayon::prelude::*;
+use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::ops::Range;
 use std::time::{Duration, Instant};
@@ -36,6 +45,8 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone)]
 pub enum Value {
     Ct(Ciphertext),
+    /// A ciphertext over the key-switch basis.
+    Ext(ExtCiphertext),
     Plain(PreparedScalar),
     /// An element-domain vector pattern ([`Op::EncodeVec`]); its
     /// consumers read the plaintext [`Prepared`] encoded for them.
@@ -46,12 +57,34 @@ impl Value {
     pub fn as_ct(&self) -> Option<&Ciphertext> {
         match self {
             Value::Ct(ct) => Some(ct),
+            _ => None,
+        }
+    }
+
+    pub fn as_ext(&self) -> Option<&ExtCiphertext> {
+        match self {
+            Value::Ext(ct) => Some(ct),
+            _ => None,
+        }
+    }
+
+    /// Level and scale of a ciphertext over either basis.
+    pub fn level_scale(&self) -> Option<(usize, f64)> {
+        match self {
+            Value::Ct(ct) => Some((ct.level, ct.scale)),
+            Value::Ext(ct) => Some((ct.level, ct.scale)),
             Value::Plain(_) | Value::PlainVec(_) => None,
         }
     }
 
     fn ct(&self) -> Result<&Ciphertext, String> {
-        self.as_ct().ok_or_else(|| "expected a ciphertext".into())
+        self.as_ct()
+            .ok_or_else(|| "expected a ciphertext over the chain".into())
+    }
+
+    fn ext(&self) -> Result<&ExtCiphertext, String> {
+        self.as_ext()
+            .ok_or_else(|| "expected a ciphertext over the key-switch basis".into())
     }
 
     fn plain(&self) -> Result<&PreparedScalar, String> {
@@ -132,7 +165,8 @@ pub struct RegionRun {
     /// HE op counters across the region. They are process-global: HE
     /// work other threads do meanwhile lands here too.
     pub ops: OpSnapshot,
-    /// Runtime level and scale of the region's last ciphertext.
+    /// Runtime level and scale of the region's last ciphertext, over
+    /// either basis.
     pub level: usize,
     pub scale: f64,
     /// Structural noise headroom (bits) at that level and scale
@@ -173,7 +207,7 @@ struct Span {
 /// A circuit made ready to execute many times: validated once, its
 /// deallocation schedule and units computed once, every encode node
 /// evaluated once, and one plaintext encoded per distinct
-/// (`EncodeVec` node, lane stride, level, scale) use.
+/// (`EncodeVec` node, lane stride, level, scale, basis) use.
 pub struct Prepared {
     circuit: Circuit,
     /// Highest node using each node; `None` for values that are never
@@ -197,8 +231,10 @@ pub struct Prepared {
 
 impl Prepared {
     /// Validates the circuit and evaluates its encode nodes in `ev`'s
-    /// context. Level and scale of each vector operand come from the
-    /// declared type of the consuming node's ciphertext argument, so
+    /// context. Level, scale and basis of each vector operand come from
+    /// the declared type of the consuming node's ciphertext argument
+    /// (over the key-switch basis an operand carries the special limbs
+    /// too); the distinct operands are encoded across the pool. So
     /// the circuit must have been lowered against that context
     /// ([`crate::GraphBuilder::for_context`]); a run whose ciphertexts
     /// disagree with the declared types fails typed.
@@ -222,9 +258,9 @@ impl Prepared {
             const_of[id] = Some(consts.len());
             consts.push(value);
         }
-        let mut encoded = Vec::new();
         let mut plain_of = vec![None; n];
-        let mut seen: HashMap<(NodeId, usize, usize, u64), usize> = HashMap::new();
+        let mut seen: HashMap<(NodeId, usize, usize, u64, Basis), usize> = HashMap::new();
+        let mut operands: Vec<(&[f64], usize, f64, usize, Basis)> = Vec::new();
         for (id, node) in circuit.nodes.iter().enumerate() {
             let (src, plain, is_mul) = match node.op {
                 Op::MulPlain { src, plain } | Op::MacPlain { src, plain, .. } => (src, plain, true),
@@ -243,14 +279,21 @@ impl Prepared {
             // ciphertext's scale
             let scale = if is_mul { *pt_scale } else { ty.scale };
             let stride = ty.layout.lane_stride();
+            let next = operands.len();
             let idx = *seen
-                .entry((plain, stride, ty.level, scale.to_bits()))
-                .or_insert_with(|| {
-                    encoded.push(encode_broadcast(ev, values, stride, scale, ty.level));
-                    encoded.len() - 1
-                });
+                .entry((plain, stride, ty.level, scale.to_bits(), ty.basis))
+                .or_insert(next);
+            if idx == next {
+                operands.push((values, stride, scale, ty.level, ty.basis));
+            }
             plain_of[id] = Some(idx);
         }
+        let encoded: Vec<Plaintext> = operands
+            .par_iter()
+            .map(|&(values, stride, scale, level, basis)| {
+                encode_broadcast(ev, values, stride, scale, level, basis)
+            })
+            .collect();
         let mut moves_input = vec![false; n];
         {
             let mut named = HashSet::new();
@@ -278,7 +321,10 @@ impl Prepared {
                 }
                 let mut reads: BTreeMap<NodeId, usize> = BTreeMap::new();
                 for id in nodes.clone() {
-                    if let Op::Rotate { src, .. } | Op::Conjugate { src } = circuit.nodes[id].op {
+                    if let Op::Rotate { src, .. }
+                    | Op::RotateExt { src, .. }
+                    | Op::Conjugate { src } = circuit.nodes[id].op
+                    {
                         let before = !nodes.contains(&src);
                         if before || matches!(circuit.nodes[src].op, Op::Input { .. }) {
                             *reads.entry(src).or_default() += 1;
@@ -411,8 +457,8 @@ impl Prepared {
             if let Some(r) = span.region {
                 let (wall, ops) = (t0.elapsed(), OpSnapshot::now().delta(&ops));
                 let mut exit = span.nodes.clone().rev();
-                let exit = exit.find_map(|id| values[id].as_ref()?.as_ct());
-                let (level, scale) = exit.map_or((0, 0.0), |ct| (ct.level, ct.scale));
+                let exit = exit.find_map(|id| values[id].as_ref()?.level_scale());
+                let (level, scale) = exit.unwrap_or((0, 0.0));
                 runs.push(RegionRun {
                     name: name(r),
                     region: r,
@@ -444,17 +490,18 @@ impl Prepared {
             |a: NodeId| (span.contains(&a) && self.slot[a] != usize::MAX).then(|| self.slot[a]);
         let mut local: Vec<Option<Value>> = (0..nodes.len()).map(|_| None).collect();
         for (i, &id) in nodes.iter().enumerate() {
+            // the operand an op consumes at its last use: an accumulator,
+            // or over the key-switch basis a sum's first addend and a
+            // `mod_down`'s source
             let acc = match self.circuit.nodes[id].op {
                 Op::MacPlain { acc, src, .. } if acc != src => Some(acc),
-                Op::AddScalar { src, .. } => Some(src),
+                Op::AddScalar { src, .. } | Op::ModDown { src } => Some(src),
+                Op::Add { a, b } if a != b && self.is_ext(a) => Some(a),
                 _ => None,
             };
             let last = |a: NodeId| free && self.last_use[a] == Some(id);
             let owned = acc.filter(|&a| last(a)).and_then(local_slot);
-            let owned = match owned.map(|s| local[s].take()) {
-                Some(Some(Value::Ct(ct))) => Some(ct),
-                _ => None,
-            };
+            let owned = owned.and_then(|s| local[s].take());
             let view: &[Option<Value>] = &local;
             let get = |a: NodeId| {
                 match (self.const_of[a], local_slot(a)) {
@@ -475,22 +522,27 @@ impl Prepared {
         Ok(local)
     }
 
+    /// Whether node `a`'s declared type puts it over the key-switch basis.
+    fn is_ext(&self, a: NodeId) -> bool {
+        self.circuit.nodes[a].ty.is_ext()
+    }
+
     /// The operand encoded for node `id`, checked against the runtime
-    /// ciphertext it is about to meet.
+    /// level and scale of the ciphertext it is about to meet.
     fn plain_for(
         &self,
         id: NodeId,
-        x: &Ciphertext,
+        (level, scale): (usize, f64),
         match_scale: bool,
     ) -> Result<&Plaintext, String> {
         let pt = self.plain_of[id]
             .map(|i| &self.encoded[i])
             .ok_or_else(|| format!("node {id}: plain operand is not an encode_vec"))?;
-        if pt.level != x.level || (match_scale && pt.scale.to_bits() != x.scale.to_bits()) {
+        if pt.level != level || (match_scale && pt.scale.to_bits() != scale.to_bits()) {
             return Err(format!(
-                "node {id}: ciphertext at level {} scale {} but its operand was encoded for the \
-                 declared level {} scale {}",
-                x.level, x.scale, pt.level, pt.scale
+                "node {id}: ciphertext at level {level} scale {scale} but its operand was encoded \
+                 for the declared level {} scale {}",
+                pt.level, pt.scale
             ));
         }
         Ok(pt)
@@ -505,12 +557,23 @@ impl Prepared {
         id: NodeId,
         get: impl Fn(NodeId) -> Result<&'v Value, String>,
         hoisted: &[(NodeId, Hoisted<'_>)],
-        owned: Option<Ciphertext>,
+        owned: Option<Value>,
     ) -> Result<Value, String> {
         let ev = interp.ev;
         let ct = |arg: NodeId| -> Result<&Ciphertext, String> { get(arg)?.ct() };
+        let ext = |arg: NodeId| -> Result<&ExtCiphertext, String> { get(arg)?.ext() };
+        let owned = Cell::new(owned);
         let acc = |arg: NodeId| -> Result<Ciphertext, String> {
-            owned.map_or_else(|| ct(arg).cloned(), Ok)
+            match owned.take() {
+                Some(Value::Ct(c)) => Ok(c),
+                _ => ct(arg).cloned(),
+            }
+        };
+        let acc_ext = |arg: NodeId| -> Result<ExtCiphertext, String> {
+            match owned.take() {
+                Some(Value::Ext(c)) => Ok(c),
+                _ => ext(arg).cloned(),
+            }
         };
         let hoisted_of = |a: NodeId| hoisted.iter().find(|(h, _)| *h == a).map(|(_, h)| h);
         let node = &self.circuit.nodes[id];
@@ -542,6 +605,9 @@ impl Prepared {
                 let ty = node.ty.as_ct().ok_or("zero node must be a ciphertext")?;
                 Value::Ct(ev.zero_ciphertext(ty.scale, ty.level, ty.slots))
             }
+            Op::Add { a, b } if self.is_ext(*a) => {
+                Value::Ext(ev.add_ext(acc_ext(*a)?, ext(*b)?).map_err(failed)?)
+            }
             Op::Add { a, b } => {
                 let (a, b) = pair(*a, *b, true)?;
                 Value::Ct(ev.add(a, b))
@@ -562,18 +628,30 @@ impl Prepared {
                 Op::EncodeScalar { value, pt_scale } => {
                     Value::Ct(ev.mul_scalar(ct(*src)?, *value, *pt_scale))
                 }
+                _ if self.is_ext(*src) => {
+                    let x = ext(*src)?;
+                    let pt = self.plain_for(id, (x.level, x.scale), false)?;
+                    Value::Ext(ev.mul_plain_ext(x, pt).map_err(failed)?)
+                }
                 _ => {
                     let x = ct(*src)?;
-                    Value::Ct(ev.mul_plain(x, self.plain_for(id, x, false)?))
+                    Value::Ct(ev.mul_plain(x, self.plain_for(id, (x.level, x.scale), false)?))
                 }
             },
             Op::AddPlain { src, .. } => {
                 let x = ct(*src)?;
-                Value::Ct(ev.add_plain(x, self.plain_for(id, x, true)?))
+                Value::Ct(ev.add_plain(x, self.plain_for(id, (x.level, x.scale), true)?))
+            }
+            Op::MacPlain { acc: a, src, .. } if self.is_ext(*src) => {
+                let x = ext(*src)?;
+                let pt = self.plain_for(id, (x.level, x.scale), false)?;
+                let mut out = acc_ext(*a)?;
+                ev.mac_plain_ext(&mut out, x, pt).map_err(failed)?;
+                Value::Ext(out)
             }
             Op::MacPlain { acc: a, src, .. } if self.plain_of[id].is_some() => {
                 let x = ct(*src)?;
-                let pt = self.plain_for(id, x, false)?;
+                let pt = self.plain_for(id, (x.level, x.scale), false)?;
                 let mut out = acc(*a)?;
                 ev.try_mul_plain_acc(&mut out, x, pt).map_err(failed)?;
                 Value::Ct(out)
@@ -627,25 +705,46 @@ impl Prepared {
                 };
                 Value::Ct(conjugated.map_err(|e| e.to_string())?)
             }
+            Op::RotateExt { src, steps } => {
+                let x = ct(*src)?;
+                let none = GaloisKeys::default();
+                let gk = match interp.gk {
+                    Some(gk) => gk,
+                    // the identity is the lift P·x and touches no key
+                    None if steps.rem_euclid(x.slots as i64) == 0 => &none,
+                    None => return Err("rotation but no galois keys bound".into()),
+                };
+                let rotated = match hoisted_of(*src) {
+                    Some(h) => ev.rotate_ext_hoisted(h, *steps, gk),
+                    None => ev.rotate_ext(x, *steps, gk),
+                };
+                Value::Ext(rotated.map_err(failed)?)
+            }
+            Op::ModDown { src } => Value::Ct(ev.mod_down(acc_ext(*src)?).map_err(failed)?),
         };
         Ok(out)
     }
 }
 
 /// Expands an element-domain pattern across a lane stride and encodes
-/// it — slot `i` holds `values[(i / stride) % values.len()]`, so every
-/// lane of a batch-strided layout sees the same value per element.
+/// it over `basis` — slot `i` holds `values[(i / stride) %
+/// values.len()]`, so every lane of a batch-strided layout sees the same
+/// value per element.
 fn encode_broadcast(
     ev: &Evaluator,
     values: &[f64],
     stride: usize,
     pt_scale: f64,
     level: usize,
+    basis: Basis,
 ) -> Plaintext {
     let expanded: Vec<f64> = (0..ev.ctx().slots())
         .map(|i| values[(i / stride) % values.len()])
         .collect();
-    ckks::encode_real(ev.ctx(), &expanded, pt_scale, level)
+    match basis {
+        Basis::Chain => ckks::encode_real(ev.ctx(), &expanded, pt_scale, level),
+        Basis::KeySwitch => ckks::encode_real_ext(ev.ctx(), &expanded, pt_scale, level),
+    }
 }
 
 #[cfg(test)]
@@ -1103,6 +1202,128 @@ mod tests {
                 assert_eq!(record.name, region.name);
                 let headroom = ckks::noise::headroom_bits_at(&f.ctx, record.level, record.scale);
                 assert_eq!(record.headroom_bits.to_bits(), headroom.to_bits());
+            }
+        }
+    }
+
+    /// Taps over the key-switch basis as the packed conv lowers them:
+    /// the lift and two extended rotations of `x` in one region, then
+    /// their weighted sum, one `mod_down` and a rescale in the next.
+    fn extended_taps(f: &Fixture) -> Circuit {
+        let slots = f.ctx.slots();
+        let mut b = GraphBuilder::for_context(&f.ctx);
+        let x = b.input("x", 2, Layout::BatchStrided { stride: 1 });
+        b.begin_region("taps");
+        let taps: Vec<NodeId> = [0, 1, 2].map(|s| b.rotate_ext(x, s)).to_vec();
+        b.begin_region("sum");
+        let q = b.q_at(2);
+        let mut acc = None;
+        for (t, &tap) in taps.iter().enumerate() {
+            let w = (0..slots)
+                .map(|i| ((i + t) % 7) as f64 / 8.0 - 0.3)
+                .collect();
+            let w = b.encode_vec(w, q, 2);
+            acc = Some(match acc {
+                None => b.mul_plain(tap, w),
+                Some(a) => b.mac_plain(a, tap, w),
+            });
+        }
+        let d = b.mod_down(acc.expect("three taps"));
+        let y = b.rescale(d);
+        b.output(y);
+        let elements = [1, 2].map(|s| b.params().galois_element_for_rotation(s));
+        b.finish(KeyInventory::with_galois(true, elements))
+    }
+
+    /// Every node of the extended path is one evaluator call: the
+    /// interpreted circuit is limb-identical to the hand-written
+    /// `rotate_ext_hoisted` / `mul_plain_ext` / `mac_plain_ext` /
+    /// `mod_down` sequence at pool width 1 and the default width, its
+    /// operands are encoded over the key-switch basis, and the taps
+    /// region — whose last value is extended — reports that value's
+    /// level, scale and headroom.
+    #[test]
+    fn an_extended_tap_sum_is_limb_identical_to_its_evaluator_calls() {
+        let mut f = fixture(2, 29);
+        let gk = KeyGenerator::new(Arc::clone(&f.ctx), 30).gen_galois_keys(&f.sk, &[1, 2], false);
+        let slots = f.ctx.slots();
+        let vals: Vec<f64> = (0..slots).map(|i| (i % 13) as f64 / 14.0).collect();
+        let x_ct = f.ev.encrypt_real(&vals, &f.pk, &mut f.sampler);
+        let prepared = Prepared::new(&f.ev, extended_taps(&f)).expect("prepares");
+        let ext_limbs = 3 + f.ctx.special_moduli().len();
+        assert_eq!(prepared.encoded_operands().len(), 3);
+        assert!(prepared
+            .encoded_operands()
+            .iter()
+            .all(|pt| pt.poly.num_limbs() == ext_limbs));
+
+        let ev = &f.ev;
+        let q = f.ctx.chain_moduli()[2].value() as f64;
+        let h = ev.hoist(&x_ct).unwrap();
+        let mut acc: Option<ckks::ExtCiphertext> = None;
+        for (t, s) in [0i64, 1, 2].into_iter().enumerate() {
+            let w: Vec<f64> = (0..slots)
+                .map(|i| ((i + t) % 7) as f64 / 8.0 - 0.3)
+                .collect();
+            let pt = ckks::encode_real_ext(&f.ctx, &w, q, 2);
+            let tap = ev.rotate_ext_hoisted(&h, s, &gk).unwrap();
+            acc = Some(match acc {
+                None => ev.mul_plain_ext(&tap, &pt).unwrap(),
+                Some(mut a) => {
+                    ev.mac_plain_ext(&mut a, &tap, &pt).unwrap();
+                    a
+                }
+            });
+        }
+        let want = ev.rescale(&ev.mod_down(acc.unwrap()).unwrap());
+
+        let interp = Interpreter::new(ev).with_galois(&gk);
+        let inputs = HashMap::from([("x".to_string(), x_ct.clone())]);
+        let one = rayon::ThreadPoolBuilder::new()
+            .num_threads(1)
+            .build()
+            .expect("a width cap");
+        let narrow = one
+            .install(|| prepared.run(&interp, inputs.clone()))
+            .expect("runs");
+        let wide = prepared.run(&interp, inputs).expect("runs");
+        for run in [&narrow, &wide] {
+            let got = &run.outputs[0];
+            assert_eq!(got.scale.to_bits(), want.scale.to_bits());
+            assert_eq!(got.c0.limbs_flat(), want.c0.limbs_flat());
+            assert_eq!(got.c1.limbs_flat(), want.c1.limbs_flat());
+            let taps = &run.regions[0];
+            assert_eq!((taps.name.as_str(), taps.level), ("taps", 2));
+            assert_eq!(taps.scale.to_bits(), x_ct.scale.to_bits());
+            let headroom = ckks::noise::headroom_bits_at(&f.ctx, 2, x_ct.scale);
+            assert_eq!(taps.headroom_bits.to_bits(), headroom.to_bits());
+            assert!(taps.headroom_bits > 0.0);
+        }
+    }
+
+    /// `Prepared::new` encodes its distinct operands across the pool:
+    /// at pool widths 1 and 2 (what `RAYON_NUM_THREADS=1` and `=2` give)
+    /// every operand is bit-identical, over either basis.
+    #[test]
+    fn operands_are_bit_identical_at_pool_widths_one_and_two() {
+        let f = fixture(2, 31);
+        let width = |n: usize| {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(n)
+                .build()
+                .expect("a width cap")
+        };
+        for circuit in [extended_taps(&f), diagonal_sum(&f, 2, true)] {
+            let prepare = |n: usize| {
+                width(n).install(|| Prepared::new(&f.ev, circuit.clone()).expect("prepares"))
+            };
+            let (one, two) = (prepare(1), prepare(2));
+            assert_eq!(one.encoded_operands().len(), 3);
+            for (a, b) in one.encoded_operands().iter().zip(two.encoded_operands()) {
+                assert_eq!((a.level, a.slots), (b.level, b.slots));
+                assert_eq!(a.scale.to_bits(), b.scale.to_bits());
+                assert_eq!(a.poly.limb_indices(), b.poly.limb_indices());
+                assert_eq!(a.poly.limbs_flat(), b.poly.limbs_flat());
             }
         }
     }

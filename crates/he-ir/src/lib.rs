@@ -12,7 +12,7 @@
 //!
 //! - [`circuit::Circuit`]: nodes are HE ops ([`circuit::Op`]) with a
 //!   per-node type ([`types::ValueTy`]) carrying `{level, scale, slots,
-//!   layout}` — computed once by the [`build::GraphBuilder`], which
+//!   layout, basis}` — computed once by the [`build::GraphBuilder`], which
 //!   mirrors the eager `ckks::Evaluator` method-for-method.
 //! - [`pass`]: a [`pass::Pass`] trait and [`pass::PassManager`]
 //!   producing typed diagnostics ([`diag::Diagnostic`]).
@@ -52,4 +52,4 @@ pub use diag::{Diagnostic, LintReport, Severity};
 pub use interp::{Interpreter, Prepared, RegionRun, RunOutput, Value};
 pub use noise::NoiseModel;
 pub use pass::{AnalysisReport, Pass, PassManager, PassOutput};
-pub use types::{CtType, Layout, PlainType, ValueTy};
+pub use types::{Basis, CtType, Layout, PlainType, ValueTy};

@@ -87,8 +87,14 @@ impl NoiseModel {
     /// (one special prime) the digit bound is half the largest chain
     /// prime and `dnum` the chain length, the GHS bound.
     pub fn keyswitch_coeff(&self) -> f64 {
-        let digit_term = self.n * self.sigma * self.digit_bound * self.dnum.sqrt() / self.p;
-        digit_term + self.rescale_round_coeff()
+        self.keyswitch_digit_coeff() + self.rescale_round_coeff()
+    }
+
+    /// The digit-error part of [`Self::keyswitch_coeff`], in units of
+    /// the divided result: what a key switch that stops before its
+    /// mod-down carries (times `P`), without the rounding.
+    pub fn keyswitch_digit_coeff(&self) -> f64 {
+        self.n * self.sigma * self.digit_bound * self.dnum.sqrt() / self.p
     }
 
     // -----------------------------------------------------------------
@@ -133,6 +139,21 @@ impl NoiseModel {
     pub fn rotate_value(&self, e: f64, scale: f64) -> f64 {
         e + self.keyswitch_coeff() / scale
     }
+
+    /// A rotation that stops before its mod-down: the key switch's
+    /// digit error, with the rounding deferred to [`Self::mod_down_value`].
+    /// A key-switch-basis value's error is tracked in units of the
+    /// value it divides down to, so products and sums compose as on the
+    /// chain.
+    pub fn rotate_ext_value(&self, e: f64, scale: f64) -> f64 {
+        e + self.keyswitch_digit_coeff() / scale
+    }
+
+    /// The division by `P`: its rounding at the current scale, once per
+    /// sum. `mod_down_value(rotate_ext_value(e))` is [`Self::rotate_value`].
+    pub fn mod_down_value(&self, e: f64, scale: f64) -> f64 {
+        e + self.rescale_round_coeff() / scale
+    }
 }
 
 #[cfg(test)]
@@ -175,6 +196,11 @@ mod tests {
         assert!(e_rs >= e_mul);
         let e_rot = m.rotate_value(e_rs, scale);
         assert!(e_rot > e_rs);
+        // a rotation split at its mod-down composes to the rotation
+        let e_ext = m.rotate_ext_value(e_rs, scale);
+        assert!(e_rs < e_ext && e_ext < e_rot);
+        let split = m.mod_down_value(e_ext, scale);
+        assert!((split - e_rot).abs() <= 1e-12 * e_rot);
     }
 
     #[test]

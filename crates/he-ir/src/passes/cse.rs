@@ -68,6 +68,7 @@ enum Key {
     Rotate {
         src: NodeId,
         steps: i64,
+        ext: bool,
     },
 }
 
@@ -145,6 +146,16 @@ pub fn number(c: &Circuit) -> ValueNumbers {
             Op::Rotate { src, steps } => Some(Key::Rotate {
                 src: vn[*src],
                 steps: *steps,
+                ext: false,
+            }),
+            Op::RotateExt { src, steps } => Some(Key::Rotate {
+                src: vn[*src],
+                steps: *steps,
+                ext: true,
+            }),
+            Op::ModDown { src } => Some(Key::Unary {
+                tag: 4,
+                src: vn[*src],
             }),
         };
         let number = match key {
@@ -186,7 +197,7 @@ impl Pass for CsePass {
                     dup_encodes += 1;
                     first_dup_encode.get_or_insert(id);
                 }
-                Op::Rotate { .. } | Op::Conjugate { .. } => {
+                Op::Rotate { .. } | Op::RotateExt { .. } | Op::Conjugate { .. } => {
                     dup_rotations += 1;
                     first_dup_rotation.get_or_insert(id);
                 }
@@ -318,6 +329,26 @@ mod tests {
         b.output(y);
         let out = CsePass.run(&b.finish(KeyInventory::unknown()));
         assert!(!out.report.has_code("duplicate-rotation"));
+    }
+
+    /// An extended rotation repeats only another extended rotation by
+    /// the same step, never the chain rotation it would mod down to.
+    #[test]
+    fn repeated_extended_rotation_is_flagged_apart_from_the_chain_rotation() {
+        let mut b = GraphBuilder::new(CkksParams::tiny(1));
+        let x = b.input("x", 1, Layout::BatchStrided { stride: 1 });
+        let e1 = b.rotate_ext(x, 1);
+        let e2 = b.rotate_ext(x, 1);
+        let r = b.rotate(x, 1);
+        let s = b.add(e1, e2);
+        let d = b.mod_down(s);
+        let y = b.add(d, r);
+        b.output(y);
+        let c = b.finish(KeyInventory::unknown());
+        let numbers = number(&c);
+        assert_eq!(numbers.vn[e2], e1);
+        assert_ne!(numbers.vn[r], e1);
+        assert!(CsePass.run(&c).report.has_code("duplicate-rotation"));
     }
 
     #[test]

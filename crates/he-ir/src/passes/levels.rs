@@ -273,6 +273,25 @@ impl Interp<'_> {
                     ..s
                 }
             }
+            Op::RotateExt { src, steps } => {
+                let s = self.st(*src);
+                let slots = self.c.params.slots() as i64;
+                if steps.rem_euclid(slots) == 0 {
+                    s // the exact lift P·src
+                } else {
+                    NodeState {
+                        err: self.noise.rotate_ext_value(s.err, s.scale),
+                        ..s
+                    }
+                }
+            }
+            Op::ModDown { src } => {
+                let s = self.st(*src);
+                NodeState {
+                    err: self.noise.mod_down_value(s.err, s.scale),
+                    ..s
+                }
+            }
         };
 
         // cross-check against the declared type (catches hand-built

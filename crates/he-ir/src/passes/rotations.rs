@@ -1,7 +1,7 @@
 //! Pass 2: rotation-set analysis — the exact Galois-key set a circuit
 //! needs versus what the key registry declares.
 //!
-//! Walks every `Rotate`/`Conjugate` node, maps steps to Galois elements
+//! Walks every `Rotate`/`RotateExt`/`Conjugate` node, maps steps to Galois elements
 //! (`5^(steps mod N/2) mod 2N`; identity rotations need no key, exactly
 //! like `Evaluator::try_rotate`), and diffs the required set against
 //! [`crate::KeyInventory::galois_elements`]: missing keys are errors
@@ -34,7 +34,7 @@ pub fn required_elements(c: &Circuit) -> RotationSet {
     let mut set = RotationSet::default();
     for (id, node) in c.nodes.iter().enumerate() {
         match &node.op {
-            Op::Rotate { steps, .. } => {
+            Op::Rotate { steps, .. } | Op::RotateExt { steps, .. } => {
                 let r = steps.rem_euclid(slots);
                 if r == 0 {
                     continue; // identity, no key touched
@@ -207,6 +207,33 @@ mod tests {
             .find(|d| d.code == "missing-galois-key")
             .unwrap();
         assert!(d.op_index.is_some());
+    }
+
+    /// An extended rotation needs its step's key like a rotation; its
+    /// identity (the lift `P·x`) needs none.
+    #[test]
+    fn extended_rotations_are_keyed_by_their_step() {
+        let params = CkksParams::tiny(1);
+        let mut b = GraphBuilder::new(params.clone());
+        let x = b.input("x", 1, Layout::BatchStrided { stride: 1 });
+        let lift = b.rotate_ext(x, 0);
+        let r = b.rotate_ext(x, 3);
+        let s = b.add(lift, r);
+        let y = b.mod_down(s);
+        b.output(y);
+        let c = b.finish(KeyInventory::relin_only());
+        let req = required_elements(&c);
+        assert_eq!(req.steps, BTreeSet::from([3]));
+        assert_eq!(
+            req.elements,
+            BTreeSet::from([params.galois_element_for_rotation(3)])
+        );
+        assert!(RotationSetPass
+            .run(&c)
+            .report
+            .has_code("missing-galois-key"));
+        assert_eq!(c.op_counts().rotations, 1);
+        assert_eq!(c.op_counts().mod_downs, 1);
     }
 
     #[test]

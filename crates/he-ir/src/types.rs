@@ -51,6 +51,19 @@ impl std::fmt::Display for Layout {
     }
 }
 
+/// The RNS basis a ciphertext's limbs span.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum Basis {
+    /// The modulus chain `q_0..q_ℓ`: a `ckks::Ciphertext`.
+    #[default]
+    Chain,
+    /// The key-switch basis, chain limbs `0..=ℓ` plus the special
+    /// limbs: a `ckks::ExtCiphertext`, decrypting to `P·m` at the same
+    /// scale. Only `mul_plain`, `mac_plain`, `add` and `mod_down` read
+    /// one ([`crate::Circuit::validate`]).
+    KeySwitch,
+}
+
 /// Type of a ciphertext value.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CtType {
@@ -62,6 +75,8 @@ pub struct CtType {
     pub slots: usize,
     /// Slot interpretation.
     pub layout: Layout,
+    /// The limbs the ciphertext spans.
+    pub basis: Basis,
 }
 
 impl CtType {
@@ -69,14 +84,20 @@ impl CtType {
     pub fn log2_scale(&self) -> f64 {
         self.scale.log2()
     }
+
+    /// Whether the value spans the key-switch basis.
+    pub fn is_ext(&self) -> bool {
+        self.basis == Basis::KeySwitch
+    }
 }
 
 impl std::fmt::Display for CtType {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "ct<L{}, Δ2^{:.2}, {} slots, {}>",
+            "ct<L{}{}, Δ2^{:.2}, {} slots, {}>",
             self.level,
+            if self.is_ext() { "+P" } else { "" },
             self.log2_scale(),
             self.slots,
             self.layout
@@ -115,6 +136,11 @@ impl ValueTy {
         }
     }
 
+    /// Whether this is a ciphertext over the key-switch basis.
+    pub fn is_ext(&self) -> bool {
+        self.as_ct().is_some_and(CtType::is_ext)
+    }
+
     /// The plaintext type, if this is an encoded-plaintext value.
     pub fn as_plain(&self) -> Option<&PlainType> {
         match self {
@@ -144,9 +170,15 @@ mod tests {
             scale: 2f64.powi(26),
             slots: 512,
             layout: Layout::BatchSlots,
+            basis: Basis::Chain,
         };
         assert_eq!(t.log2_scale(), 26.0);
         assert_eq!(t.to_string(), "ct<L3, Δ2^26.00, 512 slots, batch>");
+        let ext = CtType {
+            basis: Basis::KeySwitch,
+            ..t
+        };
+        assert_eq!(ext.to_string(), "ct<L3+P, Δ2^26.00, 512 slots, batch>");
     }
 
     #[test]
@@ -156,6 +188,7 @@ mod tests {
             scale: 2f64.powi(26),
             slots: 128,
             layout: Layout::BatchStrided { stride: 1 },
+            basis: Basis::Chain,
         });
         let pt = ValueTy::Plain(PlainType {
             level: 1,

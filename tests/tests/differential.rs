@@ -90,6 +90,19 @@ fn exec_rns(
             DiffOp::Rotate { dst, src, steps } => {
                 Some((dst, ev.rotate(regs[src].as_ref().unwrap(), steps, &gk)))
             }
+            DiffOp::RotSum {
+                dst,
+                src,
+                steps,
+                value_seed,
+            } => {
+                let weights = he_diff::gen::rot_sum_weights(value_seed, steps.len(), ctx.slots());
+                let ct = regs[src].as_ref().unwrap();
+                Some((
+                    dst,
+                    he_diff::oracle::rot_sum(&ev, &gk, ct, &steps, &weights),
+                ))
+            }
             DiffOp::CrtRoundTrip { .. } => None,
         };
         if let Some((dst, ct)) = out {

@@ -111,9 +111,10 @@ fn rotation_set_pass_matches_generated_galois_keys_exactly() {
 
 #[test]
 fn packed_cnn1_fans_babies_and_blocks_and_scalar_units_are_output_scalars() {
-    // a packed matvec's baby rotations and a conv's tap rotations are
-    // one unit each, and so is each giant block (its MAC chain and at
-    // most one giant rotation) and each conv channel (its MAC chain and
+    // a packed matvec's baby rotations and a conv's tap rotations (over
+    // the key-switch basis, the unrotated tap as the lift `rotate_ext` by
+    // 0) are one unit each, and so is each giant block (its MAC chain and
+    // at most one giant rotation) and each conv channel (its MAC chain and
     // at most one placement rotation); the sums, the fold and the SLAF
     // carry one ciphertext, so they are one unit that `Prepared::run`
     // executes on its caller
@@ -123,7 +124,12 @@ fn packed_cnn1_fans_babies_and_blocks_and_scalar_units_are_output_scalars() {
         for region in &circuit.regions {
             let units = circuit.units(region.nodes());
             let rotations = |u: &Vec<usize>| {
-                let rotates = |&&id: &&usize| matches!(circuit.nodes[id].op, Op::Rotate { .. });
+                let rotates = |&&id: &&usize| {
+                    matches!(
+                        circuit.nodes[id].op,
+                        Op::Rotate { .. } | Op::RotateExt { .. }
+                    )
+                };
                 u.iter().filter(rotates).count()
             };
             let what = format!("{name}: {}", region.name);

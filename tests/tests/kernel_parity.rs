@@ -724,6 +724,96 @@ fn one_rotation_and_one_rescale_record_exact_transform_counts() {
     }
 }
 
+/// Stopping a rotation before its mod-down and dividing by `P`
+/// afterwards is the rotation, limb for limb: `mod_down(rotate_ext(h,
+/// s))` equals `try_rotate_hoisted(h, s)` for every keyed step, the
+/// identity and conjugation, at every level of CNN1's ring, over one and
+/// over two special primes, on every kernel backend.
+#[test]
+fn an_extended_rotation_mod_down_is_limb_identical_to_the_rotation() {
+    let _guard = serial();
+    for special in [1, 2] {
+        let mut params = CkksParams::toy(7);
+        params.special_bits.truncate(special);
+        let ctx = params.build();
+        let mut kg = KeyGenerator::new(Arc::clone(&ctx), 28);
+        let sk = kg.gen_secret_key();
+        let pk = kg.gen_public_key(&sk);
+        let gk = kg.gen_galois_keys(&sk, &STEPS, true);
+        let ev = Evaluator::new(Arc::clone(&ctx));
+        let vals: Vec<f64> = (0..ctx.slots()).map(|i| (i as f64 * 0.03).cos()).collect();
+        let top = ev.encrypt_real(&vals, &pk, &mut Sampler::from_seed(29));
+        for be in kernel::available_backends() {
+            kernel::set_backend(be);
+            for level in 0..=7 {
+                let ct = ev.mod_switch_to_level(&top, level);
+                let h = ev.hoist(&ct).expect("well-formed");
+                let at = |what: &str| format!("{what} at level {level}, k = {special}, {be:?}");
+                for steps in STEPS.into_iter().chain([0]) {
+                    let ext = ev.rotate_ext_hoisted(&h, steps, &gk).expect("keyed");
+                    assert_same_ct(
+                        &at(&format!("rotate {steps}")),
+                        &ev.mod_down(ext).expect("well-formed"),
+                        &ev.try_rotate_hoisted(&h, steps, &gk).expect("keyed"),
+                    );
+                }
+                let ext = ev.conjugate_ext_hoisted(&h, &gk).expect("keyed");
+                assert_same_ct(
+                    &at("conjugate"),
+                    &ev.mod_down(ext).expect("well-formed"),
+                    &ev.try_conjugate_hoisted(&h, &gk).expect("keyed"),
+                );
+            }
+        }
+    }
+    kernel::set_backend_auto();
+}
+
+/// An extended rotation at level ℓ is a rotation without its mod-down:
+/// the decomposition's forward NTTs and its `ℓ + 1` inverse NTTs, no
+/// transform of the special limbs, the inner product's `2·dnum·(ℓ+1+k)`
+/// limb products plus `ℓ + 1` for `P·c₀`. A `mod_down` is the rest:
+/// `2(ℓ+1)` forward and `2k` inverse NTTs and no limb product. At ℓ = 7
+/// that is 22 forward and 8 inverse NTTs for the rotation and 16 and 4
+/// for the division.
+#[test]
+fn one_extended_rotation_and_one_mod_down_record_exact_transform_counts() {
+    let _guard = serial();
+    kernel::set_backend_auto();
+    let f = ks_fixture();
+    let k = f.ctx.special_moduli().len() as u64;
+    for level in 0..=7 {
+        let a = f.ev.mod_switch_to_level(&f.a, level);
+        let l = level as u64;
+        let (dnum, ext) = (f.ctx.digits_at(level).count() as u64, l + 1 + k);
+        let before = OpSnapshot::now();
+        let x = f.ev.rotate_ext(&a, 1, &f.gk).expect("keyed");
+        let d = OpSnapshot::now().delta(&before);
+        assert_eq!(
+            (d.ntt_fwd, d.ntt_inv),
+            (decomposition_ntts(&f.ctx, level), l + 1),
+            "extended rotation at level {level}"
+        );
+        assert_eq!(d.modmul_limbs, 2 * dnum * ext + l + 1, "level {level}");
+        assert_eq!((d.rotations, d.keyswitches), (1, 1));
+
+        let before = OpSnapshot::now();
+        let down = f.ev.mod_down(x).expect("well-formed");
+        let d = OpSnapshot::now().delta(&before);
+        assert_eq!(
+            (d.ntt_fwd, d.ntt_inv),
+            (2 * (l + 1), 2 * k),
+            "mod_down at level {level}"
+        );
+        assert_eq!((d.modmul_limbs, d.rotations, d.keyswitches), (0, 0, 0));
+        assert_same_ct("the pair", &down, &f.ev.rotate(&a, 1, &f.gk));
+        if level == 7 {
+            let rotate = (decomposition_ntts(&f.ctx, 7), l + 1);
+            assert_eq!((rotate, (d.ntt_fwd, d.ntt_inv)), ((22, 8), (16, 4)));
+        }
+    }
+}
+
 /// A circuit region that rotates one value from outside it `r` times
 /// decomposes that value once: at level ℓ it records one decomposition's
 /// forward NTTs plus `2r(ℓ+1)`, and `(ℓ+1) + 2rk` inverse NTTs (`k`

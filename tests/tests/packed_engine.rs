@@ -70,3 +70,49 @@ fn packed_engine_classifies_trained_cnn1() {
     let _ = cm.render();
     let _ = cm.accuracy();
 }
+
+/// Layer 0 runs its taps over the key-switch basis, and its region
+/// records still tell the truth: `conv taps` ends on an extended tap at
+/// the input's level and scale, `conv channels` on an extended channel
+/// sum at the product scale, each with that value's structural headroom
+/// (not the level 0 / scale 0 of a region with no chain ciphertext),
+/// and the logits stay within 1e-3 of the plaintext network.
+#[test]
+fn packed_cnn1_layer0_records_report_their_extended_values() {
+    let net = small_trained_network();
+    let packed = PackedNetwork::from_network(&net);
+    let params = CkksParams::paper(1 << 12, packed.required_levels());
+    let top = params.depth();
+    let mut pipe = CnnHePipeline::with_params(net.clone(), params, 62);
+    pipe.enable_packed_batching()
+        .expect("dim 2048 fits 2048 slots");
+    let img = mnist::synthetic(1, 6161).image(0).to_vec();
+    let run = pipe.classify(&[&img]);
+    let record = |name: &str| {
+        run.timing
+            .layers
+            .iter()
+            .find(|r| r.name.ends_with(name))
+            .unwrap_or_else(|| panic!("no {name} record"))
+    };
+    let (ctx, scale) = (&pipe.ctx, pipe.ctx.params().scale());
+    let q_top = ctx.chain_moduli()[top].value() as f64;
+    for (name, want_scale) in [
+        ("packed layer 0: conv taps", scale),
+        ("packed layer 0: conv channels", scale * q_top),
+    ] {
+        let r = record(name);
+        assert_eq!(r.level, top, "{name}");
+        assert_eq!(r.scale.to_bits(), want_scale.to_bits(), "{name}");
+        let headroom = ckks::noise::headroom_bits_at(ctx, top, want_scale);
+        assert_eq!(r.headroom_bits.to_bits(), headroom.to_bits(), "{name}");
+        assert!(r.headroom_bits > 0.0, "{name}");
+    }
+    let plain = net.infer_plain(&img);
+    let err = run.logits[0]
+        .iter()
+        .zip(&plain)
+        .map(|(a, b)| (a - b).abs())
+        .fold(0.0, f64::max);
+    assert!(err < 1e-3, "max logit error {err}");
+}

@@ -88,10 +88,12 @@ fn steady_state_requests_encode_nothing_and_generate_no_keys() {
     let interp = Interpreter::new(&ev).with_relin(&rk).with_galois(&gk);
 
     let prepared = Prepared::new(&ev, circuit.clone()).unwrap();
+    // one forward NTT per limb of each operand (a conv tap operand also
+    // spans the special limbs)
     let encode_ntts: u64 = prepared
         .encoded_operands()
         .iter()
-        .map(|pt| pt.level as u64 + 1)
+        .map(|pt| pt.poly.num_limbs() as u64)
         .sum();
     assert!(encode_ntts > 0, "the circuit has plaintext operands");
     let (_, steady) = counted(|| prepared.run(&interp, inputs.clone()).unwrap());

@@ -29,11 +29,10 @@ use crate::modring::Modulus;
 use crate::ntt::NttTable;
 use core::arch::x86_64::{
     __m256i, _mm256_add_epi64, _mm256_and_si256, _mm256_andnot_si256, _mm256_blendv_epi8,
-    _mm256_castsi128_si256, _mm256_cmpeq_epi64, _mm256_cmpgt_epi64, _mm256_loadu_si256,
-    _mm256_mul_epu32, _mm256_permute2x128_si256, _mm256_permute4x64_epi64, _mm256_set1_epi64x,
-    _mm256_setzero_si256, _mm256_slli_epi64, _mm256_srli_epi64, _mm256_storeu_si256,
-    _mm256_sub_epi64, _mm256_unpackhi_epi64, _mm256_unpacklo_epi64, _mm256_xor_si256,
-    _mm_loadu_si128,
+    _mm256_castsi128_si256, _mm256_cmpgt_epi64, _mm256_loadu_si256, _mm256_mul_epu32,
+    _mm256_permute2x128_si256, _mm256_permute4x64_epi64, _mm256_set1_epi64x, _mm256_slli_epi64,
+    _mm256_srli_epi64, _mm256_storeu_si256, _mm256_sub_epi64, _mm256_unpackhi_epi64,
+    _mm256_unpacklo_epi64, _mm256_xor_si256, _mm_loadu_si128,
 };
 
 const LANES: usize = 4;
@@ -130,17 +129,6 @@ unsafe fn mul_shoup_lazy_v(a: __m256i, b: __m256i, b_shoup: __m256i, p: __m256i)
 #[inline(always)]
 unsafe fn mul_shoup_v(a: __m256i, b: __m256i, b_shoup: __m256i, p: __m256i) -> __m256i {
     unsafe { sub_if_ge(mul_shoup_lazy_v(a, b, b_shoup, p), p) }
-}
-
-/// Single-word Barrett reduce, lane-wise twin of `Modulus::reduce`. For
-/// `x < p` the estimate `q` is exactly 0 and `r = x`, so computing
-/// unconditionally reproduces the scalar early-exit branch bit-for-bit.
-#[inline(always)]
-unsafe fn barrett_reduce1_v(x: __m256i, p: __m256i, cr1: __m256i) -> __m256i {
-    unsafe {
-        let q = mul_hi64(x, cr1);
-        sub_if_ge(_mm256_sub_epi64(x, mul_lo64(q, p)), p)
-    }
 }
 
 /// Canonical `a * b mod p`, lane-wise twin of `Modulus::reduce_u128
@@ -465,37 +453,6 @@ pub unsafe fn mul_scalar_shoup(m: &Modulus, data: &mut [u64], s: u64, s_shoup: u
         }
     }
     scalar::mul_scalar_shoup(m, &mut data[split..], s, s_shoup);
-}
-
-/// Centred lift of `src_q`-residues into `p`, AVX2. The branch
-/// (`r > src_q/2` → negate the reduced complement) becomes a blend
-/// between both arms, each computed with the exact scalar formula.
-///
-/// # Safety
-/// Caller must guarantee the CPU supports AVX2.
-#[target_feature(enable = "avx2")]
-pub unsafe fn centered_lift(m: &Modulus, dst: &mut [u64], src: &[u64], src_q: u64) {
-    let (p, _, cr1) = unsafe { barrett_consts(m) };
-    let half = unsafe { splat(src_q / 2) };
-    let qv = unsafe { splat(src_q) };
-    let zero = _mm256_setzero_si256();
-    let split = dst.len() - dst.len() % LANES;
-    for (cd, cs) in dst[..split]
-        .chunks_exact_mut(LANES)
-        .zip(src[..split].chunks_exact(LANES))
-    {
-        unsafe {
-            let r = load(cs);
-            let hi_mask = cmpgt_u64(r, half);
-            // reduce either r or src_q - r, then negate the latter arm
-            let arg = _mm256_blendv_epi8(r, _mm256_sub_epi64(qv, r), hi_mask);
-            let red = barrett_reduce1_v(arg, p, cr1);
-            let nonzero =
-                _mm256_andnot_si256(_mm256_cmpeq_epi64(red, zero), _mm256_sub_epi64(p, red));
-            store(cd, _mm256_blendv_epi8(red, nonzero, hi_mask));
-        }
-    }
-    scalar::centered_lift(m, &mut dst[split..], &src[split..], src_q);
 }
 
 /// `acc[i] += c·lift(src[i]) mod p`, AVX2: the Shoup product of the

@@ -22,12 +22,12 @@ use super::scalar;
 use crate::modring::Modulus;
 use crate::ntt::NttTable;
 use core::arch::x86_64::{
-    __m512i, __mmask8, _mm512_add_epi64, _mm512_and_si512, _mm512_cmpeq_epi64_mask,
-    _mm512_cmpge_epu64_mask, _mm512_cmpgt_epu64_mask, _mm512_cmplt_epu64_mask, _mm512_loadu_epi64,
-    _mm512_madd52hi_epu64, _mm512_madd52lo_epu64, _mm512_mask_blend_epi64, _mm512_mask_sub_epi64,
-    _mm512_maskz_mov_epi64, _mm512_mul_epu32, _mm512_mullo_epi64, _mm512_permutex2var_epi64,
-    _mm512_permutexvar_epi64, _mm512_set1_epi64, _mm512_setzero_si512, _mm512_srli_epi64,
-    _mm512_storeu_epi64, _mm512_sub_epi64,
+    __m512i, __mmask8, _mm512_add_epi64, _mm512_and_si512, _mm512_cmpge_epu64_mask,
+    _mm512_cmpgt_epu64_mask, _mm512_cmplt_epu64_mask, _mm512_loadu_epi64, _mm512_madd52hi_epu64,
+    _mm512_madd52lo_epu64, _mm512_mask_blend_epi64, _mm512_mask_sub_epi64, _mm512_maskz_mov_epi64,
+    _mm512_mul_epu32, _mm512_mullo_epi64, _mm512_permutex2var_epi64, _mm512_permutexvar_epi64,
+    _mm512_set1_epi64, _mm512_setzero_si512, _mm512_srli_epi64, _mm512_storeu_epi64,
+    _mm512_sub_epi64,
 };
 
 const LANES: usize = 8;
@@ -152,16 +152,6 @@ unsafe fn mul_shoup_lazy_v(a: __m512i, b: __m512i, b_shoup: __m512i, p: __m512i)
 #[inline(always)]
 unsafe fn mul_shoup_v(a: __m512i, b: __m512i, b_shoup: __m512i, p: __m512i) -> __m512i {
     unsafe { sub_if_ge(mul_shoup_lazy_v(a, b, b_shoup, p), p) }
-}
-
-/// Single-word Barrett reduce, lane-wise twin of `Modulus::reduce` (for
-/// `x < p` the estimate is exactly 0, reproducing the scalar early-exit).
-#[inline(always)]
-unsafe fn barrett_reduce1_v(x: __m512i, p: __m512i, cr1: __m512i) -> __m512i {
-    unsafe {
-        let q = mul_hi64(x, cr1);
-        sub_if_ge(_mm512_sub_epi64(x, _mm512_mullo_epi64(q, p)), p)
-    }
 }
 
 /// Canonical `a * b mod p`, lane-wise twin of
@@ -1019,37 +1009,6 @@ pub unsafe fn mul_scalar_shoup(m: &Modulus, data: &mut [u64], s: u64, s_shoup: u
         }
     }
     scalar::mul_scalar_shoup(m, &mut data[split..], s, s_shoup);
-}
-
-/// Centred lift of `src_q`-residues into `p`, AVX-512: a mask-blend
-/// between the two scalar branch arms.
-///
-/// # Safety
-/// Caller must guarantee the CPU supports AVX-512F and AVX-512DQ.
-#[target_feature(enable = "avx512f,avx512dq")]
-pub unsafe fn centered_lift(m: &Modulus, dst: &mut [u64], src: &[u64], src_q: u64) {
-    let (p, _, cr1) = unsafe { barrett_consts(m) };
-    let half = unsafe { splat(src_q / 2) };
-    let qv = unsafe { splat(src_q) };
-    let zero = _mm512_setzero_si512();
-    let split = dst.len() - dst.len() % LANES;
-    for (cd, cs) in dst[..split]
-        .chunks_exact_mut(LANES)
-        .zip(src[..split].chunks_exact(LANES))
-    {
-        unsafe {
-            let r = load(cs);
-            let hi_mask = _mm512_cmpgt_epu64_mask(r, half);
-            // reduce either r or src_q - r, then negate the latter arm
-            let arg = _mm512_mask_blend_epi64(hi_mask, r, _mm512_sub_epi64(qv, r));
-            let red = barrett_reduce1_v(arg, p, cr1);
-            // m.neg(red): p - red, forced to 0 where red == 0
-            let nz = !_mm512_cmpeq_epi64_mask(red, zero);
-            let neg = _mm512_maskz_mov_epi64(nz, _mm512_sub_epi64(p, red));
-            store(cd, _mm512_mask_blend_epi64(hi_mask, red, neg));
-        }
-    }
-    scalar::centered_lift(m, &mut dst[split..], &src[split..], src_q);
 }
 
 /// `acc[i] += c·lift(src[i]) mod p`, AVX-512 IFMA: the lazy 52-bit

@@ -3,9 +3,9 @@
 //!
 //! Every hot inner loop of the RNS-CKKS stack — NTT butterflies, dyadic
 //! (pointwise) Barrett products, fused Shoup multiply-accumulates, the
-//! rescale/mod-down lift — funnels through the free functions in this
-//! module. Each op has one **scalar reference implementation**
-//! ([`scalar`]) and, per architecture, vectorized twins that are
+//! base-conversion terms that drop limbs (rescale and mod-down alike) —
+//! funnels through the free functions in this module. Each op has one
+//! **scalar reference implementation** ([`scalar`]) and, per architecture, vectorized twins that are
 //! **bit-identical** to it at every kernel entry-point boundary: each
 //! public kernel ends in a full canonical reduction to `[0, p)`, and
 //! that output matches scalar exactly. Intermediate lazy `[0, 4p)`
@@ -486,39 +486,13 @@ pub fn mul_scalar_shoup_with(
     );
 }
 
-/// `dst[i]` = the centred lift of `src[i]`, a residue mod `src_q`, into
-/// `p`: `src[i]` stands for itself up to `src_q/2` and for
-/// `src[i] - src_q` above it. The first half of dropping a limb
-/// (rescale, mod-down).
-#[inline]
-pub fn centered_lift(m: &Modulus, dst: &mut [u64], src: &[u64], src_q: u64) {
-    centered_lift_with(active_backend(), m, dst, src, src_q);
-}
-
-/// Explicit-backend [`centered_lift`].
-#[inline]
-pub fn centered_lift_with(
-    backend: KernelBackend,
-    m: &Modulus,
-    dst: &mut [u64],
-    src: &[u64],
-    src_q: u64,
-) {
-    assert_eq!(dst.len(), src.len());
-    dispatch!(
-        backend,
-        scalar::centered_lift(m, dst, src, src_q),
-        avx2::centered_lift(m, dst, src, src_q),
-        avx512::centered_lift(m, dst, src, src_q),
-        neon::centered_lift(m, dst, src, src_q)
-    );
-}
-
 /// `acc[i] = (acc[i] + c·lift(src[i])) mod p` with `c_shoup =
-/// m.shoup(c)`, where `lift` is [`centered_lift`]'s reading of a
-/// residue mod `src_q` (`src_q < 2^61`): one source limb's term of a
-/// fast base conversion ([`crate::rns::FastBaseConverter`]). From a
-/// zero accumulator with `c = 1` it writes [`centered_lift`] exactly.
+/// m.shoup(c)`, where `lift` is the centred lift of a residue mod
+/// `src_q` (`src_q < 2^61`): `r` stands for itself up to `src_q/2` and
+/// for `r − src_q` above it. One source limb's term of a fast base
+/// conversion ([`crate::rns::FastBaseConverter`]); from a zero
+/// accumulator with `c = 1` it writes the centred lift itself, the
+/// one-prime conversion that drops a limb in a rescale.
 #[inline]
 pub fn centered_mac_shoup(
     m: &Modulus,
@@ -712,61 +686,86 @@ mod tests {
         }
     }
 
+    /// The centred lift of `src` (residues mod `src_q`) into `m`: `r`
+    /// for `r ≤ src_q/2`, `r − src_q` above it.
+    fn centered_lift_reference(m: &Modulus, src: &[u64], src_q: u64) -> Vec<u64> {
+        src.iter()
+            .map(|&r| {
+                if r > src_q / 2 {
+                    m.neg(m.reduce(src_q - r))
+                } else {
+                    m.reduce(r)
+                }
+            })
+            .collect()
+    }
+
+    /// Source moduli for the base-conversion term: larger and smaller
+    /// than every target, so the raw residue is both below and far above
+    /// `p`. 52 bits is the IFMA path's widest source, 61 the generic one's.
+    fn lift_source_bits() -> &'static [u32] {
+        if cfg!(miri) {
+            &[61, 20]
+        } else {
+            &[61, 52, 40, 20]
+        }
+    }
+
+    /// `src` mod a fresh `src_bits`-bit prime other than `p`, with the
+    /// centring boundary forced: exactly half, half + 1, 0 and q − 1.
+    fn lift_source(
+        rng: &mut rand::rngs::StdRng,
+        n: usize,
+        src_bits: u32,
+        p: u64,
+    ) -> (Vec<u64>, u64) {
+        let src_q = gen_ntt_primes_excluding(src_bits, n, 2, &[p])[1];
+        let half = src_q / 2;
+        let mut src = rand_limb(rng, n, src_q);
+        (src[0], src[1], src[2], src[3]) = (half, half + 1, 0, src_q - 1);
+        (src, src_q)
+    }
+
+    /// The one-prime conversion that drops a limb in a rescale — the
+    /// base-conversion term from a zero accumulator with `c = 1` — is
+    /// the centred lift on every backend, at the centring boundary, from
+    /// a larger and a smaller modulus (rescale lifts a 26-bit top prime
+    /// into a 40-bit q_0, mod-down 40-bit special primes into 26-bit
+    /// limbs).
     #[test]
     fn centered_lift_parity_hits_boundaries() {
         let n = if cfg!(miri) { 1 << 5 } else { 1 << 8 };
         let mut rng = rand::rngs::StdRng::seed_from_u64(11);
         for m in moduli_for(n) {
-            // Lift from a *different* modulus, larger and smaller, as
-            // rescale (26-bit top prime into a 40-bit q_0) and mod-down
-            // (40-bit special prime into 26-bit limbs) both do.
-            for src_bits in [61, 20] {
-                let src_q = gen_ntt_primes_excluding(src_bits, n, 2, &[m.value()])[1];
-                let half = src_q / 2;
-                let mut src = rand_limb(&mut rng, n, src_q);
-                // Force the boundary cases: exactly half, half+1, 0, q-1.
-                src[0] = half;
-                src[1] = half + 1;
-                src[2] = 0;
-                src[3] = src_q - 1;
-                let mut reference = vec![0u64; n];
-                scalar::centered_lift(&m, &mut reference, &src, src_q);
+            let p = m.value();
+            for &src_bits in lift_source_bits() {
+                let (src, src_q) = lift_source(&mut rng, n, src_bits, p);
+                let lift = centered_lift_reference(&m, &src, src_q);
                 // the lift of q-1 is -1, of 0 is 0
-                assert_eq!(reference[2], 0);
-                assert_eq!(reference[3], m.value() - 1);
+                assert_eq!((lift[2], lift[3]), (0, p - 1));
                 for be in available_backends() {
                     let mut got = vec![0u64; n];
-                    centered_lift_with(be, &m, &mut got, &src, src_q);
-                    assert_eq!(got, reference, "centered_lift {} q={src_q}", be.name());
+                    centered_mac_shoup_with(be, &m, &mut got, &src, src_q, 1, m.shoup(1));
+                    assert_eq!(got, lift, "centred lift {} q={src_q}", be.name());
                 }
             }
         }
     }
 
-    /// The base-conversion term: every backend matches scalar for
-    /// residues from a larger and a smaller modulus (so the raw residue
-    /// is both below and far above `p`), at the centring boundary, and
-    /// from `c = 1` on a zero accumulator it is the centred lift itself.
+    /// The base-conversion term: every backend matches scalar, and
+    /// scalar matches the centred lift followed by a fused MAC, for
+    /// residues from a larger and a smaller modulus, at the centring
+    /// boundary.
     #[test]
     fn centered_mac_shoup_parity_hits_boundaries() {
         let n = if cfg!(miri) { 1 << 5 } else { 1 << 8 };
         let mut rng = rand::rngs::StdRng::seed_from_u64(14);
         for m in moduli_for(n) {
             let p = m.value();
-            // 52 bits is the IFMA path's widest source, 61 the generic one's
-            let src_sizes: &[u32] = if cfg!(miri) {
-                &[61, 20]
-            } else {
-                &[61, 52, 40, 20]
-            };
-            for &src_bits in src_sizes {
-                let src_q = gen_ntt_primes_excluding(src_bits, n, 2, &[p])[1];
-                let half = src_q / 2;
-                let mut src = rand_limb(&mut rng, n, src_q);
-                (src[0], src[1], src[2], src[3]) = (half, half + 1, 0, src_q - 1);
+            for &src_bits in lift_source_bits() {
+                let (src, src_q) = lift_source(&mut rng, n, src_bits, p);
                 let acc0 = rand_limb(&mut rng, n, p);
-                let mut lift = vec![0u64; n];
-                scalar::centered_lift(&m, &mut lift, &src, src_q);
+                let lift = centered_lift_reference(&m, &src, src_q);
                 for c in [1, p - 1, rng.gen_range(1..p)] {
                     let cs = m.shoup(c);
                     let mut reference = acc0.clone();
@@ -779,11 +778,6 @@ mod tests {
                         centered_mac_shoup_with(be, &m, &mut got, &src, src_q, c, cs);
                         assert_eq!(got, reference, "centered_mac_shoup {} q={src_q}", be.name());
                     }
-                }
-                for be in available_backends() {
-                    let mut got = vec![0u64; n];
-                    centered_mac_shoup_with(be, &m, &mut got, &src, src_q, 1, m.shoup(1));
-                    assert_eq!(got, lift, "c = 1 is the centred lift, {}", be.name());
                 }
             }
         }

@@ -28,9 +28,8 @@ use super::scalar;
 use crate::modring::Modulus;
 use crate::ntt::NttTable;
 use core::arch::aarch64::{
-    uint64x2_t, vaddq_u64, vandq_u64, vbslq_u64, vceqzq_u64, vcgeq_u64, vcgtq_u64, vdupq_n_u64,
-    vld1q_u64, vmovn_u64, vmull_u32, vshlq_n_u64, vshrn_n_u64, vshrq_n_u64, vst1q_u64, vsubq_u64,
-    vtrn1q_u64, vtrn2q_u64,
+    uint64x2_t, vaddq_u64, vandq_u64, vcgeq_u64, vcgtq_u64, vdupq_n_u64, vld1q_u64, vmovn_u64,
+    vmull_u32, vshlq_n_u64, vshrn_n_u64, vshrq_n_u64, vst1q_u64, vsubq_u64, vtrn1q_u64, vtrn2q_u64,
 };
 
 const LANES: usize = 2;
@@ -125,15 +124,6 @@ unsafe fn mul_shoup_v(
     p: uint64x2_t,
 ) -> uint64x2_t {
     unsafe { sub_if_ge(mul_shoup_lazy_v(a, b, b_shoup, p), p) }
-}
-
-/// Single-word Barrett reduce, lane-wise twin of `Modulus::reduce`.
-#[inline(always)]
-unsafe fn barrett_reduce1_v(x: uint64x2_t, p: uint64x2_t, cr1: uint64x2_t) -> uint64x2_t {
-    unsafe {
-        let q = mul_hi64(x, cr1);
-        sub_if_ge(vsubq_u64(x, mul_lo64(q, p)), p)
-    }
 }
 
 /// Canonical `a * b mod p`, lane-wise twin of `Modulus::reduce_u128
@@ -417,36 +407,6 @@ pub unsafe fn mul_scalar_shoup(m: &Modulus, data: &mut [u64], s: u64, s_shoup: u
         }
     }
     scalar::mul_scalar_shoup(m, &mut data[split..], s, s_shoup);
-}
-
-/// Centred lift of `src_q`-residues into `p`, NEON: a blend between the
-/// two scalar branch arms.
-///
-/// # Safety
-/// Caller must guarantee the CPU supports NEON.
-#[target_feature(enable = "neon")]
-pub unsafe fn centered_lift(m: &Modulus, dst: &mut [u64], src: &[u64], src_q: u64) {
-    let (p, _, cr1) = unsafe { barrett_consts(m) };
-    let half = unsafe { splat(src_q / 2) };
-    let qv = unsafe { splat(src_q) };
-    let split = dst.len() - dst.len() % LANES;
-    for (cd, cs) in dst[..split]
-        .chunks_exact_mut(LANES)
-        .zip(src[..split].chunks_exact(LANES))
-    {
-        unsafe {
-            let r = load(cs);
-            let hi_mask = vcgtq_u64(r, half);
-            // reduce either r or src_q - r, then negate the latter arm
-            let arg = vbslq_u64(hi_mask, vsubq_u64(qv, r), r);
-            let red = barrett_reduce1_v(arg, p, cr1);
-            // m.neg(red): p - red, forced to 0 where red == 0
-            let zero_mask = vceqzq_u64(red);
-            let neg = vbslq_u64(zero_mask, splat(0), vsubq_u64(p, red));
-            store(cd, vbslq_u64(hi_mask, neg, red));
-        }
-    }
-    scalar::centered_lift(m, &mut dst[split..], &src[split..], src_q);
 }
 
 /// `dst[i] = (dst[i] - src[i]) * s mod p`, NEON: modular subtract with

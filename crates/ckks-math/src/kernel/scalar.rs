@@ -136,21 +136,8 @@ pub fn mul_scalar_shoup(m: &Modulus, data: &mut [u64], s: u64, s_shoup: u64) {
     }
 }
 
-/// Centred lift of `src_q`-residues into `p`: `r` stands for `r` when
-/// `r <= src_q/2` and for `r - src_q` above it.
-pub fn centered_lift(m: &Modulus, dst: &mut [u64], src: &[u64], src_q: u64) {
-    let half = src_q / 2;
-    for (dv, &r) in dst.iter_mut().zip(src) {
-        *dv = if r > half {
-            m.neg(m.reduce(src_q - r))
-        } else {
-            m.reduce(r)
-        };
-    }
-}
-
 /// `acc[i] = (acc[i] + c·lift(src[i])) mod p`, `c_shoup = m.shoup(c)`,
-/// where `lift` is [`centered_lift`]'s: `r` stands for `r − src_q`
+/// where `lift` is the centred lift: `r` stands for `r − src_q`
 /// above `src_q/2`, so those lanes subtract `[src_q·c]_p`. The Shoup
 /// product is exact for any 64-bit `r`, so `r` need not be below `p`.
 pub fn centered_mac_shoup(

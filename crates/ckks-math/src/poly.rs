@@ -22,7 +22,7 @@
 
 use crate::kernel;
 use crate::modring::Modulus;
-use crate::ntt::{galois_permutation, NttTable};
+use crate::ntt::NttTable;
 use crate::rns::FastBaseConverter;
 use crate::sampler::Sampler;
 use rayon::prelude::*;
@@ -476,82 +476,21 @@ impl RnsPoly {
         out
     }
 
-    /// [`Self::automorphism`] for a polynomial in NTT form: `σ_g` permutes
-    /// evaluation slots ([`galois_permutation`]), so no transform runs.
-    /// Limb-identical to the coefficient-domain map between an inverse
-    /// and a forward NTT.
-    pub fn automorphism_ntt(&self, g: usize) -> Self {
-        assert_eq!(self.form, Form::Ntt, "automorphism_ntt requires NTT form");
-        let n = self.ctx.n();
-        let perm = galois_permutation(n, g);
-        let mut data = Vec::with_capacity(self.data.len());
-        for limb in self.data.chunks(n) {
-            data.extend(perm.iter().map(|&k| limb[k as usize]));
-        }
-        Self {
-            ctx: Arc::clone(&self.ctx),
-            limb_indices: self.limb_indices.clone(),
-            data,
-            form: Form::Ntt,
-        }
-    }
-
-    /// Divides two polynomials over the same limbs by the last limb's
-    /// modulus `q`, rounding, and drops that limb — rescaling a
-    /// ciphertext (`q` the top chain prime; the key-switch mod-down by
-    /// the special primes is [`Self::divide_by_last_limbs`]). Each remaining
-    /// limb becomes `(a − [a]_q) · q⁻¹`, where `[a]_q` is the centred
-    /// residue and `q_inv[i]` is `q⁻¹` mod limb `i`'s modulus.
-    ///
-    /// Stays in NTT form: only the dropped limbs are inverse-transformed;
-    /// their centred lifts into each remaining limb are forward-transformed
-    /// and subtracted there, both polynomials in one pass over the limbs
-    /// with one lift buffer per limb task. The NTT is exact and linear,
-    /// so the result is limb-identical to applying the formula to
-    /// coefficients.
-    pub fn divide_by_last_limb(a: &mut Self, b: &mut Self, q_inv: &[u64]) {
-        a.assert_compatible(b);
-        assert_eq!(a.form, Form::Ntt, "divide_by_last_limb requires NTT form");
-        assert!(a.num_limbs() > 1, "cannot drop the only limb");
-        let n = a.ctx.n();
-        let k = a.num_limbs() - 1;
-        assert_eq!(q_inv.len(), k, "one q⁻¹ per remaining limb");
-        let ctx = Arc::clone(&a.ctx);
-        let last_idx = a.limb_indices[k];
-        let mut last = [a.data.split_off(k * n), b.data.split_off(k * n)];
-        a.limb_indices.pop();
-        b.limb_indices.pop();
-        for limb in &mut last {
-            ctx.ntt_table(last_idx).inverse(limb);
-        }
-        let q = ctx.moduli()[last_idx].value();
-
-        he_trace::record_ntt_fwd(2 * k as u64);
-        let backend = kernel::active_backend();
-        let indices = a.limb_indices.clone();
-        Self::for_each_limb_pair(a, b, |i, x, y| {
-            let (m, table) = (ctx.moduli()[indices[i]], ctx.ntt_table(indices[i]));
-            let mut lift = vec![0u64; n];
-            for (dst, last) in [(x, &last[0]), (y, &last[1])] {
-                kernel::centered_lift_with(backend, &m, &mut lift, last, q);
-                kernel::ntt_forward_with(backend, table, &mut lift);
-                kernel::sub_mul_shoup_with(backend, &m, dst, &lift, q_inv[i], m.shoup(q_inv[i]));
-            }
-        });
-    }
-
     /// Divides both polynomials, rounding, by the product `P` of their
     /// last `k` limbs — `conv`'s source moduli, in order — and drops
-    /// those limbs: the key-switch mod-down. Each remaining limb becomes
-    /// `(a − conv([a]_P))·P⁻¹` with `p_inv[i]` = `P⁻¹` mod limb `i`'s
-    /// modulus and `conv`'s targets indexed by context modulus. With one
-    /// dropped limb this is [`Self::divide_by_last_limb`], limb for limb;
-    /// with more, the fast conversion's `e·P` overflow (`|e| ≤ k/2`)
-    /// shifts the result by at most `k/2`.
+    /// those limbs: the one limb-dropping division, for a rescale (one
+    /// chain prime, `k = 1`) and a key-switch mod-down (the special
+    /// primes) alike. Each remaining limb becomes `(a − conv([a]_P))·P⁻¹`
+    /// with `p_inv[i]` = `P⁻¹` mod limb `i`'s modulus and `conv`'s
+    /// targets indexed by context modulus. With one dropped limb `conv`
+    /// is its centred lift, exact; with more, the fast conversion's `e·P`
+    /// overflow (`|e| ≤ k/2`) shifts the result by at most `k/2`.
     ///
-    /// Stays in NTT form like [`Self::divide_by_last_limb`]: only the
-    /// dropped limbs are inverse-transformed, and each remaining limb
-    /// task converts, forward-transforms and subtracts for both halves.
+    /// Stays in NTT form: only the dropped limbs are inverse-transformed,
+    /// and each remaining limb task converts, forward-transforms and
+    /// subtracts for both halves, with one lift buffer per task. The NTT
+    /// is exact and linear, so the result is limb-identical to applying
+    /// the formula to coefficients.
     pub fn divide_by_last_limbs(
         a: &mut Self,
         b: &mut Self,
@@ -597,7 +536,7 @@ impl RnsPoly {
     }
 
     /// Drops the last limb without folding it into the others (see
-    /// [`Self::divide_by_last_limb`] for the rescaling form).
+    /// [`Self::divide_by_last_limbs`] for the rescaling form).
     pub fn drop_last_limb(&mut self) {
         assert!(self.num_limbs() > 1, "cannot drop the only limb");
         self.limb_indices.pop();

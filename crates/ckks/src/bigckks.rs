@@ -426,16 +426,17 @@ impl BigCkks {
     /// part from `σ_g(s)` back to `s`.
     pub fn rotate(&self, ct: &BigCiphertext, steps: i64, gk: &BigGaloisKeys) -> BigCiphertext {
         let g = self.ctx.params().galois_element_for_rotation(steps);
-        self.apply_galois(ct, g, gk)
+        self.automorphism(ct, g, gk)
     }
 
     /// Complex conjugation (`X ↦ X^{2N−1}`).
     pub fn conjugate(&self, ct: &BigCiphertext, gk: &BigGaloisKeys) -> BigCiphertext {
         let g = self.ctx.params().galois_element_conjugate();
-        self.apply_galois(ct, g, gk)
+        self.automorphism(ct, g, gk)
     }
 
-    fn apply_galois(&self, ct: &BigCiphertext, g: usize, gk: &BigGaloisKeys) -> BigCiphertext {
+    /// σ_g of both halves, then the switch of `σ_g(c₁)` back to `s`.
+    fn automorphism(&self, ct: &BigCiphertext, g: usize, gk: &BigGaloisKeys) -> BigCiphertext {
         let q = self.modulus_at(ct.level);
         let kk = gk
             .get(g)

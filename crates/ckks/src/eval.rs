@@ -3,11 +3,14 @@
 //! `Resc`, `Rot`, conjugation — plus plaintext-operand variants and level
 //! management.
 //!
-//! A rotation can also stop before its mod-down ([`Evaluator::rotate_ext`]):
-//! its result is an [`ExtCiphertext`] over the key-switch basis, which
-//! [`Evaluator::mul_plain_ext`], [`Evaluator::mac_plain_ext`] and
-//! [`Evaluator::add_ext`] keep there and [`Evaluator::mod_down`] divides
-//! by `P` once for a whole sum — the hoisted mod-down of Bossuat et al.
+//! Every division that drops limbs — `Resc` by the top prime, a key
+//! switch's mod-down by `P` — is [`RnsPoly::divide_by_last_limbs`]
+//! through a fast base conversion, and every Galois op (rotation,
+//! conjugation) is [`Evaluator::mod_down`] of its extended form
+//! ([`Evaluator::rotate_ext`]): an [`ExtCiphertext`] over the key-switch
+//! basis, which [`Evaluator::mul_plain_ext`], [`Evaluator::mac_plain_ext`]
+//! and [`Evaluator::add_ext`] can also keep there, so that one `mod_down`
+//! divides a whole sum by `P` — the hoisted mod-down of Bossuat et al.
 //! (EUROCRYPT 2021). Each is one call, refusing malformed operands with a
 //! typed [`HeError`], so the he-ir interpreter still maps every circuit
 //! node to exactly one evaluator call.
@@ -24,7 +27,7 @@ use ckks_math::poly::{Form, RnsPoly};
 use ckks_math::sampler::Sampler;
 use rayon::prelude::*;
 use std::ops::Range;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Relative tolerance for scale compatibility in additions.
 pub const SCALE_RTOL: f64 = 1e-9;
@@ -216,8 +219,7 @@ impl Evaluator {
     pub fn mul_plain(&self, a: &Ciphertext, pt: &Plaintext) -> Ciphertext {
         assert_eq!(a.level, pt.level, "plaintext level mismatch");
         let mut out = a.clone();
-        out.c0.mul_assign(&pt.poly);
-        out.c1.mul_assign(&pt.poly);
+        self.mul_plain_limbs((&mut out.c0, &mut out.c1), &pt.poly);
         out.scale = a.scale * pt.scale;
         out
     }
@@ -250,16 +252,47 @@ impl Evaluator {
                 b: product,
             });
         }
-        // one pass over the limbs of c0 and c1: each plaintext limb is
-        // read once, for both products
-        he_trace::record_modmul_limbs(2 * (acc.level as u64 + 1));
-        let (backend, moduli) = (kernel::active_backend(), self.ctx.chain_moduli());
-        RnsPoly::for_each_limb_pair(&mut acc.c0, &mut acc.c1, |i, c0, c1| {
-            let w = pt.poly.limb(i);
-            kernel::dyadic_mul_acc_with(backend, &moduli[i], c0, x.c0.limb(i), w);
-            kernel::dyadic_mul_acc_with(backend, &moduli[i], c1, x.c1.limb(i), w);
-        });
+        self.mac_plain_limbs((&mut acc.c0, &mut acc.c1), (&x.c0, &x.c1), &pt.poly);
         Ok(())
+    }
+
+    /// `(c₀, c₁) ← (c₀·w, c₁·w)` in one pass over the limbs, each limb of
+    /// `w` read once for both products and its modulus read by context
+    /// index: the product of [`Self::mul_plain`] over the chain and of
+    /// [`Self::mul_plain_ext`] over the key-switch basis. Panics unless
+    /// `w` is in NTT form over the limbs of `c₀`.
+    fn mul_plain_limbs(&self, (c0, c1): (&mut RnsPoly, &mut RnsPoly), w: &RnsPoly) {
+        assert!(
+            w.form() == Form::Ntt && w.limb_indices() == c0.limb_indices(),
+            "plaintext not in NTT form over the ciphertext's limbs"
+        );
+        he_trace::record_modmul_limbs(2 * c0.num_limbs() as u64);
+        let (backend, moduli) = (kernel::active_backend(), self.ctx.poly_ctx().moduli());
+        let basis = w.limb_indices();
+        RnsPoly::for_each_limb_pair(c0, c1, |i, c0, c1| {
+            let (m, w) = (&moduli[basis[i]], w.limb(i));
+            kernel::dyadic_mul_assign_with(backend, m, c0, w);
+            kernel::dyadic_mul_assign_with(backend, m, c1, w);
+        });
+    }
+
+    /// `(a₀, a₁) += (x₀·w, x₁·w)` in one fused pass over the limbs, like
+    /// [`Self::mul_plain_limbs`]: the MAC of [`Self::try_mul_plain_acc`]
+    /// and [`Self::mac_plain_ext`], operands already checked.
+    fn mac_plain_limbs(
+        &self,
+        (a0, a1): (&mut RnsPoly, &mut RnsPoly),
+        (x0, x1): (&RnsPoly, &RnsPoly),
+        w: &RnsPoly,
+    ) {
+        he_trace::record_modmul_limbs(2 * a0.num_limbs() as u64);
+        let (backend, moduli) = (kernel::active_backend(), self.ctx.poly_ctx().moduli());
+        let basis = x0.limb_indices();
+        RnsPoly::for_each_limb_pair(a0, a1, |i, a0, a1| {
+            let (m, w) = (&moduli[basis[i]], w.limb(i));
+            kernel::dyadic_mul_acc_with(backend, m, a0, x0.limb(i), w);
+            kernel::dyadic_mul_acc_with(backend, m, a1, x1.limb(i), w);
+        });
     }
 
     // ---------------------------------------------------------------
@@ -477,15 +510,26 @@ impl Evaluator {
     /// coefficient multiplying the key-switching key's payload, into a
     /// pair `(u₀, u₁)` with `u₀ + u₁·s ≈ d·w` (`s` the key's secret, `w`
     /// its payload): the same decomposition, inner product and mod-down
-    /// as a rotation. Panics on a `d` that is not an NTT-form poly over
-    /// `0..=ℓ` of the chain.
+    /// as a rotation — [`Self::decompose`], [`Self::inner_product`], then
+    /// both mod-downs by `P` in one pass over the chain limbs
+    /// ([`Self::divide_by_p`]). Panics on a `d` that is not an NTT-form
+    /// poly over `0..=ℓ` of the chain.
     pub fn key_switch(&self, d: &RnsPoly, ksk: &KeySwitchKey) -> (RnsPoly, RnsPoly) {
         let level = d.num_limbs() - 1;
         let shape_ok = d.form() == Form::Ntt
             && level < self.ctx.poly_ctx().chain_len()
             && d.limb_indices().iter().copied().eq(0..=level);
         assert!(shape_ok, "key_switch input: not NTT over limbs 0..=level");
-        self.switch(d, &self.decompose(d, false), ksk)
+        let digits = self.decompose(d, false);
+        let zero = RnsPoly::zero(
+            Arc::clone(self.ctx.poly_ctx()),
+            digits.ext.clone(),
+            Form::Ntt,
+        );
+        let (mut u0, mut u1) = (zero.clone(), zero);
+        self.inner_product(d, &digits, ksk, (&mut u0, &mut u1), None);
+        self.divide_by_p(&mut u0, &mut u1);
+        (u0, u1)
     }
 
     /// The key-switch digits of `d` at its level ℓ
@@ -496,7 +540,7 @@ impl Evaluator {
     /// and forward-transforms it; on its own limbs a digit is `d`
     /// itself). A fan of rotations shares one decomposition because
     /// each rotation applies σ_g only after its switch
-    /// ([`Self::apply_galois`]), so every key switch of the fan
+    /// ([`Self::apply_galois_ext`]), so every key switch of the fan
     /// decomposes the same `c₁`. With `store` every lift is computed
     /// here, once for a fan; otherwise the one switch reading them lifts
     /// each into its task's scratch as it goes.
@@ -539,25 +583,10 @@ impl Evaluator {
         out
     }
 
-    /// The key switch proper: [`Self::inner_product`], then both
-    /// mod-downs by `P` — `c ← (c − conv([c]_P))·P⁻¹ mod q_i`, the
-    /// special limbs converted back into the chain
-    /// ([`RnsPoly::divide_by_last_limbs`]) — in one pass over the chain
-    /// limbs.
-    fn switch(&self, d: &RnsPoly, digits: &Digits, ksk: &KeySwitchKey) -> (RnsPoly, RnsPoly) {
-        let zero = RnsPoly::zero(
-            Arc::clone(self.ctx.poly_ctx()),
-            digits.ext.clone(),
-            Form::Ntt,
-        );
-        let (mut acc0, mut acc1) = (zero.clone(), zero);
-        self.inner_product(d, digits, ksk, (&mut acc0, &mut acc1), None);
-        self.divide_by_p(&mut acc0, &mut acc1);
-        (acc0, acc1)
-    }
-
     /// `(c₀, c₁) ← (c₀, c₁)/P`, rounded, over the chain limbs of the
-    /// key-switch basis: the mod-down of a key switch.
+    /// key-switch basis: the mod-down of a key switch, `c ← (c −
+    /// conv([c]_P))·P⁻¹ mod q_i` with the special limbs converted back
+    /// into the chain ([`RnsPoly::divide_by_last_limbs`]).
     fn divide_by_p(&self, c0: &mut RnsPoly, c1: &mut RnsPoly) {
         let level = c0.num_limbs() - self.ctx.special_moduli().len() - 1;
         let p_inv = &self.ctx.p_inv_mod_qi()[..=level];
@@ -621,8 +650,9 @@ impl Evaluator {
         });
     }
 
-    /// Decomposes `ct.c1` once, storing every digit's lift, for any
-    /// number of rotations and conjugations of `ct`
+    /// Decomposes `ct.c1` once, storing every digit's lift, and lifts
+    /// `c₀` to `P·c₀`, for any number of rotations and conjugations of
+    /// `ct`
     /// ([`Self::try_rotate_hoisted`], [`Self::try_conjugate_hoisted`],
     /// and before their mod-down [`Self::rotate_ext_hoisted`]).
     /// Refuses, typed, a ciphertext key switching would misread
@@ -633,13 +663,12 @@ impl Evaluator {
 
     /// [`Self::hoist`]; a lone rotation passes `store = false`.
     fn hoist_stored<'a>(&self, ct: &'a Ciphertext, store: bool) -> Result<Hoisted<'a>, HeError> {
-        ct.check_shape(self.ctx.poly_ctx().chain_len())
-            .map_err(HeError::MalformedCiphertext)?;
+        self.check_ct(ct)?;
         let _span = he_trace::span("hoist", he_trace::cats::HE);
         Ok(Hoisted {
             ct,
             digits: self.decompose(&ct.c1, store),
-            p_c0: OnceLock::new(),
+            p_c0: self.times_p(&ct.c0),
         })
     }
 
@@ -648,14 +677,21 @@ impl Evaluator {
     // ---------------------------------------------------------------
 
     /// `Resc(c)`: divides by the top prime `q_ℓ`, dropping one level and
-    /// dividing the scale by `q_ℓ`. Panics at level 0; use
-    /// [`Evaluator::try_rescale`] for a typed error.
+    /// dividing the scale by `q_ℓ` — [`RnsPoly::divide_by_last_limbs`]
+    /// through the one-prime conversion from `{q_ℓ}`
+    /// ([`CkksContext::rescale_converter`]), the same division a key
+    /// switch's mod-down by `P` runs. Panics at level 0 and on a
+    /// malformed ciphertext; use [`Evaluator::try_rescale`] for a typed
+    /// error.
     pub fn rescale(&self, ct: &Ciphertext) -> Ciphertext {
         self.try_rescale(ct).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible [`Evaluator::rescale`].
+    /// Fallible [`Evaluator::rescale`]: refuses a ciphertext whose level
+    /// disagrees with its limbs ([`Ciphertext::check_shape`]) before it
+    /// reads any limb.
     pub fn try_rescale(&self, ct: &Ciphertext) -> Result<Ciphertext, HeError> {
+        self.check_ct(ct)?;
         if ct.level < 1 {
             return Err(HeError::LevelExhausted {
                 op: "rescale",
@@ -667,7 +703,8 @@ impl Evaluator {
         let _span = he_trace::span("rescale", he_trace::cats::HE);
         let k = ct.level;
         let (mut c0, mut c1) = (ct.c0.clone(), ct.c1.clone());
-        RnsPoly::divide_by_last_limb(&mut c0, &mut c1, self.ctx.rescale_inv(k));
+        let (conv, q_inv) = (self.ctx.rescale_converter(k), self.ctx.rescale_inv(k));
+        RnsPoly::divide_by_last_limbs(&mut c0, &mut c1, conv, q_inv);
 
         Ok(Ciphertext {
             c0,
@@ -680,8 +717,8 @@ impl Evaluator {
 
     /// Drops limbs down to `level` without changing the scale (modulus
     /// switching used for level alignment before additions). Panics on an
-    /// upward switch; use [`Evaluator::try_mod_switch_to_level`] for a
-    /// typed error.
+    /// upward switch and on a malformed ciphertext; use
+    /// [`Evaluator::try_mod_switch_to_level`] for a typed error.
     pub fn mod_switch_to_level(&self, ct: &Ciphertext, level: usize) -> Ciphertext {
         self.try_mod_switch_to_level(ct, level)
             .unwrap_or_else(|e| panic!("{e}"))
@@ -693,6 +730,7 @@ impl Evaluator {
         ct: &Ciphertext,
         level: usize,
     ) -> Result<Ciphertext, HeError> {
+        self.check_ct(ct)?;
         if level > ct.level {
             return Err(HeError::ModSwitchUpward {
                 from: ct.level,
@@ -731,8 +769,7 @@ impl Evaluator {
         steps: i64,
         gk: &GaloisKeys,
     ) -> Result<Ciphertext, HeError> {
-        ct.check_shape(self.ctx.poly_ctx().chain_len())
-            .map_err(HeError::MalformedCiphertext)?;
+        self.check_ct(ct)?;
         if steps.rem_euclid(ct.slots as i64) == 0 {
             return Ok(ct.clone());
         }
@@ -740,7 +777,9 @@ impl Evaluator {
     }
 
     /// [`Self::try_rotate`] of the hoisted ciphertext, reusing its
-    /// digits: limb-identical to rotating it directly.
+    /// digits and its `P·c₀`: [`Self::mod_down`] of
+    /// [`Self::rotate_ext_hoisted`], limb-identical to rotating it
+    /// directly. The identity rotation is a clone.
     pub fn try_rotate_hoisted(
         &self,
         h: &Hoisted<'_>,
@@ -750,8 +789,7 @@ impl Evaluator {
         if steps.rem_euclid(h.ct.slots as i64) == 0 {
             return Ok(h.ct.clone());
         }
-        let g = self.ctx.galois_element_for_rotation(steps);
-        self.apply_galois(h, g, gk)
+        self.mod_down(self.rotate_ext_hoisted(h, steps, gk)?)
     }
 
     /// Complex conjugation of every slot.
@@ -764,52 +802,37 @@ impl Evaluator {
         self.try_conjugate_hoisted(&self.hoist_stored(ct, false)?, gk)
     }
 
-    /// [`Self::try_conjugate`] of the hoisted ciphertext.
+    /// [`Self::try_conjugate`] of the hoisted ciphertext:
+    /// [`Self::mod_down`] of [`Self::conjugate_ext_hoisted`].
     pub fn try_conjugate_hoisted(
         &self,
         h: &Hoisted<'_>,
         gk: &GaloisKeys,
     ) -> Result<Ciphertext, HeError> {
-        self.apply_galois(h, self.ctx.galois_element_conjugate(), gk)
+        self.mod_down(self.conjugate_ext_hoisted(h, gk)?)
     }
 
-    /// `(σ_g(c₀ + u₀), σ_g(u₁))` with `(u₀, u₁)` the switch of `c₁`
-    /// under the key for `g`, which carries payload `s` under the secret
-    /// `σ_g⁻¹(s)`: `u₀ + u₁·σ_g⁻¹(s) ≈ c₁·s`, so the result decrypts
-    /// under `s` to `σ_g(c₀ + c₁·s)`. σ_g permutes NTT slots, so nothing
-    /// is transformed outside the key switch.
-    fn apply_galois(
-        &self,
-        h: &Hoisted<'_>,
-        g: usize,
-        gk: &GaloisKeys,
-    ) -> Result<Ciphertext, HeError> {
-        let ksk = galois_key(gk, g)?;
-        he_trace::record_rotation(1);
-        let _span = he_trace::span("galois", he_trace::cats::HE);
-        let (mut u0, u1) = self.switch(&h.ct.c1, &h.digits, ksk);
-        u0.add_assign(&h.ct.c0);
-        Ok(Ciphertext {
-            c0: u0.automorphism_ntt(g),
-            c1: u1.automorphism_ntt(g),
-            ..*h.ct
-        })
+    /// `ct` refused typed unless key switching and the level operations
+    /// can read it ([`Ciphertext::check_shape`]).
+    fn check_ct(&self, ct: &Ciphertext) -> Result<(), HeError> {
+        ct.check_shape(self.ctx.poly_ctx().chain_len())
+            .map_err(HeError::MalformedCiphertext)
     }
 
     // ---------------------------------------------------------------
     // The key-switch basis
     // ---------------------------------------------------------------
     //
-    // A rotation's key switch ends in a mod-down by `P`: the special
+    // Every Galois op is `mod_down(rotate_ext(..))`: a key switch and σ_g
+    // over the key-switch basis, then a mod-down by `P` — the special
     // limbs of both halves inverse-transformed, and their conversions
     // into the `ℓ + 1` chain limbs forward-transformed. A sum of rotated
-    // ciphertexts times plaintexts can divide by `P` once instead: each
-    // rotation stops before its mod-down (`rotate_ext`), products and
-    // sums stay over the key-switch basis, and one `mod_down` divides
-    // the sum. `mod_down(rotate_ext(ct, r))` is limb-identical to
-    // `rotate(ct, r)`: `P·c₀` is zero modulo every special prime, so it
-    // passes the division exactly, and σ_g commutes with the centred
-    // fast base conversion.
+    // ciphertexts times plaintexts can divide by `P` once instead:
+    // products and sums stay over the key-switch basis, and one
+    // `mod_down` divides the sum. Folding `P·c₀` in before the division
+    // changes no limb against the textbook `σ_g(c₀ + u₀)`: `P·c₀` is zero
+    // modulo every special prime, so it passes the division exactly, and
+    // σ_g commutes with the centred fast base conversion.
 
     /// `x·P` over the key-switch basis at `x`'s level: `x·[P]_{q_i}` on
     /// each chain limb, zero on the special limbs.
@@ -845,16 +868,15 @@ impl Evaluator {
 
     /// [`Self::try_rotate`] stopped before its mod-down: the rotation
     /// times `P` over the key-switch basis, which [`Self::mod_down`]
-    /// turns into `try_rotate(ct, steps)` limb for limb. An identity
-    /// rotation is the exact lift `P·ct` and decomposes nothing.
+    /// turns into `try_rotate(ct, steps)`. An identity rotation is the
+    /// exact lift `P·ct` and decomposes nothing.
     pub fn rotate_ext(
         &self,
         ct: &Ciphertext,
         steps: i64,
         gk: &GaloisKeys,
     ) -> Result<ExtCiphertext, HeError> {
-        ct.check_shape(self.ctx.poly_ctx().chain_len())
-            .map_err(HeError::MalformedCiphertext)?;
+        self.check_ct(ct)?;
         if steps.rem_euclid(ct.slots as i64) == 0 {
             return Ok(self.lift(ct));
         }
@@ -862,8 +884,7 @@ impl Evaluator {
     }
 
     /// [`Self::rotate_ext`] of the hoisted ciphertext, reusing its
-    /// digits and its `P·c₀` (computed by the fan's first extended
-    /// rotation).
+    /// digits and its `P·c₀`.
     pub fn rotate_ext_hoisted(
         &self,
         h: &Hoisted<'_>,
@@ -886,9 +907,13 @@ impl Evaluator {
         self.apply_galois_ext(h, self.ctx.galois_element_conjugate(), gk)
     }
 
-    /// `(σ_g(P·c₀ + u₀·P), σ_g(u₁·P))`: [`Self::apply_galois`] over the
-    /// key-switch basis, with `P·c₀` folded into the inner product's
-    /// accumulators and σ_g applied over every limb as each is finished.
+    /// `(σ_g(P·c₀ + u₀·P), σ_g(u₁·P))` over the key-switch basis, with
+    /// `(u₀, u₁)` the switch of `c₁` under the key for `g`, which carries
+    /// payload `s` under the secret `σ_g⁻¹(s)`: `u₀ + u₁·σ_g⁻¹(s) ≈ c₁·s`,
+    /// so the result decrypts under `s` to `P·σ_g(c₀ + c₁·s)`. `P·c₀` is
+    /// folded into the inner product's accumulators and σ_g, a
+    /// permutation of NTT slots, is applied over every limb as each is
+    /// finished, so nothing is transformed outside the key switch.
     fn apply_galois_ext(
         &self,
         h: &Hoisted<'_>,
@@ -898,12 +923,11 @@ impl Evaluator {
         let ksk = galois_key(gk, g)?;
         he_trace::record_rotation(1);
         let _span = he_trace::span("galois", he_trace::cats::HE);
-        let p_c0 = h.p_c0.get_or_init(|| self.times_p(&h.ct.c0));
         let pctx = self.ctx.poly_ctx();
         let perm = galois_permutation(pctx.n(), g);
         let mut c0 = RnsPoly::zero(Arc::clone(pctx), h.digits.ext.clone(), Form::Ntt);
         let mut c1 = c0.clone();
-        let galois = Some((&perm[..], p_c0));
+        let galois = Some((&perm[..], &h.p_c0));
         self.inner_product(&h.ct.c1, &h.digits, ksk, (&mut c0, &mut c1), galois);
         Ok(ExtCiphertext {
             c0,
@@ -947,17 +971,7 @@ impl Evaluator {
         self.check_ext(x)?;
         self.check_ext_plain(x, pt)?;
         let mut out = x.clone();
-        // both halves in one pass over the limbs, each plaintext limb
-        // read once
-        he_trace::record_modmul_limbs(2 * out.c0.num_limbs() as u64);
-        let backend = kernel::active_backend();
-        let moduli = self.ctx.poly_ctx().moduli();
-        let basis = x.c0.limb_indices();
-        RnsPoly::for_each_limb_pair(&mut out.c0, &mut out.c1, |i, c0, c1| {
-            let (m, w) = (&moduli[basis[i]], pt.poly.limb(i));
-            kernel::dyadic_mul_assign_with(backend, m, c0, w);
-            kernel::dyadic_mul_assign_with(backend, m, c1, w);
-        });
+        self.mul_plain_limbs((&mut out.c0, &mut out.c1), &pt.poly);
         out.scale = x.scale * pt.scale;
         Ok(out)
     }
@@ -988,15 +1002,7 @@ impl Evaluator {
                 b: product,
             });
         }
-        he_trace::record_modmul_limbs(2 * acc.c0.num_limbs() as u64);
-        let backend = kernel::active_backend();
-        let moduli = self.ctx.poly_ctx().moduli();
-        let basis = x.c0.limb_indices();
-        RnsPoly::for_each_limb_pair(&mut acc.c0, &mut acc.c1, |i, c0, c1| {
-            let (m, w) = (&moduli[basis[i]], pt.poly.limb(i));
-            kernel::dyadic_mul_acc_with(backend, m, c0, x.c0.limb(i), w);
-            kernel::dyadic_mul_acc_with(backend, m, c1, x.c1.limb(i), w);
-        });
+        self.mac_plain_limbs((&mut acc.c0, &mut acc.c1), (&x.c0, &x.c1), &pt.poly);
         Ok(())
     }
 
@@ -1095,9 +1101,9 @@ impl Digits {
 pub struct Hoisted<'a> {
     ct: &'a Ciphertext,
     digits: Digits,
-    /// `P·c₀` over the key-switch basis, computed by the first extended
-    /// rotation of the fan and shared by the rest.
-    p_c0: OnceLock<RnsPoly>,
+    /// `P·c₀` over the key-switch basis, shared by every rotation of
+    /// the fan.
+    p_c0: RnsPoly,
 }
 
 #[cfg(test)]
@@ -1492,6 +1498,17 @@ mod tests {
             Err(crate::error::HeError::ModSwitchUpward { from: 0, to: 1 })
         ));
 
+        // a level above the limbs: rescale and a mod-switch to a target
+        // the limbs do not reach both refuse before reading a limb
+        let mut short = r0.clone();
+        short.level = 1;
+        let malformed = Err(HeError::MalformedCiphertext("limbs other than 0..=level"));
+        assert_eq!(f.ev.try_rescale(&short).map(|_| ()), malformed);
+        assert_eq!(
+            f.ev.try_mod_switch_to_level(&short, 1).map(|_| ()),
+            malformed
+        );
+
         // happy paths still work through the fallible API
         assert!(f.ev.try_rescale(&ca).is_ok());
         assert!(f.ev.try_mod_switch_to_level(&ca, 0).is_ok());
@@ -1589,10 +1606,36 @@ mod tests {
             && a.c1.limbs_flat() == b.c1.limbs_flat()
     }
 
+    /// The textbook Galois op for element `g`: switch `c₁` under the key
+    /// for `g` and divide by `P` ([`Evaluator::key_switch`]), add `c₀`,
+    /// then permute the NTT slots of every limb by σ_g.
+    fn textbook_galois(ev: &Evaluator, ct: &Ciphertext, g: usize, gk: &GaloisKeys) -> Ciphertext {
+        let (mut u0, u1) = ev.key_switch(&ct.c1, galois_key(gk, g).unwrap());
+        u0.add_assign(&ct.c0);
+        let perm = galois_permutation(ev.ctx.poly_ctx().n(), g);
+        let permuted = |x: &RnsPoly| {
+            let mut out = x.clone();
+            for i in 0..x.num_limbs() {
+                for (o, &k) in out.limb_mut(i).iter_mut().zip(perm.iter()) {
+                    *o = x.limb(i)[k as usize];
+                }
+            }
+            out
+        };
+        Ciphertext {
+            c0: permuted(&u0),
+            c1: permuted(&u1),
+            scale: ct.scale,
+            level: ct.level,
+            slots: ct.slots,
+        }
+    }
+
     /// Stopping a rotation before its mod-down and dividing by `P`
-    /// afterwards changes no limb: every keyed step, the identity and
-    /// conjugation, hoisted and direct, at every level, over one and
-    /// over two special primes.
+    /// afterwards is the textbook rotation, limb for limb, though it
+    /// folds `P·c₀` in and applies σ_g before the division: every keyed
+    /// step, the identity and conjugation, hoisted and direct, at every
+    /// level, over one and over two special primes.
     #[test]
     fn mod_down_of_an_extended_rotation_is_the_rotation() {
         let steps = [1i64, 3, -2];
@@ -1606,7 +1649,13 @@ mod tests {
                 let ct = f.ev.mod_switch_to_level(&top, level);
                 let h = f.ev.hoist(&ct).unwrap();
                 for r in steps.into_iter().chain([0]) {
-                    let want = f.ev.try_rotate_hoisted(&h, r, &gk).unwrap();
+                    let want = match r {
+                        0 => ct.clone(),
+                        _ => {
+                            let g = f.ctx.galois_element_for_rotation(r);
+                            textbook_galois(&f.ev, &ct, g, &gk)
+                        }
+                    };
                     let hoisted = f.ev.rotate_ext_hoisted(&h, r, &gk).unwrap();
                     let direct = f.ev.rotate_ext(&ct, r, &gk).unwrap();
                     for ext in [hoisted, direct] {
@@ -1614,7 +1663,8 @@ mod tests {
                         assert!(same(&got, &want), "step {r}, level {level}, k = {special}");
                     }
                 }
-                let want = f.ev.try_conjugate_hoisted(&h, &gk).unwrap();
+                let g = f.ctx.galois_element_conjugate();
+                let want = textbook_galois(&f.ev, &ct, g, &gk);
                 let got = f.ev.mod_down(f.ev.conjugate_ext_hoisted(&h, &gk).unwrap());
                 assert!(same(&got.unwrap(), &want), "conjugate, level {level}");
             }

@@ -183,6 +183,9 @@ pub struct CkksContext {
     /// For rescaling by `q_k` (dropping limb `k`): `q_k^{-1} mod q_i` for
     /// `i < k`; indexed `[k][i]`.
     rescale_inv: Vec<Vec<u64>>,
+    /// For rescaling by `q_k`: the one-prime conversion from `{q_k}`
+    /// into the chain (the centred lift); indexed by `k`.
+    rescale_convs: Vec<FastBaseConverter>,
     /// Product of the special primes `P` …
     big_p: BigInt,
     /// … reduced mod each chain prime: `[P]_{q_i}`.
@@ -235,6 +238,10 @@ impl CkksContext {
                     .collect()
             })
             .collect();
+        let rescale_convs = chain
+            .iter()
+            .map(|q| FastBaseConverter::new(std::slice::from_ref(q), &chain))
+            .collect();
 
         let big_p = special
             .iter()
@@ -271,6 +278,7 @@ impl CkksContext {
             embedding,
             level_bases,
             rescale_inv,
+            rescale_convs,
             big_p,
             p_mod_qi,
             p_inv_mod_qi,
@@ -332,6 +340,13 @@ impl CkksContext {
     /// limb `k`); slice indexed by `i < k`.
     pub fn rescale_inv(&self, k: usize) -> &[u64] {
         &self.rescale_inv[k]
+    }
+
+    /// The one-prime conversion from `{q_k}` into the chain that a
+    /// rescale from level `k` divides through (with
+    /// [`Self::rescale_inv`]).
+    pub fn rescale_converter(&self, k: usize) -> &FastBaseConverter {
+        &self.rescale_convs[k]
     }
 
     #[inline]

@@ -18,7 +18,7 @@ use ckks::{
 };
 use ckks_math::kernel::{self, KernelBackend};
 use ckks_math::modring::Modulus;
-use ckks_math::ntt::NttTable;
+use ckks_math::ntt::{galois_permutation, NttTable};
 use ckks_math::poly::{Form, PolyContext, RnsPoly};
 use ckks_math::prime::{
     gen_moduli_chain, gen_ntt_primes_excluding, is_prime, try_gen_ntt_primes_excluding,
@@ -100,21 +100,18 @@ fn ntt_parity_large_ring() {
 }
 
 /// Pointwise kernels: dyadic (Barrett) products, fused Shoup MAC,
-/// scalar Shoup multiply, and the two halves of
-/// dropping a limb (centred lift, subtract-and-multiply). Odd lengths
-/// exercise the vector tail handling.
+/// scalar Shoup multiply, and the subtract-and-multiply that ends
+/// dropping a limb. Odd lengths exercise the vector tail handling.
 #[test]
 fn pointwise_parity_across_moduli() {
     for &bits in &BITS {
         for len in [8usize, 37, 256, 1000, 4096] {
             let p = prime_for(bits, 16);
             let m = Modulus::new(p);
-            let q = prime_for(bits, 32); // lift source modulus
             let mut rng = rand::rngs::StdRng::seed_from_u64(u64::from(bits) * 7 + len as u64);
             let a = rand_residues(&mut rng, len, p);
             let b = rand_residues(&mut rng, len, p);
             let acc = rand_residues(&mut rng, len, p);
-            let lift_src = rand_residues(&mut rng, len, q);
             let r = rng.gen_range(1..p);
             let rs = m.shoup(r);
 
@@ -129,8 +126,6 @@ fn pointwise_parity_across_moduli() {
             kernel::fused_mac_shoup_with(scalar, &m, &mut mac, &a, r, rs);
             let mut scl = a.clone();
             kernel::mul_scalar_shoup_with(scalar, &m, &mut scl, r, rs);
-            let mut lift = vec![0u64; len];
-            kernel::centered_lift_with(scalar, &m, &mut lift, &lift_src, q);
             let mut sub_mul = acc.clone();
             kernel::sub_mul_shoup_with(scalar, &m, &mut sub_mul, &a, r, rs);
 
@@ -151,9 +146,6 @@ fn pointwise_parity_across_moduli() {
                 let mut got = a.clone();
                 kernel::mul_scalar_shoup_with(be, &m, &mut got, r, rs);
                 assert_eq!(got, scl, "mul_scalar_shoup {ctx}");
-                let mut got = vec![0u64; len];
-                kernel::centered_lift_with(be, &m, &mut got, &lift_src, q);
-                assert_eq!(got, lift, "centered_lift {ctx}");
                 let mut got = acc.clone();
                 kernel::sub_mul_shoup_with(be, &m, &mut got, &a, r, rs);
                 assert_eq!(got, sub_mul, "sub_mul_shoup {ctx}");
@@ -306,8 +298,10 @@ fn he_diff_smoke_auto_backend() {
 
 // --- σ_g in the NTT domain ----------------------------------------------
 
-/// `automorphism_ntt(g)` on the transform of `a` equals the transform of
-/// the coefficient-domain `automorphism(g)`, for every given element.
+/// Gathering every limb of the transform of `a` through
+/// `galois_permutation(n, g)` (as a rotation's inner product does)
+/// equals the transform of the coefficient-domain `automorphism(g)`, for
+/// every given element.
 fn assert_galois_parity(n: usize, elements: impl IntoIterator<Item = usize>) {
     let ctx = PolyContext::new(n, gen_moduli_chain(&[26, 40], n), vec![]);
     let mut sampler = Sampler::from_seed(n as u64);
@@ -317,8 +311,13 @@ fn assert_galois_parity(n: usize, elements: impl IntoIterator<Item = usize>) {
     for g in elements {
         let mut want = a.automorphism(g);
         want.ntt_forward();
-        let got = a_ntt.automorphism_ntt(g);
-        assert_eq!(got.limbs_flat(), want.limbs_flat(), "n={n} g={g}");
+        let perm = galois_permutation(n, g);
+        let got: Vec<u64> = a_ntt
+            .limbs_flat()
+            .chunks(n)
+            .flat_map(|limb| perm.iter().map(|&k| limb[k as usize]))
+            .collect();
+        assert_eq!(got, want.limbs_flat(), "n={n} g={g}");
     }
 }
 
@@ -572,7 +571,9 @@ mod coeff_reference {
 
 /// CNN1's ring — N = 2^12, chain 40 + 7×26, two 40-bit special primes,
 /// so the digits are `{q0,q1}, {q2,q3,q4}, {q5,q6,q7}` — with every key
-/// the evaluator suites use and two level-7 ciphertexts.
+/// the evaluator suites use and two level-7 ciphertexts. (Over one
+/// special prime, [`ks_fixture_with`]`(1)`, every limb is its own
+/// digit.)
 struct KsFixture {
     ctx: Arc<CkksContext>,
     ev: Evaluator,
@@ -586,7 +587,14 @@ struct KsFixture {
 const STEPS: [i64; 2] = [1, 7];
 
 fn ks_fixture() -> KsFixture {
-    let ctx = CkksParams::toy(7).build();
+    ks_fixture_with(2)
+}
+
+fn ks_fixture_with(special: usize) -> KsFixture {
+    let mut params = CkksParams::toy(7);
+    params.special_bits.truncate(special);
+    let ctx = params.build();
+    assert_eq!(ctx.special_moduli().len(), special);
     let mut kg = KeyGenerator::new(Arc::clone(&ctx), 26);
     let sk = kg.gen_secret_key();
     let pk: PublicKey = kg.gen_public_key(&sk);
@@ -617,48 +625,135 @@ fn assert_same_ct(what: &str, got: &Ciphertext, want: &Ciphertext) {
     assert_eq!(got.c1.limbs_flat(), want.c1.limbs_flat(), "{what}: c1");
 }
 
+/// Every key-switching op of the evaluator against the reference above,
+/// limb for limb: each rotation step, the identity and conjugation —
+/// direct, hoisted, and as the mod-down of the extended rotation —
+/// relinearized multiplication, rescale and `key_switch`, at every level
+/// of CNN1's ring (rescale from level 1), over one and two special
+/// primes, on every kernel backend.
 #[test]
 fn ntt_domain_key_switching_is_limb_identical_to_the_coefficient_reference() {
     let _guard = serial();
-    let f = ks_fixture();
-    for (name, pin) in [("scalar", Some(KernelBackend::Scalar)), ("auto", None)] {
-        match pin {
-            Some(b) => kernel::set_backend(b),
-            None => kernel::set_backend_auto(),
-        }
-        for level in 1..=7 {
-            let at = |what: &str| format!("{what} at level {level}, {name} backend");
+    for special in [1, 2] {
+        let f = ks_fixture_with(special);
+        for level in 0..=7 {
             let a = f.ev.mod_switch_to_level(&f.a, level);
             let b = f.ev.mod_switch_to_level(&f.b, level);
-            for steps in STEPS {
-                let g = f.ctx.galois_element_for_rotation(steps);
-                assert_same_ct(
-                    &at(&format!("rotate {steps}")),
-                    &f.ev.rotate(&a, steps, &f.gk),
-                    &coeff_reference::apply_galois(&f.ctx, &a, g, &f.gk),
-                );
+            let galois = |g| coeff_reference::apply_galois(&f.ctx, &a, g, &f.gk);
+            let mut rotations: Vec<(i64, Ciphertext)> = STEPS
+                .iter()
+                .map(|&s| (s, galois(f.ctx.galois_element_for_rotation(s))))
+                .collect();
+            rotations.push((0, a.clone()));
+            let conjugate = galois(f.ctx.galois_element_conjugate());
+            let product = coeff_reference::multiply(&f.ev, &a, &b, &f.rk);
+            let rescaled = (level > 0).then(|| coeff_reference::rescale(&f.ctx, &a));
+            let switched = coeff_reference::key_switch(&f.ctx, &a.c1, &f.rk.0);
+            for be in kernel::available_backends() {
+                kernel::set_backend(be);
+                let at = |what: &str| format!("{what} at level {level}, k = {special}, {be:?}");
+                let (ev, gk) = (&f.ev, &f.gk);
+                let h = ev.hoist(&a).expect("well-formed");
+                for (steps, want) in &rotations {
+                    let ext = ev.rotate_ext(&a, *steps, gk).expect("keyed");
+                    for (how, got) in [
+                        ("direct", ev.rotate(&a, *steps, gk)),
+                        (
+                            "hoisted",
+                            ev.try_rotate_hoisted(&h, *steps, gk).expect("keyed"),
+                        ),
+                        ("mod_down", ev.mod_down(ext).expect("well-formed")),
+                    ] {
+                        assert_same_ct(&at(&format!("rotate {steps}, {how}")), &got, want);
+                    }
+                }
+                let ext = ev.conjugate_ext_hoisted(&h, gk).expect("keyed");
+                for (how, got) in [
+                    ("direct", ev.conjugate(&a, gk)),
+                    ("hoisted", ev.try_conjugate_hoisted(&h, gk).expect("keyed")),
+                    ("mod_down", ev.mod_down(ext).expect("well-formed")),
+                ] {
+                    assert_same_ct(&at(&format!("conjugate, {how}")), &got, &conjugate);
+                }
+                assert_same_ct(&at("multiply"), &ev.multiply(&a, &b, &f.rk), &product);
+                if let Some(want) = &rescaled {
+                    assert_same_ct(&at("rescale"), &ev.rescale(&a), want);
+                }
+                let what = at("key_switch");
+                let got = ev.key_switch(&a.c1, &f.rk.0);
+                assert_eq!(got.0.limbs_flat(), switched.0.limbs_flat(), "{what}: u0");
+                assert_eq!(got.1.limbs_flat(), switched.1.limbs_flat(), "{what}: u1");
             }
-            let g = f.ctx.galois_element_conjugate();
-            assert_same_ct(
-                &at("conjugate"),
-                &f.ev.conjugate(&a, &f.gk),
-                &coeff_reference::apply_galois(&f.ctx, &a, g, &f.gk),
-            );
-            assert_same_ct(
-                &at("multiply"),
-                &f.ev.multiply(&a, &b, &f.rk),
-                &coeff_reference::multiply(&f.ev, &a, &b, &f.rk),
-            );
-            assert_same_ct(
-                &at("rescale"),
-                &f.ev.rescale(&a),
-                &coeff_reference::rescale(&f.ctx, &a),
-            );
-            let what = at("key_switch");
-            let got = f.ev.key_switch(&a.c1, &f.rk.0);
-            let want = coeff_reference::key_switch(&f.ctx, &a.c1, &f.rk.0);
-            assert_eq!(got.0.limbs_flat(), want.0.limbs_flat(), "{what}: u0");
-            assert_eq!(got.1.limbs_flat(), want.1.limbs_flat(), "{what}: u1");
+        }
+    }
+    kernel::set_backend_auto();
+}
+
+/// The textbook Galois op for element `g`: switch `c₁` under the key for
+/// `g` and divide by `P` (`Evaluator::key_switch`), add `c₀`, then gather
+/// every limb's NTT slots through `galois_permutation(n, g)`.
+fn textbook_galois(ev: &Evaluator, ct: &Ciphertext, g: usize, gk: &GaloisKeys) -> Ciphertext {
+    let (mut u0, u1) = ev.key_switch(&ct.c1, gk.get(g).expect("keyed"));
+    u0.add_assign(&ct.c0);
+    let n = ev.ctx().poly_ctx().n();
+    let perm = galois_permutation(n, g);
+    let permuted = |x: &RnsPoly| {
+        let mut out = x.clone();
+        for i in 0..x.num_limbs() {
+            for (o, &k) in out.limb_mut(i).iter_mut().zip(perm.iter()) {
+                *o = x.limb(i)[k as usize];
+            }
+        }
+        out
+    };
+    Ciphertext {
+        c0: permuted(&u0),
+        c1: permuted(&u1),
+        scale: ct.scale,
+        level: ct.level,
+        slots: ct.slots,
+    }
+}
+
+/// Stopping a rotation before its mod-down and dividing by `P`
+/// afterwards is the textbook rotation, limb for limb: the extended
+/// rotation folds `P·c₀` into its key switch and applies σ_g before the
+/// division, which changes nothing because `P·c₀` is zero modulo every
+/// special prime and σ_g commutes with the centred conversion. Every
+/// keyed step, the identity and conjugation, at every level of CNN1's
+/// ring, over one and over two special primes, on every kernel backend
+/// against the reference computed on the scalar one.
+#[test]
+fn an_extended_rotation_mod_down_is_limb_identical_to_the_rotation() {
+    let _guard = serial();
+    for special in [1, 2] {
+        let f = ks_fixture_with(special);
+        let (ev, gk) = (&f.ev, &f.gk);
+        for level in 0..=7 {
+            let ct = ev.mod_switch_to_level(&f.a, level);
+            kernel::set_backend(KernelBackend::Scalar);
+            let mut want: Vec<(i64, Ciphertext)> = STEPS
+                .iter()
+                .map(|&s| {
+                    let g = f.ctx.galois_element_for_rotation(s);
+                    (s, textbook_galois(ev, &ct, g, gk))
+                })
+                .collect();
+            want.push((0, ct.clone()));
+            let conjugate = textbook_galois(ev, &ct, f.ctx.galois_element_conjugate(), gk);
+            for be in kernel::available_backends() {
+                kernel::set_backend(be);
+                let at = |what: &str| format!("{what} at level {level}, k = {special}, {be:?}");
+                let h = ev.hoist(&ct).expect("well-formed");
+                for (steps, want) in &want {
+                    let ext = ev.rotate_ext_hoisted(&h, *steps, gk).expect("keyed");
+                    let got = ev.mod_down(ext).expect("well-formed");
+                    assert_same_ct(&at(&format!("rotate {steps}")), &got, want);
+                }
+                let ext = ev.conjugate_ext_hoisted(&h, gk).expect("keyed");
+                let got = ev.mod_down(ext).expect("well-formed");
+                assert_same_ct(&at("conjugate"), &got, &conjugate);
+            }
         }
     }
     kernel::set_backend_auto();
@@ -676,9 +771,11 @@ fn decomposition_ntts(ctx: &CkksContext, level: usize) -> u64 {
 /// each digit into every other limb of the `ℓ + 1 + k`-limb key-switch
 /// basis plus the `ℓ + 1` mod-down conversions of each half, and
 /// inverse-transforms only the `k` special limbs of each half; the inner
-/// product is `dnum·(ℓ + 1 + k)` limb products per half. At ℓ = 7 that
-/// is 22 + 16 = 38 forward and 12 inverse NTTs and 60 limb products,
-/// where one limb per digit over one special prime took 80, 10 and 144.
+/// product is `dnum·(ℓ + 1 + k)` limb products per half, and lifting
+/// `c₀` to `P·c₀` (folded in before the mod-down) `ℓ + 1` more. At ℓ = 7
+/// that is 22 + 16 = 38 forward and 12 inverse NTTs and 68 limb
+/// products, where one limb per digit over one special prime took 80,
+/// 10 and 144.
 /// A rescale inverse-transforms only the dropped limb of each half.
 #[test]
 fn one_rotation_and_one_rescale_record_exact_transform_counts() {
@@ -704,10 +801,10 @@ fn one_rotation_and_one_rescale_record_exact_transform_counts() {
             (fwd, l + 1 + 2 * k),
             "rotation at level {level}"
         );
-        assert_eq!(d.modmul_limbs, 2 * dnum * ext, "level {level}");
+        assert_eq!(d.modmul_limbs, 2 * dnum * ext + l + 1, "level {level}");
         assert_eq!((d.rotations, d.keyswitches), (1, 1));
         if level == 7 {
-            assert_eq!((d.ntt_fwd, d.ntt_inv, d.modmul_limbs), (38, 12, 60));
+            assert_eq!((d.ntt_fwd, d.ntt_inv, d.modmul_limbs), (38, 12, 68));
         }
 
         let d = counted(&|| drop(f.ev.key_switch(&a.c1, &f.rk.0)));
@@ -722,51 +819,6 @@ fn one_rotation_and_one_rescale_record_exact_transform_counts() {
         );
         assert_eq!(d.modmul_limbs, 0);
     }
-}
-
-/// Stopping a rotation before its mod-down and dividing by `P`
-/// afterwards is the rotation, limb for limb: `mod_down(rotate_ext(h,
-/// s))` equals `try_rotate_hoisted(h, s)` for every keyed step, the
-/// identity and conjugation, at every level of CNN1's ring, over one and
-/// over two special primes, on every kernel backend.
-#[test]
-fn an_extended_rotation_mod_down_is_limb_identical_to_the_rotation() {
-    let _guard = serial();
-    for special in [1, 2] {
-        let mut params = CkksParams::toy(7);
-        params.special_bits.truncate(special);
-        let ctx = params.build();
-        let mut kg = KeyGenerator::new(Arc::clone(&ctx), 28);
-        let sk = kg.gen_secret_key();
-        let pk = kg.gen_public_key(&sk);
-        let gk = kg.gen_galois_keys(&sk, &STEPS, true);
-        let ev = Evaluator::new(Arc::clone(&ctx));
-        let vals: Vec<f64> = (0..ctx.slots()).map(|i| (i as f64 * 0.03).cos()).collect();
-        let top = ev.encrypt_real(&vals, &pk, &mut Sampler::from_seed(29));
-        for be in kernel::available_backends() {
-            kernel::set_backend(be);
-            for level in 0..=7 {
-                let ct = ev.mod_switch_to_level(&top, level);
-                let h = ev.hoist(&ct).expect("well-formed");
-                let at = |what: &str| format!("{what} at level {level}, k = {special}, {be:?}");
-                for steps in STEPS.into_iter().chain([0]) {
-                    let ext = ev.rotate_ext_hoisted(&h, steps, &gk).expect("keyed");
-                    assert_same_ct(
-                        &at(&format!("rotate {steps}")),
-                        &ev.mod_down(ext).expect("well-formed"),
-                        &ev.try_rotate_hoisted(&h, steps, &gk).expect("keyed"),
-                    );
-                }
-                let ext = ev.conjugate_ext_hoisted(&h, &gk).expect("keyed");
-                assert_same_ct(
-                    &at("conjugate"),
-                    &ev.mod_down(ext).expect("well-formed"),
-                    &ev.try_conjugate_hoisted(&h, &gk).expect("keyed"),
-                );
-            }
-        }
-    }
-    kernel::set_backend_auto();
 }
 
 /// An extended rotation at level ℓ is a rotation without its mod-down:

@@ -798,28 +798,6 @@ unsafe fn dyadic_mul_assign_ifma(m: &Modulus, a: &mut [u64], b: &[u64]) {
     scalar::dyadic_mul_assign(m, &mut a[split..], &b[split..]);
 }
 
-/// `out[i] = a[i] * b[i] mod p`, AVX-512 IFMA.
-///
-/// # Safety
-/// Caller must guarantee AVX-512 F+DQ+IFMA and `p < 2^50`.
-#[target_feature(enable = "avx512f,avx512dq,avx512ifma")]
-unsafe fn dyadic_mul_ifma(m: &Modulus, out: &mut [u64], a: &[u64], b: &[u64]) {
-    let k = unsafe { Dyadic52::new(m.value()) };
-    let split = out.len() - out.len() % LANES;
-    for ((co, ca), cb) in out[..split]
-        .chunks_exact_mut(LANES)
-        .zip(a[..split].chunks_exact(LANES))
-        .zip(b[..split].chunks_exact(LANES))
-    {
-        unsafe {
-            let x = load(ca);
-            let y = load(cb);
-            store(co, mul_mod52_v(x, y, &k));
-        }
-    }
-    scalar::dyadic_mul(m, &mut out[split..], &a[split..], &b[split..]);
-}
-
 /// `acc[i] = (acc[i] + a[i] * b[i]) mod p`, AVX-512 IFMA.
 ///
 /// # Safety
@@ -910,31 +888,6 @@ pub unsafe fn dyadic_mul_assign(m: &Modulus, a: &mut [u64], b: &[u64]) {
         }
     }
     scalar::dyadic_mul_assign(m, &mut a[split..], &b[split..]);
-}
-
-/// `out[i] = a[i] * b[i] mod p`, AVX-512.
-///
-/// # Safety
-/// Caller must guarantee the CPU supports AVX-512F and AVX-512DQ.
-#[target_feature(enable = "avx512f,avx512dq")]
-pub unsafe fn dyadic_mul(m: &Modulus, out: &mut [u64], a: &[u64], b: &[u64]) {
-    if dyadic_ifma_ok(m.value()) {
-        return unsafe { dyadic_mul_ifma(m, out, a, b) };
-    }
-    let (p, cr0, cr1) = unsafe { barrett_consts(m) };
-    let split = out.len() - out.len() % LANES;
-    for ((co, ca), cb) in out[..split]
-        .chunks_exact_mut(LANES)
-        .zip(a[..split].chunks_exact(LANES))
-        .zip(b[..split].chunks_exact(LANES))
-    {
-        unsafe {
-            let x = load(ca);
-            let y = load(cb);
-            store(co, barrett_mul_v(x, y, p, cr0, cr1));
-        }
-    }
-    scalar::dyadic_mul(m, &mut out[split..], &a[split..], &b[split..]);
 }
 
 /// `acc[i] = (acc[i] + a[i] * b[i]) mod p`, AVX-512.

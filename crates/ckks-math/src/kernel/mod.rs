@@ -25,8 +25,9 @@
 //! runtime CPU feature detection, and cached in a relaxed atomic. Tests
 //! and benchmarks may re-pin it via [`set_backend`] /
 //! [`set_backend_auto`] (process-global — serialize tests that do
-//! this), or bypass the global entirely through the `*_with` variants
-//! that take an explicit [`KernelBackend`].
+//! this). Every op takes its [`KernelBackend`] as an argument (the
+//! `*_with` entry points): a caller reads the global once per loop, and
+//! the parity suites pass each backend without touching the global.
 //!
 //! ## Unsafe audit policy
 //!
@@ -213,10 +214,12 @@ pub fn available_backends() -> Vec<KernelBackend> {
 // ---------------------------------------------------------------------
 // Dispatch entry points
 //
-// Each op comes as `op(...)` (active backend) plus `op_with(backend, ...)`
-// (explicit backend, used by the parity suites and in-process
-// benchmarks). The `_with` forms assert hardware support before entering
-// the unsafe vector path.
+// Each op has one entry point, `op_with(backend, ...)`: callers resolve
+// `active_backend()` once per loop and pass it down, and the parity
+// suites pass each backend in turn. The `_with` forms assert hardware
+// support before entering the unsafe vector path. `dyadic_mul_assign`
+// alone also keeps an active-backend form, for the request-level
+// benchmark.
 // ---------------------------------------------------------------------
 
 macro_rules! dispatch {
@@ -248,8 +251,9 @@ macro_rules! dispatch {
             #[cfg(target_arch = "aarch64")]
             KernelBackend::Neon => {
                 assert!(b.is_supported(), "neon kernels need NEON support");
-                // SAFETY: NEON support just asserted.
-                #[allow(unsafe_code)]
+                // SAFETY: NEON support just asserted. An op without a
+                // NEON body passes its (safe) scalar call here.
+                #[allow(unsafe_code, unused_unsafe)]
                 unsafe {
                     $neon
                 }
@@ -369,13 +373,15 @@ fn ntt_batch_impl(tables: &[&NttTable], data: &mut [u64], forward: bool) {
     }
 }
 
-/// `a[i] = a[i] * b[i] mod p` (full Barrett reduction, canonical output).
+/// [`dyadic_mul_assign_with`] on the active backend: the one
+/// active-backend entry point, kept for the request-level benchmark
+/// (`hebench`), which times it.
 #[inline]
 pub fn dyadic_mul_assign(m: &Modulus, a: &mut [u64], b: &[u64]) {
     dyadic_mul_assign_with(active_backend(), m, a, b);
 }
 
-/// Explicit-backend [`dyadic_mul_assign`].
+/// `a[i] = a[i] * b[i] mod p` (full Barrett reduction, canonical output).
 #[inline]
 pub fn dyadic_mul_assign_with(backend: KernelBackend, m: &Modulus, a: &mut [u64], b: &[u64]) {
     assert_eq!(a.len(), b.len());
@@ -388,34 +394,8 @@ pub fn dyadic_mul_assign_with(backend: KernelBackend, m: &Modulus, a: &mut [u64]
     );
 }
 
-/// `out[i] = a[i] * b[i] mod p`.
-#[inline]
-pub fn dyadic_mul(m: &Modulus, out: &mut [u64], a: &[u64], b: &[u64]) {
-    dyadic_mul_with(active_backend(), m, out, a, b);
-}
-
-/// Explicit-backend [`dyadic_mul`].
-#[inline]
-pub fn dyadic_mul_with(backend: KernelBackend, m: &Modulus, out: &mut [u64], a: &[u64], b: &[u64]) {
-    assert_eq!(out.len(), a.len());
-    assert_eq!(a.len(), b.len());
-    dispatch!(
-        backend,
-        scalar::dyadic_mul(m, out, a, b),
-        avx2::dyadic_mul(m, out, a, b),
-        avx512::dyadic_mul(m, out, a, b),
-        neon::dyadic_mul(m, out, a, b)
-    );
-}
-
 /// `acc[i] = (acc[i] + a[i] * b[i]) mod p` — the fused MAC under every
 /// key-switch digit accumulation.
-#[inline]
-pub fn dyadic_mul_acc(m: &Modulus, acc: &mut [u64], a: &[u64], b: &[u64]) {
-    dyadic_mul_acc_with(active_backend(), m, acc, a, b);
-}
-
-/// Explicit-backend [`dyadic_mul_acc`].
 #[inline]
 pub fn dyadic_mul_acc_with(
     backend: KernelBackend,
@@ -438,12 +418,6 @@ pub fn dyadic_mul_acc_with(
 /// `acc[i] = (acc[i] + x[i] * r) mod p` with `r_shoup = m.shoup(r)` —
 /// the Shoup-premultiplied MAC under `Evaluator::mul_residues_acc`.
 #[inline]
-pub fn fused_mac_shoup(m: &Modulus, acc: &mut [u64], x: &[u64], r: u64, r_shoup: u64) {
-    fused_mac_shoup_with(active_backend(), m, acc, x, r, r_shoup);
-}
-
-/// Explicit-backend [`fused_mac_shoup`].
-#[inline]
 pub fn fused_mac_shoup_with(
     backend: KernelBackend,
     m: &Modulus,
@@ -463,12 +437,6 @@ pub fn fused_mac_shoup_with(
 }
 
 /// `data[i] = data[i] * s mod p` with `s_shoup = m.shoup(s)`.
-#[inline]
-pub fn mul_scalar_shoup(m: &Modulus, data: &mut [u64], s: u64, s_shoup: u64) {
-    mul_scalar_shoup_with(active_backend(), m, data, s, s_shoup);
-}
-
-/// Explicit-backend [`mul_scalar_shoup`].
 #[inline]
 pub fn mul_scalar_shoup_with(
     backend: KernelBackend,
@@ -492,20 +460,8 @@ pub fn mul_scalar_shoup_with(
 /// for `r − src_q` above it. One source limb's term of a fast base
 /// conversion ([`crate::rns::FastBaseConverter`]); from a zero
 /// accumulator with `c = 1` it writes the centred lift itself, the
-/// one-prime conversion that drops a limb in a rescale.
-#[inline]
-pub fn centered_mac_shoup(
-    m: &Modulus,
-    acc: &mut [u64],
-    src: &[u64],
-    src_q: u64,
-    c: u64,
-    c_shoup: u64,
-) {
-    centered_mac_shoup_with(active_backend(), m, acc, src, src_q, c, c_shoup);
-}
-
-/// Explicit-backend [`centered_mac_shoup`]. NEON runs the scalar loop.
+/// one-prime conversion that drops a limb in a rescale. NEON runs the
+/// scalar loop.
 #[inline]
 pub fn centered_mac_shoup_with(
     backend: KernelBackend,
@@ -517,44 +473,18 @@ pub fn centered_mac_shoup_with(
     c_shoup: u64,
 ) {
     assert_eq!(acc.len(), src.len());
-    match backend {
-        #[cfg(target_arch = "x86_64")]
-        KernelBackend::Avx2 => {
-            assert!(
-                backend.is_supported(),
-                "avx2 kernels need an AVX2-capable CPU"
-            );
-            // SAFETY: AVX2 support just asserted.
-            #[allow(unsafe_code)]
-            unsafe {
-                avx2::centered_mac_shoup(m, acc, src, src_q, c, c_shoup);
-            }
-        }
-        #[cfg(target_arch = "x86_64")]
-        KernelBackend::Avx512 => {
-            assert!(
-                backend.is_supported(),
-                "avx512 kernels need an AVX-512F+DQ-capable CPU"
-            );
-            // SAFETY: AVX-512F+DQ support just asserted.
-            #[allow(unsafe_code)]
-            unsafe {
-                avx512::centered_mac_shoup(m, acc, src, src_q, c, c_shoup);
-            }
-        }
-        _ => scalar::centered_mac_shoup(m, acc, src, src_q, c, c_shoup),
-    }
+    dispatch!(
+        backend,
+        scalar::centered_mac_shoup(m, acc, src, src_q, c, c_shoup),
+        avx2::centered_mac_shoup(m, acc, src, src_q, c, c_shoup),
+        avx512::centered_mac_shoup(m, acc, src, src_q, c, c_shoup),
+        scalar::centered_mac_shoup(m, acc, src, src_q, c, c_shoup)
+    );
 }
 
 /// `dst[i] = (dst[i] - src[i]) * s mod p` with `s_shoup = m.shoup(s)` —
 /// the second half of dropping a limb: subtract the lifted residue and
 /// divide by its modulus. Both operands canonical mod `p`.
-#[inline]
-pub fn sub_mul_shoup(m: &Modulus, dst: &mut [u64], src: &[u64], s: u64, s_shoup: u64) {
-    sub_mul_shoup_with(active_backend(), m, dst, src, s, s_shoup);
-}
-
-/// Explicit-backend [`sub_mul_shoup`].
 #[inline]
 pub fn sub_mul_shoup_with(
     backend: KernelBackend,
@@ -666,10 +596,6 @@ mod tests {
                 let mut got = a.clone();
                 dyadic_mul_assign_with(be, &m, &mut got, &b);
                 assert_eq!(got, mul_ref, "dyadic_mul_assign {} p={p}", be.name());
-
-                let mut out = vec![0u64; n];
-                dyadic_mul_with(be, &m, &mut out, &a, &b);
-                assert_eq!(out, mul_ref, "dyadic_mul {} p={p}", be.name());
 
                 let mut got = acc0.clone();
                 dyadic_mul_acc_with(be, &m, &mut got, &a, &b);

@@ -322,28 +322,6 @@ pub unsafe fn dyadic_mul_assign(m: &Modulus, a: &mut [u64], b: &[u64]) {
     scalar::dyadic_mul_assign(m, &mut a[split..], &b[split..]);
 }
 
-/// `out[i] = a[i] * b[i] mod p`, NEON.
-///
-/// # Safety
-/// Caller must guarantee the CPU supports NEON.
-#[target_feature(enable = "neon")]
-pub unsafe fn dyadic_mul(m: &Modulus, out: &mut [u64], a: &[u64], b: &[u64]) {
-    let (p, cr0, cr1) = unsafe { barrett_consts(m) };
-    let split = out.len() - out.len() % LANES;
-    for ((co, ca), cb) in out[..split]
-        .chunks_exact_mut(LANES)
-        .zip(a[..split].chunks_exact(LANES))
-        .zip(b[..split].chunks_exact(LANES))
-    {
-        unsafe {
-            let x = load(ca);
-            let y = load(cb);
-            store(co, barrett_mul_v(x, y, p, cr0, cr1));
-        }
-    }
-    scalar::dyadic_mul(m, &mut out[split..], &a[split..], &b[split..]);
-}
-
 /// `acc[i] = (acc[i] + a[i] * b[i]) mod p`, NEON.
 ///
 /// # Safety

@@ -106,13 +106,6 @@ pub fn dyadic_mul_assign(m: &Modulus, a: &mut [u64], b: &[u64]) {
     }
 }
 
-/// `out[i] = a[i] * b[i] mod p`.
-pub fn dyadic_mul(m: &Modulus, out: &mut [u64], a: &[u64], b: &[u64]) {
-    for ((r, &x), &y) in out.iter_mut().zip(a).zip(b) {
-        *r = m.mul(x, y);
-    }
-}
-
 /// `acc[i] = (acc[i] + a[i] * b[i]) mod p`.
 pub fn dyadic_mul_acc(m: &Modulus, acc: &mut [u64], a: &[u64], b: &[u64]) {
     for ((r, &x), &y) in acc.iter_mut().zip(a).zip(b) {

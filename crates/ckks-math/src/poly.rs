@@ -98,11 +98,6 @@ impl PolyContext {
         self.num_special
     }
 
-    /// Indices of the special moduli.
-    pub fn special_indices(&self) -> Vec<usize> {
-        (self.chain_len()..self.moduli.len()).collect()
-    }
-
     #[inline]
     pub fn ntt_table(&self, idx: usize) -> &NttTable {
         self.ntt_tables[idx].as_ref()
@@ -440,16 +435,6 @@ impl RnsPoly {
         }
     }
 
-    /// Multiplies every limb by the same small scalar.
-    pub fn mul_scalar_u64(&mut self, s: u64) {
-        let scalars: Vec<u64> = self
-            .limb_indices
-            .iter()
-            .map(|&idx| self.ctx.moduli()[idx].reduce(s))
-            .collect();
-        self.mul_scalar_per_limb(&scalars);
-    }
-
     /// Applies the Galois automorphism `X ↦ X^k` (k odd, coefficient form).
     pub fn automorphism(&self, k: usize) -> Self {
         assert_eq!(self.form, Form::Coeff, "automorphism requires Coeff form");
@@ -550,18 +535,6 @@ impl RnsPoly {
         self.data.truncate(k * self.ctx.n());
     }
 
-    /// Appends a limb with the given context index and data.
-    pub fn push_limb(&mut self, ctx_index: usize, data: Vec<u64>) {
-        assert_eq!(data.len(), self.ctx.n());
-        assert!(ctx_index < self.ctx.moduli().len());
-        assert!(
-            !self.limb_indices.contains(&ctx_index),
-            "limb already present"
-        );
-        self.limb_indices.push(ctx_index);
-        self.data.extend_from_slice(&data);
-    }
-
     /// Returns a copy restricted to the given context-modulus indices
     /// (each must be present in this polynomial). Works in either form
     /// since limbs are independent.
@@ -606,7 +579,7 @@ mod tests {
         let c = ctx(64);
         assert_eq!(c.chain_len(), 3);
         assert_eq!(c.num_special(), 1);
-        assert_eq!(c.special_indices(), vec![3]);
+        assert_eq!(c.moduli().len(), 4);
     }
 
     #[test]
@@ -754,7 +727,7 @@ mod tests {
         let mut s = Sampler::from_seed(8);
         let p = RnsPoly::uniform(Arc::clone(&c), vec![0, 1], Form::Coeff, &mut s);
         let mut doubled = p.clone();
-        doubled.mul_scalar_u64(2);
+        doubled.mul_scalar_per_limb(&[2, 2]);
         let mut summed = p.clone();
         summed.add_assign(&p);
         for i in 0..2 {
@@ -768,9 +741,7 @@ mod tests {
         let mut p = RnsPoly::zero(Arc::clone(&c), vec![0, 1, 2], Form::Coeff);
         p.drop_last_limb();
         assert_eq!(p.limb_indices(), &[0, 1]);
-        p.push_limb(3, vec![7u64; 32]);
-        assert_eq!(p.limb_indices(), &[0, 1, 3]);
-        assert_eq!(p.limb(2)[0], 7);
+        assert_eq!(p.limbs_flat().len(), 2 * 32);
         p.truncate_limbs(1);
         assert_eq!(p.limb_indices(), &[0]);
     }

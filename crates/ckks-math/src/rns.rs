@@ -241,7 +241,7 @@ impl FastBaseConverter {
 
     /// Second half: writes `x̃ mod targets[t]` into `dst` from `scaled`,
     /// the source limbs (limb-major, coefficient form) after
-    /// [`Self::scale_input`] — one [`kernel::centered_mac_shoup`] per
+    /// [`Self::scale_input`] — one [`kernel::centered_mac_shoup_with`] per
     /// source limb.
     pub fn convert_into(&self, backend: KernelBackend, scaled: &[u64], t: usize, dst: &mut [u64]) {
         let n = dst.len();

@@ -192,7 +192,7 @@ pub struct BigKeys {
     pub ek: (BigPoly, BigPoly),
 }
 
-/// Bignum Galois (rotation/conjugation) keys: for each Galois element
+/// Bignum rotation keys: for each Galois element
 /// `g`, a switching key from `σ_g(s)` back to `s`, over `P·Q_L`.
 pub struct BigGaloisKeys {
     keys: std::collections::BTreeMap<usize, (BigPoly, BigPoly)>,
@@ -390,25 +390,20 @@ impl BigCkks {
         }
     }
 
-    /// Galois keys for the given rotation steps (plus conjugation if
-    /// requested) — mirrors [`crate::keys::KeyGenerator::gen_galois_keys`].
+    /// Galois keys for the given rotation steps — mirrors
+    /// [`crate::keys::KeyGenerator::gen_galois_keys`].
     pub fn gen_galois_keys(
         &self,
         keys: &BigKeys,
         steps: &[i64],
-        with_conjugate: bool,
         sampler: &mut Sampler,
     ) -> BigGaloisKeys {
         let q_l = self.modulus_at(self.ctx.max_level());
         let p = q_l.clone();
         let pq = q_l.mul(&p);
-        let mut elems: Vec<usize> = steps
+        let elems = steps
             .iter()
-            .map(|&st| self.ctx.params().galois_element_for_rotation(st))
-            .collect();
-        if with_conjugate {
-            elems.push(self.ctx.params().galois_element_conjugate());
-        }
+            .map(|&st| self.ctx.params().galois_element_for_rotation(st));
         let mut out = std::collections::BTreeMap::new();
         for g in elems {
             // gk_g = (-a·s + e + P·σ_g(s), a) over P·Q_L
@@ -426,17 +421,6 @@ impl BigCkks {
     /// part from `σ_g(s)` back to `s`.
     pub fn rotate(&self, ct: &BigCiphertext, steps: i64, gk: &BigGaloisKeys) -> BigCiphertext {
         let g = self.ctx.params().galois_element_for_rotation(steps);
-        self.automorphism(ct, g, gk)
-    }
-
-    /// Complex conjugation (`X ↦ X^{2N−1}`).
-    pub fn conjugate(&self, ct: &BigCiphertext, gk: &BigGaloisKeys) -> BigCiphertext {
-        let g = self.ctx.params().galois_element_conjugate();
-        self.automorphism(ct, g, gk)
-    }
-
-    /// σ_g of both halves, then the switch of `σ_g(c₁)` back to `s`.
-    fn automorphism(&self, ct: &BigCiphertext, g: usize, gk: &BigGaloisKeys) -> BigCiphertext {
         let q = self.modulus_at(ct.level);
         let kk = gk
             .get(g)
@@ -647,12 +631,12 @@ mod tests {
     }
 
     #[test]
-    fn bignum_rotate_and_conjugate_act_on_slots() {
+    fn bignum_rotate_acts_on_slots() {
         let ctx = micro_ctx();
         let scheme = BigCkks::new(Arc::clone(&ctx));
         let mut s = Sampler::from_seed(11);
         let keys = scheme.keygen(&mut s);
-        let gk = scheme.gen_galois_keys(&keys, &[1, 3], true, &mut s);
+        let gk = scheme.gen_galois_keys(&keys, &[1, 3], &mut s);
         let scale = ctx.params().scale();
         let x: Vec<f64> = (0..ctx.slots()).map(|i| 0.1 + 0.01 * i as f64).collect();
         let ct = scheme.encrypt_coeffs(&scheme.encode_slots(&x, scale), scale, &keys, &mut s);
@@ -668,12 +652,6 @@ mod tests {
                 );
             }
         }
-        // conjugation of a real vector is the identity on slots
-        let conj = scheme.conjugate(&ct, &gk);
-        let back = scheme.decrypt_to_real(&conj, &keys);
-        for i in 0..8 {
-            assert!((back[i] - x[i]).abs() < 1e-3, "conj slot {i}");
-        }
     }
 
     #[test]
@@ -685,7 +663,7 @@ mod tests {
         let scheme = BigCkks::new(Arc::clone(&ctx));
         let mut s = Sampler::from_seed(12);
         let keys = scheme.keygen(&mut s);
-        let gk_big = scheme.gen_galois_keys(&keys, &[2], false, &mut s);
+        let gk_big = scheme.gen_galois_keys(&keys, &[2], &mut s);
 
         let mut kg = crate::keys::KeyGenerator::new(Arc::clone(&ctx), 12);
         let sk = kg.gen_secret_key();

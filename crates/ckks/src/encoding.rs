@@ -98,14 +98,6 @@ pub fn encode_real(ctx: &Arc<CkksContext>, values: &[f64], scale: f64, level: us
     encode(ctx, &cv, scale, level)
 }
 
-/// Encodes the same constant into every slot.
-pub fn encode_constant(ctx: &Arc<CkksContext>, value: f64, scale: f64, level: usize) -> Plaintext {
-    // A constant is invariant under the embedding: encode via a length-1
-    // vector would place it in slot 0 only, so fill all slots.
-    let vals = vec![Complex::from(value); ctx.slots()];
-    encode(ctx, &vals, scale, level)
-}
-
 /// Decodes a plaintext back to its complex slot vector.
 pub fn decode(ctx: &Arc<CkksContext>, pt: &Plaintext) -> Vec<Complex> {
     let mut poly = pt.poly.clone();
@@ -222,7 +214,7 @@ mod tests {
     #[test]
     fn constant_fills_all_slots() {
         let ctx = ctx();
-        let pt = encode_constant(&ctx, 2.5, ctx.params().scale(), 1);
+        let pt = encode_real(&ctx, &vec![2.5; ctx.slots()], ctx.params().scale(), 1);
         let back = decode_real(&ctx, &pt);
         assert_eq!(back.len(), ctx.slots());
         assert!(back.iter().all(|&v| (v - 2.5).abs() < 1e-6));

@@ -12,10 +12,10 @@
 /// polynomial arithmetic.
 #[derive(Debug, Clone, PartialEq)]
 pub enum HeError {
-    /// A rotation/conjugation was requested for a Galois element with no
-    /// generated key-switching key.
+    /// A rotation was requested for a Galois element with no generated
+    /// key-switching key.
     MissingGaloisKey {
-        /// The Galois element `5^r mod 2N` (or `2N−1` for conjugation).
+        /// The Galois element `5^r mod 2N` of the rotation by `r`.
         elem: usize,
         /// Elements a key exists for, sorted ascending.
         available: Vec<usize>,

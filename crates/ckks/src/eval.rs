@@ -1,12 +1,11 @@
 //! The homomorphic evaluator: encryption, decryption and all ciphertext
 //! operations of the paper's §II — `Add`, `Mult` (+ relinearization),
-//! `Resc`, `Rot`, conjugation — plus plaintext-operand variants and level
-//! management.
+//! `Resc`, `Rot` — plus plaintext-operand variants and level management.
 //!
 //! Every division that drops limbs — `Resc` by the top prime, a key
 //! switch's mod-down by `P` — is [`RnsPoly::divide_by_last_limbs`]
-//! through a fast base conversion, and every Galois op (rotation,
-//! conjugation) is [`Evaluator::mod_down`] of its extended form
+//! through a fast base conversion, and every rotation is
+//! [`Evaluator::mod_down`] of its extended form
 //! ([`Evaluator::rotate_ext`]): an [`ExtCiphertext`] over the key-switch
 //! basis, which [`Evaluator::mul_plain_ext`], [`Evaluator::mac_plain_ext`]
 //! and [`Evaluator::add_ext`] can also keep there, so that one `mod_down`
@@ -334,13 +333,6 @@ impl Evaluator {
         ct.scale *= pt_scale;
     }
 
-    /// Fused multiply-accumulate with a scalar: `acc += c·x`, where `c` is
-    /// encoded at `pt_scale` and `acc.scale` must equal `x.scale·pt_scale`.
-    pub fn mul_scalar_acc(&self, acc: &mut Ciphertext, x: &Ciphertext, c: f64, pt_scale: f64) {
-        let prep = self.prepare_scalar(c, pt_scale, x.level);
-        self.mul_residues_acc(acc, x, &prep);
-    }
-
     /// Encodes the scalar `c` at `pt_scale` for use at `level`: reduced
     /// per-limb residues plus their Shoup precomputations. Preparing once
     /// and replaying via [`Evaluator::mul_residues_acc`] hoists the
@@ -367,8 +359,7 @@ impl Evaluator {
     }
 
     /// `acc += w·x` where `w` was encoded by [`Evaluator::prepare_scalar`]
-    /// at `x.level`. Bit-identical to [`Evaluator::mul_scalar_acc`] with
-    /// the same scalar — only the per-call encode work is skipped.
+    /// at `x.level`, and `acc.scale` must equal `x.scale·w.pt_scale`.
     pub fn mul_residues_acc(&self, acc: &mut Ciphertext, x: &Ciphertext, w: &PreparedScalar) {
         he_trace::record_scalar_mac(1);
         he_trace::record_modmul_limbs(2 * (x.level as u64 + 1));
@@ -440,12 +431,6 @@ impl Evaluator {
         self.relinearize(d0, d1, d2, a, b, rk)
     }
 
-    /// `Mult` followed by `Resc` — the usual composition.
-    pub fn multiply_rescale(&self, a: &Ciphertext, b: &Ciphertext, rk: &RelinKey) -> Ciphertext {
-        let prod = self.multiply(a, b, rk);
-        self.rescale(&prod)
-    }
-
     /// Homomorphic square (saves one of the three tensor products).
     pub fn square(&self, a: &Ciphertext, rk: &RelinKey) -> Ciphertext {
         he_trace::record_ct_mult(1);
@@ -510,9 +495,9 @@ impl Evaluator {
     /// coefficient multiplying the key-switching key's payload, into a
     /// pair `(u₀, u₁)` with `u₀ + u₁·s ≈ d·w` (`s` the key's secret, `w`
     /// its payload): the same decomposition, inner product and mod-down
-    /// as a rotation — [`Self::decompose`], [`Self::inner_product`], then
-    /// both mod-downs by `P` in one pass over the chain limbs
-    /// ([`Self::divide_by_p`]). Panics on a `d` that is not an NTT-form
+    /// as a rotation — `decompose`, `inner_product`, then both mod-downs
+    /// by `P` in one pass over the chain limbs (`divide_by_p`). Panics on
+    /// a `d` that is not an NTT-form
     /// poly over `0..=ℓ` of the chain.
     pub fn key_switch(&self, d: &RnsPoly, ksk: &KeySwitchKey) -> (RnsPoly, RnsPoly) {
         let level = d.num_limbs() - 1;
@@ -651,10 +636,9 @@ impl Evaluator {
     }
 
     /// Decomposes `ct.c1` once, storing every digit's lift, and lifts
-    /// `c₀` to `P·c₀`, for any number of rotations and conjugations of
-    /// `ct`
-    /// ([`Self::try_rotate_hoisted`], [`Self::try_conjugate_hoisted`],
-    /// and before their mod-down [`Self::rotate_ext_hoisted`]).
+    /// `c₀` to `P·c₀`, for any number of rotations of `ct`
+    /// ([`Self::try_rotate_hoisted`], and before its mod-down
+    /// [`Self::rotate_ext_hoisted`]).
     /// Refuses, typed, a ciphertext key switching would misread
     /// ([`Ciphertext::check_shape`]).
     pub fn hoist<'a>(&self, ct: &'a Ciphertext) -> Result<Hoisted<'a>, HeError> {
@@ -748,7 +732,7 @@ impl Evaluator {
     }
 
     // ---------------------------------------------------------------
-    // Rotations and conjugation
+    // Rotations
     // ---------------------------------------------------------------
 
     /// `Rot(c, r)`: rotates slots left by `r` (negative = right) using the
@@ -792,26 +776,6 @@ impl Evaluator {
         self.mod_down(self.rotate_ext_hoisted(h, steps, gk)?)
     }
 
-    /// Complex conjugation of every slot.
-    pub fn conjugate(&self, ct: &Ciphertext, gk: &GaloisKeys) -> Ciphertext {
-        self.try_conjugate(ct, gk).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`Evaluator::conjugate`].
-    pub fn try_conjugate(&self, ct: &Ciphertext, gk: &GaloisKeys) -> Result<Ciphertext, HeError> {
-        self.try_conjugate_hoisted(&self.hoist_stored(ct, false)?, gk)
-    }
-
-    /// [`Self::try_conjugate`] of the hoisted ciphertext:
-    /// [`Self::mod_down`] of [`Self::conjugate_ext_hoisted`].
-    pub fn try_conjugate_hoisted(
-        &self,
-        h: &Hoisted<'_>,
-        gk: &GaloisKeys,
-    ) -> Result<Ciphertext, HeError> {
-        self.mod_down(self.conjugate_ext_hoisted(h, gk)?)
-    }
-
     /// `ct` refused typed unless key switching and the level operations
     /// can read it ([`Ciphertext::check_shape`]).
     fn check_ct(&self, ct: &Ciphertext) -> Result<(), HeError> {
@@ -823,7 +787,7 @@ impl Evaluator {
     // The key-switch basis
     // ---------------------------------------------------------------
     //
-    // Every Galois op is `mod_down(rotate_ext(..))`: a key switch and σ_g
+    // Every rotation is `mod_down(rotate_ext(..))`: a key switch and σ_g
     // over the key-switch basis, then a mod-down by `P` — the special
     // limbs of both halves inverse-transformed, and their conversions
     // into the `ℓ + 1` chain limbs forward-transformed. A sum of rotated
@@ -854,11 +818,11 @@ impl Evaluator {
         out
     }
 
-    /// The exact lift `P·ct` over the key-switch basis, which
-    /// [`Self::mod_down`] returns to `ct` limb for limb.
-    fn lift(&self, ct: &Ciphertext) -> ExtCiphertext {
+    /// The exact lift `P·ct` over the key-switch basis, given `P·c₀`,
+    /// which [`Self::mod_down`] returns to `ct` limb for limb.
+    fn lift(&self, ct: &Ciphertext, p_c0: RnsPoly) -> ExtCiphertext {
         ExtCiphertext {
-            c0: self.times_p(&ct.c0),
+            c0: p_c0,
             c1: self.times_p(&ct.c1),
             scale: ct.scale,
             level: ct.level,
@@ -878,13 +842,14 @@ impl Evaluator {
     ) -> Result<ExtCiphertext, HeError> {
         self.check_ct(ct)?;
         if steps.rem_euclid(ct.slots as i64) == 0 {
-            return Ok(self.lift(ct));
+            return Ok(self.lift(ct, self.times_p(&ct.c0)));
         }
         self.rotate_ext_hoisted(&self.hoist_stored(ct, false)?, steps, gk)
     }
 
     /// [`Self::rotate_ext`] of the hoisted ciphertext, reusing its
-    /// digits and its `P·c₀`.
+    /// digits and its `P·c₀` — also for the identity, whose lift then
+    /// multiplies only `c₁` by `P`.
     pub fn rotate_ext_hoisted(
         &self,
         h: &Hoisted<'_>,
@@ -892,19 +857,10 @@ impl Evaluator {
         gk: &GaloisKeys,
     ) -> Result<ExtCiphertext, HeError> {
         if steps.rem_euclid(h.ct.slots as i64) == 0 {
-            return Ok(self.lift(h.ct));
+            return Ok(self.lift(h.ct, h.p_c0.clone()));
         }
         let g = self.ctx.galois_element_for_rotation(steps);
         self.apply_galois_ext(h, g, gk)
-    }
-
-    /// [`Self::try_conjugate_hoisted`] stopped before its mod-down.
-    pub fn conjugate_ext_hoisted(
-        &self,
-        h: &Hoisted<'_>,
-        gk: &GaloisKeys,
-    ) -> Result<ExtCiphertext, HeError> {
-        self.apply_galois_ext(h, self.ctx.galois_element_conjugate(), gk)
     }
 
     /// `(σ_g(P·c₀ + u₀·P), σ_g(u₁·P))` over the key-switch basis, with
@@ -1095,7 +1051,7 @@ impl Digits {
 }
 
 /// A ciphertext whose `c₁` has been decomposed once ([`Evaluator::hoist`])
-/// for a fan of rotations and conjugations of it. It borrows the
+/// for a fan of rotations of it. It borrows the
 /// ciphertext, so its digits are only ever paired with the `c₁` they
 /// came from.
 pub struct Hoisted<'a> {
@@ -1184,7 +1140,7 @@ mod tests {
         let b: Vec<f64> = (0..128).map(|i| (i as f64 * 0.03).sin()).collect();
         let ca = f.ev.encrypt_real(&a, &f.pk, &mut f.sampler);
         let cb = f.ev.encrypt_real(&b, &f.pk, &mut f.sampler);
-        let prod = f.ev.multiply_rescale(&ca, &cb, &f.rk);
+        let prod = f.ev.rescale(&f.ev.multiply(&ca, &cb, &f.rk));
         assert_eq!(prod.level, f.ctx.max_level() - 1);
         let back = f.ev.decrypt_to_real(&prod, &f.sk);
         let expect: Vec<f64> = a.iter().zip(&b).map(|(x, y)| x * y).collect();
@@ -1198,7 +1154,7 @@ mod tests {
         let a: Vec<f64> = (0..64).map(|i| 0.02 * i as f64 - 0.5).collect();
         let ca = f.ev.encrypt_real(&a, &f.pk, &mut f.sampler);
         let sq = f.ev.rescale(&f.ev.square(&ca, &f.rk));
-        let mu = f.ev.multiply_rescale(&ca, &ca, &f.rk);
+        let mu = f.ev.rescale(&f.ev.multiply(&ca, &ca, &f.rk));
         let b1 = f.ev.decrypt_to_real(&sq, &f.sk);
         let b2 = f.ev.decrypt_to_real(&mu, &f.sk);
         assert!(max_err(&b1[..64], &b2[..64]) < 1e-4);
@@ -1212,11 +1168,11 @@ mod tests {
         let mut f = fixture(3, 15);
         let a: Vec<f64> = (0..32).map(|i| 0.3 + 0.01 * i as f64).collect();
         let ca = f.ev.encrypt_real(&a, &f.pk, &mut f.sampler);
-        let x2 = f.ev.multiply_rescale(&ca, &ca, &f.rk);
+        let x2 = f.ev.rescale(&f.ev.multiply(&ca, &ca, &f.rk));
         let ca_l = f.ev.mod_switch_to_level(&ca, x2.level);
-        let x3 = f.ev.multiply_rescale(&x2, &ca_l, &f.rk);
+        let x3 = f.ev.rescale(&f.ev.multiply(&x2, &ca_l, &f.rk));
         let ca_l2 = f.ev.mod_switch_to_level(&ca, x3.level);
-        let x4 = f.ev.multiply_rescale(&x3, &ca_l2, &f.rk);
+        let x4 = f.ev.rescale(&f.ev.multiply(&x3, &ca_l2, &f.rk));
         assert_eq!(x4.level, 0);
         let back = f.ev.decrypt_to_real(&x4, &f.sk);
         let expect: Vec<f64> = a.iter().map(|x| x.powi(4)).collect();
@@ -1249,7 +1205,7 @@ mod tests {
         let mut f = fixture(1, 17);
         let a: Vec<f64> = (0..16).map(|i| i as f64 * 0.1).collect();
         let ca = f.ev.encrypt_real(&a, &f.pk, &mut f.sampler);
-        let c = encoding::encode_constant(&f.ctx, -2.5, f.ctx.params().scale(), ca.level);
+        let c = encoding::encode_real(&f.ctx, &[-2.5; 16], f.ctx.params().scale(), ca.level);
         let out = f.ev.rescale(&f.ev.mul_plain(&ca, &c));
         let back = f.ev.decrypt_to_real(&out, &f.sk);
         let expect: Vec<f64> = a.iter().map(|x| x * -2.5).collect();
@@ -1287,31 +1243,12 @@ mod tests {
     }
 
     #[test]
-    fn conjugation() {
-        let mut f = fixture(1, 19);
-        let gk = {
-            let mut kg2 = KeyGenerator::new(Arc::clone(&f.ctx), 777);
-            kg2.gen_galois_keys(&f.sk, &[], true)
-        };
-        let vals: Vec<Complex> = (0..64)
-            .map(|i| Complex::new(0.1 * i as f64, -0.05 * i as f64))
-            .collect();
-        let pt = encoding::encode(&f.ctx, &vals, f.ctx.params().scale(), f.ctx.max_level());
-        let ct = f.ev.encrypt(&pt, &f.pk, &mut f.sampler);
-        let conj = f.ev.conjugate(&ct, &gk);
-        let back = f.ev.decrypt_to_complex(&conj, &f.sk);
-        for (b, v) in back.iter().zip(&vals) {
-            assert!((*b - v.conj()).abs() < 1e-3, "{b:?} vs {:?}", v.conj());
-        }
-    }
-
-    #[test]
     fn mod_switch_alignment() {
         let mut f = fixture(2, 21);
         let a: Vec<f64> = (0..16).map(|i| i as f64 * 0.01).collect();
         let ca = f.ev.encrypt_real(&a, &f.pk, &mut f.sampler);
         let cb = f.ev.encrypt_real(&a, &f.pk, &mut f.sampler);
-        let prod = f.ev.multiply_rescale(&ca, &cb, &f.rk); // level L-1
+        let prod = f.ev.rescale(&f.ev.multiply(&ca, &cb, &f.rk)); // level L-1
         let y = f.ev.mod_switch_to_level(&ca, prod.level);
         assert_eq!(y.level, prod.level);
         // decryption of the mod-switched fresh ct is unchanged
@@ -1328,7 +1265,7 @@ mod tests {
 
         // mul_scalar ≈ mul_plain with a constant vector
         let fast = f.ev.rescale(&f.ev.mul_scalar(&ct, -1.75, scale));
-        let pt = encoding::encode_constant(&f.ctx, -1.75, scale, ct.level);
+        let pt = encoding::encode_real(&f.ctx, &[-1.75; 32], scale, ct.level);
         let slow = f.ev.rescale(&f.ev.mul_plain(&ct, &pt));
         let bf = f.ev.decrypt_to_real(&fast, &f.sk);
         let bs = f.ev.decrypt_to_real(&slow, &f.sk);
@@ -1355,7 +1292,8 @@ mod tests {
         let mut acc =
             f.ev.zero_ciphertext(cts[0].scale * scale, cts[0].level, cts[0].slots);
         for (ct, &w) in cts.iter().zip(&ws) {
-            f.ev.mul_scalar_acc(&mut acc, ct, w, scale);
+            let w = f.ev.prepare_scalar(w, scale, ct.level);
+            f.ev.mul_residues_acc(&mut acc, ct, &w);
         }
         f.ev.add_scalar_assign(&mut acc, 0.1);
         let out = f.ev.rescale(&acc);
@@ -1515,14 +1453,13 @@ mod tests {
         assert!(f.ev.try_rotate(&ca, 0, &GaloisKeys::default()).is_ok());
     }
 
-    /// Every rotation of a fan, and a conjugation, through one
-    /// `Hoisted` is limb-identical to rotating the ciphertext directly,
-    /// at every level.
+    /// Every rotation of a fan through one `Hoisted` is limb-identical to
+    /// rotating the ciphertext directly, at every level.
     #[test]
     fn hoisted_fan_is_limb_identical_to_direct_rotation() {
         let mut f = fixture(3, 27);
         let steps = [1i64, 2, 5, -3, 0];
-        let gk = KeyGenerator::new(Arc::clone(&f.ctx), 28).gen_galois_keys(&f.sk, &steps, true);
+        let gk = KeyGenerator::new(Arc::clone(&f.ctx), 28).gen_galois_keys(&f.sk, &steps, false);
         let vals: Vec<f64> = (0..f.ctx.slots()).map(|i| (i as f64 * 0.1).cos()).collect();
         let top = f.ev.encrypt_real(&vals, &f.pk, &mut f.sampler);
         let same = |a: &Ciphertext, b: &Ciphertext| {
@@ -1538,11 +1475,6 @@ mod tests {
                     "step {r} at level {level}"
                 );
             }
-            let got = f.ev.try_conjugate_hoisted(&h, &gk).unwrap();
-            assert!(
-                same(&got, &f.ev.conjugate(&ct, &gk)),
-                "conjugate at level {level}"
-            );
         }
     }
 
@@ -1551,7 +1483,7 @@ mod tests {
     #[test]
     fn rotations_refuse_malformed_ciphertexts_typed() {
         let mut f = fixture(2, 29);
-        let gk = KeyGenerator::new(Arc::clone(&f.ctx), 30).gen_galois_keys(&f.sk, &[1], true);
+        let gk = KeyGenerator::new(Arc::clone(&f.ctx), 30).gen_galois_keys(&f.sk, &[1], false);
         let ct = f.ev.encrypt_real(&[0.5; 8], &f.pk, &mut f.sampler);
         let mut no_slots = ct.clone();
         no_slots.slots = 0;
@@ -1571,13 +1503,12 @@ mod tests {
             let want = Err(HeError::MalformedCiphertext(what));
             assert_eq!(f.ev.try_rotate(&bad, 1, &gk).map(|_| ()), want);
             assert_eq!(f.ev.try_rotate(&bad, 0, &gk).map(|_| ()), want);
-            assert_eq!(f.ev.try_conjugate(&bad, &gk).map(|_| ()), want);
             assert_eq!(f.ev.hoist(&bad).map(|_| ()), want);
         }
     }
 
     /// A chain of four limbs on the 2^10 ring over `special` special
-    /// primes, with Galois keys for `steps` and conjugation.
+    /// primes, with Galois keys for `steps`.
     fn ext_fixture(special: usize, steps: &[i64]) -> (Fixture, GaloisKeys) {
         let mut params = CkksParams::tiny(3);
         params.special_bits.truncate(special);
@@ -1587,7 +1518,7 @@ mod tests {
         let sk = kg.gen_secret_key();
         let pk = kg.gen_public_key(&sk);
         let rk = kg.gen_relin_key(&sk);
-        let gk = kg.gen_galois_keys(&sk, steps, true);
+        let gk = kg.gen_galois_keys(&sk, steps, false);
         let ev = Evaluator::new(Arc::clone(&ctx));
         let f = Fixture {
             ctx,
@@ -1634,8 +1565,8 @@ mod tests {
     /// Stopping a rotation before its mod-down and dividing by `P`
     /// afterwards is the textbook rotation, limb for limb, though it
     /// folds `P·c₀` in and applies σ_g before the division: every keyed
-    /// step, the identity and conjugation, hoisted and direct, at every
-    /// level, over one and over two special primes.
+    /// step and the identity, hoisted and direct, at every level, over
+    /// one and over two special primes.
     #[test]
     fn mod_down_of_an_extended_rotation_is_the_rotation() {
         let steps = [1i64, 3, -2];
@@ -1663,10 +1594,6 @@ mod tests {
                         assert!(same(&got, &want), "step {r}, level {level}, k = {special}");
                     }
                 }
-                let g = f.ctx.galois_element_conjugate();
-                let want = textbook_galois(&f.ev, &ct, g, &gk);
-                let got = f.ev.mod_down(f.ev.conjugate_ext_hoisted(&h, &gk).unwrap());
-                assert!(same(&got.unwrap(), &want), "conjugate, level {level}");
             }
         }
     }

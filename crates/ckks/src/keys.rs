@@ -16,21 +16,15 @@
 //! is drawn over the chain and the special primes.
 
 use crate::params::CkksContext;
+use ckks_math::ntt::galois_permutation;
 use ckks_math::poly::{Form, RnsPoly};
 use ckks_math::sampler::Sampler;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Secret key: `s ← χ_key = HW(h)`, stored both as signed coefficients
-/// (needed to form `σ_g⁻¹(s)` for Galois keys) and in NTT form over every
-/// modulus.
-///
-/// **Note:** a production deployment would zeroize `coeffs` on drop and
-/// avoid retaining them at all; this research implementation keeps them
-/// for key-derivation convenience.
+/// Secret key: `s ← χ_key = HW(h)`, kept only in NTT form over every
+/// modulus; a Galois key's `σ_g⁻¹(s)` is a permutation of its NTT slots.
 pub struct SecretKey {
-    /// Signed ternary coefficients.
-    pub(crate) coeffs: Vec<i64>,
     /// `s` in NTT form over all (chain + special) moduli.
     pub(crate) s_ntt: RnsPoly,
     /// Hamming weight used at sampling time.
@@ -195,7 +189,6 @@ impl KeyGenerator {
             RnsPoly::from_signed(Arc::clone(self.ctx.poly_ctx()), self.all_indices(), &coeffs);
         s_ntt.ntt_forward();
         SecretKey {
-            coeffs,
             s_ntt,
             hamming_weight: h,
         }
@@ -259,8 +252,10 @@ impl KeyGenerator {
         RelinKey(self.gen_ksk(&s2, &sk.s_ntt))
     }
 
-    /// Galois keys for the given rotation steps (and optionally
-    /// conjugation): payload `s` under the secret `σ_g⁻¹(s)`.
+    /// Galois keys for the given rotation steps (and, with
+    /// `with_conjugate`, the conjugation element `2N − 1`, which no
+    /// evaluator op applies; the request-level benchmark still passes
+    /// the flag): payload `s` under the secret `σ_g⁻¹(s)`.
     pub fn gen_galois_keys(
         &mut self,
         sk: &SecretKey,
@@ -272,24 +267,23 @@ impl KeyGenerator {
             .map(|&r| self.ctx.galois_element_for_rotation(r))
             .collect();
         if with_conjugate {
-            elements.push(self.ctx.galois_element_conjugate());
+            elements.push(2 * self.ctx.n() - 1);
         }
         elements.sort_unstable();
         elements.dedup();
 
-        let two_n = 2 * self.ctx.n();
         let mut keys = HashMap::new();
         for g in elements {
-            // σ_g⁻¹(s) from signed coefficients, over all moduli, NTT
-            // form; (Z/2N)^* has exponent N/2, so g⁻¹ = g^(N/2 − 1)
-            let g_inv = (1..self.ctx.n() / 2).fold(1, |a, _| a * g % two_n);
-            let s_poly = RnsPoly::from_signed(
-                Arc::clone(self.ctx.poly_ctx()),
-                self.all_indices(),
-                &sk.coeffs,
-            );
-            let mut t = s_poly.automorphism(g_inv);
-            t.ntt_forward();
+            // σ_g reads slot perm[k] into slot k, so scattering s through
+            // the same permutation, t[perm[k]] = s[k], gives σ_g(t) = s
+            let perm = galois_permutation(self.ctx.n(), g);
+            let mut t = sk.s_ntt.clone();
+            for i in 0..t.num_limbs() {
+                let (src, dst) = (sk.s_ntt.limb(i), t.limb_mut(i));
+                for (&v, &k) in src.iter().zip(perm.iter()) {
+                    dst[k as usize] = v;
+                }
+            }
             keys.insert(g, self.gen_ksk(&sk.s_ntt, &t));
         }
         GaloisKeys { keys }
@@ -311,9 +305,13 @@ mod tests {
         let ctx = CkksParams::tiny(2).build();
         let mut kg = KeyGenerator::new(Arc::clone(&ctx), 1);
         let sk = kg.gen_secret_key();
-        assert_eq!(sk.coeffs.len(), ctx.n());
-        let nz = sk.coeffs.iter().filter(|&&c| c != 0).count();
+        let mut s = sk.s_at_level(0);
+        s.ntt_inverse();
+        let m = *s.limb_modulus(0);
+        assert_eq!(s.limb(0).len(), ctx.n());
+        let nz = s.limb(0).iter().filter(|&&c| c != 0).count();
         assert_eq!(nz, sk.hamming_weight);
+        assert!(s.limb(0).iter().all(|&c| m.to_centered_i64(c).abs() <= 1));
         // all moduli present
         assert_eq!(sk.s_ntt.num_limbs(), ctx.poly_ctx().moduli().len());
         // restriction works
@@ -410,7 +408,7 @@ mod tests {
         assert!(gk.contains(ctx.galois_element_for_rotation(1)));
         assert!(gk.contains(ctx.galois_element_for_rotation(2)));
         assert!(gk.contains(ctx.galois_element_for_rotation(-1)));
-        assert!(gk.contains(ctx.galois_element_conjugate()));
+        assert!(gk.contains(2 * ctx.n() - 1));
         assert!(!gk.contains(ctx.galois_element_for_rotation(7)));
     }
 
@@ -419,8 +417,8 @@ mod tests {
         let ctx = CkksParams::tiny(1).build();
         let sk1 = KeyGenerator::new(Arc::clone(&ctx), 9).gen_secret_key();
         let sk2 = KeyGenerator::new(Arc::clone(&ctx), 9).gen_secret_key();
-        assert_eq!(sk1.coeffs, sk2.coeffs);
+        assert_eq!(sk1.s_ntt.limbs_flat(), sk2.s_ntt.limbs_flat());
         let sk3 = KeyGenerator::new(Arc::clone(&ctx), 10).gen_secret_key();
-        assert_ne!(sk1.coeffs, sk3.coeffs);
+        assert_ne!(sk1.s_ntt.limbs_flat(), sk3.s_ntt.limbs_flat());
     }
 }

@@ -36,9 +36,7 @@ pub use ciphertext::{Ciphertext, ExtCiphertext};
 // re-exported so evaluator callers can pin or inspect the SIMD kernel
 // backend without a direct ckks-math dependency
 pub use ckks_math::kernel;
-pub use encoding::{
-    decode, decode_real, encode, encode_constant, encode_real, encode_real_ext, Plaintext,
-};
+pub use encoding::{decode, decode_real, encode, encode_real, encode_real_ext, Plaintext};
 pub use error::HeError;
 pub use eval::{scales_match, Evaluator, Hoisted, PreparedScalar, SCALE_RTOL};
 pub use keys::{GaloisKeys, KeyGenerator, KeySwitchKey, PublicKey, RelinKey, SecretKey};

@@ -147,11 +147,6 @@ impl CkksParams {
         g
     }
 
-    /// Galois element of complex conjugation (`X ↦ X^{2N−1}`).
-    pub fn galois_element_conjugate(&self) -> usize {
-        2 * self.n - 1
-    }
-
     /// The concrete primes, chain then special, all distinct — one pass
     /// over both lists. Refuses when a size has no unused prime
     /// `≡ 1 (mod 2N)` left.
@@ -408,11 +403,6 @@ impl CkksContext {
         self.five_pows[r]
     }
 
-    /// Galois element of complex conjugation (`X ↦ X^{2N-1}`).
-    pub fn galois_element_conjugate(&self) -> usize {
-        2 * self.params.n - 1
-    }
-
     /// Human-readable one-line summary (used by the Table II harness).
     pub fn describe(&self) -> String {
         format!(
@@ -555,10 +545,6 @@ mod tests {
                 "steps {steps}"
             );
         }
-        assert_eq!(
-            params.galois_element_conjugate(),
-            ctx.galois_element_conjugate()
-        );
         assert_eq!(params.slots(), ctx.slots());
     }
 
@@ -580,6 +566,5 @@ mod tests {
             ctx.galois_element_for_rotation(-1),
             ctx.galois_element_for_rotation(slots - 1)
         );
-        assert_eq!(ctx.galois_element_conjugate(), 2 * ctx.n() - 1);
     }
 }

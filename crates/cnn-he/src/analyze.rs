@@ -329,7 +329,7 @@ mod tests {
         let mut b = GraphBuilder::new(CkksParams::tiny(1));
         let x = b.input("x", 1, Layout::BatchSlots);
         let r = b.rotate(x, 7);
-        let y = b.conjugate(r);
+        let y = b.rotate(r, 3);
         b.output(y);
         let c = b.finish(KeyInventory::relin_only());
         let report = circuit_admission(&c, KeyInventory::unknown());

@@ -136,8 +136,7 @@ impl Harness {
         let scheme = BigCkks::new(Arc::clone(&ctx));
         let mut big_sampler = Sampler::from_seed_stream(seed, 2);
         let big_keys = scheme.keygen(&mut big_sampler);
-        let big_gk =
-            scheme.gen_galois_keys(&big_keys, &crate::ROTATE_STEPS, false, &mut big_sampler);
+        let big_gk = scheme.gen_galois_keys(&big_keys, &crate::ROTATE_STEPS, &mut big_sampler);
 
         Self {
             ctx,

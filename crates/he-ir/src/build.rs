@@ -267,12 +267,6 @@ impl GraphBuilder {
         self.push(Op::Rotate { src, steps }, ty)
     }
 
-    /// Mirror of `Evaluator::conjugate` (type preserved).
-    pub fn conjugate(&mut self, src: NodeId) -> NodeId {
-        let ty = ValueTy::Ct(self.ct_ty(src));
-        self.push(Op::Conjugate { src }, ty)
-    }
-
     /// Mirror of `Evaluator::rotate_ext`: the rotation before its
     /// mod-down, over the key-switch basis (`steps ≡ 0` is the exact
     /// lift `P·src`).
@@ -389,7 +383,8 @@ mod tests {
         assert_eq!(c.regions[0].len, 2);
         assert_eq!(c.regions[1].len, 0);
         assert_eq!(c.regions[2].len, 1);
-        assert_eq!(c.region_of(z).unwrap().name, "last");
+        assert_eq!(c.regions[2].name, "last");
+        assert!(c.regions[2].nodes().contains(&z));
     }
 
     #[test]

@@ -55,7 +55,7 @@ impl KeyInventory {
 ///
 /// Relinearization is folded into `Mul`/`Square` (the eager evaluator
 /// relinearizes every ct×ct product immediately), and key-switching is
-/// implicit in `Mul`/`Square`/`Rotate`/`Conjugate` — mirroring the
+/// implicit in `Mul`/`Square`/`Rotate`/`RotateExt` — mirroring the
 /// primitive set `ckks::Evaluator` actually exposes.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Op {
@@ -146,10 +146,6 @@ pub enum Op {
         src: NodeId,
         steps: i64,
     },
-    /// Slot-wise complex conjugation (one keyswitch).
-    Conjugate {
-        src: NodeId,
-    },
     /// `Evaluator::rotate_ext`: a rotation by `steps` that stops before
     /// its mod-down — one key switch without the division by `P`,
     /// producing a key-switch-basis value ([`crate::Basis::KeySwitch`]).
@@ -177,7 +173,6 @@ impl Op {
             | Op::Rescale { src }
             | Op::ModSwitch { src, .. }
             | Op::Rotate { src, .. }
-            | Op::Conjugate { src }
             | Op::RotateExt { src, .. }
             | Op::ModDown { src } => vec![*src],
             Op::MulPlain { src, plain } | Op::AddPlain { src, plain } => vec![*src, *plain],
@@ -204,7 +199,6 @@ impl Op {
             Op::Rescale { .. } => "rescale",
             Op::ModSwitch { .. } => "mod_switch",
             Op::Rotate { .. } => "rotate",
-            Op::Conjugate { .. } => "conjugate",
             Op::RotateExt { .. } => "rotate_ext",
             Op::ModDown { .. } => "mod_down",
         }
@@ -247,12 +241,12 @@ pub struct OpCounts {
     /// no field.
     pub scalar_macs: u64,
     pub rescales: u64,
-    /// Non-identity rotations (`Rotate` and `RotateExt`) plus
-    /// conjugations — each a keyswitch.
+    /// Non-identity rotations (`Rotate` and `RotateExt`) — each a
+    /// keyswitch.
     pub rotations: u64,
     /// Divisions by the special primes `P`: one per key switch that
-    /// ends in one (a ct×ct product, a non-identity `Rotate`, a
-    /// `Conjugate`) and one per `ModDown`. A `RotateExt` defers its
+    /// ends in one (a ct×ct product, a non-identity `Rotate`) and one
+    /// per `ModDown`. A `RotateExt` defers its
     /// division to a `ModDown`.
     pub mod_downs: u64,
 }
@@ -287,11 +281,6 @@ impl Circuit {
 
     pub fn node(&self, id: NodeId) -> &Node {
         &self.nodes[id]
-    }
-
-    /// The region a node belongs to, if any.
-    pub fn region_of(&self, id: NodeId) -> Option<&Region> {
-        self.regions.iter().find(|r| r.nodes().contains(&id))
     }
 
     /// The units of a region's `nodes`: the connected components of its
@@ -365,10 +354,6 @@ impl Circuit {
                 }
                 Op::Rescale { .. } => c.rescales += 1,
                 Op::Rotate { steps, .. } if steps.rem_euclid(slots) != 0 => {
-                    c.rotations += 1;
-                    c.mod_downs += 1;
-                }
-                Op::Conjugate { .. } => {
                     c.rotations += 1;
                     c.mod_downs += 1;
                 }

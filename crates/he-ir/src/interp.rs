@@ -22,8 +22,8 @@
 //! region's units across the rayon pool, joined before the next region
 //! starts; units read only values computed before their region, so
 //! outputs are bit-identical at any pool width. A value from before a
-//! region (or bound as an input) that two or more of its rotations or
-//! conjugations (chain or extended) read is decomposed once before the
+//! region (or bound as an input) that two or more of its rotations
+//! (chain or extended) read is decomposed once before the
 //! units start ([`Evaluator::hoist`]) and its digits are shared by the
 //! units; a hoisted rotation is limb-identical to a direct one. [`Interpreter::run`] is prepare-then-execute over the
 //! same routine; nothing is cached between calls.
@@ -198,7 +198,7 @@ struct Span {
     region: Option<usize>,
     units: Vec<Vec<NodeId>>,
     /// Values available before the span's units start (computed earlier
-    /// or bound as inputs) that two or more of its `Rotate`/`Conjugate`
+    /// or bound as inputs) that two or more of its `Rotate`/`RotateExt`
     /// nodes read: each is decomposed once ([`Evaluator::hoist`]) and
     /// its digits shared by every unit.
     hoist: Vec<NodeId>,
@@ -321,9 +321,7 @@ impl Prepared {
                 }
                 let mut reads: BTreeMap<NodeId, usize> = BTreeMap::new();
                 for id in nodes.clone() {
-                    if let Op::Rotate { src, .. }
-                    | Op::RotateExt { src, .. }
-                    | Op::Conjugate { src } = circuit.nodes[id].op
+                    if let Op::Rotate { src, .. } | Op::RotateExt { src, .. } = circuit.nodes[id].op
                     {
                         let before = !nodes.contains(&src);
                         if before || matches!(circuit.nodes[src].op, Op::Input { .. }) {
@@ -696,14 +694,6 @@ impl Prepared {
                     (None, _) => return Err("rotation but no galois keys bound".into()),
                 };
                 Value::Ct(rotated.map_err(|e| e.to_string())?)
-            }
-            Op::Conjugate { src } => {
-                let gk = interp.gk.ok_or("conjugation but no galois keys bound")?;
-                let conjugated = match hoisted_of(*src) {
-                    Some(h) => ev.try_conjugate_hoisted(h, gk),
-                    None => ev.try_conjugate(ct(*src)?, gk),
-                };
-                Value::Ct(conjugated.map_err(|e| e.to_string())?)
             }
             Op::RotateExt { src, steps } => {
                 let x = ct(*src)?;

@@ -134,7 +134,7 @@ impl NoiseModel {
         e + self.rescale_round_coeff() / new_scale
     }
 
-    /// Rotation/conjugation: a permutation (error magnitude preserved)
+    /// Rotation: a permutation (error magnitude preserved)
     /// plus one keyswitch additive at the current scale.
     pub fn rotate_value(&self, e: f64, scale: f64) -> f64 {
         e + self.keyswitch_coeff() / scale

@@ -102,10 +102,6 @@ pub fn number(c: &Circuit) -> ValueNumbers {
                 tag: 2,
                 src: vn[*src],
             }),
-            Op::Conjugate { src } => Some(Key::Unary {
-                tag: 3,
-                src: vn[*src],
-            }),
             Op::AddScalar { src, value } => Some(Key::AddScalar {
                 src: vn[*src],
                 value: value.to_bits(),
@@ -197,7 +193,7 @@ impl Pass for CsePass {
                     dup_encodes += 1;
                     first_dup_encode.get_or_insert(id);
                 }
-                Op::Rotate { .. } | Op::RotateExt { .. } | Op::Conjugate { .. } => {
+                Op::Rotate { .. } | Op::RotateExt { .. } => {
                     dup_rotations += 1;
                     first_dup_rotation.get_or_insert(id);
                 }

@@ -266,13 +266,6 @@ impl Interp<'_> {
                     }
                 }
             }
-            Op::Conjugate { src } => {
-                let s = self.st(*src);
-                NodeState {
-                    err: self.noise.rotate_value(s.err, s.scale),
-                    ..s
-                }
-            }
             Op::RotateExt { src, steps } => {
                 let s = self.st(*src);
                 let slots = self.c.params.slots() as i64;

@@ -1,7 +1,7 @@
 //! Pass 2: rotation-set analysis — the exact Galois-key set a circuit
 //! needs versus what the key registry declares.
 //!
-//! Walks every `Rotate`/`RotateExt`/`Conjugate` node, maps steps to Galois elements
+//! Walks every `Rotate`/`RotateExt` node, maps steps to Galois elements
 //! (`5^(steps mod N/2) mod 2N`; identity rotations need no key, exactly
 //! like `Evaluator::try_rotate`), and diffs the required set against
 //! [`crate::KeyInventory::galois_elements`]: missing keys are errors
@@ -22,8 +22,6 @@ pub struct RotationSet {
     pub steps: BTreeSet<i64>,
     /// Galois elements required for the steps (identity excluded).
     pub elements: BTreeSet<usize>,
-    /// True when a `Conjugate` node needs the conjugation key.
-    pub conjugate: bool,
     /// First node id needing each element (for diagnostics).
     first_use: BTreeMap<usize, usize>,
 }
@@ -41,12 +39,6 @@ pub fn required_elements(c: &Circuit) -> RotationSet {
                 }
                 let elem = c.params.galois_element_for_rotation(*steps);
                 set.steps.insert(r);
-                set.elements.insert(elem);
-                set.first_use.entry(elem).or_insert(id);
-            }
-            Op::Conjugate { .. } => {
-                let elem = c.params.galois_element_conjugate();
-                set.conjugate = true;
                 set.elements.insert(elem);
                 set.first_use.entry(elem).or_insert(id);
             }
@@ -88,17 +80,12 @@ impl Pass for RotationSetPass {
             Some(have) => {
                 for (&elem, &node) in &required.first_use {
                     if !have.contains(&elem) {
-                        let what = if elem == circuit.params.galois_element_conjugate() {
-                            "conjugation".to_string()
-                        } else {
-                            format!("rotation (element {elem})")
-                        };
                         report.push(
                             Diagnostic::error(
                                 "missing-galois-key",
                                 Some(node),
                                 format!(
-                                    "{what} needs the Galois key for element {elem} \
+                                    "rotation needs the Galois key for element {elem} \
                                      but it is not in the declared inventory"
                                 ),
                             )
@@ -124,14 +111,9 @@ impl Pass for RotationSetPass {
         }
 
         let summary = format!(
-            "{} rotation step(s), {} galois element(s) required{}, {} declared",
+            "{} rotation step(s), {} galois element(s) required, {} declared",
             required.steps.len(),
             required.elements.len(),
-            if required.conjugate {
-                " (incl. conjugation)"
-            } else {
-                ""
-            },
             declared.map_or_else(|| "?".to_string(), |h| h.len().to_string()),
         );
         PassOutput { report, summary }
@@ -169,7 +151,6 @@ mod tests {
             .map(|&s| params.galois_element_for_rotation(s))
             .collect();
         assert_eq!(req.elements, expect);
-        assert!(!req.conjugate);
         // unknown key material: coverage is reported, never an error
         let out = RotationSetPass.run(&c);
         assert!(!out.report.has_errors(), "{}", out.report.render());
@@ -234,20 +215,5 @@ mod tests {
             .has_code("missing-galois-key"));
         assert_eq!(c.op_counts().rotations, 1);
         assert_eq!(c.op_counts().mod_downs, 1);
-    }
-
-    #[test]
-    fn conjugation_requires_its_element() {
-        let params = CkksParams::tiny(1);
-        let mut b = GraphBuilder::new(params.clone());
-        let x = b.input("x", 1, Layout::BatchStrided { stride: 1 });
-        let y = b.conjugate(x);
-        b.output(y);
-        let c = b.finish(KeyInventory::relin_only());
-        let req = required_elements(&c);
-        assert!(req.conjugate);
-        assert!(req.elements.contains(&params.galois_element_conjugate()));
-        let out = RotationSetPass.run(&c);
-        assert!(out.report.has_code("missing-galois-key"));
     }
 }

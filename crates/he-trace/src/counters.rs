@@ -9,7 +9,7 @@
 //! | `ntt_inv`        | one inverse NTT of one RNS limb                  |
 //! | `modmul_limbs`   | one limb of a pointwise poly mul/MAC (n modmuls) |
 //! | `ct_mults`       | one ciphertext×ciphertext tensor product         |
-//! | `rotations`      | one Galois automorphism (rotation/conjugation)   |
+//! | `rotations`      | one slot rotation (a Galois automorphism)        |
 //! | `relins`         | one relinearization                              |
 //! | `rescales`       | one rescale (drop one chain prime)               |
 //! | `keyswitches`    | one key-switch core (relin and rotation both     |
@@ -249,7 +249,7 @@ recorder!(
     record_ct_mult, CT_MULTS
 );
 recorder!(
-    /// Record `by` Galois automorphisms (rotations/conjugations).
+    /// Record `by` slot rotations (Galois automorphisms).
     record_rotation, ROTATIONS
 );
 recorder!(

@@ -45,9 +45,9 @@ fn main() {
     let (w1, w2, w3, beta) = (0.9, -0.5, 1.3, 0.05);
     let q = ctx.chain_moduli()[c1.level].value() as f64;
     let mut acc = ev.zero_ciphertext(c1.scale * q, c1.level, c1.slots);
-    ev.mul_scalar_acc(&mut acc, &c1, w1, q);
-    ev.mul_scalar_acc(&mut acc, &c2, w2, q);
-    ev.mul_scalar_acc(&mut acc, &c3, w3, q);
+    for (x, w) in [(&c1, w1), (&c2, w2), (&c3, w3)] {
+        ev.mul_residues_acc(&mut acc, x, &ev.prepare_scalar(w, q, x.level));
+    }
     ev.add_scalar_assign(&mut acc, beta);
     let z = ev.rescale(&acc);
 

@@ -99,9 +99,9 @@ fn level_exhaustion_fails_loudly() {
     let ev = Evaluator::new(Arc::clone(&ctx));
     let mut s = Sampler::from_seed(508);
     let ct = ev.encrypt_real(&[0.5], &pk, &mut s);
-    let c1 = ev.multiply_rescale(&ct, &ct, &rk); // level 0 now
+    let c1 = ev.rescale(&ev.multiply(&ct, &ct, &rk)); // level 0 now
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        ev.multiply_rescale(&c1, &c1, &rk)
+        ev.rescale(&ev.multiply(&c1, &c1, &rk))
     }));
     assert!(result.is_err(), "depth overrun must panic, not corrupt");
     let _ = sk;

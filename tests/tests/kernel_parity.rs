@@ -118,8 +118,6 @@ fn pointwise_parity_across_moduli() {
             let scalar = KernelBackend::Scalar;
             let mut d_assign = a.clone();
             kernel::dyadic_mul_assign_with(scalar, &m, &mut d_assign, &b);
-            let mut d_out = vec![0u64; len];
-            kernel::dyadic_mul_with(scalar, &m, &mut d_out, &a, &b);
             let mut d_acc = acc.clone();
             kernel::dyadic_mul_acc_with(scalar, &m, &mut d_acc, &a, &b);
             let mut mac = acc.clone();
@@ -134,9 +132,6 @@ fn pointwise_parity_across_moduli() {
                 let mut got = a.clone();
                 kernel::dyadic_mul_assign_with(be, &m, &mut got, &b);
                 assert_eq!(got, d_assign, "dyadic_mul_assign {ctx}");
-                let mut got = vec![0u64; len];
-                kernel::dyadic_mul_with(be, &m, &mut got, &a, &b);
-                assert_eq!(got, d_out, "dyadic_mul {ctx}");
                 let mut got = acc.clone();
                 kernel::dyadic_mul_acc_with(be, &m, &mut got, &a, &b);
                 assert_eq!(got, d_acc, "dyadic_mul_acc {ctx}");
@@ -195,8 +190,8 @@ fn dyadic_parity_at_ifma_boundary_primes() {
         let acc = rand_residues(&mut rng, len, p);
         let exact = |x: u64, y: u64| (u128::from(x) * u128::from(y) % u128::from(p)) as u64;
 
-        let mut prod = vec![0u64; len];
-        kernel::dyadic_mul_with(KernelBackend::Scalar, &m, &mut prod, &a, &b);
+        let mut prod = a.clone();
+        kernel::dyadic_mul_assign_with(KernelBackend::Scalar, &m, &mut prod, &b);
         assert!(prod
             .iter()
             .zip(a.iter().zip(&b))
@@ -204,9 +199,6 @@ fn dyadic_parity_at_ifma_boundary_primes() {
         let mut mac = acc.clone();
         kernel::dyadic_mul_acc_with(KernelBackend::Scalar, &m, &mut mac, &a, &b);
         for be in kernel::available_backends() {
-            let mut got = vec![0u64; len];
-            kernel::dyadic_mul_with(be, &m, &mut got, &a, &b);
-            assert_eq!(got, prod, "dyadic_mul {be:?} p={p}");
             let mut got = a.clone();
             kernel::dyadic_mul_assign_with(be, &m, &mut got, &b);
             assert_eq!(got, prod, "dyadic_mul_assign {be:?} p={p}");
@@ -497,8 +489,9 @@ mod coeff_reference {
         let moduli = ctx.poly_ctx().moduli();
         let mut d_coeff = d.clone();
         d_coeff.ntt_inverse();
+        let pctx = ctx.poly_ctx();
         let ext: Vec<usize> = (0..=level)
-            .chain(ctx.poly_ctx().special_indices())
+            .chain(pctx.chain_len()..pctx.moduli().len())
             .collect();
         let mut acc0 = RnsPoly::zero(Arc::clone(ctx.poly_ctx()), ext.clone(), Form::Ntt);
         let mut acc1 = acc0.clone();
@@ -583,8 +576,9 @@ struct KsFixture {
     b: Ciphertext,
 }
 
-/// Rotation steps the suites key: a baby step and a giant-ish one.
-const STEPS: [i64; 2] = [1, 7];
+/// Rotation steps the suites key: a baby step, a giant-ish one and a
+/// right rotation.
+const STEPS: [i64; 3] = [1, 7, -3];
 
 fn ks_fixture() -> KsFixture {
     ks_fixture_with(2)
@@ -599,7 +593,7 @@ fn ks_fixture_with(special: usize) -> KsFixture {
     let sk = kg.gen_secret_key();
     let pk: PublicKey = kg.gen_public_key(&sk);
     let rk = kg.gen_relin_key(&sk);
-    let gk = kg.gen_galois_keys(&sk, &STEPS, true);
+    let gk = kg.gen_galois_keys(&sk, &STEPS, false);
     let ev = Evaluator::new(Arc::clone(&ctx));
     let mut sampler = Sampler::from_seed(27);
     let vals: Vec<f64> = (0..ctx.slots()).map(|i| (i as f64 * 0.01).sin()).collect();
@@ -626,8 +620,8 @@ fn assert_same_ct(what: &str, got: &Ciphertext, want: &Ciphertext) {
 }
 
 /// Every key-switching op of the evaluator against the reference above,
-/// limb for limb: each rotation step, the identity and conjugation —
-/// direct, hoisted, and as the mod-down of the extended rotation —
+/// limb for limb: each rotation step and the identity — direct,
+/// hoisted, and as the mod-down of the extended rotation —
 /// relinearized multiplication, rescale and `key_switch`, at every level
 /// of CNN1's ring (rescale from level 1), over one and two special
 /// primes, on every kernel backend.
@@ -645,7 +639,6 @@ fn ntt_domain_key_switching_is_limb_identical_to_the_coefficient_reference() {
                 .map(|&s| (s, galois(f.ctx.galois_element_for_rotation(s))))
                 .collect();
             rotations.push((0, a.clone()));
-            let conjugate = galois(f.ctx.galois_element_conjugate());
             let product = coeff_reference::multiply(&f.ev, &a, &b, &f.rk);
             let rescaled = (level > 0).then(|| coeff_reference::rescale(&f.ctx, &a));
             let switched = coeff_reference::key_switch(&f.ctx, &a.c1, &f.rk.0);
@@ -666,14 +659,6 @@ fn ntt_domain_key_switching_is_limb_identical_to_the_coefficient_reference() {
                     ] {
                         assert_same_ct(&at(&format!("rotate {steps}, {how}")), &got, want);
                     }
-                }
-                let ext = ev.conjugate_ext_hoisted(&h, gk).expect("keyed");
-                for (how, got) in [
-                    ("direct", ev.conjugate(&a, gk)),
-                    ("hoisted", ev.try_conjugate_hoisted(&h, gk).expect("keyed")),
-                    ("mod_down", ev.mod_down(ext).expect("well-formed")),
-                ] {
-                    assert_same_ct(&at(&format!("conjugate, {how}")), &got, &conjugate);
                 }
                 assert_same_ct(&at("multiply"), &ev.multiply(&a, &b, &f.rk), &product);
                 if let Some(want) = &rescaled {
@@ -720,8 +705,7 @@ fn textbook_galois(ev: &Evaluator, ct: &Ciphertext, g: usize, gk: &GaloisKeys) -
 /// rotation folds `P·c₀` into its key switch and applies σ_g before the
 /// division, which changes nothing because `P·c₀` is zero modulo every
 /// special prime and σ_g commutes with the centred conversion. Every
-/// keyed step, the identity and conjugation, at every level of CNN1's
-/// ring, over one and over two special primes, on every kernel backend
+/// keyed step and the identity, at every level of CNN1's ring, over one and over two special primes, on every kernel backend
 /// against the reference computed on the scalar one.
 #[test]
 fn an_extended_rotation_mod_down_is_limb_identical_to_the_rotation() {
@@ -740,7 +724,6 @@ fn an_extended_rotation_mod_down_is_limb_identical_to_the_rotation() {
                 })
                 .collect();
             want.push((0, ct.clone()));
-            let conjugate = textbook_galois(ev, &ct, f.ctx.galois_element_conjugate(), gk);
             for be in kernel::available_backends() {
                 kernel::set_backend(be);
                 let at = |what: &str| format!("{what} at level {level}, k = {special}, {be:?}");
@@ -750,9 +733,6 @@ fn an_extended_rotation_mod_down_is_limb_identical_to_the_rotation() {
                     let got = ev.mod_down(ext).expect("well-formed");
                     assert_same_ct(&at(&format!("rotate {steps}")), &got, want);
                 }
-                let ext = ev.conjugate_ext_hoisted(&h, gk).expect("keyed");
-                let got = ev.mod_down(ext).expect("well-formed");
-                assert_same_ct(&at("conjugate"), &got, &conjugate);
             }
         }
     }
@@ -866,6 +846,53 @@ fn one_extended_rotation_and_one_mod_down_record_exact_transform_counts() {
     }
 }
 
+/// The identity tap of a hoisted fan is the exact lift `P·x` built from
+/// the hoist's `P·c₀`: limb-identical to lifting `x` directly, with no
+/// transform, and `ℓ + 1` limb products (`P·c₁` only) where the direct
+/// lift records `2(ℓ + 1)`.
+#[test]
+fn a_hoisted_identity_extended_rotation_reuses_the_hoisted_p_c0() {
+    let _guard = serial();
+    kernel::set_backend_auto();
+    let f = ks_fixture();
+    for level in 0..=7 {
+        let a = f.ev.mod_switch_to_level(&f.a, level);
+        let l = level as u64 + 1;
+        let h = f.ev.hoist(&a).expect("well-formed");
+        let before = OpSnapshot::now();
+        let hoisted = f.ev.rotate_ext_hoisted(&h, 0, &f.gk).expect("identity");
+        let d = OpSnapshot::now().delta(&before);
+        assert_eq!(
+            (d.modmul_limbs, d.ntt_fwd, d.ntt_inv),
+            (l, 0, 0),
+            "level {level}"
+        );
+        let before = OpSnapshot::now();
+        let direct = f.ev.rotate_ext(&a, 0, &f.gk).expect("identity");
+        let d = OpSnapshot::now().delta(&before);
+        assert_eq!(
+            (d.modmul_limbs, d.ntt_fwd, d.ntt_inv),
+            (2 * l, 0, 0),
+            "level {level}"
+        );
+        assert_eq!(
+            hoisted.c0.limbs_flat(),
+            direct.c0.limbs_flat(),
+            "level {level}: c0"
+        );
+        assert_eq!(
+            hoisted.c1.limbs_flat(),
+            direct.c1.limbs_flat(),
+            "level {level}: c1"
+        );
+        assert_eq!(hoisted.c0.limb_indices(), direct.c0.limb_indices());
+        assert_eq!(
+            (hoisted.level, hoisted.scale, hoisted.slots),
+            (direct.level, direct.scale, direct.slots)
+        );
+    }
+}
+
 /// A circuit region that rotates one value from outside it `r` times
 /// decomposes that value once: at level ℓ it records one decomposition's
 /// forward NTTs plus `2r(ℓ+1)`, and `(ℓ+1) + 2rk` inverse NTTs (`k`
@@ -881,21 +908,16 @@ fn a_region_fanning_out_rotations_of_one_value_decomposes_it_once() {
     let _guard = serial();
     kernel::set_backend_auto();
     let f = ks_fixture();
-    let conj = f.ctx.galois_element_conjugate();
     for level in [7, 3] {
         let x_ct = f.ev.mod_switch_to_level(&f.a, level);
         let mut b = GraphBuilder::for_context(&f.ctx);
         let x = b.input("x", level, Layout::BatchStrided { stride: 1 });
         b.begin_region("fan");
-        let outs = [b.rotate(x, STEPS[0]), b.rotate(x, STEPS[1]), b.conjugate(x)];
+        let outs = STEPS.map(|r| b.rotate(x, r));
         for o in outs {
             b.output(o);
         }
-        let mut elements: Vec<usize> = STEPS
-            .iter()
-            .map(|&r| f.ctx.galois_element_for_rotation(r))
-            .collect();
-        elements.push(conj);
+        let elements = STEPS.map(|r| f.ctx.galois_element_for_rotation(r));
         let circuit = b.finish(KeyInventory::with_galois(true, elements));
         let prepared = Prepared::new(&f.ev, circuit).expect("prepares");
         let interp = Interpreter::new(&f.ev).with_galois(&f.gk);
@@ -909,11 +931,7 @@ fn a_region_fanning_out_rotations_of_one_value_decomposes_it_once() {
             .expect("runs");
         let wide = prepared.run(&interp, inputs).expect("runs");
 
-        let want = [
-            f.ev.rotate(&x_ct, STEPS[0], &f.gk),
-            f.ev.rotate(&x_ct, STEPS[1], &f.gk),
-            f.ev.conjugate(&x_ct, &f.gk),
-        ];
+        let want = STEPS.map(|r| f.ev.rotate(&x_ct, r, &f.gk));
         let (l, r) = (level as u64 + 1, want.len() as u64);
         let k = f.ctx.special_moduli().len() as u64;
         for run in [&narrow, &wide] {

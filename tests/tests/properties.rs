@@ -58,7 +58,7 @@ proptest! {
         let mut s = Sampler::from_seed(603);
         let ca = f.ev.encrypt_real(&xs, &f.pk, &mut s);
         let cb = f.ev.encrypt_real(&ys, &f.pk, &mut s);
-        let prod = f.ev.multiply_rescale(&ca, &cb, &f.rk);
+        let prod = f.ev.rescale(&f.ev.multiply(&ca, &cb, &f.rk));
         let out = f.ev.decrypt_to_real(&prod, &f.sk);
         for i in 0..8 {
             prop_assert!((out[i] - xs[i] * ys[i]).abs() < 5e-3,
